@@ -66,10 +66,12 @@ cc-smoke:
 		assert len(rows) == 10, s.body; \
 		print('cc-smoke: %d scheme x cc matrix rows' % len(rows))"
 
-## the full 4 MB pump benchmark, printed as JSON (no report written)
+## the full 4 MB pump benchmark, printed as JSON (no report written);
+## fails unless the transfer completed
 bench-pump:
 	$(PY) -c "from repro.perfbench import bench_hotpath_pump; \
-		import json; print(json.dumps(bench_hotpath_pump(), indent=2))"
+		import json; r = bench_hotpath_pump(); \
+		print(json.dumps(r, indent=2)); assert r['complete'], r"
 
 ## fail on >30% regression vs the committed BENCH_core.json in the
 ## event_loop, trace_link, hotpath and multi_session families, and on

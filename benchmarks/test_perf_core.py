@@ -21,7 +21,6 @@ MIN_EVENTS_PER_SEC = 100_000
 MIN_PACKETS_PER_SEC = 50_000
 MAX_SESSION_WALL_S = 30.0
 MIN_SEAL_OPEN_BYTES_PER_SEC = 5_000_000
-MIN_CRYPTO_SPEEDUP = 2.0
 MIN_DATAGRAMS_PER_SEC = 1_000
 #: raised from 300 when the batched run-until-blocked pump landed;
 #: still ~3x under the steady-state on a loaded 1-CPU container
@@ -65,13 +64,11 @@ class TestHotpath:
     def test_crypto_seal_open(self, benchmark):
         result = run_once(benchmark, perfbench.bench_hotpath_crypto)
         print_table("hotpath: AEAD seal+open",
-                    ["payload", "iters", "MB/s", "speedup vs baseline"],
+                    ["payload", "iters", "MB/s"],
                     [[result["payload_bytes"], result["iters"],
-                      f"{result['seal_open_bytes_per_sec'] / 1e6:.1f}",
-                      f"{result['speedup_vs_baseline']:.2f}x"]])
+                      f"{result['seal_open_bytes_per_sec'] / 1e6:.1f}"]])
         assert result["seal_open_bytes_per_sec"] > \
             MIN_SEAL_OPEN_BYTES_PER_SEC
-        assert result["speedup_vs_baseline"] > MIN_CRYPTO_SPEEDUP
 
     def test_datagram_receive_rate(self, benchmark):
         result = run_once(benchmark, perfbench.bench_hotpath_datagrams)

@@ -16,6 +16,7 @@ deterministic for a given config (the N=8 determinism test pins it).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -98,6 +99,17 @@ class ContentionResult:
 
 def run_contention(config: ContentionConfig) -> ContentionResult:
     """Run N concurrent sessions against one host on a shared cell."""
+    result = _run_world(config)
+    # The finished world is one reference cycle (loop <-> connections
+    # <-> callbacks) pinning the cell trace and every payload buffer
+    # (~16 MB at N=12), yet it allocates too few containers for the
+    # collector's allocation-count heuristic to notice: back-to-back
+    # runs would pile up ~10 dead worlds before a full pass.
+    gc.collect()
+    return result
+
+
+def _run_world(config: ContentionConfig) -> ContentionResult:
     loop = EventLoop()
     paths = [PathSpec(CELL_PATH_ID, RadioType.LTE, config.cell_delay_s,
                       trace_ms=stable_lte_trace(

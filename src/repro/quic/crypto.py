@@ -7,166 +7,70 @@ pair no longer uniquely identifies a packet, so the draft constructs a
 two zero bits, then the 62-bit packet number -- left-pads it to the IV
 size, and XORs it with the IV.
 
-We implement that construction verbatim.  The cipher itself is a
-deterministic keyed-XOR stream with a 16-byte MAC (SHA-256 based):
-not secure, but it round-trips, detects tampering, and -- the part the
-protocol logic cares about -- produces distinct nonces for the same
-packet number on different paths.
+We implement that construction verbatim; it is the part of this module
+the protocol logic depends on (same packet number on two paths, two
+different nonces).  The cipher around it is a stand-in sized to cost
+two C-level hash calls per packet:
 
-Hot-path implementation
------------------------
+- keystream: one SHAKE-128 XOF digest of exactly ``len(payload)``
+  bytes over ``"stream" || key || nonce``, XORed with the payload as a
+  single big-integer operation;
+- tag: one SHA-256 over ``"tag" || key || nonce || aad || ciphertext``,
+  truncated to 16 bytes.
 
-Seal/open dominate the emulator's per-datagram cost (XLINK re-injects
-duplicates, so AEAD volume is *higher* than single-path QUIC), so the
-implementation is vectorized while staying **bit-identical** to the
-original per-block / per-byte reference:
+Both hash states are primed with the key once per
+:class:`PacketProtection` and copied per packet.  ``open`` always
+verifies the tag before decrypting.  Not secure, but it round-trips,
+detects any flipped bit in ciphertext, tag or associated data, and
+rejects a packet opened under another path's nonce.  ``seal``/``open``
+accept any bytes-like payload/AAD (the connection passes ``memoryview``
+slices of the datagram, avoiding copies).
 
-- the keystream is still SHA-256(key || nonce || counter) blocks, but
-  generated via a copy-update hash chain (the ``key`` prefix is hashed
-  once per key, the ``key || nonce`` prefix once per packet) and
-  XORed with the payload as one large integer instead of a per-byte
-  generator expression;
-- keystreams are memoized in a bounded FIFO cache keyed by
-  ``(key, nonce, blocks)``.  Both endpoints of an emulated connection
-  live in the same process and derive the same key, so the receiver's
-  ``open`` reuses the keystream the sender's ``seal`` just computed;
-- :func:`build_nonce` caches the IV-XOR-CID-sequence prefix per path,
-  so per packet only the packet-number XOR and a 12-byte conversion
-  remain;
-- ``seal``/``open`` accept any bytes-like payload/AAD (the connection
-  passes ``memoryview`` slices of the datagram, avoiding copies).
-
-``tests/test_hotpath_reference.py`` pins the output to reference
-vectors generated from the pre-optimization implementation.
+Ciphertext bytes are not an invariant of this repo: virtual time
+depends on packet sizes only.  The nonce bytes are, and
+``tests/test_hotpath_reference.py`` pins them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 BytesLike = Union[bytes, bytearray, memoryview]
 
 TAG_LENGTH = 16
 IV_LENGTH = 12  # 96 bits
 
-#: (iv, cid_sequence_number) -> int(iv) XOR (cid_sequence_number << 64)
-_NONCE_PREFIX_CACHE: Dict[Tuple[bytes, int], Tuple[int, int]] = {}
-_NONCE_PREFIX_CACHE_MAX = 4096
+_MAX_CID_SEQUENCE = 1 << 32
+_MAX_PACKET_NUMBER = 1 << 62
 
-#: (key, nonce, blocks) -> keystream as a big integer
-_KEYSTREAM_CACHE: Dict[Tuple[bytes, bytes, int], int] = {}
-_KEYSTREAM_CACHE_MAX = 1024
 
-#: (key, nonce) -> (sealed, aad, plaintext) recorded by ``seal``.
-#: Both endpoints of an emulated connection share the process and the
-#: key, so ``open`` first compares the incoming packet -- sealed bytes
-#: AND associated data -- byte-for-byte against what ``seal`` produced
-#: for that nonce: an exact match *implies* the tag check passes (the
-#: tag is a deterministic function of key/nonce/aad/ciphertext) and
-#: returns the recorded plaintext without re-hashing.  Any mismatch
-#: (bit corruption, altered header) falls through to the full verify,
-#: which rejects exactly as the reference implementation would.
-_SEAL_CACHE: Dict[Tuple[bytes, bytes], Tuple[bytes, bytes, bytes]] = {}
-_SEAL_CACHE_MAX = 512
-
-#: key -> sha256 hash object primed with the key bytes
-_KEY_HASH_CACHE: Dict[bytes, "hashlib._Hash"] = {}
-_KEY_HASH_CACHE_MAX = 256
-
-#: precomputed 4-byte big-endian counters (48 blocks cover 1536 bytes,
-#: beyond any datagram this stack emits)
-_COUNTERS = tuple(i.to_bytes(4, "big") for i in range(48))
+def _nonce(iv_int: int, iv_len: int, cid_sequence_number: int,
+           packet_number: int) -> bytes:
+    if not 0 <= cid_sequence_number < _MAX_CID_SEQUENCE:
+        raise ValueError("CID sequence number must fit 32 bits")
+    if not 0 <= packet_number < _MAX_PACKET_NUMBER:
+        raise ValueError("packet number must fit 62 bits")
+    # 32-bit CID seq, 2 zero bits, 62-bit packet number = 96 bits,
+    # left-padded to the IV size and XORed with the IV.
+    return (iv_int ^ (cid_sequence_number << 64) ^ packet_number
+            ).to_bytes(iv_len, "big")
 
 
 def build_nonce(iv: bytes, cid_sequence_number: int,
                 packet_number: int) -> bytes:
     """Multipath AEAD nonce: IV XOR padded path-and-packet-number."""
-    cached = _NONCE_PREFIX_CACHE.get((iv, cid_sequence_number))
-    if cached is None:
-        if len(iv) < IV_LENGTH:
-            raise ValueError(f"IV must be at least {IV_LENGTH} bytes")
-        if not 0 <= cid_sequence_number < (1 << 32):
-            raise ValueError("CID sequence number must fit 32 bits")
-        # 32-bit CID seq, 2 zero bits, 62-bit packet number = 96 bits,
-        # left-padded to the IV size; the packet number occupies bits
-        # 0..61, so the xor below composes the same 96-bit value the
-        # reference implementation built byte-by-byte.
-        prefix = int.from_bytes(iv, "big") ^ (cid_sequence_number << 64)
-        cached = (prefix, len(iv))
-        if len(_NONCE_PREFIX_CACHE) >= _NONCE_PREFIX_CACHE_MAX:
-            _NONCE_PREFIX_CACHE.pop(next(iter(_NONCE_PREFIX_CACHE)))
-        _NONCE_PREFIX_CACHE[(iv, cid_sequence_number)] = cached
-    if not 0 <= packet_number < (1 << 62):
-        raise ValueError("packet number must fit 62 bits")
-    prefix, iv_len = cached
-    return (prefix ^ packet_number).to_bytes(iv_len, "big")
-
-
-def _key_hash(key: bytes) -> "hashlib._Hash":
-    base = _KEY_HASH_CACHE.get(key)
-    if base is None:
-        base = hashlib.sha256(key)
-        if len(_KEY_HASH_CACHE) >= _KEY_HASH_CACHE_MAX:
-            _KEY_HASH_CACHE.pop(next(iter(_KEY_HASH_CACHE)))
-        _KEY_HASH_CACHE[key] = base
-    return base
-
-
-def _keystream_int(key: bytes, nonce: bytes, blocks: int) -> int:
-    """``blocks`` SHA-256 keystream blocks as one big-endian integer."""
-    cache_key = (key, nonce, blocks)
-    stream = _KEYSTREAM_CACHE.get(cache_key)
-    if stream is None:
-        prefix = _key_hash(key).copy()
-        prefix.update(nonce)
-        counters = _COUNTERS if blocks <= len(_COUNTERS) else \
-            tuple(i.to_bytes(4, "big") for i in range(blocks))
-        parts = []
-        append = parts.append
-        copy = prefix.copy
-        for i in range(blocks):
-            h = copy()
-            h.update(counters[i])
-            append(h.digest())
-        stream = int.from_bytes(b"".join(parts), "big")
-        if len(_KEYSTREAM_CACHE) >= _KEYSTREAM_CACHE_MAX:
-            _KEYSTREAM_CACHE.pop(next(iter(_KEYSTREAM_CACHE)))
-        _KEYSTREAM_CACHE[cache_key] = stream
-    return stream
-
-
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Deterministic keystream: SHA-256(key || nonce || counter) blocks."""
-    if length == 0:
-        return b""
-    blocks = (length + 31) >> 5
-    stream = _keystream_int(key, nonce, blocks)
-    return (stream >> ((blocks * 32 - length) << 3)).to_bytes(length, "big")
-
-
-def _xor_keystream(key: bytes, nonce: bytes, data: BytesLike) -> bytes:
-    """``data`` XOR keystream, as a single large-integer operation."""
-    length = len(data)
-    if length == 0:
-        return b""
-    blocks = (length + 31) >> 5
-    stream = _keystream_int(key, nonce, blocks) \
-        >> ((blocks * 32 - length) << 3)
-    return (int.from_bytes(data, "big") ^ stream).to_bytes(length, "big")
-
-
-def _tag(key: bytes, nonce: bytes, aad: BytesLike,
-         ciphertext: BytesLike) -> bytes:
-    return hashlib.sha256(
-        b"tag" + key + nonce + bytes(aad) + bytes(ciphertext)
-    ).digest()[:TAG_LENGTH]
+    if len(iv) < IV_LENGTH:
+        raise ValueError(f"IV must be at least {IV_LENGTH} bytes")
+    return _nonce(int.from_bytes(iv, "big"), len(iv),
+                  cid_sequence_number, packet_number)
 
 
 class PacketProtection:
     """Seals and opens packet payloads with the multipath nonce."""
 
-    __slots__ = ("key", "iv", "_tag_base")
+    __slots__ = ("key", "iv", "_iv_int", "_iv_len", "_stream_base",
+                 "_tag_base")
 
     def __init__(self, key: bytes, iv: Optional[bytes] = None) -> None:
         if not key:
@@ -174,43 +78,53 @@ class PacketProtection:
         self.key = bytes(key)
         self.iv = bytes(iv) if iv is not None else hashlib.sha256(
             b"iv" + self.key).digest()[:IV_LENGTH]
-        #: sha256 primed with b"tag" || key; copied per tag computation
+        if len(self.iv) < IV_LENGTH:
+            raise ValueError(f"IV must be at least {IV_LENGTH} bytes")
+        self._iv_int = int.from_bytes(self.iv, "big")
+        self._iv_len = len(self.iv)
+        #: hash states primed with the key; copied once per packet
+        self._stream_base = hashlib.shake_128(b"stream" + self.key)
         self._tag_base = hashlib.sha256(b"tag" + self.key)
 
-    def _tag_for(self, nonce: bytes, aad: BytesLike,
-                 ciphertext: BytesLike) -> bytes:
-        h = self._tag_base.copy()
-        h.update(nonce)
-        h.update(aad)
-        h.update(ciphertext)
-        return h.digest()[:TAG_LENGTH]
+    def _xor_keystream(self, nonce: bytes, data: BytesLike) -> bytes:
+        length = len(data)
+        if not length:
+            return b""
+        xof = self._stream_base.copy()
+        xof.update(nonce)
+        from_bytes = int.from_bytes
+        return (from_bytes(data, "big")
+                ^ from_bytes(xof.digest(length), "big")
+                ).to_bytes(length, "big")
+
+    def _tag(self, nonce: bytes, aad: BytesLike,
+             ciphertext: BytesLike) -> bytes:
+        mac = self._tag_base.copy()
+        mac.update(nonce)
+        mac.update(aad)
+        mac.update(ciphertext)
+        return mac.digest()[:TAG_LENGTH]
 
     def seal(self, plaintext: BytesLike, aad: BytesLike,
              cid_sequence_number: int, packet_number: int) -> bytes:
         """Encrypt and authenticate; returns ciphertext || tag."""
-        nonce = build_nonce(self.iv, cid_sequence_number, packet_number)
-        ciphertext = _xor_keystream(self.key, nonce, plaintext)
-        sealed = ciphertext + self._tag_for(nonce, aad, ciphertext)
-        if len(_SEAL_CACHE) >= _SEAL_CACHE_MAX:
-            _SEAL_CACHE.pop(next(iter(_SEAL_CACHE)))
-        _SEAL_CACHE[(self.key, nonce)] = (sealed, bytes(aad),
-                                          bytes(plaintext))
-        return sealed
+        nonce = _nonce(self._iv_int, self._iv_len, cid_sequence_number,
+                       packet_number)
+        ciphertext = self._xor_keystream(nonce, plaintext)
+        return ciphertext + self._tag(nonce, aad, ciphertext)
 
     def open(self, sealed: BytesLike, aad: BytesLike,
              cid_sequence_number: int, packet_number: int) -> bytes:
         """Verify and decrypt; raises ValueError on authentication failure."""
         if len(sealed) < TAG_LENGTH:
             raise ValueError("sealed payload shorter than tag")
-        nonce = build_nonce(self.iv, cid_sequence_number, packet_number)
-        cached = _SEAL_CACHE.get((self.key, nonce))
-        if cached is not None and cached[0] == sealed and cached[1] == aad:
-            return cached[2]
+        nonce = _nonce(self._iv_int, self._iv_len, cid_sequence_number,
+                       packet_number)
         view = memoryview(sealed)
-        ciphertext, tag = view[:-TAG_LENGTH], view[-TAG_LENGTH:]
-        if self._tag_for(nonce, aad, ciphertext) != tag:
+        ciphertext = view[:-TAG_LENGTH]
+        if self._tag(nonce, aad, ciphertext) != view[-TAG_LENGTH:]:
             raise ValueError("AEAD authentication failed")
-        return _xor_keystream(self.key, nonce, ciphertext)
+        return self._xor_keystream(nonce, ciphertext)
 
 
 def derive_connection_key(secret: bytes) -> bytes:

@@ -78,8 +78,12 @@ class PathLossDetector:
         #: the properties fall back to scans when they disagree with
         #: the dict, covering tests that poke ``sent`` directly)
         self._bytes_in_flight = 0
-        self._eliciting_in_flight = 0
         self._tracked_count = 0
+        #: pn -> sent_time of tracked ack-eliciting packets, in send
+        #: order: the ack-eliciting census, and its first value is the
+        #: PTO base without walking the ACK-only packets a receiver's
+        #: ``sent`` mostly holds
+        self._eliciting_sent_time: Dict[int, float] = {}
         #: True while insertion order == ascending packet number and
         #: non-decreasing sent time (always, for a live connection)
         self._ordered = True
@@ -121,7 +125,7 @@ class PathLossDetector:
         self.sent[pn] = pkt
         self._tracked_count += 1
         if pkt.ack_eliciting:
-            self._eliciting_in_flight += 1
+            self._eliciting_sent_time[pn] = pkt.sent_time
         if pkt.in_flight:
             self._bytes_in_flight += pkt.size
 
@@ -129,8 +133,8 @@ class PathLossDetector:
         """Update the aggregates for a packet leaving ``sent``."""
         if self._tracked_count > 0:
             self._tracked_count -= 1
-        if pkt.ack_eliciting and self._eliciting_in_flight > 0:
-            self._eliciting_in_flight -= 1
+        if pkt.ack_eliciting:
+            self._eliciting_sent_time.pop(pkt.packet_number, None)
         if pkt.in_flight:
             self._bytes_in_flight -= pkt.size
             if self._bytes_in_flight < 0:
@@ -280,7 +284,7 @@ class PathLossDetector:
         self.sent.clear()
         self.loss_time = None
         self._bytes_in_flight = 0
-        self._eliciting_in_flight = 0
+        self._eliciting_sent_time.clear()
         self._tracked_count = 0
         self._last_ack_tail = ()
         return pkts
@@ -293,11 +297,8 @@ class PathLossDetector:
         if self._ordered and len(self.sent) == self._tracked_count:
             # Sent times are non-decreasing in insertion order, so the
             # first ack-eliciting entry carries the minimum sent time.
-            if self._eliciting_in_flight > 0:
-                for p in self.sent.values():
-                    if p.ack_eliciting:
-                        base = p.sent_time
-                        break
+            if self._eliciting_sent_time:
+                base = next(iter(self._eliciting_sent_time.values()))
         else:
             eliciting = [p.sent_time for p in self.sent.values()
                          if p.ack_eliciting]
@@ -331,7 +332,7 @@ class PathLossDetector:
     @property
     def has_unacked(self) -> bool:
         """True if ack-eliciting packets are outstanding (Eq. 1's filter)."""
-        if self._eliciting_in_flight > 0:
+        if self._eliciting_sent_time:
             return True
         sent = self.sent
         if not sent:

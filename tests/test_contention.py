@@ -60,3 +60,12 @@ class TestContentionBehavior:
         big_cell = run_contention(ContentionConfig(sessions=4, seed=4,
                                                    video_duration_s=4.0))
         assert big_cell.cell_down_bytes > small.cell_down_bytes
+
+    def test_finished_world_is_freed(self):
+        """The loop/connection/callback cycle of a finished run pins
+        megabytes and is too few objects for the collector to notice;
+        ``run_contention`` must not leave it behind."""
+        import gc
+        run_contention(ContentionConfig(sessions=2, seed=4,
+                                        video_duration_s=1.0))
+        assert gc.collect() < 50

@@ -1,5 +1,8 @@
 """Tests for the toy AEAD, multipath nonce, and packet headers."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +116,105 @@ class TestPacketProtection:
         prot = PacketProtection(key=b"property-key")
         assert prot.open(prot.seal(payload, aad, path, pn),
                          aad, path, pn) == payload
+
+    @given(st.binary(max_size=1500), st.binary(max_size=32),
+           st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 62) - 1))
+    @settings(max_examples=50)
+    def test_matches_flat_construction_property(self, payload, aad, cid, pn):
+        """The primed-and-copied hash states equal the one-shot spec."""
+        prot = PacketProtection(key=b"property-key")
+        nonce = build_nonce(prot.iv, cid, pn)
+        stream = hashlib.shake_128(
+            b"stream" + prot.key + nonce).digest(len(payload))
+        ciphertext = bytes(p ^ s for p, s in zip(payload, stream))
+        tag = hashlib.sha256(
+            b"tag" + prot.key + nonce + aad + ciphertext).digest()
+        assert prot.seal(payload, aad, cid, pn) == \
+            ciphertext + tag[:TAG_LENGTH]
+
+    def test_short_iv_rejected(self):
+        with pytest.raises(ValueError):
+            PacketProtection(key=b"k", iv=b"short")
+
+    def test_roundtrip_every_length_to_1500(self):
+        prot = PacketProtection(key=b"length-key")
+        pattern = bytes(range(256)) * 6
+        for length in range(1501):
+            payload = pattern[:length]
+            sealed = prot.seal(payload, b"aad", 2, length)
+            assert len(sealed) == length + TAG_LENGTH
+            assert prot.open(sealed, b"aad", 2, length) == payload
+
+    @given(st.binary(max_size=1500), st.binary(max_size=32),
+           st.sampled_from([bytes, bytearray, memoryview]),
+           st.sampled_from([bytes, bytearray, memoryview]))
+    @settings(max_examples=100)
+    def test_bytes_like_inputs_property(self, payload, aad, wrap_in,
+                                        wrap_out):
+        prot = PacketProtection(key=b"property-key")
+        sealed = prot.seal(wrap_in(payload), wrap_in(aad), 1, 9)
+        assert sealed == prot.seal(payload, aad, 1, 9)
+        assert len(sealed) == len(payload) + TAG_LENGTH
+        assert prot.open(wrap_out(sealed), wrap_out(aad), 1, 9) == payload
+
+    @given(st.binary(max_size=300), st.binary(min_size=1, max_size=32),
+           st.data())
+    @settings(max_examples=200)
+    def test_any_flipped_bit_rejected_property(self, payload, aad, data):
+        prot = PacketProtection(key=b"property-key")
+        sealed = prot.seal(payload, aad, 1, 9)
+        bit = data.draw(st.integers(0, 8 * (len(sealed) + len(aad)) - 1))
+        tampered = bytearray(sealed + aad)
+        tampered[bit >> 3] ^= 1 << (bit & 7)
+        with pytest.raises(ValueError):
+            prot.open(bytes(tampered[:len(sealed)]),
+                      bytes(tampered[len(sealed):]), 1, 9)
+
+    @given(st.binary(min_size=1, max_size=1500),
+           st.integers(0, (1 << 62) - 1),
+           st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 32) - 1))
+    @settings(max_examples=100)
+    def test_two_paths_same_pn_distinct_property(self, payload, pn, c1, c2):
+        """Same key + packet number on two CID sequence numbers."""
+        if c1 == c2:
+            c2 = (c1 + 1) % (1 << 32)
+        prot = PacketProtection(key=b"property-key")
+        assert build_nonce(prot.iv, c1, pn) != build_nonce(prot.iv, c2, pn)
+        s1 = prot.seal(payload, b"aad", c1, pn)
+        s2 = prot.seal(payload, b"aad", c2, pn)
+        # 8+ payload bytes cannot collide by chance; shorter ones are
+        # still told apart by the 16-byte tag
+        if len(payload) >= 8:
+            assert s1[:-TAG_LENGTH] != s2[:-TAG_LENGTH]
+        assert s1[-TAG_LENGTH:] != s2[-TAG_LENGTH:]
+        with pytest.raises(ValueError):
+            prot.open(s1, b"aad", c2, pn)
+
+    def test_seal_open_call_budget(self):
+        """Deterministic cost gate, immune to wall-clock noise.
+
+        One seal + one open of a 1,200-byte payload stays within 40
+        Python + C calls: keystream and tag are one hash call each, not
+        a loop over blocks.
+        """
+        prot = PacketProtection(key=b"budget-key")
+        payload, aad = bytes(1200), b"\x40" + bytes(12)
+        calls = 0
+
+        def count(_frame, event, _arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            opened = prot.open(prot.seal(payload, aad, 1, 7), aad, 1, 7)
+        finally:
+            sys.setprofile(previous)
+        assert opened == payload
+        # the closing sys.setprofile is itself counted once
+        assert calls - 1 <= 40, calls
 
 
 class TestPacketHeaders:

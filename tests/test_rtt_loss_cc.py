@@ -167,6 +167,42 @@ class TestLossDetection:
         assert det.pto_deadline() is None
         assert not det.has_unacked
 
+    def test_pto_base_follows_eliciting_through_ack_loss_discard(self):
+        """A receiver's ``sent``: ACK-only packets around a few
+        ack-eliciting ones.  The PTO base is always the oldest tracked
+        eliciting packet, as the full scan over ``sent`` would find."""
+        det = _mk_detector()
+        det.rtt.update(0.1)
+        pto = det.rtt.pto(0.025)
+        for pn in range(40):
+            det.on_packet_sent(_pkt(pn, 0.01 * pn,
+                                    eliciting=pn in (10, 20, 30)))
+
+        def scanned():
+            times = [p.sent_time for p in det.sent.values()
+                     if p.ack_eliciting]
+            return min(times) + pto if times else None
+
+        assert det.pto_deadline() == scanned() == pytest.approx(0.1 + pto)
+        det.on_ack_received((AckRange(8, 12),), 0.0, 0.5)   # acks pn 10
+        assert det.pto_deadline() == scanned() == pytest.approx(0.2 + pto)
+        # pn 20 trails largest_acked=31 by >= 3: lost; pn 30 is neither
+        # that far behind nor (sent 50 ms ago) too old
+        _acked, lost, _rtt = det.on_ack_received((AckRange(31, 31),),
+                                                 0.0, 0.35)
+        assert 20 in {p.packet_number for p in lost}
+        assert det.pto_deadline() == scanned() == pytest.approx(0.3 + pto)
+        det.discard_all()
+        assert det.pto_deadline() is None and not det.has_unacked
+
+    def test_pto_deadline_with_poked_sent_falls_back_to_scan(self):
+        det = _mk_detector()
+        det.rtt.update(0.1)
+        det.on_packet_sent(_pkt(5, 2.0))
+        det.sent[1] = _pkt(1, 1.0)               # bypasses on_packet_sent
+        assert det.pto_deadline() == pytest.approx(1.0 + det.rtt.pto(0.025))
+        assert det.has_unacked
+
     def test_duplicate_pn_rejected(self):
         det = _mk_detector()
         det.on_packet_sent(_pkt(0, 0.0))
