@@ -19,7 +19,6 @@ Commands:
   kill-and-resume); exits non-zero on any violated invariant
 - ``mobility``  -- replay one extreme-mobility trace pair (Fig. 13 row)
 - ``schemes``   -- list the available transport schemes
-- ``bench``     -- run the core perf suite, write ``BENCH_core.json``
 - ``chaos``     -- seeded chaos soak over the multi-session runtime;
   exits non-zero on any uncaught exception or invariant violation
 
@@ -573,67 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="subset, e.g. fig6 fig8 ab")
     report.set_defaults(func=cmd_report)
 
-    bench = sub.add_parser(
-        "bench", help="run the core perf suite (writes BENCH_core.json)")
-    bench.add_argument("--out", default="BENCH_core.json")
-    bench.add_argument("--events", type=int, default=200_000)
-    bench.add_argument("--packets", type=int, default=50_000)
-    bench.add_argument("--ab-users", type=int, default=10)
-    bench.add_argument("--fleet-users", type=int, default=10_000,
-                       help="population size for the fleet_10k entry "
-                            "(the dominant suite cost; default 10000)")
-    bench.add_argument("--force", action="store_true",
-                       help="overwrite the report even on a dirty git tree")
-    bench.add_argument("--dry-run", action="store_true",
-                       help="measure and print, but do not write")
-    _add_workers_arg(bench)
-    bench.set_defaults(func=cmd_bench)
-
-    profile = sub.add_parser(
-        "profile", help="run a scenario under cProfile, print hotspots")
-    profile.add_argument("scenario",
-                         help="scenario name, or 'list' to enumerate")
-    profile.add_argument("--top", type=int, default=25,
-                         help="number of hotspot rows (default 25)")
-    profile.add_argument("--out", default=None,
-                         help="write a JSON artifact to this path")
-    profile.set_defaults(func=cmd_profile)
     return parser
-
-
-def cmd_bench(args) -> int:
-    from repro import perfbench
-    report = perfbench.collect(n_events=args.events, n_packets=args.packets,
-                               ab_users=args.ab_users,
-                               fleet_users=args.fleet_users,
-                               workers=args.workers or None)
-    print(perfbench.format_report(report))
-    if args.dry_run:
-        return 0
-    try:
-        path = perfbench.write_report(report, path=args.out,
-                                      force=args.force)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {path}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    from repro import profiling
-    if args.scenario == "list":
-        for name, desc in profiling.scenarios().items():
-            print(f"{name:<12} {desc}")
-        return 0
-    try:
-        report = profiling.run_profile(args.scenario, top=args.top,
-                                       out_path=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(profiling.format_report(report))
-    return 0
 
 
 def cmd_report(args) -> int:

@@ -30,8 +30,8 @@ in.  The only cross-session global is the debug-only ``dgram_id``
 counter, which no metric reads.  ``tests/test_parallel.py`` guards the
 contract: serial and parallel A/B days must produce identical metrics.
 
-Dispatch is chunked (``chunksize`` tasks per worker round-trip) to
-amortize pickling, and falls back to a plain in-process loop when
+Dispatch is chunked (several tasks per worker round-trip) to amortize
+pickling, and falls back to a plain in-process loop when
 ``workers`` resolves to 1, when there is at most one task, or when the
 platform cannot ``fork`` (the pool relies on fork inheriting the
 parent's imports and dynamically-registered schemes cheaply; spawn
@@ -168,8 +168,7 @@ def _invoke(job: Tuple[Callable[..., Any], Dict[str, Any]]) -> Any:
 
 
 def fan_out(fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]],
-            workers: Optional[int] = None,
-            chunksize: Optional[int] = None) -> List[Any]:
+            workers: Optional[int] = None) -> List[Any]:
     """Run ``fn(**kwargs)`` for every dict, preserving submission order.
 
     ``fn`` must be a module-level callable (pickled by reference) and
@@ -181,14 +180,13 @@ def fan_out(fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]],
     n_workers = effective_workers(workers, len(jobs))
     if n_workers <= 1:
         return [fn(**kwargs) for kwargs in jobs]
-    if chunksize is None:
-        # ~4 dispatch rounds per worker balances pickling overhead
-        # against tail latency from uneven session costs.
-        chunksize = max(1, len(jobs) // (n_workers * 4))
+    # ~4 dispatch rounds per worker balances pickling overhead
+    # against tail latency from uneven session costs.
+    tasks_per_round = max(1, len(jobs) // (n_workers * 4))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=n_workers) as pool:
         return pool.map(_invoke, [(fn, kwargs) for kwargs in jobs],
-                        chunksize=chunksize)
+                        tasks_per_round)
 
 
 @dataclass
@@ -255,12 +253,11 @@ def execute_session_task(task: SessionTask) -> SessionOutcome:
 
 
 def run_session_tasks(tasks: Sequence[SessionTask],
-                      workers: Optional[int] = None,
-                      chunksize: Optional[int] = None
+                      workers: Optional[int] = None
                       ) -> List[SessionOutcome]:
     """Execute tasks (parallel when ``workers`` allows), in task order."""
     return fan_out(execute_session_task, [{"task": t} for t in tasks],
-                   workers=workers, chunksize=chunksize)
+                   workers=workers)
 
 
 # ---------------------------------------------------------------------------

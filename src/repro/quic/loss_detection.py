@@ -15,10 +15,9 @@ sorted in-flight ring -- no ``sorted()`` calls, no per-ACK scans over
 the full packet-number history.  Aggregate counters
 (``bytes_in_flight``, the ack-eliciting census, the oldest in-flight
 entry) are maintained incrementally on send/ack/loss instead of being
-recomputed by O(in-flight) sweeps on every timer query.  Tests that
-drive the detector out of order (or poke ``sent`` directly) are still
-supported: an ``_ordered`` flag drops the fast paths back to the
-original sort/scan behaviour the moment the invariant breaks.
+recomputed by O(in-flight) sweeps on every timer query.
+:meth:`PathLossDetector.on_packet_sent` is the only way into ``sent``
+and rejects a send that would break that order.
 """
 
 from __future__ import annotations
@@ -74,19 +73,14 @@ class PathLossDetector:
         self.packets_acked_total = 0
         self.spurious_losses = 0
         self._declared_lost: set[int] = set()
-        #: incremental aggregates (exact while the send API is used;
-        #: the properties fall back to scans when they disagree with
-        #: the dict, covering tests that poke ``sent`` directly)
+        #: incremental aggregate over ``sent``
         self._bytes_in_flight = 0
-        self._tracked_count = 0
         #: pn -> sent_time of tracked ack-eliciting packets, in send
         #: order: the ack-eliciting census, and its first value is the
         #: PTO base without walking the ACK-only packets a receiver's
         #: ``sent`` mostly holds
         self._eliciting_sent_time: Dict[int, float] = {}
-        #: True while insertion order == ascending packet number and
-        #: non-decreasing sent time (always, for a live connection)
-        self._ordered = True
+        #: the last send, which the next one must follow
         self._last_pn = -1
         self._last_sent_time = float("-inf")
         #: the ``ranges[1:]`` of the last fully processed ACK; a later
@@ -107,14 +101,21 @@ class PathLossDetector:
     # -- send/ack/loss machinery ------------------------------------------
 
     def on_packet_sent(self, pkt: SentPacket) -> None:
+        """Track ``pkt``.
+
+        Raises ``ValueError`` unless its packet number is above, and its
+        sent time not before, those of the previous packet sent.
+        """
         pn = pkt.packet_number
-        if pn in self.sent:
-            raise ValueError(f"duplicate packet number {pn}")
-        if pn < self._last_pn or pkt.sent_time < self._last_sent_time:
-            self._ordered = False
-        else:
-            self._last_pn = pn
-            self._last_sent_time = pkt.sent_time
+        if pn <= self._last_pn:
+            raise ValueError(
+                f"packet number {pn} does not follow {self._last_pn}")
+        if pkt.sent_time < self._last_sent_time:
+            raise ValueError(
+                f"sent time {pkt.sent_time} of packet {pn} is before "
+                f"{self._last_sent_time}")
+        self._last_pn = pn
+        self._last_sent_time = pkt.sent_time
         if self.rate_sampling:
             if self._bytes_in_flight == 0:
                 # Idle restart: the delivery interval opens now, not at
@@ -123,7 +124,6 @@ class PathLossDetector:
             pkt.delivered = self.delivered
             pkt.delivered_time = self.delivered_time
         self.sent[pn] = pkt
-        self._tracked_count += 1
         if pkt.ack_eliciting:
             self._eliciting_sent_time[pn] = pkt.sent_time
         if pkt.in_flight:
@@ -131,19 +131,10 @@ class PathLossDetector:
 
     def _forget(self, pkt: SentPacket) -> None:
         """Update the aggregates for a packet leaving ``sent``."""
-        if self._tracked_count > 0:
-            self._tracked_count -= 1
         if pkt.ack_eliciting:
             self._eliciting_sent_time.pop(pkt.packet_number, None)
         if pkt.in_flight:
             self._bytes_in_flight -= pkt.size
-            if self._bytes_in_flight < 0:
-                self._bytes_in_flight = 0
-
-    def _pns_ascending(self) -> List[int]:
-        if self._ordered:
-            return list(self.sent)
-        return sorted(self.sent)
 
     def on_ack_received(
         self, ranges: Tuple[AckRange, ...], ack_delay: float, now: float,
@@ -192,7 +183,7 @@ class PathLossDetector:
             # Wide (cumulative) range: intersect with what is actually
             # tracked instead of iterating the full packet-number span.
             if snapshot is None:
-                snapshot = self._pns_ascending()
+                snapshot = list(sent)
             lo = bisect_left(snapshot, start)
             hi = bisect_right(snapshot, end)
             for pn in snapshot[lo:hi]:
@@ -242,13 +233,10 @@ class PathLossDetector:
                                           self.rtt.smoothed, GRANULARITY)
         lost: List[SentPacket] = []
         largest_acked = self.largest_acked
-        ordered = self._ordered
         sent = self.sent
-        for pn in (sent if ordered else sorted(sent)):
+        for pn in sent:
             if pn > largest_acked:
-                if ordered:
-                    break  # ascending: nothing further can be <= largest
-                continue
+                break  # ascending: nothing further can be <= largest
             pkt = sent[pn]
             # The 1e-9 slack matches the timer-fire comparison in the
             # connection; without it the timer can re-arm at the same
@@ -280,12 +268,11 @@ class PathLossDetector:
         in packet-number order for the caller to release to congestion
         control and requeue.
         """
-        pkts = [self.sent[pn] for pn in self._pns_ascending()]
+        pkts = list(self.sent.values())
         self.sent.clear()
         self.loss_time = None
         self._bytes_in_flight = 0
         self._eliciting_sent_time.clear()
-        self._tracked_count = 0
         self._last_ack_tail = ()
         return pkts
 
@@ -293,19 +280,11 @@ class PathLossDetector:
 
     def pto_deadline(self) -> Optional[float]:
         """Absolute time at which PTO fires, based on oldest in-flight."""
-        base: Optional[float] = None
-        if self._ordered and len(self.sent) == self._tracked_count:
-            # Sent times are non-decreasing in insertion order, so the
-            # first ack-eliciting entry carries the minimum sent time.
-            if self._eliciting_sent_time:
-                base = next(iter(self._eliciting_sent_time.values()))
-        else:
-            eliciting = [p.sent_time for p in self.sent.values()
-                         if p.ack_eliciting]
-            if eliciting:
-                base = min(eliciting)
-        if base is None:
+        if not self._eliciting_sent_time:
             return None
+        # Sent times are non-decreasing in insertion order, so the
+        # first ack-eliciting entry carries the minimum sent time.
+        base = next(iter(self._eliciting_sent_time.values()))
         pto = self.rtt.pto(self.max_ack_delay) * (2 ** self.pto_count)
         return base + pto
 
@@ -323,28 +302,13 @@ class PathLossDetector:
         self.pto_count = min(self.pto_count + 1, MAX_PTO_COUNT)
 
     def oldest_unacked(self) -> Optional[SentPacket]:
-        if not self.sent:
-            return None
-        if self._ordered:
-            return next(iter(self.sent.values()))
-        return self.sent[min(self.sent)]
+        return next(iter(self.sent.values()), None)
 
     @property
     def has_unacked(self) -> bool:
         """True if ack-eliciting packets are outstanding (Eq. 1's filter)."""
-        if self._eliciting_sent_time:
-            return True
-        sent = self.sent
-        if not sent:
-            return False
-        if len(sent) == self._tracked_count:
-            # Counters are exact: everything in flight is non-eliciting.
-            return False
-        # A test bypassed on_packet_sent (dict poked directly) -- re-scan.
-        return any(p.ack_eliciting for p in sent.values())
+        return bool(self._eliciting_sent_time)
 
     @property
     def bytes_in_flight(self) -> int:
-        if len(self.sent) == self._tracked_count:
-            return self._bytes_in_flight
-        return sum(p.size for p in self.sent.values() if p.in_flight)
+        return self._bytes_in_flight

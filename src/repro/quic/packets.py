@@ -65,26 +65,13 @@ def encode_header(header: PacketHeader) -> bytes:
     return bytes(out)
 
 
-#: dcid -> flags byte || dcid, the constant prefix of every short
-#: header sent on that connection ID (bounded FIFO).
-_SHORT_PREFIX_CACHE: dict = {}
-_SHORT_PREFIX_CACHE_MAX = 4096
-
-
 def encode_short_header(dcid: bytes, truncated_pn: int) -> bytes:
-    """Fast path for 1-RTT headers: cached prefix + 4-byte PN.
+    """1-RTT header without building a ``PacketHeader``.
 
     Byte-identical to ``encode_header(PacketHeader(ONE_RTT, dcid,
-    truncated_pn=pn))`` -- the send loop calls this once per packet,
-    so the flags-plus-DCID prefix is worth computing once per CID.
+    truncated_pn=pn))``; the send loop calls this once per packet.
     """
-    prefix = _SHORT_PREFIX_CACHE.get(dcid)
-    if prefix is None:
-        prefix = b"\x40" + dcid
-        if len(_SHORT_PREFIX_CACHE) >= _SHORT_PREFIX_CACHE_MAX:
-            _SHORT_PREFIX_CACHE.pop(next(iter(_SHORT_PREFIX_CACHE)))
-        _SHORT_PREFIX_CACHE[dcid] = prefix
-    return prefix + (truncated_pn % PN_TRUNC_MOD).to_bytes(
+    return b"\x40" + dcid + (truncated_pn % PN_TRUNC_MOD).to_bytes(
         PN_TRUNC_BYTES, "big")
 
 

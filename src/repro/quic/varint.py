@@ -4,13 +4,13 @@ The two high bits of the first byte select a 1/2/4/8-byte encoding,
 giving ranges up to 2^6-1, 2^14-1, 2^30-1 and 2^62-1.
 
 Hot-path notes: this module sits under every frame encoded or parsed,
-so it avoids per-call allocations where it can.  Encodings of small
-values are cached (1-byte varints in a precomputed table, larger ones
-in a bounded FIFO dict), reads index straight into the underlying
-buffer (a ``memoryview`` when the caller provides one, so pulling
-bytes never copies), and the write side is a single ``bytearray``
-builder instead of a chunk list.  All of this is invisible on the
-wire: encodings are byte-identical to the naive implementation.
+so it avoids per-call allocations where it can.  1-byte varints come
+from a precomputed table and the longer forms are one ``to_bytes``
+each, reads index straight into the underlying buffer (a
+``memoryview`` when the caller provides one, so pulling bytes never
+copies), and the write side is a single ``bytearray`` builder instead
+of a chunk list.  All of this is invisible on the wire: encodings are
+byte-identical to the naive implementation.
 """
 
 from __future__ import annotations
@@ -21,28 +21,19 @@ from repro.quic.errors import BufferReadError
 
 VARINT_MAX = (1 << 62) - 1
 
-_RANGES = (
-    (1 << 6, 0x00, 1),
-    (1 << 14, 0x40, 2),
-    (1 << 30, 0x80, 4),
-    (1 << 62, 0xC0, 8),
-)
+#: (exclusive upper limit, encoded size)
+_RANGES = ((1 << 6, 1), (1 << 14, 2), (1 << 30, 4), (1 << 62, 8))
 
 #: All 1-byte varints, precomputed (the overwhelmingly common case:
 #: frame type codes, flags, small lengths).
 _ONE_BYTE = tuple(bytes([i]) for i in range(64))
-
-#: Bounded FIFO cache of multi-byte encodings (stream ids, offsets and
-#: window limits repeat heavily within a session).
-_ENCODE_CACHE: dict = {}
-_ENCODE_CACHE_MAX = 4096
 
 
 def varint_size(value: int) -> int:
     """Bytes needed to encode ``value``."""
     if value < 0 or value > VARINT_MAX:
         raise ValueError(f"varint out of range: {value}")
-    for limit, _prefix, size in _RANGES:
+    for limit, size in _RANGES:
         if value < limit:
             return size
     raise AssertionError("unreachable")
@@ -52,20 +43,13 @@ def encode_varint(value: int) -> bytes:
     """Encode ``value`` as a QUIC varint."""
     if 0 <= value < 64:
         return _ONE_BYTE[value]
-    cached = _ENCODE_CACHE.get(value)
-    if cached is not None:
-        return cached
     if value < 0 or value > VARINT_MAX:
         raise ValueError(f"varint out of range: {value}")
-    for limit, prefix, size in _RANGES:
-        if value < limit:
-            data = value.to_bytes(size, "big")
-            encoded = bytes([data[0] | prefix]) + data[1:]
-            if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
-                _ENCODE_CACHE.pop(next(iter(_ENCODE_CACHE)))
-            _ENCODE_CACHE[value] = encoded
-            return encoded
-    raise AssertionError("unreachable")
+    if value < 1 << 14:
+        return (value | 0x4000).to_bytes(2, "big")
+    if value < 1 << 30:
+        return (value | 0x80000000).to_bytes(4, "big")
+    return (value | 0xC000000000000000).to_bytes(8, "big")
 
 
 def decode_varint(data: Union[bytes, memoryview],

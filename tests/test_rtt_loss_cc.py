@@ -1,6 +1,8 @@
 """Tests for RTT estimation, loss detection, and congestion control."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.quic.cc import (BbrCc, CubicCc, LiaCoordinator, LiaCoupledCc,
                            MpBbrCc, NewRenoCc, make_cc)
@@ -70,9 +72,54 @@ def _mk_detector():
     return PathLossDetector(rtt)
 
 
-def _pkt(pn, t, size=1000, eliciting=True):
+def _pkt(pn, t, size=1000, eliciting=True, in_flight=True):
     return SentPacket(packet_number=pn, sent_time=t, size=size,
-                      ack_eliciting=eliciting, in_flight=True)
+                      ack_eliciting=eliciting, in_flight=in_flight)
+
+
+def _aggregates(det):
+    """What the detector reports: (bytes in flight, has unacked,
+    oldest unacked, PTO deadline)."""
+    return (det.bytes_in_flight, det.has_unacked, det.oldest_unacked(),
+            det.pto_deadline())
+
+
+def _recounted(det):
+    """The same four, recounted from ``det.sent`` by brute force."""
+    pkts = det.sent.values()
+    eliciting = [p.sent_time for p in pkts if p.ack_eliciting]
+    pto = det.rtt.pto(det.max_ack_delay) * 2 ** det.pto_count
+    return (sum(p.size for p in pkts if p.in_flight),
+            bool(eliciting),
+            det.sent[min(det.sent)] if det.sent else None,
+            min(eliciting) + pto if eliciting else None)
+
+
+def _ack_ranges(pieces, last_pn):
+    """Disjoint descending ranges over packet numbers already sent."""
+    pns = set()
+    for start, span in pieces:
+        start %= last_pn + 1
+        pns.update(range(start, min(start + span, last_pn) + 1))
+    ranges = []
+    for pn in sorted(pns, reverse=True):
+        if ranges and ranges[-1].start == pn + 1:
+            ranges[-1] = AckRange(pn, ranges[-1].end)
+        else:
+            ranges.append(AckRange(pn, pn))
+    return tuple(ranges)
+
+
+_detector_ops = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.integers(1, 3), st.integers(1, 1500),
+              st.booleans(), st.booleans()),
+    st.tuples(st.just("ack"),
+              st.lists(st.tuples(st.integers(0, 200), st.integers(0, 12)),
+                       min_size=1, max_size=3)),
+    st.tuples(st.just("timer")),
+    st.tuples(st.just("pto")),
+    st.tuples(st.just("discard")),
+), max_size=60)
 
 
 class TestLossDetection:
@@ -179,9 +226,7 @@ class TestLossDetection:
                                     eliciting=pn in (10, 20, 30)))
 
         def scanned():
-            times = [p.sent_time for p in det.sent.values()
-                     if p.ack_eliciting]
-            return min(times) + pto if times else None
+            return _recounted(det)[3]
 
         assert det.pto_deadline() == scanned() == pytest.approx(0.1 + pto)
         det.on_ack_received((AckRange(8, 12),), 0.0, 0.5)   # acks pn 10
@@ -195,13 +240,40 @@ class TestLossDetection:
         det.discard_all()
         assert det.pto_deadline() is None and not det.has_unacked
 
-    def test_pto_deadline_with_poked_sent_falls_back_to_scan(self):
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_detector_ops,
+           gaps=st.lists(st.floats(0.0, 0.3), min_size=60, max_size=60))
+    def test_aggregates_equal_a_recount_of_sent(self, ops, gaps):
+        """After any valid interleaving of sends, ACKs, loss timers,
+        PTOs and discards, the incrementally kept aggregates equal a
+        recount over ``sent``; a send out of order is refused and
+        changes nothing."""
         det = _mk_detector()
-        det.rtt.update(0.1)
-        det.on_packet_sent(_pkt(5, 2.0))
-        det.sent[1] = _pkt(1, 1.0)               # bypasses on_packet_sent
-        assert det.pto_deadline() == pytest.approx(1.0 + det.rtt.pto(0.025))
-        assert det.has_unacked
+        now, last_pn = 0.0, -1
+        for op, gap in zip(ops, gaps):
+            now += gap
+            if op[0] == "send":
+                _, step, size, eliciting, in_flight = op
+                last_pn += step
+                det.on_packet_sent(_pkt(last_pn, now, size, eliciting,
+                                        in_flight))
+            elif op[0] == "ack" and last_pn >= 0:
+                det.on_ack_received(_ack_ranges(op[1], last_pn), 0.0, now)
+            elif op[0] == "timer":
+                det.on_loss_timer(now)
+            elif op[0] == "pto":
+                det.on_pto()
+            elif op[0] == "discard":
+                det.discard_all()
+            assert _aggregates(det) == _recounted(det)
+        if last_pn >= 0:
+            before = dict(det.sent)
+            with pytest.raises(ValueError):
+                det.on_packet_sent(_pkt(last_pn, now))
+            with pytest.raises(ValueError):
+                det.on_packet_sent(_pkt(last_pn + 1, -1.0))
+            assert det.sent == before
+            assert _aggregates(det) == _recounted(det)
 
     def test_duplicate_pn_rejected(self):
         det = _mk_detector()

@@ -131,9 +131,9 @@ class TestXlinkSelectPath:
         from repro.quic.loss_detection import SentPacket
         dead = make_path(0, 0.02, last_recv=0.0)
         alive = make_path(1, 0.1, last_recv=9.9)
-        dead.loss.sent[0] = SentPacket(   # has unacked data
+        dead.loss.on_packet_sent(SentPacket(   # has unacked data
             packet_number=0, sent_time=0.0, size=1000,
-            ack_eliciting=True, in_flight=True)
+            ack_eliciting=True, in_flight=True))
         conn = FakeConn([dead, alive], now=10.0)
         sched = XlinkScheduler()
         assert sched.select_path(conn, chunk()).path_id == 1
