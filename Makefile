@@ -16,10 +16,13 @@ test: lint chaos fleet-chaos
 	$(PY) -m pytest bench -q
 
 ## fleet determinism contract: a small sharded population run must
-## engage >= 2 pool workers and merge to the exact digest of the
-## serial run (order-independent sketch/sink arithmetic)
+## merge to the exact digest of the serial run (order-independent
+## sketch/sink arithmetic) on exactly 2 warm workers that are reused
+## across shards (more shards than processes, no respawn) and leave no
+## child process behind
 fleet-smoke:
-	@$(PY) -c "from repro.experiments.fleet import (ABPopulationDriver, \
+	@$(PY) -c "import multiprocessing; \
+		from repro.experiments.fleet import (ABPopulationDriver, \
 		FleetConfig, run_fleet_driver); \
 		cfg = FleetConfig(users=8, seed=5); \
 		a = run_fleet_driver(ABPopulationDriver(cfg), workers=1, \
@@ -28,7 +31,9 @@ fleet-smoke:
 		shard_size=3); \
 		da, db = a.sink.digest(), b.sink.digest(); \
 		assert da == db, (da, db); \
-		assert b.result.workers_effective >= 2, b.result; \
+		assert b.result.shards > b.result.workers_effective == 2, b.result; \
+		assert b.result.respawns == 0, b.result; \
+		assert multiprocessing.active_children() == []; \
 		print('fleet-smoke: %d sessions, serial==sharded digest %s...' \
 		% (a.result.tasks, da[:12]))"
 

@@ -379,14 +379,18 @@ def cmd_fleet(args) -> int:
     print(f"wall={run.seconds:.1f}s "
           f"sessions_per_sec={run.sessions_per_sec:.1f} "
           f"sink_buckets={run.sink.n_buckets}")
-    if result.retries or result.abandoned_shards or result.interrupted:
-        faults = " ".join(f"{k}={v}" for k, v
-                          in sorted(result.shard_faults.items()))
-        print(f"supervision: retries={result.retries} "
-              f"abandoned_shards={result.abandoned_shards} "
-              f"abandoned_tasks={result.abandoned_tasks} "
-              f"interrupted={result.interrupted}"
-              + (f" faults[{faults}]" if faults else ""))
+    faults = " ".join(f"{k}={v}" for k, v
+                      in sorted(result.shard_faults.items()))
+    worker_s = result.workers_effective * result.wall_s
+    print(f"supervision: utilisation="
+          f"{result.busy_s / worker_s if worker_s else 0.0:.2f} "
+          f"(busy {result.busy_s:.1f}s of {result.workers_effective} "
+          f"x {result.wall_s:.1f}s) retries={result.retries} "
+          f"respawns={result.respawns} "
+          f"abandoned_shards={result.abandoned_shards} "
+          f"abandoned_tasks={result.abandoned_tasks} "
+          f"interrupted={result.interrupted}"
+          + (f" faults[{faults}]" if faults else ""))
     _print_failure_tally(result.failures)
     _print_sink_stats(run.sink, cfg.seed, args.permutation_rounds)
     print(f"digest={run.sink.digest()}")

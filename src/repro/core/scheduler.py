@@ -204,29 +204,25 @@ class XlinkScheduler(_BaseScheduler):
         fastest = self._fastest_path(conn)
         now = conn.loop.now
         fast_rtt = fastest.rtt.smoothed if fastest is not None else 0.0
-        out = []
-        for chunk, pid, sent_time in conn.unacked_ranges(**filters):
-            orig = conn.paths.get(pid)
-            if orig is None:
-                continue
+
+        def wanted(orig, sent_time: float) -> bool:
             # A suspect path (gone silent with data outstanding) has a
             # meaningless frozen RTT estimate: everything on it is
             # effectively overdue right now.
             overdue = orig.is_suspect(now) \
                 or now - sent_time > orig.rtt.delivery_time
-            if fastest is not None and pid == fastest.path_id:
+            if overdue or overdue_only:
+                return overdue
+            if fastest is not None and orig.path_id == fastest.path_id:
                 # Same path: a duplicate could only go on a slower one.
-                if not overdue:
-                    continue
-            if overdue_only:
-                if overdue:
-                    out.append((chunk, pid))
-                continue
+                return False
             expected_arrival = sent_time + orig.rtt.delivery_time
-            arrives_later = expected_arrival > now + fast_rtt
-            if overdue or arrives_later:
-                out.append((chunk, pid))
-        return out
+            return expected_arrival > now + fast_rtt
+
+        # The predicate only reads (path, sent_time), so the connection
+        # applies it per packet, before it builds any chunk.
+        return [(chunk, pid) for chunk, pid, _sent_time
+                in conn.unacked_ranges(wanted=wanted, **filters)]
 
     def on_queue_empty(self, conn) -> None:
         """Traditional appending trigger: queue drained, duplicate the

@@ -11,7 +11,7 @@ protocol:
   :class:`~repro.experiments.parallel.SessionTask`, each carrying its
   fully-derived seed;
 - the **shard executor** -- :func:`repro.experiments.parallel.run_fleet`
-  slices the stream into shards, runs each in a pool worker, and each
+  slices the stream into shards, streams them to warm workers, and each
   worker reduces its slice into one
   :class:`~repro.metrics.sink.MetricSink` locally;
 - the **sink reducer** -- shard sinks merge (associatively,

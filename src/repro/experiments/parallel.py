@@ -8,17 +8,37 @@ Fig. 11 A/B day, threshold sweeps, mobility replays, path experiments)
 embarrassingly parallel -- the same reason Mahimahi-style emulation
 farms run one shell per experiment.
 
-Two layers:
+One executor, two folds
+-----------------------
 
-- :func:`fan_out` -- ordered process-pool map of any *module-level*
-  callable over a list of kwargs dicts.  Results come back in
-  submission order regardless of which worker finished first, so a
-  parallel run is **bit-identical** to the serial loop it replaces.
-- :class:`SessionTask` / :func:`run_session_tasks` -- a picklable
-  description of one video-session or bulk-download simulation plus a
-  worker entry point that strips the (unpicklable) live objects out of
-  :class:`~repro.experiments.harness.SessionResult`, returning only the
-  plain-data :class:`SessionOutcome`.
+:class:`_WarmWorkers` is the only parallel machinery.  It forks one
+worker per slot and keeps it for the whole run, streams work items
+down a long-lived duplex pipe, and reports what became of each item --
+a value, an exception, a dead worker (pipe EOF), a missed deadline (the
+worker is killed) -- as events.  A slot emptied by a crash or a kill is
+refilled by a fresh fork when work next needs it; a healthy worker is
+reused for every later item.
+
+- :func:`fan_out` collects the events in submission order and re-raises
+  the first job exception, so a parallel run is **bit-identical** to
+  the serial loop it replaces.  :class:`SessionTask` is the picklable
+  description of one session, and :func:`run_session_tasks` returns the
+  plain-data :class:`SessionOutcome` of each (right for the small-N
+  drivers, which need raw per-session lists; wrong at 10K users).
+- :func:`run_fleet` reduces *inside* the worker instead:
+  :func:`execute_shard` folds a slice of tasks into one
+  :class:`~repro.metrics.sink.MetricSink`, so only a
+  :class:`ShardResult` (O(buckets)) crosses the process boundary, and
+  the parent's fold over the events is "validate, merge into the sink,
+  retry with backoff, quarantine".  Sink merge is associative,
+  commutative and exactly order-independent, so the merged digest is
+  **identical** to the serial run's, whatever the completion order.
+
+Both fall back to a plain in-process loop when ``workers`` resolves to
+1, when there is at most one job, or when the platform cannot ``fork``
+(workers inherit the parent's imports, the job callable and
+dynamically-registered schemes through fork; spawn would cost an
+interpreter boot per worker, so the fallback stays serial instead).
 
 Determinism contract
 --------------------
@@ -30,63 +50,31 @@ in.  The only cross-session global is the debug-only ``dgram_id``
 counter, which no metric reads.  ``tests/test_parallel.py`` guards the
 contract: serial and parallel A/B days must produce identical metrics.
 
-Dispatch is chunked (several tasks per worker round-trip) to amortize
-pickling, and falls back to a plain in-process loop when
-``workers`` resolves to 1, when there is at most one task, or when the
-platform cannot ``fork`` (the pool relies on fork inheriting the
-parent's imports and dynamically-registered schemes cheaply; spawn
-would work for the built-in schemes but costs an interpreter boot per
-worker, so we keep the fallback simple and serial instead).
-
-Fleet tier
-----------
-
-The per-outcome path above returns one pickled ``SessionOutcome`` per
-session, which is exactly right for the small-N drivers (they need
-raw per-session lists) and exactly wrong at 10K users.  The fleet
-tier reduces *inside* the worker instead: :func:`execute_shard` runs
-a slice of tasks and folds every outcome into one
-:class:`~repro.metrics.sink.MetricSink`, so only a
-:class:`ShardResult` (sink + counters + failure tallies, O(buckets))
-crosses the process boundary.  :func:`run_fleet` shards a task
-*iterator* lazily and merges shard results as they complete; because
-sink merge is associative, commutative and exactly order-independent
-(fixed-point sums, pure bucket mapping), a sharded run's merged digest
-is **identical** to the serial run's, whatever the completion order.
-
 Shard supervision
 -----------------
 
 At ~90 minutes per 100K-user day, a single OOM-killed worker or hung
-shard must not void the run.  :func:`run_fleet` therefore *supervises*
-its shards instead of consuming a bare pool iterator: every shard
-attempt runs in its own forked process with a one-shot result pipe,
-the supervisor tracks in-flight deadlines (``shard_timeout_s``),
-detects worker death (pipe EOF without a result), validates returned
-:class:`ShardResult` payloads, and re-executes failed / timed-out /
-lost / corrupted shards with bounded retries and exponential backoff.
-A retry re-runs the shard **from its task list** -- never from a
-partial sink -- and every task carries its fully-derived seed, so a
-retried shard folds in bit-identically and cannot double-count.
-After ``max_retries`` failed attempts a shard is *quarantined*: its
-tasks are tallied as ``ShardAbandoned`` per scheme in the merged sink
-and counted in ``FleetResult.abandoned_shards`` / ``abandoned_tasks``
-instead of voiding the run.  ``KeyboardInterrupt`` terminates every
-in-flight worker (no orphaned children) and returns the
-partially-folded result with ``interrupted=True``.
-
-:class:`FaultPlan` is the worker-fault analog of the transport tier's
-``ChaosSchedule``: a seeded, scripted plan that makes selected shards
-crash the worker process, hang past the deadline, raise, or return a
-corrupted result -- the harness the supervisor invariants are soaked
-against (``repro.experiments.fleetchaos``, ``make fleet-chaos``).
+shard must not void the run.  :func:`run_fleet` re-executes crashed,
+timed-out (``shard_timeout_s``), raising and corrupted shards with
+bounded retries and exponential backoff.  A retry re-runs the shard
+**from its task list** -- never from a partial sink -- so it folds in
+bit-identically and cannot double-count.  After ``max_retries`` failed
+attempts a shard is *quarantined*: its tasks are tallied as
+``ShardAbandoned`` per scheme in the merged sink instead of voiding
+the run.  Workers ignore ``SIGINT``, so a Ctrl-C reaches the parent
+alone: it terminates and joins every slot (no orphaned children) and
+returns the partially-folded result with ``interrupted=True``.
+:class:`FaultPlan` scripts exactly those fault classes (``make
+fleet-chaos``).
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -110,7 +98,6 @@ __all__ = [
     "FaultInjected",
     "available_workers",
     "resolve_workers",
-    "effective_workers",
     "fan_out",
     "execute_session_task",
     "run_session_tasks",
@@ -137,56 +124,163 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def effective_workers(workers: Optional[int], n_tasks: int) -> int:
-    """Worker count :func:`fan_out` will *actually* use for a task list.
-
-    This is the single source of truth for the pool-vs-serial decision,
-    so callers that record worker counts (the perf benches) cannot
-    drift from the dispatch behavior.  An explicitly requested count is
-    honored even when ``os.cpu_count()`` is smaller -- workers are
-    processes, and an experiment fan-out on a small container may still
-    want real sharding -- but it is clamped to the task count, and the
-    serial fallback applies when the resolved count is 1, there is at
-    most one task, or the platform cannot fork.
-    """
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or n_tasks <= 1 or not _fork_available():
-        return 1
-    return min(n_workers, n_tasks)
-
-
 def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _invoke(job: Tuple[Callable[..., Any], Dict[str, Any]]) -> Any:
-    fn, kwargs = job
-    return fn(**kwargs)
+@dataclass
+class _Slot:
+    """One worker seat: a live process, or ``None`` until work needs it."""
+
+    proc: Any = None
+    conn: Any = None
+    #: index of the work item the worker holds, ``None`` when idle
+    index: Optional[int] = None
+    deadline: float = math.inf
+    #: a crash or deadline kill emptied the seat: its next fork is a refill
+    vacated: bool = False
+
+
+def _worker_main(conn, call: Callable[[Any], Any]) -> None:
+    """Warm-worker loop: answer every work item until EOF.
+
+    Only the work itself is guarded, and only against ``Exception``: a
+    ``SystemExit`` or a broken pipe ends the worker, which the parent
+    sees as EOF.  ``SIGINT`` is ignored: Ctrl-C is the parent's to handle.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            work = conn.recv()
+        except EOFError:
+            return
+        t0 = time.perf_counter()
+        try:
+            kind, value = "ok", call(work)
+        except Exception as exc:  # noqa: BLE001 - reported, not hidden
+            kind, value = "error", exc
+        conn.send((kind, value, time.perf_counter() - t0))
+
+
+class _WarmWorkers:
+    """Supervised executor: ``n_workers`` slots, one forked worker each.
+
+    :meth:`submit` hands a work item to an idle slot, forking its worker
+    on first use and again after a crash or deadline kill; :meth:`wait`
+    blocks until something happened to an item and returns ``(index,
+    kind, value, pid, seconds)`` events: kind "ok" with the result,
+    "error" with the exception the work raised, "crash" (the worker died
+    without answering) or "timeout" (it was killed at its deadline);
+    ``seconds`` is the worker-side time spent in the item.  ``call`` is
+    inherited through fork, so it need not be picklable; work items,
+    results and raised exceptions must be.
+    """
+
+    def __init__(self, call: Callable[[Any], Any], n_workers: int,
+                 timeout_s: Optional[float] = None) -> None:
+        self.call = call
+        self.timeout_s = math.inf if timeout_s is None else timeout_s
+        self.slots = [_Slot() for _ in range(n_workers)]
+        self.respawns = 0
+        self._ctx = multiprocessing.get_context("fork")
+
+    def idle(self) -> int:
+        return sum(slot.index is None for slot in self.slots)
+
+    def submit(self, index: int, work: Any) -> None:
+        """Send one item to an idle slot, a live worker if there is one."""
+        slot = min((s for s in self.slots if s.index is None),
+                   key=lambda s: s.proc is None)
+        if slot.proc is None:
+            slot.conn, child_conn = self._ctx.Pipe()
+            slot.proc = self._ctx.Process(
+                target=_worker_main, args=(child_conn, self.call),
+                daemon=True)
+            slot.proc.start()
+            child_conn.close()
+            self.respawns += slot.vacated
+        slot.index = index
+        slot.deadline = time.monotonic() + self.timeout_s
+        try:
+            slot.conn.send(work)
+        except OSError:
+            pass  # the worker died idle: wait() reports the EOF as a crash
+
+    def wait(self, until: float = math.inf) -> List[tuple]:
+        """Events of the busy slots; returns empty-handed at ``until``."""
+        busy = {s.conn: s for s in self.slots if s.index is not None}
+        wakeup = min([until] + [s.deadline for s in busy.values()])
+        timeout = (None if wakeup == math.inf
+                   else max(0.0, wakeup - time.monotonic()))
+        events = []
+        for conn in multiprocessing.connection.wait(list(busy), timeout):
+            slot = busy.pop(conn)
+            try:
+                kind, value, seconds = conn.recv()
+            except (EOFError, OSError):
+                # EOF without an answer: the worker died (OOM kill,
+                # os._exit, segfault) holding this item.
+                events.append((slot.index, "crash", None, 0, 0.0))
+                self._vacate(slot)
+            else:
+                events.append((slot.index, kind, value, slot.proc.pid,
+                               seconds))
+                slot.index = None
+        now = time.monotonic()
+        for slot in busy.values():
+            if now >= slot.deadline:
+                events.append((slot.index, "timeout", None, 0, 0.0))
+                self._vacate(slot)
+        return events
+
+    def _vacate(self, slot: _Slot) -> None:
+        """Kill a slot's worker without leaving a zombie behind."""
+        slot.proc.kill()
+        slot.proc.join()
+        slot.conn.close()
+        slot.proc = slot.conn = slot.index = None
+        slot.vacated = True
+
+    def close(self) -> None:
+        """Kill and join every worker; no child outlives this."""
+        for slot in self.slots:
+            if slot.proc is not None:
+                self._vacate(slot)
 
 
 def fan_out(fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]],
             workers: Optional[int] = None) -> List[Any]:
     """Run ``fn(**kwargs)`` for every dict, preserving submission order.
 
-    ``fn`` must be a module-level callable (pickled by reference) and
-    both its kwargs and return value must be picklable.  ``workers``
+    Kwargs, return values and raised exceptions must be picklable; the
+    first job exception to come back is re-raised here.  ``workers``
     follows the repo-wide convention: ``None``/``0`` means
     ``os.cpu_count()``, ``1`` forces the in-process serial path.
     """
     jobs = list(kwargs_list)
-    n_workers = effective_workers(workers, len(jobs))
-    if n_workers <= 1:
+    # An explicit count is honored even above os.cpu_count() (a small
+    # container may still want real processes), up to one per job.
+    n_workers = min(resolve_workers(workers), len(jobs))
+    if n_workers <= 1 or not _fork_available():
         return [fn(**kwargs) for kwargs in jobs]
-    # ~4 dispatch rounds per worker balances pickling overhead
-    # against tail latency from uneven session costs.
-    tasks_per_round = max(1, len(jobs) // (n_workers * 4))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=n_workers) as pool:
-        return pool.map(_invoke, [(fn, kwargs) for kwargs in jobs],
-                        tasks_per_round)
+    results: List[Any] = [None] * len(jobs)
+    todo = iter(enumerate(jobs))
+    done = 0
+    pool = _WarmWorkers(lambda kwargs: fn(**kwargs), n_workers)
+    try:
+        while done < len(jobs):
+            for index, kwargs in islice(todo, pool.idle()):
+                pool.submit(index, kwargs)
+            for index, kind, value, _pid, _seconds in pool.wait():
+                if kind == "error":
+                    raise value
+                if kind != "ok":
+                    raise RuntimeError(f"job {index}: worker died")
+                results[index] = value
+                done += 1
+    finally:
+        pool.close()
+    return results
 
 
 @dataclass
@@ -265,24 +359,22 @@ def run_session_tasks(tasks: Sequence[SessionTask],
 # ---------------------------------------------------------------------------
 
 #: Tasks per shard.  Big enough that shard dispatch overhead (one
-#: fork + pickle round trip per shard) is noise against ~50ms/session
-#: DES work, small enough that 10K tasks still spread over >100 shards.
+#: pickle round trip over a warm worker's pipe, ~0.3 ms) is noise
+#: against ~30 ms/session DES work and that a retry has something to
+#: re-run, small enough that 10K tasks still spread over >100 shards.
 DEFAULT_SHARD_SIZE = 64
 
 #: Re-execution attempts granted to a failed/timed-out/lost shard
 #: before it is quarantined into the abandoned tallies.
 DEFAULT_MAX_RETRIES = 2
 
-#: Base of the exponential retry backoff (pool mode only; the serial
+#: Base of the exponential retry backoff (worker mode only; the serial
 #: path re-runs immediately -- there is no crashed worker to cool off).
 DEFAULT_RETRY_BACKOFF_S = 0.25
 
 #: Failure kind recorded (per scheme, per task) in the merged sink when
 #: a shard exhausts its retries and is quarantined.
 ABANDONED_KIND = "ShardAbandoned"
-
-#: Exit code an injected worker crash dies with (``os._exit``).
-_FAULT_EXIT_CODE = 86
 
 
 class FaultInjected(RuntimeError):
@@ -376,7 +468,7 @@ class ShardResult:
     """What one worker returns for a whole slice of tasks.
 
     This -- not a list of per-session outcomes -- is the only thing
-    crossing the pool boundary in a fleet run; its size is
+    crossing the process boundary in a fleet run; its size is
     O(schemes x sketch buckets) regardless of how many sessions the
     shard executed.
     """
@@ -437,10 +529,17 @@ class FleetResult:
     tasks: int = 0
     shards: int = 0
     workers_requested: int = 1
+    #: distinct processes that returned at least one accepted shard
     workers_effective: int = 1
     failures: Dict[str, int] = field(default_factory=dict)
     #: shard re-executions granted (one per retryable fault)
     retries: int = 0
+    #: worker slots refilled by a fresh fork after a crash or deadline kill
+    respawns: int = 0
+    #: seconds the run took, and seconds workers spent inside shard
+    #: attempts; ``busy_s / (workers_effective * wall_s)`` is utilisation
+    wall_s: float = 0.0
+    busy_s: float = 0.0
     #: shards quarantined after exhausting their retry budget
     abandoned_shards: int = 0
     #: tasks inside those shards (tallied as ABANDONED_KIND in the sink)
@@ -489,46 +588,26 @@ def validate_shard_result(result: Any, expected_tasks: int
     return None
 
 
-def _corrupt_shard_result(result: ShardResult) -> ShardResult:
-    """The payload an injected 'corrupt' fault returns (inconsistent
-    task accounting, so validation must reject it)."""
-    return ShardResult(sink=result.sink, tasks=result.tasks + 1,
-                       failures=result.failures)
-
-
-def _shard_worker(conn, shard_index: int, tasks: List[SessionTask],
-                  attempt: int, fault_plan: Optional[FaultPlan]) -> None:
-    """Child-process entry: run one shard attempt, send one payload.
-
-    The payload is either ``("ok", ShardResult)`` or
-    ``("error", exception type name, message)``.  A worker that dies
-    without sending (crash fault, OOM kill, segfault) is detected by
-    the parent as EOF on the pipe.
-    """
-    payload: Tuple
-    try:
-        if fault_plan is not None:
-            kind = fault_plan.fires(shard_index, attempt)
-            if kind == "crash":
-                os._exit(_FAULT_EXIT_CODE)
-            elif kind == "hang":
-                time.sleep(fault_plan.hang_s)
-            elif kind == "raise":
-                raise FaultInjected(
-                    f"injected shard failure (shard {shard_index}, "
-                    f"attempt {attempt})")
-        shard_result = execute_shard(tasks)
-        if (fault_plan is not None
-                and fault_plan.fires(shard_index, attempt) == "corrupt"):
-            shard_result = _corrupt_shard_result(shard_result)
-        payload = ("ok", shard_result)
-    except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-        payload = ("error", type(exc).__name__, str(exc))
-    try:
-        conn.send(payload)
-        conn.close()
-    except Exception:  # pragma: no cover - parent vanished
-        os._exit(1)
+def _shard_attempt(fault_plan: Optional[FaultPlan],
+                   work: Tuple[int, int, List[SessionTask]]) -> ShardResult:
+    """One attempt at one shard, faults included (runs in a worker)."""
+    shard_index, attempt, tasks = work
+    kind = (fault_plan.fires(shard_index, attempt)
+            if fault_plan is not None else None)
+    if kind == "crash":
+        os._exit(86)
+    elif kind == "hang":
+        time.sleep(fault_plan.hang_s)
+    elif kind == "raise":
+        raise FaultInjected(f"injected shard failure (shard {shard_index}, "
+                            f"attempt {attempt})")
+    shard_result = execute_shard(tasks)
+    if kind == "corrupt":
+        # inconsistent task accounting, so validation must reject it
+        return ShardResult(sink=shard_result.sink,
+                           tasks=shard_result.tasks + 1,
+                           failures=shard_result.failures)
+    return shard_result
 
 
 @dataclass
@@ -557,29 +636,28 @@ class _Supervisor:
       the loss is visible in the merged sink, the CLI and the report.
     """
 
-    def __init__(self, merged: MetricSink, result: FleetResult,
-                 max_retries: int, retry_backoff_s: float) -> None:
-        self.merged = merged
+    def __init__(self, result: FleetResult, max_retries: int,
+                 retry_backoff_s: float) -> None:
         self.result = result
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.retry_queue: List[_ShardAttempt] = []
 
     def fold(self, shard_result: ShardResult) -> None:
-        self.merged.merge(shard_result.sink)
+        self.result.sink.merge(shard_result.sink)
         self.result.tasks += shard_result.tasks
         self.result.shards += 1
         for kind, n in shard_result.failures.items():
             self.result.failures[kind] = \
                 self.result.failures.get(kind, 0) + n
 
-    def complete(self, spec: _ShardAttempt, payload: Any) -> None:
-        """Handle an attempt's validated outcome or failure kind."""
-        error = validate_shard_result(payload, len(spec.tasks))
-        if error is None:
+    def complete(self, spec: _ShardAttempt, payload: Any) -> bool:
+        """Fold an attempt's payload if it validates; was it accepted?"""
+        if validate_shard_result(payload, len(spec.tasks)) is None:
             self.fold(payload)
-        else:
-            self.fail(spec, "corrupt")
+            return True
+        self.fail(spec, "corrupt")
+        return False
 
     def fail(self, spec: _ShardAttempt, kind: str) -> None:
         self.result.shard_faults[kind] = \
@@ -597,180 +675,103 @@ class _Supervisor:
         self.result.abandoned_shards += 1
         self.result.abandoned_tasks += len(spec.tasks)
         for task in spec.tasks:
-            self.merged.observe_failure(task.scheme, ABANDONED_KIND)
+            self.result.sink.observe_failure(task.scheme, ABANDONED_KIND)
 
     def pop_ready(self, now: float) -> Optional[_ShardAttempt]:
         """The most-cooled retry whose backoff has elapsed, if any."""
-        best = None
-        for spec in self.retry_queue:
-            if spec.ready_at <= now and (best is None
-                                         or spec.ready_at < best.ready_at):
-                best = spec
-        if best is not None:
-            self.retry_queue.remove(best)
+        best = min(self.retry_queue, key=lambda spec: spec.ready_at,
+                   default=None)
+        if best is None or best.ready_at > now:
+            return None
+        self.retry_queue.remove(best)
         return best
 
-    def next_ready_at(self) -> Optional[float]:
-        if not self.retry_queue:
-            return None
-        return min(spec.ready_at for spec in self.retry_queue)
-
-
-def _kill_process(proc) -> None:
-    """Terminate a worker without leaving a zombie behind."""
-    try:
-        proc.terminate()
-        proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            proc.kill()
-            proc.join()
-    except Exception:  # pragma: no cover - already-reaped races
-        pass
+    def next_ready_at(self) -> float:
+        """When the next retry cools (``inf`` when none is queued)."""
+        return min((spec.ready_at for spec in self.retry_queue),
+                   default=math.inf)
 
 
 def _run_fleet_serial(shard_iter: Iterator[List[SessionTask]],
-                      sup: _Supervisor, result: FleetResult,
-                      fault_plan: Optional[FaultPlan]) -> FleetResult:
+                      sup: _Supervisor,
+                      fault_plan: Optional[FaultPlan]) -> None:
     """In-process supervised execution (``workers=1`` / no fork).
 
     The serial tier cannot kill or preempt its own process, so
     'crash' and 'hang' faults surface as injected raises (tallied
     under their own kind for honest reporting) and ``shard_timeout_s``
-    is not enforced -- deadline supervision needs the pool tier.
+    is not enforced -- deadline supervision needs worker processes.
     Retries skip the backoff sleep: there is no crashed worker or
     poisoned host to cool off in-process.
     """
-    next_index = 0
+    result = sup.result
     try:
-        for shard in shard_iter:
-            spec = _ShardAttempt(index=next_index, tasks=shard)
-            next_index += 1
+        for index, shard in enumerate(shard_iter):
+            spec = _ShardAttempt(index, shard)
             while True:
                 kind = (fault_plan.fires(spec.index, spec.attempt)
                         if fault_plan is not None else None)
-                if kind in ("crash", "hang", "raise"):
-                    sup.fail(spec, kind if kind != "raise"
-                             else FaultInjected.__name__)
-                elif kind == "corrupt":
-                    sup.complete(spec, _corrupt_shard_result(
-                        execute_shard(spec.tasks)))
+                if kind in ("crash", "hang"):
+                    sup.fail(spec, kind)
                 else:
+                    t0 = time.perf_counter()
                     try:
-                        shard_result = execute_shard(spec.tasks)
+                        shard_result = _shard_attempt(
+                            fault_plan, (spec.index, spec.attempt, shard))
                     except Exception as exc:  # noqa: BLE001
                         sup.fail(spec, type(exc).__name__)
                     else:
                         sup.complete(spec, shard_result)
+                    result.busy_s += time.perf_counter() - t0
                 if spec not in sup.retry_queue:
                     break
                 sup.retry_queue.remove(spec)
     except KeyboardInterrupt:
         result.interrupted = True
-    result.workers_effective = 1
-    return result
 
 
-def _run_fleet_supervised(shard_iter: Iterator[List[SessionTask]],
-                          sup: _Supervisor, result: FleetResult,
-                          n_workers: int, shard_timeout_s: Optional[float],
-                          fault_plan: Optional[FaultPlan]) -> FleetResult:
-    """Pool-mode supervision: forked shard workers, deadlines, retries.
-
-    Each shard attempt is its own forked process with a one-shot
-    result pipe; ``multiprocessing.connection.wait`` multiplexes the
-    in-flight pipes, so worker death (EOF without a payload), results,
-    and deadline expiry are all observed from one loop.  Fork cost is
-    amortized by shard size (~ms against seconds of DES work per
-    shard), and buys crash isolation the shared-pool design cannot
-    offer: a dying worker takes exactly one shard attempt with it.
-    """
-    ctx = multiprocessing.get_context("fork")
-    inflight: Dict[Any, Tuple[_ShardAttempt, Any, Optional[float]]] = {}
-    next_index = 0
-    exhausted = False
-
-    def launch(spec: _ShardAttempt) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_shard_worker,
-            args=(send_conn, spec.index, spec.tasks, spec.attempt,
-                  fault_plan),
-            daemon=True)
-        proc.start()
-        send_conn.close()
-        deadline = (time.monotonic() + shard_timeout_s
-                    if shard_timeout_s is not None else None)
-        inflight[recv_conn] = (spec, proc, deadline)
-
-    def reap(conn) -> None:
-        spec, proc, _deadline = inflight.pop(conn)
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            payload = None
-        finally:
-            conn.close()
-        proc.join()
-        if payload is None:
-            # Pipe EOF without a payload: the worker died (OOM kill,
-            # os._exit, segfault) before reporting.
-            sup.fail(spec, "crash")
-        elif payload[0] == "ok":
-            sup.complete(spec, payload[1])
-        else:
-            sup.fail(spec, payload[1])
-
+def _run_fleet_workers(shard_iter: Iterator[List[SessionTask]],
+                       sup: _Supervisor, n_workers: int,
+                       shard_timeout_s: Optional[float],
+                       fault_plan: Optional[FaultPlan]) -> None:
+    """The fleet fold over warm workers: keep every slot fed with the
+    most-cooled retry or the next fresh shard, and turn each event into
+    a merge, a retry or a quarantine."""
+    result = sup.result
+    pool = _WarmWorkers(lambda work: _shard_attempt(fault_plan, work),
+                        n_workers, shard_timeout_s)
+    inflight: Dict[int, _ShardAttempt] = {}
+    fresh = (_ShardAttempt(index, shard)
+             for index, shard in enumerate(shard_iter))
+    accepted_pids = set()
     try:
         while True:
             now = time.monotonic()
-            while len(inflight) < n_workers:
-                spec = sup.pop_ready(now)
-                if spec is None and not exhausted:
-                    shard = next(shard_iter, None)
-                    if shard is None:
-                        exhausted = True
-                        continue
-                    spec = _ShardAttempt(index=next_index, tasks=shard)
-                    next_index += 1
+            for _ in range(pool.idle()):
+                spec = sup.pop_ready(now) or next(fresh, None)
                 if spec is None:
                     break
-                launch(spec)
-            if not inflight:
-                if exhausted and not sup.retry_queue:
-                    break
-                # Only backoff-gated retries remain: sleep them ready.
-                ready_at = sup.next_ready_at()
-                if ready_at is not None:
-                    time.sleep(max(0.0, ready_at - time.monotonic()))
-                continue
-            timeouts = [deadline for (_s, _p, deadline) in inflight.values()
-                        if deadline is not None]
-            ready_at = sup.next_ready_at()
-            if ready_at is not None:
-                timeouts.append(ready_at)
-            wait_s = (max(0.0, min(timeouts) - now) if timeouts else None)
-            for conn in multiprocessing.connection.wait(
-                    list(inflight), timeout=wait_s):
-                reap(conn)
-            now = time.monotonic()
-            for conn, (spec, proc, deadline) in list(inflight.items()):
-                if deadline is not None and now >= deadline:
-                    del inflight[conn]
-                    _kill_process(proc)
-                    conn.close()
-                    sup.fail(spec, "timeout")
+                inflight[spec.index] = spec
+                pool.submit(spec.index,
+                            (spec.index, spec.attempt, spec.tasks))
+            if not inflight and not sup.retry_queue:
+                break
+            for index, kind, value, pid, seconds in pool.wait(
+                    until=sup.next_ready_at()):
+                spec = inflight.pop(index)
+                result.busy_s += seconds
+                if kind == "ok":
+                    if sup.complete(spec, value):
+                        accepted_pids.add(pid)
+                else:
+                    sup.fail(spec, type(value).__name__
+                             if kind == "error" else kind)
     except KeyboardInterrupt:
         result.interrupted = True
     finally:
-        # Leave no forked child behind -- on clean exit this is a
-        # no-op; on interrupt it terminates every in-flight worker.
-        for conn, (_spec, proc, _deadline) in list(inflight.items()):
-            _kill_process(proc)
-            conn.close()
-        inflight.clear()
-    result.workers_effective = min(n_workers, result.shards) \
-        if result.shards else 1
-    return result
+        pool.close()
+    result.workers_effective = len(accepted_pids)
+    result.respawns = pool.respawns
 
 
 def run_fleet(tasks: Iterable[SessionTask],
@@ -791,29 +792,25 @@ def run_fleet(tasks: Iterable[SessionTask],
     repo-wide convention (``None``/``0`` = ``os.cpu_count()``, ``1`` =
     in-process serial).
 
-    Supervision: each shard gets ``max_retries`` re-executions (with
-    ``retry_backoff_s``-based exponential backoff in pool mode) after
-    a worker crash, a ``shard_timeout_s`` deadline kill, a shard-body
-    exception, or a corrupted result; a shard that exhausts the budget
-    is quarantined into the abandoned tallies.  ``fault_plan`` injects
-    exactly those fault classes for testing.  ``KeyboardInterrupt``
-    terminates all workers and returns the partial fold with
-    ``interrupted=True``.
-
-    Determinism: every task carries its fully-derived seed, retries
-    re-run from the original task list (never from a partial sink),
-    and the sink merge is exactly order-independent -- so serial,
-    sharded, and fault-retried runs produce identical merged digests
-    for the same task stream whenever every fault was retryable.
+    Supervision (module docstring): each shard gets ``max_retries``
+    re-executions, ``retry_backoff_s``-based exponential backoff apart
+    when workers > 1, after a worker crash, a ``shard_timeout_s``
+    deadline kill, a shard-body exception, or a corrupted result, and
+    is then quarantined; ``fault_plan`` injects exactly those fault
+    classes for testing.  Serial, sharded and fault-retried runs of
+    one task stream produce identical merged digests whenever every
+    fault was retryable.
     """
-    merged = sink if sink is not None else MetricSink()
-    result = FleetResult(sink=merged)
     n_workers = resolve_workers(workers)
-    result.workers_requested = n_workers
+    result = FleetResult(sink=sink if sink is not None else MetricSink(),
+                         workers_requested=n_workers)
     shard_iter = iter_shards(tasks, shard_size)
-    sup = _Supervisor(merged, result, max_retries=max_retries,
-                      retry_backoff_s=retry_backoff_s)
+    sup = _Supervisor(result, max_retries, retry_backoff_s)
+    t0 = time.perf_counter()
     if n_workers <= 1 or not _fork_available():
-        return _run_fleet_serial(shard_iter, sup, result, fault_plan)
-    return _run_fleet_supervised(shard_iter, sup, result, n_workers,
-                                 shard_timeout_s, fault_plan)
+        _run_fleet_serial(shard_iter, sup, fault_plan)
+    else:
+        _run_fleet_workers(shard_iter, sup, n_workers, shard_timeout_s,
+                           fault_plan)
+    result.wall_s = time.perf_counter() - t0
+    return result

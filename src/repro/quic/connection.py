@@ -1217,19 +1217,28 @@ class Connection:
     # ------------------------------------------------------------------
 
     def unacked_ranges(self, stream_id: Optional[int] = None,
-                       frame_priority: Optional[int] = None
+                       frame_priority: Optional[int] = None,
+                       wanted: Optional[Callable[[Path, float], bool]] = None
                        ) -> List[Tuple[SendChunk, int, float]]:
         """In-flight, not-yet-acked stream ranges (the unacked_q).
 
         Returns (chunk-template, path_id, sent_time) triples, oldest-
         sent first.  Filters: by stream, and/or by frame priority of
-        the range start.  Ranges already re-injected once are skipped.
+        the range start, and/or by ``wanted(path, sent_time)`` of the
+        packet carrying the range (asked once per data packet, before
+        any per-range work).  Ranges already re-injected once are
+        skipped.
         """
         out: List[Tuple[float, SendChunk, int]] = []
         for path in self.paths.values():
             if path.state is PathState.ABANDONED:
                 continue
             for pkt in path.loss.sent.values():
+                # most tracked packets carry no stream data (ACK-only)
+                if not pkt.frames_info or (
+                        wanted is not None
+                        and not wanted(path, pkt.sent_time)):
+                    continue
                 for info in pkt.frames_info:
                     if info.stream_id < 0 or info.length == 0:
                         continue

@@ -8,6 +8,11 @@ outcomes are reassembled in submission order.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from repro.experiments.abtest import (ABTestConfig, build_ab_day_tasks,
@@ -30,6 +35,30 @@ def _square(x):
     return x * x
 
 
+def _pid(x):
+    return os.getpid()
+
+
+def _slow_when_early(x):
+    time.sleep(0.3 if x < 2 else 0.0)
+    return x
+
+
+def _sleep(x):
+    time.sleep(x)
+
+
+def _sigint_self(x):
+    os.kill(os.getpid(), signal.SIGINT)
+    return x
+
+
+def _raise_on_three(x):
+    if x == 3:
+        raise KeyError(f"job {x}")
+    return x
+
+
 class TestFanOut:
     def test_preserves_order_serial(self):
         jobs = [{"x": i} for i in range(10)]
@@ -41,6 +70,40 @@ class TestFanOut:
 
     def test_empty_job_list(self):
         assert fan_out(_square, [], workers=4) == []
+
+    def test_workers_are_forked_once_and_reused(self):
+        pids = fan_out(_pid, [{"x": i} for i in range(8)], workers=2)
+        assert len(set(pids)) == 2
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_submission_order_when_early_jobs_are_slow(self):
+        jobs = [{"x": i} for i in range(6)]
+        assert fan_out(_slow_when_early, jobs, workers=2) == list(range(6))
+
+    def test_job_exception_reraised_in_parent_and_workers_reaped(self):
+        with pytest.raises(KeyError, match="job 3"):
+            fan_out(_raise_on_three, [{"x": i} for i in range(8)],
+                    workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_ignore_sigint(self):
+        jobs = [{"x": i} for i in range(4)]
+        assert fan_out(_sigint_self, jobs, workers=2) == list(range(4))
+
+    def test_keyboard_interrupt_in_parent_reaps_workers(self):
+        def raise_ki(_signum, _frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, raise_ki)
+        signal.alarm(1)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                fan_out(_sleep, [{"x": 30.0}] * 2, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_resolve_workers(self):
         assert resolve_workers(1) == 1

@@ -37,9 +37,12 @@ class FakeConn:
         return [p for p in self.paths.values()
                 if p.is_active and p.status is PathStatus.AVAILABLE]
 
-    def unacked_ranges(self, stream_id=None, frame_priority=None):
+    def unacked_ranges(self, stream_id=None, frame_priority=None,
+                       wanted=None):
         out = []
         for chunk, pid, t in self._unacked:
+            if wanted is not None and not wanted(self.paths[pid], t):
+                continue
             if stream_id is not None and chunk.stream_id != stream_id:
                 continue
             if frame_priority is not None \

@@ -189,6 +189,53 @@ class TestPoolSupervision:
         assert multiprocessing.active_children() == []
 
 
+class TestWarmWorkers:
+    """Workers are forked once per slot and reused; only a crash or a
+    deadline kill refills a slot (``tests/test_parallel.py`` checks the
+    pids themselves through ``fan_out``)."""
+
+    def test_shards_share_two_workers(self):
+        result = run_fleet(_tasks(users=8), workers=2, shard_size=1)
+        assert result.shards == 8
+        assert result.workers_effective == 2
+        assert result.respawns == 0
+        assert 0.0 < result.busy_s <= 2 * result.wall_s
+        assert multiprocessing.active_children() == []
+
+    def test_crash_refills_the_slot_with_a_third_process(self):
+        clean = _clean_digest(users=8, shard_size=1)
+        # Both workers have folded a shard by the time shard 3 kills
+        # one; shards 4..7 and the retry keep its replacement busy.
+        plan = FaultPlan(crash_shards=(3,))
+        result = run_fleet(_tasks(users=8), workers=2, shard_size=1,
+                           fault_plan=plan)
+        assert result.shard_faults == {"crash": 1}
+        assert result.respawns == 1
+        assert result.workers_effective == 3
+        assert result.sink.digest() == clean
+        assert multiprocessing.active_children() == []
+
+    def test_hang_killed_at_deadline_leaves_no_child(self):
+        plan = FaultPlan(hang_shards=(1,), hang_s=60.0)
+        result = run_fleet(_tasks(), workers=2, shard_size=2,
+                           shard_timeout_s=1.0, fault_plan=plan)
+        assert result.shard_faults == {"timeout": 1}
+        assert result.wall_s < 30.0  # killed, not waited out
+        assert result.sink.digest() == _clean_digest()
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_doing_all_the_work_counts_as_one(self):
+        result = run_fleet(_tasks(), workers=2, shard_size=64)
+        assert result.shards == 1
+        assert result.workers_requested == 2
+        assert result.workers_effective == 1
+
+    def test_serial_run_reports_its_own_time(self):
+        result = run_fleet(_tasks(users=2), workers=1)
+        assert result.workers_effective == 1 and result.respawns == 0
+        assert 0.0 < result.busy_s <= result.wall_s
+
+
 class TestEdgeCases:
     def test_empty_task_stream(self):
         result = run_fleet(iter(()), workers=2)
