@@ -62,13 +62,13 @@ chaos:
 fleet-chaos:
 	$(PY) -m repro fleet-chaos
 
-## ruff with the pinned config when installed, stdlib fallback otherwise
+## ruff with the pinned config when installed; tools/lint.py always (it
+## is the stdlib fallback, and holds the file-size gate ruff lacks)
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests tools benchmarks bench; \
-	else \
-		$(PY) tools/lint.py src tests tools benchmarks bench; \
 	fi
+	@$(PY) tools/lint.py src tests tools benchmarks bench
 
 ## the repo's benchmark: six workloads, end-to-end metrics and digests
 ## (bench/README.md lists the other modes)

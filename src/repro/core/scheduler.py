@@ -284,7 +284,7 @@ class XlinkScheduler(_BaseScheduler):
                     swept = True
                 if swept:
                     self._last_sweep = conn.loop.now
-                    conn._pump()
+                    conn.pump()
             conn.loop.schedule_after(self.monitor_interval_s, tick,
                                      label="xlink-monitor")
 

@@ -31,7 +31,7 @@ from repro.netem import Datagram, MultipathNetwork
 from repro.quic.cid import SERVER_ID_OFFSET
 from repro.quic.connection import (Connection, ConnectionConfig,
                                    derive_initial_dcid)
-from repro.quic.packets import PacketType, decode_header
+from repro.quic.packets import decode_header, peek_dcid
 from repro.sim import EventLoop
 from repro.traces.radio_profiles import RadioType
 from repro.video import MediaServer
@@ -199,24 +199,27 @@ class ServerHost:
     def route_connection(self, dgram: Datagram) -> Optional[Connection]:
         """Resolve the connection a datagram belongs to, or ``None``."""
         try:
-            header, _offset = decode_header(dgram.payload)
+            dcid = peek_dcid(dgram.payload)
+            handshake = dcid is None
+            if handshake:       # long header: needs the full parse
+                dcid = decode_header(dgram.payload)[0].dcid
         except Exception:
             return None
-        if header.packet_type is PacketType.HANDSHAKE:
-            conn = self._initial_route.get(header.dcid)
+        if handshake:
+            conn = self._initial_route.get(dcid)
             if conn is None:
                 conn = self._by_addr.get(dgram.src)
                 if conn is not None:
-                    self._initial_route[header.dcid] = conn
+                    self._initial_route[dcid] = conn
             return conn
-        conn = self._cid_route.get(header.dcid)
+        conn = self._cid_route.get(dcid)
         if conn is not None:
             return conn
         for candidate in self.connections:
-            if candidate.cids.lookup_issued(header.dcid) is not None:
-                self._cid_route[header.dcid] = candidate
+            if candidate.cids.lookup_issued(dcid) is not None:
+                self._cid_route[dcid] = candidate
                 return candidate
-        if header.dcid and header.dcid[SERVER_ID_OFFSET] != self.server_id:
+        if dcid[SERVER_ID_OFFSET] != self.server_id:
             self.misrouted += 1
         else:
             self.unknown_cid += 1

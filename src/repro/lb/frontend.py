@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from repro.lb.quic_lb import ConsistentHashRing, QuicLbRouter
 from repro.netem.packet import Datagram
-from repro.quic.packets import PacketType, decode_header
+from repro.quic.packets import decode_header, peek_dcid
 
 
 class CdnFrontend:
@@ -61,23 +61,25 @@ class CdnFrontend:
     def route_backend(self, payload: bytes):
         """Resolve the backend Connection for a datagram."""
         try:
-            header, _offset = decode_header(payload)
+            dcid = peek_dcid(payload)
+            handshake = dcid is None
+            if handshake:       # long header: needs the full parse
+                dcid = decode_header(payload)[0].dcid
         except Exception:
             return None
-        if header.packet_type is PacketType.HANDSHAKE:
+        if handshake:
             # Initial packets carry a client-chosen DCID: consistent-
             # hash it once and pin the mapping for retransmits.
-            sid = self._initial_route.get(header.dcid)
+            sid = self._initial_route.get(dcid)
             if sid is None:
-                sid = int(self._hash_ring.node_for(header.dcid))
-                self._initial_route[header.dcid] = sid
+                sid = int(self._hash_ring.node_for(dcid))
+                self._initial_route[dcid] = sid
             return self.backends.get(sid)
         # Short header: the DCID is a backend-issued CID with the
         # server ID embedded at a fixed offset.
-        sid = header.dcid[0] if header.dcid else None
-        backend = self.backends.get(sid)
+        backend = self.backends.get(dcid[0])
         if backend is not None:
             return backend
         # Unknown ID byte (e.g. a backend was removed): fall back to
         # hashing so the packet at least lands somewhere deterministic.
-        return self.backends.get(int(self._hash_ring.node_for(header.dcid)))
+        return self.backends.get(int(self._hash_ring.node_for(dcid)))

@@ -57,6 +57,8 @@ class CidRegistry:
         self._server_id = server_id
         self._next_seq = 0
         self.issued: Dict[int, ConnectionId] = {}
+        #: the same CIDs by raw bytes, for receiver demux
+        self._issued_by_bytes: Dict[bytes, ConnectionId] = {}
         self.peer_cids: Dict[int, ConnectionId] = {}
         self._peer_used: set[int] = set()
 
@@ -64,6 +66,7 @@ class CidRegistry:
         """Mint a new local CID with the next sequence number."""
         cid = generate_cid(self._rng, self._next_seq, self._server_id)
         self.issued[self._next_seq] = cid
+        self._issued_by_bytes.setdefault(cid.cid, cid)
         self._next_seq += 1
         return cid
 
@@ -91,7 +94,4 @@ class CidRegistry:
 
     def lookup_issued(self, cid_bytes: bytes) -> Optional[ConnectionId]:
         """Find one of *our* issued CIDs by raw bytes (receiver demux)."""
-        for cid in self.issued.values():
-            if cid.cid == cid_bytes:
-                return cid
-        return None
+        return self._issued_by_bytes.get(cid_bytes)

@@ -27,7 +27,8 @@ class FlowControlWindow:
 
     def sendable(self, offset: int) -> int:
         """Bytes the sender may still send given the highest offset used."""
-        return max(self.limit - offset, 0)
+        room = self.limit - offset
+        return room if room > 0 else 0
 
     def on_peer_update(self, new_limit: int) -> None:
         """Peer raised its advertised limit (MAX_DATA/MAX_STREAM_DATA)."""

@@ -135,7 +135,7 @@ class AckFrame:
     ranges: Tuple[AckRange, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AckMpFrame:
     """Multipath ACK: per-path ack ranges + XLINK QoE field.
 
@@ -158,7 +158,7 @@ class CryptoFrame:
     data: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StreamFrame:
     stream_id: int
     offset: int
@@ -477,7 +477,7 @@ def decode_frames(payload) -> List[object]:
 def _decode_frames_inner(payload) -> List[object]:
     buf = Buffer(payload)
     frames: List[object] = []
-    while buf.remaining > 0:
+    while buf._pos < buf._end:
         frame_type = buf.pull_varint()
         if frame_type == FrameType.PADDING:
             continue
@@ -552,8 +552,9 @@ def _decode_frames_inner(payload) -> List[object]:
     return frames
 
 
-#: Frames that count as "ack-eliciting" (RFC 9002): everything except
-#: ACK, ACK_MP, CONNECTION_CLOSE and PADDING.
-def is_ack_eliciting(frame: object) -> bool:
-    return not isinstance(frame, (AckFrame, AckMpFrame, ConnectionCloseFrame,
-                                  PaddingFrame))
+#: Every frame type -> whether it is "ack-eliciting" (RFC 9002):
+#: everything except ACK, ACK_MP, CONNECTION_CLOSE and PADDING.  The
+#: send and receive paths index this by ``type(frame)``.
+ACK_ELICITING = {frame_type: frame_type not in (
+    AckFrame, AckMpFrame, ConnectionCloseFrame, PaddingFrame)
+    for frame_type in _FRAME_ENCODERS}

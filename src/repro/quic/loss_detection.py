@@ -280,23 +280,20 @@ class PathLossDetector:
 
     def pto_deadline(self) -> Optional[float]:
         """Absolute time at which PTO fires, based on oldest in-flight."""
-        if not self._eliciting_sent_time:
-            return None
         # Sent times are non-decreasing in insertion order, so the
         # first ack-eliciting entry carries the minimum sent time.
-        base = next(iter(self._eliciting_sent_time.values()))
-        pto = self.rtt.pto(self.max_ack_delay) * (2 ** self.pto_count)
-        return base + pto
+        for base in self._eliciting_sent_time.values():
+            return base + self.rtt.pto(self.max_ack_delay) \
+                * (2 ** self.pto_count)
+        return None
 
     def next_timer(self) -> Optional[float]:
         """Earlier of loss timer and PTO timer."""
         loss_time = self.loss_time
         pto = self.pto_deadline()
-        if loss_time is None:
+        if loss_time is None or (pto is not None and pto < loss_time):
             return pto
-        if pto is None:
-            return loss_time
-        return loss_time if loss_time < pto else pto
+        return loss_time
 
     def on_pto(self) -> None:
         self.pto_count = min(self.pto_count + 1, MAX_PTO_COUNT)

@@ -26,6 +26,10 @@ from repro.quic.errors import ProtocolViolation
 PN_TRUNC_BYTES = 4
 PN_TRUNC_MOD = 1 << (8 * PN_TRUNC_BYTES)
 
+#: short header layout: flags byte, DCID, truncated packet number
+_SHORT_DCID_END = 1 + CID_LENGTH
+_SHORT_HEADER_SIZE = _SHORT_DCID_END + PN_TRUNC_BYTES
+
 
 class PacketType(enum.Enum):
     HANDSHAKE = "handshake"
@@ -38,13 +42,6 @@ class PacketHeader:
     dcid: bytes
     scid: Optional[bytes] = None  # long header only
     truncated_pn: int = 0
-
-    @property
-    def header_size(self) -> int:
-        if self.packet_type is PacketType.HANDSHAKE:
-            return 1 + 1 + len(self.dcid) + 1 + len(self.scid or b"") \
-                + PN_TRUNC_BYTES
-        return 1 + len(self.dcid) + PN_TRUNC_BYTES
 
 
 def encode_header(header: PacketHeader) -> bytes:
@@ -83,43 +80,57 @@ def decode_header(data) -> Tuple[PacketHeader, int]:
     ``bytes``: they key long-lived routing tables in the server host
     and LB frontend, and a view would pin the whole datagram alive.
     """
-    if not len(data):
+    size = len(data)
+    if not size:
         raise ProtocolViolation("empty packet")
-    first = data[0]
-    if first & 0x80:  # long header
+    if data[0] & 0x80:  # long header
         pos = 1
-        if pos >= len(data):
+        if pos >= size:
             raise ProtocolViolation("truncated long header")
         dcid_len = data[pos]
         pos += 1
         dcid = bytes(data[pos:pos + dcid_len])
         pos += dcid_len
-        if pos >= len(data):
+        if pos >= size:
             raise ProtocolViolation("truncated long header")
         scid_len = data[pos]
         pos += 1
         scid = bytes(data[pos:pos + scid_len])
         pos += scid_len
-        if len(dcid) != dcid_len or len(scid) != scid_len:
+        if pos > size:
             raise ProtocolViolation("truncated long header")
-        if pos + PN_TRUNC_BYTES > len(data):
+        if pos + PN_TRUNC_BYTES > size:
             raise ProtocolViolation("truncated packet number")
         pn = int.from_bytes(data[pos:pos + PN_TRUNC_BYTES], "big")
-        pos += PN_TRUNC_BYTES
-        return PacketHeader(PacketType.HANDSHAKE, dcid=dcid, scid=scid,
-                            truncated_pn=pn), pos
+        return PacketHeader(PacketType.HANDSHAKE, dcid, scid,
+                            pn), pos + PN_TRUNC_BYTES
     # short header: fixed-length DCID
-    pos = 1
-    dcid = bytes(data[pos:pos + CID_LENGTH])
-    if len(dcid) != CID_LENGTH:
+    if size < _SHORT_DCID_END:
         raise ProtocolViolation("truncated short header")
-    pos += CID_LENGTH
-    if pos + PN_TRUNC_BYTES > len(data):
+    if size < _SHORT_HEADER_SIZE:
         raise ProtocolViolation("truncated packet number")
-    pn = int.from_bytes(data[pos:pos + PN_TRUNC_BYTES], "big")
-    pos += PN_TRUNC_BYTES
-    return PacketHeader(PacketType.ONE_RTT, dcid=dcid,
-                        truncated_pn=pn), pos
+    pn = int.from_bytes(data[_SHORT_DCID_END:_SHORT_HEADER_SIZE], "big")
+    return PacketHeader(PacketType.ONE_RTT, bytes(data[1:_SHORT_DCID_END]),
+                        None, pn), _SHORT_HEADER_SIZE
+
+
+def peek_dcid(data) -> Optional[bytes]:
+    """The DCID of a *short-header* packet, without parsing the rest.
+
+    What a load balancer or host needs to route a 1-RTT datagram: the
+    8 bytes after the flags byte.  Returns ``None`` for a long header
+    (the handshake needs the full :func:`decode_header`); raises
+    :class:`ProtocolViolation` on exactly the inputs ``decode_header``
+    rejects, so drop accounting does not depend on which one ran.
+    """
+    size = len(data)
+    if not size:
+        raise ProtocolViolation("empty packet")
+    if data[0] & 0x80:
+        return None
+    if size < _SHORT_HEADER_SIZE:
+        raise ProtocolViolation("truncated short header")
+    return bytes(data[1:_SHORT_DCID_END])
 
 
 def reconstruct_pn(truncated: int, largest_seen: int) -> int:

@@ -45,11 +45,14 @@ class Path:
         self.cc = cc
         self.state = PathState.PENDING
         self.status = PathStatus.AVAILABLE
-        self._next_pn = 0
+        #: the next packet number of this path's own space
+        self.next_pn = 0
         self.largest_received_pn = -1
-        #: receive-side: pending ack ranges + whether an ack is owed
+        #: receive-side: pending ack ranges, whether an ack is owed, and
+        #: how many ack-eliciting packets arrived since the last one
         self.ack_pending: list = []
         self.ack_needed = False
+        self.eliciting_since_ack = 0
         #: frame-tuple cache for :meth:`ack_frame_ranges`; ``_ack_rev``
         #: is bumped whenever ``ack_pending`` is rebuilt structurally
         self._ack_rev = 0
@@ -66,8 +69,8 @@ class Path:
         self.challenge_data: Optional[bytes] = None
 
     def next_packet_number(self) -> int:
-        pn = self._next_pn
-        self._next_pn += 1
+        pn = self.next_pn
+        self.next_pn = pn + 1
         return pn
 
     @property
@@ -90,8 +93,9 @@ class Path:
         """
         if not self.loss.has_unacked and self.packets_received == 0:
             return False
-        threshold = max(4 * self.rtt.smoothed, 0.25)
-        return now - self.last_recv_time > threshold
+        threshold = 4 * self.rtt.smoothed
+        return now - self.last_recv_time > (
+            threshold if threshold > 0.25 else 0.25)
 
     def record_received(self, pn: int, now: float) -> bool:
         """Track a received packet number; returns False on duplicate."""

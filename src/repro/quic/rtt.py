@@ -50,5 +50,6 @@ class RttEstimator:
 
     def pto(self, max_ack_delay: float = 0.025) -> float:
         """Probe timeout per RFC 9002."""
-        return self.smoothed + max(4 * self.rttvar, GRANULARITY) \
+        var = 4 * self.rttvar
+        return self.smoothed + (var if var > GRANULARITY else GRANULARITY) \
             + max_ack_delay

@@ -47,10 +47,10 @@ class SendStream:
         #: stream priority; lower value = more urgent
         self.priority = priority
         self._buffer = bytearray()
+        #: bytes written so far (the buffer itself goes once all are acked)
+        self.length = 0
         self.fin_offset: Optional[int] = None
         self._priority_ranges: List[PriorityRange] = []
-        #: highest offset handed to the packetizer as NEW data
-        self.next_offset = 0
         #: set when every byte (and fin) has been acked
         self.acked_ranges: "_RangeSet" = _RangeSet()
         self.fin_acked = False
@@ -70,23 +70,16 @@ class SendStream:
         """
         if self.fin_offset is not None:
             raise StreamStateError(f"stream {self.stream_id} already FINed")
-        start = len(self._buffer)
+        start = self.length
         self._buffer.extend(data)
+        self.length = len(self._buffer)
         if fin:
-            self.fin_offset = len(self._buffer)
+            self.fin_offset = self.length
         if frame_priority is not None:
             p_start = position if position is not None else start
             p_size = size if size is not None else len(data)
             self._priority_ranges.append(
                 PriorityRange(p_start, p_start + p_size, frame_priority))
-
-    @property
-    def length(self) -> int:
-        return len(self._buffer)
-
-    @property
-    def bytes_unsent(self) -> int:
-        return len(self._buffer) - self.next_offset
 
     @property
     def fully_acked(self) -> bool:
@@ -158,6 +151,13 @@ class SendStream:
             self.acked_ranges.add(offset, offset + length)
         if fin:
             self.fin_acked = True
+        if self.fin_acked and self._buffer \
+                and self.acked_ranges.covers(0, self.fin_offset):
+            # Every byte and the FIN are acknowledged, so nothing can ask
+            # for this data again: drop it now.  A finished session sits
+            # in reference cycles until the collector's next full pass,
+            # and this buffer is most of what it would pin until then.
+            self._buffer = bytearray()
 
 
 class ReceiveStream:
@@ -167,7 +167,10 @@ class ReceiveStream:
         self.stream_id = stream_id
         self._segments: Dict[int, bytes] = {}
         self._received = _RangeSet()
-        self._read_offset = 0
+        #: next in-order byte the application has not read yet
+        self.read_offset = 0
+        #: end of the highest byte received so far
+        self.highest_received = 0
         self.final_size: Optional[int] = None
         #: total payload bytes received including duplicates (cost metric)
         self.bytes_received_raw = 0
@@ -185,37 +188,31 @@ class ReceiveStream:
         if self.final_size is not None and end > self.final_size:
             raise FinalSizeError(
                 f"stream {self.stream_id}: data beyond final size")
-        self.bytes_received_raw += len(data)
-        if not data:
+        self.bytes_received_raw += end - offset
+        if end == offset:
             return
+        if end > self.highest_received:
+            self.highest_received = end
         # Clip already-received prefix/suffix; store novel middle pieces.
-        novel = self._received.missing_within(offset, end)
-        dup = len(data) - sum(e - s for s, e in novel)
-        self.duplicate_bytes += dup
-        for seg_start, seg_end in novel:
+        duplicate = end - offset
+        for seg_start, seg_end in self._received.missing_within(offset, end):
             # bytes() materializes here: ``data`` may be a memoryview of
             # the received datagram (zero-copy decode path), and stored
             # segments must not pin that buffer alive.
             self._segments[seg_start] = bytes(data[seg_start - offset:
                                                    seg_end - offset])
             self._received.add(seg_start, seg_end)
+            duplicate -= seg_end - seg_start
+        self.duplicate_bytes += duplicate
 
     def read_available(self) -> bytes:
         """Return (and consume) all in-order bytes available."""
         out = bytearray()
-        while self._read_offset in self._segments:
-            seg = self._segments.pop(self._read_offset)
-            out.extend(seg)
-            self._read_offset += len(seg)
+        while self.read_offset in self._segments:
+            seg = self._segments.pop(self.read_offset)
+            out += seg
+            self.read_offset += len(seg)
         return bytes(out)
-
-    @property
-    def read_offset(self) -> int:
-        return self._read_offset
-
-    @property
-    def highest_received(self) -> int:
-        return self._received.upper_bound()
 
     @property
     def is_complete(self) -> bool:
@@ -226,7 +223,7 @@ class ReceiveStream:
     @property
     def fully_read(self) -> bool:
         return (self.final_size is not None
-                and self._read_offset >= self.final_size)
+                and self.read_offset >= self.final_size)
 
 
 class _RangeSet:
@@ -238,9 +235,19 @@ class _RangeSet:
     def add(self, start: int, end: int) -> None:
         if start >= end:
             return
+        ranges = self._ranges
+        if ranges:
+            last_start, last_end = ranges[-1]
+            if start >= last_start:
+                # At or past the newest range (in-order arrival, acks
+                # in send order): extend or append in place.
+                if start > last_end:
+                    ranges.append((start, end))
+                elif end > last_end:
+                    ranges[-1] = (last_start, end)
+                return
         new: List[Tuple[int, int]] = []
-        placed = False
-        for s, e in self._ranges:
+        for s, e in ranges:
             if e < start or s > end:
                 new.append((s, e))
             else:
@@ -248,7 +255,6 @@ class _RangeSet:
                 end = max(end, e)
         bisect.insort(new, (start, end))
         self._ranges = new
-        del placed
 
     def covers(self, start: int, end: int) -> bool:
         if start >= end:

@@ -81,15 +81,16 @@ class Buffer:
     in one ``bytearray``.
     """
 
-    __slots__ = ("_wbuf", "_init_data", "_read_data", "_pos")
+    __slots__ = ("_wbuf", "_init_data", "_read_data", "_pos", "_end")
 
     def __init__(self, data: Union[bytes, memoryview] = b"") -> None:
-        #: write buffer, created lazily so pure readers never copy
-        self._wbuf: bytearray = None  # type: ignore[assignment]
         self._init_data = data
+        #: write buffer; a reader gets one (a copy) only if written to
+        self._wbuf: bytearray = None if data else bytearray()
         self._read_data: Union[bytes, memoryview] = \
             memoryview(data) if data else b""
         self._pos = 0
+        self._end = len(data)
 
     # -- writing --------------------------------------------------------
 
@@ -100,17 +101,13 @@ class Buffer:
         return wbuf
 
     def push_varint(self, value: int) -> "Buffer":
-        wbuf = self._wbuf
-        if wbuf is None:
-            wbuf = self._writer()
-        if 0 <= value < 64:
-            wbuf.append(value)  # 1-byte varint: prefix bits are 00
-        else:
-            wbuf.extend(encode_varint(value))
+        wbuf = self._wbuf if self._wbuf is not None else self._writer()
+        wbuf += _ONE_BYTE[value] if 0 <= value < 64 else encode_varint(value)
         return self
 
     def push_bytes(self, data: Union[bytes, memoryview]) -> "Buffer":
-        self._writer().extend(data)
+        wbuf = self._wbuf if self._wbuf is not None else self._writer()
+        wbuf += data
         return self
 
     def push_uint8(self, value: int) -> "Buffer":
@@ -125,26 +122,32 @@ class Buffer:
     # -- reading --------------------------------------------------------
 
     def pull_varint(self) -> int:
-        data = self._read_data
         pos = self._pos
-        if pos < len(data):
-            first = data[pos]
-            if first < 0x40:  # 1-byte varint
-                self._pos = pos + 1
-                return first
-        value, self._pos = decode_varint(data, pos)
-        return value
+        if pos >= self._end:
+            raise BufferReadError("varint truncated: empty buffer")
+        first = self._read_data[pos]
+        if first < 0x40:  # 1-byte varint
+            self._pos = pos + 1
+            return first
+        size = 1 << (first >> 6)
+        end = pos + size
+        if end > self._end:
+            raise BufferReadError(
+                f"varint truncated: need {size} bytes at offset {pos}")
+        self._pos = end
+        return int.from_bytes(self._read_data[pos:end], "big") \
+            & ((1 << (8 * size - 2)) - 1)
 
     def pull_bytes(self, n: int) -> Union[bytes, memoryview]:
         end = self._pos + n
-        if n < 0 or end > len(self._read_data):
+        if n < 0 or end > self._end:
             raise BufferReadError(f"buffer truncated: need {n} bytes")
         data = self._read_data[self._pos:end]
         self._pos = end
         return data
 
     def pull_uint8(self) -> int:
-        if self._pos >= len(self._read_data):
+        if self._pos >= self._end:
             raise BufferReadError("buffer truncated: need 1 byte")
         value = self._read_data[self._pos]
         self._pos += 1
@@ -152,8 +155,4 @@ class Buffer:
 
     @property
     def remaining(self) -> int:
-        return len(self._read_data) - self._pos
-
-    @property
-    def pos(self) -> int:
-        return self._pos
+        return self._end - self._pos

@@ -63,6 +63,9 @@ class EventLoop:
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
+        #: current virtual time: the clock's reading, kept as a plain
+        #: attribute because everything on the per-packet path reads it
+        self.now: float = self.clock.now
         #: heap of (time, seq, Event); tuple order never reaches the Event
         self._heap: list = []
         self._seq = 0
@@ -72,10 +75,6 @@ class EventLoop:
         self._stop_requested = False
 
     @property
-    def now(self) -> float:
-        return self.clock.now
-
-    @property
     def events_run(self) -> int:
         """Number of events executed so far (for loop-detection tests)."""
         return self._events_run
@@ -83,9 +82,9 @@ class EventLoop:
     def schedule_at(self, time: float, callback: Callable[[], Any],
                     label: str = "") -> Event:
         """Schedule ``callback`` at absolute virtual ``time``."""
-        if time < self.clock._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time:.9f} < {self.clock.now:.9f}"
+                f"cannot schedule in the past: {time:.9f} < {self.now:.9f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -98,11 +97,11 @@ class EventLoop:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.clock._now + delay, callback, label=label)
+        return self.schedule_at(self.now + delay, callback, label=label)
 
     def call_soon(self, callback: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``callback`` at the current instant (after pending ties)."""
-        return self.schedule_at(self.clock._now, callback, label=label)
+        return self.schedule_at(self.now, callback, label=label)
 
     def _note_cancelled(self) -> None:
         """Track a cancellation; compact the heap when mostly dead.
@@ -137,7 +136,7 @@ class EventLoop:
                 continue
             # Monotonic by construction: schedule_at rejects past times,
             # so a direct store is safe (and skips the guarded method).
-            self.clock._now = time
+            self.now = self.clock._now = time
             self._events_run += 1
             event.callback()
             return True
@@ -191,13 +190,15 @@ class EventLoop:
                 time = entry[0]
                 if until is not None and time > until:
                     clock._advance_to(until)
+                    self.now = until
                     break
                 if executed >= max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events; runaway simulation?"
                     )
                 pop(heap)
-                clock._now = time  # monotonic: schedule_at rejects the past
+                # monotonic: schedule_at rejects the past
+                self.now = clock._now = time
                 executed += 1
                 event.callback()
                 if self._stop_requested:

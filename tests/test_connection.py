@@ -249,7 +249,7 @@ class TestDataTransfer:
                                         size=3_000_000)
         assert done is not None
         # Client never sees more connection bytes than it advertised.
-        assert client.fc_recv.limit >= client._total_recv_offset
+        assert client.fc_recv.limit >= client.receiver.total_recv_offset
 
     def test_duplicate_datagram_ignored(self):
         loop = EventLoop()

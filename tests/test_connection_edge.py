@@ -70,15 +70,15 @@ class TestReinjectionDedup:
         stream.write(b"x" * 2000)
         server.enqueue_reinjection(SendChunk(stream_id=1, offset=0,
                                              length=1000, kind="reinject"))
-        assert (1, 0, 1000) in server._reinjected_ranges
-        from repro.quic.connection import _SentFrameInfo
+        assert (1, 0, 1000) in server.sender.reinjected_ranges
+        from repro.quic.send import SentFrameInfo
         from repro.quic.loss_detection import SentPacket
         pkt = SentPacket(packet_number=99, sent_time=0.0, size=100,
                          ack_eliciting=True, in_flight=True,
-                         frames_info=(_SentFrameInfo(
+                         frames_info=(SentFrameInfo(
                              stream_id=1, offset=0, length=1000),))
-        server._on_frames_acked(pkt)
-        assert (1, 0, 1000) not in server._reinjected_ranges
+        server.acks.on_frames_acked(pkt)
+        assert (1, 0, 1000) not in server.sender.reinjected_ranges
 
 
 class TestMaxDeliveryTime:
@@ -126,10 +126,10 @@ class TestQueueSemantics:
         loop, net, client, server = pair()
         server._ensure_send_stream(1)
         server.send_streams[1].write(b"abc")
-        server._enqueue_new_data(server.send_streams[1])
+        server.sender.enqueue_stream_data(server.send_streams[1])
         server.send_queue.clear()
         server.send_streams[1].write(b"", fin=True)
-        server._enqueue_new_data(server.send_streams[1])
+        server.sender.enqueue_stream_data(server.send_streams[1])
         assert any(c.length == 0 for c in server.send_queue)
 
     def test_chunks_split_on_priority_boundaries(self):
@@ -138,8 +138,8 @@ class TestQueueSemantics:
         stream = server.send_streams[1]
         stream.write(b"x" * 300, frame_priority=0, position=100, size=100)
         server.send_queue.clear()
-        server._stream_queued_offset[1] = 0
-        server._enqueue_new_data(stream)
+        server.sender.queued_offset[1] = 0
+        server.sender.enqueue_stream_data(stream)
         priorities = [(c.offset, c.length, c.frame_priority)
                       for c in server.send_queue]
         assert priorities == [(0, 100, 10), (100, 100, 0), (200, 100, 10)]
@@ -151,7 +151,7 @@ class TestQueueSemantics:
         stream.write(b"x" * 100)
         stream.on_acked(0, 100, fin=False)
         chunk = SendChunk(stream_id=1, offset=0, length=100, kind="rtx")
-        assert not server._chunk_sendable(chunk)
+        assert not server.sender.chunk_sendable(chunk)
 
 
 class TestQoeProviderIntegration:

@@ -11,7 +11,7 @@ from repro.quic.crypto import (IV_LENGTH, PacketProtection, TAG_LENGTH,
                                build_nonce, derive_connection_key)
 from repro.quic.errors import ProtocolViolation
 from repro.quic.packets import (PN_TRUNC_MOD, PacketHeader, PacketType,
-                                decode_header, encode_header,
+                                decode_header, encode_header, peek_dcid,
                                 reconstruct_pn)
 
 
@@ -246,6 +246,28 @@ class TestPacketHeaders:
     def test_truncated_short_header_rejected(self):
         with pytest.raises(ProtocolViolation):
             decode_header(b"\x40\x01\x02")
+
+    def test_peek_dcid_agrees_with_decode_header(self):
+        """``peek_dcid`` is what routers use instead of the full parse:
+        same DCID, ``None`` for long headers, and it rejects exactly the
+        prefixes ``decode_header`` rejects."""
+        short = encode_header(PacketHeader(
+            PacketType.ONE_RTT, dcid=b"\x05" * 8, truncated_pn=9)) + b"body"
+        long = encode_header(PacketHeader(
+            PacketType.HANDSHAKE, dcid=b"\x05" * 8, scid=b"\x06" * 8,
+            truncated_pn=9)) + b"body"
+        assert peek_dcid(short) == b"\x05" * 8
+        assert peek_dcid(memoryview(short)) == b"\x05" * 8
+        assert peek_dcid(long) is None
+        for cut in range(len(short)):
+            prefix = short[:cut]
+            try:
+                expected = decode_header(prefix)[0].dcid
+            except ProtocolViolation:
+                with pytest.raises(ProtocolViolation):
+                    peek_dcid(prefix)
+            else:
+                assert peek_dcid(prefix) == expected
 
     def test_pn_truncation_wraps(self):
         header = PacketHeader(PacketType.ONE_RTT, dcid=b"\x01" * 8,

@@ -118,6 +118,42 @@ class TestRouting:
         frontend.on_datagram(Datagram(payload=b"", path_id=0))
         assert frontend.datagrams_dropped == 1
 
+    def test_truncated_datagrams_dropped(self):
+        """Peeking at the DCID refuses exactly what the full header
+        parse refused: nothing truncated reaches a backend."""
+        loop = EventLoop()
+        net = MultipathNetwork(loop)
+        net.add_simple_path(0, 10e6, 0.01)
+        frontend, backends = build_cdn(loop, net)
+        truncated = [b"\x40", b"\x40" + b"\x01" * 7,
+                     b"\x40" + b"\x01" * 8 + b"\x00\x00", b"\xc0",
+                     b"\xc0\x08" + b"\x01" * 8]
+        for payload in truncated:
+            frontend.on_datagram(Datagram(payload=payload, path_id=0))
+        assert frontend.datagrams_dropped == len(truncated)
+        assert frontend.datagrams_routed == 0
+        assert all(b.stats.malformed_dropped == 0
+                   for b in backends.values())
+
+    def test_short_header_routes_by_server_id_without_a_full_parse(
+            self, monkeypatch):
+        from repro.lb import frontend as frontend_module
+        loop = EventLoop()
+        net = MultipathNetwork(loop)
+        net.add_simple_path(0, 10e6, 0.01)
+        frontend, backends = build_cdn(loop, net)
+
+        def no_full_parse(data):
+            raise AssertionError("frontend parsed a short header in full")
+
+        monkeypatch.setattr(frontend_module, "decode_header", no_full_parse)
+        for sid, backend in backends.items():
+            packet = b"\x40" + bytes([sid]) + b"\x07" * 7 + b"\x00" * 20
+            assert frontend.route_backend(packet) is backend
+        # unknown server-ID byte: consistent-hash fallback, still routed
+        stray = b"\x40" + bytes([200]) + b"\x07" * 7 + b"\x00" * 20
+        assert frontend.route_backend(stray) in backends.values()
+
     def test_requires_backends(self):
         with pytest.raises(ValueError):
             CdnFrontend({})

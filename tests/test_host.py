@@ -107,6 +107,39 @@ class TestServerHostRouting:
         host.on_datagram(Datagram(payload=b"", path_id=0, src="client"))
         assert host.datagrams_dropped == 1
 
+    @pytest.mark.parametrize("payload", [
+        b"\x40",                               # flags byte only
+        b"\x40" + b"\x01" * (CID_LENGTH - 1),   # DCID cut short
+        b"\x40" + b"\x01" * CID_LENGTH + b"\x00\x00",    # PN cut short
+        b"\xc0",                               # long header, nothing else
+        b"\xc0\x08" + b"\x01" * CID_LENGTH,    # long header, no SCID
+    ])
+    def test_truncated_datagram_dropped_unclassified(self, payload):
+        """Routing peeks at the DCID instead of parsing the header; what
+        it refuses, and how that is counted, must not have changed."""
+        loop, net, host, conn = self._host_with_session()
+        host.on_datagram(Datagram(payload=payload, path_id=0, src="client"))
+        assert host.datagrams_dropped == 1
+        assert host.datagrams_routed == 0
+        assert host.misrouted == host.unknown_cid == 0
+        assert conn.stats.packets_received == 0
+        assert conn.stats.malformed_dropped == 0
+
+    def test_short_header_routes_without_a_full_parse(self, monkeypatch):
+        """One header parse per datagram: the connection's.  The host
+        reads 8 bytes at offset 1."""
+        from repro.host import server as server_module
+        loop, net, host, conn = self._host_with_session()
+
+        def no_full_parse(data):
+            raise AssertionError("host parsed a short header in full")
+
+        monkeypatch.setattr(server_module, "decode_header", no_full_parse)
+        issued = conn.cids.issued[0].cid
+        dgram = Datagram(payload=_short_header_payload(issued), path_id=0,
+                         src="client")
+        assert host.route_connection(dgram) is conn
+
     def test_handshake_routes_by_source_address_then_pins_dcid(self):
         loop, net, host, conn = self._host_with_session()
         header = PacketHeader(packet_type=PacketType.HANDSHAKE,

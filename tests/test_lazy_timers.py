@@ -5,9 +5,9 @@ Two layers of the run-until-blocked rework are pinned here:
 - ``EventLoop.run(stop_before=...)`` and ``request_stop()`` -- the
   drain-until-blocked driver contract (the boundary event still runs,
   a stop request halts after the current callback, the flag resets).
-- the lazy-deadline loss timer in ``Connection`` -- when the live
-  deadline moves *later* than an armed wakeup, the old wakeup is kept
-  and must fire stale: re-check, re-arm, and return **without**
+- the lazy-deadline loss timer in ``repro.quic.timers.Timers`` -- when
+  the live deadline moves *later* than an armed wakeup, the old wakeup
+  is kept and must fire stale: re-check, re-arm, and return **without**
   running loss detection or the pump early.
 """
 
@@ -93,10 +93,10 @@ class TestLazyLossTimer:
         assert client.established
         # Quiesce: drop whatever timer the handshake left armed so the
         # test controls the schedule exactly.
-        if client._timer_event is not None:
-            client._timer_event.cancel()
-            client._timer_event = None
-        client._loss_deadline = None
+        if client.timers.loss_event is not None:
+            client.timers.loss_event.cancel()
+            client.timers.loss_event = None
+        client.timers.loss_deadline = None
         return loop, client
 
     def test_later_deadline_keeps_armed_event(self, monkeypatch):
@@ -104,30 +104,30 @@ class TestLazyLossTimer:
         path = client.paths[0]
         d1, d2 = loop.now + 0.05, loop.now + 0.15
         monkeypatch.setattr(path.loss, "next_timer", lambda: d1)
-        client._arm_loss_timer()
-        event = client._timer_event
+        client.timers.arm_loss()
+        event = client.timers.loss_event
         assert event is not None and event.time == pytest.approx(d1)
         # Deadline drifts later: lazily keep the early wakeup instead
         # of paying a heap cancel+push.
         monkeypatch.setattr(path.loss, "next_timer", lambda: d2)
-        client._arm_loss_timer()
-        assert client._timer_event is event
-        assert client._loss_deadline == pytest.approx(d2)
+        client.timers.arm_loss()
+        assert client.timers.loss_event is event
+        assert client.timers.loss_deadline == pytest.approx(d2)
 
     def test_earlier_deadline_reschedules(self, monkeypatch):
         loop, client = self._idle_pair()
         path = client.paths[0]
         d1, d2 = loop.now + 0.15, loop.now + 0.05
         monkeypatch.setattr(path.loss, "next_timer", lambda: d1)
-        client._arm_loss_timer()
-        event = client._timer_event
+        client.timers.arm_loss()
+        event = client.timers.loss_event
         # Deadline moves *earlier*: laziness would fire late, so the
         # old event must be cancelled and a new one scheduled.
         monkeypatch.setattr(path.loss, "next_timer", lambda: d2)
-        client._arm_loss_timer()
-        assert client._timer_event is not event
+        client.timers.arm_loss()
+        assert client.timers.loss_event is not event
         assert event.cancelled
-        assert client._timer_event.time == pytest.approx(d2)
+        assert client.timers.loss_event.time == pytest.approx(d2)
 
     def test_stale_wakeup_rearms_without_firing(self, monkeypatch):
         loop, client = self._idle_pair()
@@ -136,22 +136,22 @@ class TestLazyLossTimer:
 
         pto_calls = []
         loss_calls = []
-        monkeypatch.setattr(client, "_on_pto",
-                            lambda p: pto_calls.append(loop.now))
+        monkeypatch.setattr(client.timers, "on_pto",
+                            lambda p, now: pto_calls.append(now))
         monkeypatch.setattr(path.loss, "on_loss_timer",
                             lambda now: (loss_calls.append(now), [])[1])
 
         monkeypatch.setattr(path.loss, "next_timer", lambda: d1)
-        client._arm_loss_timer()
+        client.timers.arm_loss()
         monkeypatch.setattr(path.loss, "next_timer", lambda: d2)
-        client._arm_loss_timer()  # keeps the d1 wakeup, live deadline d2
+        client.timers.arm_loss()  # keeps the d1 wakeup, live deadline d2
 
         # The d1 wakeup fires stale: it must re-check the live
         # deadline, re-arm at d2 and return without loss detection.
         loop.run(until=(d1 + d2) / 2)
         assert pto_calls == [] and loss_calls == []
-        assert client._timer_event is not None
-        assert client._timer_event.time == pytest.approx(d2)
+        assert client.timers.loss_event is not None
+        assert client.timers.loss_event.time == pytest.approx(d2)
 
         # At the *live* deadline the timer body finally runs: the
         # path is not in loss-time state, so it takes the PTO branch.
@@ -169,12 +169,12 @@ class TestLazyLossTimer:
         path = client.paths[0]
         monkeypatch.setattr(path.loss, "next_timer",
                             lambda: loop.now + 0.05)
-        client._arm_loss_timer()
-        event = client._timer_event
+        client.timers.arm_loss()
+        event = client.timers.loss_event
         # All packets acked: no deadline anywhere -> eager cancel (a
         # stale no-op wakeup would be harmless but pointless).
         monkeypatch.setattr(path.loss, "next_timer", lambda: None)
-        client._arm_loss_timer()
-        assert client._timer_event is None
-        assert client._loss_deadline is None
+        client.timers.arm_loss()
+        assert client.timers.loss_event is None
+        assert client.timers.loss_deadline is None
         assert event.cancelled

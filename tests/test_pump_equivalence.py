@@ -134,7 +134,7 @@ class TestCcRefactorEquivalence:
         result = run_video_session("xlink", _paths(None), seed=3)
         conn = result.client
         assert conn._any_paced is False
-        assert conn._pacing_event is None
+        assert conn.timers.pacing_event is None
         for path in conn.paths.values():
             assert path.cc.paced is False
             assert path.loss.rate_sampling is False

@@ -61,7 +61,7 @@ class FakeConn:
     def max_delivery_time(self):
         return 0.0
 
-    def _pump(self):
+    def pump(self):
         pass
 
 

@@ -78,6 +78,23 @@ class TestSendStream:
         s.on_acked(3, 3, fin=False)
         assert s.fully_acked
 
+    def test_acked_data_is_released_only_when_all_of_it_is(self):
+        """A finished session sits in reference cycles until the next
+        full GC pass; its acked stream buffers must not sit there too."""
+        s = SendStream(0)
+        s.write(b"abcdef", fin=True)
+        s.on_acked(0, 3, fin=True)          # FIN acked, data not yet
+        assert s.data_for(3, 3) == b"def"   # still retransmittable
+        s.on_acked(3, 3, fin=False)
+        assert s.fully_acked
+        assert len(s._buffer) == 0
+        assert s.length == 6 and s.fin_offset == 6
+        assert not s.acked_ranges.missing_within(0, 6)
+        unfinished = SendStream(4)
+        unfinished.write(b"abcdef")         # no FIN: more may follow
+        unfinished.on_acked(0, 6, fin=False)
+        assert unfinished.data_for(0, 6) == b"abcdef"
+
 
 class TestReceiveStream:
     def test_in_order_read(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quic.errors import FrameEncodingError
-from repro.quic.frames import (AckFrame, AckMpFrame, AckRange,
+from repro.quic.frames import (ACK_ELICITING, AckFrame, AckMpFrame, AckRange,
                                ConnectionCloseFrame, CryptoFrame,
                                MaxDataFrame, MaxStreamDataFrame,
                                NewConnectionIdFrame, PaddingFrame,
@@ -13,7 +13,7 @@ from repro.quic.frames import (AckFrame, AckMpFrame, AckRange,
                                PathStatus, PathStatusFrame, PingFrame,
                                QoeControlSignalsFrame, QoeSignals,
                                StreamFrame, decode_frames, encode_frame,
-                               encode_frames, is_ack_eliciting)
+                               encode_frames)
 from repro.quic.varint import (VARINT_MAX, Buffer, decode_varint,
                                encode_varint, varint_size)
 
@@ -169,12 +169,18 @@ class TestFrameCodecs:
             encode_frame(object())
 
     def test_ack_eliciting_classification(self):
-        assert is_ack_eliciting(PingFrame())
-        assert is_ack_eliciting(StreamFrame(stream_id=0, offset=0, data=b""))
-        assert not is_ack_eliciting(
+        assert ACK_ELICITING[PingFrame]
+        assert ACK_ELICITING[StreamFrame]
+        assert not ACK_ELICITING[AckMpFrame]
+        assert not ACK_ELICITING[ConnectionCloseFrame]
+        # every frame the codec can produce is classified
+        frames = decode_frames(encode_frames([
+            PingFrame(), StreamFrame(stream_id=0, offset=0, data=b"x"),
             AckMpFrame(path_id=0, largest_acked=0, ack_delay_us=0,
-                       ranges=(AckRange(0, 0),)))
-        assert not is_ack_eliciting(ConnectionCloseFrame(error_code=0))
+                       ranges=(AckRange(0, 0),)),
+            ConnectionCloseFrame(error_code=0)]))
+        assert [ACK_ELICITING[type(f)] for f in frames] == \
+            [True, True, False, False]
 
     def test_bad_ack_range_rejected(self):
         with pytest.raises(ValueError):

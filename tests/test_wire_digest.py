@@ -1,0 +1,136 @@
+"""Wire images pinned at byte level.
+
+The bench ``sim_digest``s hash a run's *outputs* (bytes delivered,
+virtual duration, packet counts).  These two digests hash the *wire*:
+sha256 over every datagram either endpoint emits, in emit order, with
+its direction, network path and length -- so a change to a header, a
+frame layout, an ACK range, a packet boundary, the order two packets
+leave in, or the RNG draws behind a loss shows up here even when the
+session still completes with the same totals.
+
+The values were recorded on the commit before ``Connection`` was split
+into receive / ACK / send / timer collaborators (PR 16) and must not
+move unless a PR means to change what goes on the wire.
+"""
+
+import hashlib
+
+from repro.host.runtime import SessionRuntime, VideoSessionSpec
+from repro.host.specs import PathSpec, build_network
+from repro.netem import MultipathNetwork, OutageSchedule
+from repro.quic.connection import Connection
+from repro.sim import EventLoop
+from repro.traces.radio_profiles import RadioType
+from repro.video import make_video
+from tests.test_connection import build_pair
+
+XLINK_SESSION_WIRE = (
+    "6c59bcd5d72fb851eb0ef954bdc39a09ac2c966ce3bda869b56dc8ca5f6e848c", 1192)
+RPC_EXCHANGE_WIRE = (
+    "397f970b315e90c9ab1d08dbe86c5c4af0f2609d00cb6472b396d04e0694ed79", 192)
+
+
+class WireTap:
+    """sha256 over every datagram the tapped connections emit."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self.datagrams = 0
+
+    def attach(self, conn: Connection, direction: bytes) -> None:
+        def hook(net_path_id: int, payload: bytes) -> None:
+            self.datagrams += 1
+            self._hash.update(direction)
+            self._hash.update(net_path_id.to_bytes(2, "big", signed=True))
+            self._hash.update(len(payload).to_bytes(4, "big"))
+            self._hash.update(payload)
+
+        conn.add_transmit_hook(hook)
+
+    def result(self):
+        return self._hash.hexdigest(), self.datagrams
+
+
+def xlink_session_wire():
+    """One 2-path ``xlink`` video session: random loss on both paths and
+    a Wi-Fi blackout, so loss detection, PTO, retransmission,
+    re-injection and the fastest-path ACK policy all reach the wire."""
+    loop = EventLoop()
+    paths = [
+        PathSpec(0, RadioType.WIFI, 0.015, rate_bps=6e6, loss_rate=0.02,
+                 outages=OutageSchedule(windows=[(1.2, 2.0)])),
+        PathSpec(1, RadioType.LTE, 0.04, rate_bps=4e6, loss_rate=0.01),
+    ]
+    runtime = SessionRuntime(loop, build_network(loop, paths, seed=11))
+    handle = runtime.add_session(VideoSessionSpec(
+        scheme_name="xlink",
+        interfaces=[(spec.net_path_id, spec.radio) for spec in paths],
+        video=make_video(duration_s=4.0, seed=11), seed=11,
+        start_at=0.01))
+    tap = WireTap()
+    tap.attach(handle.client.conn, b"c")
+    tap.attach(handle.server, b"s")
+    runtime.run(timeout_s=60.0)
+    assert handle.finished
+    assert handle.server.stats.stream_bytes_reinjected > 0
+    assert handle.server.stats.stream_bytes_rtx > 0
+    return tap.result()
+
+
+def rpc_exchange_wire(exchanges: int = 60, window: int = 4):
+    """``exchanges`` 64 B requests answered by 256 B responses, ``window``
+    open at a time, on one clean path: the smallest packets both ways."""
+    loop = EventLoop()
+    net = MultipathNetwork(loop)
+    net.add_simple_path(0, 50e6, 0.005)
+    client, server = build_pair(loop, net, name="wire-rpc")   # MinRtt + Cubic
+    tap = WireTap()
+    tap.attach(client, b"c")
+    tap.attach(server, b"s")
+    state = {"issued": 0, "done": 0}
+    answered = set()
+
+    def issue() -> None:
+        if state["issued"] < exchanges:
+            index = state["issued"]
+            state["issued"] += 1
+            client.stream_send(client.create_stream(),
+                               bytes([index % 251]) * 64, fin=True)
+
+    def serve(stream_id: int) -> None:
+        if stream_id not in answered:
+            answered.add(stream_id)
+            request = server.stream_read(stream_id)
+            server.stream_send(stream_id,
+                               hashlib.sha256(request).digest() * 8,
+                               fin=True)
+
+    def finish(stream_id: int) -> None:
+        assert len(client.stream_read(stream_id)) == 256
+        state["done"] += 1
+        issue()
+
+    def start() -> None:
+        for _ in range(window):
+            issue()
+
+    server.on_stream_complete = serve
+    client.on_stream_complete = finish
+    client.on_established = start
+    client.connect()
+    loop.run(until=30.0)
+    assert state["done"] == exchanges
+    return tap.result()
+
+
+def test_xlink_session_wire_image_is_pinned():
+    assert xlink_session_wire() == XLINK_SESSION_WIRE
+
+
+def test_rpc_exchange_wire_image_is_pinned():
+    assert rpc_exchange_wire() == RPC_EXCHANGE_WIRE
+
+
+if __name__ == "__main__":      # PYTHONPATH=src:. ; prints the values to pin
+    print("XLINK_SESSION_WIRE =", xlink_session_wire())
+    print("RPC_EXCHANGE_WIRE =", rpc_exchange_wire())
