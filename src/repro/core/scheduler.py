@@ -220,9 +220,13 @@ class XlinkScheduler(_BaseScheduler):
             return expected_arrival > now + fast_rtt
 
         # The predicate only reads (path, sent_time), so the connection
-        # applies it per packet, before it builds any chunk.
+        # applies it per packet, before it builds any chunk.  Overdue
+        # alone -- a suspect path, or older than the path's delivery
+        # time -- can only turn false as send times grow.
         return [(chunk, pid) for chunk, pid, _sent_time
-                in conn.unacked_ranges(wanted=wanted, **filters)]
+                in conn.unacked_ranges(wanted=wanted,
+                                       wanted_oldest_first=overdue_only,
+                                       **filters)]
 
     def on_queue_empty(self, conn) -> None:
         """Traditional appending trigger: queue drained, duplicate the

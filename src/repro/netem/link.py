@@ -169,10 +169,10 @@ class TraceDrivenLink(_QueueMixin):
                  start_time: float = 0.0) -> None:
         if not trace_ms:
             raise ValueError("trace must contain at least one opportunity")
-        if any(b < a for a, b in zip(trace_ms, trace_ms[1:])):
+        self.trace_ms = list(trace_ms)
+        if self.trace_ms != sorted(self.trace_ms):
             raise ValueError("trace timestamps must be non-decreasing")
         self.loop = loop
-        self.trace_ms = list(trace_ms)
         # Trace duration for wrap-around: at least the last timestamp + 1ms.
         self.period_ms = max(self.trace_ms[-1] + 1, 1)
         self.deliver = deliver

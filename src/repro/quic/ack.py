@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.quic.cc import RateSample
-from repro.quic.frames import (AckMpFrame, PathStatus,
+from repro.quic.frames import (ACK_MP_FIXED_MAX, AckMpFrame, PathStatus,
                                QoeControlSignalsFrame, QoeSignals)
 from repro.quic.loss_detection import SentPacket
 from repro.quic.path import Path, PathState
@@ -26,10 +26,8 @@ from repro.quic.varint import varint_size
 _ACTIVE = PathState.ACTIVE
 _AVAILABLE = PathStatus.AVAILABLE
 
-#: most an ACK_MP can take around its gap/length pairs: type (4), path
-#: id (8), QoE flag (1), largest (8), delay (8), range count (8), first
-#: range (8), four QoE varints (32)
-_ACK_FIXED_MAX = 77
+#: bytes an ACK_MP alone in its packet has for gap/length pairs
+_ACK_PAIRS_ROOM = PACKET_PAYLOAD_BUDGET - ACK_MP_FIXED_MAX
 
 
 def fit_ack_ranges(ranges: tuple, largest: int) -> tuple:
@@ -40,21 +38,20 @@ def fit_ack_ranges(ranges: tuple, largest: int) -> tuple:
     has long since stopped tracking, and they go first.  Below the limit
     the tuple comes back untouched.
     """
-    room = PACKET_PAYLOAD_BUDGET - _ACK_FIXED_MAX
+    room = _ACK_PAIRS_ROOM
     pairs = len(ranges) - 1
     # No gap or length reaches ``largest``, so none encodes longer.
     if pairs * 16 <= room or pairs * 2 * varint_size(largest) <= room:
         return ranges
     keep = pairs
-    prev_start = ranges[-1].start
+    prev_start = ranges[-1][0]
     while keep > 0:
-        rng = ranges[keep - 1]
-        room -= varint_size(prev_start - rng.end - 2) \
-            + varint_size(rng.end - rng.start)
+        start, end = ranges[keep - 1]
+        room -= varint_size(prev_start - end - 2) + varint_size(end - start)
         if room < 0:
             break
         keep -= 1
-        prev_start = rng.start
+        prev_start = start
     return ranges[keep:]
 
 
@@ -187,14 +184,17 @@ class AckHandler:
         caller flushes."""
         if not path.ack_pending or not path.ack_needed:
             return
-        ranges = path.ack_frame_ranges()
-        largest = ranges[-1].end
+        ranges, older_wire = path.ack_ranges()
+        largest = ranges[-1][1]
+        if len(older_wire) > _ACK_PAIRS_ROOM:
+            # more gaps than a packet holds: the oldest ranges go, and
+            # the encoder works the pairs out from what is left
+            ranges, older_wire = fit_ack_ranges(ranges, largest), None
         provider = self.conn.qoe_provider
         ack = AckMpFrame(
             path.path_id, largest,
-            int((now - path.largest_recv_time) * 1e6),
-            fit_ack_ranges(ranges, largest),
-            provider() if provider is not None else None)
+            int((now - path.largest_recv_time) * 1e6), ranges,
+            provider() if provider is not None else None, older_wire)
         carrier = self.carrier_path(path, now)
         path.ack_needed = False
         path.eliciting_since_ack = 0

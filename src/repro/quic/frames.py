@@ -17,11 +17,13 @@ only ever exchanges serialized packets.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.quic.errors import FrameEncodingError
-from repro.quic.varint import Buffer
+from repro.quic.varint import Buffer, encode_varint
 
 
 class FrameType(enum.IntEnum):
@@ -52,19 +54,22 @@ class PathStatus(enum.IntEnum):
     AVAILABLE = 2
 
 
-@dataclass(frozen=True, slots=True)
-class AckRange:
-    """Inclusive packet-number range [start, end]."""
+class AckRange(namedtuple("AckRange", "start end")):
+    """Inclusive packet-number range [start, end]: a 2-tuple with names,
+    so ranges compare, hash and unpack in C, and a plain ``(start, end)``
+    is accepted wherever one is read."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start > self.end or self.start < 0:
-            raise ValueError(f"bad ack range [{self.start}, {self.end}]")
+    def __new__(cls, start: int, end: int) -> "AckRange":
+        if start > end or start < 0:
+            raise ValueError(f"bad ack range [{start}, {end}]")
+        return tuple.__new__(cls, (start, end))
 
-    def __contains__(self, pn: int) -> bool:
-        return self.start <= pn <= self.end
+
+#: ``make_range((start, end))``, for bounds the caller has just computed
+#: and knows to satisfy ``0 <= start <= end``
+make_range = partial(tuple.__new__, AckRange)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +140,12 @@ class AckFrame:
     ranges: Tuple[AckRange, ...]
 
 
+#: most an ACK_MP can take around its gap/length pairs: type (4), path
+#: id (8), QoE flag (1), largest (8), delay (8), range count (8), first
+#: range (8), four QoE varints (32)
+ACK_MP_FIXED_MAX = 77
+
+
 @dataclass(slots=True)
 class AckMpFrame:
     """Multipath ACK: per-path ack ranges + XLINK QoE field.
@@ -143,6 +154,11 @@ class AckMpFrame:
     packets' receiver* used on that path (the draft's path
     identifier).  ``qoe`` is the XLINK deployment's extra field; it is
     optional on the wire (flag bit).
+
+    ``ranges`` alone describes the frame, in any order.  With
+    ``older_wire`` (:meth:`repro.quic.path.Path.ack_ranges`) they are
+    ascending and the gap/length pairs of all but the newest are
+    already encoded: the encoder copies them.
     """
 
     path_id: int
@@ -150,6 +166,13 @@ class AckMpFrame:
     ack_delay_us: int
     ranges: Tuple[AckRange, ...]
     qoe: Optional[QoeSignals] = None
+    older_wire: Optional[bytes] = field(default=None, compare=False)
+
+    def wire_budget(self) -> int:
+        """Upper bound on the encoded length, without encoding."""
+        if self.older_wire is not None:
+            return ACK_MP_FIXED_MAX + len(self.older_wire)
+        return ACK_MP_FIXED_MAX + 16 * (len(self.ranges) - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,88 +255,84 @@ Frame = object  # frames are plain dataclasses; this alias aids readability
 # ---------------------------------------------------------------------------
 
 
-#: Wire-tail caches for the ACK range codecs.  On a path with permanent
-#: packet-number gaps (datagrams dropped and never resent under the
-#: same pn) every ACK repeats the same old ranges and only the newest
-#: range grows, so the gap/length varint region for ``ranges[1:]`` is
-#: byte-identical between consecutive ACKs.  Both caches are keyed by
-#: ``(range count, start of the newest range)`` and verified against
-#: the actual content before use -- the encode side compares the tail
-#: range tuple, the decode side compares the raw tail bytes -- so a
-#: hit reproduces exactly what the slow path would have produced.
-_ACK_ENC_TAIL_CACHE: dict = {}
-_ACK_DEC_TAIL_CACHE: dict = {}
-_ACK_TAIL_CACHE_MAX = 256
-
-
-def _encode_ack_ranges(buf: Buffer, largest: int,
-                       ranges: Tuple[AckRange, ...]) -> None:
-    """ACK range encoding per RFC 9000: first range + gap/length pairs."""
-    n = len(ranges)
-    ascending = n > 1 and ranges[n - 1].end == largest
-    if ascending:
-        # Ascending layout (how the connection builds ACK frames): the
-        # newest range sits last and everything before it is the tail.
-        newest = ranges[n - 1]
-        entry = _ACK_ENC_TAIL_CACHE.get((n, newest.start))
-        if entry is not None and entry[0] == ranges[:n - 1]:
-            buf.push_varint(n - 1)
-            buf.push_varint(largest - newest.start)
-            buf.push_bytes(entry[1])
-            return
-    ordered = sorted(ranges, key=lambda r: r.end, reverse=True)
-    if not ordered or ordered[0].end != largest:
-        raise FrameEncodingError("largest_acked must end the first range")
-    buf.push_varint(len(ordered) - 1)
-    buf.push_varint(largest - ordered[0].start)  # first ack range
-    prev_start = ordered[0].start
-    writer = buf._writer()
-    tail_from = len(writer)
-    for rng in ordered[1:]:
-        gap = prev_start - rng.end - 2
-        if gap < 0:
+def ack_pairs_wire(ranges) -> bytes:
+    """The gap/length pairs (RFC 9000 Sec. 19.3.1) that follow
+    ``ranges[0]`` on the wire, for ``ranges`` newest first."""
+    pairs = []
+    for above, (start, end) in zip(ranges, ranges[1:]):
+        if above[0] - end < 2:
             raise FrameEncodingError("overlapping ack ranges")
-        buf.push_varint(gap)
-        buf.push_varint(rng.end - rng.start)
-        prev_start = rng.start
-    if ascending:
-        if len(_ACK_ENC_TAIL_CACHE) >= _ACK_TAIL_CACHE_MAX:
-            _ACK_ENC_TAIL_CACHE.clear()
-        _ACK_ENC_TAIL_CACHE[(n, ranges[n - 1].start)] = (
-            ranges[:n - 1], bytes(writer[tail_from:]))
+        pairs.append(encode_varint(above[0] - end - 2)
+                     + encode_varint(end - start))
+    return b"".join(pairs)
+
+
+def _encode_ack_ranges(buf: Buffer, largest: int, ranges: tuple,
+                       older_wire: Optional[bytes] = None) -> None:
+    """ACK range encoding per RFC 9000: first range + gap/length pairs."""
+    if older_wire is None:
+        ordered = sorted(ranges, key=lambda r: r[1], reverse=True)
+        newest = ordered[0] if ordered else None
+        older_wire = ack_pairs_wire(ordered)
+    else:
+        newest = ranges[-1]
+    if newest is None or newest[1] != largest:
+        raise FrameEncodingError("largest_acked must end the first range")
+    buf.push_varint(len(ranges) - 1)
+    buf.push_varint(largest - newest[0])  # first ack range
+    buf.push_bytes(older_wire)
+
+
+#: The decoder's one memo.  A lossy path's permanent gaps repeat in
+#: every ACK_MP and only the ranges at the top change: ``(start of the
+#: range above, pairs that follow)`` -> ``(those pairs' bytes, their
+#: ranges)``, stored per frame for the pairs after its first range and
+#: probed before each pair is read, so a frame costs the pairs above
+#: the newest suffix seen before.  A hit counts only if the frame's
+#: bytes equal the stored ones, whichever connection stored them.
+_ACK_DECODE_MEMO: dict = {}
+_ACK_DECODE_MEMO_MAX = 256
 
 
 def _decode_ack_ranges(buf: Buffer, largest: int) -> Tuple[AckRange, ...]:
+    """The ranges of an ACK, newest first."""
     count = buf.pull_varint()
     # Each additional range needs at least two varint bytes; a count
     # beyond that is a malformed (or hostile) frame, not a big ACK.
     if count * 2 > buf.remaining:
         raise FrameEncodingError(f"ack range count {count} exceeds payload")
-    first_len = buf.pull_varint()
-    prev_start = largest - first_len
-    first = AckRange(start=prev_start, end=largest)
-    if count == 0:
+    start = largest - buf.pull_varint()
+    first = make_range((start, largest))
+    if count == 0 and start >= 0:
         return (first,)
-    entry = _ACK_DEC_TAIL_CACHE.get((count, prev_start))
-    if entry is not None:
-        tail_bytes, tail_ranges = entry
-        pos = buf._pos
-        if buf._read_data[pos:pos + len(tail_bytes)] == tail_bytes:
-            buf._pos = pos + len(tail_bytes)
-            return (first,) + tail_ranges
-    tail_from = buf._pos
-    ranges = [first]
-    for _ in range(count):
+    data = buf._read_data
+    key = (start, count)
+    pairs_from = buf._pos
+    fresh = []
+    older: tuple = ()
+    for left in range(count, 0, -1):
+        entry = _ACK_DECODE_MEMO.get((start, left))
+        if entry is not None:
+            pos = buf._pos
+            stop = pos + len(entry[0])
+            if data[pos:stop] == entry[0]:
+                buf._pos = stop
+                older = entry[1]
+                break
         gap = buf.pull_varint()
         length = buf.pull_varint()
-        end = prev_start - gap - 2
-        ranges.append(AckRange(start=end - length, end=end))
-        prev_start = end - length
-    if len(_ACK_DEC_TAIL_CACHE) >= _ACK_TAIL_CACHE_MAX:
-        _ACK_DEC_TAIL_CACHE.clear()
-    _ACK_DEC_TAIL_CACHE[(count, largest - first_len)] = (
-        bytes(buf._read_data[tail_from:buf._pos]), tuple(ranges[1:]))
-    return tuple(ranges)
+        end = start - gap - 2
+        start = end - length
+        fresh.append(make_range((start, end)))
+    # Starts only fall, and a memo key was a valid start already.
+    if start < 0:
+        raise ValueError(f"bad ack range: it starts at {start}")
+    if fresh:
+        older = tuple(fresh) + older
+        if len(_ACK_DECODE_MEMO) >= _ACK_DECODE_MEMO_MAX:
+            _ACK_DECODE_MEMO.clear()
+        _ACK_DECODE_MEMO[key] = (bytes(data[pairs_from:buf._pos]), older)
+    return (first,) + older
 
 
 def _enc_padding(buf: Buffer, frame: PaddingFrame) -> None:
@@ -337,7 +356,8 @@ def _enc_ack_mp(buf: Buffer, frame: AckMpFrame) -> None:
     buf.push_varint(1 if frame.qoe is not None else 0)
     buf.push_varint(frame.largest_acked)
     buf.push_varint(frame.ack_delay_us)
-    _encode_ack_ranges(buf, frame.largest_acked, frame.ranges)
+    _encode_ack_ranges(buf, frame.largest_acked, frame.ranges,
+                       frame.older_wire)
     if frame.qoe is not None:
         frame.qoe.encode(buf)
 

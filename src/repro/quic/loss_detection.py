@@ -22,20 +22,14 @@ and rejects a send that would break that order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.quic.frames import AckRange
 from repro.quic.rtt import GRANULARITY, RttEstimator
 
 PACKET_THRESHOLD = 3
 TIME_THRESHOLD = 9.0 / 8.0
 MAX_PTO_COUNT = 10
-
-#: ACK ranges at most this wide are probed packet-number by packet
-#: number; wider ranges walk the (typically sparser) in-flight dict.
-_DENSE_RANGE_SPAN = 8
 
 
 @dataclass(slots=True)
@@ -83,9 +77,11 @@ class PathLossDetector:
         #: the last send, which the next one must follow
         self._last_pn = -1
         self._last_sent_time = float("-inf")
-        #: the ``ranges[1:]`` of the last fully processed ACK; a later
-        #: ACK repeating the same tail can skip re-walking it entirely
-        self._last_ack_tail: Tuple[AckRange, ...] = ()
+        #: the ``ranges[1:]`` of the last ACK processed, every one of
+        #: them walked (see :meth:`on_ack_received`)
+        self._acked_older: tuple = ()
+        #: no packet number above this one is in ``_declared_lost``
+        self._declared_max = -1
         #: delivery-rate bookkeeping for paced (model-based) congestion
         #: controllers.  Off by default: the connection flips
         #: ``rate_sampling`` on when the path's controller wants
@@ -137,84 +133,74 @@ class PathLossDetector:
             self._bytes_in_flight -= pkt.size
 
     def on_ack_received(
-        self, ranges: Tuple[AckRange, ...], ack_delay: float, now: float,
+        self, ranges: tuple, ack_delay: float, now: float,
     ) -> Tuple[List[SentPacket], List[SentPacket], Optional[float]]:
         """Process an ACK_MP for this path.
 
-        Returns (newly_acked, newly_lost, rtt_sample).
+        ``ranges`` are disjoint ``(start, end)`` pairs, newest first,
+        as the decoder yields them.  Returns (newly_acked, newly_lost,
+        rtt_sample).
         """
-        newly_acked: List[SentPacket] = []
-        tail = ranges[1:]
-        if tail and tail == self._last_ack_tail:
-            # Every tail range was fully processed by a previous ACK on
-            # this path.  Packet numbers are never reused, so a range
-            # once drained from ``sent`` can never match it again, and
-            # a pn covered by a processed range can no longer enter
-            # ``_declared_lost`` (it would have had to still be in
-            # ``sent``).  Re-walking the tail is a guaranteed no-op --
-            # only the newest range can acknowledge anything new.  For
-            # the same reason every tail end <= self.largest_acked, so
-            # the observable largest is the newest range's end.
-            largest_in_ack = ranges[0].end
-            process = ranges[:1]
-        else:
-            largest_in_ack = max(r.end for r in ranges)
-            process = ranges
+        # Walking a range takes every number it covers out of ``sent``
+        # and ``_declared_lost``, and none comes back: ``sent`` only
+        # takes numbers above all sent so far, ``_declared_lost`` only
+        # takes from ``sent``.  A range walked once acknowledges nothing
+        # ever after, and its end is already <= ``largest_acked``.  The
+        # receiver's coverage only grows, so below its newest ranges an
+        # ACK repeats a run of ranges the previous one carried: one
+        # tuple comparison finds it and leaves the ranges above to walk.
+        fresh, older, known = ranges, ranges[1:], self._acked_older
+        if known and older:
+            try:
+                above = ranges.index(known[0], 1)
+            except ValueError:
+                pass
+            else:
+                if ranges[above:] == known[:len(ranges) - above]:
+                    fresh = ranges[:above]
+        largest_in_ack = max(fresh)[1] if fresh[1:] else fresh[0][1]
         sent = self.sent
+        #: the RTT sample's packet: if tracked, it is acknowledged below
+        largest_pkt: Optional[SentPacket] = None
+        if largest_in_ack > self.largest_acked:
+            self.largest_acked = largest_in_ack
+            if largest_in_ack in sent:
+                largest_pkt = sent[largest_in_ack]
         declared = self._declared_lost
-        #: snapshot of tracked pns, built lazily on the first wide
-        #: range and shared across ranges (they are disjoint, so a pn
-        #: popped by one range can never be probed again by another)
-        snapshot: Optional[List[int]] = None
-        for rng in process:
-            start, end = rng.start, rng.end
-            if end - start < _DENSE_RANGE_SPAN:
-                # Narrow range: probe every covered packet number.
-                for pn in range(start, end + 1):
-                    pkt = sent.pop(pn, None)
-                    if pkt is not None:
-                        newly_acked.append(pkt)
-                        self.packets_acked_total += 1
-                        self._forget(pkt)
-                    elif pn in declared:
-                        declared.discard(pn)
-                        self.spurious_losses += 1
-                continue
-            # Wide (cumulative) range: intersect with what is actually
-            # tracked instead of iterating the full packet-number span.
-            if snapshot is None:
-                snapshot = list(sent)
-            lo = bisect_left(snapshot, start)
-            hi = bisect_right(snapshot, end)
-            for pn in snapshot[lo:hi]:
-                pkt = sent.pop(pn, None)
-                if pkt is None:
-                    continue
-                newly_acked.append(pkt)
-                self.packets_acked_total += 1
+        newly_acked: List[SentPacket] = []
+        for start, end in fresh:
+            # ``sent`` is in packet-number order: walk it and stop past
+            # the range, whatever span of numbers the range covers.
+            hits = []
+            for pn in sent:
+                if pn > end:
+                    break
+                if pn >= start:
+                    hits.append(sent[pn])
+            for pkt in hits:
+                del sent[pkt.packet_number]
                 self._forget(pkt)
-            if declared:
+            newly_acked += hits
+            if declared and start <= self._declared_max:
                 if len(declared) <= end - start + 1:
-                    spurious = sorted(pn for pn in declared
-                                      if start <= pn <= end)
+                    spurious = sorted([pn for pn in declared
+                                       if start <= pn <= end])
                 else:
                     spurious = [pn for pn in range(start, end + 1)
                                 if pn in declared]
                 for pn in spurious:
                     declared.discard(pn)
                     self.spurious_losses += 1
-        self._last_ack_tail = tail
+        # A range reaching past the last packet sent would cover
+        # numbers that can still enter ``sent``: remember nothing.
+        self._acked_older = older if largest_in_ack <= self._last_pn else ()
         rtt_sample: Optional[float] = None
-        if largest_in_ack > self.largest_acked:
-            self.largest_acked = largest_in_ack
-            # RTT sample from the largest newly acked, if it was just acked.
-            largest_pkt = next((p for p in newly_acked
-                                if p.packet_number == largest_in_ack), None)
-            if largest_pkt is not None and largest_pkt.ack_eliciting:
-                rtt_sample = now - largest_pkt.sent_time
-                if rtt_sample > 0:
-                    self.rtt.update(rtt_sample, ack_delay)
+        if largest_pkt is not None and largest_pkt.ack_eliciting:
+            rtt_sample = now - largest_pkt.sent_time
+            if rtt_sample > 0:
+                self.rtt.update(rtt_sample, ack_delay)
         if newly_acked:
+            self.packets_acked_total += len(newly_acked)
             self.pto_count = 0
             if self.rate_sampling:
                 delivered = sum(p.size for p in newly_acked if p.in_flight)
@@ -252,6 +238,7 @@ class PathLossDetector:
         for pkt in lost:
             del sent[pkt.packet_number]
             self._declared_lost.add(pkt.packet_number)
+            self._declared_max = pkt.packet_number  # ``lost`` ascends
             self.packets_lost_total += 1
             self._forget(pkt)
         return lost
@@ -273,7 +260,6 @@ class PathLossDetector:
         self.loss_time = None
         self._bytes_in_flight = 0
         self._eliciting_sent_time.clear()
-        self._last_ack_tail = ()
         return pkts
 
     # -- timers -------------------------------------------------------------

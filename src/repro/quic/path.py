@@ -8,11 +8,11 @@ detector, congestion controller, validation state, and PATH_STATUS.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from bisect import bisect_left
+from typing import Optional, Tuple
 
 from repro.quic.cid import ConnectionId
-from repro.quic.frames import AckRange, PathStatus
+from repro.quic.frames import PathStatus, ack_pairs_wire, make_range
 from repro.quic.loss_detection import PathLossDetector
 from repro.quic.rtt import RttEstimator
 from repro.traces.radio_profiles import RadioType
@@ -48,15 +48,19 @@ class Path:
         #: the next packet number of this path's own space
         self.next_pn = 0
         self.largest_received_pn = -1
-        #: receive-side: pending ack ranges, whether an ack is owed, and
-        #: how many ack-eliciting packets arrived since the last one
+        #: receive-side: every range received, ascending and never
+        #: forgotten; whether an ack is owed, and how many ack-eliciting
+        #: packets arrived since the last one
         self.ack_pending: list = []
         self.ack_needed = False
         self.eliciting_since_ack = 0
-        #: frame-tuple cache for :meth:`ack_frame_ranges`; ``_ack_rev``
-        #: is bumped whenever ``ack_pending`` is rebuilt structurally
-        self._ack_rev = 0
-        self._ack_frame_cache: Optional[tuple] = None
+        #: ``ack_pending[:-1]`` as successive ACK_MPs share it: the
+        #: ranges, and their gap/length pairs as they follow the newest
+        #: range on the wire.  A new gap adds the range it froze to
+        #: both; a hole-fill leaves them stale (the wire None) until
+        #: the next ACK.
+        self._ack_older: tuple = ()
+        self._ack_older_wire: Optional[bytes] = b""
         self.largest_recv_time = 0.0
         #: when anything was last received on this path (freshness)
         self.last_recv_time = 0.0
@@ -102,78 +106,53 @@ class Path:
         self.last_recv_time = now
         ranges = self.ack_pending
         if ranges:
-            # In-order fast path: ``ranges`` is sorted and disjoint, so
-            # a pn one past the newest range extends it in place -- the
-            # overwhelmingly common case on a healthy path -- and the
-            # duplicate check only needs the covering candidate.
+            # ``ranges`` is sorted and disjoint, so a pn past the newest
+            # range -- the overwhelmingly common case -- extends it in
+            # place or opens a gap above it, and the duplicate check
+            # starts with the covering candidate.
             last = ranges[-1]
-            if pn == last[1] + 1:
-                ranges[-1] = (last[0], pn)
+            if pn > last[1]:
+                if pn == last[1] + 1:
+                    ranges[-1] = (last[0], pn)
+                else:
+                    ranges.append((pn, pn))
+                    if self._ack_older_wire is not None:
+                        self._ack_older += (make_range(last),)
+                        self._ack_older_wire = ack_pairs_wire(
+                            ((pn, pn), last)) + self._ack_older_wire
                 self.largest_received_pn = pn
                 self.largest_recv_time = now
                 self.ack_needed = True
                 return True
-            if last[0] <= pn <= last[1]:
+            if pn >= last[0]:
                 return False
-            if pn > last[1] + 1:
-                ranges.append((pn, pn))
-                self.largest_received_pn = pn
-                self.largest_recv_time = now
-                self.ack_needed = True
-                return True
-        for rng in ranges:
-            if rng[0] <= pn <= rng[1]:
-                return False
-        self._merge_ack_range(pn)
+        # Below the newest range (or the first packet): a duplicate, or
+        # a late arrival that extends, joins or adds a range.
+        at = bisect_left(ranges, (pn + 1,))  # ranges[:at] start <= pn
+        if at and ranges[at - 1][1] >= pn:
+            return False
+        start = ranges[at - 1][0] \
+            if at and ranges[at - 1][1] == pn - 1 else pn
+        end = ranges[at][1] \
+            if at < len(ranges) and ranges[at][0] == pn + 1 else pn
+        ranges[at - (start < pn):at + (end > pn)] = [(start, end)]
+        self._ack_older_wire = None
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn
             self.largest_recv_time = now
         self.ack_needed = True
         return True
 
-    def ack_frame_ranges(self) -> tuple:
-        """``ack_pending`` as a tuple of :class:`AckRange` for ACK frames.
-
-        Between ACKs only the newest range normally changes (it extends
-        in place as in-order packets arrive), so the tuple prefix --
-        potentially hundreds of ranges on a path with permanent loss
-        gaps -- is cached and only the last element is rebuilt.  The
-        same ``AckRange`` objects are reused across calls, which also
-        lets the frame encoder's tail cache verify by identity-fast
-        tuple comparison.
-        """
-        ranges = self.ack_pending
-        n = len(ranges)
-        last_s, last_e = ranges[-1]
-        cached = self._ack_frame_cache
-        if cached is not None and cached[0] == self._ack_rev \
-                and cached[1] == n and cached[2][-1].start == last_s:
-            tup = cached[2]
-            if tup[-1].end != last_e:
-                tup = tup[:-1] + (AckRange(start=last_s, end=last_e),)
-                self._ack_frame_cache = (self._ack_rev, n, tup)
-            return tup
-        tup = tuple(AckRange(start=s, end=e) for s, e in ranges)
-        self._ack_frame_cache = (self._ack_rev, n, tup)
-        return tup
-
-    def _merge_ack_range(self, pn: int) -> None:
-        self._ack_rev += 1
-        new_ranges = []
-        start, end = pn, pn
-        for s, e in self.ack_pending:
-            if e == start - 1:
-                start = s
-            elif s == end + 1:
-                end = e
-            elif e < start - 1 or s > end + 1:
-                new_ranges.append((s, e))
-            else:  # overlap
-                start = min(start, s)
-                end = max(end, e)
-        new_ranges.append((start, end))
-        new_ranges.sort()
-        self.ack_pending = new_ranges
+    def ack_ranges(self) -> Tuple[tuple, bytes]:
+        """What an ACK_MP for this path carries: every range received,
+        ascending, and the wire form of the gap/length pairs of all but
+        the newest (``AckMpFrame.ranges`` and ``.older_wire``)."""
+        pending = self.ack_pending
+        if self._ack_older_wire is None:
+            self._ack_older = tuple(map(make_range, pending[:-1]))
+            self._ack_older_wire = ack_pairs_wire(pending[::-1])
+        return (self._ack_older + (make_range(pending[-1]),),
+                self._ack_older_wire)
 
     def abandon(self) -> None:
         self.state = PathState.ABANDONED

@@ -19,7 +19,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.quic.cc.base import MAX_DATAGRAM_SIZE
 from repro.quic.crypto import TAG_LENGTH
-from repro.quic.frames import (ACK_ELICITING, StreamFrame, encode_frames)
+from repro.quic.frames import (ACK_ELICITING, AckMpFrame, StreamFrame,
+                               encode_frames)
 from repro.quic.loss_detection import SentPacket
 from repro.quic.packets import encode_short_header
 from repro.quic.path import Path, PathState
@@ -114,10 +115,17 @@ class Sender:
                 eliciting = False
                 size = 0
                 while frames and size < PACKET_PAYLOAD_BUDGET - 64:
-                    frame = frames.pop(0)
+                    frame = frames[0]
+                    # 48 B covers every control frame but the one that
+                    # grows with the path's loss history
+                    need = frame.wire_budget() \
+                        if type(frame) is AckMpFrame else 48
+                    if batch and size + need > PACKET_PAYLOAD_BUDGET:
+                        break
+                    del frames[0]
                     batch.append(frame)
                     eliciting = eliciting or ACK_ELICITING[type(frame)]
-                    size += 48  # conservative per-frame estimate
+                    size += need
                 self.send_packet(path, batch, False, (), eliciting, now)
             del pending[path_id]
 
@@ -293,7 +301,8 @@ class Sender:
 
     def unacked_ranges(self, stream_id: Optional[int] = None,
                        frame_priority: Optional[int] = None,
-                       wanted: Optional[Callable[[Path, float], bool]] = None
+                       wanted: Optional[Callable[[Path, float], bool]] = None,
+                       wanted_oldest_first: bool = False
                        ) -> List[Tuple[SendChunk, int, float]]:
         """In-flight, not-yet-acked stream ranges (the unacked_q).
 
@@ -301,8 +310,10 @@ class Sender:
         sent first.  Filters: by stream, and/or by frame priority of
         the range start, and/or by ``wanted(path, sent_time)`` of the
         packet carrying the range (asked once per data packet, before
-        any per-range work).  Ranges already re-injected once are
-        skipped.
+        any per-range work).  ``wanted_oldest_first`` says ``wanted``
+        only ever holds for the oldest-sent packets of a path, so the
+        walk of that path stops at the first packet it rejects.  Ranges
+        already re-injected once are skipped.
         """
         out: List[Tuple[float, SendChunk, int]] = []
         now = self.loop.now
@@ -311,9 +322,11 @@ class Sender:
                 continue
             for pkt in path.loss.sent.values():
                 # most tracked packets carry no stream data (ACK-only)
-                if not pkt.frames_info or (
-                        wanted is not None
-                        and not wanted(path, pkt.sent_time)):
+                if not pkt.frames_info:
+                    continue
+                if wanted is not None and not wanted(path, pkt.sent_time):
+                    if wanted_oldest_first:
+                        break  # ``sent`` is in send-time order
                     continue
                 for info in pkt.frames_info:
                     if info.stream_id < 0 or info.length == 0:

@@ -27,8 +27,7 @@ def load_mahimahi_trace(path: Union[str, Path]) -> List[int]:
                 raise ValueError(
                     f"{path}:{lineno}: bad trace line {line!r}"
                 ) from exc
-    if any(b < a for a, b in zip(timestamps, timestamps[1:])):
-        timestamps.sort()
+    timestamps.sort()
     return timestamps
 
 

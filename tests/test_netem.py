@@ -131,6 +131,17 @@ class TestTraceDrivenLink:
         with pytest.raises(ValueError):
             TraceDrivenLink(EventLoop(), trace_ms=[5, 3],
                             deliver=lambda d: None)
+        # one inversion at the far end of a long trace
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TraceDrivenLink(EventLoop(),
+                            trace_ms=list(range(5000)) + [4998],
+                            deliver=lambda d: None)
+
+    def test_accepts_equal_timestamps(self):
+        # N lines with one timestamp = N packets deliverable that ms
+        link = TraceDrivenLink(EventLoop(), trace_ms=(3, 3, 3, 7, 7, 9),
+                               deliver=lambda d: None)
+        assert link.trace_ms == [3, 3, 3, 7, 7, 9]
 
     def test_late_send_uses_future_opportunity(self):
         loop = EventLoop()

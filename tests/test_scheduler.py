@@ -38,7 +38,7 @@ class FakeConn:
                 if p.is_active and p.status is PathStatus.AVAILABLE]
 
     def unacked_ranges(self, stream_id=None, frame_priority=None,
-                       wanted=None):
+                       wanted=None, wanted_oldest_first=False):
         out = []
         for chunk, pid, t in self._unacked:
             if wanted is not None and not wanted(self.paths[pid], t):

@@ -133,3 +133,57 @@ class TestGateProperties:
         first = ctrl.should_reinject(dtmax, now=0.0)
         second = ctrl.should_reinject(dtmax, now=0.0)
         assert first == second
+
+
+class _FullScan:
+    """A connection whose ``unacked_ranges`` never stops a walk early."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def unacked_ranges(self, wanted_oldest_first=False, **filters):
+        return self._conn.unacked_ranges(**filters)
+
+
+class TestOverdueSweepProperties:
+    @given(ages=st.lists(st.lists(st.floats(0.0, 1.5), min_size=16,
+                                  max_size=16), min_size=2, max_size=2),
+           silent=st.lists(st.booleans(), min_size=2, max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_early_exit_equals_the_full_scan(self, ages, silent):
+        """The overdue-only sweep stops a path's walk at the first
+        packet that is not overdue; on any in-flight set -- suspect
+        paths, where everything is overdue, included -- it returns the
+        chunks of the walk that visits every packet, in the same
+        order."""
+        from repro.sim import EventLoop
+        from tests.test_connection import build_pair, two_path_net
+        loop = EventLoop()
+        client, server = build_pair(loop, two_path_net(loop))
+        client.connect()
+        loop.run(until=0.5)
+        client.open_path(1, 1)
+        loop.run(until=3.0)
+        server.stream_send(server.create_stream(), bytes(300_000))
+        now = loop.now
+        for path, path_ages, dark in zip(server.paths.values(), ages,
+                                         silent):
+            tracked = list(path.loss.sent.values())
+            assert any(pkt.frames_info for pkt in tracked)
+            assert len(tracked) <= len(path_ages)
+            # oldest first, as ``on_packet_sent`` keeps them
+            for pkt, age in zip(tracked, sorted(path_ages[:len(tracked)],
+                                                reverse=True)):
+                pkt.sent_time = now - age
+            if dark:
+                path.last_recv_time = now - 10.0
+            assert path.is_suspect(now) == dark
+        sched = XlinkScheduler()
+        swept = sched._slow_path_ranges(server, overdue_only=True)
+        assert swept == sched._slow_path_ranges(_FullScan(server),
+                                                overdue_only=True)
+        if any(silent):
+            assert swept

@@ -28,6 +28,11 @@ class TestFormat:
         path.write_text("# comment\n1\n\n2\n")
         assert load_mahimahi_trace(path) == [1, 2]
 
+    def test_load_sorts_and_keeps_equal_timestamps(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("9\n2\n2\n5\n2\n")
+        assert load_mahimahi_trace(path) == [2, 2, 2, 5, 9]
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("abc\n")

@@ -13,6 +13,8 @@ forms, and obvious AST-level mistakes:
 - SIZE: a file under a directory listed in ``MAX_LINES`` that has grown
   past its limit (ruff has no such rule, so ``make lint`` runs this
   script after ruff too)
+- CACHE: a module-level mutable container named like a cache under a
+  directory listed in ``NO_MODULE_CACHES``
 
 Exit status 0 = clean, 1 = findings, matching ruff's convention.
 """
@@ -33,6 +35,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: ``repro/quic`` was one 1,576-line class until it was split along
 #: its receive / ACK / send / timer seams; this keeps it split.
 MAX_LINES = {"src/repro/quic": 700}
+
+#: directory (repo-relative) -> the module-level caches it may keep.
+#: ``repro/quic`` once hid its ACK cost behind four of them, two shared
+#: by every connection in the process; the frame decoder's memo is the
+#: one that is left.
+NO_MODULE_CACHES = {"src/repro/quic": {"_ACK_DECODE_MEMO"}}
+_CACHE_WORDS = ("CACHE", "MEMO")
+_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                  "deque", "bytearray"}
 
 
 def iter_py_files(roots: List[str]) -> Iterator[Path]:
@@ -104,6 +115,29 @@ class _Scope(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _module_caches(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(name, line) of module-level names like ``*_CACHE`` / ``*_MEMO``
+    bound to a mutable container."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        mutable = isinstance(value, (ast.Dict, ast.List, ast.Set,
+                                     ast.DictComp, ast.ListComp,
+                                     ast.SetComp)) \
+            or (isinstance(value, ast.Call)
+                and getattr(value.func, "id",
+                            getattr(value.func, "attr", None))
+                in _MUTABLE_CALLS)
+        for target in targets:
+            if mutable and isinstance(target, ast.Name) \
+                    and any(w in target.id.upper() for w in _CACHE_WORDS):
+                yield target.id, node.lineno
+
+
 def check_file(path: Path) -> List[Finding]:
     findings: List[Finding] = []
     source = path.read_text()
@@ -119,6 +153,14 @@ def check_file(path: Path) -> List[Finding]:
         compile(source, str(path), "exec")
     except SyntaxError as exc:
         return [(path, exc.lineno or 0, f"E999 {exc.msg}")]
+
+    for directory, allowed in NO_MODULE_CACHES.items():
+        if (REPO_ROOT / directory) in path.resolve().parents:
+            findings.extend(
+                (path, line, f"CACHE module-level cache '{name}' in "
+                             f"{directory}/ (allowed: {sorted(allowed)})")
+                for name, line in _module_caches(tree)
+                if name not in allowed)
 
     scope = _Scope()
     scope.visit(tree)
