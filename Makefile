@@ -6,13 +6,16 @@ PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
 ## tier-1 verification: lint gate, the chaos soak, the fleet
 ## supervision soak, the full unit/integration suite, the fleet
-## determinism and scheme x CC smokes, then the benchmark's own tests
-## (every workload completes with failed == 0, sharded digest == serial
-## digest, digests and counts repeat; see bench/README.md)
+## determinism and scheme x CC smokes, the figure tests (each paper
+## table/figure regenerated once, its shape asserted), then the
+## benchmark's own tests (every workload completes with failed == 0,
+## sharded digest == serial digest, digests and counts repeat; see
+## bench/README.md)
 test: lint chaos fleet-chaos
 	$(PY) -m pytest -x -q
 	$(MAKE) fleet-smoke
 	$(MAKE) cc-smoke
+	$(PY) -m pytest figures -q
 	$(PY) -m pytest bench -q
 
 ## fleet determinism contract: a small sharded population run must
@@ -63,12 +66,13 @@ fleet-chaos:
 	$(PY) -m repro fleet-chaos
 
 ## ruff with the pinned config when installed; tools/lint.py always (it
-## is the stdlib fallback, and holds the file-size gate ruff lacks)
+## is the stdlib fallback, and holds the file-size, module-cache and
+## dead-public-name gates ruff lacks)
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests tools benchmarks bench; \
+		ruff check src tests tools figures bench; \
 	fi
-	@$(PY) tools/lint.py src tests tools benchmarks bench
+	@$(PY) tools/lint.py src tests tools figures bench
 
 ## the repo's benchmark: six workloads, end-to-end metrics and digests
 ## (bench/README.md lists the other modes)

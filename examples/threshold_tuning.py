@@ -10,9 +10,8 @@ recommended (95, 80) operating point.
 Run:  python examples/threshold_tuning.py
 """
 
-from repro.experiments.abtest import ABTestConfig
+from repro.experiments.abtest import ABTestConfig, run_ab_day
 from repro.experiments.thresholds import (PAPER_THRESHOLD_SETTINGS,
-                                          measure_playtime_distribution,
                                           percentile_pair_to_seconds,
                                           run_threshold_sweep)
 
@@ -22,8 +21,9 @@ def main() -> None:
 
     # Step 1: measure the play-time-left distribution with control off
     # (the paper does this first to anchor th(X) / th(Y)).
-    distribution = measure_playtime_distribution(cfg)
-    print(f"measured {len(distribution)} play-time-left samples")
+    day = run_ab_day(cfg, 1, ["vanilla_mp"])
+    distribution = day.schemes["vanilla_mp"].buffer_level
+    print(f"measured {distribution.count} play-time-left samples")
     for x, y in PAPER_THRESHOLD_SETTINGS[:3]:
         th = percentile_pair_to_seconds(distribution, x, y)
         print(f"  ({x},{y}) -> T_th1={th.t_th1:.2f}s, "

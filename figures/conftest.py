@@ -1,22 +1,12 @@
-"""Shared benchmark helpers.
+"""Shared figure-test helpers.
 
-Every benchmark runs its experiment exactly once
-(``benchmark.pedantic(..., rounds=1, iterations=1)``): the experiments
-are deterministic simulations, so repeated rounds would only re-measure
-the same run.  Each bench prints the paper-style table/series it
+Every figure test runs its experiment once (the experiments are
+deterministic simulations), prints the paper-style table/series it
 regenerates and asserts the *shape* of the result (who wins, direction
 of change), not absolute numbers.
 """
 
 from __future__ import annotations
-
-from typing import Callable
-
-
-def run_once(benchmark, fn: Callable, *args, **kwargs):
-    """Run ``fn`` once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)
 
 
 def print_table(title: str, header: list, rows: list) -> None:

@@ -11,7 +11,7 @@ fairness when they do.  This bench verifies the mechanism trade-off:
 
 import dataclasses
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.harness import SCHEMES, PathSpec, run_bulk_download
 from repro.traces.radio_profiles import RadioType
 
@@ -44,8 +44,8 @@ def _run_all():
     return {cc: _run_cc(cc) for cc in ("cubic", "newreno", "lia")}
 
 
-def test_ablation_coupled_cc(benchmark):
-    times = run_once(benchmark, _run_all)
+def test_ablation_coupled_cc():
+    times = _run_all()
     single_path_time = LOAD * 8 / 6e6  # line-rate bound of one path
 
     rows = [[cc, f"{t:.2f}"] for cc, t in times.items()]

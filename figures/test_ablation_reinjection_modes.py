@@ -13,7 +13,7 @@ verify:
 
 import dataclasses
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.core import ReinjectionMode, ThresholdConfig
 from repro.experiments.harness import SCHEMES, PathSpec, run_video_session
 from repro.netem import OutageSchedule
@@ -61,8 +61,8 @@ def _run_all():
     return {name: _run_mode(name) for name in MODES}
 
 
-def test_ablation_reinjection_modes(benchmark):
-    results = run_once(benchmark, _run_all)
+def test_ablation_reinjection_modes():
+    results = _run_all()
 
     rows = []
     for name, r in results.items():

@@ -13,7 +13,7 @@ shapes to reproduce:
   re-injecting settings.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.abtest import ABTestConfig
 from repro.experiments.thresholds import (PAPER_THRESHOLD_SETTINGS,
                                           run_threshold_sweep)
@@ -26,8 +26,8 @@ def _run():
     return run_threshold_sweep(cfg, settings=PAPER_THRESHOLD_SETTINGS)
 
 
-def test_fig10_table2_thresholds(benchmark):
-    results = run_once(benchmark, _run)
+def test_fig10_table2_thresholds():
+    results = _run()
 
     rows = []
     for r in results:

@@ -9,10 +9,10 @@ its rebuffer rate substantially lower, and the traffic overhead a
 small single-digit percentage.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.abtest import (ABTestConfig, daily_improvement,
                                       run_ab_test)
-from repro.metrics import improvement_percent, percentile
+from repro.metrics import MetricSink, improvement_percent
 
 DAYS = 4
 USERS = 14
@@ -28,17 +28,18 @@ def _run():
     return run_ab_test(cfg, ["sp", "xlink"])
 
 
-def test_fig11_table3_xlink_ab(benchmark):
-    results = run_once(benchmark, _run)
-    sp_days, xl_days = results["sp"], results["xlink"]
+def test_fig11_table3_xlink_ab():
+    days = _run()
+    sp_days = [day.schemes["sp"] for day in days]
+    xl_days = [day.schemes["xlink"] for day in days]
 
     rows = []
-    for sp, xl in zip(sp_days, xl_days):
+    for number, (sp, xl) in enumerate(zip(sp_days, xl_days), 1):
         rows.append([
-            sp.day,
-            f"{sp.rct_percentile(50):.3f}", f"{xl.rct_percentile(50):.3f}",
-            f"{sp.rct_percentile(95):.3f}", f"{xl.rct_percentile(95):.3f}",
-            f"{sp.rct_percentile(99):.3f}", f"{xl.rct_percentile(99):.3f}",
+            number,
+            f"{sp.rct.percentile(50):.3f}", f"{xl.rct.percentile(50):.3f}",
+            f"{sp.rct.percentile(95):.3f}", f"{xl.rct.percentile(95):.3f}",
+            f"{sp.rct.percentile(99):.3f}", f"{xl.rct.percentile(99):.3f}",
             f"{xl.traffic_overhead_percent:.1f}%",
         ])
     print_table("Fig. 11: request completion time, SP vs XLINK (s)",
@@ -46,17 +47,20 @@ def test_fig11_table3_xlink_ab(benchmark):
                  "SP p99", "XL p99", "cost"], rows)
 
     rebuffer_rows = [["Improv. (%)"] + [
-        f"{imp:.1f}" for imp in daily_improvement(sp_days, xl_days)]]
+        f"{imp:.1f}" for imp in daily_improvement(days, "sp", "xlink")]]
     print_table("Table 3: reduction of rebuffer rate (XLINK vs SP)",
-                ["day"] + [str(d.day) for d in sp_days], rebuffer_rows)
+                ["day"] + [str(d) for d in range(1, DAYS + 1)],
+                rebuffer_rows)
 
-    all_sp = [r for d in sp_days for r in d.rcts]
-    all_xl = [r for d in xl_days for r in d.rcts]
+    pooled = MetricSink()
+    for day in days:
+        pooled.merge(day)
+    all_sp, all_xl = pooled.schemes["sp"].rct, pooled.schemes["xlink"].rct
 
     # Shape: XLINK's tail RCT is no worse than SP's (paper: much
     # better; our emulated population shows parity-to-better).
-    assert percentile(all_xl, 95) <= percentile(all_sp, 95) * 1.10
-    assert percentile(all_xl, 99) <= percentile(all_sp, 99) * 1.10
+    assert all_xl.percentile(95) <= all_sp.percentile(95) * 1.10
+    assert all_xl.percentile(99) <= all_sp.percentile(99) * 1.10
 
     # Table 3 shape: rebuffer rate substantially reduced.
     sp_rebuffer = sum(d.rebuffer_rate for d in sp_days)

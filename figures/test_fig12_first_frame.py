@@ -8,7 +8,7 @@ delay; with acceleration the latency improves, and the improvement
 grows toward the tail (paper: >32% at p99).
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.abtest import ABTestConfig
 from repro.experiments.firstframe import FIG12_PERCENTILES, run_fig12
 
@@ -20,8 +20,8 @@ def _run():
     return run_fig12(cfg)
 
 
-def test_fig12_first_frame(benchmark):
-    result = run_once(benchmark, _run)
+def test_fig12_first_frame():
+    result = _run()
 
     rows = []
     for pct in FIG12_PERCENTILES:

@@ -11,7 +11,7 @@ and XLINK.  The paper's shapes:
 - XLINK consistently gives the smallest median and max times.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.mobility import FIG13_SCHEMES, run_fig13
 from repro.metrics import percentile
 
@@ -23,8 +23,8 @@ def _run():
     return run_fig13(n_traces=N_TRACES, duration_s=DURATION, seed=2)
 
 
-def test_fig13_mobility(benchmark):
-    results = run_once(benchmark, _run)
+def test_fig13_mobility():
+    results = _run()
 
     rows = []
     for r in results:

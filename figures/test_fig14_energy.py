@@ -12,12 +12,12 @@ normalized (energy-per-bit, throughput) points.  The paper's shapes:
   throughput/energy trade-off.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.energyexp import normalize, run_fig14
 
 
-def test_fig14_energy(benchmark):
-    points = run_once(benchmark, run_fig14)
+def test_fig14_energy():
+    points = run_fig14()
     normalized = {p.config: p for p in normalize(points)}
     raw = {p.config: p for p in points}
 

@@ -7,7 +7,7 @@ and onboard-Wi-Fi captures that can be replayed together as a
 multipath trace (Fig. 15c).
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.traces import extreme_mobility_trace_pairs, trace_mean_throughput_bps
 
 
@@ -23,8 +23,8 @@ def _window_counts(trace_ms, window_ms=1000, duration_ms=30000):
     return counts
 
 
-def test_fig15_traces(benchmark):
-    pairs = run_once(benchmark, _run)
+def test_fig15_traces():
+    pairs = _run()
 
     rows = []
     for pair in pairs:

@@ -8,13 +8,13 @@ in-flight bytes high (they even *grow* around t = 1.8 s), setting up
 multi-path HoL blocking.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.dynamics import run_fig1_dynamics
 from repro.traces import campus_walk_wifi_trace, trace_mean_throughput_bps
 
 
-def test_fig1_vanilla_dynamics(benchmark):
-    dynamics = run_once(benchmark, run_fig1_dynamics, duration_s=3.0)
+def test_fig1_vanilla_dynamics():
+    dynamics = run_fig1_dynamics(duration_s=3.0)
     wifi, lte = dynamics[0], dynamics[1]
 
     rows = []

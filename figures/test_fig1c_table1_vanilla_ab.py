@@ -12,10 +12,10 @@ completion time percentiles (Fig. 1c) and the rebuffer-rate change
 
 import pytest
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.abtest import (ABTestConfig, daily_improvement,
                                       run_ab_test)
-from repro.metrics import improvement_percent
+from repro.metrics import MetricSink, improvement_percent
 
 DAYS = 4
 USERS = 14
@@ -26,33 +26,37 @@ def _run():
     return run_ab_test(cfg, ["sp", "vanilla_mp"])
 
 
-def test_fig1c_table1_vanilla_ab(benchmark):
-    results = run_once(benchmark, _run)
-    sp_days, mp_days = results["sp"], results["vanilla_mp"]
+def test_fig1c_table1_vanilla_ab():
+    days = _run()
+    sp_days = [day.schemes["sp"] for day in days]
+    mp_days = [day.schemes["vanilla_mp"] for day in days]
 
     rows = []
-    for sp, mp in zip(sp_days, mp_days):
+    for number, (sp, mp) in enumerate(zip(sp_days, mp_days), 1):
         rows.append([
-            sp.day,
-            f"{sp.rct_percentile(50):.3f}", f"{mp.rct_percentile(50):.3f}",
-            f"{sp.rct_percentile(95):.3f}", f"{mp.rct_percentile(95):.3f}",
-            f"{sp.rct_percentile(99):.3f}", f"{mp.rct_percentile(99):.3f}",
+            number,
+            f"{sp.rct.percentile(50):.3f}", f"{mp.rct.percentile(50):.3f}",
+            f"{sp.rct.percentile(95):.3f}", f"{mp.rct.percentile(95):.3f}",
+            f"{sp.rct.percentile(99):.3f}", f"{mp.rct.percentile(99):.3f}",
         ])
     print_table("Fig. 1c: request completion time, SP vs vanilla-MP (s)",
                 ["day", "SP p50", "MP p50", "SP p95", "MP p95",
                  "SP p99", "MP p99"], rows)
 
     rebuffer_rows = [["Improv. (%)"] + [
-        f"{imp:.1f}" for imp in daily_improvement(sp_days, mp_days)]]
+        f"{imp:.1f}"
+        for imp in daily_improvement(days, "sp", "vanilla_mp")]]
     print_table("Table 1: reduction of rebuffer rate (vanilla-MP vs SP)",
-                ["day"] + [str(d.day) for d in sp_days], rebuffer_rows)
+                ["day"] + [str(d) for d in range(1, DAYS + 1)],
+                rebuffer_rows)
 
     # Shape: aggregated over the test, vanilla-MP's p99 RCT is worse
     # than SP's, and its rebuffer rate is worse (negative improvement).
-    all_sp_rcts = [r for d in sp_days for r in d.rcts]
-    all_mp_rcts = [r for d in mp_days for r in d.rcts]
-    from repro.metrics import percentile
-    assert percentile(all_mp_rcts, 99) > percentile(all_sp_rcts, 99)
+    pooled = MetricSink()
+    for day in days:
+        pooled.merge(day)
+    assert pooled.schemes["vanilla_mp"].rct.percentile(99) > \
+        pooled.schemes["sp"].rct.percentile(99)
 
     sp_rebuffer = sum(d.rebuffer_rate for d in sp_days)
     mp_rebuffer = sum(d.rebuffer_rate for d in mp_days)

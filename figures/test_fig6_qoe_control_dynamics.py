@@ -10,7 +10,7 @@ and re-injected bytes.  The paper's shapes:
   redundant traffic); with QoE control the cost drops substantially.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.dynamics import FIG6_MODES, run_fig6_dynamics
 
 
@@ -18,8 +18,8 @@ def _run_all():
     return {mode: run_fig6_dynamics(mode) for mode in FIG6_MODES}
 
 
-def test_fig6_qoe_control_dynamics(benchmark):
-    results = run_once(benchmark, _run_all)
+def test_fig6_qoe_control_dynamics():
+    results = _run_all()
 
     rows = []
     for mode, series in results.items():

@@ -7,12 +7,12 @@ is much lower), and the influence of primary selection is significant
 -- which motivates wireless-aware primary path selection (Sec. 5.3).
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.pathexp import FIG7_FRAME_SIZES, run_fig7
 
 
-def test_fig7_primary_path(benchmark):
-    sweep = run_once(benchmark, run_fig7, frame_sizes=FIG7_FRAME_SIZES)
+def test_fig7_primary_path():
+    sweep = run_fig7(frame_sizes=FIG7_FRAME_SIZES)
 
     rows = []
     for (size, wifi_t), (_s, nr_t) in zip(sweep["wifi"], sweep["5g"]):

@@ -8,14 +8,14 @@ the fastest-path return gains an advantage as the ratio grows because
 faster ack return lets Cubic's window grow faster.
 """
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.experiments.pathexp import run_fig8
 
 RATIOS = (1, 2, 4, 6, 8)
 
 
-def test_fig8_ack_path(benchmark):
-    sweep = run_once(benchmark, run_fig8, ratios=RATIOS)
+def test_fig8_ack_path():
+    sweep = run_fig8(ratios=RATIOS)
 
     rows = []
     for (ratio, fast_t), (_r, orig_t) in zip(sweep["fastest"],

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from benchmarks.conftest import print_table, run_once
+from figures.conftest import print_table
 from repro.metrics import percentile
 from repro.traces import (CROSS_ISP_DELAY_INCREASE, RADIO_PROFILES,
                           RadioType, cross_isp_delay)
@@ -27,8 +27,8 @@ def _sample_all():
     return out
 
 
-def test_sec32_path_delays(benchmark):
-    samples = run_once(benchmark, _sample_all)
+def test_sec32_path_delays():
+    samples = _sample_all()
 
     rows = []
     for radio, values in samples.items():

@@ -44,6 +44,7 @@ from repro.experiments import (ABTestConfig, PathSpec, SCHEMES,
 from repro.experiments.harness import scheme_with_cc
 from repro.experiments.contention import ContentionConfig, run_contention
 from repro.experiments.mobility import FIG13_SCHEMES, run_mobility_trace
+from repro.experiments.report import fleet_sections, generate_report
 from repro.metrics import percentile
 from repro.netem import OutageSchedule
 from repro.quic.connection import aggregate_robustness
@@ -228,6 +229,11 @@ def cmd_chaos(args) -> int:
     return 0
 
 
+def _print_sections(sections) -> None:
+    for section in sections:
+        print(f"\n{section.title}\n\n{section.body}")
+
+
 def cmd_ab(args) -> int:
     cfg = ABTestConfig(users_per_day=args.users, seed=args.seed)
     schemes = ["sp", args.treatment]
@@ -235,16 +241,9 @@ def cmd_ab(args) -> int:
         # Scheme × CC variants registered here ride to fork workers on
         # SessionTask.scheme_config.
         schemes = [scheme_with_cc(s, args.cc) for s in schemes]
-    results = run_ab_day(cfg, args.day, schemes,
-                         workers=args.workers or None)
-    for scheme in schemes:
-        day = results[scheme]
-        rcts = day.rcts
-        print(f"{scheme:<12} rct_p50={percentile(rcts, 50):.3f} "
-              f"rct_p95={percentile(rcts, 95):.3f} "
-              f"rct_p99={percentile(rcts, 99):.3f} "
-              f"rebuffer_pct={day.rebuffer_rate * 100:.2f} "
-              f"cost_pct={day.traffic_overhead_percent:.1f}")
+    sink = run_ab_day(cfg, args.day, schemes, workers=args.workers or None)
+    _print_sections(fleet_sections(sink, baseline=schemes[0],
+                                   seed=args.seed))
     return 0
 
 
@@ -277,41 +276,6 @@ def _print_failure_tally(failures, abandoned_tasks: int = 0) -> None:
               f"abandoned shards)")
 
 
-def _print_sink_stats(sink, seed: int, permutation_rounds: int) -> None:
-    from repro.metrics import improvement_percent, permutation_mean_test
-
-    def cell(value, spec="{:.3f}"):
-        return "-" if value is None else spec.format(value)
-
-    for name in sink.scheme_names():
-        s = sink.scheme(name)
-        startup = s.startup.percentile(50)
-        print(f"{name:<12} sessions={s.sessions} "
-              f"rct_p50={cell(s.rct.percentile(50))} "
-              f"rct_p95={cell(s.rct.percentile(95))} "
-              f"rct_p99={cell(s.rct.percentile(99))} "
-              f"startup_p50_ms="
-              f"{cell(None if startup is None else startup * 1000, '{:.0f}')} "
-              f"rebuffer_pct={s.rebuffer_rate * 100:.2f} "
-              f"cost_pct={s.traffic_overhead_percent:.1f}")
-    baseline = sink.get("sp")
-    if (baseline is not None and baseline.play_q > 0
-            and permutation_rounds > 0):
-        for name in sink.scheme_names():
-            if name == "sp":
-                continue
-            treat = sink.scheme(name)
-            if treat.play_q <= 0:
-                continue
-            sig = permutation_mean_test(
-                baseline.session_rebuffer_rate,
-                treat.session_rebuffer_rate,
-                rounds=permutation_rounds, seed=seed)
-            print(f"sp->{name:<9} rebuffer_improvement_pct="
-                  f"{improvement_percent(baseline.rebuffer_rate, treat.rebuffer_rate):+.1f} "
-                  f"p_value={cell(sig.p_value if sig else None)}")
-
-
 def _cmd_fleet_campaign(args, cfg) -> int:
     """The ``--checkpoint-dir``/``--resume`` path: day-by-day campaign."""
     from repro.experiments.campaign import CampaignError, FleetCampaign
@@ -341,7 +305,8 @@ def _cmd_fleet_campaign(args, cfg) -> int:
               f"(write overhead {result.checkpoint_seconds:.2f}s "
               f"of {result.seconds:.1f}s)")
     _print_failure_tally(result.failures, result.abandoned_tasks)
-    _print_sink_stats(result.sink, cfg.seed, args.permutation_rounds)
+    _print_sections(fleet_sections(result.sink, seed=cfg.seed,
+                                   rounds=args.permutation_rounds))
     print(f"digest={result.digest}")
     return _fleet_exit_code(result.failed, result.abandoned_shards,
                             result.interrupted)
@@ -392,7 +357,8 @@ def cmd_fleet(args) -> int:
           f"interrupted={result.interrupted}"
           + (f" faults[{faults}]" if faults else ""))
     _print_failure_tally(result.failures)
-    _print_sink_stats(run.sink, cfg.seed, args.permutation_rounds)
+    _print_sections(fleet_sections(run.sink, seed=cfg.seed,
+                                   rounds=args.permutation_rounds))
     print(f"digest={run.sink.digest()}")
     return _fleet_exit_code(result.failed, result.abandoned_shards,
                             result.interrupted)
@@ -580,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_report(args) -> int:
-    from repro.experiments.report import generate_report
     text = generate_report(scale=args.scale, sections=args.sections)
     with open(args.out, "w") as f:
         f.write(text)

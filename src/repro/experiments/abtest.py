@@ -22,19 +22,25 @@ and mildly shifting the condition mix per day.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.experiments.harness import SCHEMES, PathSpec
-from repro.experiments.parallel import SessionTask, run_session_tasks
-from repro.metrics.qoe import (SessionMetrics, aggregate_rebuffer_rate,
-                               improvement_percent, traffic_overhead_percent)
-from repro.metrics.stats import percentile
+from repro.experiments.parallel import (SessionTask, resolve_workers,
+                                        run_fleet)
+from repro.metrics.qoe import improvement_percent
+from repro.metrics.sink import MetricSink
 from repro.netem import OutageSchedule
 from repro.sim.rng import derive_seed, make_rng
 from repro.traces.radio_profiles import (RADIO_PROFILES, RadioType,
                                          cross_isp_delay)
 from repro.video import PlayerConfig, make_video
+
+
+#: Shards a day is cut into per worker: enough that one slow session
+#: (an outage user playing out a 60 s timeout) does not leave the other
+#: workers idle behind it.
+SHARDS_PER_WORKER = 4
 
 
 @dataclass
@@ -134,40 +140,7 @@ def sample_user_conditions(cfg: ABTestConfig, rng: random.Random
     return UserConditions(wifi=wifi, lte=lte)
 
 
-@dataclass
-class DayResult:
-    """Per-day, per-scheme aggregates."""
-
-    day: int
-    scheme: str
-    sessions: List[SessionMetrics] = field(default_factory=list)
-
-    @property
-    def rcts(self) -> List[float]:
-        out: List[float] = []
-        for s in self.sessions:
-            out.extend(s.request_completion_times)
-        return out
-
-    @property
-    def first_frame_latencies(self) -> List[float]:
-        return [s.first_frame_latency for s in self.sessions
-                if s.first_frame_latency is not None]
-
-    def rct_percentile(self, pct: float) -> float:
-        return percentile(self.rcts, pct)
-
-    @property
-    def rebuffer_rate(self) -> float:
-        return aggregate_rebuffer_rate(self.sessions)
-
-    @property
-    def traffic_overhead_percent(self) -> float:
-        return traffic_overhead_percent(self.sessions)
-
-
 def iter_ab_day_tasks(cfg: ABTestConfig, day: int, schemes: Sequence[str],
-                      scheme_overrides: Optional[Dict[str, dict]] = None,
                       assign: Optional[Callable[[int], Sequence[str]]] = None
                       ) -> Iterator[SessionTask]:
     """Lazily generate the per-session tasks for one A/B day.
@@ -195,27 +168,17 @@ def iter_ab_day_tasks(cfg: ABTestConfig, day: int, schemes: Sequence[str],
             seed=derive_seed(day_seed, f"video-{user}"))
         session_seed = derive_seed(day_seed, f"user-{user}")
         for scheme in (schemes if assign is None else assign(user)):
-            kwargs = dict(scheme_overrides.get(scheme, {})) \
-                if scheme_overrides else {}
             yield SessionTask(
                 key=(user, scheme), scheme=scheme,
                 paths=conditions.paths_for(scheme), video=video,
                 player_config=cfg.player_config(),
                 timeout_s=cfg.timeout_s, seed=session_seed,
-                primary_order=cfg.primary_order, kwargs=kwargs,
+                primary_order=cfg.primary_order,
                 scheme_config=SCHEMES.get(scheme))
 
 
-def build_ab_day_tasks(cfg: ABTestConfig, day: int, schemes: Sequence[str],
-                       scheme_overrides: Optional[Dict[str, dict]] = None
-                       ) -> List[SessionTask]:
-    """The materialized task list (the small-N drivers' entry point)."""
-    return list(iter_ab_day_tasks(cfg, day, schemes, scheme_overrides))
-
-
 def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[str],
-               scheme_overrides: Optional[Dict[str, dict]] = None,
-               workers: Optional[int] = None) -> Dict[str, DayResult]:
+               workers: Optional[int] = None) -> MetricSink:
     """Run one day's user population through each scheme.
 
     The same sampled user conditions are replayed for every scheme
@@ -223,44 +186,42 @@ def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[str],
     population but reproduces the comparative result with far fewer
     simulated users.
 
-    ``workers=None``/``0`` (the default) fans the sessions out over
-    ``os.cpu_count()`` processes; ``workers=1`` forces a serial
-    in-process run.  Either way the per-scheme :class:`DayResult`
-    metrics are identical: every session's seed is derived before
-    dispatch and outcomes are reassembled in submission order.
+    This is the fleet tier at small N: the day's tasks go through
+    :func:`~repro.experiments.parallel.run_fleet` and come back as one
+    :class:`~repro.metrics.sink.MetricSink`, whose sketches are exact
+    (bit-identical to :func:`repro.metrics.stats.percentile`) up to 512
+    samples each.  ``workers=None``/``0`` fans the sessions out over
+    ``os.cpu_count()`` processes, ``workers=1`` runs in-process; the
+    sink's digest is the same either way.  A session that raises fails
+    the day instead of being tallied: a figure must not be drawn from a
+    population with holes in it.
     """
-    results = {scheme: DayResult(day=day, scheme=scheme)
-               for scheme in schemes}
-    tasks = build_ab_day_tasks(cfg, day, schemes, scheme_overrides)
-    for outcome in run_session_tasks(tasks, workers=workers):
-        _user, scheme = outcome.key
-        results[scheme].sessions.append(outcome.metrics)
-    return results
+    # A small day still has to spread over the workers, so the shard
+    # size follows the population instead of DEFAULT_SHARD_SIZE.
+    tasks = cfg.users_per_day * len(schemes)
+    slots = resolve_workers(workers) * SHARDS_PER_WORKER
+    result = run_fleet(iter_ab_day_tasks(cfg, day, schemes), workers=workers,
+                       shard_size=max(1, -(-tasks // slots)))
+    if result.interrupted:
+        raise KeyboardInterrupt
+    if not result.ok:
+        raise RuntimeError(
+            f"A/B day {day}: {result.failed} of {result.tasks} sessions "
+            f"failed {result.failures}, {result.abandoned_shards} shards "
+            f"abandoned {result.shard_faults}")
+    return result.sink
 
 
 def run_ab_test(cfg: ABTestConfig, schemes: Sequence[str],
-                scheme_overrides: Optional[Dict[str, dict]] = None,
-                workers: Optional[int] = None
-                ) -> Dict[str, List[DayResult]]:
-    """Run the full multi-day A/B test (days fan out session tasks)."""
-    out: Dict[str, List[DayResult]] = {scheme: [] for scheme in schemes}
-    for day in range(1, cfg.days + 1):
-        day_results = run_ab_day(cfg, day, schemes, scheme_overrides,
-                                 workers=workers)
-        for scheme in schemes:
-            out[scheme].append(day_results[scheme])
-    return out
+                workers: Optional[int] = None) -> List[MetricSink]:
+    """Run the full multi-day A/B test: one sink per day, day 1 first."""
+    return [run_ab_day(cfg, day, schemes, workers=workers)
+            for day in range(1, cfg.days + 1)]
 
 
-def daily_improvement(baseline_days: List[DayResult],
-                      treatment_days: List[DayResult],
-                      metric: str = "rebuffer_rate") -> List[float]:
-    """Per-day improvement (%) of treatment over baseline."""
-    out = []
-    for base, treat in zip(baseline_days, treatment_days):
-        if metric == "rebuffer_rate":
-            out.append(improvement_percent(base.rebuffer_rate,
-                                           treat.rebuffer_rate))
-        else:
-            raise ValueError(f"unknown metric {metric}")
-    return out
+def daily_improvement(days: Sequence[MetricSink], baseline: str,
+                      treatment: str) -> List[float]:
+    """Per-day rebuffer-rate improvement (%) of treatment over baseline."""
+    return [improvement_percent(day.schemes[baseline].rebuffer_rate,
+                                day.schemes[treatment].rebuffer_rate)
+            for day in days]

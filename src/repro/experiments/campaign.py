@@ -20,7 +20,7 @@ killed at any day boundary and resumed produces a merged digest
 ``tests/test_campaign.py`` and the ``make fleet-chaos`` gate.
 
 The per-day ledger carries each day's per-scheme QoE summary, which is
-what the day-over-day report section (Fig. 11's series) renders.
+what the report's day-over-day campaign section renders.
 """
 
 from __future__ import annotations

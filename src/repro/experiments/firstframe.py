@@ -11,10 +11,9 @@ much better (about +32% at p99), improvement growing toward the tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.experiments.abtest import (ABTestConfig, run_ab_day)
-from repro.metrics.stats import percentile
+from repro.experiments.abtest import ABTestConfig, run_ab_day
 
 #: Percentiles reported along Fig. 12's x-axis.
 FIG12_PERCENTILES = (5, 25, 50, 75, 90, 95, 99)
@@ -34,16 +33,16 @@ def run_fig12(cfg: ABTestConfig,
     """Run SP, XLINK, and XLINK-without-FFA over one population."""
     schemes = ["sp", "xlink", "xlink_nofa"]
     day = run_ab_day(cfg, 1, schemes)
-    ffl = {s: day[s].first_frame_latencies for s in schemes}
-    for s, values in ffl.items():
-        if not values:
+    ffl = {s: day.schemes[s].startup for s in schemes}
+    for s, sketch in ffl.items():
+        if sketch.count == 0:
             raise RuntimeError(f"no first-frame samples for {s}")
 
     def improvements(treatment: str) -> Dict[int, float]:
         out = {}
         for pct in percentiles:
-            sp_val = percentile(ffl["sp"], pct)
-            val = percentile(ffl[treatment], pct)
+            sp_val = ffl["sp"].percentile(pct)
+            val = ffl[treatment].percentile(pct)
             out[pct] = (sp_val - val) / sp_val * 100.0 if sp_val > 0 else 0.0
         return out
 

@@ -1,11 +1,11 @@
 """Fleet layer: sharded population runs on streaming metric sketches.
 
 XLINK's headline evaluation is a 100K-participant production A/B test
-(Sec. 7.2, Tables 1/3).  The small-N drivers in this repository
-materialize every session's metrics in-process, which tops out around
-tens of sessions; this module is the population tier above them.  A
-fleet run is the composition of three pieces, the ``FleetDriver``
-protocol:
+(Sec. 7.2, Tables 1/3).  Every population statistic in this repository
+comes out of the pipeline below; the figure-sized A/B day
+(:func:`repro.experiments.abtest.run_ab_day`) is the same pipeline at
+small N, not a second one.  A fleet run is the composition of three
+pieces, the ``FleetDriver`` protocol:
 
 - a **task generator** -- a lazy stream of independent
   :class:`~repro.experiments.parallel.SessionTask`, each carrying its
@@ -28,19 +28,16 @@ paper's A/B day shape: Wi-Fi + LTE condition sampling per user, SP
 control group vs multipath treatments, optionally split-population
 like the production test) and :class:`MobilityPopulationDriver` (the
 Fig. 13 trace catalog replayed as a population with per-repeat
-reseeding).  The threshold sweep's population loop reuses the AB
-driver through :func:`repro.experiments.thresholds.run_threshold_sweep`
-with ``use_sketch=True``.
+reseeding).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
 from repro.experiments.abtest import ABTestConfig, iter_ab_day_tasks
-from repro.experiments.harness import SCHEMES
 from repro.experiments.parallel import (DEFAULT_SHARD_SIZE, FleetResult,
                                         SessionTask, run_fleet)
 from repro.metrics.sink import MetricSink
@@ -202,13 +199,3 @@ def run_fleet_driver(driver: FleetDriver,
                        shard_size=shard_size, **supervision)
     return FleetRun(driver=getattr(driver, "name", type(driver).__name__),
                     result=result, seconds=time.perf_counter() - t0)
-
-
-def sweep_scheme_config(base_scheme: str, name: str, **changes):
-    """A dynamically-derived scheme config for population sweeps.
-
-    Returns a :class:`SchemeConfig` clone that task generators attach
-    to every task (``scheme_config``), so pool workers can register it
-    on arrival -- the same mechanism the threshold sweep uses.
-    """
-    return replace(SCHEMES[base_scheme], name=name, **changes)

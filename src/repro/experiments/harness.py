@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from repro.host.runtime import (SessionResult, SessionRuntime,
                                 VideoSessionSpec)
 from repro.host.specs import (SCHEMES, PathSpec, SchemeConfig, build_network,
-                              make_scheduler, scheme_with_cc)
+                              scheme_with_cc)
 from repro.metrics.qoe import SessionMetrics
 from repro.mptcp import MptcpConnection
 from repro.netem import Datagram, MultipathNetwork
@@ -27,10 +27,6 @@ from repro.sim import EventLoop
 from repro.traces.radio_profiles import RadioType
 from repro.video import PlayerConfig, make_video
 from repro.video.media import Video
-
-#: historical private names, kept for the experiment drivers
-_build_network = build_network
-_make_server_scheduler = make_scheduler
 
 __all__ = [
     "SCHEMES",

@@ -18,6 +18,7 @@ from typing import Optional
 from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
                                        run_video_session, scheme_with_cc)
 from repro.experiments.parallel import SessionTask, fan_out
+from repro.host.specs import build_network
 from repro.metrics.stats import percentile
 from repro.sim.rng import derive_seed
 from repro.traces.catalog import extreme_mobility_trace_pairs
@@ -154,7 +155,6 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
     before its playback deadline minus the buffer target, so the
     per-chunk completion times are comparable across transports.
     """
-    from repro.experiments.harness import _build_network
     from repro.mptcp import MptcpConnection
     from repro.netem import Datagram
     from repro.sim import EventLoop
@@ -162,7 +162,7 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
     chunk_playtime = CHUNK_BYTES * 8.0 / VIDEO_BITRATE_BPS
     buffer_target_s = 3.0
     loop = EventLoop()
-    net = _build_network(loop, paths, seed)
+    net = build_network(loop, paths, seed)
     server = MptcpConnection(loop, is_server=True,
                              transmit=lambda pid, d: net.server.send(
                                  Datagram(payload=d, path_id=pid)))

@@ -23,9 +23,10 @@ reused for every later item.
   the first job exception, so a parallel run is **bit-identical** to
   the serial loop it replaces.  :class:`SessionTask` is the picklable
   description of one session, and :func:`run_session_tasks` returns the
-  plain-data :class:`SessionOutcome` of each (right for the small-N
-  drivers, which need raw per-session lists; wrong at 10K users).
-- :func:`run_fleet` reduces *inside* the worker instead:
+  plain-data :class:`SessionOutcome` of each (per-session values: the
+  list reference the population sinks are tested against).
+- :func:`run_fleet`, the path of every population statistic (an A/B
+  day is its small-N case), reduces *inside* the worker instead:
   :func:`execute_shard` folds a slice of tasks into one
   :class:`~repro.metrics.sink.MetricSink`, so only a
   :class:`ShardResult` (O(buckets)) crosses the process boundary, and

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.abtest import (ABTestConfig, daily_improvement,
-                                      run_ab_day, run_ab_test)
+from repro.experiments.abtest import ABTestConfig, run_ab_day, run_ab_test
 from repro.experiments.harness import scheme_with_cc
 from repro.experiments.dynamics import FIG6_MODES, run_fig6_dynamics
 from repro.experiments.energyexp import normalize, run_fig14
 from repro.experiments.firstframe import FIG12_PERCENTILES, run_fig12
 from repro.experiments.mobility import FIG13_SCHEMES, run_fig13
 from repro.experiments.pathexp import run_fig7, run_fig8
-from repro.metrics import (MetricSink, improvement_percent, percentile,
+from repro.metrics import (MetricSink, improvement_percent,
                            permutation_mean_test)
 
 #: scale name -> (ab users, ab days, mobility traces)
@@ -82,34 +81,56 @@ def section_fig8() -> ReportSection:
         _table(["RTT ratio", "min-RTT path", "original path"], rows))
 
 
+def _fmt(value, spec: str = "{:.3f}", empty: str = "—") -> str:
+    """Render a metric cell; ``None`` (empty sketch) becomes a dash."""
+    return empty if value is None else spec.format(value)
+
+
+def _day_series(days: Sequence[Dict[str, Dict]], baseline: str = "sp"
+                ) -> Tuple[List[str], List[List]]:
+    """Header and rows of a day-over-day A/B series (Fig. 1c / Fig. 11
+    with Tables 1 / 3 folded in): per day the baseline's p99 RCT, then
+    each treatment's p99 RCT, rebuffer-rate improvement and cost.
+
+    ``days`` holds one :meth:`MetricSink.as_dict` summary per day,
+    day 1 first -- what :func:`run_ab_test`'s sinks give and what a
+    campaign ledger stores, so a checkpoint renders without re-running.
+    """
+    treatments = sorted({name for day in days for name in day
+                         if name != baseline})
+    header = ["day", f"{baseline} p99 RCT (s)"]
+    for name in treatments:
+        header += [f"{name} p99 RCT (s)", f"{name} rebuffer Δ",
+                   f"{name} cost"]
+    rows = []
+    for number, day in enumerate(days, 1):
+        base = day.get(baseline, {})
+        row = [number, _fmt(base.get("rct_p99"), "{:.2f}")]
+        for name in treatments:
+            treat = day.get(name, {})
+            base_rb, treat_rb = base.get("rebuffer_rate"), \
+                treat.get("rebuffer_rate")
+            row += [_fmt(treat.get("rct_p99"), "{:.2f}"),
+                    _fmt(None if base_rb is None or treat_rb is None
+                         else improvement_percent(base_rb, treat_rb),
+                         "{:+.0f}%"),
+                    _fmt(treat.get("traffic_overhead_percent"), "{:.1f}%")]
+        rows.append(row)
+    return header, rows
+
+
 def section_ab(users: int, days: int) -> List[ReportSection]:
     sections = []
-    # Fig. 1c + Table 1 (vanilla-MP study population).
-    cfg = ABTestConfig(users_per_day=users, days=days, seed=3)
-    results = run_ab_test(cfg, ["sp", "vanilla_mp"])
-    rows = []
-    for sp, mp in zip(results["sp"], results["vanilla_mp"]):
-        rows.append([sp.day, f"{sp.rct_percentile(99):.2f}",
-                     f"{mp.rct_percentile(99):.2f}",
-                     f"{improvement_percent(sp.rebuffer_rate, mp.rebuffer_rate):+.0f}%"])
-    sections.append(ReportSection(
-        "Fig. 1c + Table 1 — vanilla-MP vs SP",
-        _table(["day", "SP p99 RCT (s)", "MP p99 RCT (s)",
-                "rebuffer change"], rows)))
-    # Fig. 11 + Table 3 (XLINK study population).
-    cfg = ABTestConfig(users_per_day=users, days=days, seed=3,
-                       wifi_rate_mu=15.5, wifi_outage_prob=0.25)
-    results = run_ab_test(cfg, ["sp", "xlink"])
-    rows = []
-    for sp, xl in zip(results["sp"], results["xlink"]):
-        rows.append([sp.day, f"{sp.rct_percentile(99):.2f}",
-                     f"{xl.rct_percentile(99):.2f}",
-                     f"{improvement_percent(sp.rebuffer_rate, xl.rebuffer_rate):+.0f}%",
-                     f"{xl.traffic_overhead_percent:.1f}%"])
-    sections.append(ReportSection(
-        "Fig. 11 + Table 3 — XLINK vs SP",
-        _table(["day", "SP p99 RCT (s)", "XLINK p99 RCT (s)",
-                "rebuffer improvement", "cost"], rows)))
+    # Fig. 1c + Table 1 (vanilla-MP study population), then Fig. 11 +
+    # Table 3 (XLINK study population: leaner Wi-Fi, more hand-offs).
+    for title, treatment, mix in (
+            ("Fig. 1c + Table 1 — vanilla-MP vs SP", "vanilla_mp", {}),
+            ("Fig. 11 + Table 3 — XLINK vs SP", "xlink",
+             dict(wifi_rate_mu=15.5, wifi_outage_prob=0.25))):
+        cfg = ABTestConfig(users_per_day=users, days=days, seed=3, **mix)
+        sinks = run_ab_test(cfg, ["sp", treatment])
+        sections.append(ReportSection(
+            title, _table(*_day_series([s.as_dict() for s in sinks]))))
     return sections
 
 
@@ -129,14 +150,13 @@ def section_ccmatrix(users: int) -> ReportSection:
     rows = []
     for cc in CC_MATRIX_CCS:
         schemes = [scheme_with_cc(s, cc) for s in CC_MATRIX_SCHEMES]
-        results = run_ab_day(cfg, 1, schemes)
+        sink = run_ab_day(cfg, 1, schemes)
         for base, name in zip(CC_MATRIX_SCHEMES, schemes):
-            day = results[name]
-            rcts = day.rcts
+            day = sink.schemes[name]
             rows.append([base, cc,
-                         f"{percentile(rcts, 50):.3f}",
-                         f"{percentile(rcts, 95):.3f}",
-                         f"{percentile(rcts, 99):.3f}",
+                         f"{day.rct.percentile(50):.3f}",
+                         f"{day.rct.percentile(95):.3f}",
+                         f"{day.rct.percentile(99):.3f}",
                          f"{day.rebuffer_rate * 100:.2f}%",
                          f"{day.traffic_overhead_percent:.1f}%"])
     return ReportSection(
@@ -175,22 +195,18 @@ def section_fig13(n_traces: int) -> ReportSection:
 FLEET_CDF_PCTS = (10, 25, 50, 75, 90, 95, 99)
 
 
-def _fmt(value, spec: str = "{:.3f}", empty: str = "—") -> str:
-    """Render a metric cell; ``None`` (empty sketch) becomes a dash."""
-    return empty if value is None else spec.format(value)
-
-
 def fleet_sections(sink: MetricSink, baseline: str = "sp",
                    seed: int = 0, rounds: int = 200
                    ) -> List[ReportSection]:
-    """Render a fleet sink: CDFs, SP-vs-MP deltas, significance.
+    """Render a population sink: per-scheme QoE, RCT CDFs, and the
+    baseline-vs-treatment deltas with their significance.
 
-    Pure rendering over an already-merged :class:`MetricSink`, so the
-    report, the CLI and the tests all share one code path.  Schemes
-    with zero completed sessions get dash cells instead of a crash --
-    the fleet sink's empty state is well-defined (``None``
-    percentiles), unlike the exact ``summarize()`` reference which
-    keeps raising on empty input.
+    The one sink renderer: the report's fleet section embeds these
+    sections and ``python -m repro ab`` / ``fleet`` print them, whatever
+    the population size.  Schemes with zero completed sessions get dash
+    cells instead of a crash -- the sink's empty state is well-defined
+    (``None`` percentiles), unlike the exact ``summarize()`` reference
+    which keeps raising on empty input.
     """
     sections: List[ReportSection] = []
     names = sink.scheme_names()
@@ -207,7 +223,7 @@ def fleet_sections(sink: MetricSink, baseline: str = "sp",
             _fmt(s.reinjection_overhead_percent, "{:.1f}%"),
         ])
     sections.append(ReportSection(
-        "Fleet population — per-scheme QoE (Tables 1/3 shape)",
+        "Population — per-scheme QoE (Tables 1/3 shape)",
         _table(["scheme", "sessions", "completed", "failed",
                 "rebuffer rate", "startup p50", "reinjection cost"],
                rows)))
@@ -218,7 +234,7 @@ def fleet_sections(sink: MetricSink, baseline: str = "sp",
         rows.append([name] + [_fmt(sketch.percentile(p), "{:.3f}")
                               for p in FLEET_CDF_PCTS])
     sections.append(ReportSection(
-        "Fleet population — request completion time CDF (s)",
+        "Population — request completion time CDF (s)",
         _table(["scheme"] + [f"p{p}" for p in FLEET_CDF_PCTS], rows)))
 
     treatments = [n for n in names if n != baseline]
@@ -247,7 +263,7 @@ def fleet_sections(sink: MetricSink, baseline: str = "sp",
                 _fmt(sig_rct.p_value if sig_rct else None, "{:.3f}"),
             ])
         sections.append(ReportSection(
-            "Fleet population — treatment deltas vs single-path",
+            "Population — treatment deltas vs baseline",
             _table(["contrast", "rebuffer improvement", "RCT p99 improvement",
                     "p (rebuffer)", "p (RCT)"], rows)
             + f"\n\np-values: seeded permutation test over the merged "
@@ -274,35 +290,19 @@ def section_fleet(users: int, seed: int = 11) -> List[ReportSection]:
 
 def campaign_day_section(result, baseline: str = "sp"
                          ) -> ReportSection:
-    """Day-over-day series from a campaign ledger (Fig. 11's shape).
+    """Day-over-day series from a campaign ledger.
 
     Pure rendering over a :class:`~repro.experiments.campaign.
     CampaignResult`: each :class:`DayRecord` carries that day's
-    per-scheme summary, so the paper's daily SP-vs-treatment trend can
-    be tabulated without re-running anything -- including from a
+    per-scheme summary, so the daily SP-vs-treatment trend can be
+    tabulated without re-running anything -- including from a
     checkpoint of a still-running multi-day campaign.
     """
-    treatments = sorted({name for rec in result.days
-                         for name in rec.schemes if name != baseline})
-    rows = []
-    for rec in result.days:
-        base = rec.schemes.get(baseline, {})
-        row = [rec.day, rec.sessions,
-               _fmt(base.get("rct_p99"), "{:.2f}")]
-        for name in treatments:
-            treat = rec.schemes.get(name, {})
-            row.append(_fmt(treat.get("rct_p99"), "{:.2f}"))
-            base_rb, treat_rb = base.get("rebuffer_rate"), \
-                treat.get("rebuffer_rate")
-            row.append(_fmt(
-                improvement_percent(base_rb, treat_rb)
-                if base_rb and treat_rb is not None else None, "{:+.0f}%"))
-        row.append(rec.failed + rec.retries + rec.abandoned_shards or "—")
-        rows.append(row)
-    header = ["day", "sessions", f"{baseline} p99 RCT (s)"]
-    for name in treatments:
-        header += [f"{name} p99 RCT (s)", f"{name} rebuffer Δ"]
-    header.append("faults")
+    header, rows = _day_series([rec.schemes for rec in result.days],
+                               baseline)
+    for row, rec in zip(rows, result.days):
+        row += [rec.sessions,
+                rec.failed + rec.retries + rec.abandoned_shards or "—"]
     state = "interrupted" if result.interrupted else (
         "complete" if result.completed else "partial")
     footer = (f"\n\nCampaign {state}: {len(result.days)}/"
@@ -311,8 +311,8 @@ def campaign_day_section(result, baseline: str = "sp"
               f"{result.abandoned_shards} abandoned shards. "
               f"Merged digest `{result.digest[:16]}`.")
     return ReportSection(
-        "Fig. 11 — day-over-day campaign series",
-        _table(header, rows) + footer)
+        "Checkpointed campaign — day-over-day series",
+        _table(header + ["sessions", "faults"], rows) + footer)
 
 
 def section_campaign(users: int, days: int,

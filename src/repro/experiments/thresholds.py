@@ -9,7 +9,8 @@ th(1) is large -- (1,1) effectively means "QoE control off".
 
 The driver first measures the play-time-left distribution with the
 control off, converts the percentile pairs into seconds, then runs the
-population once per setting, reporting:
+population once per setting (each an A/B day reduced to its
+:class:`~repro.metrics.sink.SchemeSink`), reporting:
 
 - buffer-level improvement over SP at p90/p95/p99 (improvement in the
   *low tail*: we compare the (100-p)-th percentile of buffer levels,
@@ -22,15 +23,14 @@ population once per setting, reporting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import ThresholdConfig
-from repro.experiments.abtest import (ABTestConfig, iter_ab_day_tasks,
-                                      run_ab_day)
+from repro.experiments.abtest import ABTestConfig, run_ab_day
 from repro.experiments.harness import SCHEMES
+from repro.metrics.sink import SchemeSink
 from repro.metrics.sketch import DistSketch
-from repro.metrics.stats import percentile
 
 #: The paper's threshold settings, as (X, Y) percentile pairs.
 PAPER_THRESHOLD_SETTINGS = ((95, 80), (90, 80), (90, 60), (60, 50),
@@ -40,61 +40,27 @@ PAPER_THRESHOLD_SETTINGS = ((95, 80), (90, 80), (90, 60), (60, 50),
 DANGER_LEVEL_S = 0.050
 
 
-def measure_playtime_distribution(cfg: ABTestConfig,
-                                  scheme: str = "vanilla_mp",
-                                  workers: Optional[int] = None
-                                  ) -> List[float]:
-    """Buffer play-time-left samples with re-injection control off."""
-    day = run_ab_day(cfg, 1, [scheme], workers=workers)[scheme]
-    samples: List[float] = []
-    for session in day.sessions:
-        samples.extend(session.buffer_level_samples)
-    if not samples:
+def _population(cfg: ABTestConfig, day: int, scheme: str,
+                workers: Optional[int]) -> SchemeSink:
+    """One scheme's population for ``day``; its ``buffer_level`` sketch
+    is the play-time-left distribution, ``traffic_overhead_percent``
+    the cost."""
+    sink = run_ab_day(cfg, day, [scheme], workers=workers).schemes[scheme]
+    if sink.buffer_level.count == 0:
         raise RuntimeError("no buffer samples collected")
-    return samples
+    return sink
 
 
-def measure_playtime_sketch(cfg: ABTestConfig,
-                            scheme: str = "vanilla_mp",
-                            workers: Optional[int] = None) -> DistSketch:
-    """Fleet-tier playtime distribution: same population, O(buckets).
-
-    Runs the measurement day through the sharded fleet runner and
-    returns the buffer-level sketch instead of the raw sample list, so
-    threshold calibration scales to 10K-user populations.
-    """
-    from repro.experiments.parallel import run_fleet
-    result = run_fleet(iter_ab_day_tasks(cfg, 1, [scheme]), workers=workers)
-    sink = result.sink.get(scheme)
-    if sink is None or sink.buffer_level.count == 0:
-        raise RuntimeError("no buffer samples collected")
-    return sink.buffer_level
-
-
-PlaytimeDistribution = Union[Sequence[float], DistSketch]
-
-
-def _distribution_percentile(samples: PlaytimeDistribution,
-                             pct: float) -> float:
-    if isinstance(samples, DistSketch):
-        value = samples.percentile(pct)
-        if value is None:
-            raise ValueError("percentile of empty sketch")
-        return value
-    return percentile(samples, pct)
-
-
-def percentile_pair_to_seconds(samples: PlaytimeDistribution,
+def percentile_pair_to_seconds(samples: DistSketch,
                                x: int, y: int) -> ThresholdConfig:
     """Convert (X, Y) percentile thresholds into seconds.
 
     th(X) is the value with X% of samples above it, i.e. the
-    (100-X)-th percentile of the distribution.  Accepts either a raw
-    sample list (the exact small-N path) or a :class:`DistSketch`
-    (the fleet path, within the sketch's alpha relative error).
+    (100-X)-th percentile of the distribution (exact up to the
+    sketch's exact limit, within its alpha relative error above it).
     """
-    t1 = _distribution_percentile(samples, 100 - x)
-    t2 = _distribution_percentile(samples, 100 - y)
+    t1 = samples.percentile(100 - x)
+    t2 = samples.percentile(100 - y)
     if t1 > t2:  # degenerate distributions: keep the config valid
         t1 = t2
     return ThresholdConfig(t_th1=t1, t_th2=t2)
@@ -113,64 +79,21 @@ class ThresholdResult:
     danger_reduction_percent: float
 
 
-def _low_tail(samples: PlaytimeDistribution, pct: float) -> float:
-    """The (100-pct)-th percentile: the 'worst pct%' buffer level."""
-    return _distribution_percentile(samples, 100 - pct)
-
-
-def _danger_fraction(samples: PlaytimeDistribution) -> float:
-    if isinstance(samples, DistSketch):
-        return samples.fraction_below(DANGER_LEVEL_S)
-    if not samples:
-        return 0.0
-    return sum(1 for s in samples if s < DANGER_LEVEL_S) / len(samples)
-
-
-def _population_buffer_stats(cfg: ABTestConfig, scheme_name: str,
-                             workers: Optional[int],
-                             use_sketch: bool
-                             ) -> Tuple[PlaytimeDistribution, float]:
-    """One population's buffer-level distribution + traffic cost.
-
-    The exact path materializes every session (bit-identical to the
-    original sweep); the sketch path reduces through the sharded
-    fleet runner in O(buckets) memory, enabling 10K-user sweeps.
-    """
-    if use_sketch:
-        from repro.experiments.parallel import run_fleet
-        result = run_fleet(iter_ab_day_tasks(cfg, 2, [scheme_name]),
-                           workers=workers)
-        sink = result.sink.scheme(scheme_name)
-        return sink.buffer_level, sink.traffic_overhead_percent
-    day = run_ab_day(cfg, 2, [scheme_name], workers=workers)[scheme_name]
-    samples = [s for sess in day.sessions
-               for s in sess.buffer_level_samples]
-    return samples, day.traffic_overhead_percent
-
-
 def run_threshold_sweep(cfg: ABTestConfig,
                         settings: Sequence[Tuple[int, int]] =
                         PAPER_THRESHOLD_SETTINGS,
                         include_off: bool = True,
-                        workers: Optional[int] = None,
-                        use_sketch: bool = False) -> List[ThresholdResult]:
+                        workers: Optional[int] = None
+                        ) -> List[ThresholdResult]:
     """Fig. 10 / Table 2: sweep threshold settings over one population.
 
-    ``workers`` fans each population's sessions out over processes
-    (``None``/``0`` = ``os.cpu_count()``); results are bit-identical
-    to the serial run.  ``use_sketch`` reroutes every population loop
-    (calibration, SP baseline, each setting) through the fleet tier's
-    shard-reduced streaming sketches -- within the sketch's alpha
-    relative percentile error of the exact path, but with memory
-    independent of population size.
+    Play-time-left is measured on day 1 with re-injection control off
+    (vanilla-MP); SP and every setting then play day 2.  ``workers``
+    fans each population's sessions out over processes (``None``/``0``
+    = ``os.cpu_count()``); results are bit-identical to the serial run.
     """
-    if use_sketch:
-        distribution: PlaytimeDistribution = measure_playtime_sketch(
-            cfg, workers=workers)
-    else:
-        distribution = measure_playtime_distribution(cfg, workers=workers)
-    sp_samples, _sp_cost = _population_buffer_stats(cfg, "sp", workers,
-                                                    use_sketch)
+    distribution = _population(cfg, 1, "vanilla_mp", workers).buffer_level
+    sp_levels = _population(cfg, 2, "sp", workers).buffer_level
 
     def run_with(label: str, thresholds: Optional[ThresholdConfig]
                  ) -> ThresholdResult:
@@ -178,26 +101,25 @@ def run_threshold_sweep(cfg: ABTestConfig,
             scheme_name = "vanilla_mp"  # re-injection off entirely
         else:
             scheme_name = f"_sweep_{label}"
-            base = SCHEMES["xlink"]
-            import dataclasses
-            SCHEMES[scheme_name] = dataclasses.replace(
-                base, name=scheme_name, thresholds=thresholds)
+            SCHEMES[scheme_name] = replace(
+                SCHEMES["xlink"], name=scheme_name, thresholds=thresholds)
         try:
-            samples, cost = _population_buffer_stats(cfg, scheme_name,
-                                                     workers, use_sketch)
+            population = _population(cfg, 2, scheme_name, workers)
         finally:
             if thresholds is not None:
                 del SCHEMES[scheme_name]
+        levels = population.buffer_level
 
         def improvement(pct: float) -> float:
-            sp_val = _low_tail(sp_samples, pct)
-            val = _low_tail(samples, pct)
+            # the (100-pct)-th percentile: the 'worst pct%' buffer level
+            sp_val = sp_levels.percentile(100 - pct)
+            val = levels.percentile(100 - pct)
             if sp_val <= 0:
                 return 0.0 if val <= 0 else 100.0
             return (val - sp_val) / sp_val * 100.0
 
-        sp_danger = _danger_fraction(sp_samples)
-        danger = _danger_fraction(samples)
+        sp_danger = sp_levels.fraction_below(DANGER_LEVEL_S)
+        danger = levels.fraction_below(DANGER_LEVEL_S)
         danger_reduction = (0.0 if sp_danger == 0 else
                             (sp_danger - danger) / sp_danger * 100.0)
         return ThresholdResult(
@@ -205,7 +127,7 @@ def run_threshold_sweep(cfg: ABTestConfig,
             buffer_improvement_p90=improvement(90),
             buffer_improvement_p95=improvement(95),
             buffer_improvement_p99=improvement(99),
-            cost_percent=cost,
+            cost_percent=population.traffic_overhead_percent,
             danger_reduction_percent=danger_reduction)
 
     results: List[ThresholdResult] = []

@@ -1,11 +1,12 @@
 """Statistics and QoE metrics used across the evaluation.
 
 Two tiers: the exact reference implementations (``percentile`` /
-``summarize`` over raw sample lists, used by every small-N driver and
-pinned by the equivalence tests) and the streaming fleet tier
-(``DistSketch`` / ``MetricSink``), which trades ``alpha`` relative
-percentile error for O(buckets) memory and an order-independent merge
-so 10K-user populations reduce across process shards.
+``summarize`` over raw sample lists, used by the per-session drivers
+and as the reference the sketches are tested against) and the
+streaming tier every population driver reduces into (``DistSketch`` /
+``MetricSink``): exact up to 512 samples per sketch, then ``alpha``
+relative percentile error for O(buckets) memory, with an
+order-independent merge so populations reduce across process shards.
 """
 
 from repro.metrics.stats import (Summary, maybe_percentile,

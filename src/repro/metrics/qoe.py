@@ -55,15 +55,3 @@ def improvement_percent(baseline: float, treatment: float) -> float:
     if baseline == 0:
         return 0.0
     return (baseline - treatment) / baseline * 100.0
-
-
-def traffic_overhead_percent(sessions: Iterable[SessionMetrics]) -> float:
-    """Redundant bytes as a percentage of useful bytes (cost metric)."""
-    redundant = 0
-    useful = 0
-    for s in sessions:
-        redundant += s.redundant_bytes
-        useful += s.useful_bytes
-    if useful <= 0:
-        return 0.0
-    return redundant / useful * 100.0

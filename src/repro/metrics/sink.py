@@ -242,11 +242,10 @@ class MetricSink:
         if (other.alpha != self.alpha
                 or other.exact_limit != self.exact_limit):
             raise ValueError("cannot merge sinks with different grids")
+        # Never adopt ``other``'s scheme sinks: callers pool per-day
+        # sinks and keep reading the days afterwards.
         for name, scheme_sink in other.schemes.items():
-            if name in self.schemes:
-                self.schemes[name].merge(scheme_sink)
-            else:
-                self.schemes[name] = scheme_sink
+            self.scheme(name).merge(scheme_sink)
         return self
 
     # -- reads ----------------------------------------------------------

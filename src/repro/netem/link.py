@@ -38,25 +38,6 @@ class LinkStats:
     bytes_dropped: int = 0
     busy_until: float = 0.0
 
-    def as_dict(self) -> dict:
-        """Counters as a plain dict (what benches serialize).
-
-        ``busy_until`` is intentionally omitted: it is a transient
-        virtual-time scheduling artifact (the instant the current
-        serialization finishes), not a monotonic counter, so it is
-        meaningless once a run has ended and would make otherwise
-        identical runs diff on their stats dumps.  Read
-        ``stats.busy_until`` directly if you need the live value.
-        """
-        return {
-            "packets_in": self.packets_in,
-            "packets_out": self.packets_out,
-            "packets_dropped": self.packets_dropped,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "bytes_dropped": self.bytes_dropped,
-        }
-
 
 class _QueueMixin:
     """Shared droptail queue behaviour."""
@@ -84,20 +65,8 @@ class _QueueMixin:
         return dgram
 
     @property
-    def queue_depth_bytes(self) -> int:
-        """Bytes currently waiting in the queue."""
-        return self._queued_bytes
-
-    @property
     def queue_depth_packets(self) -> int:
         return len(self._queue)
-
-    def stats_dict(self) -> dict:
-        """Counters plus live queue-depth gauges, for bench dumps."""
-        out = self.stats.as_dict()
-        out["queue_depth_packets"] = len(self._queue)
-        out["queue_depth_bytes"] = self._queued_bytes
-        return out
 
 
 class ConstantRateLink(_QueueMixin):
@@ -196,30 +165,6 @@ class TraceDrivenLink(_QueueMixin):
         if not self._enqueue(dgram):
             return
         self._schedule_pump()
-
-    def capacity_between(self, t0: float, t1: float) -> int:
-        """Bytes of delivery opportunity in virtual [t0, t1) -- test hook."""
-        count = 0
-        for wrap in range(int(t1 / (self.period_ms / 1000.0)) + 2):
-            base = self.start_time + wrap * self.period_ms / 1000.0
-            for ms in self.trace_ms:
-                t = base + ms / 1000.0
-                if t0 <= t < t1:
-                    count += 1
-        return count * MTU
-
-    # -- internals -----------------------------------------------------
-
-    def _next_opportunity_time(self) -> float:
-        """Virtual time of the next unused delivery opportunity."""
-        ms = self.trace_ms[self._opportunity_idx]
-        return self.start_time + (self._wraps * self.period_ms + ms) / 1000.0
-
-    def _consume_opportunity(self) -> None:
-        self._opportunity_idx += 1
-        if self._opportunity_idx >= len(self.trace_ms):
-            self._opportunity_idx = 0
-            self._wraps += 1
 
     def _schedule_pump(self) -> None:
         if self._pump_scheduled or not self._queue:

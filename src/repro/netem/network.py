@@ -129,11 +129,6 @@ class EmulatedPath:
         """Downlink bytes delivered -- used for traffic-cost accounting."""
         return self.downlink.link.stats.bytes_out
 
-    @property
-    def down_bytes_in(self) -> int:
-        """Downlink bytes offered (before queue drops)."""
-        return self.downlink.link.stats.bytes_in
-
 
 class MultipathNetwork:
     """N emulated paths between client hosts and a server (mpshell).

@@ -56,12 +56,6 @@ class DelayBox:
         for dgram in batch:
             deliver(dgram)
 
-    def set_delay(self, delay_s: float) -> None:
-        """Change the delay for subsequently entering packets."""
-        if delay_s < 0:
-            raise ValueError("delay must be non-negative")
-        self.delay_s = float(delay_s)
-
 
 @dataclass
 class OutageSchedule:

@@ -72,13 +72,6 @@ class ConnectionStats:
         self.storm_guard_trimmed_bytes = 0
         self.idle_timeouts = 0
 
-    @property
-    def redundancy_ratio(self) -> float:
-        """Re-injected bytes over useful (new) stream bytes."""
-        if self.stream_bytes_new == 0:
-            return 0.0
-        return self.stream_bytes_reinjected / self.stream_bytes_new
-
     def robustness_dict(self) -> Dict[str, int]:
         """The robustness counters, for summaries and invariant checks."""
         return {

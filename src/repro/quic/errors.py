@@ -56,11 +56,3 @@ class FinalSizeError(QuicError):
 
 class ProtocolViolation(QuicError):
     error_code = TransportErrorCode.PROTOCOL_VIOLATION
-
-
-class MultipathViolation(QuicError):
-    error_code = TransportErrorCode.MP_PROTOCOL_VIOLATION
-
-
-class DecryptionError(QuicError):
-    """Packet failed authentication; it is dropped silently on the wire."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Union
+from typing import Union
 
 RngLike = Union[int, random.Random, None]
 
@@ -39,8 +39,3 @@ def derive_seed(seed: int, label: str) -> int:
     """Derive a stable child seed from (seed, label)."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def maybe_rng(rng: Optional[random.Random], seed: int = 0) -> random.Random:
-    """Return ``rng`` if given, else a fresh Random(seed)."""
-    return rng if rng is not None else random.Random(seed)

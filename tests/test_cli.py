@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -64,8 +67,21 @@ class TestCommands:
                      "--seed", "9"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "sp" in out and "xlink" in out
-        assert "rct_p50=" in out
+        assert "| sp |" in out and "| xlink |" in out
+        # the sink renderer's sections: QoE, RCT CDF, deltas
+        assert "request completion time CDF" in out and "| p50 |" in out
+        assert "| sp → xlink |" in out
+
+    def test_ab_failing_session_exits_nonzero(self):
+        # a session that raises (here: an unknown treatment scheme)
+        # must fail the command, not print stats over the survivors
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "ab", "--treatment",
+             "warpdrive", "--users", "1", "--workers", "1"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "KeyError" in proc.stderr
+        assert "rebuffer" not in proc.stdout
 
     def test_mobility(self, capsys):
         code = main(["mobility", "--trace", "1", "--duration", "12",

@@ -8,15 +8,15 @@ paper's shapes (the benchmarks assert shapes).
 import pytest
 
 from repro.core import ThresholdConfig
-from repro.experiments.abtest import ABTestConfig
+from repro.experiments.abtest import ABTestConfig, run_ab_day
 from repro.experiments.dynamics import (FIG6_MODES, run_fig1_dynamics,
                                         run_fig6_dynamics)
 from repro.experiments.energyexp import (FIG14_CONFIGS, normalize,
                                          run_fig14_point)
 from repro.experiments.mobility import (FIG13_SCHEMES, run_mobility_trace)
 from repro.experiments.pathexp import run_fig7_point, run_fig8_point
-from repro.experiments.thresholds import (measure_playtime_distribution,
-                                          percentile_pair_to_seconds)
+from repro.experiments.thresholds import percentile_pair_to_seconds
+from repro.metrics import DistSketch
 from repro.traces.catalog import extreme_mobility_trace_pairs
 
 
@@ -112,12 +112,14 @@ class TestThresholdDriver:
     def test_distribution_measured(self):
         cfg = ABTestConfig(users_per_day=2, video_duration_s=3.0,
                            timeout_s=30.0, seed=13)
-        samples = measure_playtime_distribution(cfg)
-        assert len(samples) > 50
-        assert all(s >= 0 for s in samples)
+        samples = run_ab_day(
+            cfg, 1, ["vanilla_mp"]).schemes["vanilla_mp"].buffer_level
+        assert samples.count > 50
+        assert samples.minimum >= 0
 
     def test_percentile_pair_ordering(self):
-        samples = [i * 0.1 for i in range(100)]
+        samples = DistSketch()
+        samples.extend(i * 0.1 for i in range(100))
         th = percentile_pair_to_seconds(samples, 95, 80)
         assert isinstance(th, ThresholdConfig)
         assert th.t_th1 <= th.t_th2
@@ -125,7 +127,9 @@ class TestThresholdDriver:
         assert th.t_th1 == pytest.approx(0.1 * 99 * 0.05, rel=0.1)
 
     def test_degenerate_distribution_valid(self):
-        th = percentile_pair_to_seconds([1.0] * 10, 95, 80)
+        samples = DistSketch()
+        samples.extend([1.0] * 10)
+        th = percentile_pair_to_seconds(samples, 95, 80)
         assert th.t_th1 <= th.t_th2
 
 

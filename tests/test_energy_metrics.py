@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.energy import (EnergyAccount, POWER_MODELS, energy_per_bit)
 from repro.metrics import (Summary, aggregate_rebuffer_rate,
                            improvement_percent, percentile, summarize)
-from repro.metrics.qoe import SessionMetrics, traffic_overhead_percent
+from repro.experiments.parallel import SessionOutcome
+from repro.metrics.qoe import SessionMetrics
+from repro.metrics.sink import SchemeSink
 from repro.traces.radio_profiles import RadioType
 
 
@@ -173,9 +175,18 @@ class TestQoeMetrics:
         assert improvement_percent(1.0, 2.0) == pytest.approx(-100.0)
         assert improvement_percent(0.0, 1.0) == 0.0
 
+    @staticmethod
+    def _overhead(sessions) -> float:
+        sink = SchemeSink("xlink")
+        for metrics in sessions:
+            sink.observe(SessionOutcome(key=0, scheme="xlink",
+                                        completed=True, duration_s=1.0,
+                                        metrics=metrics))
+        return sink.traffic_overhead_percent
+
     def test_traffic_overhead(self):
         sessions = [SessionMetrics(redundant_bytes=21, useful_bytes=1000)]
-        assert traffic_overhead_percent(sessions) == pytest.approx(2.1)
+        assert self._overhead(sessions) == pytest.approx(2.1)
 
     def test_traffic_overhead_no_traffic(self):
-        assert traffic_overhead_percent([SessionMetrics()]) == 0.0
+        assert self._overhead([SessionMetrics()]) == 0.0

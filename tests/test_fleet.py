@@ -12,14 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.experiments.abtest import build_ab_day_tasks, run_ab_day
+from repro.experiments.abtest import iter_ab_day_tasks, run_ab_day
 from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                      MobilityPopulationDriver,
                                      run_fleet_driver)
 from repro.experiments.parallel import (SessionTask, execute_shard,
-                                        iter_shards, run_fleet)
+                                        iter_shards, run_fleet,
+                                        run_session_tasks)
 from repro.experiments.report import fleet_sections
-from repro.metrics import MetricSink
+from repro.metrics import MetricSink, aggregate_rebuffer_rate
 from repro.metrics.stats import percentile
 
 
@@ -104,24 +105,42 @@ class TestShardExecution:
 
 class TestSinkConsistency:
     def test_sink_matches_exact_day_result(self):
-        # Same paired population through both tiers: the fleet sink's
-        # exact-mode percentiles and aggregate rates must agree with
-        # the materialized DayResult path.
+        # The A/B day's sink against the list reference on the same
+        # population: raw per-session outcomes, stats.percentile and
+        # aggregate_rebuffer_rate.  Exact-mode percentiles must agree
+        # bit for bit.
         cfg = _small_cfg(users=4, paired=True)
         ab = cfg.ab_config()
         day = run_ab_day(ab, 1, list(cfg.schemes), workers=1)
-        tasks = build_ab_day_tasks(ab, 1, list(cfg.schemes))
-        fleet = run_fleet(iter(tasks), workers=1)
+        outcomes = run_session_tasks(
+            list(iter_ab_day_tasks(ab, 1, list(cfg.schemes))), workers=1)
         for scheme in cfg.schemes:
-            sink = fleet.sink.scheme(scheme)
-            exact = day[scheme]
-            assert sink.sessions == len(exact.sessions)
-            assert sink.rct.percentile(50) == percentile(exact.rcts, 50)
-            assert sink.rct.percentile(99) == percentile(exact.rcts, 99)
+            sink = day.schemes[scheme]
+            exact = [o.metrics for o in outcomes if o.scheme == scheme]
+            rcts = [t for m in exact for t in m.request_completion_times]
+            startups = [m.first_frame_latency for m in exact
+                        if m.first_frame_latency is not None]
+            assert sink.sessions == len(exact)
+            assert sink.rct.is_exact and sink.startup.is_exact
+            assert sink.rct.percentile(50) == percentile(rcts, 50)
+            assert sink.rct.percentile(99) == percentile(rcts, 99)
+            assert sink.startup.percentile(95) == percentile(startups, 95)
             assert sink.rebuffer_rate == pytest.approx(
-                exact.rebuffer_rate, abs=1e-9)
+                aggregate_rebuffer_rate(exact), abs=1e-9)
+            redundant = sum(m.redundant_bytes for m in exact)
+            useful = sum(m.useful_bytes for m in exact)
             assert sink.traffic_overhead_percent == pytest.approx(
-                exact.traffic_overhead_percent, rel=1e-6)
+                redundant / useful * 100.0, rel=1e-6)
+
+    def test_merge_does_not_alias_the_merged_sink(self):
+        # Pooling per-day sinks must leave the days readable.
+        day = run_fleet(ABPopulationDriver(_small_cfg(users=2)).task_iter(),
+                        workers=1).sink
+        before = day.digest()
+        pooled = MetricSink().merge(day)
+        pooled.merge(day)
+        assert pooled.sessions == 2 * day.sessions
+        assert day.digest() == before
 
 
 class TestDrivers:

@@ -159,21 +159,22 @@ class TestAbPopulation:
         cfg = ABTestConfig(users_per_day=2, video_duration_s=3.0,
                            timeout_s=30.0, seed=11)
         results = run_ab_day(cfg, 1, ["sp", "xlink"])
-        assert set(results) == {"sp", "xlink"}
-        for day in results.values():
-            assert len(day.sessions) == 2
-            assert day.rcts
+        assert set(results.schemes) == {"sp", "xlink"}
+        for day in results.schemes.values():
+            assert day.sessions == 2
+            assert day.rct.count
 
     def test_ab_day_deterministic(self):
         cfg = ABTestConfig(users_per_day=2, video_duration_s=3.0,
                            timeout_s=30.0, seed=11)
-        a = run_ab_day(cfg, 1, ["sp"])["sp"]
-        b = run_ab_day(cfg, 1, ["sp"])["sp"]
-        assert a.rcts == b.rcts
+        a = run_ab_day(cfg, 1, ["sp"]).schemes["sp"]
+        b = run_ab_day(cfg, 1, ["sp"]).schemes["sp"]
+        assert a.rct.is_exact and a.rct.count
+        assert a.canonical() == b.canonical()
 
     def test_different_days_differ(self):
         cfg = ABTestConfig(users_per_day=2, video_duration_s=3.0,
                            timeout_s=30.0, seed=11)
-        a = run_ab_day(cfg, 1, ["sp"])["sp"]
-        b = run_ab_day(cfg, 2, ["sp"])["sp"]
-        assert a.rcts != b.rcts
+        a = run_ab_day(cfg, 1, ["sp"]).schemes["sp"]
+        b = run_ab_day(cfg, 2, ["sp"]).schemes["sp"]
+        assert a.rct.canonical() != b.rct.canonical()

@@ -10,13 +10,18 @@ shard merges digests identically to the serial fold.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.parallel import SessionOutcome
+from repro.metrics.qoe import SessionMetrics, aggregate_rebuffer_rate
 from repro.metrics.sink import MetricSink, SchemeSink
-from repro.metrics.sketch import (DEFAULT_ALPHA, DistSketch,
-                                  permutation_mean_test)
+from repro.metrics.sketch import (DEFAULT_ALPHA, DEFAULT_EXACT_LIMIT, TINY,
+                                  DistSketch, permutation_mean_test)
 from repro.metrics.stats import (maybe_percentile, maybe_summarize,
                                  percentile, summarize)
 
@@ -194,6 +199,76 @@ class TestPermutationTest:
         r1 = permutation_mean_test(a, b, rounds=50, seed=3)
         r2 = permutation_mean_test(a, b, rounds=50, seed=3)
         assert r1 == r2
+
+
+_seconds = st.floats(min_value=0.0, max_value=120.0, allow_nan=False)
+_session_metrics = st.builds(
+    SessionMetrics,
+    request_completion_times=st.lists(_seconds, max_size=12),
+    first_frame_latency=st.none() | _seconds,
+    rebuffer_time=_seconds,
+    play_time=st.floats(min_value=1.0, max_value=120.0),
+    redundant_bytes=st.integers(0, 10 ** 7),
+    useful_bytes=st.integers(1, 10 ** 9),
+    buffer_level_samples=st.lists(_seconds, max_size=12))
+
+#: a bucket's geometric midpoint is this far, relatively, from any value
+#: the bucket holds: alpha to first order
+_BUCKET_ERROR = math.sqrt((1 + DEFAULT_ALPHA) / (1 - DEFAULT_ALPHA)) - 1
+
+
+def _assert_matches_list(sketch: DistSketch, samples: list) -> None:
+    """Exact (bit for bit) up to the exact limit; above it, within the
+    bucket error of the two order statistics the reference interpolates
+    between."""
+    assert sketch.count == len(samples)
+    if not samples:
+        assert sketch.percentile(50) is None
+        return
+    ordered = sorted(samples)
+    for pct in (0, 5, 50, 90, 99, 100):
+        got = sketch.percentile(pct)
+        if len(samples) <= DEFAULT_EXACT_LIMIT:
+            assert got == percentile(samples, pct)
+            continue
+        rank = pct / 100.0 * (len(ordered) - 1)
+        lo, hi = ordered[math.floor(rank)], ordered[math.ceil(rank)]
+        assert lo * (1 - _BUCKET_ERROR) - TINY <= got \
+            <= hi * (1 + _BUCKET_ERROR) + TINY, (pct, lo, got, hi)
+
+
+class TestSchemeSinkAgainstLists:
+    """The population aggregate against the list reference it replaced
+    (per-session metrics, ``stats.percentile``,
+    ``aggregate_rebuffer_rate``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sessions=st.lists(_session_metrics, min_size=1, max_size=40),
+           repeat=st.integers(1, 16), completed=st.booleans())
+    def test_sink_equals_list_reference(self, sessions, repeat, completed):
+        # ``repeat`` tiles the drawn population so that examples land on
+        # both sides of the exact limit
+        sessions = sessions * repeat
+        sink = SchemeSink("xlink")
+        for i, metrics in enumerate(sessions):
+            sink.observe(SessionOutcome(
+                key=i, scheme="xlink", completed=completed,
+                duration_s=metrics.play_time, metrics=metrics))
+        assert sink.sessions == len(sessions)
+        assert sink.completed == (len(sessions) if completed else 0)
+        _assert_matches_list(sink.rct, [
+            t for m in sessions for t in m.request_completion_times])
+        _assert_matches_list(sink.startup, [
+            m.first_frame_latency for m in sessions
+            if m.first_frame_latency is not None])
+        _assert_matches_list(sink.buffer_level, [
+            level for m in sessions for level in m.buffer_level_samples])
+        # totals are fixed-point nanoseconds: half a quantum per session
+        assert sink.rebuffer_rate == pytest.approx(
+            aggregate_rebuffer_rate(sessions), abs=1e-9 * len(sessions))
+        assert sink.traffic_overhead_percent == (
+            sum(m.redundant_bytes for m in sessions)
+            / sum(m.useful_bytes for m in sessions) * 100.0)
 
 
 class TestMetricSinkMerge:

@@ -15,6 +15,9 @@ forms, and obvious AST-level mistakes:
   script after ruff too)
 - CACHE: a module-level mutable container named like a cache under a
   directory listed in ``NO_MODULE_CACHES``
+- DEAD: a public ``def``/``class`` under ``NO_DEAD_PUBLIC`` whose name
+  is written nowhere else in the repo's Python (checked whenever that
+  directory is linted)
 
 Exit status 0 = clean, 1 = findings, matching ruff's convention.
 """
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
@@ -44,6 +49,14 @@ NO_MODULE_CACHES = {"src/repro/quic": {"_ACK_DECODE_MEMO"}}
 _CACHE_WORDS = ("CACHE", "MEMO")
 _MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
                   "deque", "bytearray"}
+
+
+#: the package whose public names must have a user, and where users
+#: may live.  ISSUE 21 deleted ten definitions nothing referenced; this
+#: keeps that list from regrowing.
+NO_DEAD_PUBLIC = "src/repro"
+REFERENCE_ROOTS = ("src", "tests", "tools", "figures", "bench", "examples")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def iter_py_files(roots: List[str]) -> Iterator[Path]:
@@ -184,13 +197,42 @@ def check_file(path: Path) -> List[Finding]:
     return findings
 
 
+def check_dead_public() -> List[Finding]:
+    """Public names defined under ``NO_DEAD_PUBLIC`` that occur in the
+    repo's Python only where they are defined."""
+    words: Counter = Counter()
+    defined: List[Finding] = []
+    for path in iter_py_files([str(REPO_ROOT / r) for r in REFERENCE_ROOTS]):
+        source = path.read_text()
+        words.update(_WORD.findall(source))
+        if (REPO_ROOT / NO_DEAD_PUBLIC) not in path.parents:
+            continue
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError:
+            continue  # check_file reports it
+        defined.extend(
+            (path, node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_"))
+    n_defs = Counter(name for _path, _line, name in defined)
+    return [(path, line, f"DEAD public name '{name}' is referenced nowhere "
+                         f"in {', '.join(REFERENCE_ROOTS)}")
+            for path, line, name in defined if words[name] <= n_defs[name]]
+
+
 def main(argv: List[str]) -> int:
-    roots = argv or ["src", "tests", "tools", "benchmarks"]
+    roots = argv or ["src", "tests", "tools", "figures"]
     findings: List[Finding] = []
     n_files = 0
+    lints_package = False
     for path in iter_py_files(roots):
         n_files += 1
         findings.extend(check_file(path))
+        lints_package |= (REPO_ROOT / NO_DEAD_PUBLIC) in path.resolve().parents
+    if lints_package:
+        findings.extend(check_dead_public())
     for path, line, message in findings:
         print(f"{path}:{line}: {message}")
     if findings:
