@@ -217,7 +217,7 @@ def iter_mobility_fleet_tasks(n_traces: int = 10, repeats: int = 2,
     replay conditions.  Request download times land in the fleet
     sink's ``rct`` sketch (the same metric the figure reports).
     """
-    pairs = extreme_mobility_trace_pairs(duration_s)[:n_traces]
+    pairs = extreme_mobility_trace_pairs(duration_s, n_traces)
     player_config = PlayerConfig(concurrent_requests=1, max_buffer_s=3.0,
                                  startup_frames=5, resume_frames=5)
     video = _chunked_video()
@@ -244,7 +244,7 @@ def run_fig13(n_traces: int = 10, duration_s: float = 30.0,
     processes; each replay is independent, so the sweep parallelizes
     to ``n_traces * len(schemes)`` tasks.
     """
-    pairs = extreme_mobility_trace_pairs(duration_s)[:n_traces]
+    pairs = extreme_mobility_trace_pairs(duration_s, n_traces)
     jobs = [{"pair": pair, "scheme": scheme, "seed": seed}
             for pair in pairs for scheme in schemes]
     all_times = fan_out(run_scheme_on_trace, jobs, workers=workers)

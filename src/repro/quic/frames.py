@@ -20,10 +20,12 @@ import enum
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
+from repro.quic.cid import CID_LENGTH
 from repro.quic.errors import FrameEncodingError
-from repro.quic.varint import Buffer, encode_varint
+from repro.quic.varint import decode_varint
+from repro.quic.varint import encode_varint as _varint
 
 
 class FrameType(enum.IntEnum):
@@ -72,32 +74,17 @@ class AckRange(namedtuple("AckRange", "start end")):
 make_range = partial(tuple.__new__, AckRange)
 
 
-@dataclass(frozen=True, slots=True)
-class QoeSignals:
+class QoeSignals(NamedTuple):
     """The four QoE feedback signals the Taobao client reports (Sec. 5.2).
 
-    Units: bytes, frames, bits/s, frames/s.  ``fetch_complete`` is not
-    in the paper's list but the deployed system needs a way to signal
-    "no outstanding request"; we encode it in a flags varint.
+    Units: bytes, frames, bits/s, frames/s.  On the wire: four varints
+    in this order.
     """
 
     cached_bytes: int = 0
     cached_frames: int = 0
     bps: int = 0
     fps: int = 0
-
-    def encode(self, buf: Buffer) -> None:
-        buf.push_varint(self.cached_bytes)
-        buf.push_varint(self.cached_frames)
-        buf.push_varint(self.bps)
-        buf.push_varint(self.fps)
-
-    @classmethod
-    def decode(cls, buf: Buffer) -> "QoeSignals":
-        return cls(cached_bytes=buf.pull_varint(),
-                   cached_frames=buf.pull_varint(),
-                   bps=buf.pull_varint(),
-                   fps=buf.pull_varint())
 
     def play_time_left(self) -> float:
         """Conservative play-time-left estimate Δt (Alg. 1 step 1).
@@ -251,8 +238,28 @@ Frame = object  # frames are plain dataclasses; this alias aids readability
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# encoding: one function per frame type, frame -> bytes
 # ---------------------------------------------------------------------------
+
+_PING = _varint(FrameType.PING)
+_ACK = _varint(FrameType.ACK)
+_ACK_MP = _varint(FrameType.ACK_MP)
+_CRYPTO = _varint(FrameType.CRYPTO)
+#: STREAM always carries the OFF and LEN bits; indexed by ``fin``
+_STREAM = (_varint(FrameType.STREAM | 0x06), _varint(FrameType.STREAM | 0x07))
+_MAX_DATA = _varint(FrameType.MAX_DATA)
+_MAX_STREAM_DATA = _varint(FrameType.MAX_STREAM_DATA)
+_NEW_CONNECTION_ID = _varint(FrameType.NEW_CONNECTION_ID)
+_PATH_CHALLENGE = _varint(FrameType.PATH_CHALLENGE)
+_PATH_RESPONSE = _varint(FrameType.PATH_RESPONSE)
+_CONNECTION_CLOSE = _varint(FrameType.CONNECTION_CLOSE)
+_PATH_STATUS = _varint(FrameType.PATH_STATUS)
+_QOE_CONTROL_SIGNALS = _varint(FrameType.QOE_CONTROL_SIGNALS)
+_NO_QOE, _HAS_QOE = _varint(0), _varint(1)
+#: the types the decoder meets on nearly every packet, as plain ints:
+#: STREAM with any of its OFF / LEN / FIN bits, and ACK_MP
+_STREAM_FIRST, _STREAM_LAST = int(FrameType.STREAM), FrameType.STREAM | 0x07
+_ACK_MP_TYPE = int(FrameType.ACK_MP)
 
 
 def ack_pairs_wire(ranges) -> bytes:
@@ -262,13 +269,12 @@ def ack_pairs_wire(ranges) -> bytes:
     for above, (start, end) in zip(ranges, ranges[1:]):
         if above[0] - end < 2:
             raise FrameEncodingError("overlapping ack ranges")
-        pairs.append(encode_varint(above[0] - end - 2)
-                     + encode_varint(end - start))
+        pairs.append(_varint(above[0] - end - 2) + _varint(end - start))
     return b"".join(pairs)
 
 
-def _encode_ack_ranges(buf: Buffer, largest: int, ranges: tuple,
-                       older_wire: Optional[bytes] = None) -> None:
+def _ack_ranges_wire(largest: int, ranges: tuple,
+                     older_wire: Optional[bytes] = None) -> bytes:
     """ACK range encoding per RFC 9000: first range + gap/length pairs."""
     if older_wire is None:
         ordered = sorted(ranges, key=lambda r: r[1], reverse=True)
@@ -278,159 +284,91 @@ def _encode_ack_ranges(buf: Buffer, largest: int, ranges: tuple,
         newest = ranges[-1]
     if newest is None or newest[1] != largest:
         raise FrameEncodingError("largest_acked must end the first range")
-    buf.push_varint(len(ranges) - 1)
-    buf.push_varint(largest - newest[0])  # first ack range
-    buf.push_bytes(older_wire)
+    return _varint(len(ranges) - 1) + _varint(largest - newest[0]) \
+        + older_wire
 
 
-#: The decoder's one memo.  A lossy path's permanent gaps repeat in
-#: every ACK_MP and only the ranges at the top change: ``(start of the
-#: range above, pairs that follow)`` -> ``(those pairs' bytes, their
-#: ranges)``, stored per frame for the pairs after its first range and
-#: probed before each pair is read, so a frame costs the pairs above
-#: the newest suffix seen before.  A hit counts only if the frame's
-#: bytes equal the stored ones, whichever connection stored them.
-_ACK_DECODE_MEMO: dict = {}
-_ACK_DECODE_MEMO_MAX = 256
+def _qoe_wire(qoe: QoeSignals) -> bytes:
+    return _varint(qoe[0]) + _varint(qoe[1]) + _varint(qoe[2]) \
+        + _varint(qoe[3])
 
 
-def _decode_ack_ranges(buf: Buffer, largest: int) -> Tuple[AckRange, ...]:
-    """The ranges of an ACK, newest first."""
-    count = buf.pull_varint()
-    # Each additional range needs at least two varint bytes; a count
-    # beyond that is a malformed (or hostile) frame, not a big ACK.
-    if count * 2 > buf.remaining:
-        raise FrameEncodingError(f"ack range count {count} exceeds payload")
-    start = largest - buf.pull_varint()
-    first = make_range((start, largest))
-    if count == 0 and start >= 0:
-        return (first,)
-    data = buf._read_data
-    key = (start, count)
-    pairs_from = buf._pos
-    fresh = []
-    older: tuple = ()
-    for left in range(count, 0, -1):
-        entry = _ACK_DECODE_MEMO.get((start, left))
-        if entry is not None:
-            pos = buf._pos
-            stop = pos + len(entry[0])
-            if data[pos:stop] == entry[0]:
-                buf._pos = stop
-                older = entry[1]
-                break
-        gap = buf.pull_varint()
-        length = buf.pull_varint()
-        end = start - gap - 2
-        start = end - length
-        fresh.append(make_range((start, end)))
-    # Starts only fall, and a memo key was a valid start already.
-    if start < 0:
-        raise ValueError(f"bad ack range: it starts at {start}")
-    if fresh:
-        older = tuple(fresh) + older
-        if len(_ACK_DECODE_MEMO) >= _ACK_DECODE_MEMO_MAX:
-            _ACK_DECODE_MEMO.clear()
-        _ACK_DECODE_MEMO[key] = (bytes(data[pairs_from:buf._pos]), older)
-    return (first,) + older
+def _enc_padding(frame: PaddingFrame) -> bytes:
+    return b"\x00" * frame.length
 
 
-def _enc_padding(buf: Buffer, frame: PaddingFrame) -> None:
-    buf.push_bytes(b"\x00" * frame.length)
+def _enc_ping(frame: PingFrame) -> bytes:
+    return _PING
 
 
-def _enc_ping(buf: Buffer, frame: PingFrame) -> None:
-    buf.push_varint(FrameType.PING)
+def _enc_ack(frame: AckFrame) -> bytes:
+    largest = frame.largest_acked
+    return _ACK + _varint(largest) + _varint(frame.ack_delay_us) \
+        + _ack_ranges_wire(largest, frame.ranges)
 
 
-def _enc_ack(buf: Buffer, frame: AckFrame) -> None:
-    buf.push_varint(FrameType.ACK)
-    buf.push_varint(frame.largest_acked)
-    buf.push_varint(frame.ack_delay_us)
-    _encode_ack_ranges(buf, frame.largest_acked, frame.ranges)
+def _enc_ack_mp(frame: AckMpFrame) -> bytes:
+    largest = frame.largest_acked
+    qoe = frame.qoe
+    wire = _ACK_MP + _varint(frame.path_id) \
+        + (_NO_QOE if qoe is None else _HAS_QOE) \
+        + _varint(largest) + _varint(frame.ack_delay_us) \
+        + _ack_ranges_wire(largest, frame.ranges, frame.older_wire)
+    return wire if qoe is None else wire + _qoe_wire(qoe)
 
 
-def _enc_ack_mp(buf: Buffer, frame: AckMpFrame) -> None:
-    buf.push_varint(FrameType.ACK_MP)
-    buf.push_varint(frame.path_id)
-    buf.push_varint(1 if frame.qoe is not None else 0)
-    buf.push_varint(frame.largest_acked)
-    buf.push_varint(frame.ack_delay_us)
-    _encode_ack_ranges(buf, frame.largest_acked, frame.ranges,
-                       frame.older_wire)
-    if frame.qoe is not None:
-        frame.qoe.encode(buf)
+def _enc_crypto(frame: CryptoFrame) -> bytes:
+    data = frame.data
+    return _CRYPTO + _varint(frame.offset) + _varint(len(data)) + data
 
 
-def _enc_crypto(buf: Buffer, frame: CryptoFrame) -> None:
-    buf.push_varint(FrameType.CRYPTO)
-    buf.push_varint(frame.offset)
-    buf.push_varint(len(frame.data))
-    buf.push_bytes(frame.data)
+def _enc_stream(frame: StreamFrame) -> bytes:
+    data = frame.data
+    return _STREAM[frame.fin] + _varint(frame.stream_id) \
+        + _varint(frame.offset) + _varint(len(data)) + data
 
 
-def _enc_stream(buf: Buffer, frame: StreamFrame) -> None:
-    # Always emit OFF and LEN bits; FIN from the frame.
-    buf.push_varint(
-        FrameType.STREAM | 0x04 | 0x02 | (0x01 if frame.fin else 0))
-    buf.push_varint(frame.stream_id)
-    buf.push_varint(frame.offset)
-    buf.push_varint(len(frame.data))
-    buf.push_bytes(frame.data)
+def _enc_max_data(frame: MaxDataFrame) -> bytes:
+    return _MAX_DATA + _varint(frame.maximum)
 
 
-def _enc_max_data(buf: Buffer, frame: MaxDataFrame) -> None:
-    buf.push_varint(FrameType.MAX_DATA)
-    buf.push_varint(frame.maximum)
+def _enc_max_stream_data(frame: MaxStreamDataFrame) -> bytes:
+    return _MAX_STREAM_DATA + _varint(frame.stream_id) \
+        + _varint(frame.maximum)
 
 
-def _enc_max_stream_data(buf: Buffer, frame: MaxStreamDataFrame) -> None:
-    buf.push_varint(FrameType.MAX_STREAM_DATA)
-    buf.push_varint(frame.stream_id)
-    buf.push_varint(frame.maximum)
+def _enc_new_cid(frame: NewConnectionIdFrame) -> bytes:
+    cid = frame.cid
+    if not 1 <= len(cid) <= 20:  # RFC 9000 Sec. 19.15; one length byte
+        raise FrameEncodingError(f"CID length {len(cid)} not in 1..20")
+    return _NEW_CONNECTION_ID + _varint(frame.sequence_number) \
+        + _varint(frame.retire_prior_to) + bytes((len(cid),)) + cid
 
 
-def _enc_new_cid(buf: Buffer, frame: NewConnectionIdFrame) -> None:
-    buf.push_varint(FrameType.NEW_CONNECTION_ID)
-    buf.push_varint(frame.sequence_number)
-    buf.push_varint(frame.retire_prior_to)
-    buf.push_uint8(len(frame.cid))
-    buf.push_bytes(frame.cid)
+def _enc_path_challenge(frame: PathChallengeFrame) -> bytes:
+    return _PATH_CHALLENGE + frame.data
 
 
-def _enc_path_challenge(buf: Buffer, frame: PathChallengeFrame) -> None:
-    buf.push_varint(FrameType.PATH_CHALLENGE)
-    buf.push_bytes(frame.data)
+def _enc_path_response(frame: PathResponseFrame) -> bytes:
+    return _PATH_RESPONSE + frame.data
 
 
-def _enc_path_response(buf: Buffer, frame: PathResponseFrame) -> None:
-    buf.push_varint(FrameType.PATH_RESPONSE)
-    buf.push_bytes(frame.data)
-
-
-def _enc_close(buf: Buffer, frame: ConnectionCloseFrame) -> None:
-    buf.push_varint(FrameType.CONNECTION_CLOSE)
-    buf.push_varint(frame.error_code)
+def _enc_close(frame: ConnectionCloseFrame) -> bytes:
     reason = frame.reason.encode()
-    buf.push_varint(len(reason))
-    buf.push_bytes(reason)
+    return _CONNECTION_CLOSE + _varint(frame.error_code) \
+        + _varint(len(reason)) + reason
 
 
-def _enc_path_status(buf: Buffer, frame: PathStatusFrame) -> None:
-    buf.push_varint(FrameType.PATH_STATUS)
-    buf.push_varint(frame.path_id)
-    buf.push_varint(frame.status_seq)
-    buf.push_varint(int(frame.status))
+def _enc_path_status(frame: PathStatusFrame) -> bytes:
+    return _PATH_STATUS + _varint(frame.path_id) \
+        + _varint(frame.status_seq) + _varint(frame.status)
 
 
-def _enc_qoe(buf: Buffer, frame: QoeControlSignalsFrame) -> None:
-    buf.push_varint(FrameType.QOE_CONTROL_SIGNALS)
-    frame.qoe.encode(buf)
+def _enc_qoe(frame: QoeControlSignalsFrame) -> bytes:
+    return _QOE_CONTROL_SIGNALS + _qoe_wire(frame.qoe)
 
 
-#: Exact-type dispatch replaces the old isinstance chain: one dict
-#: lookup per frame instead of up to 13 isinstance checks, and all
-#: frames in a packet share one Buffer (see :func:`encode_frames`).
+#: exact-type dispatch: one dict lookup per frame
 _FRAME_ENCODERS = {
     PaddingFrame: _enc_padding,
     PingFrame: _enc_ping,
@@ -449,27 +387,95 @@ _FRAME_ENCODERS = {
 }
 
 
-def encode_frame_into(buf: Buffer, frame: object) -> None:
-    """Append one frame's serialization to ``buf``."""
-    encoder = _FRAME_ENCODERS.get(type(frame))
-    if encoder is None:
-        raise FrameEncodingError(f"cannot encode {type(frame).__name__}")
-    encoder(buf, frame)
-
-
-def encode_frame(frame: object) -> bytes:
-    """Serialize one frame to bytes."""
-    buf = Buffer()
-    encode_frame_into(buf, frame)
-    return buf.getvalue()
-
-
 def encode_frames(frames: List[object]) -> bytes:
     """Serialize a frame sequence into one contiguous payload."""
-    buf = Buffer()
+    encoders = _FRAME_ENCODERS
+    pieces = []
     for frame in frames:
-        encode_frame_into(buf, frame)
-    return buf.getvalue()
+        try:
+            encoder = encoders[type(frame)]
+        except KeyError:
+            raise FrameEncodingError(
+                f"cannot encode {type(frame).__name__}") from None
+        pieces.append(encoder(frame))
+    return b"".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# decoding: one loop over one view of the payload, by index
+# ---------------------------------------------------------------------------
+
+#: The decoder's one memo.  A lossy path's permanent gaps repeat in
+#: every ACK_MP and only the ranges at the top change: ``(start of the
+#: range above, pairs that follow)`` -> ``(those pairs' bytes, their
+#: ranges)``, stored per frame for the pairs after its first range and
+#: probed before each pair is read, so a frame costs the pairs above
+#: the newest suffix seen before.  A hit counts only if the frame's
+#: bytes equal the stored ones, whichever connection stored them.
+_ACK_DECODE_MEMO: dict = {}
+_ACK_DECODE_MEMO_MAX = 256
+
+
+def _decode_ack_ranges(data: memoryview, pos: int,
+                       largest: int) -> Tuple[Tuple[AckRange, ...], int]:
+    """The ranges of an ACK (newest first) whose range count is at
+    ``pos``, and the offset after them."""
+    count, pos = decode_varint(data, pos)
+    # Each additional range needs at least two varint bytes; a count
+    # beyond that is a malformed (or hostile) frame, not a big ACK.
+    if count * 2 > len(data) - pos:
+        raise FrameEncodingError(f"ack range count {count} exceeds payload")
+    first_len, pos = decode_varint(data, pos)
+    start = largest - first_len
+    first = make_range((start, largest))
+    if count == 0 and start >= 0:
+        return (first,), pos
+    key = (start, count)
+    pairs_from = pos
+    fresh = []
+    older: tuple = ()
+    for left in range(count, 0, -1):
+        entry = _ACK_DECODE_MEMO.get((start, left))
+        if entry is not None:
+            stop = pos + len(entry[0])
+            if data[pos:stop] == entry[0]:
+                pos = stop
+                older = entry[1]
+                break
+        gap, pos = decode_varint(data, pos)
+        length, pos = decode_varint(data, pos)
+        end = start - gap - 2
+        start = end - length
+        fresh.append(make_range((start, end)))
+    # Starts only fall, and a memo key was a valid start already.
+    if start < 0:
+        raise FrameEncodingError(f"bad ack range: it starts at {start}")
+    if fresh:
+        older = tuple(fresh) + older
+        if len(_ACK_DECODE_MEMO) >= _ACK_DECODE_MEMO_MAX:
+            _ACK_DECODE_MEMO.clear()
+        _ACK_DECODE_MEMO[key] = (bytes(data[pairs_from:pos]), older)
+    return (first,) + older, pos
+
+
+_make_qoe = partial(tuple.__new__, QoeSignals)
+
+
+def _decode_qoe(data: memoryview, pos: int) -> Tuple[QoeSignals, int]:
+    cached_bytes, pos = decode_varint(data, pos)
+    cached_frames, pos = decode_varint(data, pos)
+    bps, pos = decode_varint(data, pos)
+    fps, pos = decode_varint(data, pos)
+    return _make_qoe((cached_bytes, cached_frames, bps, fps)), pos
+
+
+def _take(data: memoryview, pos: int, n: int) -> Tuple[memoryview, int]:
+    """The ``n`` bytes at ``pos`` (a view of ``data``) and the offset
+    after them."""
+    end = pos + n
+    if end > len(data):
+        raise FrameEncodingError(f"frame truncated: need {n} bytes")
+    return data[pos:end], end
 
 
 def decode_frames(payload) -> List[object]:
@@ -483,92 +489,114 @@ def decode_frames(payload) -> List[object]:
     are materialized as ``bytes`` here.
 
     Malformed input always surfaces as :class:`FrameEncodingError`
-    (never a bare ``ValueError``), so the connection can map any
-    parse failure to a clean FRAME_ENCODING_ERROR close.
+    (never a bare ``ValueError`` or ``IndexError``), so the connection
+    can map any parse failure to a clean FRAME_ENCODING_ERROR close.
+    A read past the end of the payload is caught here once, not tested
+    for before every byte.
     """
+    data = memoryview(payload)
+    size = len(data)
+    pos = 0
+    frames: List[object] = []
     try:
-        return _decode_frames_inner(payload)
+        while pos < size:
+            frame_type = data[pos]
+            if frame_type < 0x40:  # the one-byte varint, read in place
+                pos += 1
+            else:
+                frame_type, pos = decode_varint(data, pos)
+            if _STREAM_FIRST <= frame_type <= _STREAM_LAST:
+                stream_id = data[pos]
+                if stream_id < 0x40:
+                    pos += 1
+                else:
+                    stream_id, pos = decode_varint(data, pos)
+                offset = 0
+                if frame_type & 0x04:
+                    offset, pos = decode_varint(data, pos)
+                length = size - pos
+                if frame_type & 0x02:
+                    length, pos = decode_varint(data, pos)
+                end = pos + length
+                if end > size:
+                    raise FrameEncodingError("STREAM data truncated")
+                frames.append(StreamFrame(stream_id, offset, data[pos:end],
+                                          (frame_type & 0x01) == 1))
+                pos = end
+            elif frame_type == _ACK_MP_TYPE:
+                path_id = data[pos]
+                if path_id < 0x40:
+                    pos += 1
+                else:
+                    path_id, pos = decode_varint(data, pos)
+                flags, pos = decode_varint(data, pos)
+                largest, pos = decode_varint(data, pos)
+                delay, pos = decode_varint(data, pos)
+                ranges, pos = _decode_ack_ranges(data, pos, largest)
+                qoe = None
+                if flags & 1:
+                    qoe, pos = _decode_qoe(data, pos)
+                frames.append(AckMpFrame(path_id, largest, delay, ranges,
+                                         qoe))
+            elif frame_type == FrameType.PADDING:
+                continue
+            elif frame_type == FrameType.PING:
+                frames.append(PingFrame())
+            elif frame_type == FrameType.ACK:
+                largest, pos = decode_varint(data, pos)
+                delay, pos = decode_varint(data, pos)
+                ranges, pos = _decode_ack_ranges(data, pos, largest)
+                frames.append(AckFrame(largest, delay, ranges))
+            elif frame_type == FrameType.CRYPTO:
+                offset, pos = decode_varint(data, pos)
+                length, pos = decode_varint(data, pos)
+                chunk, pos = _take(data, pos, length)
+                frames.append(CryptoFrame(offset, chunk))
+            elif frame_type == FrameType.MAX_DATA:
+                maximum, pos = decode_varint(data, pos)
+                frames.append(MaxDataFrame(maximum))
+            elif frame_type == FrameType.MAX_STREAM_DATA:
+                stream_id, pos = decode_varint(data, pos)
+                maximum, pos = decode_varint(data, pos)
+                frames.append(MaxStreamDataFrame(stream_id, maximum))
+            elif frame_type == FrameType.NEW_CONNECTION_ID:
+                seq, pos = decode_varint(data, pos)
+                retire, pos = decode_varint(data, pos)
+                cid_len = data[pos]
+                if cid_len != CID_LENGTH:  # RFC 9000 allows 1..20
+                    raise FrameEncodingError(
+                        f"CID length {cid_len}: this stack speaks "
+                        f"{CID_LENGTH}-byte CIDs")
+                cid, pos = _take(data, pos + 1, cid_len)
+                frames.append(NewConnectionIdFrame(seq, bytes(cid), retire))
+            elif frame_type == FrameType.PATH_CHALLENGE:
+                token, pos = _take(data, pos, 8)
+                frames.append(PathChallengeFrame(bytes(token)))
+            elif frame_type == FrameType.PATH_RESPONSE:
+                token, pos = _take(data, pos, 8)
+                frames.append(PathResponseFrame(bytes(token)))
+            elif frame_type == FrameType.CONNECTION_CLOSE:
+                code, pos = decode_varint(data, pos)
+                length, pos = decode_varint(data, pos)
+                reason, pos = _take(data, pos, length)
+                frames.append(ConnectionCloseFrame(code,
+                                                   bytes(reason).decode()))
+            elif frame_type == FrameType.PATH_STATUS:
+                path_id, pos = decode_varint(data, pos)
+                status_seq, pos = decode_varint(data, pos)
+                status, pos = decode_varint(data, pos)
+                frames.append(PathStatusFrame(path_id, PathStatus(status),
+                                              status_seq))
+            elif frame_type == FrameType.QOE_CONTROL_SIGNALS:
+                qoe, pos = _decode_qoe(data, pos)
+                frames.append(QoeControlSignalsFrame(qoe))
+            else:
+                raise FrameEncodingError(
+                    f"unknown frame type 0x{frame_type:x}")
     except FrameEncodingError:
         raise
-    except (ValueError, OverflowError) as exc:
+    except (IndexError, ValueError, OverflowError) as exc:
         raise FrameEncodingError(f"malformed frame: {exc}") from exc
-
-
-def _decode_frames_inner(payload) -> List[object]:
-    buf = Buffer(payload)
-    frames: List[object] = []
-    while buf._pos < buf._end:
-        frame_type = buf.pull_varint()
-        if frame_type == FrameType.PADDING:
-            continue
-        if frame_type == FrameType.PING:
-            frames.append(PingFrame())
-        elif frame_type == FrameType.ACK:
-            largest = buf.pull_varint()
-            delay = buf.pull_varint()
-            ranges = _decode_ack_ranges(buf, largest)
-            frames.append(AckFrame(largest_acked=largest, ack_delay_us=delay,
-                                   ranges=ranges))
-        elif frame_type == FrameType.ACK_MP:
-            path_id = buf.pull_varint()
-            flags = buf.pull_varint()
-            largest = buf.pull_varint()
-            delay = buf.pull_varint()
-            ranges = _decode_ack_ranges(buf, largest)
-            qoe = QoeSignals.decode(buf) if flags & 1 else None
-            frames.append(AckMpFrame(path_id=path_id, largest_acked=largest,
-                                     ack_delay_us=delay, ranges=ranges,
-                                     qoe=qoe))
-        elif frame_type == FrameType.CRYPTO:
-            offset = buf.pull_varint()
-            length = buf.pull_varint()
-            frames.append(CryptoFrame(offset=offset,
-                                      data=buf.pull_bytes(length)))
-        elif FrameType.STREAM <= frame_type <= FrameType.STREAM | 0x07:
-            fin = bool(frame_type & 0x01)
-            has_len = bool(frame_type & 0x02)
-            has_off = bool(frame_type & 0x04)
-            stream_id = buf.pull_varint()
-            offset = buf.pull_varint() if has_off else 0
-            if has_len:
-                length = buf.pull_varint()
-                data = buf.pull_bytes(length)
-            else:
-                data = buf.pull_bytes(buf.remaining)
-            frames.append(StreamFrame(stream_id=stream_id, offset=offset,
-                                      data=data, fin=fin))
-        elif frame_type == FrameType.MAX_DATA:
-            frames.append(MaxDataFrame(maximum=buf.pull_varint()))
-        elif frame_type == FrameType.MAX_STREAM_DATA:
-            frames.append(MaxStreamDataFrame(stream_id=buf.pull_varint(),
-                                             maximum=buf.pull_varint()))
-        elif frame_type == FrameType.NEW_CONNECTION_ID:
-            seq = buf.pull_varint()
-            retire = buf.pull_varint()
-            cid_len = buf.pull_uint8()
-            frames.append(NewConnectionIdFrame(
-                sequence_number=seq, cid=bytes(buf.pull_bytes(cid_len)),
-                retire_prior_to=retire))
-        elif frame_type == FrameType.PATH_CHALLENGE:
-            frames.append(PathChallengeFrame(data=bytes(buf.pull_bytes(8))))
-        elif frame_type == FrameType.PATH_RESPONSE:
-            frames.append(PathResponseFrame(data=bytes(buf.pull_bytes(8))))
-        elif frame_type == FrameType.CONNECTION_CLOSE:
-            code = buf.pull_varint()
-            reason_len = buf.pull_varint()
-            frames.append(ConnectionCloseFrame(
-                error_code=code,
-                reason=bytes(buf.pull_bytes(reason_len)).decode()))
-        elif frame_type == FrameType.PATH_STATUS:
-            path_id = buf.pull_varint()
-            status_seq = buf.pull_varint()
-            status = PathStatus(buf.pull_varint())
-            frames.append(PathStatusFrame(path_id=path_id, status=status,
-                                          status_seq=status_seq))
-        elif frame_type == FrameType.QOE_CONTROL_SIGNALS:
-            frames.append(QoeControlSignalsFrame(qoe=QoeSignals.decode(buf)))
-        else:
-            raise FrameEncodingError(f"unknown frame type 0x{frame_type:x}")
     return frames
 
 

@@ -73,7 +73,7 @@ class PathLossDetector:
         #: order: the ack-eliciting census, and its first value is the
         #: PTO base without walking the ACK-only packets a receiver's
         #: ``sent`` mostly holds
-        self._eliciting_sent_time: Dict[int, float] = {}
+        self.eliciting_sent_time: Dict[int, float] = {}
         #: the last send, which the next one must follow
         self._last_pn = -1
         self._last_sent_time = float("-inf")
@@ -121,14 +121,14 @@ class PathLossDetector:
             pkt.delivered_time = self.delivered_time
         self.sent[pn] = pkt
         if pkt.ack_eliciting:
-            self._eliciting_sent_time[pn] = pkt.sent_time
+            self.eliciting_sent_time[pn] = pkt.sent_time
         if pkt.in_flight:
             self._bytes_in_flight += pkt.size
 
     def _forget(self, pkt: SentPacket) -> None:
         """Update the aggregates for a packet leaving ``sent``."""
         if pkt.ack_eliciting:
-            self._eliciting_sent_time.pop(pkt.packet_number, None)
+            self.eliciting_sent_time.pop(pkt.packet_number, None)
         if pkt.in_flight:
             self._bytes_in_flight -= pkt.size
 
@@ -259,7 +259,7 @@ class PathLossDetector:
         self.sent.clear()
         self.loss_time = None
         self._bytes_in_flight = 0
-        self._eliciting_sent_time.clear()
+        self.eliciting_sent_time.clear()
         return pkts
 
     # -- timers -------------------------------------------------------------
@@ -268,7 +268,7 @@ class PathLossDetector:
         """Absolute time at which PTO fires, based on oldest in-flight."""
         # Sent times are non-decreasing in insertion order, so the
         # first ack-eliciting entry carries the minimum sent time.
-        for base in self._eliciting_sent_time.values():
+        for base in self.eliciting_sent_time.values():
             return base + self.rtt.pto(self.max_ack_delay) \
                 * (2 ** self.pto_count)
         return None
@@ -290,7 +290,7 @@ class PathLossDetector:
     @property
     def has_unacked(self) -> bool:
         """True if ack-eliciting packets are outstanding (Eq. 1's filter)."""
-        return bool(self._eliciting_sent_time)
+        return bool(self.eliciting_sent_time)
 
     @property
     def bytes_in_flight(self) -> int:

@@ -17,14 +17,18 @@ path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import struct
+from functools import partial
+from typing import NamedTuple, Optional, Tuple
 
 from repro.quic.cid import CID_LENGTH
 from repro.quic.errors import ProtocolViolation
 
 PN_TRUNC_BYTES = 4
 PN_TRUNC_MOD = 1 << (8 * PN_TRUNC_BYTES)
+
+#: the ``PN_TRUNC_BYTES``-wide packet number field
+_PN_FIELD = struct.Struct(">I")
 
 #: short header layout: flags byte, DCID, truncated packet number
 _SHORT_DCID_END = 1 + CID_LENGTH
@@ -36,12 +40,16 @@ class PacketType(enum.Enum):
     ONE_RTT = "1rtt"
 
 
-@dataclass(frozen=True, slots=True)
-class PacketHeader:
+class PacketHeader(NamedTuple):
     packet_type: PacketType
     dcid: bytes
     scid: Optional[bytes] = None  # long header only
     truncated_pn: int = 0
+
+
+#: ``_make_header((type, dcid, scid, pn))``: the decoder's constructor,
+#: one C call per datagram
+_make_header = partial(tuple.__new__, PacketHeader)
 
 
 def encode_header(header: PacketHeader) -> bytes:
@@ -101,17 +109,17 @@ def decode_header(data) -> Tuple[PacketHeader, int]:
             raise ProtocolViolation("truncated long header")
         if pos + PN_TRUNC_BYTES > size:
             raise ProtocolViolation("truncated packet number")
-        pn = int.from_bytes(data[pos:pos + PN_TRUNC_BYTES], "big")
-        return PacketHeader(PacketType.HANDSHAKE, dcid, scid,
-                            pn), pos + PN_TRUNC_BYTES
+        pn, = _PN_FIELD.unpack_from(data, pos)
+        return _make_header((PacketType.HANDSHAKE, dcid, scid,
+                             pn)), pos + PN_TRUNC_BYTES
     # short header: fixed-length DCID
     if size < _SHORT_DCID_END:
         raise ProtocolViolation("truncated short header")
     if size < _SHORT_HEADER_SIZE:
         raise ProtocolViolation("truncated packet number")
-    pn = int.from_bytes(data[_SHORT_DCID_END:_SHORT_HEADER_SIZE], "big")
-    return PacketHeader(PacketType.ONE_RTT, bytes(data[1:_SHORT_DCID_END]),
-                        None, pn), _SHORT_HEADER_SIZE
+    pn, = _PN_FIELD.unpack_from(data, _SHORT_DCID_END)
+    return _make_header((PacketType.ONE_RTT, bytes(data[1:_SHORT_DCID_END]),
+                         None, pn)), _SHORT_HEADER_SIZE
 
 
 def peek_dcid(data) -> Optional[bytes]:

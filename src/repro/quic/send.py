@@ -309,25 +309,28 @@ class Sender:
         Returns (chunk-template, path_id, sent_time) triples, oldest-
         sent first.  Filters: by stream, and/or by frame priority of
         the range start, and/or by ``wanted(path, sent_time)`` of the
-        packet carrying the range (asked once per data packet, before
-        any per-range work).  ``wanted_oldest_first`` says ``wanted``
-        only ever holds for the oldest-sent packets of a path, so the
-        walk of that path stops at the first packet it rejects.  Ranges
-        already re-injected once are skipped.
+        packet carrying the range (asked once per ack-eliciting packet,
+        before the packet is looked up).  ``wanted_oldest_first`` says
+        ``wanted`` only ever holds for the oldest-sent packets of a
+        path, so the walk of that path stops at the first packet it
+        rejects.  Ranges already re-injected once are skipped.
+
+        The walk is over each path's ack-eliciting packets: stream data
+        always elicits an ACK, and the ACK-only packets a receiver's
+        ``sent`` mostly holds never do.
         """
         out: List[Tuple[float, SendChunk, int]] = []
         now = self.loop.now
         for path in self.paths.values():
             if path.state is _ABANDONED:
                 continue
-            for pkt in path.loss.sent.values():
-                # most tracked packets carry no stream data (ACK-only)
-                if not pkt.frames_info:
-                    continue
-                if wanted is not None and not wanted(path, pkt.sent_time):
+            sent = path.loss.sent
+            for pn, sent_time in path.loss.eliciting_sent_time.items():
+                if wanted is not None and not wanted(path, sent_time):
                     if wanted_oldest_first:
-                        break  # ``sent`` is in send-time order
+                        break  # send-time order
                     continue
+                pkt = sent[pn]
                 for info in pkt.frames_info:
                     if info.stream_id < 0 or info.length == 0:
                         continue
@@ -353,7 +356,7 @@ class Sender:
                     chunk = SendChunk(
                         info.stream_id, info.offset, info.length, "reinject",
                         stream.priority, prio, path.path_id)
-                    out.append((pkt.sent_time, chunk, path.path_id))
+                    out.append((sent_time, chunk, path.path_id))
         out.sort(key=lambda item: item[0])
         return [(chunk, pid, t) for t, chunk, pid in out]
 

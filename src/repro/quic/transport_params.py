@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from repro.quic.varint import Buffer
+from repro.quic.varint import decode_varint, encode_varint
 
 
 @dataclass(frozen=True)
@@ -26,25 +26,29 @@ class TransportParameters:
     active_cid_limit: int = 8
 
     def encode(self) -> bytes:
-        buf = Buffer()
-        buf.push_varint(1 if self.enable_multipath else 0)
-        buf.push_varint(self.initial_max_data)
-        buf.push_varint(self.initial_max_stream_data)
-        buf.push_varint(self.initial_max_streams)
-        buf.push_varint(self.max_ack_delay_us)
-        buf.push_varint(self.active_cid_limit)
-        return buf.getvalue()
+        return b"".join(map(encode_varint, (
+            1 if self.enable_multipath else 0,
+            self.initial_max_data,
+            self.initial_max_stream_data,
+            self.initial_max_streams,
+            self.max_ack_delay_us,
+            self.active_cid_limit)))
 
     @classmethod
     def decode(cls, data: bytes) -> "TransportParameters":
-        buf = Buffer(data)
+        multipath, pos = decode_varint(data, 0)
+        max_data, pos = decode_varint(data, pos)
+        max_stream_data, pos = decode_varint(data, pos)
+        max_streams, pos = decode_varint(data, pos)
+        max_ack_delay_us, pos = decode_varint(data, pos)
+        active_cid_limit, pos = decode_varint(data, pos)
         return cls(
-            enable_multipath=bool(buf.pull_varint()),
-            initial_max_data=buf.pull_varint(),
-            initial_max_stream_data=buf.pull_varint(),
-            initial_max_streams=buf.pull_varint(),
-            max_ack_delay_us=buf.pull_varint(),
-            active_cid_limit=buf.pull_varint(),
+            enable_multipath=bool(multipath),
+            initial_max_data=max_data,
+            initial_max_stream_data=max_stream_data,
+            initial_max_streams=max_streams,
+            max_ack_delay_us=max_ack_delay_us,
+            active_cid_limit=active_cid_limit,
         )
 
     @staticmethod

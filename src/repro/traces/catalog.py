@@ -9,7 +9,7 @@ two paths (Appendix B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.traces.synthetic import (high_speed_rail_cellular_trace,
                                     high_speed_rail_wifi_trace,
@@ -17,27 +17,33 @@ from repro.traces.synthetic import (high_speed_rail_cellular_trace,
                                     subway_wifi_trace)
 
 
+#: (environment, cellular generator, its seed base, Wi-Fi generator, its
+#: seed base) of trace ids 1-5 and 6-10
+_ENVIRONMENTS = (
+    ("subway", subway_cellular_trace, 100, subway_wifi_trace, 200),
+    ("high_speed_rail", high_speed_rail_cellular_trace, 300,
+     high_speed_rail_wifi_trace, 400),
+)
+
+
 def extreme_mobility_trace_pairs(
-        duration_s: float = 30.0) -> List[Dict[str, object]]:
-    """The 10 (cellular, wifi) trace pairs used by the Fig. 13 bench.
+        duration_s: float = 30.0,
+        n_traces: Optional[int] = None) -> List[Dict[str, object]]:
+    """The 10 (cellular, wifi) trace pairs used by the Fig. 13 bench,
+    or the first ``n_traces`` of them: a pair is generated only if it
+    is returned, and its bytes depend on nothing but its own seeds.
 
     Returns a list of dicts with keys ``trace_id``, ``environment``,
     ``cellular_ms``, ``wifi_ms``.
     """
     pairs: List[Dict[str, object]] = []
-    for i in range(5):
+    for index in range(10)[:n_traces]:
+        environment, cellular, cellular_seed, wifi, wifi_seed = \
+            _ENVIRONMENTS[index // 5]
         pairs.append({
-            "trace_id": i + 1,
-            "environment": "subway",
-            "cellular_ms": subway_cellular_trace(duration_s, seed=100 + i),
-            "wifi_ms": subway_wifi_trace(duration_s, seed=200 + i),
-        })
-    for i in range(5):
-        pairs.append({
-            "trace_id": i + 6,
-            "environment": "high_speed_rail",
-            "cellular_ms": high_speed_rail_cellular_trace(
-                duration_s, seed=300 + i),
-            "wifi_ms": high_speed_rail_wifi_trace(duration_s, seed=400 + i),
+            "trace_id": index + 1,
+            "environment": environment,
+            "cellular_ms": cellular(duration_s, seed=cellular_seed + index % 5),
+            "wifi_ms": wifi(duration_s, seed=wifi_seed + index % 5),
         })
     return pairs

@@ -11,7 +11,9 @@ MediaCacheService behaviour.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from repro.sim.rng import make_rng
@@ -32,16 +34,25 @@ class VideoChunk:
 
 @dataclass
 class Video:
-    """A short-form video: frame sizes (bytes) at a fixed frame rate."""
+    """A short-form video: frame sizes (bytes) at a fixed frame rate.
+
+    ``frame_sizes`` is read once, at construction: the byte offset of
+    every frame boundary is summed up front, and every question about
+    bytes and frames below is an index or a bisection of that list.
+    """
 
     name: str
     fps: int
     frame_sizes: List[int]
     chunk_size: int = 256 * 1024
 
+    def __post_init__(self) -> None:
+        #: ``_frame_ends[k]``: bytes in the first ``k`` frames
+        self._frame_ends = [0, *accumulate(self.frame_sizes)]
+
     @property
     def total_bytes(self) -> int:
-        return sum(self.frame_sizes)
+        return self._frame_ends[-1]
 
     @property
     def duration_s(self) -> float:
@@ -70,27 +81,19 @@ class Video:
 
     def frame_offsets(self) -> List[Tuple[int, int]]:
         """(start, end) byte ranges of each frame."""
-        out = []
-        offset = 0
-        for size in self.frame_sizes:
-            out.append((offset, offset + size))
-            offset += size
-        return out
+        return list(zip(self._frame_ends, self._frame_ends[1:]))
 
     def frames_in_bytes(self, byte_count: int) -> int:
         """Number of whole frames contained in the first ``byte_count``."""
-        consumed = 0
-        frames = 0
-        for size in self.frame_sizes:
-            if consumed + size > byte_count:
-                break
-            consumed += size
-            frames += 1
-        return frames
+        return max(bisect_right(self._frame_ends, byte_count) - 1, 0)
 
     def bytes_for_frames(self, frame_count: int) -> int:
-        """Total size of the first ``frame_count`` frames."""
-        return sum(self.frame_sizes[:frame_count])
+        """Total size of the first ``frame_count`` frames (a negative
+        count leaves that many off the end, as a slice would)."""
+        n_frames = len(self.frame_sizes)
+        if frame_count < 0:
+            frame_count = max(n_frames + frame_count, 0)
+        return self._frame_ends[min(frame_count, n_frames)]
 
 
 def make_video(name: str = "video", duration_s: float = 15.0,

@@ -100,15 +100,23 @@ class VideoPlayer:
         self.stats = PlayerStats()
 
         self._chunks = video.chunks()
+        #: the bit-rate signal of Sec. 5.2: a constant of the video
+        self._mean_bps = int(video.mean_bps)
         self._next_chunk = 0
         self._stream_of_chunk: Dict[int, int] = {}
         self._chunk_of_stream: Dict[int, int] = {}
         self._request_sent_at: Dict[int, float] = {}
         self._chunk_done: Dict[int, bool] = {}
         self._bytes_received = 0
-        #: contiguous downloaded prefix of the video, in bytes
-        self._contiguous_bytes = 0
         self._chunk_received: Dict[int, int] = {}
+        #: chunks requested and not yet complete
+        self._in_flight = 0
+        #: the contiguous downloaded prefix of the video, kept as data
+        #: lands: the first chunk not yet complete, the prefix in bytes
+        #: and the whole frames it holds
+        self._front_chunk = 0
+        self._contiguous_bytes = 0
+        self._contiguous_frames = 0
 
         self._playing = False
         self._stalled: Optional[RebufferEvent] = None
@@ -129,16 +137,13 @@ class VideoPlayer:
         self._fill_request_window()
         self._schedule_tick()
 
-    def _in_flight(self) -> int:
-        return len([c for c, done in self._chunk_done.items() if not done])
-
     def _buffered_play_time(self) -> float:
-        frames = self.video.frames_in_bytes(self._contiguous_bytes)
-        return max(frames - self._played_frames, 0) / self.video.fps
+        return max(self._contiguous_frames - self._played_frames, 0) \
+            / self.video.fps
 
     def _fill_request_window(self) -> None:
         while (self._next_chunk < len(self._chunks)
-               and self._in_flight() < self.config.concurrent_requests
+               and self._in_flight < self.config.concurrent_requests
                and self._buffered_play_time() < self.config.max_buffer_s):
             self._request_chunk(self._next_chunk)
             self._next_chunk += 1
@@ -152,6 +157,7 @@ class VideoPlayer:
         self._chunk_of_stream[stream_id] = index
         self._request_sent_at[index] = self.loop.now
         self._chunk_done[index] = False
+        self._in_flight += 1
         self._chunk_received[index] = 0
         request = RangeRequest(video_name=self.video.name,
                                start=chunk.start, end=chunk.end)
@@ -168,27 +174,38 @@ class VideoPlayer:
             return
         self._chunk_received[index] += len(data)
         self._bytes_received += len(data)
-        self._recompute_contiguous()
+        if index == self._front_chunk:
+            self._advance_contiguous()
         chunk = self._chunks[index]
         stream = self.conn.recv_streams.get(stream_id)
         if (not self._chunk_done[index]
                 and self._chunk_received[index] >= chunk.size
                 and stream is not None and stream.fully_read):
             self._chunk_done[index] = True
+            self._in_flight -= 1
             rct = self.loop.now - self._request_sent_at[index]
             self.stats.request_completion_times.append(rct)
         self._maybe_first_frame()
         self._maybe_resume()
         self._fill_request_window()
 
-    def _recompute_contiguous(self) -> None:
-        total = 0
-        for i, chunk in enumerate(self._chunks):
-            got = min(self._chunk_received.get(i, 0), chunk.size)
-            total += got
-            if got < chunk.size:
-                break
-        self._contiguous_bytes = total
+    def _advance_contiguous(self) -> None:
+        """Data landed in the front chunk: move the front past every
+        chunk now complete and re-read the prefix from there."""
+        chunks = self._chunks
+        received = self._chunk_received
+        front = self._front_chunk
+        while front < len(chunks) \
+                and received.get(front, 0) >= chunks[front].size:
+            front += 1
+        self._front_chunk = front
+        if front < len(chunks):
+            self._contiguous_bytes = \
+                chunks[front].start + received.get(front, 0)
+        else:
+            self._contiguous_bytes = self.video.total_bytes
+        self._contiguous_frames = \
+            self.video.frames_in_bytes(self._contiguous_bytes)
 
     def _maybe_first_frame(self) -> None:
         if self.stats.first_frame_latency is not None:
@@ -212,9 +229,8 @@ class VideoPlayer:
         self._sample_buffer()
         if not self._playing and self._stalled is None:
             # Initial start-up: wait for startup_frames.
-            available = self.video.frames_in_bytes(self._contiguous_bytes)
-            if available >= min(self.config.startup_frames,
-                                len(self.video.frame_sizes)):
+            if self._contiguous_frames >= min(
+                    self.config.startup_frames, len(self.video.frame_sizes)):
                 self._playing = True
                 self._play_start = self.loop.now
         if self._playing:
@@ -228,7 +244,7 @@ class VideoPlayer:
         target = min(
             int((self.loop.now - self._play_start) * self.video.fps),
             len(self.video.frame_sizes))
-        available = self.video.frames_in_bytes(self._contiguous_bytes)
+        available = self._contiguous_frames
         if target <= self._played_frames:
             return
         if available >= target:
@@ -250,10 +266,9 @@ class VideoPlayer:
     def _maybe_resume(self) -> None:
         if self._stalled is None:
             return
-        available = self.video.frames_in_bytes(self._contiguous_bytes)
         needed = min(self._played_frames + self.config.resume_frames,
                      len(self.video.frame_sizes))
-        if available >= needed:
+        if self._contiguous_frames >= needed:
             self._stalled.end = self.loop.now
             self._stalled = None
             self._playing = True
@@ -288,9 +303,9 @@ class VideoPlayer:
 
     def qoe_signals(self) -> QoeSignals:
         """The four signals of Sec. 5.2, as the client would report them."""
-        frames = self.video.frames_in_bytes(self._contiguous_bytes)
-        cached_frames = max(frames - self._played_frames, 0)
-        return QoeSignals(cached_bytes=self.buffered_bytes(),
-                          cached_frames=cached_frames,
-                          bps=int(self.video.mean_bps),
-                          fps=self.video.fps)
+        return QoeSignals(
+            cached_bytes=self.buffered_bytes(),
+            cached_frames=max(self._contiguous_frames - self._played_frames,
+                              0),
+            bps=self._mean_bps,
+            fps=self.video.fps)

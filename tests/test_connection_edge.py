@@ -5,7 +5,7 @@ import pytest
 from repro.core import MinRttScheduler, ThresholdConfig, XlinkScheduler
 from repro.netem import Datagram, MultipathNetwork, OutageSchedule
 from repro.quic.connection import Connection, ConnectionConfig, SendChunk
-from repro.quic.frames import QoeSignals
+from repro.quic.frames import NewConnectionIdFrame, QoeSignals
 from repro.sim import EventLoop
 
 
@@ -176,3 +176,19 @@ class TestQoeProviderIntegration:
         assert server.last_qoe is not None
         assert server.last_qoe.cached_bytes in (10, 20, 30)
         assert server.last_qoe_time > 0
+
+
+class TestNewConnectionIdLength:
+    def test_a_cid_this_stack_cannot_hold_closes_the_connection(self):
+        """An authenticated NEW_CONNECTION_ID with a 4-byte CID used to
+        reach ``ConnectionId``, whose ``ValueError`` is no ``QuicError``
+        and escaped ``on_datagram`` through ``EventLoop.run``."""
+        loop, net, client, server = pair()
+        server.sender.queue_control(
+            0, NewConnectionIdFrame(9, b"\x01\x02\x03\x04", 0))
+        server.pump()
+        loop.run(until=loop.now + 1.0)      # must not raise
+        assert client.closed and server.closed
+        assert client.stats.frame_decode_errors == 1
+        assert client.stats.protocol_error_closes == 1
+        assert 9 not in client.cids.peer_cids

@@ -7,19 +7,48 @@ at all, so it can hold a line that a +/-25% timing bound cannot.
 
 import sys
 
+import pytest
+
+from repro.experiments.harness import PathSpec, run_video_session
 from repro.netem import MultipathNetwork
 from repro.netem.packet import MTU, UDP_IP_OVERHEAD
 from repro.quic.ack import fit_ack_ranges
-from repro.quic.frames import AckMpFrame, AckRange, decode_frames
+from repro.quic.cid import ConnectionId
+from repro.quic.frames import (AckMpFrame, AckRange, QoeSignals, StreamFrame,
+                               decode_frames, encode_frames)
 from repro.quic.packets import decode_header
+from repro.quic.path import Path
 from repro.sim import EventLoop
+from repro.traces.radio_profiles import RadioType
+from repro.video import make_video
 from tests.test_connection import build_pair
 
 #: calls (Python + C) per packet sealed on the scripted transfer below.
-#: This tree makes 182.3 (the same number under any PYTHONHASHSEED); the
-#: budget is ~5% above.  The tree before the receive / ACK / send /
-#: timer split (PR 16) made 279.0.
-CALLS_PER_PACKET_BUDGET = 191.0
+#: This tree makes 161.0 (the same number under any PYTHONHASHSEED); the
+#: budget is ~5% above.  With the ``Buffer`` codec it made 175.3; the
+#: tree before the receive / ACK / send / timer split (PR 16) 279.0.
+CALLS_PER_PACKET_BUDGET = 169.0
+
+
+def count_calls(run, within=""):
+    """``run()`` under ``sys.setprofile``: its result, and the Python +
+    C calls made (by code whose file path contains ``within``)."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        # a C call is charged to the frame that makes it
+        if event in ("call", "c_call") \
+                and within in frame.f_code.co_filename:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 def established_pair(add_path):
@@ -43,26 +72,74 @@ def test_call_budget_per_packet():
         lambda sid: received.extend(server.stream_read(sid))
     payload = bytes(range(256)) * 1024
     sealed_before = client.stats.packets_sent + server.stats.packets_sent
-    calls = 0
 
-    def count(_frame, event, _arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
+    def transfer():
         client.stream_send(client.create_stream(), payload, fin=True)
         loop.run(until=loop.now + 10.0)
-    finally:
-        sys.setprofile(previous)
+
+    _, calls = count_calls(transfer)
     assert bytes(received) == payload
     packets = client.stats.packets_sent + server.stats.packets_sent \
         - sealed_before
     assert packets > 250
     assert client.paths[0].loss.packets_lost_total == 0
     assert calls / packets <= CALLS_PER_PACKET_BUDGET, calls / packets
+
+
+def _stream_frame():
+    return StreamFrame(4, 123_456, bytes(1200), False)
+
+
+def _ack_mp_frame():
+    """An ACK_MP as ``AckHandler.queue_ack`` builds it: three ranges off
+    a receiving :class:`Path`, the older pairs already on the wire, the
+    client's four QoE signals."""
+    cid = ConnectionId(cid=bytes(8), sequence_number=1)
+    path = Path(1, cid, cid, cc=None)
+    for pn in (*range(10, 3991), *range(4000, 4981), *range(4990, 5001)):
+        path.record_received(pn, 0.0)
+    ranges, older_wire = path.ack_ranges()
+    return AckMpFrame(1, 5000, 800, ranges,
+                      QoeSignals(150_000, 40, 2_000_000, 25), older_wire)
+
+
+#: Python + C calls to encode one frame into a payload and decode it
+#: back.  This tree: STREAM 19, ACK_MP with QoE 44; through ``Buffer``
+#: it was 32 and 62.
+@pytest.mark.parametrize("make_frame,budget", [(_stream_frame, 20),
+                                               (_ack_mp_frame, 46)])
+def test_codec_call_budget_per_frame(make_frame, budget):
+    frame = make_frame()
+
+    def round_trip():
+        return decode_frames(memoryview(encode_frames([frame])))
+
+    round_trip()        # the ACK decode memo has seen these ranges
+    (decoded,), calls = count_calls(round_trip)
+    if type(frame) is AckMpFrame:   # sent ascending, decoded newest first
+        decoded.ranges = decoded.ranges[::-1]
+    assert decoded == frame
+    assert calls <= budget, calls
+
+
+def test_player_calls_per_datagram_do_not_grow_with_the_clip():
+    """The player's work per delivered datagram is the same for a 20-s
+    clip as for a 2-s one.  It used to re-scan ``Video.frame_sizes`` and
+    every chunk on each datagram, tick and ACK_MP: 39.7 calls per
+    datagram at 20 s against 20.1 at 2 s (now 16.4 and 18.8)."""
+    paths = [PathSpec(0, RadioType.WIFI, 0.01, rate_bps=20e6),
+             PathSpec(1, RadioType.LTE, 0.03, rate_bps=20e6)]
+
+    def per_datagram(duration_s):
+        video = make_video(duration_s=duration_s, seed=3)
+        result, calls = count_calls(
+            lambda: run_video_session("xlink", paths, video=video,
+                                      timeout_s=60.0, seed=3),
+            within="/repro/video/")
+        assert result.completed
+        return calls / result.client.stats.packets_received
+
+    assert per_datagram(20.0) <= 1.1 * per_datagram(2.0)
 
 
 def alternating(count: int, first: int = 0):

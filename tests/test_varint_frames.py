@@ -12,10 +12,9 @@ from repro.quic.frames import (ACK_ELICITING, AckFrame, AckMpFrame, AckRange,
                                PathChallengeFrame, PathResponseFrame,
                                PathStatus, PathStatusFrame, PingFrame,
                                QoeControlSignalsFrame, QoeSignals,
-                               StreamFrame, decode_frames, encode_frame,
-                               encode_frames)
-from repro.quic.varint import (VARINT_MAX, Buffer, decode_varint,
-                               encode_varint, varint_size)
+                               StreamFrame, decode_frames, encode_frames)
+from repro.quic.varint import (VARINT_MAX, decode_varint, encode_varint,
+                               varint_size)
 
 
 class TestVarint:
@@ -60,12 +59,17 @@ class TestVarint:
                     max_size=20))
     @settings(max_examples=100)
     def test_sequential_buffer_roundtrip(self, values):
-        buf = Buffer()
-        for v in values:
-            buf.push_varint(v)
-        reader = Buffer(buf.getvalue())
-        assert [reader.pull_varint() for _ in values] == values
-        assert reader.remaining == 0
+        wire = memoryview(b"".join(map(encode_varint, values)))
+        decoded, pos = [], 0
+        for _ in values:
+            value, pos = decode_varint(wire, pos)
+            decoded.append(value)
+        assert decoded == values
+        assert pos == len(wire)
+
+
+def encode_frame(frame):
+    return encode_frames([frame])
 
 
 def roundtrip(frame):
@@ -219,9 +223,9 @@ class TestQoeSignals:
                                       bps, fps):
         qoe = QoeSignals(cached_bytes=cached_bytes,
                          cached_frames=cached_frames, bps=bps, fps=fps)
-        buf = Buffer()
-        qoe.encode(buf)
-        assert QoeSignals.decode(Buffer(buf.getvalue())) == qoe
+        wire = encode_frame(QoeControlSignalsFrame(qoe))
+        assert wire[4:] == b"".join(map(encode_varint, qoe))
+        assert roundtrip(QoeControlSignalsFrame(qoe)).qoe == qoe
 
 
 class TestStreamFramePropertyBased:
