@@ -178,9 +178,10 @@ class MigrationMonitor:
         conn = self.conn
         if conn.closed:
             return
-        # Outstanding work: a request stream was FINed but its response
-        # is missing or incomplete (the response may not have *started*,
-        # so checking recv_streams alone is not enough).
+        # Outstanding work: an open request stream whose response is
+        # missing or incomplete (the response may not have *started*,
+        # so checking recv_streams alone is not enough).  A stream that
+        # was answered, read and acked has closed and is in neither map.
         have_work = False
         for sid in conn.send_streams:
             recv = conn.recv_streams.get(sid)

@@ -144,16 +144,15 @@ class AckHandler:
 
     def on_frames_acked(self, pkt: SentPacket) -> None:
         """Release the stream ranges an acked packet carried."""
-        reinjected = self.sender.reinjected_ranges
         for info in pkt.frames_info:
             if info.stream_id < 0:
                 continue
             stream = self.send_streams.get(info.stream_id)
-            if stream is not None:
-                stream.on_acked(info.offset, info.length, info.fin)
-                if reinjected:
-                    reinjected.pop(
-                        (info.stream_id, info.offset, info.length), None)
+            if stream is not None:  # else closed: a late duplicate's ack
+                if stream.reinjected:
+                    stream.reinjected.pop((info.offset, info.length), None)
+                if stream.on_acked(info.offset, info.length, info.fin):
+                    self.conn.retire_stream(info.stream_id)
 
     def requeue_lost(self, pkt: SentPacket) -> None:
         """Queue retransmission chunks for lost, still-unacked ranges."""

@@ -41,7 +41,8 @@ from repro.quic.cid import CidRegistry, ConnectionId
 from repro.quic.config import (ConnectionConfig, ConnectionStats,
                                aggregate_robustness, derive_initial_dcid)
 from repro.quic.crypto import PacketProtection, derive_connection_key
-from repro.quic.errors import ProtocolViolation, QuicError
+from repro.quic.errors import (ProtocolViolation, QuicError,
+                               StreamStateError)
 from repro.quic.flow_control import FlowControlWindow
 from repro.quic.frames import (ConnectionCloseFrame, CryptoFrame,
                                MaxStreamDataFrame, NewConnectionIdFrame,
@@ -53,7 +54,7 @@ from repro.quic.packets import PacketHeader, PacketType, encode_header
 from repro.quic.path import Path, PathState
 from repro.quic.receive import Receiver
 from repro.quic.send import SendChunk, Sender
-from repro.quic.stream import ReceiveStream, SendStream
+from repro.quic.stream import ReceiveStream, SendStream, _RangeSet
 from repro.quic.timers import Timers
 from repro.quic.transport_params import TransportParameters
 from repro.sim.event_loop import EventLoop
@@ -108,18 +109,20 @@ class Connection:
         #: pre-pacing connection.
         self._any_paced = False
 
+        #: the halves of every *open* stream: the only per-stream state
         self.send_streams: Dict[int, SendStream] = {}
         self.recv_streams: Dict[int, ReceiveStream] = {}
+        #: closed streams as ``[id, id + 4)`` ranges, one set per
+        #: initiator: ids are dense, so these stay O(open holes)
+        self._closed = (_RangeSet(), _RangeSet())
+        self._stream_window = config.transport_params.initial_max_stream_data
         self._next_stream_id = 0 if config.is_client else 1
         #: the packet send queue (the paper's pkt_send_q)
         self.send_queue: List[SendChunk] = []
 
-        self.fc_send = FlowControlWindow.with_window(
-            config.transport_params.initial_max_data)
-        self.fc_recv = FlowControlWindow.with_window(
-            config.transport_params.initial_max_data)
-        self.fc_stream_send: Dict[int, FlowControlWindow] = {}
-        self.fc_stream_recv: Dict[int, FlowControlWindow] = {}
+        window = config.transport_params.initial_max_data
+        self.fc_send = FlowControlWindow.with_window(window)
+        self.fc_recv = FlowControlWindow.with_window(window)
 
         #: client QoE provider -> QoeSignals or None (set by video player)
         self.qoe_provider: Optional[Callable[[], Optional[QoeSignals]]] = None
@@ -533,21 +536,38 @@ class Connection:
                             priority: int = 0) -> SendStream:
         stream = self.send_streams.get(stream_id)
         if stream is None:
-            stream = SendStream(stream_id, priority=priority)
-            self.send_streams[stream_id] = stream
-            self.fc_stream_send[stream_id] = FlowControlWindow.with_window(
-                self.config.transport_params.initial_max_stream_data)
+            if self.stream_closed(stream_id):
+                raise StreamStateError(f"stream {stream_id} is closed")
+            stream = self.send_streams[stream_id] = SendStream(
+                stream_id, priority, self._stream_window)
         return stream
 
-    def ensure_recv_stream(self, stream_id: int) -> ReceiveStream:
-        """The receive half of ``stream_id``, created on first sight."""
+    def ensure_recv_stream(self, stream_id: int) -> Optional[ReceiveStream]:
+        """The receive half of ``stream_id``; None once it has closed."""
         stream = self.recv_streams.get(stream_id)
-        if stream is None:
-            stream = ReceiveStream(stream_id)
-            self.recv_streams[stream_id] = stream
-            self.fc_stream_recv[stream_id] = FlowControlWindow.with_window(
-                self.config.transport_params.initial_max_stream_data)
+        if stream is None and not self.stream_closed(stream_id):
+            stream = self.recv_streams[stream_id] = ReceiveStream(
+                stream_id, self._stream_window)
         return stream
+
+    def stream_closed(self, stream_id: int) -> bool:
+        """True if ``stream_id`` was open once and has been retired."""
+        return self._closed[stream_id & 1].covers(stream_id, stream_id + 1)
+
+    def stream_finished(self, stream_id: int) -> bool:
+        """True once the peer's half was read to its end, closed or not."""
+        stream = self.recv_streams.get(stream_id)
+        return stream.fully_read if stream else self.stream_closed(stream_id)
+
+    def retire_stream(self, stream_id: int) -> None:
+        """Forget ``stream_id`` if it is closed (RFC 9000 Sec. 3.4): send
+        half fully acked, receive half read to its end.  Only its id stays,
+        so late frames are ignored; a one-directional stream never closes."""
+        send = self.send_streams.get(stream_id)
+        recv = self.recv_streams.get(stream_id)
+        if send and recv and recv.fully_read and send.fully_acked:
+            del self.send_streams[stream_id], self.recv_streams[stream_id]
+            self._closed[stream_id & 1].add(stream_id, stream_id + 4)
 
     def stream_send(self, stream_id: int, data: bytes, fin: bool = False,
                     priority: Optional[int] = None,
@@ -577,14 +597,15 @@ class Connection:
         if data:
             # Stream credit returns as the application consumes;
             # connection-level credit advanced on receipt.
-            new_limit = self.fc_stream_recv[stream_id].maybe_advance(
-                stream.read_offset)
+            new_limit = stream.fc.maybe_advance(stream.read_offset)
             if new_limit:
                 self.sender.queue_control(
                     self.active_path_id(),
                     MaxStreamDataFrame(stream_id=stream_id,
                                        maximum=new_limit))
                 self.sender.pump(self.loop.now)
+        if stream.read_offset == stream.final_size:  # ``fully_read``, inline
+            self.retire_stream(stream_id)
         return data
 
     # ------------------------------------------------------------------

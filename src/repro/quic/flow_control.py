@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.quic.errors import FlowControlError
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowControlWindow:
     """One direction of a flow-control limit."""
 

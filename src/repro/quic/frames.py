@@ -234,9 +234,6 @@ class QoeControlSignalsFrame:
     qoe: QoeSignals
 
 
-Frame = object  # frames are plain dataclasses; this alias aids readability
-
-
 # ---------------------------------------------------------------------------
 # encoding: one function per frame type, frame -> bytes
 # ---------------------------------------------------------------------------

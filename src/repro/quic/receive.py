@@ -186,12 +186,12 @@ class Receiver:
                         now: float) -> None:
         conn = self.conn
         stream_id = frame.stream_id
-        stream = conn.recv_streams.get(stream_id)
+        stream = conn.recv_streams.get(stream_id) \
+            or conn.ensure_recv_stream(stream_id)
         if stream is None:
-            stream = conn.ensure_recv_stream(stream_id)
+            return  # a late copy of a closed stream's data
         data = frame.data
-        conn.fc_stream_recv[stream_id].check_receive(
-            frame.offset + len(data))
+        stream.fc.check_receive(frame.offset + len(data))
         prev_high = stream.highest_received
         stream.on_data(frame.offset, data, frame.fin)
         # Connection-level FC charges only novel forward progress.
@@ -247,9 +247,9 @@ class Receiver:
 
     def on_max_stream_data(self, frame: MaxStreamDataFrame, _path: Path,
                            now: float) -> None:
-        fc = self.conn.fc_stream_send.get(frame.stream_id)
-        if fc is not None:
-            fc.on_peer_update(frame.maximum)
+        stream = self.conn.send_streams.get(frame.stream_id)
+        if stream is not None:  # not opened yet, or closed since
+            stream.fc.on_peer_update(frame.maximum)
 
     def on_connection_close(self, frame: ConnectionCloseFrame, _path: Path,
                             now: float) -> None:

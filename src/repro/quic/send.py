@@ -3,9 +3,9 @@ and the re-injection queue.
 
 :class:`Sender` is built once per :class:`~repro.quic.connection.
 Connection` and works on the state the connection owns (paths, streams,
-flow-control windows, the send queue); what is private to sending --
-pending control frames, the connection-level sent offset, the
-re-injection dedup table and the storm-guard window -- lives here.
+the connection-level window, the send queue); what is private to
+sending -- pending control frames, the connection-level sent offset and
+the storm-guard window -- lives here, what is per stream on the stream.
 
 Every entry point that can put a packet on the wire takes ``now``: the
 caller read the clock once for the datagram, timer or API call it is
@@ -79,15 +79,10 @@ class Sender:
         self.send_streams: Dict[int, SendStream] = conn.send_streams
         #: path id -> control frames waiting for the next flush
         self.pending_control: Dict[int, List[object]] = {}
-        #: stream id -> bytes of the stream already cut into chunks
-        self.queued_offset: Dict[int, int] = {}
         #: highest connection-level offset charged to ``conn.fc_send``
         self.total_sent_offset = 0
         #: flow-control blocked chunks rotated to the back this pump
         self._fc_rotations = 0
-        #: range -> virtual time of its last re-injection; entries age
-        #: out so a duplicate that got stuck itself can be retried
-        self.reinjected_ranges: Dict[tuple, float] = {}
         #: re-injection storm guard window state
         self._storm_window_start = conn.loop.now
         self._storm_window_bytes = 0
@@ -193,7 +188,7 @@ class Sender:
 
     def enqueue_stream_data(self, stream: SendStream) -> None:
         """Queue ``stream``'s not-yet-queued bytes as ``"new"`` chunks."""
-        queued = self.queued_offset.get(stream.stream_id, 0)
+        queued = stream.queued_offset
         total = stream.length
         if total <= queued and stream.fin_offset is None:
             return
@@ -204,7 +199,7 @@ class Sender:
             self.send_queue.append(SendChunk(
                 stream.stream_id, seg_start, seg_end - seg_start, "new",
                 stream.priority, prio))
-        self.queued_offset[stream.stream_id] = total
+        stream.queued_offset = total
         if total == queued and stream.fin_offset is not None:
             # FIN-only write: zero-length chunk to carry the FIN bit.
             self.send_queue.append(SendChunk(
@@ -230,8 +225,7 @@ class Sender:
             # queued chunk may be larger than the remaining window and
             # still make partial progress.
             room = conn.fc_send.sendable(self.total_sent_offset)
-            stream_room = conn.fc_stream_send[stream_id].sendable(
-                chunk.offset)
+            stream_room = stream.fc.sendable(chunk.offset)
             if stream_room < room:
                 room = stream_room
             if room < take:
@@ -345,8 +339,7 @@ class Sender:
                     prio = stream.frame_priority_at(info.offset)
                     if frame_priority is not None and prio != frame_priority:
                         continue
-                    key = (info.stream_id, info.offset, info.length)
-                    last = self.reinjected_ranges.get(key)
+                    last = stream.reinjected.get((info.offset, info.length))
                     # Once-only within a delivery-time window; a
                     # duplicate that is itself overdue (both copies
                     # stuck in overlapping fades) may be retried.
@@ -370,14 +363,17 @@ class Sender:
         """
         conn = self.conn
         now = self.loop.now
-        key = (chunk.stream_id, chunk.offset, chunk.length)
-        last = self.reinjected_ranges.get(key)
+        stream = self.send_streams.get(chunk.stream_id)
+        if stream is None:
+            return  # closed since the chunk was made
+        key = (chunk.offset, chunk.length)
+        last = stream.reinjected.get(key)
         if last is not None \
                 and now - last < max(conn.max_delivery_time(), 0.3):
             return
         if not self._storm_guard_admit(chunk.length, now):
             return
-        self.reinjected_ranges[key] = now
+        stream.reinjected[key] = now
         if position is None:
             self.send_queue.append(chunk)
         else:

@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.quic.errors import FinalSizeError, StreamStateError
+from repro.quic.flow_control import FlowControlWindow
+from repro.quic.transport_params import TransportParameters
+
+_DEFAULT_WINDOW = TransportParameters.initial_max_stream_data
 
 #: Default frame priority for bytes not covered by a marked range.
 DEFAULT_FRAME_PRIORITY = 10
@@ -40,13 +44,20 @@ class PriorityRange:
 
 
 class SendStream:
-    """Send half: an append-only buffer with priority annotations."""
+    """Send half: an append-only buffer with priority annotations, and
+    all else a connection keeps per stream, so that retiring one is a pop."""
 
-    def __init__(self, stream_id: int, priority: int = 0) -> None:
+    __slots__ = ("stream_id", "priority", "_buffer", "length", "fin_offset",
+                 "_priority_ranges", "acked_ranges", "fin_acked", "fc",
+                 "queued_offset", "reinjected")
+
+    def __init__(self, stream_id: int, priority: int = 0,
+                 window: int = _DEFAULT_WINDOW) -> None:
         self.stream_id = stream_id
         #: stream priority; lower value = more urgent
         self.priority = priority
-        self._buffer = bytearray()
+        #: the one ``bytes`` written, as is, until a second write
+        self._buffer = b""
         #: bytes written so far (the buffer itself goes once all are acked)
         self.length = 0
         self.fin_offset: Optional[int] = None
@@ -54,6 +65,12 @@ class SendStream:
         #: set when every byte (and fin) has been acked
         self.acked_ranges: "_RangeSet" = _RangeSet()
         self.fin_acked = False
+        #: the peer's MAX_STREAM_DATA limit on what we send
+        self.fc = FlowControlWindow.with_window(window)
+        #: bytes already cut into chunks on the send queue
+        self.queued_offset = 0
+        #: (offset, length) -> when last re-injected; popped by an exact ack
+        self.reinjected: Dict[Tuple[int, int], float] = {}
 
     # -- application API --------------------------------------------------
 
@@ -71,8 +88,14 @@ class SendStream:
         if self.fin_offset is not None:
             raise StreamStateError(f"stream {self.stream_id} already FINed")
         start = self.length
-        self._buffer.extend(data)
-        self.length = len(self._buffer)
+        buf = self._buffer
+        if not buf and type(data) is bytes:
+            self._buffer = data  # written once (a response, a payload)
+        else:
+            if type(buf) is bytes:
+                buf = self._buffer = bytearray(buf)
+            buf += data
+        self.length = start + len(data)
         if fin:
             self.fin_offset = self.length
         if frame_priority is not None:
@@ -83,10 +106,8 @@ class SendStream:
 
     @property
     def fully_acked(self) -> bool:
-        if self.fin_offset is None:
-            return False
-        data_acked = self.acked_ranges.covers(0, self.fin_offset)
-        return data_acked and self.fin_acked
+        """Every byte and the FIN (sent, so ``fin_offset`` is set) acked."""
+        return self.fin_acked and self.acked_ranges.covers(0, self.fin_offset)
 
     def frame_priority_at(self, offset: int) -> int:
         """Priority of the byte at ``offset`` (first match wins)."""
@@ -146,25 +167,29 @@ class SendStream:
         return (self.fin_offset is not None
                 and offset + length == self.fin_offset)
 
-    def on_acked(self, offset: int, length: int, fin: bool) -> None:
+    def on_acked(self, offset: int, length: int, fin: bool) -> bool:
+        """Record an acked range; True once the half is fully acked."""
         if length:
             self.acked_ranges.add(offset, offset + length)
         if fin:
             self.fin_acked = True
-        if self.fin_acked and self._buffer \
-                and self.acked_ranges.covers(0, self.fin_offset):
-            # Every byte and the FIN are acknowledged, so nothing can ask
-            # for this data again: drop it now.  A finished session sits
-            # in reference cycles until the collector's next full pass,
-            # and this buffer is most of what it would pin until then.
-            self._buffer = bytearray()
+        done = self.fin_acked and self.acked_ranges.covers(0, self.fin_offset)
+        if done:
+            self._buffer = b""  # nothing can ask for this data again
+        return done
 
 
 class ReceiveStream:
     """Receive half: out-of-order reassembly, duplicate-tolerant."""
 
-    def __init__(self, stream_id: int) -> None:
+    __slots__ = ("stream_id", "_segments", "_received", "read_offset",
+                 "highest_received", "final_size", "bytes_received_raw",
+                 "duplicate_bytes", "fc")
+
+    def __init__(self, stream_id: int, window: int = _DEFAULT_WINDOW) -> None:
         self.stream_id = stream_id
+        #: the MAX_STREAM_DATA limit we advertise to the peer
+        self.fc = FlowControlWindow.with_window(window)
         self._segments: Dict[int, bytes] = {}
         self._received = _RangeSet()
         #: next in-order byte the application has not read yet
@@ -228,6 +253,8 @@ class ReceiveStream:
 
 class _RangeSet:
     """Sorted set of disjoint half-open ranges [start, end)."""
+
+    __slots__ = ("_ranges",)
 
     def __init__(self) -> None:
         self._ranges: List[Tuple[int, int]] = []

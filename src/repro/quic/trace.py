@@ -2,11 +2,11 @@
 
 XQUIC ships an event log used to debug production incidents; this is
 the emulator's equivalent.  A :class:`ConnectionTracer` attaches to a
-connection and records typed events -- packets sent/received, acks,
-losses, re-injections, path state changes, QoE feedback -- with
-virtual timestamps.  Traces can be filtered, summarized, and exported
-as JSON-lines for offline analysis; the dynamics experiments use them
-to reconstruct time series without touching connection internals.
+connection and records typed events with virtual timestamps --
+datagrams sent/received, re-injections, QoE feedback and robustness
+drops, the five observer hooks a connection has.  Acks, losses and path
+state changes are not recorded yet (ROADMAP item 3).  Traces can be
+filtered, summarized, and exported as JSON-lines for offline analysis.
 """
 
 from __future__ import annotations

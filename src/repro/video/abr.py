@@ -165,8 +165,7 @@ class AbrPlayer:
         if index is None:
             return
         self.conn.stream_read(stream_id)
-        stream = self.conn.recv_streams.get(stream_id)
-        if stream is not None and stream.fully_read \
+        if self.conn.stream_finished(stream_id) \
                 and index not in self._received_segments:
             self._received_segments.add(index)
             self._inflight -= 1

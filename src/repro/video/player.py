@@ -177,10 +177,9 @@ class VideoPlayer:
         if index == self._front_chunk:
             self._advance_contiguous()
         chunk = self._chunks[index]
-        stream = self.conn.recv_streams.get(stream_id)
         if (not self._chunk_done[index]
                 and self._chunk_received[index] >= chunk.size
-                and stream is not None and stream.fully_read):
+                and self.conn.stream_finished(stream_id)):
             self._chunk_done[index] = True
             self._in_flight -= 1
             rct = self.loop.now - self._request_sent_at[index]

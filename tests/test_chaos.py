@@ -263,6 +263,7 @@ class TestStormGuard:
             transmit=lambda pid, d: None, scheduler=MinRttScheduler(),
             connection_name="guard")
         conn.add_local_path(0, 0)
+        conn._ensure_send_stream(0)     # the dedup table is the stream's
         return conn
 
     def test_budget_trims_duplicate_bytes(self):

@@ -70,7 +70,7 @@ class TestReinjectionDedup:
         stream.write(b"x" * 2000)
         server.enqueue_reinjection(SendChunk(stream_id=1, offset=0,
                                              length=1000, kind="reinject"))
-        assert (1, 0, 1000) in server.sender.reinjected_ranges
+        assert (0, 1000) in stream.reinjected
         from repro.quic.send import SentFrameInfo
         from repro.quic.loss_detection import SentPacket
         pkt = SentPacket(packet_number=99, sent_time=0.0, size=100,
@@ -78,7 +78,7 @@ class TestReinjectionDedup:
                          frames_info=(SentFrameInfo(
                              stream_id=1, offset=0, length=1000),))
         server.acks.on_frames_acked(pkt)
-        assert (1, 0, 1000) not in server.sender.reinjected_ranges
+        assert (0, 1000) not in stream.reinjected
 
 
 class TestMaxDeliveryTime:
@@ -138,7 +138,7 @@ class TestQueueSemantics:
         stream = server.send_streams[1]
         stream.write(b"x" * 300, frame_priority=0, position=100, size=100)
         server.send_queue.clear()
-        server.sender.queued_offset[1] = 0
+        stream.queued_offset = 0
         server.sender.enqueue_stream_data(stream)
         priorities = [(c.offset, c.length, c.frame_priority)
                       for c in server.send_queue]

@@ -46,3 +46,55 @@ class TestDeadPublicNames:
 
     def test_this_repo_has_no_dead_public_names(self):
         assert _load_lint().check_dead_public() == []
+
+
+class TestPerStreamDicts:
+    SOURCE = (
+        "from typing import Dict, List\n"
+        "class Connection:\n"
+        "    def __init__(self):\n"
+        "        self.paths: Dict[int, object] = {}\n"
+        "        self.send_streams: Dict[int, object] = {}\n"
+        "        self.recv_streams: Dict[int, object] = {}\n"
+        "        self.fc_stream_send: Dict[int, object] = {}\n"
+        "        self.names: Dict[str, int] = {}\n"
+        "class Sender:\n"
+        "    def __init__(self, conn):\n"
+        "        self.send_streams: Dict[int, object] = conn.send_streams\n"
+        "        self.pending_control: Dict[int, List[object]] = {}\n"
+        "        self.queued_offset: Dict[int, int] = {}\n"
+        "class Receiver:\n"
+        "    def reset(self):\n"
+        "        self.stream_credit = {}\n"
+        "        self.seen = {}\n"
+        "class AckHandler:\n"
+        "    def __init__(self):\n"
+        "        self.acked: dict[int, int] = dict()\n"
+        "class Path:\n"
+        "    def __init__(self):\n"
+        "        self.by_stream: Dict[int, int] = {}\n")
+
+    def test_flags_stream_keyed_dicts_outside_the_two_maps(self, lint,
+                                                           tmp_path):
+        quic = tmp_path / "src" / "repro" / "quic"
+        quic.mkdir(parents=True)
+        (quic / "mod.py").write_text(self.SOURCE)
+        found = sorted(message.split()[1] for _path, _line, message
+                       in lint.check_file(quic / "mod.py")
+                       if message.startswith("STREAMSTATE"))
+        assert found == ["AckHandler.acked", "Connection.fc_stream_send",
+                         "Receiver.stream_credit", "Sender.queued_offset"]
+
+    def test_only_under_the_listed_directory(self, lint, tmp_path):
+        other = tmp_path / "src" / "repro" / "video"
+        other.mkdir(parents=True)
+        (other / "mod.py").write_text(self.SOURCE)
+        assert not [m for *_, m in lint.check_file(other / "mod.py")
+                    if m.startswith("STREAMSTATE")]
+
+    def test_this_repo_keeps_per_stream_state_on_the_stream(self):
+        lint = _load_lint()
+        quic = lint.REPO_ROOT / "src" / "repro" / "quic"
+        assert not [m for path in sorted(quic.glob("*.py"))
+                    for *_, m in lint.check_file(path)
+                    if m.startswith("STREAMSTATE")]

@@ -318,8 +318,7 @@ def walk_of_sent(sender, stream_id=None, frame_priority=None, wanted=None,
                 prio = stream.frame_priority_at(info.offset)
                 if frame_priority is not None and prio != frame_priority:
                     continue
-                last = sender.reinjected_ranges.get(
-                    (info.stream_id, info.offset, info.length))
+                last = stream.reinjected.get((info.offset, info.length))
                 if last is not None and now - last < max(
                         sender.conn.max_delivery_time(), 0.3):
                     continue
@@ -388,9 +387,9 @@ class SweepScript:
         for index, age in reinjected:
             if self.data_sent:
                 info = self.data_sent[index % len(self.data_sent)]
-                self.sender.reinjected_ranges[
-                    (info.stream_id, info.offset, info.length)] \
-                    = self.loop.now - age
+                if info.stream_id in streams:
+                    streams[info.stream_id].reinjected[
+                        (info.offset, info.length)] = self.loop.now - age
         if abandon is not None:
             paths[abandon].state = PathState.ABANDONED
 

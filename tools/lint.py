@@ -15,6 +15,9 @@ forms, and obvious AST-level mistakes:
   script after ruff too)
 - CACHE: a module-level mutable container named like a cache under a
   directory listed in ``NO_MODULE_CACHES``
+- STREAMSTATE: a dict keyed by stream id (annotated ``Dict[int, ...]``,
+  or a dict whose name says ``stream``) set on one of the connection
+  classes in ``NO_PER_STREAM_DICTS`` other than its two stream maps
 - DEAD: a public ``def``/``class`` under ``NO_DEAD_PUBLIC`` whose name
   is written nowhere else in the repo's Python (checked whenever that
   directory is linted)
@@ -50,6 +53,17 @@ _CACHE_WORDS = ("CACHE", "MEMO")
 _MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
                   "deque", "bytearray"}
 
+#: directory (repo-relative) -> class -> the int-keyed dict attributes
+#: it may set.  A connection once kept five parallel per-stream dicts,
+#: so a closed stream could not be forgotten in one place; what is per
+#: stream lives on ``SendStream`` / ``ReceiveStream``, and these are the
+#: two maps of those plus the dicts keyed by *path* id.
+NO_PER_STREAM_DICTS = {"src/repro/quic": {
+    "Connection": {"send_streams", "recv_streams", "paths", "net_path_of"},
+    "Sender": {"send_streams", "paths", "pending_control"},
+    "Receiver": set(),
+    "AckHandler": set(),
+}}
 
 #: the package whose public names must have a user, and where users
 #: may live.  ISSUE 21 deleted ten definitions nothing referenced; this
@@ -151,6 +165,39 @@ def _module_caches(tree: ast.Module) -> Iterator[Tuple[str, int]]:
                 yield target.id, node.lineno
 
 
+def _per_stream_dicts(tree: ast.Module,
+                      classes: dict) -> Iterator[Tuple[str, str, int]]:
+    """(class, attribute, line) of ``self.<attribute>`` assignments in
+    the listed classes that make an int-keyed (or stream-named) dict the
+    class is not allowed."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
+            continue
+        for node in ast.walk(cls):
+            annotation = None
+            if isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+                annotation = ast.unparse(node.annotation).replace(" ", "")
+            elif isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            else:
+                continue
+            for target in targets:
+                if not (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    continue
+                int_keyed = annotation is not None and annotation.lower() \
+                    .startswith(("dict[int,", "defaultdict[int,"))
+                is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None)
+                    in ("dict", "defaultdict", "OrderedDict"))
+                if (int_keyed or (is_dict and "stream" in target.attr)) \
+                        and target.attr not in classes[cls.name]:
+                    yield cls.name, target.attr, node.lineno
+
+
 def check_file(path: Path) -> List[Finding]:
     findings: List[Finding] = []
     source = path.read_text()
@@ -174,6 +221,15 @@ def check_file(path: Path) -> List[Finding]:
                              f"{directory}/ (allowed: {sorted(allowed)})")
                 for name, line in _module_caches(tree)
                 if name not in allowed)
+
+    for directory, classes in NO_PER_STREAM_DICTS.items():
+        if (REPO_ROOT / directory) in path.resolve().parents:
+            findings.extend(
+                (path, line, f"STREAMSTATE {cls}.{attr} is a dict keyed by "
+                             f"stream id; per-stream state lives on the "
+                             f"stream half (allowed on {cls}: "
+                             f"{sorted(classes[cls])})")
+                for cls, attr, line in _per_stream_dicts(tree, classes))
 
     scope = _Scope()
     scope.visit(tree)
