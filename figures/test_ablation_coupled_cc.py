@@ -9,10 +9,9 @@ fairness when they do.  This bench verifies the mechanism trade-off:
 - the coupled connection still completes and aggregates both paths.
 """
 
-import dataclasses
-
 from figures.conftest import print_table
-from repro.experiments.harness import SCHEMES, PathSpec, run_bulk_download
+from repro.experiments.harness import (PathSpec, run_bulk_download,
+                                       scheme_with_cc)
 from repro.traces.radio_profiles import RadioType
 
 LOAD = 3_000_000
@@ -28,14 +27,8 @@ def _paths():
 
 
 def _run_cc(cc_name: str) -> float:
-    scheme_name = f"_abl_cc_{cc_name}"
-    SCHEMES[scheme_name] = dataclasses.replace(
-        SCHEMES["vanilla_mp"], name=scheme_name, cc_algorithm=cc_name)
-    try:
-        result = run_bulk_download(scheme_name, _paths(), LOAD,
-                                   timeout_s=120.0, seed=5)
-    finally:
-        del SCHEMES[scheme_name]
+    result = run_bulk_download(scheme_with_cc("vanilla_mp", cc_name),
+                               _paths(), LOAD, timeout_s=120.0, seed=5)
     assert result.download_time_s is not None
     return result.download_time_s
 

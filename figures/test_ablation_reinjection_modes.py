@@ -14,7 +14,7 @@ verify:
 import dataclasses
 
 from figures.conftest import print_table
-from repro.core import ReinjectionMode, ThresholdConfig
+from repro.core import ReinjectionMode
 from repro.experiments.harness import SCHEMES, PathSpec, run_video_session
 from repro.netem import OutageSchedule
 from repro.traces.radio_profiles import RadioType
@@ -31,12 +31,10 @@ MODES = {
 def _run_mode(mode_name: str):
     mode = MODES[mode_name]
     if mode is ReinjectionMode.NONE:
-        scheme_name = "vanilla_mp"
+        scheme = SCHEMES["vanilla_mp"]
     else:
-        scheme_name = f"_abl_{mode_name}"
-        SCHEMES[scheme_name] = dataclasses.replace(
-            SCHEMES["xlink"], name=scheme_name, reinjection_mode=mode,
-            thresholds=ThresholdConfig(t_th1=0.5, t_th2=2.0))
+        scheme = dataclasses.replace(
+            SCHEMES["xlink"], name=f"_abl_{mode_name}", reinjection_mode=mode)
     paths = [
         PathSpec(net_path_id=0, radio=RadioType.WIFI,
                  one_way_delay_s=0.012, rate_bps=9e6,
@@ -46,15 +44,10 @@ def _run_mode(mode_name: str):
     ]
     video = make_video(name="abl", duration_s=12.0,
                        bitrate_bps=2_500_000, seed=7)
-    try:
-        result = run_video_session(
-            scheme_name, paths, video=video,
-            player_config=PlayerConfig(max_buffer_s=2.0),
-            timeout_s=60.0, seed=3)
-    finally:
-        if scheme_name.startswith("_abl_"):
-            del SCHEMES[scheme_name]
-    return result
+    return run_video_session(
+        scheme, paths, video=video,
+        player_config=PlayerConfig(max_buffer_s=2.0),
+        timeout_s=60.0, seed=3)
 
 
 def _run_all():

@@ -41,10 +41,10 @@ from typing import List, Optional
 from repro.experiments import (ABTestConfig, PathSpec, SCHEMES,
                                run_ab_day, run_bulk_download,
                                run_video_session)
-from repro.experiments.harness import scheme_with_cc
 from repro.experiments.contention import ContentionConfig, run_contention
 from repro.experiments.mobility import FIG13_SCHEMES, run_mobility_trace
 from repro.experiments.report import fleet_sections, generate_report
+from repro.host.specs import scheme_name, scheme_with_cc
 from repro.metrics import percentile
 from repro.netem import OutageSchedule
 from repro.quic.connection import aggregate_robustness
@@ -236,13 +236,11 @@ def _print_sections(sections) -> None:
 
 def cmd_ab(args) -> int:
     cfg = ABTestConfig(users_per_day=args.users, seed=args.seed)
-    schemes = ["sp", args.treatment]
+    schemes = ["sp", args.treatment]  # names: an unknown one fails in-session
     if args.cc != "cubic":
-        # Scheme × CC variants registered here ride to fork workers on
-        # SessionTask.scheme_config.
         schemes = [scheme_with_cc(s, args.cc) for s in schemes]
     sink = run_ab_day(cfg, args.day, schemes, workers=args.workers or None)
-    _print_sections(fleet_sections(sink, baseline=schemes[0],
+    _print_sections(fleet_sections(sink, baseline=scheme_name(schemes[0]),
                                    seed=args.seed))
     return 0
 

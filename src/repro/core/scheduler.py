@@ -244,8 +244,12 @@ class XlinkScheduler(_BaseScheduler):
         min_rtt = min((p.rtt.smoothed for p in usable), default=0.05)
         if conn.loop.now - self._last_sweep < min_rtt:
             return
-        if not self._gate(conn):
-            return
+        if self._gate(conn):
+            self._sweep_overdue(conn)
+
+    def _sweep_overdue(self, conn) -> bool:
+        """Append a copy of every overdue slow-path range to the send
+        queue; did it find any?"""
         swept = False
         for chunk, _path_id in self._slow_path_ranges(
                 conn, overdue_only=True):
@@ -254,6 +258,7 @@ class XlinkScheduler(_BaseScheduler):
             swept = True
         if swept:
             self._last_sweep = conn.loop.now
+        return swept
 
     def _ensure_monitor(self, conn) -> None:
         """Arm the periodic gate re-evaluation.
@@ -279,16 +284,9 @@ class XlinkScheduler(_BaseScheduler):
             if not has_unacked:
                 self._monitor_armed = False
                 return
-            if not conn.send_queue and self._gate(conn):
-                swept = False
-                for chunk, _pid in self._slow_path_ranges(
-                        conn, overdue_only=True):
-                    conn.enqueue_reinjection(chunk, position=None)
-                    self.reinjections_enqueued += 1
-                    swept = True
-                if swept:
-                    self._last_sweep = conn.loop.now
-                    conn.pump()
+            if not conn.send_queue and self._gate(conn) \
+                    and self._sweep_overdue(conn):
+                conn.pump()
             conn.loop.schedule_after(self.monitor_interval_s, tick,
                                      label="xlink-monitor")
 

@@ -14,8 +14,7 @@ from repro.experiments.chaos import (ChaosSoakConfig, ChaosSoakResult,
                                      ScenarioOutcome, run_chaos_scenario,
                                      run_chaos_soak)
 from repro.experiments.contention import (ContentionConfig, ContentionResult,
-                                          run_contention,
-                                          run_contention_sweep)
+                                          run_contention)
 from repro.experiments.parallel import (FleetResult, SessionOutcome,
                                         SessionTask, ShardResult,
                                         available_workers, fan_out,
@@ -28,7 +27,6 @@ __all__ = [
     "ContentionConfig",
     "ContentionResult",
     "run_contention",
-    "run_contention_sweep",
     "PathSpec",
     "SchemeConfig",
     "SessionResult",

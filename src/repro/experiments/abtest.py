@@ -25,9 +25,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from repro.experiments.harness import SCHEMES, PathSpec
+from repro.experiments.harness import PathSpec
 from repro.experiments.parallel import (SessionTask, resolve_workers,
                                         run_fleet)
+from repro.host.specs import SchemeLike, scheme_name, scheme_paths
 from repro.metrics.qoe import improvement_percent
 from repro.metrics.sink import MetricSink
 from repro.netem import OutageSchedule
@@ -89,10 +90,9 @@ class UserConditions:
     wifi: PathSpec
     lte: PathSpec
 
-    def paths_for(self, scheme: str) -> List[PathSpec]:
-        if scheme == "sp":
-            return [self.wifi]
-        return [self.wifi, self.lte]
+    def paths_for(self, scheme: SchemeLike) -> List[PathSpec]:
+        """Wi-Fi alone for a single-path scheme, else Wi-Fi + LTE."""
+        return scheme_paths(scheme, [self.wifi, self.lte])
 
 
 def sample_user_conditions(cfg: ABTestConfig, rng: random.Random
@@ -140,9 +140,10 @@ def sample_user_conditions(cfg: ABTestConfig, rng: random.Random
     return UserConditions(wifi=wifi, lte=lte)
 
 
-def iter_ab_day_tasks(cfg: ABTestConfig, day: int, schemes: Sequence[str],
-                      assign: Optional[Callable[[int], Sequence[str]]] = None
-                      ) -> Iterator[SessionTask]:
+def iter_ab_day_tasks(cfg: ABTestConfig, day: int,
+                      schemes: Sequence[SchemeLike],
+                      assign: Optional[Callable[[int], Sequence[SchemeLike]]]
+                      = None) -> Iterator[SessionTask]:
     """Lazily generate the per-session tasks for one A/B day.
 
     Condition sampling stays *serial* (it consumes a shared per-day RNG
@@ -169,17 +170,19 @@ def iter_ab_day_tasks(cfg: ABTestConfig, day: int, schemes: Sequence[str],
         session_seed = derive_seed(day_seed, f"user-{user}")
         for scheme in (schemes if assign is None else assign(user)):
             yield SessionTask(
-                key=(user, scheme), scheme=scheme,
+                key=(user, scheme_name(scheme)), scheme=scheme,
                 paths=conditions.paths_for(scheme), video=video,
                 player_config=cfg.player_config(),
                 timeout_s=cfg.timeout_s, seed=session_seed,
-                primary_order=cfg.primary_order,
-                scheme_config=SCHEMES.get(scheme))
+                primary_order=cfg.primary_order)
 
 
-def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[str],
+def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[SchemeLike],
                workers: Optional[int] = None) -> MetricSink:
     """Run one day's user population through each scheme.
+
+    ``schemes`` are values (``replace(SCHEMES["xlink"], name=..., ...)``)
+    or names of the paper's arms; the sink is keyed by each one's name.
 
     The same sampled user conditions are replayed for every scheme
     (paired comparison), which is *stronger* than the paper's split
@@ -212,7 +215,7 @@ def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[str],
     return result.sink
 
 
-def run_ab_test(cfg: ABTestConfig, schemes: Sequence[str],
+def run_ab_test(cfg: ABTestConfig, schemes: Sequence[SchemeLike],
                 workers: Optional[int] = None) -> List[MetricSink]:
     """Run the full multi-day A/B test: one sink per day, day 1 first."""
     return [run_ab_day(cfg, day, schemes, workers=workers)

@@ -171,11 +171,11 @@ def run_chaos_scenario(index: int, seed: int,
     """Run one randomized scenario and check its invariants."""
     rng = make_rng(seed, f"chaos-scenario-{index}")
     scenario = _draw_scenario(rng, index)
-    if cc_algorithm != "cubic":
-        # Same drawn shape, different transport: the scheme draw above
-        # consumed identical rng state, so a cc override changes only
-        # the controller (and, deliberately, the digest).
-        scenario.scheme = scheme_with_cc(scenario.scheme, cc_algorithm)
+    # Same drawn shape, different transport: the scheme draw above
+    # consumed identical rng state, so a cc override changes only the
+    # controller (and, deliberately, the digest: the name is in it).
+    scheme = scheme_with_cc(scenario.scheme, cc_algorithm)
+    scenario.scheme = scheme.name
     loop = EventLoop()
     paths = [PathSpec(CELL_PATH_ID, RadioType.LTE, 0.035, rate_bps=24e6)]
     for i in range(scenario.sessions):
@@ -199,7 +199,7 @@ def run_chaos_scenario(index: int, seed: int,
                                duration_s=scenario.video_duration_s,
                                seed=session_seed)
             handles.append(runtime.add_session(VideoSessionSpec(
-                scheme_name=scenario.scheme,
+                scheme=scheme,
                 interfaces=[(1 + i, RadioType.WIFI),
                             (CELL_PATH_ID, RadioType.LTE)],
                 video=video,

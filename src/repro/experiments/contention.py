@@ -130,7 +130,7 @@ def _run_world(config: ContentionConfig) -> ContentionResult:
                            duration_s=config.video_duration_s,
                            seed=config.seed + i)
         handles.append(runtime.add_session(VideoSessionSpec(
-            scheme_name=config.scheme,
+            scheme=config.scheme,
             # Wi-Fi is the preferred primary; the shared cell is the
             # secondary every user re-injects (or migrates) onto.
             interfaces=[(1 + i, RadioType.WIFI),
@@ -166,11 +166,3 @@ def _run_world(config: ContentionConfig) -> ContentionResult:
         evicted_closed=host.evicted_closed,
         evicted_idle=host.evicted_idle)
 
-
-def run_contention_sweep(sessions_list: List[int],
-                         scheme: str = "xlink",
-                         seed: int = 0) -> Dict[int, ContentionResult]:
-    """Sweep the user count on one cell (the N-axis of contention)."""
-    return {n: run_contention(ContentionConfig(sessions=n, scheme=scheme,
-                                               seed=seed))
-            for n in sessions_list}

@@ -13,17 +13,18 @@ bytes for (b) vanilla-MP, (c) re-injection without QoE control and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
-from repro.core import (MinRttScheduler, ReinjectionMode, SinglePathScheduler,
-                        ThresholdConfig, XlinkScheduler)
-from repro.netem import Datagram, MultipathNetwork
-from repro.quic.connection import Connection, ConnectionConfig
+from repro.core import ThresholdConfig
+from repro.host import (SCHEMES, SchemeConfig, SessionHandle, SessionRuntime,
+                        VideoSessionSpec)
+from repro.netem import MultipathNetwork
 from repro.sim import EventLoop
 from repro.traces import (campus_walk_wifi_trace, stable_lte_trace,
                           trace_from_rate_series)
-from repro.video import MediaServer, PlayerConfig, VideoPlayer, make_video
+from repro.traces.radio_profiles import RadioType
+from repro.video import PlayerConfig, make_video
 
 
 @dataclass
@@ -59,36 +60,13 @@ class SessionDynamics:
         return self.reinjected_bytes[-1] if self.reinjected_bytes else 0
 
 
-def _wire_session(loop: EventLoop, net: MultipathNetwork, scheduler,
-                  video, player_config, seed: int = 0,
-                  client_scheduler=None):
-    client = Connection(
-        loop, ConnectionConfig(is_client=True, seed=seed),
-        transmit=lambda pid, d: net.client.send(
-            Datagram(payload=d, path_id=pid)),
-        scheduler=client_scheduler or MinRttScheduler(),
-        connection_name=f"dyn-{seed}")
-    server = Connection(
-        loop, ConnectionConfig(is_client=False, seed=seed),
-        transmit=lambda pid, d: net.server.send(
-            Datagram(payload=d, path_id=pid)),
-        scheduler=scheduler, connection_name=f"dyn-{seed}")
-    net.client.on_receive(lambda d: client.datagram_received(d.payload,
-                                                             d.path_id))
-    net.server.on_receive(lambda d: server.datagram_received(d.payload,
-                                                             d.path_id))
-    client.add_local_path(0, 0)
-    server.add_local_path(0, 0)
-    MediaServer(server, {video.name: video})
-    player = VideoPlayer(loop, client, video, config=player_config)
-
-    def on_established() -> None:
-        if client.multipath_negotiated and 1 in net.paths:
-            client.open_path(1, 1)
-        player.start()
-
-    client.on_established = on_established
-    return client, server, player
+def _add_session(loop: EventLoop, net: MultipathNetwork,
+                 scheme: SchemeConfig, video, player_config: PlayerConfig,
+                 seed: int) -> SessionHandle:
+    """One session on the host runtime, path 0 primary, connecting now."""
+    return SessionRuntime(loop, net).add_session(VideoSessionSpec(
+        scheme=scheme, video=video, player_config=player_config, seed=seed,
+        interfaces=[(0, RadioType.WIFI), (1, RadioType.LTE)]))
 
 
 def run_fig1_dynamics(duration_s: float = 3.0, sample_interval_s: float = 0.02,
@@ -106,9 +84,8 @@ def run_fig1_dynamics(duration_s: float = 3.0, sample_interval_s: float = 0.02,
                        bitrate_bps=20_000_000, seed=seed,
                        chunk_size=512 * 1024)
     player_config = PlayerConfig(concurrent_requests=4, max_buffer_s=1e9)
-    client, server, player = _wire_session(
-        loop, net, MinRttScheduler(), video, player_config, seed=seed)
-    client.connect()
+    server = _add_session(loop, net, SCHEMES["vanilla_mp"], video,
+                          player_config, seed).server
 
     dynamics = {0: PathDynamics(), 1: PathDynamics()}
 
@@ -128,8 +105,14 @@ def run_fig1_dynamics(duration_s: float = 3.0, sample_interval_s: float = 0.02,
     return dynamics
 
 
-#: The three Fig. 6 configurations.
-FIG6_MODES = ("vanilla_mp", "reinject_no_qoe", "reinject_with_qoe")
+#: The three Fig. 6 configurations and the arm each runs, on both
+#: endpoints: the deployed app ships the full XLINK client; vanilla-MP
+#: keeps a plain min-RTT client, whose requests can wedge on a dead
+#: primary -- part of the failure Fig. 6b illustrates.
+_FIG6_SCHEMES = {"vanilla_mp": SCHEMES["vanilla_mp"],
+                 "reinject_no_qoe": SCHEMES["reinject"],
+                 "reinject_with_qoe": SCHEMES["xlink"]}
+FIG6_MODES = tuple(_FIG6_SCHEMES)
 
 
 def _fig6_network(loop: EventLoop, duration_s: float,
@@ -162,29 +145,15 @@ def run_fig6_dynamics(mode: str, duration_s: float = 7.0,
         raise ValueError(f"unknown fig6 mode {mode!r}")
     loop = EventLoop()
     net = _fig6_network(loop, duration_s, seed)
-    # The client is an XLINK endpoint in the re-injection variants
-    # (the deployed app ships the full client); vanilla-MP keeps a
-    # plain min-RTT client, whose requests can wedge on a dead primary
-    # -- part of the failure Fig. 6b illustrates.
-    client_scheduler = None
-    if mode == "vanilla_mp":
-        scheduler = MinRttScheduler()
-    elif mode == "reinject_no_qoe":
-        scheduler = XlinkScheduler(thresholds=ThresholdConfig(always_on=True))
-        client_scheduler = XlinkScheduler(
-            thresholds=ThresholdConfig(always_on=True))
-    else:
-        gate = thresholds or ThresholdConfig(t_th1=0.5, t_th2=2.0)
-        scheduler = XlinkScheduler(thresholds=gate)
-        client_scheduler = XlinkScheduler(thresholds=gate)
+    scheme = _FIG6_SCHEMES[mode]
+    if mode == "reinject_with_qoe" and thresholds is not None:
+        scheme = replace(scheme, thresholds=thresholds)
     video = make_video(name="fig6", duration_s=duration_s + 4,
                        bitrate_bps=4_000_000, seed=seed,
                        chunk_size=256 * 1024)
     player_config = PlayerConfig(max_buffer_s=2.5)
-    client, server, player = _wire_session(
-        loop, net, scheduler, video, player_config, seed=seed,
-        client_scheduler=client_scheduler)
-    client.connect()
+    session = _add_session(loop, net, scheme, video, player_config, seed)
+    player, server = session.player, session.server
 
     series = SessionDynamics()
 

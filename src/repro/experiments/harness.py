@@ -8,7 +8,8 @@ equivalence tests pin it bit-identical to the pre-runtime harness.
 
 The scheme vocabulary (``SCHEMES``, :class:`SchemeConfig`,
 :class:`PathSpec`) lives in :mod:`repro.host.specs` and is re-exported
-here for the experiment drivers.
+here for the experiment drivers.  Both entry points take a scheme as a
+value (``replace(SCHEMES["xlink"], thresholds=...)``) or by arm name.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Optional, Sequence
 
 from repro.host.runtime import (SessionResult, SessionRuntime,
                                 VideoSessionSpec)
-from repro.host.specs import (SCHEMES, PathSpec, SchemeConfig, build_network,
-                              scheme_with_cc)
+from repro.host.specs import (SCHEMES, PathSpec, SchemeConfig, SchemeLike,
+                              build_network, resolve_scheme, scheme_with_cc)
 from repro.metrics.qoe import SessionMetrics
 from repro.mptcp import MptcpConnection
 from repro.netem import Datagram, MultipathNetwork
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-def run_video_session(scheme_name: str, paths: Sequence[PathSpec],
+def run_video_session(scheme: SchemeLike, paths: Sequence[PathSpec],
                       video: Optional[Video] = None,
                       player_config: Optional[PlayerConfig] = None,
                       timeout_s: float = 120.0,
@@ -47,33 +48,27 @@ def run_video_session(scheme_name: str, paths: Sequence[PathSpec],
                       primary_order: Optional[Sequence[RadioType]] = None,
                       tracer: Optional[ConnectionTracer] = None
                       ) -> SessionResult:
-    """Play one video under ``scheme_name`` and collect metrics.
+    """Play one video under ``scheme`` and collect metrics.
 
     ``tracer``, when given, is installed on the client connection and
     records a qlog-style event stream of the session.
     """
-    scheme = SCHEMES[scheme_name]
-    if scheme.is_mptcp:
-        raise ValueError("use run_bulk_download for the MPTCP baseline")
     if video is None:
         video = make_video(seed=seed)
     loop = EventLoop()
     net = build_network(loop, paths, seed)
     runtime = SessionRuntime(loop, net)
     handle = runtime.add_session(VideoSessionSpec(
-        scheme_name=scheme_name,
+        scheme=scheme,
         interfaces=[(spec.net_path_id, spec.radio) for spec in paths],
-        video=video,
-        player_config=(player_config if player_config is not None
-                       else PlayerConfig()),
-        seed=seed,
+        video=video, player_config=player_config, seed=seed,
         primary_order=primary_order,
         tracer=tracer))
     runtime.run(timeout_s=timeout_s)
     return runtime.result(handle)
 
 
-def run_bulk_download(scheme_name: str, paths: Sequence[PathSpec],
+def run_bulk_download(scheme: SchemeLike, paths: Sequence[PathSpec],
                       total_bytes: int, timeout_s: float = 120.0,
                       seed: int = 0,
                       tracer: Optional[ConnectionTracer] = None
@@ -83,11 +78,8 @@ def run_bulk_download(scheme_name: str, paths: Sequence[PathSpec],
     Used by Fig. 8 (4 MB load), Fig. 13 (request download time) and
     Fig. 14 (10-50 MB loads).  Works for every scheme including MPTCP.
     """
-    scheme = SCHEMES[scheme_name]
-    loop = EventLoop()
-    net = build_network(loop, paths, seed)
-    if scheme.is_mptcp:
-        return _run_mptcp_download(loop, net, paths, total_bytes, timeout_s)
+    if resolve_scheme(scheme).is_mptcp:
+        return _run_mptcp_download(paths, total_bytes, timeout_s, seed)
 
     # Many equal frames: the "first video frame" is then a negligible
     # slice of the load, so first-frame acceleration cannot distort a
@@ -101,7 +93,7 @@ def run_bulk_download(scheme_name: str, paths: Sequence[PathSpec],
     player_config = PlayerConfig(startup_frames=2, resume_frames=1,
                                  concurrent_requests=1, max_buffer_s=1e9,
                                  tick_s=0.1)
-    result = run_video_session(scheme_name, paths, video=video,
+    result = run_video_session(scheme, paths, video=video,
                                player_config=player_config,
                                timeout_s=timeout_s, seed=seed,
                                tracer=tracer)
@@ -112,9 +104,11 @@ def run_bulk_download(scheme_name: str, paths: Sequence[PathSpec],
     return result
 
 
-def _run_mptcp_download(loop: EventLoop, net: MultipathNetwork,
-                        paths: Sequence[PathSpec], total_bytes: int,
-                        timeout_s: float) -> SessionResult:
+def mptcp_pair(loop: EventLoop, net: MultipathNetwork,
+               paths: Sequence[PathSpec]) -> MptcpConnection:
+    """Wire the MPTCP baseline's client and server to the network's
+    default endpoints, one subflow per path; returns the client (the
+    server answers from the network's receive hook)."""
     server = MptcpConnection(loop, is_server=True,
                              transmit=lambda pid, data: net.server.send(
                                  Datagram(payload=data, path_id=pid)))
@@ -128,6 +122,14 @@ def _run_mptcp_download(loop: EventLoop, net: MultipathNetwork,
         lambda d: client.datagram_received(d.payload, d.path_id))
     net.server.on_receive(
         lambda d: server.datagram_received(d.payload, d.path_id))
+    return client
+
+
+def _run_mptcp_download(paths: Sequence[PathSpec], total_bytes: int,
+                        timeout_s: float, seed: int) -> SessionResult:
+    loop = EventLoop()
+    net = build_network(loop, paths, seed)
+    client = mptcp_pair(loop, net, paths)
     start = loop.now
     client.on_complete = loop.request_stop
     client.request(total_bytes)

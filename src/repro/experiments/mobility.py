@@ -11,14 +11,14 @@ and max request download time per trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from typing import Optional
-
-from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
+from repro.experiments.harness import (PathSpec, mptcp_pair,
                                        run_video_session, scheme_with_cc)
 from repro.experiments.parallel import SessionTask, fan_out
-from repro.host.specs import build_network
+from repro.host.specs import (build_network, resolve_scheme, scheme_name,
+                              scheme_paths)
+from repro.sim import EventLoop
 from repro.metrics.stats import percentile
 from repro.sim.rng import derive_seed
 from repro.traces.catalog import extreme_mobility_trace_pairs
@@ -78,18 +78,26 @@ def _paths_for_trace(pair: dict) -> List[PathSpec]:
     ]
 
 
-def _chunked_video(n_chunks: int = CHUNKS_PER_TRACE,
-                   chunk_bytes: int = CHUNK_BYTES,
-                   bitrate_bps: float = VIDEO_BITRATE_BPS) -> Video:
-    total = n_chunks * chunk_bytes
+#: Realistic streaming player: finite buffer, constant-bitrate
+#: consumption, *sequential* chunk requests (Appendix B: the test
+#: player "sequentially requested data chunks").  The finite buffer
+#: keeps XLINK's QoE gate in the loop -- an infinite buffer would
+#: report "no urgency" forever and degenerate the experiment into a
+#: raw download race.
+PLAYER_CONFIG = PlayerConfig(concurrent_requests=1, max_buffer_s=3.0,
+                             startup_frames=5, resume_frames=5)
+
+
+def _chunked_video() -> Video:
+    total = CHUNKS_PER_TRACE * CHUNK_BYTES
     # Constant 25 fps frames sized so consumption runs at the target
-    # bitrate; the whole video is exactly n chunks.
-    frame = max(int(bitrate_bps / 8 / 25), 1000)
+    # bitrate; the whole video is exactly CHUNKS_PER_TRACE chunks.
+    frame = max(int(VIDEO_BITRATE_BPS / 8 / 25), 1000)
     n_frames = max(total // frame, 2)
     sizes = [frame] * n_frames
     sizes[-1] += total - sum(sizes)
     return Video(name="mob", fps=25, frame_sizes=sizes,
-                 chunk_size=chunk_bytes)
+                 chunk_size=CHUNK_BYTES)
 
 
 def run_scheme_on_trace(pair: dict, scheme: str, seed: int = 0,
@@ -99,28 +107,16 @@ def run_scheme_on_trace(pair: dict, scheme: str, seed: int = 0,
 
     Module-level (and all-plain-data) so :func:`fan_out` can ship it to
     a worker process.  ``cc`` overrides the scheme's congestion
-    controller; the variant is registered *here*, inside the worker,
-    because plain ``fan_out`` does not ship scheme configs.  The MPTCP
-    baseline keeps its own fixed controller.
+    controller; the MPTCP baseline keeps its own fixed one.
     """
-    paths = _paths_for_trace(pair)
-    if scheme == "sp":
-        paths = paths[:1]
-    if scheme == "mptcp":
-        return _run_mptcp_paced(paths, timeout_s=timeout_s, seed=seed)
+    config = resolve_scheme(scheme)
     if cc is not None:
-        scheme = scheme_with_cc(scheme, cc)
-    # Realistic streaming player: finite buffer, constant-bitrate
-    # consumption, *sequential* chunk requests (Appendix B: the
-    # test player "sequentially requested data chunks").  The
-    # finite buffer keeps XLINK's QoE gate in the loop -- an
-    # infinite buffer would report "no urgency" forever and
-    # degenerate the experiment into a raw download race.
-    player_config = PlayerConfig(concurrent_requests=1,
-                                 max_buffer_s=3.0,
-                                 startup_frames=5, resume_frames=5)
-    session = run_video_session(scheme, paths, video=_chunked_video(),
-                                player_config=player_config,
+        config = scheme_with_cc(config, cc)
+    paths = scheme_paths(config, _paths_for_trace(pair))
+    if config.is_mptcp:
+        return _run_mptcp_paced(paths, timeout_s=timeout_s, seed=seed)
+    session = run_video_session(config, paths, video=_chunked_video(),
+                                player_config=PLAYER_CONFIG,
                                 timeout_s=timeout_s, seed=seed)
     times = list(session.metrics.request_completion_times)
     while len(times) < CHUNKS_PER_TRACE:
@@ -137,14 +133,21 @@ def run_mobility_trace(pair: dict, schemes: Sequence[str] = FIG13_SCHEMES,
     ``cc`` runs the QUIC schemes under that congestion controller;
     results stay keyed by the base scheme names.
     """
-    result = MobilityResult(trace_id=pair["trace_id"],
-                            environment=pair["environment"])
-    jobs = [{"pair": pair, "scheme": scheme, "seed": seed,
-             "timeout_s": timeout_s, "cc": cc} for scheme in schemes]
-    for scheme, times in zip(schemes, fan_out(run_scheme_on_trace, jobs,
-                                              workers=workers)):
-        result.times[scheme] = times
-    return result
+    return _replay([pair], schemes, seed, workers, timeout_s, cc)[0]
+
+
+def _replay(pairs: Sequence[dict], schemes: Sequence[str], seed: int,
+            workers: Optional[int], timeout_s: float = 120.0,
+            cc: Optional[str] = None) -> List[MobilityResult]:
+    """Fan the flat (trace, scheme) grid out; one result per trace."""
+    times = iter(fan_out(
+        run_scheme_on_trace,
+        [{"pair": pair, "scheme": scheme, "seed": seed,
+          "timeout_s": timeout_s, "cc": cc}
+         for pair in pairs for scheme in schemes], workers=workers))
+    return [MobilityResult(pair["trace_id"], pair["environment"],
+                           {scheme: next(times) for scheme in schemes})
+            for pair in pairs]
 
 
 def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
@@ -155,27 +158,10 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
     before its playback deadline minus the buffer target, so the
     per-chunk completion times are comparable across transports.
     """
-    from repro.mptcp import MptcpConnection
-    from repro.netem import Datagram
-    from repro.sim import EventLoop
-
     chunk_playtime = CHUNK_BYTES * 8.0 / VIDEO_BITRATE_BPS
     buffer_target_s = 3.0
     loop = EventLoop()
-    net = build_network(loop, paths, seed)
-    server = MptcpConnection(loop, is_server=True,
-                             transmit=lambda pid, d: net.server.send(
-                                 Datagram(payload=d, path_id=pid)))
-    client = MptcpConnection(loop, is_server=False,
-                             transmit=lambda pid, d: net.client.send(
-                                 Datagram(payload=d, path_id=pid)))
-    for spec in paths:
-        server.add_subflow(spec.net_path_id)
-        client.add_subflow(spec.net_path_id)
-    net.client.on_receive(
-        lambda d: client.datagram_received(d.payload, d.path_id))
-    net.server.on_receive(
-        lambda d: server.datagram_received(d.payload, d.path_id))
+    client = mptcp_pair(loop, build_network(loop, paths, seed), paths)
 
     times: List[float] = []
     for k in range(CHUNKS_PER_TRACE):
@@ -186,7 +172,6 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
         loop.run(until=earliest)
         target = (k + 1) * CHUNK_BYTES
         start = loop.now
-        client._expected_total = target
         client.completed_at = None
         client.on_complete = loop.request_stop
         client.request(target)  # the range request crosses the network
@@ -218,8 +203,6 @@ def iter_mobility_fleet_tasks(n_traces: int = 10, repeats: int = 2,
     sink's ``rct`` sketch (the same metric the figure reports).
     """
     pairs = extreme_mobility_trace_pairs(duration_s, n_traces)
-    player_config = PlayerConfig(concurrent_requests=1, max_buffer_s=3.0,
-                                 startup_frames=5, resume_frames=5)
     video = _chunked_video()
     for rep in range(repeats):
         for pair in pairs:
@@ -227,11 +210,10 @@ def iter_mobility_fleet_tasks(n_traces: int = 10, repeats: int = 2,
             paths = _paths_for_trace(pair)
             for scheme in schemes:
                 yield SessionTask(
-                    key=(rep, pair["trace_id"], scheme), scheme=scheme,
-                    paths=paths[:1] if scheme == "sp" else paths,
-                    video=video, player_config=player_config,
-                    timeout_s=timeout_s, seed=rep_seed,
-                    scheme_config=SCHEMES.get(scheme))
+                    key=(rep, pair["trace_id"], scheme_name(scheme)),
+                    scheme=scheme, paths=scheme_paths(scheme, paths),
+                    video=video, player_config=PLAYER_CONFIG,
+                    timeout_s=timeout_s, seed=rep_seed)
 
 
 def run_fig13(n_traces: int = 10, duration_s: float = 30.0,
@@ -244,16 +226,5 @@ def run_fig13(n_traces: int = 10, duration_s: float = 30.0,
     processes; each replay is independent, so the sweep parallelizes
     to ``n_traces * len(schemes)`` tasks.
     """
-    pairs = extreme_mobility_trace_pairs(duration_s, n_traces)
-    jobs = [{"pair": pair, "scheme": scheme, "seed": seed}
-            for pair in pairs for scheme in schemes]
-    all_times = fan_out(run_scheme_on_trace, jobs, workers=workers)
-    results: List[MobilityResult] = []
-    it = iter(all_times)
-    for pair in pairs:
-        result = MobilityResult(trace_id=pair["trace_id"],
-                                environment=pair["environment"])
-        for scheme in schemes:
-            result.times[scheme] = next(it)
-        results.append(result)
-    return results
+    return _replay(extreme_mobility_trace_pairs(duration_s, n_traces),
+                   schemes, seed, workers)

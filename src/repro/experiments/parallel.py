@@ -37,9 +37,9 @@ reused for every later item.
 
 Both fall back to a plain in-process loop when ``workers`` resolves to
 1, when there is at most one job, or when the platform cannot ``fork``
-(workers inherit the parent's imports, the job callable and
-dynamically-registered schemes through fork; spawn would cost an
-interpreter boot per worker, so the fallback stays serial instead).
+(workers inherit the parent's imports and the job callable through
+fork; spawn would cost an interpreter boot per worker, so the fallback
+stays serial instead).
 
 Determinism contract
 --------------------
@@ -82,8 +82,9 @@ from itertools import islice
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from repro.experiments.harness import (SCHEMES, PathSpec, SchemeConfig,
-                                       run_bulk_download, run_video_session)
+from repro.experiments.harness import (PathSpec, run_bulk_download,
+                                       run_video_session)
+from repro.host.specs import SchemeLike, scheme_name
 from repro.metrics.qoe import SessionMetrics
 from repro.metrics.sink import MetricSink
 from repro.traces.radio_profiles import RadioType
@@ -290,22 +291,20 @@ class SessionTask:
 
     ``key`` is an opaque caller-side handle (e.g. ``(user, scheme)``)
     echoed back on the outcome so results can be re-grouped without
-    relying on list positions.  ``scheme_config`` carries dynamically
-    registered scheme variants (threshold sweeps, ACK-policy ablations)
-    into the worker process, where they may not exist in the inherited
-    ``SCHEMES`` registry.
+    relying on list positions.  ``scheme`` is the scheme itself, a
+    :class:`~repro.host.specs.SchemeConfig` value pickled with the task
+    (a sweep point, an ablation, a scheme x CC arm), or the name of one
+    of the paper's arms; outcome, sink and tallies are keyed by its name.
     """
 
     key: Any
-    scheme: str
+    scheme: SchemeLike
     paths: List[PathSpec]
     video: Optional[Video] = None
     player_config: Optional[PlayerConfig] = None
     timeout_s: float = 120.0
     seed: int = 0
     primary_order: Optional[Sequence[RadioType]] = None
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    scheme_config: Optional[SchemeConfig] = None
     #: "video" plays ``video``; "bulk" downloads ``total_bytes``
     mode: str = "video"
     total_bytes: int = 0
@@ -327,8 +326,6 @@ class SessionOutcome:
 
 def execute_session_task(task: SessionTask) -> SessionOutcome:
     """Worker entry point: run one session, return plain data only."""
-    if task.scheme_config is not None and task.scheme not in SCHEMES:
-        SCHEMES[task.scheme] = task.scheme_config
     if task.mode == "bulk":
         result = run_bulk_download(task.scheme, task.paths, task.total_bytes,
                                    timeout_s=task.timeout_s, seed=task.seed)
@@ -336,11 +333,11 @@ def execute_session_task(task: SessionTask) -> SessionOutcome:
         result = run_video_session(
             task.scheme, task.paths, video=task.video,
             player_config=task.player_config, timeout_s=task.timeout_s,
-            seed=task.seed, primary_order=task.primary_order, **task.kwargs)
+            seed=task.seed, primary_order=task.primary_order)
     else:
         raise ValueError(f"unknown session task mode {task.mode!r}")
     return SessionOutcome(
-        key=task.key, scheme=task.scheme, completed=result.completed,
+        key=task.key, scheme=result.scheme, completed=result.completed,
         duration_s=result.duration_s, metrics=result.metrics,
         reinjected_bytes=result.reinjected_bytes,
         new_stream_bytes=result.new_stream_bytes,
@@ -495,7 +492,7 @@ def execute_shard(tasks: Sequence[SessionTask]) -> ShardResult:
         except Exception as exc:  # noqa: BLE001 - tallied, not hidden
             kind = type(exc).__name__
             result.failures[kind] = result.failures.get(kind, 0) + 1
-            result.sink.observe_failure(task.scheme, kind)
+            result.sink.observe_failure(scheme_name(task.scheme), kind)
             continue
         result.sink.observe(outcome)
     return result
@@ -676,7 +673,8 @@ class _Supervisor:
         self.result.abandoned_shards += 1
         self.result.abandoned_tasks += len(spec.tasks)
         for task in spec.tasks:
-            self.result.sink.observe_failure(task.scheme, ABANDONED_KIND)
+            self.result.sink.observe_failure(scheme_name(task.scheme),
+                                             ABANDONED_KIND)
 
     def pop_ready(self, now: float) -> Optional[_ShardAttempt]:
         """The most-cooled retry whose backoff has elapsed, if any."""

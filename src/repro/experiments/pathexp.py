@@ -11,9 +11,11 @@ ACK_MP return-path strategies (min-RTT vs original) under Cubic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import PathSpec, run_bulk_download, run_video_session
+from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
+                                       run_video_session)
 from repro.experiments.parallel import fan_out
 from repro.traces.radio_profiles import RADIO_PROFILES, RadioType
 from repro.video import PlayerConfig
@@ -106,19 +108,11 @@ def run_fig8_point(rtt_ratio: float, ack_policy: str,
                  one_way_delay_s=FIG8_BASE_RTT_S * rtt_ratio / 2,
                  rate_bps=rate_bps),
     ]
-    from repro.experiments.harness import SCHEMES, SchemeConfig
-    import dataclasses
-    # Temporarily register a vanilla-MP variant with the chosen policy.
-    scheme = dataclasses.replace(SCHEMES["vanilla_mp"],
-                                 ack_path_policy=ack_policy,
-                                 cc_algorithm="cubic")
-    key = f"_fig8_{ack_policy}"
-    SCHEMES[key] = scheme
-    try:
-        result = run_bulk_download(key, paths, FIG8_LOAD_BYTES,
-                                   timeout_s=120.0, seed=seed)
-    finally:
-        del SCHEMES[key]
+    # vanilla-MP (under Cubic, its default) with the chosen policy
+    scheme = replace(SCHEMES["vanilla_mp"], name=f"_fig8_{ack_policy}",
+                     ack_path_policy=ack_policy)
+    result = run_bulk_download(scheme, paths, FIG8_LOAD_BYTES,
+                               timeout_s=120.0, seed=seed)
     if result.download_time_s is None:
         raise RuntimeError("fig8 download did not complete")
     return result.download_time_s

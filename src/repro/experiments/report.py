@@ -151,8 +151,8 @@ def section_ccmatrix(users: int) -> ReportSection:
     for cc in CC_MATRIX_CCS:
         schemes = [scheme_with_cc(s, cc) for s in CC_MATRIX_SCHEMES]
         sink = run_ab_day(cfg, 1, schemes)
-        for base, name in zip(CC_MATRIX_SCHEMES, schemes):
-            day = sink.schemes[name]
+        for base, scheme in zip(CC_MATRIX_SCHEMES, schemes):
+            day = sink.schemes[scheme.name]
             rows.append([base, cc,
                          f"{day.rct.percentile(50):.3f}",
                          f"{day.rct.percentile(95):.3f}",

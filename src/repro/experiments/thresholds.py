@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core import ThresholdConfig
 from repro.experiments.abtest import ABTestConfig, run_ab_day
-from repro.experiments.harness import SCHEMES
+from repro.experiments.harness import SCHEMES, SchemeConfig
 from repro.metrics.sink import SchemeSink
 from repro.metrics.sketch import DistSketch
 
@@ -40,12 +40,13 @@ PAPER_THRESHOLD_SETTINGS = ((95, 80), (90, 80), (90, 60), (60, 50),
 DANGER_LEVEL_S = 0.050
 
 
-def _population(cfg: ABTestConfig, day: int, scheme: str,
+def _population(cfg: ABTestConfig, day: int, scheme: SchemeConfig,
                 workers: Optional[int]) -> SchemeSink:
     """One scheme's population for ``day``; its ``buffer_level`` sketch
     is the play-time-left distribution, ``traffic_overhead_percent``
     the cost."""
-    sink = run_ab_day(cfg, day, [scheme], workers=workers).schemes[scheme]
+    sink = run_ab_day(cfg, day, [scheme],
+                      workers=workers).schemes[scheme.name]
     if sink.buffer_level.count == 0:
         raise RuntimeError("no buffer samples collected")
     return sink
@@ -92,22 +93,18 @@ def run_threshold_sweep(cfg: ABTestConfig,
     fans each population's sessions out over processes (``None``/``0``
     = ``os.cpu_count()``); results are bit-identical to the serial run.
     """
-    distribution = _population(cfg, 1, "vanilla_mp", workers).buffer_level
-    sp_levels = _population(cfg, 2, "sp", workers).buffer_level
+    distribution = _population(cfg, 1, SCHEMES["vanilla_mp"],
+                               workers).buffer_level
+    sp_levels = _population(cfg, 2, SCHEMES["sp"], workers).buffer_level
 
     def run_with(label: str, thresholds: Optional[ThresholdConfig]
                  ) -> ThresholdResult:
         if thresholds is None:
-            scheme_name = "vanilla_mp"  # re-injection off entirely
+            scheme = SCHEMES["vanilla_mp"]  # re-injection off entirely
         else:
-            scheme_name = f"_sweep_{label}"
-            SCHEMES[scheme_name] = replace(
-                SCHEMES["xlink"], name=scheme_name, thresholds=thresholds)
-        try:
-            population = _population(cfg, 2, scheme_name, workers)
-        finally:
-            if thresholds is not None:
-                del SCHEMES[scheme_name]
+            scheme = replace(SCHEMES["xlink"], name=f"_sweep_{label}",
+                             thresholds=thresholds)
+        population = _population(cfg, 2, scheme, workers)
         levels = population.buffer_level
 
         def improvement(pct: float) -> float:

@@ -13,13 +13,12 @@ from repro.host.client import ClientEndpoint, MigrationMonitor
 from repro.host.runtime import (SessionHandle, SessionResult, SessionRuntime,
                                 VideoSessionSpec)
 from repro.host.server import ServerHost
-from repro.host.specs import (SCHEMES, Interface, PathSpec, SchemeConfig,
-                              build_network, make_scheduler, scheme_with_cc)
+from repro.host.specs import (SCHEMES, PathSpec, SchemeConfig, build_network,
+                              make_scheduler, resolve_scheme, scheme_with_cc)
 
 __all__ = [
     "SCHEMES",
     "ClientEndpoint",
-    "Interface",
     "MigrationMonitor",
     "PathSpec",
     "SchemeConfig",
@@ -30,5 +29,6 @@ __all__ = [
     "VideoSessionSpec",
     "build_network",
     "make_scheduler",
+    "resolve_scheme",
     "scheme_with_cc",
 ]

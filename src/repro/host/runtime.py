@@ -20,12 +20,12 @@ this runtime (bit-identical to the pre-runtime harness by test);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.host.client import ClientEndpoint
 from repro.host.server import ServerHost
-from repro.host.specs import SCHEMES, SchemeConfig
+from repro.host.specs import SchemeLike, resolve_scheme
 from repro.lb.frontend import CdnFrontend
 from repro.metrics.qoe import SessionMetrics
 from repro.netem import MultipathNetwork
@@ -66,7 +66,8 @@ class SessionResult:
 class VideoSessionSpec:
     """Everything needed to stand up one video session on the runtime."""
 
-    scheme_name: str
+    #: a :class:`SchemeConfig`, or the name of one of the paper's arms
+    scheme: SchemeLike
     interfaces: Sequence[Tuple[int, RadioType]]
     video: Video
     player_config: Optional[PlayerConfig] = None
@@ -100,23 +101,17 @@ class SessionRuntime:
     """Drives N concurrent video sessions through one ServerHost."""
 
     def __init__(self, loop: EventLoop, net: MultipathNetwork,
-                 videos: Optional[Dict[str, Video]] = None,
-                 server_id: int = 1,
-                 use_frontend: bool = True,
                  idle_timeout_s: Optional[float] = None) -> None:
         self.loop = loop
         self.net = net
         self.idle_timeout_s = idle_timeout_s
-        self.host = ServerHost(loop, net, videos=videos,
-                               server_id=server_id)
+        #: one CDN node, its catalog filled per session, always behind
+        #: the QUIC-LB front door
+        self.host = ServerHost(loop, net)
         if idle_timeout_s is not None:
             self.host.start_eviction(idle_timeout_s)
-        self.frontend: Optional[CdnFrontend] = None
-        if use_frontend:
-            self.frontend = CdnFrontend({server_id: self.host})
-            self.frontend.attach(net.server)
-        else:
-            self.host.listen()
+        self.frontend = CdnFrontend({self.host.server_id: self.host})
+        self.frontend.attach(net.server)
         self.sessions: List[SessionHandle] = []
         #: sessions whose playback has not finished yet; maintained by
         #: per-player finish callbacks so :meth:`run` never has to poll
@@ -128,29 +123,24 @@ class SessionRuntime:
         A session starting at ``start_at == 0`` connects immediately;
         later starts are scheduled on the loop (staggered arrivals).
         """
-        scheme = SCHEMES[spec.scheme_name]
+        scheme = resolve_scheme(spec.scheme)
         if scheme.is_mptcp:
             raise ValueError("the MPTCP baseline does not run on the "
-                             "QUIC host runtime")
+                             "QUIC host runtime; use run_bulk_download")
         if spec.client_addr is None:
             endpoint = self.net.client
         else:
             endpoint = self.net.clients.get(spec.client_addr)
             if endpoint is None:
                 endpoint = self.net.add_client(spec.client_addr)
-        connection_name = (spec.connection_name
-                           if spec.connection_name is not None
-                           else f"session-{spec.seed}")
-
         client = ClientEndpoint(self.loop, endpoint, scheme,
                                 spec.interfaces, seed=spec.seed,
-                                connection_name=connection_name,
+                                connection_name=spec.connection_name,
                                 primary_order=spec.primary_order,
                                 idle_timeout_s=self.idle_timeout_s)
         server = self.host.register_session(
-            endpoint.name, connection_name, scheme, spec.seed,
+            endpoint.name, client.connection_name, scheme, spec.seed,
             client.primary_net, radio=client.primary_radio,
-            first_frame_acceleration=scheme.first_frame_acceleration,
             idle_timeout_s=self.idle_timeout_s)
         self._add_to_catalog(spec.video)
         player = client.attach_player(spec.video, spec.player_config)
@@ -190,15 +180,11 @@ class SessionRuntime:
     # driving
     # ------------------------------------------------------------------
 
-    @property
-    def all_finished(self) -> bool:
-        return all(h.finished for h in self.sessions)
-
     def run(self, timeout_s: float = 120.0) -> None:
         """Run the loop until every session's playback finishes.
 
-        Batched driver: instead of re-evaluating ``all_finished`` (an
-        O(sessions) poll) between every pair of events, the loop runs
+        Batched driver: instead of polling every session's player (an
+        O(sessions) walk) between every pair of events, the loop runs
         run-until-blocked and the finish callback installed by
         :meth:`add_session` stops it the instant the last player
         completes.  ``stop_before`` preserves the historical timeout
@@ -217,13 +203,10 @@ class SessionRuntime:
             redundant_bytes=server.stats.stream_bytes_reinjected,
             useful_bytes=server.stats.stream_bytes_new)
         return SessionResult(
-            scheme=handle.spec.scheme_name,
+            scheme=handle.client.scheme.name,
             completed=handle.player.finished,
             duration_s=self.loop.now, metrics=metrics,
             player=handle.player, client=handle.client.conn,
             server=server, net=self.net,
             reinjected_bytes=server.stats.stream_bytes_reinjected,
             new_stream_bytes=server.stats.stream_bytes_new)
-
-    def results(self) -> List[SessionResult]:
-        return [self.result(h) for h in self.sessions]

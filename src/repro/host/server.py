@@ -43,16 +43,12 @@ class ServerHost:
 
     def __init__(self, loop: EventLoop, net: MultipathNetwork,
                  videos: Optional[Dict[str, Video]] = None,
-                 server_id: int = 1, name: Optional[str] = None,
-                 first_frame_acceleration: bool = True) -> None:
+                 server_id: int = 1) -> None:
         self.loop = loop
         self.net = net
         self.server_id = server_id
-        self.name = name if name is not None else f"host-{server_id}"
         #: the shared media catalog every connection is served from
-        self.media = MediaServer(
-            videos=dict(videos or {}),
-            first_frame_acceleration=first_frame_acceleration)
+        self.media = MediaServer(videos=videos)
         self.connections: List[Connection] = []
         self._by_addr: Dict[str, Connection] = {}
         #: client handshake DCID -> connection (pinned on first sight)
@@ -87,7 +83,6 @@ class ServerHost:
                          scheme: SchemeConfig, seed: int,
                          primary_net: int,
                          radio: Optional[RadioType] = None,
-                         first_frame_acceleration: Optional[bool] = None,
                          idle_timeout_s: Optional[float] = None
                          ) -> Connection:
         """Provision the server side of one expected session.
@@ -95,7 +90,8 @@ class ServerHost:
         Creates the per-connection state (transport config mirrors the
         scheme, path 0 bound to the client's primary interface),
         addresses its egress to ``client_addr``, and attaches it to the
-        shared media catalog.  Returns the server connection.
+        shared media catalog, first-frame acceleration as the scheme
+        says.  Returns the server connection.
         """
         if client_addr in self._by_addr:
             raise ValueError(f"address {client_addr!r} already registered")
@@ -113,7 +109,7 @@ class ServerHost:
             server_id=self.server_id)
         conn.add_local_path(0, primary_net, radio=radio)
         self.media.attach(
-            conn, first_frame_acceleration=first_frame_acceleration)
+            conn, first_frame_acceleration=scheme.first_frame_acceleration)
         self.connections.append(conn)
         self._by_addr[client_addr] = conn
         # Pre-pin the client's (deterministic) initial DCID: handshake
@@ -166,6 +162,7 @@ class ServerHost:
     def _evict(self, conn: Connection) -> None:
         if conn in self.connections:
             self.connections.remove(conn)
+        self.media.detach(conn)
         for table in (self._by_addr, self._initial_route, self._cid_route):
             for key in [k for k, v in table.items() if v is conn]:
                 del table[key]

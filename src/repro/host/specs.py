@@ -16,12 +16,19 @@ xlink_nofa  XLINK without first-video-frame acceleration (Fig. 12's
             ablation)
 mptcp       the MPTCP baseline (bulk transfers; single ordered stream)
 ========== =============================================================
+
+A scheme is a value (:class:`SchemeConfig`).  ``SCHEMES`` names the
+seven above and cannot be added to; a sweep point or ablation is
+``dataclasses.replace(SCHEMES["xlink"], name=..., thresholds=...)``, a
+scheme x CC arm is :func:`scheme_with_cc`, and every session entry
+point takes the value (or one of the seven names).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Union
 
 from repro.core import (MinRttScheduler, ReinjectionMode, SinglePathScheduler,
                         ThresholdConfig, XlinkScheduler)
@@ -49,20 +56,10 @@ class PathSpec:
             raise ValueError("specify exactly one of rate_bps / trace_ms")
 
 
-class Interface(NamedTuple):
-    """A client NIC: which emulated path it attaches to, and its radio.
-
-    Unpacks like a plain ``(net_path_id, radio)`` tuple, so it is
-    accepted anywhere the path manager expects interface pairs.
-    """
-
-    net_path_id: int
-    radio: RadioType
-
-
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
-    """Resolved transport configuration for one scheme."""
+    """One arm's transport configuration: a value, compared and shipped
+    to workers as such."""
 
     name: str
     multipath: bool
@@ -75,57 +72,77 @@ class SchemeConfig:
     is_mptcp: bool = False
 
 
-def _xlink_scheme(name: str, **kw) -> SchemeConfig:
-    base = dict(multipath=True,
-                reinjection_mode=ReinjectionMode.FRAME_PRIORITY,
-                thresholds=ThresholdConfig(t_th1=0.5, t_th2=2.0))
-    base.update(kw)
-    return SchemeConfig(name=name, **base)
+_XLINK = SchemeConfig(name="xlink", multipath=True,
+                      reinjection_mode=ReinjectionMode.FRAME_PRIORITY,
+                      thresholds=ThresholdConfig(t_th1=0.5, t_th2=2.0))
 
-
-SCHEMES: Dict[str, SchemeConfig] = {
+#: The paper's seven arms (Sec. 7).  Read-only: a variant is a value
+#: handed to whatever runs the session, never a new key here.
+SCHEMES: Mapping[str, SchemeConfig] = MappingProxyType({
     "sp": SchemeConfig(name="sp", multipath=False),
     "cm": SchemeConfig(name="cm", multipath=False,
                        connection_migration=True),
     "vanilla_mp": SchemeConfig(name="vanilla_mp", multipath=True,
                                reinjection_mode=ReinjectionMode.NONE),
-    "reinject": _xlink_scheme(
-        "reinject", thresholds=ThresholdConfig(always_on=True)),
-    "xlink": _xlink_scheme("xlink"),
-    "xlink_nofa": _xlink_scheme(
-        "xlink_nofa", reinjection_mode=ReinjectionMode.STREAM_PRIORITY,
-        first_frame_acceleration=False),
+    "reinject": replace(_XLINK, name="reinject",
+                        thresholds=ThresholdConfig(always_on=True)),
+    "xlink": _XLINK,
+    "xlink_nofa": replace(_XLINK, name="xlink_nofa",
+                          reinjection_mode=ReinjectionMode.STREAM_PRIORITY,
+                          first_frame_acceleration=False),
     "mptcp": SchemeConfig(name="mptcp", multipath=True, is_mptcp=True),
-}
+})
+
+#: what every session entry point accepts: a value, or an arm's name
+SchemeLike = Union[str, SchemeConfig]
 
 
-def scheme_with_cc(scheme_name: str, cc: str) -> str:
-    """Register (idempotently) and name a scheme × CC variant.
+def resolve_scheme(scheme: SchemeLike) -> SchemeConfig:
+    """The value of ``scheme``; the only place a name is looked up.
+    Called where a session is built, so that is where an unknown name
+    raises ``KeyError`` (and a fleet tallies it)."""
+    return scheme if isinstance(scheme, SchemeConfig) else SCHEMES[scheme]
 
-    ``scheme_with_cc("xlink", "bbr")`` returns ``"xlink+bbr"`` backed
-    by the xlink :class:`SchemeConfig` with ``cc_algorithm="bbr"``.
-    The base scheme's default CC returns the base name unchanged, so
-    experiment drivers can map every scheme through this without
-    perturbing the default (bit-pinned) configurations.  The MPTCP
-    baseline has its own fixed controller and is returned unchanged.
 
-    The variant is inserted into ``SCHEMES``, which is exactly what
-    :class:`~repro.experiments.parallel.SessionTask.scheme_config`
-    ships to fork workers, so dynamically created variants work under
-    parallel fan-out too.
+def scheme_name(scheme: SchemeLike) -> str:
+    """The name results, sink buckets and CLI output are keyed by."""
+    return scheme.name if isinstance(scheme, SchemeConfig) else scheme
+
+
+def scheme_paths(scheme: SchemeLike, paths: Sequence[PathSpec]
+                 ) -> List[PathSpec]:
+    """The paths a session under ``scheme`` is handed: all of them, or
+    the primary alone when the scheme neither aggregates nor migrates
+    (``sp+bbr`` as much as ``sp``).  An unknown name keeps every path:
+    the session is what fails on it."""
+    try:
+        config = resolve_scheme(scheme)
+    except KeyError:
+        return list(paths)
+    if config.multipath or config.connection_migration:
+        return list(paths)
+    return list(paths[:1])
+
+
+def scheme_with_cc(scheme: SchemeLike, cc: str) -> SchemeConfig:
+    """``scheme`` under congestion controller ``cc``, as a new value
+    named ``"<scheme>+<cc>"``.
+
+    The scheme's own controller returns the scheme itself
+    (``scheme_with_cc("xlink", "cubic") is SCHEMES["xlink"]``), so
+    drivers can map every arm through this without perturbing the
+    default (bit-pinned) configurations.  The MPTCP baseline has its
+    own fixed controller and is returned unchanged.
     """
-    base = SCHEMES[scheme_name]
+    base = resolve_scheme(scheme)
     if base.is_mptcp or cc == base.cc_algorithm:
-        return scheme_name
-    name = f"{scheme_name}+{cc}"
-    if name not in SCHEMES:
-        # Validate eagerly: an unknown CC should fail at configuration
-        # time, not inside a worker process mid-experiment.
-        from repro.quic.cc import CC_REGISTRY
-        if cc not in CC_REGISTRY:
-            raise ValueError(f"unknown congestion controller {cc!r}")
-        SCHEMES[name] = replace(base, name=name, cc_algorithm=cc)
-    return name
+        return base
+    # Validate eagerly: an unknown CC should fail at configuration
+    # time, not inside a worker process mid-experiment.
+    from repro.quic.cc import CC_REGISTRY
+    if cc not in CC_REGISTRY:
+        raise ValueError(f"unknown congestion controller {cc!r}")
+    return replace(base, name=f"{base.name}+{cc}", cc_algorithm=cc)
 
 
 def make_scheduler(scheme: SchemeConfig):

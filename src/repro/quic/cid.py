@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.quic.errors import ProtocolViolation
+
 CID_LENGTH = 8
 
 #: Byte offset in the CID where the server encodes its ID for QUIC-LB.
@@ -71,10 +73,16 @@ class CidRegistry:
         return cid
 
     def register_peer(self, cid: ConnectionId) -> None:
-        """Record a CID the peer issued to us."""
+        """Record a CID the peer issued to us.
+
+        A sequence number reissued with a different CID is the peer's
+        protocol violation (RFC 9000 Sec. 19.15): a :class:`QuicError`,
+        so the receiver closes with its code instead of letting a
+        stdlib exception out through the event loop.
+        """
         existing = self.peer_cids.get(cid.sequence_number)
         if existing is not None and existing.cid != cid.cid:
-            raise ValueError(
+            raise ProtocolViolation(
                 f"peer reissued sequence {cid.sequence_number} with a "
                 f"different CID"
             )

@@ -65,6 +65,18 @@ class MediaServer:
             lambda stream_id, _conn=conn: self._on_stream_data(_conn,
                                                                stream_id))
 
+    def detach(self, conn: Connection) -> None:
+        """Forget ``conn`` and its request state (a no-op if it is not
+        attached), so an evicted connection can be collected."""
+        me = id(conn)
+        if self._attached.pop(me, None) is None:
+            return
+        conn.on_stream_data = None
+        self._answered = {key for key in self._answered if key[0] != me}
+        self._request_buf = {key: buf
+                             for key, buf in self._request_buf.items()
+                             if key[0] != me}
+
     def add_video(self, video: Video) -> None:
         self.videos[video.name] = video
 

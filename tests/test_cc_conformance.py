@@ -458,7 +458,7 @@ def _run_two_flows(scheme_a, scheme_b, path_specs, horizon_s=6.0):
     handles = []
     for i, scheme in enumerate((scheme_a, scheme_b)):
         handles.append(runtime.add_session(VideoSessionSpec(
-            scheme_name=scheme, interfaces=interfaces, video=video,
+            scheme=scheme, interfaces=interfaces, video=video,
             player_config=_GREEDY, seed=i,
             client_addr=f"flow-{i}", connection_name=f"flow-{i}")))
     runtime.run(timeout_s=horizon_s)
@@ -493,7 +493,7 @@ class TestFairness:
         net.add_simple_path(1, 1e6, 0.05, queue_limit_bytes=64 * 1024)
         runtime = SessionRuntime(loop, net)
         handle = runtime.add_session(VideoSessionSpec(
-            scheme_name=scheme_with_cc("vanilla_mp", "mpbbr"),
+            scheme=scheme_with_cc("vanilla_mp", "mpbbr"),
             interfaces=[(0, RadioType.WIFI), (1, RadioType.LTE)],
             video=_bulk_video(16_000_000), player_config=_GREEDY,
             seed=3))

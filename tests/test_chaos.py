@@ -8,10 +8,13 @@ re-injection storm guard, CM rebind when the primary dies
 mid-handshake, and bit-identical chaos-soak fingerprints.
 """
 
+import gc
 import random
+import weakref
+from types import SimpleNamespace
 
 from repro.core import MinRttScheduler
-from repro.host import SessionRuntime, VideoSessionSpec
+from repro.host import ClientEndpoint, SessionRuntime, VideoSessionSpec
 from repro.host.server import ServerHost
 from repro.host.specs import PathSpec, SCHEMES, build_network
 from repro.netem import (ChaosBox, ChaosSchedule, Datagram,
@@ -24,7 +27,7 @@ from repro.quic.path import PathState
 from repro.sim import EventLoop
 from repro.sim.rng import make_rng
 from repro.traces.radio_profiles import RadioType
-from repro.video import PlayerConfig, make_video
+from repro.video import MediaServer, PlayerConfig, make_video
 
 
 def build_pair(loop, net, client_config=None, server_config=None):
@@ -348,6 +351,51 @@ class TestServerHostEviction:
         assert host.evicted_closed == 1
 
 
+    def test_evicted_connection_is_collectable(self):
+        """``_evict`` purged the routing tables, but the media server
+        kept ``(conn, ffa)`` -- and the connection's request keys -- for
+        the host's life."""
+        loop = EventLoop()
+        net = build_network(
+            loop, [PathSpec(0, RadioType.WIFI, 0.01, rate_bps=10e6)],
+            seed=0)
+        host = ServerHost(loop, net)
+        host.listen()
+        client = ClientEndpoint(loop, net.client, SCHEMES["sp"],
+                                [(0, RadioType.WIFI)], seed=1)
+        conn = host.register_session("client", client.connection_name,
+                                     SCHEMES["sp"], seed=1, primary_net=0)
+        video = make_video(name="evict-video", duration_s=1.0, seed=1)
+        host.media.add_video(video)
+        client.attach_player(video)
+        client.start()
+        host.start_eviction(idle_timeout_s=0.5, interval_s=0.25)
+        loop.run(until=30.0)
+        assert client.finished and host.media.requests_served > 0
+        assert host.evicted_idle == 1 and host.connections == []
+        assert host.media.connections == 0
+        assert not host.media._answered and not host.media._request_buf
+        ref = weakref.ref(conn)
+        del conn
+        gc.collect()
+        assert ref() is None
+
+    def test_detach_is_per_connection(self):
+        media = MediaServer()
+        a, b = SimpleNamespace(), SimpleNamespace()
+        media.attach(a)
+        media.attach(b)
+        media._answered = {(id(a), 0), (id(b), 0), (id(b), 4)}
+        media._request_buf = {(id(a), 8): bytearray(b"GET"),
+                              (id(b), 8): bytearray(b"GET")}
+        media.detach(b)
+        assert media.connections == 1 and b.on_stream_data is None
+        assert media._answered == {(id(a), 0)}
+        assert list(media._request_buf) == [(id(a), 8)]
+        media.detach(b)     # not attached: a no-op
+        assert media.connections == 1
+
+
 # ---------------------------------------------------------------------------
 # CM rebind when the primary dies mid-handshake (satellite 4)
 # ---------------------------------------------------------------------------
@@ -365,7 +413,7 @@ class TestMidHandshakeMigration:
         runtime = SessionRuntime(loop, net)
         video = make_video(name="hs-video", duration_s=2.0, seed=1)
         handle = runtime.add_session(VideoSessionSpec(
-            scheme_name="cm",
+            scheme="cm",
             interfaces=[(0, RadioType.WIFI), (1, RadioType.LTE)],
             video=video, player_config=PlayerConfig(), seed=1))
         runtime.run(timeout_s=30.0)

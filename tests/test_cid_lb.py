@@ -6,6 +6,7 @@ import pytest
 
 from repro.lb import ConsistentHashRing, QuicLbRouter
 from repro.quic.cid import CID_LENGTH, CidRegistry, ConnectionId, generate_cid
+from repro.quic.errors import ProtocolViolation, TransportErrorCode
 
 
 class TestConnectionId:
@@ -53,7 +54,7 @@ class TestCidRegistry:
     def test_reissue_conflict_rejected(self):
         reg = CidRegistry(random.Random(1))
         reg.register_peer(ConnectionId(cid=b"\x01" * 8, sequence_number=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolViolation):
             reg.register_peer(
                 ConnectionId(cid=b"\x02" * 8, sequence_number=0))
 

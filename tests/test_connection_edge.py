@@ -5,6 +5,7 @@ import pytest
 from repro.core import MinRttScheduler, ThresholdConfig, XlinkScheduler
 from repro.netem import Datagram, MultipathNetwork, OutageSchedule
 from repro.quic.connection import Connection, ConnectionConfig, SendChunk
+from repro.quic.errors import TransportErrorCode
 from repro.quic.frames import NewConnectionIdFrame, QoeSignals
 from repro.sim import EventLoop
 
@@ -192,3 +193,49 @@ class TestNewConnectionIdLength:
         assert client.stats.frame_decode_errors == 1
         assert client.stats.protocol_error_closes == 1
         assert 9 not in client.cids.peer_cids
+
+
+class TestReissuedConnectionId:
+    """A sequence number reissued with a different CID is the peer's
+    protocol violation; ``CidRegistry.register_peer`` used to answer it
+    with a bare ``ValueError`` that is no ``QuicError``."""
+
+    @staticmethod
+    def _close_codes(conn):
+        """Record the error code of every ``conn.close`` call."""
+        codes, close = [], conn.close
+
+        def spy(error_code=0, reason=""):
+            codes.append(error_code)
+            close(error_code=error_code, reason=reason)
+
+        conn.close = spy
+        return codes
+
+    def test_in_a_1rtt_frame_closes_the_connection(self):
+        # it escaped ``on_datagram`` through ``EventLoop.run``
+        loop, net, client, server = pair()
+        codes = self._close_codes(client)
+        assert 1 in client.cids.peer_cids
+        server.sender.queue_control(
+            0, NewConnectionIdFrame(1, b"\xee" * 8, 0))
+        server.pump()
+        loop.run(until=loop.now + 1.0)      # must not raise
+        assert client.closed and server.closed
+        assert client.stats.protocol_error_closes == 1
+        assert codes == [TransportErrorCode.PROTOCOL_VIOLATION]
+        assert client.cids.peer_cids[1].cid != b"\xee" * 8
+
+    def test_in_a_handshake_packet_closes_the_connection(self):
+        # it was swallowed as a malformed drop: no close, no error code
+        loop, net, client, server = pair()
+        codes = self._close_codes(client)
+        frames = server._handshake_frames()
+        server._handshake_frames = lambda: frames + [
+            NewConnectionIdFrame(1, b"\xee" * 8, 0)]
+        server._send_handshake()
+        loop.run(until=loop.now + 1.0)
+        assert client.closed and server.closed
+        assert client.stats.protocol_error_closes == 1
+        assert client.stats.malformed_dropped == 0
+        assert codes == [TransportErrorCode.PROTOCOL_VIOLATION]

@@ -1,11 +1,14 @@
 """Integration tests for the experiment harness and A/B simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (ABTestConfig, PathSpec, SCHEMES,
                                run_ab_day, run_bulk_download,
                                run_video_session)
 from repro.experiments.abtest import sample_user_conditions
+from repro.experiments.harness import scheme_with_cc
 from repro.netem import OutageSchedule
 from repro.sim.rng import make_rng
 from repro.traces.radio_profiles import RadioType
@@ -29,15 +32,25 @@ SMALL_VIDEO = make_video(duration_s=4.0, bitrate_bps=1_500_000, seed=9)
 
 class TestSchemeTable:
     def test_all_schemes_defined(self):
-        base = {name for name in SCHEMES if "+" not in name}
-        assert base == {"sp", "cm", "vanilla_mp", "reinject",
-                        "xlink", "xlink_nofa", "mptcp"}
-        # anything else is a scheme_with_cc() "<scheme>+<cc>" variant
-        # registered by an earlier test or driver in this process
-        for name in set(SCHEMES) - base:
-            root, _, cc = name.partition("+")
-            assert root in base
-            assert SCHEMES[name].cc_algorithm == cc
+        assert set(SCHEMES) == {"sp", "cm", "vanilla_mp", "reinject",
+                                "xlink", "xlink_nofa", "mptcp"}
+
+    def test_scheme_table_is_read_only(self):
+        # a variant is a value handed to the session, never a new key
+        with pytest.raises(TypeError):
+            SCHEMES["x"] = SCHEMES["xlink"]
+        with pytest.raises(TypeError):
+            del SCHEMES["sp"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SCHEMES["xlink"].cc_algorithm = "bbr"
+
+    def test_cc_variant_is_a_value(self):
+        variant = scheme_with_cc("xlink", "bbr")
+        assert variant == dataclasses.replace(
+            SCHEMES["xlink"], name="xlink+bbr", cc_algorithm="bbr")
+        assert "xlink+bbr" not in SCHEMES
+        with pytest.raises(ValueError):
+            scheme_with_cc("xlink", "warp")
 
     def test_sp_single_path(self):
         assert not SCHEMES["sp"].multipath
@@ -154,6 +167,16 @@ class TestAbPopulation:
         assert len(cond.paths_for("sp")) == 1
         assert cond.paths_for("sp")[0].radio is RadioType.WIFI
         assert len(cond.paths_for("xlink")) == 2
+
+    def test_single_path_is_decided_from_the_value(self):
+        cond = sample_user_conditions(ABTestConfig(), make_rng(1, "c"))
+        # not from the literal name "sp": a CC variant of SP is as
+        # single-path as SP, and CM needs the interface it migrates to
+        assert cond.paths_for(scheme_with_cc("sp", "bbr")) == [cond.wifi]
+        assert cond.paths_for(SCHEMES["sp"]) == [cond.wifi]
+        assert cond.paths_for("cm") == [cond.wifi, cond.lte]
+        assert cond.paths_for(scheme_with_cc("cm", "bbr")) \
+            == [cond.wifi, cond.lte]
 
     def test_ab_day_runs_all_schemes(self):
         cfg = ABTestConfig(users_per_day=2, video_duration_s=3.0,

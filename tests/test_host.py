@@ -257,7 +257,7 @@ class TestSessionRuntime:
         runtime = SessionRuntime(loop, net)
         with pytest.raises(ValueError):
             runtime.add_session(VideoSessionSpec(
-                scheme_name="mptcp", interfaces=[(0, RadioType.WIFI)],
+                scheme="mptcp", interfaces=[(0, RadioType.WIFI)],
                 video=make_video(duration_s=1.0)))
 
     def test_conflicting_catalog_entry_rejected(self):
@@ -269,9 +269,9 @@ class TestSessionRuntime:
         v2 = Video(name="clip", fps=25, frame_sizes=[200, 200],
                    chunk_size=1024)
         runtime.add_session(VideoSessionSpec(
-            scheme_name="sp", interfaces=[(0, RadioType.WIFI)], video=v1,
+            scheme="sp", interfaces=[(0, RadioType.WIFI)], video=v1,
             connection_name="u1"))
         with pytest.raises(ValueError):
             runtime.add_session(VideoSessionSpec(
-                scheme_name="sp", interfaces=[(0, RadioType.WIFI)],
+                scheme="sp", interfaces=[(0, RadioType.WIFI)],
                 video=v2, client_addr="client-2", connection_name="u2"))

@@ -48,6 +48,31 @@ class TestDeadPublicNames:
         assert _load_lint().check_dead_public() == []
 
 
+class TestFileSize:
+    @pytest.mark.parametrize("directory,limit", [
+        ("src/repro/quic", 700), ("src/repro/experiments", 820)])
+    def test_flags_a_file_past_its_directory_limit(self, lint, tmp_path,
+                                                   directory, limit):
+        assert lint.MAX_LINES[directory] == limit
+        package = tmp_path / directory
+        package.mkdir(parents=True)
+        (package / "fits.py").write_text("x = 1\n" * limit)
+        (package / "grown.py").write_text("x = 1\n" * (limit + 1))
+        assert not [m for *_, m in lint.check_file(package / "fits.py")
+                    if m.startswith("SIZE")]
+        assert [m.split()[:2] for *_, m
+                in lint.check_file(package / "grown.py")] \
+            == [["SIZE", str(limit + 1)]]
+
+    def test_this_repo_is_within_its_limits(self):
+        lint = _load_lint()
+        assert not [(path.name, m) for directory in lint.MAX_LINES
+                    for path in sorted((lint.REPO_ROOT / directory)
+                                       .rglob("*.py"))
+                    for *_, m in lint.check_file(path)
+                    if m.startswith("SIZE")]
+
+
 class TestPerStreamDicts:
     SOURCE = (
         "from typing import Dict, List\n"

@@ -8,6 +8,7 @@ outcomes are reassembled in submission order.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -20,7 +21,8 @@ from repro.experiments.abtest import (ABTestConfig, iter_ab_day_tasks,
 from repro.experiments.parallel import (SessionTask, available_workers,
                                         fan_out, resolve_workers, run_fleet,
                                         run_session_tasks)
-from repro.experiments.harness import PathSpec
+from repro.core import ThresholdConfig
+from repro.experiments.harness import SCHEMES, PathSpec
 from repro.traces.radio_profiles import RadioType
 
 
@@ -133,6 +135,24 @@ class TestSeedStability:
                 assert fleet.sink.digest() == serial.digest(), \
                     (workers, shard_size)
         assert multiprocessing.active_children() == []
+
+    def test_ad_hoc_scheme_value_crosses_the_fork(self):
+        # a variant exists nowhere but in the tasks that carry it, so a
+        # forked worker must get it from there -- and agree with serial
+        cfg = _small_cfg(users_per_day=3)
+        variant = dataclasses.replace(
+            SCHEMES["xlink"], name="_adhoc",
+            thresholds=ThresholdConfig(t_th1=0.2, t_th2=0.9))
+        serial = run_ab_day(cfg, 1, ["sp", variant], workers=1)
+        assert sorted(serial.schemes) == ["_adhoc", "sp"]
+        assert serial.schemes["_adhoc"].sessions == 3
+        assert run_ab_day(cfg, 1, ["sp", variant], workers=2).digest() \
+            == serial.digest()
+        # the thresholds are in the value: the default pair differs
+        named = dataclasses.replace(SCHEMES["xlink"], name="_adhoc")
+        assert run_ab_day(cfg, 1, ["sp", named], workers=1).digest() \
+            != serial.digest()
+        assert "_adhoc" not in SCHEMES
 
     def test_ab_day_serial_is_repeatable(self):
         cfg = _small_cfg()

@@ -119,16 +119,16 @@ class TestCcRefactorEquivalence:
 
     The frozen-snapshot pins above already prove the *outputs* are
     bit-identical; these pin the *mechanism*: a "+cubic" variant is
-    the base scheme itself (no shadow registration), and a default
+    the base scheme itself (the same value, not a copy), and a default
     session never engages any of the pacing machinery.
     """
 
     def test_cubic_variant_is_the_base_scheme(self):
-        from repro.experiments.harness import scheme_with_cc
+        from repro.experiments.harness import SCHEMES, scheme_with_cc
         for scheme in VIDEO_SCHEMES:
-            assert scheme_with_cc(scheme, "cubic") == scheme
+            assert scheme_with_cc(scheme, "cubic") is SCHEMES[scheme]
         # the MPTCP baseline keeps its own fixed controller
-        assert scheme_with_cc(BULK_SCHEME, "bbr") == BULK_SCHEME
+        assert scheme_with_cc(BULK_SCHEME, "bbr") is SCHEMES[BULK_SCHEME]
 
     def test_default_cubic_session_stays_unpaced(self):
         result = run_video_session("xlink", _paths(None), seed=3)

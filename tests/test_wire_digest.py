@@ -63,7 +63,7 @@ def xlink_session_wire():
     ]
     runtime = SessionRuntime(loop, build_network(loop, paths, seed=11))
     handle = runtime.add_session(VideoSessionSpec(
-        scheme_name="xlink",
+        scheme="xlink",
         interfaces=[(spec.net_path_id, spec.radio) for spec in paths],
         video=make_video(duration_s=4.0, seed=11), seed=11,
         start_at=0.01))
