@@ -102,9 +102,9 @@ def run_contention(config: ContentionConfig) -> ContentionResult:
     result = _run_world(config)
     # The finished world is one reference cycle (loop <-> connections
     # <-> callbacks) pinning the cell trace and every payload buffer
-    # (~16 MB at N=12), yet it allocates too few containers for the
-    # collector's allocation-count heuristic to notice: back-to-back
-    # runs would pile up ~10 dead worlds before a full pass.
+    # (~2 MB at N=12 with 3 s videos), yet it allocates too few
+    # containers for the collector's allocation-count heuristic to
+    # notice: back-to-back runs would pile up ~10 dead worlds.
     gc.collect()
     return result
 

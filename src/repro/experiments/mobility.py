@@ -70,10 +70,10 @@ QUEUE_LIMIT_BYTES = 96 * 1024
 def _paths_for_trace(pair: dict) -> List[PathSpec]:
     return [
         PathSpec(net_path_id=0, radio=RadioType.WIFI,
-                 one_way_delay_s=0.020, trace_ms=list(pair["wifi_ms"]),
+                 one_way_delay_s=0.020, trace_ms=pair["wifi_ms"],
                  queue_limit_bytes=QUEUE_LIMIT_BYTES),
         PathSpec(net_path_id=1, radio=RadioType.LTE,
-                 one_way_delay_s=0.045, trace_ms=list(pair["cellular_ms"]),
+                 one_way_delay_s=0.045, trace_ms=pair["cellular_ms"],
                  queue_limit_bytes=QUEUE_LIMIT_BYTES),
     ]
 

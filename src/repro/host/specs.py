@@ -26,6 +26,7 @@ point takes the value (or one of the seven names).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Sequence, Union
@@ -33,6 +34,7 @@ from typing import List, Mapping, Optional, Sequence, Union
 from repro.core import (MinRttScheduler, ReinjectionMode, SinglePathScheduler,
                         ThresholdConfig, XlinkScheduler)
 from repro.netem import MultipathNetwork, OutageSchedule
+from repro.netem.link import as_trace
 from repro.sim import EventLoop
 from repro.sim.rng import make_rng
 from repro.traces.radio_profiles import RadioType
@@ -40,13 +42,14 @@ from repro.traces.radio_profiles import RadioType
 
 @dataclass
 class PathSpec:
-    """One emulated network path."""
+    """One emulated network path; every network built from it shares
+    ``trace_ms`` (a trace, :func:`~repro.netem.link.as_trace`)."""
 
     net_path_id: int
     radio: RadioType
     one_way_delay_s: float
     rate_bps: Optional[float] = None
-    trace_ms: Optional[List[int]] = None
+    trace_ms: Optional[array] = None
     loss_rate: float = 0.0
     queue_limit_bytes: int = 192 * 1024
     outages: Optional[OutageSchedule] = None
@@ -54,6 +57,8 @@ class PathSpec:
     def __post_init__(self) -> None:
         if (self.rate_bps is None) == (self.trace_ms is None):
             raise ValueError("specify exactly one of rate_bps / trace_ms")
+        if self.trace_ms is not None:
+            self.trace_ms = as_trace(self.trace_ms)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Link models.
 
 :class:`TraceDrivenLink` reproduces Mahimahi's ``mm-link`` semantics:
-a trace is a list of millisecond timestamps; each timestamp grants one
-delivery opportunity of up to ``MTU`` bytes.  Unused opportunity bytes
-within a slot may be used by the next queued packet (packet-granular,
-as in Mahimahi: an opportunity delivers at most one packet; a packet
-larger than MTU would consume multiple opportunities, but we cap
-datagrams at MTU so one opportunity == up to one packet).  The trace
-wraps around when exhausted.  Packets wait in a droptail FIFO queue
-bounded in bytes.
+a trace (:func:`as_trace`) is an ``array('i')`` of ms timestamps; each
+grants one delivery opportunity of up to ``MTU`` bytes.  Unused
+opportunity bytes within a slot may be used by the next queued packet
+(packet-granular, as in Mahimahi: an opportunity delivers at most one
+packet; a packet larger than MTU would consume multiple opportunities,
+but we cap datagrams at MTU so one opportunity == up to one packet).
+The trace wraps around when exhausted.  Packets wait in a droptail
+FIFO queue bounded in bytes.
 
 :class:`ConstantRateLink` is a fluid-approximation link used in unit
 tests and calibration: serialization time = size / rate.
@@ -16,14 +16,45 @@ tests and calibration: serialization time = size / rate.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Iterable, Optional
+from weakref import WeakValueDictionary
 
 from repro.netem.packet import MTU, Datagram
 from repro.sim.event_loop import EventLoop
 
 DeliverFn = Callable[[Datagram], None]
+
+#: traces :func:`as_trace` passed, by identity; entries go with them
+_CHECKED: "WeakValueDictionary[int, array]" = WeakValueDictionary()
+
+
+def as_trace(trace_ms: Iterable[int]) -> array:
+    """``trace_ms`` as a trace: a non-empty ``array('i')`` of
+    non-negative, non-decreasing ms timestamps, kept as given (links,
+    paths and sessions share it: read-only once built) or copied from
+    any other int sequence; checked once, 1,024 timestamps at a time."""
+    if _CHECKED.get(id(trace_ms)) is trace_ms:
+        return trace_ms
+    if not (isinstance(trace_ms, array) and trace_ms.typecode == "i"):
+        try:
+            trace_ms = array("i", trace_ms)
+        except OverflowError as exc:
+            raise ValueError("trace timestamps must fit in 32 bits") from exc
+    if not trace_ms:
+        raise ValueError("trace must contain at least one opportunity")
+    if trace_ms[0] < 0:
+        raise ValueError("trace timestamps must be non-negative")
+    last = 0
+    for i in range(0, len(trace_ms), 1024):
+        part = trace_ms[i:i + 1024].tolist()
+        if part[0] < last or part != sorted(part):
+            raise ValueError("trace timestamps must be non-decreasing")
+        last = part[-1]
+    _CHECKED[id(trace_ms)] = trace_ms
+    return trace_ms
 
 
 @dataclass
@@ -124,26 +155,22 @@ class ConstantRateLink(_QueueMixin):
 class TraceDrivenLink(_QueueMixin):
     """Mahimahi-style trace-replaying link.
 
-    ``trace_ms`` is a sorted list of integer millisecond offsets; each
-    entry is one opportunity to deliver one packet of up to MTU bytes.
-    The trace wraps: after the last entry, it repeats shifted by the
-    trace duration.  An empty region in the trace (no timestamps) is a
-    link outage -- exactly how Mahimahi models the zero-throughput
-    window in the paper's Fig. 1a.
+    ``trace_ms`` is a trace (:func:`as_trace`, held, not copied) of ms
+    offsets; each entry is one opportunity to deliver one packet of up
+    to MTU bytes.  The trace wraps: after the last entry, it repeats
+    shifted by the trace duration.  An empty region in the trace (no
+    timestamps) is a link outage -- exactly how Mahimahi models the
+    zero-throughput window in the paper's Fig. 1a.
     """
 
-    def __init__(self, loop: EventLoop, trace_ms: List[int],
+    def __init__(self, loop: EventLoop, trace_ms: Iterable[int],
                  deliver: DeliverFn,
                  queue_limit_bytes: int = 256 * 1024,
                  start_time: float = 0.0) -> None:
-        if not trace_ms:
-            raise ValueError("trace must contain at least one opportunity")
-        self.trace_ms = list(trace_ms)
-        if self.trace_ms != sorted(self.trace_ms):
-            raise ValueError("trace timestamps must be non-decreasing")
+        self.trace_ms = as_trace(trace_ms)
         self.loop = loop
-        # Trace duration for wrap-around: at least the last timestamp + 1ms.
-        self.period_ms = max(self.trace_ms[-1] + 1, 1)
+        # Trace duration for wrap-around: the last timestamp + 1 ms.
+        self.period_ms = self.trace_ms[-1] + 1
         self.deliver = deliver
         self.queue_limit_bytes = queue_limit_bytes
         self.start_time = start_time

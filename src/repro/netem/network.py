@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, Optional, Union
 
 from repro.netem.chaos import ChaosBox, ChaosSchedule
-from repro.netem.link import ConstantRateLink, TraceDrivenLink
+from repro.netem.link import ConstantRateLink, TraceDrivenLink, as_trace
 from repro.netem.packet import Datagram
 from repro.netem.pipes import DelayBox, LossBox, OutageSchedule
 from repro.sim.event_loop import EventLoop
@@ -192,19 +192,20 @@ class MultipathNetwork:
         self.add_path(path)
         return path
 
-    def add_trace_path(self, path_id: int, down_trace_ms: List[int],
+    def add_trace_path(self, path_id: int, down_trace_ms: Iterable[int],
                        one_way_delay_s: float,
-                       up_trace_ms: Optional[List[int]] = None,
+                       up_trace_ms: Optional[Iterable[int]] = None,
                        loss_rate: float = 0.0,
                        queue_limit_bytes: int = 256 * 1024,
                        outages: Optional[OutageSchedule] = None,
                        rng: Optional[random.Random] = None) -> EmulatedPath:
         """Convenience: trace-driven path (uplink defaults to downlink trace)."""
-        up_trace = up_trace_ms if up_trace_ms is not None else down_trace_ms
+        down_trace = as_trace(down_trace_ms)
+        up_trace = down_trace if up_trace_ms is None else as_trace(up_trace_ms)
 
         def down_factory(loop: EventLoop,
                          deliver: Callable[[Datagram], None]):
-            return TraceDrivenLink(loop, down_trace_ms, deliver,
+            return TraceDrivenLink(loop, down_trace, deliver,
                                    queue_limit_bytes=queue_limit_bytes)
 
         def up_factory(loop: EventLoop, deliver: Callable[[Datagram], None]):

@@ -34,7 +34,7 @@ def extreme_mobility_trace_pairs(
     is returned, and its bytes depend on nothing but its own seeds.
 
     Returns a list of dicts with keys ``trace_id``, ``environment``,
-    ``cellular_ms``, ``wifi_ms``.
+    ``cellular_ms``, ``wifi_ms`` (traces every replay of it shares).
     """
     pairs: List[Dict[str, object]] = []
     for index in range(10)[:n_traces]:

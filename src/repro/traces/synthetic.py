@@ -4,16 +4,17 @@ The paper's controlled experiments replay traces from four
 environments: walking on campus (Wi-Fi with a near-total outage around
 t=1.7-2.2s; Fig. 1a), stable LTE (Fig. 1b), subways and high-speed
 rail (deep periodic fades from tunnels/handoffs; Fig. 15).  Each
-generator returns millisecond delivery-opportunity lists compatible
-with :class:`repro.netem.TraceDrivenLink`.
+generator returns a trace (an ``array('i')`` of ms delivery
+opportunities) that :class:`repro.netem.TraceDrivenLink` replays.
 """
 
 from __future__ import annotations
 
 import math
-import random
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import repeat
+from typing import List
 
 from repro.sim.rng import make_rng
 from repro.traces.format import trace_from_rate_series
@@ -31,21 +32,17 @@ class TraceSpec:
     environment: str
 
 
-def constant_rate_trace(rate_bps: float, duration_s: float) -> List[int]:
+def constant_rate_trace(rate_bps: float, duration_s: float) -> array:
     """Uniform delivery opportunities at a fixed rate."""
     n_windows = int(round(duration_s / 0.1))
-    return trace_from_rate_series([rate_bps] * n_windows, interval_s=0.1)
-
-
-def _rates_to_trace(rates: List[float], interval_s: float) -> List[int]:
-    return trace_from_rate_series(rates, interval_s=interval_s)
+    return trace_from_rate_series(repeat(rate_bps, n_windows), interval_s=0.1)
 
 
 def campus_walk_wifi_trace(duration_s: float = 3.0,
                            seed: int = 1,
                            peak_mbps: float = 30.0,
                            outage_start_s: float = 1.7,
-                           outage_end_s: float = 2.2) -> List[int]:
+                           outage_end_s: float = 2.2) -> array:
     """Fast-varying Wi-Fi with a throughput collapse, as in Fig. 1a.
 
     Rate oscillates between ~20% and 100% of peak on a 100 ms grid and
@@ -64,25 +61,25 @@ def campus_walk_wifi_trace(duration_s: float = 3.0,
         if outage_start_s <= t < outage_end_s:
             rate = 0.02 * peak_mbps * MBPS  # near-zero residual
         rates.append(rate)
-    return _rates_to_trace(rates, interval)
+    return trace_from_rate_series(rates, interval)
 
 
 def stable_lte_trace(duration_s: float = 3.0, seed: int = 2,
-                     mean_mbps: float = 24.0) -> List[int]:
+                     mean_mbps: float = 24.0) -> array:
     """Relatively stable LTE, as in Fig. 1b: small jitter around the mean."""
     rng = make_rng(seed, "stable-lte")
     interval = 0.1
     rates = []
     for _ in range(int(duration_s / interval)):
         rates.append(mean_mbps * MBPS * rng.uniform(0.85, 1.15))
-    return _rates_to_trace(rates, interval)
+    return trace_from_rate_series(rates, interval)
 
 
 def _fading_trace(duration_s: float, seed: int, label: str,
                   peak_mbps: float, fade_period_s: float,
                   fade_depth: float, fade_width_s: float,
                   jitter: float = 0.25,
-                  phase_s: float = 0.0) -> List[int]:
+                  phase_s: float = 0.0) -> array:
     """Shared generator for mobility traces with periodic deep fades."""
     rng = make_rng(seed, label)
     interval = 0.1
@@ -97,18 +94,18 @@ def _fading_trace(duration_s: float, seed: int, label: str,
             base *= (1.0 - fade_depth)
         rate = base * MBPS * (1.0 + rng.uniform(-jitter, jitter))
         rates.append(max(rate, 0.0))
-    return _rates_to_trace(rates, interval)
+    return trace_from_rate_series(rates, interval)
 
 
 def subway_cellular_trace(duration_s: float = 30.0,
-                          seed: int = 10) -> List[int]:
+                          seed: int = 10) -> array:
     """Cellular on a subway: moderate rate, deep fades in tunnel sections."""
     return _fading_trace(duration_s, seed, "subway-cell", peak_mbps=12.0,
                          fade_period_s=8.0, fade_depth=0.97,
                          fade_width_s=2.0)
 
 
-def subway_wifi_trace(duration_s: float = 30.0, seed: int = 11) -> List[int]:
+def subway_wifi_trace(duration_s: float = 30.0, seed: int = 11) -> array:
     """Onboard subway Wi-Fi: bursty, fades offset from the cellular ones."""
     return _fading_trace(duration_s, seed, "subway-wifi", peak_mbps=8.0,
                          fade_period_s=11.0, fade_depth=0.95,
@@ -116,7 +113,7 @@ def subway_wifi_trace(duration_s: float = 30.0, seed: int = 11) -> List[int]:
 
 
 def high_speed_rail_cellular_trace(duration_s: float = 30.0,
-                                   seed: int = 12) -> List[int]:
+                                   seed: int = 12) -> array:
     """Cellular on high-speed rail: frequent handoffs (Fig. 15a shape)."""
     return _fading_trace(duration_s, seed, "hsr-cell", peak_mbps=10.0,
                          fade_period_s=5.0, fade_depth=0.9,
@@ -124,7 +121,7 @@ def high_speed_rail_cellular_trace(duration_s: float = 30.0,
 
 
 def high_speed_rail_wifi_trace(duration_s: float = 30.0,
-                               seed: int = 13) -> List[int]:
+                               seed: int = 13) -> array:
     """Onboard HSR Wi-Fi, backhauled over cellular: low and choppy."""
     return _fading_trace(duration_s, seed, "hsr-wifi", peak_mbps=6.0,
                          fade_period_s=6.5, fade_depth=0.92,

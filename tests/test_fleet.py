@@ -9,6 +9,8 @@ same population.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.cli import main
@@ -157,6 +159,26 @@ class TestDrivers:
         # with different seeds
         seeds = {t.key: t.seed for t in tasks}
         assert seeds[(0, 1, "xlink")] != seeds[(1, 1, "xlink")]
+        # the sessions of a (repeat, trace) cell replay one buffer
+        cell = [t for t in tasks if t.key[:2] == (0, 1)]
+        assert len({id(t.paths[0].trace_ms) for t in cell}) == 1
+
+    def test_mobility_traces_cross_the_fork(self):
+        """Traces are arrays: they pickle intact, and a two-worker
+        mobility population folds to the digest of the serial one."""
+        def driver():
+            return MobilityPopulationDriver(traces=1, repeats=1,
+                                            schemes=("sp", "xlink"))
+
+        task = next(driver().task_iter())
+        copy = pickle.loads(pickle.dumps(task))
+        assert [(p.trace_ms.typecode, p.trace_ms) for p in copy.paths] \
+            == [("i", p.trace_ms) for p in task.paths]
+        serial = run_fleet_driver(driver(), workers=1)
+        sharded = run_fleet_driver(driver(), workers=2, shard_size=1)
+        assert sharded.result.workers_effective == 2
+        assert sum(s.completed for s in serial.sink.schemes.values()) == 2
+        assert serial.sink.digest() == sharded.sink.digest()
 
     def test_sessions_expected(self):
         assert _small_cfg(users=10, days=2).sessions_expected == 20

@@ -1,14 +1,22 @@
 """Tests for the network emulation layer."""
 
+import functools
+import gc
+import itertools
 import random
+import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netem import (ConstantRateLink, Datagram, DelayBox, EmulatedPath,
                          LossBox, MultipathNetwork, OutageSchedule,
                          TraceDrivenLink)
 from repro.netem.packet import MTU, UDP_IP_OVERHEAD
 from repro.sim import EventLoop
+from repro.traces import stable_lte_trace
 
 
 def make_sink():
@@ -141,7 +149,30 @@ class TestTraceDrivenLink:
         # N lines with one timestamp = N packets deliverable that ms
         link = TraceDrivenLink(EventLoop(), trace_ms=(3, 3, 3, 7, 7, 9),
                                deliver=lambda d: None)
-        assert link.trace_ms == [3, 3, 3, 7, 7, 9]
+        assert list(link.trace_ms) == [3, 3, 3, 7, 7, 9]
+
+    def test_rejects_negative_timestamps(self):
+        # [-5, 3] would wrap to an opportunity at -1 ms of the next
+        # period, *after* the one at 3 ms: a slot in the past
+        for trace in ([-5, 3], (-1,), array("i", [-2, -1, 0])):
+            with pytest.raises(ValueError, match="non-negative"):
+                TraceDrivenLink(EventLoop(), trace_ms=trace,
+                                deliver=lambda d: None)
+
+    def test_rejects_timestamps_beyond_32_bits(self):
+        with pytest.raises(ValueError, match="32 bits"):
+            TraceDrivenLink(EventLoop(), trace_ms=[0, 2 ** 31],
+                            deliver=lambda d: None)
+
+    def test_keeps_an_array_as_given(self):
+        trace = array("i", [1, 2, 2, 5])
+        link = TraceDrivenLink(EventLoop(), trace_ms=trace,
+                               deliver=lambda d: None)
+        assert link.trace_ms is trace
+        # an unsorted array is checked like any other sequence
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TraceDrivenLink(EventLoop(), trace_ms=array("i", [4, 1]),
+                            deliver=lambda d: None)
 
     def test_late_send_uses_future_opportunity(self):
         loop = EventLoop()
@@ -151,6 +182,91 @@ class TestTraceDrivenLink:
         loop.schedule_at(0.025, lambda: link.send(Datagram(payload=b"x")))
         loop.run(until=1.0)
         assert times == pytest.approx([0.030])
+
+
+def mahimahi_delivery_times(trace, start_time, sends, queue_limit_bytes):
+    """When each of ``sends`` (``(time, wire_size)``, in time order)
+    leaves Mahimahi's link, or ``None`` if the droptail queue drops it.
+
+    Straight from the link's docstring: opportunity ``j`` of repetition
+    ``w`` is at ``start_time + (w * period + trace[j]) / 1000`` with
+    ``period = trace[-1] + 1``; it carries the head of the queue, and is
+    wasted if the queue is empty (an empty region is an outage).
+    """
+    period = trace[-1] + 1
+    out = [None] * len(sends)
+    queue, queued, arrived = [], 0, 0
+    for wrap in itertools.count():
+        for ts in trace:
+            t = start_time + (wrap * period + ts) / 1000.0
+            while arrived < len(sends) and sends[arrived][0] < t:
+                size = sends[arrived][1]
+                if queued + size <= queue_limit_bytes:
+                    queue.append(arrived)
+                    queued += size
+                arrived += 1
+            if queue:
+                queued -= sends[queue[0]][1]
+                out[queue.pop(0)] = t
+            elif arrived == len(sends):
+                return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=st.lists(st.integers(0, 150), min_size=1,
+                      max_size=30).map(sorted),
+       start_tenths_ms=st.integers(0, 3000),
+       bursts=st.lists(st.tuples(st.integers(0, 1500), st.integers(1, 6),
+                                 st.integers(1, MTU - UDP_IP_OVERHEAD)),
+                       max_size=12),
+       queue_limit=st.integers(MTU, 6 * MTU))
+def test_trace_link_matches_mahimahi(trace, start_tenths_ms, bursts,
+                                     queue_limit):
+    """Every datagram leaves at the reference's time, to the bit: bursts
+    of several packets per opportunity, idle gaps of up to 1.5 s (ten
+    periods and more), a shifted ``start_time``, queue-limit drops.
+    Sends sit 0.05 ms off the 0.1 ms grid opportunities fall on."""
+    start_time = start_tenths_ms / 10000.0
+    sends, at_ms = [], 0
+    for gap_ms, count, payload in bursts:
+        at_ms += gap_ms
+        sends += count * [((at_ms + 0.05) / 1000.0,
+                           payload + UDP_IP_OVERHEAD)]
+    loop = EventLoop()
+    left = {}
+    link = TraceDrivenLink(loop, trace,
+                           lambda d: left.setdefault(d.dgram_id, loop.now),
+                           queue_limit_bytes=queue_limit,
+                           start_time=start_time)
+    ids = []
+    for t, wire_size in sends:
+        dgram = Datagram(payload=b"x" * (wire_size - UDP_IP_OVERHEAD))
+        ids.append(dgram.dgram_id)
+        loop.schedule_at(t, functools.partial(link.send, dgram))
+    loop.run()
+    assert [left.get(i) for i in ids] == mahimahi_delivery_times(
+        trace, start_time, sends, queue_limit)
+
+
+def test_a_trace_path_holds_four_bytes_per_opportunity():
+    """A 60 s, 24 Mbps trace plus the path replaying it hold <= 5 B per
+    delivery opportunity (a list of ints plus a copy per direction held
+    ~55 B), both directions replay the one buffer, and nothing on the
+    way from generator to link builds a list of the whole trace."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = stable_lte_trace(60.0, seed=5, mean_mbps=24.0)
+        net = MultipathNetwork(EventLoop())
+        path = net.add_trace_path(0, trace, one_way_delay_s=0.035)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 119_305
+    assert held <= 5 * len(trace)
+    assert peak - held < 1_000_000
+    assert path.uplink.link.trace_ms is trace
+    assert path.downlink.link.trace_ms is trace
 
 
 class TestDelayBox:
