@@ -4,14 +4,14 @@ PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
 .PHONY: test lint chaos fleet-chaos fleet-smoke cc-smoke bench
 
-## tier-1 verification: lint gate, the chaos soak, the fleet
-## supervision soak, the full unit/integration suite, the fleet
-## determinism and scheme x CC smokes, the figure tests (each paper
-## table/figure regenerated once, its shape asserted), then the
-## benchmark's own tests (every workload completes with failed == 0,
-## sharded digest == serial digest, digests and counts repeat; see
-## bench/README.md)
-test: lint chaos fleet-chaos
+## tier-1 verification: lint gate, the fleet supervision soak, the
+## full unit/integration suite (tests/test_golden.py runs the 12-scenario
+## chaos soak and checks its digest), the fleet determinism and scheme
+## x CC smokes, the figure tests (each paper table/figure regenerated
+## once, its shape asserted), then the benchmark's own tests (every
+## workload completes with failed == 0, sharded digest == serial
+## digest, digests and counts repeat; see bench/README.md)
+test: lint fleet-chaos
 	$(PY) -m pytest -x -q
 	$(MAKE) fleet-smoke
 	$(MAKE) cc-smoke

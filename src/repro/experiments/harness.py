@@ -3,8 +3,7 @@
 ``run_video_session`` plays one video under a scheme and collects
 metrics.  It is the N=1 case of :class:`repro.host.SessionRuntime`:
 one :class:`~repro.host.ServerHost` behind the QUIC-LB frontend, one
-:class:`~repro.host.ClientEndpoint`, one shared event loop -- the
-equivalence tests pin it bit-identical to the pre-runtime harness.
+:class:`~repro.host.ClientEndpoint`, one shared event loop.
 
 The scheme vocabulary (``SCHEMES``, :class:`SchemeConfig`,
 :class:`PathSpec`) lives in :mod:`repro.host.specs` and is re-exported

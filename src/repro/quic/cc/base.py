@@ -7,14 +7,17 @@ a packet on the path.
 Two controller families share this interface:
 
 * **Loss-based** (NewReno, Cubic, LIA): window arithmetic only.  They
-  keep ``paced = False`` and the connection never consults pacing
-  state or computes delivery-rate samples for them -- the hot path is
-  byte-identical to the pre-pacing code.
+  keep ``paced = False``: the pacing timer skips their paths and no
+  delivery-rate sample is built for them.
 * **Model-based** (BBR, multipath-BBR): ``paced = True``.  They expose
   a ``pacing_rate`` and a ``next_send_time`` token-release deadline,
   and consume :class:`RateSample` objects built by the connection from
-  RFC-style ``delivered``/``delivered_time`` bookkeeping on each
+  the RFC-style ``delivered``/``delivered_time`` totals the loss
+  detector stamps on every
   :class:`~repro.quic.loss_detection.SentPacket`.
+
+``paced`` is the only switch: the connection reads it from the path's
+controller wherever pacing or rate samples are concerned.
 """
 
 from __future__ import annotations
@@ -129,8 +132,7 @@ class CongestionController(abc.ABC):
         """Consume a delivery-rate sample (model-based controllers).
 
         The connection only builds samples for controllers with
-        ``paced = True``; the default is a no-op so loss-based
-        controllers pay nothing.
+        ``paced = True``; the default is a no-op.
         """
 
     def on_discarded(self, size: int) -> None:

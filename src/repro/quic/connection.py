@@ -103,11 +103,6 @@ class Connection:
         self.net_path_of: Dict[int, int] = {}
         #: shared coordinator for coupled controllers (lia/mpbbr), else None
         self._cc_coordinator = make_coordinator(config.cc_algorithm)
-        #: True once any path runs a paced (model-based) controller;
-        #: gates every pacing/rate-sample code path so the default
-        #: loss-based configuration takes identical branches to the
-        #: pre-pacing connection.
-        self._any_paced = False
 
         #: the halves of every *open* stream: the only per-stream state
         self.send_streams: Dict[int, SendStream] = {}
@@ -201,13 +196,9 @@ class Connection:
 
     def _make_cc(self):
         if self._cc_coordinator is not None:
-            cc = make_cc(self.config.cc_algorithm,
-                         coordinator=self._cc_coordinator)
-        else:
-            cc = make_cc(self.config.cc_algorithm)
-        if cc.paced:
-            self._any_paced = True
-        return cc
+            return make_cc(self.config.cc_algorithm,
+                           coordinator=self._cc_coordinator)
+        return make_cc(self.config.cc_algorithm)
 
     def add_local_path(self, path_id: int, net_path_id: int,
                        radio: Optional[RadioType] = None) -> Path:
@@ -232,10 +223,6 @@ class Connection:
             remote = ConnectionId(cid=initial, sequence_number=path_id)
         path = Path(path_id, local_cid, remote, self._make_cc(), radio=radio,
                     max_ack_delay=self.config.max_ack_delay)
-        if path.cc.paced:
-            # The loss detector stamps delivered/delivered_time on every
-            # sent packet only when the controller consumes rate samples.
-            path.loss.rate_sampling = True
         self.paths[path_id] = path
         self.net_path_of[path_id] = net_path_id
         return path

@@ -82,11 +82,8 @@ class PathLossDetector:
         self._acked_older: tuple = ()
         #: no packet number above this one is in ``_declared_lost``
         self._declared_max = -1
-        #: delivery-rate bookkeeping for paced (model-based) congestion
-        #: controllers.  Off by default: the connection flips
-        #: ``rate_sampling`` on when the path's controller wants
-        #: samples, so loss-based paths pay one boolean test per event.
-        self.rate_sampling = False
+        #: delivery-rate bookkeeping, kept on every path and read only
+        #: for paced controllers (``AckHandler._feed_rate_samples``):
         #: total in-flight bytes delivered (cumulatively acked)
         self.delivered = 0
         #: virtual time of the most recent delivery (or send-epoch)
@@ -112,13 +109,12 @@ class PathLossDetector:
                 f"{self._last_sent_time}")
         self._last_pn = pn
         self._last_sent_time = pkt.sent_time
-        if self.rate_sampling:
-            if self._bytes_in_flight == 0:
-                # Idle restart: the delivery interval opens now, not at
-                # the last ack before the idle gap.
-                self.delivered_time = pkt.sent_time
-            pkt.delivered = self.delivered
-            pkt.delivered_time = self.delivered_time
+        if self._bytes_in_flight == 0:
+            # Idle restart: the delivery interval opens now, not at the
+            # last ack before the idle gap.
+            self.delivered_time = pkt.sent_time
+        pkt.delivered = self.delivered
+        pkt.delivered_time = self.delivered_time
         self.sent[pn] = pkt
         if pkt.ack_eliciting:
             self.eliciting_sent_time[pn] = pkt.sent_time
@@ -167,6 +163,7 @@ class PathLossDetector:
             if largest_in_ack in sent:
                 largest_pkt = sent[largest_in_ack]
         declared = self._declared_lost
+        in_flight_before = self._bytes_in_flight
         newly_acked: List[SentPacket] = []
         for start, end in fresh:
             # ``sent`` is in packet-number order: walk it and stop past
@@ -202,11 +199,11 @@ class PathLossDetector:
         if newly_acked:
             self.packets_acked_total += len(newly_acked)
             self.pto_count = 0
-            if self.rate_sampling:
-                delivered = sum(p.size for p in newly_acked if p.in_flight)
-                if delivered:
-                    self.delivered += delivered
-                    self.delivered_time = now
+            # the walk took only newly acked packets out of flight
+            delivered = in_flight_before - self._bytes_in_flight
+            if delivered:
+                self.delivered += delivered
+                self.delivered_time = now
         newly_lost = self._detect_losses(now)
         return newly_acked, newly_lost, rtt_sample
 

@@ -160,21 +160,20 @@ class Sender:
                 if path is None:
                     break  # all candidate paths are congestion-limited
                 self.send_data_packet(path, chunk, now)
-            if conn._any_paced:
-                if queue:
-                    # Data is waiting: if every candidate path is merely
-                    # pacing-blocked (not window-blocked), wake the pump
-                    # at the earliest token release.
-                    self.timers.arm_pacing()
-                else:
-                    # Queue drained with window to spare: mark the paths
-                    # app-limited so the quiet period cannot be read as
-                    # the bottleneck bandwidth.
-                    for p in conn.usable_paths():
+            if queue:
+                # Data is waiting: if every candidate path is merely
+                # pacing-blocked (not window-blocked), wake the pump at
+                # the earliest token release of a paced path.
+                self.timers.arm_pacing()
+            else:
+                # Queue drained with window to spare: mark the paced
+                # paths app-limited so the quiet period cannot be read
+                # as the bottleneck bandwidth.
+                for p in conn.usable_paths():
+                    if p.cc.paced:
                         loss = p.loss
-                        if loss.rate_sampling:
-                            loss.app_limited_until = \
-                                loss.delivered + loss.bytes_in_flight
+                        loss.app_limited_until = \
+                            loss.delivered + loss.bytes_in_flight
         self.timers.arm_loss()
 
     def chunk_sendable(self, chunk: SendChunk) -> bool:

@@ -52,6 +52,12 @@ class TestSchemeTable:
         with pytest.raises(ValueError):
             scheme_with_cc("xlink", "warp")
 
+    def test_cubic_variant_is_the_base_scheme(self):
+        for scheme in SCHEMES:
+            assert scheme_with_cc(scheme, "cubic") is SCHEMES[scheme]
+        # the MPTCP baseline keeps its own fixed controller
+        assert scheme_with_cc("mptcp", "bbr") is SCHEMES["mptcp"]
+
     def test_sp_single_path(self):
         assert not SCHEMES["sp"].multipath
 
@@ -127,6 +133,17 @@ class TestVideoSession:
                                    timeout_s=30.0, seed=2)
         assert result.completed
         assert result.duration_s > 3.0
+
+    def test_cm_long_outage_migrates_and_rebuffers_less_than_sp(self):
+        """An outage longer than CM's stall threshold: migrating to LTE
+        saves the session from the stall single-path sits through."""
+        def paths():
+            return wifi_lte_paths(
+                wifi_outage=OutageSchedule(windows=[(0.5, 4.0)]))
+        cm = run_video_session("cm", paths(), seed=7)
+        sp = run_video_session("sp", paths(), seed=7)
+        assert cm.client.net_path_of[0] == 1     # path 0 now on LTE
+        assert sp.metrics.rebuffer_time > cm.metrics.rebuffer_time
 
 
 class TestBulkDownload:

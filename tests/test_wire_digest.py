@@ -1,4 +1,4 @@
-"""Wire images pinned at byte level.
+"""Wire images of two scripted sessions, for ``tests/test_golden.py``.
 
 The bench ``sim_digest``s hash a run's *outputs* (bytes delivered,
 virtual duration, packet counts).  These two digests hash the *wire*:
@@ -6,11 +6,8 @@ sha256 over every datagram either endpoint emits, in emit order, with
 its direction, network path and length -- so a change to a header, a
 frame layout, an ACK range, a packet boundary, the order two packets
 leave in, or the RNG draws behind a loss shows up here even when the
-session still completes with the same totals.
-
-The values were recorded on the commit before ``Connection`` was split
-into receive / ACK / send / timer collaborators (PR 16) and must not
-move unless a PR means to change what goes on the wire.
+session still completes with the same totals.  ``tests/data/golden.json``
+holds their values (``wire/*``).
 """
 
 import hashlib
@@ -23,11 +20,6 @@ from repro.sim import EventLoop
 from repro.traces.radio_profiles import RadioType
 from repro.video import make_video
 from tests.test_connection import build_pair
-
-XLINK_SESSION_WIRE = (
-    "6c59bcd5d72fb851eb0ef954bdc39a09ac2c966ce3bda869b56dc8ca5f6e848c", 1192)
-RPC_EXCHANGE_WIRE = (
-    "397f970b315e90c9ab1d08dbe86c5c4af0f2609d00cb6472b396d04e0694ed79", 192)
 
 
 class WireTap:
@@ -121,16 +113,3 @@ def rpc_exchange_wire(exchanges: int = 60, window: int = 4):
     loop.run(until=30.0)
     assert state["done"] == exchanges
     return tap.result()
-
-
-def test_xlink_session_wire_image_is_pinned():
-    assert xlink_session_wire() == XLINK_SESSION_WIRE
-
-
-def test_rpc_exchange_wire_image_is_pinned():
-    assert rpc_exchange_wire() == RPC_EXCHANGE_WIRE
-
-
-if __name__ == "__main__":      # PYTHONPATH=src:. ; prints the values to pin
-    print("XLINK_SESSION_WIRE =", xlink_session_wire())
-    print("RPC_EXCHANGE_WIRE =", rpc_exchange_wire())
