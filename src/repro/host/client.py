@@ -4,8 +4,8 @@ A :class:`ClientEndpoint` wraps one client connection together with its
 application wiring -- video player, secondary-path bring-up, and the
 CM baseline's migration monitor -- behind explicit ``on_datagram`` /
 ``on_established`` hooks.  Nothing monkey-patches the connection: the
-migration monitor observes traffic through the connection's
-receive-hook API, the same mechanism :class:`ConnectionTracer` uses.
+migration monitor is one of the connection's listeners, as
+:class:`ConnectionTracer` is.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class MigrationMonitor:
     QUIC connection migration is client-driven: when nothing has been
     received for a degradation threshold, the client migrates to the
     other interface, which resets the congestion window (Sec. 2).  The
-    monitor observes traffic via the connection's receive-hook API.
+    monitor listens to the connection's ``datagram_received`` events.
     """
 
     #: idle time on the active path that forces a migration
@@ -151,13 +151,14 @@ class MigrationMonitor:
         self.migrated_at = -1.0
         self.migrations = 0
         self._next_quic_id = 1
-        conn.add_receive_hook(self._on_datagram)
+        conn.listeners.append(self._on_event)
         loop.schedule_after(self.PROBE_INTERVAL_S, self._probe,
                             label="cm-probe")
 
-    def _on_datagram(self, payload: bytes, net_path_id: int = -1) -> None:
-        self.last_rx = self.loop.now
-        self.bytes += len(payload)
+    def _on_event(self, kind: str, fields: dict) -> None:
+        if kind == "datagram_received":
+            self.last_rx = self.loop.now
+            self.bytes += len(fields["payload"])
 
     def _degraded(self) -> bool:
         """Idle too long, or goodput collapsed vs the session average."""

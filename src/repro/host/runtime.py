@@ -11,10 +11,10 @@ This is the layered endpoint architecture the experiments run on:
         per-connection state, serves all of them from one shared
         MediaServer catalog
     ClientEndpoint   -- one user's device; connection + player + CM
-        monitor behind explicit hooks
+        monitor, which listens to the connection's events
 
 ``repro.experiments.harness.run_video_session`` is the N=1 case of
-this runtime (bit-identical to the pre-runtime harness by test);
+this runtime (its outputs pinned by ``tests/test_golden.py``);
 ``repro.experiments.contention`` is the N>1 shared-cell case.
 """
 

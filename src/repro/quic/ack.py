@@ -93,19 +93,25 @@ class AckHandler:
             if pkt.in_flight:
                 cc.on_packets_lost(pkt.size, pkt.sent_time, now)
             self.requeue_lost(pkt)
-        scheduler = self.conn.scheduler
-        if scheduler is not None:
-            scheduler.on_ack(self.conn, path, acked, lost)
+        conn = self.conn
+        if conn.listeners:
+            conn.emit("ack_received", path_id=path.path_id, acked=len(acked),
+                      lost=len(lost), smoothed_rtt=path.rtt.smoothed,
+                      cwnd=cc.cwnd, bytes_in_flight=path.loss.bytes_in_flight)
+        if conn.scheduler is not None:
+            conn.scheduler.on_ack(conn, path, acked, lost)
 
     def on_qoe_frame(self, frame: QoeControlSignalsFrame, _path: Path,
                      now: float) -> None:
         self.on_qoe(frame.qoe, now)
 
     def on_qoe(self, qoe: QoeSignals, now: float) -> None:
-        """The peer's QoE feedback: hooks, then the scheduler (Alg. 1)."""
+        """The peer's QoE feedback: listeners, then the scheduler (Alg. 1)."""
         conn = self.conn
-        for hook in conn.qoe_hooks:
-            hook(qoe)
+        if conn.listeners:
+            conn.emit("feedback_received", cached_bytes=qoe.cached_bytes,
+                      cached_frames=qoe.cached_frames, bps=qoe.bps,
+                      fps=qoe.fps)
         conn.last_qoe = qoe
         conn.last_qoe_time = now
         if conn.scheduler is not None:

@@ -2,9 +2,10 @@
 
 :class:`Connection` owns the state -- configuration and stats, the CID
 registry and packet protection, paths, streams and flow-control
-windows, the send queue, the application callbacks and the five
-observer hook lists -- and the parts of the protocol that are about
-that state rather than about a packet: the 1-RTT handshake with the
+windows, the send queue, the application callbacks and the one list of
+listeners every event reaches through :meth:`Connection.emit` -- and
+the parts of the protocol that are about that state rather than about a
+packet: the 1-RTT handshake with the
 ``enable_multipath`` transport parameter (Fig. 9), path lifecycle
 (NEW_CONNECTION_ID supply, PATH_CHALLENGE / PATH_RESPONSE validation,
 PATH_STATUS, abandon, single-path *connection migration* for the CM
@@ -130,22 +131,11 @@ class Connection:
         self.on_stream_data: Optional[Callable[[int], None]] = None
         self.on_stream_complete: Optional[Callable[[int], None]] = None
 
-        #: observer hooks -- the supported way to watch a connection
-        #: without wrapping its methods (tracers, CM monitors, hosts).
-        #: Receive hooks fire on every datagram handed to
-        #: :meth:`datagram_received`, before any processing (even on a
-        #: closed connection, matching an on-the-wire tap); transmit
-        #: hooks fire just before a datagram leaves via ``transmit``.
-        self.receive_hooks: List[Callable[[bytes, int], None]] = []
-        self.transmit_hooks: List[Callable[[int, bytes], None]] = []
-        #: fired when a re-injection chunk is actually enqueued
-        self.reinjection_hooks: List[Callable[[SendChunk, Optional[int]],
-                                              None]] = []
-        #: fired on every QoE feedback signal from the peer
-        self.qoe_hooks: List[Callable[[QoeSignals], None]] = []
-        #: fired whenever a datagram/chunk is dropped: ``hook(reason,
-        #: size)`` -- reasons mirror the robustness counters.
-        self.drop_hooks: List[Callable[[str, int], None]] = []
+        #: observers, ``listener(kind, fields)``: the supported way to
+        #: watch a connection without wrapping its methods (tracers, the
+        #: CM monitor, tests).  :data:`repro.quic.trace.EVENTS` lists
+        #: every kind and where it is emitted.
+        self.listeners: List[Callable[[str, dict], None]] = []
 
         self._handshake_retransmit_event = None
         self._next_challenge = 0
@@ -162,33 +152,22 @@ class Connection:
         self.enqueue_reinjection = self.sender.enqueue_reinjection
 
     # ------------------------------------------------------------------
-    # observer hooks
+    # observers
     # ------------------------------------------------------------------
 
-    def add_receive_hook(self, hook: Callable[[bytes, int], None]) -> None:
-        """Observe incoming datagrams: ``hook(payload, net_path_id)``."""
-        self.receive_hooks.append(hook)
+    def emit(self, kind: str, **fields) -> None:
+        """Tell every listener that ``kind`` happened.  Sites on the
+        per-packet path test ``listeners`` first, so an unobserved
+        connection pays one truthiness check there and builds nothing."""
+        for listener in self.listeners:
+            listener(kind, fields)
 
-    def add_transmit_hook(self, hook: Callable[[int, bytes], None]) -> None:
-        """Observe outgoing datagrams: ``hook(net_path_id, payload)``."""
-        self.transmit_hooks.append(hook)
-
-    def add_reinjection_hook(
-            self, hook: Callable[["SendChunk", Optional[int]], None]) -> None:
-        """Observe enqueued re-injections: ``hook(chunk, position)``."""
-        self.reinjection_hooks.append(hook)
-
-    def add_qoe_hook(self, hook: Callable[[QoeSignals], None]) -> None:
-        """Observe peer QoE feedback: ``hook(qoe)``."""
-        self.qoe_hooks.append(hook)
-
-    def add_drop_hook(self, hook: Callable[[str, int], None]) -> None:
-        """Observe robustness drops: ``hook(reason, size_bytes)``."""
-        self.drop_hooks.append(hook)
-
-    def note_drop(self, reason: str, size: int) -> None:
-        for hook in self.drop_hooks:
-            hook(reason, size)
+    def path_updated(self, path: Path, cause: str) -> None:
+        """Emit ``path_updated`` after ``path``'s state or status moved."""
+        if self.listeners:
+            self.emit("path_updated", path_id=path.path_id,
+                      state=path.state.value, status=path.status.name,
+                      cause=cause)
 
     # ------------------------------------------------------------------
     # path lifecycle
@@ -248,6 +227,7 @@ class Connection:
         challenge = self._next_challenge.to_bytes(8, "big")
         self._next_challenge += 1
         path.challenge_data = challenge
+        self.path_updated(path, "open")
         self.sender.queue_control(path_id, PathChallengeFrame(data=challenge))
         self.pump()
         return path
@@ -264,6 +244,7 @@ class Connection:
         path.remote_cid = self.cids.peer_cids[path_id]
         self.cids.mark_peer_used(path_id)
         path.state = _ACTIVE
+        self.path_updated(path, "accept")
         return path
 
     def close_path(self, path_id: int) -> None:
@@ -292,6 +273,7 @@ class Connection:
             path.cc.on_discarded(pkt.size if pkt.in_flight else 0)
             self.acks.requeue_lost(pkt)
         path.abandon()
+        self.path_updated(path, "abandon")
         self.timers.arm_loss()
 
     def start_qoe_feedback(self, interval_s: float = 0.1) -> None:
@@ -345,6 +327,7 @@ class Connection:
         elif status is PathStatus.AVAILABLE \
                 and path.state is PathState.STANDBY:
             path.state = _ACTIVE
+        self.path_updated(path, "local_status")
         self.pump()
 
     def send_ping(self, path_id: int) -> None:
@@ -362,8 +345,10 @@ class Connection:
         for path in self.paths.values():
             if path.path_id != new_path_id and path.is_usable:
                 path.state = PathState.STANDBY
+                self.path_updated(path, "migrate")
         new_path.state = _ACTIVE
         new_path.cc.reset()
+        self.path_updated(new_path, "migrate")
         self.pump()
 
     def active_path_id(self) -> int:
@@ -446,7 +431,7 @@ class Connection:
         self.stats.packets_sent += 1
         path.packets_sent += 1
         path.bytes_sent += len(aad) + len(sealed)
-        self.sender.emit(self.net_path_of[0], aad + sealed)
+        self.sender.send_datagram(self.net_path_of[0], aad + sealed)
         if self.config.is_client and not self.established:
             if self._handshake_retransmit_event is not None:
                 self._handshake_retransmit_event.cancel()
@@ -504,6 +489,7 @@ class Connection:
         if self.cids.peer_cids.get(0) is not None:
             path0.remote_cid = self.cids.peer_cids[0]
         path0.state = _ACTIVE
+        self.path_updated(path0, "handshake")
         if self.on_established is not None:
             self.on_established()
         self.pump()

@@ -67,8 +67,9 @@ class Receiver:
     def on_datagram(self, payload: bytes, net_path_id: int) -> None:
         """Process one datagram from the network.  Never raises."""
         conn = self.conn
-        for hook in conn.receive_hooks:
-            hook(payload, net_path_id)
+        if conn.listeners:
+            conn.emit("datagram_received", net_path=net_path_id,
+                      payload=payload)
         if conn.closed:
             return
         now = self.loop.now
@@ -80,7 +81,7 @@ class Receiver:
             header, offset = decode_header(view)
         except QuicError:
             stats.malformed_dropped += 1
-            conn.note_drop("malformed_header", len(payload))
+            conn.emit("drop", reason="malformed_header", size=len(payload))
             return
         if header.packet_type is _HANDSHAKE:
             self._on_handshake_datagram(header, view, offset, net_path_id,
@@ -91,7 +92,7 @@ class Receiver:
             # Unknown DCID: routing noise, or corruption that hit the
             # CID bytes (so authentication was never attempted).
             stats.unknown_cid_dropped += 1
-            conn.note_drop("unknown_cid", len(payload))
+            conn.emit("drop", reason="unknown_cid", size=len(payload))
             return
         path_id = local.sequence_number
         path = conn.paths.get(path_id)
@@ -106,7 +107,7 @@ class Receiver:
                                          path_id, pn)
         except ValueError:
             stats.corrupted_dropped += 1
-            conn.note_drop("corrupted", len(payload))
+            conn.emit("drop", reason="corrupted", size=len(payload))
             return
         # Address migration: if the peer moved this QUIC path onto a
         # different network path (QUIC connection migration, Sec. 2),
@@ -117,7 +118,7 @@ class Receiver:
             stats.reorder_max_depth = largest - pn
         if not path.record_received(pn, now):
             stats.duplicates_suppressed += 1
-            conn.note_drop("duplicate", len(payload))
+            conn.emit("drop", reason="duplicate", size=len(payload))
             return
         stats.packets_received += 1
         conn.last_activity_at = now
@@ -129,7 +130,7 @@ class Receiver:
             # Authenticated but unparseable: a peer (or our own stack)
             # bug, not line noise -- close cleanly per RFC 9000.
             stats.frame_decode_errors += 1
-            conn.note_drop("frame_decode", len(payload))
+            conn.emit("drop", reason="frame_decode", size=len(payload))
             conn.close_on_error(exc)
             return
         eliciting = False
@@ -160,7 +161,7 @@ class Receiver:
                                          header.truncated_pn)
         except ValueError:
             self.stats.corrupted_dropped += 1
-            conn.note_drop("corrupted", len(view))
+            conn.emit("drop", reason="corrupted", size=len(view))
             return
         self.stats.packets_received += 1
         conn.last_activity_at = now
@@ -176,7 +177,7 @@ class Receiver:
             conn.close_on_error(exc)
         except ValueError:
             self.stats.malformed_dropped += 1
-            conn.note_drop("malformed_handshake", len(view))
+            conn.emit("drop", reason="malformed_handshake", size=len(view))
 
     # ------------------------------------------------------------------
     # frame handlers: ``handler(frame, path, now)``
@@ -214,12 +215,14 @@ class Receiver:
                                   PathResponseFrame(data=frame.data))
         if path.state is PathState.PENDING:
             path.state = PathState.ACTIVE
+            self.conn.path_updated(path, "challenge")
 
     def on_path_response(self, frame: PathResponseFrame, path: Path,
                          now: float) -> None:
         if path.challenge_data == frame.data:
             path.state = PathState.ACTIVE
             path.challenge_data = None
+            self.conn.path_updated(path, "validated")
 
     def on_new_connection_id(self, frame: NewConnectionIdFrame, _path: Path,
                              now: float) -> None:
@@ -240,6 +243,7 @@ class Receiver:
         elif frame.status is PathStatus.AVAILABLE:
             if path.state is PathState.STANDBY:
                 path.state = PathState.ACTIVE
+        self.conn.path_updated(path, "peer_status")
 
     def on_max_data(self, frame: MaxDataFrame, _path: Path,
                     now: float) -> None:

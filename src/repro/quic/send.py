@@ -279,13 +279,13 @@ class Sender:
         path.packets_sent += 1
         path.bytes_sent += size
         self.stats.packets_sent += 1
-        self.emit(conn.net_path_of[path.path_id], wire)
+        self.send_datagram(conn.net_path_of[path.path_id], wire)
 
-    def emit(self, net_path_id: int, payload: bytes) -> None:
-        """Hand a datagram to the network, notifying transmit hooks."""
+    def send_datagram(self, net_path_id: int, payload: bytes) -> None:
+        """Hand a datagram to the network, telling the listeners first."""
         conn = self.conn
-        for hook in conn.transmit_hooks:
-            hook(net_path_id, payload)
+        if conn.listeners:
+            conn.emit("datagram_sent", net_path=net_path_id, payload=payload)
         conn.transmit(net_path_id, payload)
 
     # ------------------------------------------------------------------
@@ -377,8 +377,10 @@ class Sender:
             self.send_queue.append(chunk)
         else:
             self.send_queue.insert(position, chunk)
-        for hook in conn.reinjection_hooks:
-            hook(chunk, position)
+        if conn.listeners:
+            conn.emit("reinjection", stream_id=chunk.stream_id,
+                      offset=chunk.offset, length=chunk.length,
+                      exclude_path=chunk.exclude_path, position=position)
 
     def _storm_guard_admit(self, length: int, now: float) -> bool:
         """Cap duplicate bytes per RTT-sized window (storm guard).
@@ -399,7 +401,7 @@ class Sender:
         if self._storm_window_bytes + length > budget:
             self.stats.storm_guard_trims += 1
             self.stats.storm_guard_trimmed_bytes += length
-            self.conn.note_drop("storm_guard", length)
+            self.conn.emit("drop", reason="storm_guard", size=length)
             return False
         self._storm_window_bytes += length
         return True

@@ -104,10 +104,13 @@ class Timers:
                 continue
             loss = path.loss
             if loss.loss_time is not None and loss.loss_time <= now + 1e-9:
-                for pkt in loss.on_loss_timer(now):
+                lost = loss.on_loss_timer(now)
+                for pkt in lost:
                     if pkt.in_flight:
                         path.cc.on_packets_lost(pkt.size, pkt.sent_time, now)
                     conn.acks.requeue_lost(pkt)
+                conn.emit("loss_timer", path_id=path.path_id, lost=len(lost),
+                          cwnd=path.cc.cwnd)
                 continue
             deadline = loss.pto_deadline()
             if deadline is not None and deadline <= now + 1e-9:
@@ -118,6 +121,7 @@ class Timers:
         """Probe timeout: retransmit the oldest unacked data on the path."""
         conn = self.conn
         path.loss.on_pto()
+        conn.emit("pto", path_id=path.path_id, pto_count=path.loss.pto_count)
         oldest = path.loss.oldest_unacked()
         if oldest is None:
             return
@@ -237,7 +241,7 @@ class Timers:
         deadline = self.idle_deadline()
         if self.loop.now + 1e-9 >= deadline:
             conn.stats.idle_timeouts += 1
-            conn.note_drop("idle_timeout", 0)
+            conn.emit("drop", reason="idle_timeout", size=0)
             # RFC 9000 Sec. 10.1: an idle close is silent -- the peer is
             # unreachable, so sending CONNECTION_CLOSE would be pointless.
             conn.silent_close()

@@ -1,19 +1,34 @@
 """Structured connection tracing (qlog-style).
 
 XQUIC ships an event log used to debug production incidents; this is
-the emulator's equivalent.  A :class:`ConnectionTracer` attaches to a
-connection and records typed events with virtual timestamps --
-datagrams sent/received, re-injections, QoE feedback and robustness
-drops, the five observer hooks a connection has.  Acks, losses and path
-state changes are not recorded yet (ROADMAP item 3).  Traces can be
-filtered, summarized, and exported as JSON-lines for offline analysis.
+the emulator's equivalent.  A :class:`ConnectionTracer` listens to a
+connection and records every event it emits, with virtual timestamps:
+datagrams sent and received, ACK_MP processing, loss-timer and PTO
+firings, re-injections, QoE feedback, path state changes and
+robustness drops.  Traces can be filtered, summarized, and exported as
+JSON-lines for offline analysis.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
+
+#: every kind ``Connection.emit`` is called with -> its trace category.
+#: Datagram events carry the wire bytes as ``payload``; the rest carry
+#: plain numbers and names.
+EVENTS = {
+    "datagram_sent": "packet",          # Sender.send_datagram
+    "datagram_received": "packet",      # Receiver.on_datagram, first
+    "ack_received": "recovery",         # AckHandler.on_ack_mp
+    "loss_timer": "recovery",           # Timers.on_loss_timer
+    "pto": "recovery",                  # Timers.on_pto
+    "reinjection": "recovery",          # Sender.enqueue_reinjection
+    "feedback_received": "qoe",         # AckHandler.on_qoe
+    "path_updated": "path",             # Connection.path_updated
+    "drop": "robustness",               # reasons mirror the counters
+}
 
 
 @dataclass(frozen=True)
@@ -35,9 +50,8 @@ class TraceEvent:
 class ConnectionTracer:
     """Collects :class:`TraceEvent` records from one connection.
 
-    Attach with :meth:`install`; the tracer registers observer hooks
-    (``add_transmit_hook`` / ``add_receive_hook`` / ...) on the
-    connection -- nothing is monkey-patched.
+    Attach with :meth:`install`; the tracer is one more entry in the
+    connection's ``listeners`` -- nothing is monkey-patched.
     """
 
     def __init__(self, max_events: int = 1_000_000) -> None:
@@ -59,46 +73,20 @@ class ConnectionTracer:
     # -- installation -------------------------------------------------------
 
     def install(self, conn) -> None:
-        """Observe a :class:`repro.quic.connection.Connection`.
-
-        Registers on the connection's observer-hook API (transmit,
-        receive, re-injection, QoE); nothing on the connection is
-        wrapped or replaced, so any number of observers can coexist.
-        """
+        """Record every event a :class:`repro.quic.connection.Connection`
+        emits; any number of listeners can coexist."""
         if self._conn is not None:
             raise RuntimeError("tracer already installed")
         self._conn = conn
 
-        def on_transmit(net_path_id: int, payload: bytes) -> None:
-            self.record(conn.loop.now, "packet", "datagram_sent",
-                        net_path=net_path_id, size=len(payload))
+        def on_event(kind: str, fields: Dict[str, Any]) -> None:
+            payload = fields.get("payload")
+            if payload is not None:     # a datagram: record its size
+                fields = {"net_path": fields["net_path"],
+                          "size": len(payload)}
+            self.record(conn.loop.now, EVENTS[kind], kind, **fields)
 
-        def on_receive(payload: bytes, net_path_id: int = -1) -> None:
-            self.record(conn.loop.now, "packet", "datagram_received",
-                        net_path=net_path_id, size=len(payload))
-
-        def on_reinjection(chunk, position) -> None:
-            self.record(conn.loop.now, "recovery", "reinjection",
-                        stream_id=chunk.stream_id,
-                        offset=chunk.offset, length=chunk.length,
-                        exclude_path=chunk.exclude_path,
-                        position=position)
-
-        def on_qoe(qoe) -> None:
-            self.record(conn.loop.now, "qoe", "feedback_received",
-                        cached_bytes=qoe.cached_bytes,
-                        cached_frames=qoe.cached_frames,
-                        bps=qoe.bps, fps=qoe.fps)
-
-        def on_drop(reason: str, size: int) -> None:
-            self.record(conn.loop.now, "robustness", "drop",
-                        reason=reason, size=size)
-
-        conn.add_transmit_hook(on_transmit)
-        conn.add_receive_hook(on_receive)
-        conn.add_reinjection_hook(on_reinjection)
-        conn.add_qoe_hook(on_qoe)
-        conn.add_drop_hook(on_drop)
+        conn.listeners.append(on_event)
 
     # -- queries --------------------------------------------------------------
 

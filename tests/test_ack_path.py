@@ -33,7 +33,7 @@ from repro.quic.loss_detection import (PACKET_THRESHOLD, TIME_THRESHOLD,
 from repro.quic.path import Path
 from repro.quic.rtt import GRANULARITY, RttEstimator
 from repro.sim import EventLoop
-from tests.test_connection import build_pair
+from tests.test_connection import build_pair, captured
 
 QOE = QoeSignals(cached_bytes=70_000, cached_frames=40, bps=900_000, fps=25)
 
@@ -373,8 +373,7 @@ def test_two_big_acks_do_not_share_a_datagram():
     loop.run(until=1.0)
     assert all(p.is_active for p in server.paths.values())
     assert len(server.paths) == 2
-    emitted = []
-    server.add_transmit_hook(lambda pid, wire: emitted.append(wire))
+    emitted = captured(server, "datagram_sent")
     seen = []
     _handler, elicits = client.receiver._dispatch[AckMpFrame]
     client.receiver._dispatch[AckMpFrame] = (

@@ -28,6 +28,7 @@ from repro.sim import EventLoop
 from repro.sim.rng import make_rng
 from repro.traces.radio_profiles import RadioType
 from repro.video import MediaServer, PlayerConfig, make_video
+from tests.test_connection import captured as sent
 
 
 def build_pair(loop, net, client_config=None, server_config=None):
@@ -166,8 +167,7 @@ class TestFuzz:
         loop = EventLoop()
         net = two_path_net(loop)
         client, server = build_pair(loop, net)
-        captured = []
-        server.add_transmit_hook(lambda pid, d: captured.append(d))
+        captured = sent(server, "datagram_sent")
         client.connect()
         loop.run(until=0.5)
         sid = client.create_stream()
@@ -206,8 +206,7 @@ class TestFuzz:
         loop = EventLoop()
         net = two_path_net(loop)
         client, server = build_pair(loop, net)
-        captured = []
-        server.add_transmit_hook(lambda pid, d: captured.append(d))
+        captured = sent(server, "datagram_sent")
         client.connect()
         loop.run(until=0.5)
         sid = client.create_stream()

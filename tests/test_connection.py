@@ -37,6 +37,18 @@ def build_pair(loop, net, client_scheduler=None, server_scheduler=None,
     return client, server
 
 
+def captured(conn, kind, field="payload"):
+    """A list ``conn`` appends ``field`` of each ``kind`` event to."""
+    out = []
+
+    def listener(event, fields):
+        if event == kind:
+            out.append(fields[field])
+
+    conn.listeners.append(listener)
+    return out
+
+
 def two_path_net(loop, rate1=20e6, rate2=20e6, delay1=0.02, delay2=0.05,
                  **kw):
     net = MultipathNetwork(loop)

@@ -21,7 +21,7 @@ from repro.quic.path import Path
 from repro.sim import EventLoop
 from repro.traces.radio_profiles import RadioType
 from repro.video import make_video
-from tests.test_connection import build_pair
+from tests.test_connection import build_pair, captured
 
 #: calls (Python + C) per packet sealed on the scripted transfer below.
 #: This tree makes 164.2 (the same number under any PYTHONHASHSEED); the
@@ -167,8 +167,7 @@ class TestAckFitsThePacket:
         ``TraceDrivenLink.send`` raised ``ValueError`` inside the loop."""
         loop, client, server = established_pair(
             lambda net: net.add_trace_path(0, [1] * 200, 0.01))
-        emitted = []
-        server.add_transmit_hook(lambda pid, wire: emitted.append(wire))
+        emitted = captured(server, "datagram_sent")
         path = server.paths[0]
         first = path.largest_received_pn + 2
         for pn in range(first, first + 4000, 2):

@@ -263,9 +263,14 @@ class TestSchemeSinkAgainstLists:
             if m.first_frame_latency is not None])
         _assert_matches_list(sink.buffer_level, [
             level for m in sessions for level in m.buffer_level_samples])
-        # totals are fixed-point nanoseconds: half a quantum per session
+        # totals are fixed-point nanoseconds, each off by up to half a
+        # quantum per session, so their ratio moves by at most
+        # n * 0.5 ns * (1 + rate) / play: a large rate over a short play
+        # time moves it more than n ns
+        rate = aggregate_rebuffer_rate(sessions)
+        play = sum(m.play_time for m in sessions)
         assert sink.rebuffer_rate == pytest.approx(
-            aggregate_rebuffer_rate(sessions), abs=1e-9 * len(sessions))
+            rate, abs=1e-9 * len(sessions) * (1 + rate) / play)
         assert sink.traffic_overhead_percent == (
             sum(m.redundant_bytes for m in sessions)
             / sum(m.useful_bytes for m in sessions) * 100.0)

@@ -19,6 +19,7 @@ from repro.quic.errors import StreamStateError
 from repro.quic.frames import MaxStreamDataFrame, StreamFrame
 from repro.sim import EventLoop
 from tests import test_one_pass
+from tests.test_connection import captured
 
 
 def established_pair():
@@ -161,8 +162,7 @@ class TestClosedStreamStaysClosed:
 
     def test_reinjection_of_a_closed_range_is_not_queued(self, closed_stream):
         loop, client, server, sid = closed_stream
-        hooked = []
-        server.add_reinjection_hook(lambda chunk, pos: hooked.append(chunk))
+        hooked = captured(server, "reinjection", "stream_id")
         server.enqueue_reinjection(SendChunk(sid, 0, 4, "reinject"))
         server.enqueue_reinjection(SendChunk(sid, 0, 4, "reinject"), 0)
         assert server.send_queue == [] and hooked == []

@@ -1,11 +1,16 @@
-"""Tests for the qlog-style connection tracer."""
+"""Tests for the connection's events and the qlog-style tracer."""
+
+import ast
+from pathlib import Path as FilePath
 
 import pytest
 
+import repro
 from repro.core import MinRttScheduler, ThresholdConfig, XlinkScheduler
 from repro.netem import Datagram, MultipathNetwork, OutageSchedule
 from repro.quic.connection import Connection, ConnectionConfig
-from repro.quic.trace import ConnectionTracer, TraceEvent
+from repro.quic.frames import PathStatus
+from repro.quic.trace import EVENTS, ConnectionTracer, TraceEvent
 from repro.sim import EventLoop
 
 
@@ -118,6 +123,38 @@ class TestTracer:
         assert loaded[0].name == tracer.events[0].name
         assert loaded[-1].data == tracer.events[-1].data
 
+    def test_acks_and_losses_add_up_to_the_loss_detectors(self):
+        """Every ACK_MP and loss-timer firing is an event: summed per
+        path they give the detector's own totals."""
+        tracer, _c, server, _l = traced_session(outage=True)
+        for pid, path in server.paths.items():
+            acks = [e.data for e in tracer.filter(name="ack_received")
+                    if e.data["path_id"] == pid]
+            timers = [e.data for e in tracer.filter(name="loss_timer")
+                      if e.data["path_id"] == pid]
+            assert sum(a["acked"] for a in acks) \
+                == path.loss.packets_acked_total
+            assert sum(a["lost"] for a in acks + timers) \
+                == path.loss.packets_lost_total
+        assert server.paths[0].loss.packets_lost_total > 0
+        assert tracer.count("pto") > 0
+
+    def test_records_path_changes_on_both_ends(self):
+        tracer, client, server, loop = traced_session()
+        changes = [(e.data["path_id"], e.data["state"], e.data["cause"])
+                   for e in tracer.filter(category="path")]
+        assert changes == [(0, "active", "handshake"), (1, "active", "accept")]
+        client_tracer = ConnectionTracer()
+        client_tracer.install(client)
+        client.set_path_status(1, PathStatus.STANDBY)
+        loop.run(until=loop.now + 1.0)
+        (local,) = client_tracer.filter(name="path_updated")
+        assert local.data == {"path_id": 1, "state": "standby",
+                              "status": "STANDBY", "cause": "local_status"}
+        peer = tracer.filter(name="path_updated")[-1].data
+        assert (peer["path_id"], peer["state"], peer["cause"]) \
+            == (1, "standby", "peer_status")
+
     def test_max_events_cap(self):
         tracer = ConnectionTracer(max_events=5)
         for i in range(10):
@@ -136,3 +173,17 @@ class TestTracer:
         assert event.to_json() == \
             '{"category": "packet", "data": {"a": 1, "b": 2}, ' \
             '"name": "x", "time": 1.5}'
+
+
+def test_every_emitted_kind_is_in_the_catalogue():
+    """``EVENTS`` is the type of ``Connection.emit``: each literal kind
+    emitted anywhere under ``src/repro`` is listed, and each listed kind
+    is emitted somewhere."""
+    kinds = set()
+    for path in FilePath(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "emit":
+                kinds.add(node.args[0].value)
+    assert kinds == set(EVENTS)

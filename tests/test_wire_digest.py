@@ -30,14 +30,17 @@ class WireTap:
         self.datagrams = 0
 
     def attach(self, conn: Connection, direction: bytes) -> None:
-        def hook(net_path_id: int, payload: bytes) -> None:
+        def listener(kind: str, fields: dict) -> None:
+            if kind != "datagram_sent":
+                return
+            net_path_id, payload = fields["net_path"], fields["payload"]
             self.datagrams += 1
             self._hash.update(direction)
             self._hash.update(net_path_id.to_bytes(2, "big", signed=True))
             self._hash.update(len(payload).to_bytes(4, "big"))
             self._hash.update(payload)
 
-        conn.add_transmit_hook(hook)
+        conn.listeners.append(listener)
 
     def result(self):
         return self._hash.hexdigest(), self.datagrams
