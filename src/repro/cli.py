@@ -44,7 +44,7 @@ from repro.experiments import (ABTestConfig, PathSpec, SCHEMES,
 from repro.experiments.contention import ContentionConfig, run_contention
 from repro.experiments.mobility import FIG13_SCHEMES, run_mobility_trace
 from repro.experiments.report import fleet_sections, generate_report
-from repro.host.specs import scheme_name, scheme_with_cc
+from repro.host.specs import scheme_name, scheme_paths, scheme_with_cc
 from repro.metrics import percentile
 from repro.netem import OutageSchedule
 from repro.quic.connection import aggregate_robustness
@@ -52,6 +52,12 @@ from repro.quic.trace import ConnectionTracer
 from repro.traces.catalog import extreme_mobility_trace_pairs
 from repro.traces.radio_profiles import RadioType
 from repro.video import PlayerConfig, make_video
+
+
+#: what ``play``, ``serve`` and ``fleet`` accept: the QUIC arms (MPTCP
+#: runs outside the session runtime); ``race`` takes every arm
+_QUIC_SCHEMES = [name for name, scheme in SCHEMES.items()
+                if not scheme.is_mptcp]
 
 
 def _standard_paths(args) -> List[PathSpec]:
@@ -104,13 +110,7 @@ def _format_robustness(robustness) -> str:
 
 def cmd_play(args) -> int:
     scheme = args.scheme
-    if scheme not in SCHEMES or SCHEMES[scheme].is_mptcp:
-        print(f"unknown or unsupported scheme for play: {scheme}",
-              file=sys.stderr)
-        return 2
-    paths = _standard_paths(args)
-    if not SCHEMES[scheme].multipath:
-        paths = paths[:1]
+    paths = scheme_paths(scheme, _standard_paths(args))
     video = make_video(duration_s=args.duration,
                        bitrate_bps=args.bitrate_mbps * 1e6,
                        seed=args.seed)
@@ -144,10 +144,7 @@ def cmd_race(args) -> int:
     paths = _standard_paths(args)
     print(f"{'scheme':<12} {'download (s)':>12}")
     for scheme in args.schemes:
-        if scheme not in SCHEMES:
-            print(f"unknown scheme: {scheme}", file=sys.stderr)
-            return 2
-        use = paths if SCHEMES[scheme].multipath else paths[:1]
+        use = scheme_paths(scheme, paths)
         tracer = None
         if args.qlog and not SCHEMES[scheme].is_mptcp:
             tracer = ConnectionTracer()
@@ -165,10 +162,6 @@ def cmd_race(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.scheme not in SCHEMES or SCHEMES[args.scheme].is_mptcp:
-        print(f"unknown or unsupported scheme for serve: {args.scheme}",
-              file=sys.stderr)
-        return 2
     config = ContentionConfig(
         sessions=args.sessions, scheme=args.scheme, seed=args.seed,
         video_duration_s=args.duration,
@@ -313,13 +306,8 @@ def _cmd_fleet_campaign(args, cfg) -> int:
 def cmd_fleet(args) -> int:
     from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                          run_fleet_driver)
-    schemes = tuple(args.schemes)
-    for scheme in schemes:
-        if scheme not in SCHEMES or SCHEMES[scheme].is_mptcp:
-            print(f"unknown or unsupported scheme for fleet: {scheme}",
-                  file=sys.stderr)
-            return 2
-    cfg = FleetConfig(users=args.users, days=args.days, schemes=schemes,
+    cfg = FleetConfig(users=args.users, days=args.days,
+                      schemes=tuple(args.schemes),
                       paired=args.paired, timeout_s=args.timeout,
                       seed=args.seed)
     if args.checkpoint_dir or args.resume:
@@ -413,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     play = sub.add_parser("play", help="run one video session")
-    play.add_argument("--scheme", default="xlink")
+    play.add_argument("--scheme", default="xlink", choices=_QUIC_SCHEMES)
     play.add_argument("--duration", type=float, default=10.0)
     play.add_argument("--bitrate-mbps", type=float, default=2.0)
     play.add_argument("--buffer", type=float, default=3.0)
@@ -425,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     play.set_defaults(func=cmd_play)
 
     race = sub.add_parser("race", help="bulk download race")
-    race.add_argument("--schemes", nargs="+",
+    race.add_argument("--schemes", nargs="+", choices=list(SCHEMES),
                       default=["sp", "vanilla_mp", "xlink", "mptcp"])
     race.add_argument("--bytes", type=int, default=2_000_000)
     race.add_argument("--timeout", type=float, default=120.0)
@@ -438,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="one CDN host, N sessions on a shared cell")
     serve.add_argument("--sessions", type=int, default=8)
-    serve.add_argument("--scheme", default="xlink")
+    serve.add_argument("--scheme", default="xlink", choices=_QUIC_SCHEMES)
     serve.add_argument("--duration", type=float, default=8.0,
                        help="per-user video length (s)")
     serve.add_argument("--cell-mbps", type=float, default=24.0,
@@ -473,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--users", type=int, default=1000,
                        help="population size per day (default 1000)")
     fleet.add_argument("--days", type=int, default=1)
-    fleet.add_argument("--schemes", nargs="+", default=["sp", "xlink"])
+    fleet.add_argument("--schemes", nargs="+", default=["sp", "xlink"],
+                       choices=_QUIC_SCHEMES)
     fleet.add_argument("--paired", action="store_true",
                        help="every user plays every scheme (default: "
                             "split population, one scheme per user)")

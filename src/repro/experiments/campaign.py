@@ -34,9 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.fleet import ABPopulationDriver, FleetConfig
 from repro.experiments.parallel import (DEFAULT_MAX_RETRIES,
-                                        DEFAULT_RETRY_BACKOFF_S,
-                                        DEFAULT_SHARD_SIZE, FaultPlan,
-                                        run_fleet)
+                                        DEFAULT_SHARD_SIZE, run_fleet)
 from repro.metrics.sink import MetricSink
 
 __all__ = [
@@ -165,8 +163,6 @@ class FleetCampaign:
     shard_size: int = DEFAULT_SHARD_SIZE
     max_retries: int = DEFAULT_MAX_RETRIES
     shard_timeout_s: Optional[float] = None
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S
-    fault_plan: Optional[FaultPlan] = None
 
     # -- identity -------------------------------------------------------
 
@@ -296,9 +292,7 @@ class FleetCampaign:
                 driver.day_iter(day), sink=day_sink,
                 workers=self.workers, shard_size=self.shard_size,
                 max_retries=self.max_retries,
-                shard_timeout_s=self.shard_timeout_s,
-                retry_backoff_s=self.retry_backoff_s,
-                fault_plan=self.fault_plan)
+                shard_timeout_s=self.shard_timeout_s)
             if fleet.interrupted:
                 # Days are atomic: drop the partial fold, keep the
                 # ledger as of the last completed day.

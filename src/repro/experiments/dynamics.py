@@ -13,10 +13,9 @@ bytes for (b) vanilla-MP, (c) re-injection without QoE control and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List
 
-from repro.core import ThresholdConfig
 from repro.host import (SCHEMES, SchemeConfig, SessionHandle, SessionRuntime,
                         VideoSessionSpec)
 from repro.netem import MultipathNetwork
@@ -138,7 +137,6 @@ def _fig6_network(loop: EventLoop, duration_s: float,
 
 def run_fig6_dynamics(mode: str, duration_s: float = 7.0,
                       sample_interval_s: float = 0.05,
-                      thresholds: Optional[ThresholdConfig] = None,
                       seed: int = 4) -> SessionDynamics:
     """One Fig. 6 panel: buffer level + re-injected bytes vs time."""
     if mode not in FIG6_MODES:
@@ -146,8 +144,6 @@ def run_fig6_dynamics(mode: str, duration_s: float = 7.0,
     loop = EventLoop()
     net = _fig6_network(loop, duration_s, seed)
     scheme = _FIG6_SCHEMES[mode]
-    if mode == "reinject_with_qoe" and thresholds is not None:
-        scheme = replace(scheme, thresholds=thresholds)
     video = make_video(name="fig6", duration_s=duration_s + 4,
                        bitrate_bps=4_000_000, seed=seed,
                        chunk_size=256 * 1024)

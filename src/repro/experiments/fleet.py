@@ -11,8 +11,8 @@ pieces, the ``FleetDriver`` protocol:
   :class:`~repro.experiments.parallel.SessionTask`, each carrying its
   fully-derived seed;
 - the **shard executor** -- :func:`repro.experiments.parallel.run_fleet`
-  slices the stream into shards, streams them to warm workers, and each
-  worker reduces its slice into one
+  slices the stream into shards, streams them to warm workers (or runs
+  them in-process at ``workers=1``), and each reduces its slice into one
   :class:`~repro.metrics.sink.MetricSink` locally;
 - the **sink reducer** -- shard sinks merge (associatively,
   commutatively, with exactly order-independent arithmetic) into the
@@ -190,8 +190,10 @@ def run_fleet_driver(driver: FleetDriver,
                      **supervision) -> FleetRun:
     """Execute one driver's population through the supervised runner.
 
-    ``supervision`` kwargs (``max_retries``, ``shard_timeout_s``,
-    ``retry_backoff_s``, ``fault_plan``) pass straight through to
+    ``supervision`` kwargs (``max_retries``, ``shard_timeout_s``, and
+    ``execute``, the shard body -- a
+    :class:`~repro.experiments.fleetchaos.FaultPlan` in the fault
+    soaks) pass straight through to
     :func:`repro.experiments.parallel.run_fleet`.
     """
     t0 = time.perf_counter()

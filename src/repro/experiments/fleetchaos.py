@@ -2,10 +2,11 @@
 
 The transport tier has ``repro.experiments.chaos``: seeded adversarial
 *network* scenarios soaked against runtime invariants.  This module is
-the same idea one layer up -- seeded **worker** faults (crash, hang,
-raise, corrupt) injected into a supervised fleet run via
-:class:`~repro.experiments.parallel.FaultPlan`, with the supervisor's
-contract asserted after the dust settles:
+the same idea one layer up -- scripted **worker** faults (crash, hang,
+raise, corrupt) injected into a supervised fleet run by
+:class:`FaultPlan`, the shard body handed to
+``run_fleet(execute=...)``, with the supervisor's contract asserted
+after the dust settles:
 
 1. a faulted run **completes** -- no fault class can void the run;
 2. retry/abandon accounting is **honest** -- every injected fault shows
@@ -25,17 +26,82 @@ unit-tested (faster, narrower) in ``tests/test_supervision.py``.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.campaign import FleetCampaign
 from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                      run_fleet_driver)
-from repro.experiments.parallel import (ABANDONED_KIND, FaultInjected,
-                                        FaultPlan, _fork_available)
+from repro.experiments.parallel import (ABANDONED_KIND, SessionTask,
+                                        ShardResult, _fork_available,
+                                        execute_shard)
 
-__all__ = ["FleetChaosConfig", "FleetChaosResult", "run_fleet_chaos"]
+__all__ = ["FaultInjected", "FaultPlan", "FleetChaosConfig",
+           "FleetChaosResult", "run_fleet_chaos"]
+
+
+class FaultInjected(RuntimeError):
+    """Raised out of a shard body by a :class:`FaultPlan` fault."""
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """Scripted worker faults: a shard body for ``run_fleet(execute=)``.
+
+    ``faults`` maps a shard index to the fault its attempt suffers:
+
+    - **crash** -- the worker process dies with ``os._exit`` (the
+      OOM-kill shape: no exception, no result, pipe EOF);
+    - **hang** -- the worker sleeps ``hang_s`` before executing, so a
+      ``shard_timeout_s`` deadline must kill it;
+    - **raise** -- the body raises :class:`FaultInjected` (a bug in
+      harness code, as opposed to the per-task failures
+      ``execute_shard`` already tallies);
+    - **corrupt** -- the body returns a :class:`ShardResult` whose
+      accounting is inconsistent, which result validation must catch.
+
+    A fault fires on a shard's first attempt only, so a retried shard
+    succeeds and the merged digest must equal the fault-free one;
+    ``sticky=True`` fires it on every attempt, driving the shard to
+    abandonment.  Asked for in the parent process (an in-process run),
+    a crash or a hang raises :class:`FaultInjected` instead: exiting or
+    sleeping there would take the supervisor down with it.
+    """
+
+    faults: Dict[int, str] = field(default_factory=dict)
+    #: how long a hung worker sleeps (should exceed ``shard_timeout_s``)
+    hang_s: float = 3600.0
+    sticky: bool = False
+
+    def fires(self, shard_index: int, attempt: int) -> Optional[str]:
+        """The fault to inject on this attempt (``None`` = run clean)."""
+        if attempt > 0 and not self.sticky:
+            return None
+        return self.faults.get(shard_index)
+
+    def __call__(self, shard_index: int, attempt: int,
+                 tasks: List[SessionTask]) -> ShardResult:
+        kind = self.fires(shard_index, attempt)
+        where = f"shard {shard_index}, attempt {attempt}"
+        if kind in ("crash", "hang") \
+                and multiprocessing.parent_process() is None:
+            raise FaultInjected(f"{kind} fault in the parent ({where})")
+        if kind == "crash":
+            os._exit(86)
+        if kind == "hang":
+            time.sleep(self.hang_s)
+        if kind == "raise":
+            raise FaultInjected(f"injected shard failure ({where})")
+        result = execute_shard(tasks)
+        if kind == "corrupt":
+            # inconsistent task accounting, so validation must reject it
+            return ShardResult(sink=result.sink, tasks=result.tasks + 1,
+                               failures=result.failures)
+        return result
 
 
 @dataclass
@@ -104,13 +170,13 @@ def run_fleet_chaos(config: Optional[FleetChaosConfig] = None
                   f"fault-free run not ok: {clean.result}")
 
     # One shard per fault class, first-attempt-only (retryable).
-    plan = FaultPlan(seed=config.seed, crash_shards=(0,), hang_shards=(1,),
-                     raise_shards=(2,), corrupt_shards=(3,), hang_s=60.0)
+    plan = FaultPlan({0: "crash", 1: "hang", 2: "raise", 3: "corrupt"},
+                     hang_s=60.0)
     faulted = run_fleet_driver(ABPopulationDriver(cfg),
                                workers=config.workers,
                                shard_size=config.shard_size,
                                shard_timeout_s=config.shard_timeout_s,
-                               fault_plan=plan)
+                               execute=plan)
     fr = faulted.result
     result.faulted_digest = faulted.sink.digest()
     result.record("faulted_completes",
@@ -135,11 +201,11 @@ def run_fleet_chaos(config: Optional[FleetChaosConfig] = None
 
     # Sticky crash: the shard must be quarantined, not retried forever,
     # and the loss must be visible everywhere it is reported.
-    sticky = FaultPlan(seed=config.seed, crash_shards=(0,), sticky=True)
+    sticky = FaultPlan({0: "crash"}, sticky=True)
     quarantined = run_fleet_driver(ABPopulationDriver(cfg),
                                    workers=config.workers,
                                    shard_size=config.shard_size,
-                                   max_retries=1, fault_plan=sticky)
+                                   max_retries=1, execute=sticky)
     qr = quarantined.result
     result.record("sticky_abandons",
                   qr.abandoned_shards == 1

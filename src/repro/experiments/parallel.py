@@ -8,8 +8,8 @@ Fig. 11 A/B day, threshold sweeps, mobility replays, path experiments)
 embarrassingly parallel -- the same reason Mahimahi-style emulation
 farms run one shell per experiment.
 
-One executor, two folds
------------------------
+Two executors, one fleet fold
+-----------------------------
 
 :class:`_WarmWorkers` is the only parallel machinery.  It forks one
 worker per slot and keeps it for the whole run, streams work items
@@ -17,29 +17,33 @@ down a long-lived duplex pipe, and reports what became of each item --
 a value, an exception, a dead worker (pipe EOF), a missed deadline (the
 worker is killed) -- as events.  A slot emptied by a crash or a kill is
 refilled by a fresh fork when work next needs it; a healthy worker is
-reused for every later item.
+reused for every later item.  :class:`_InlineWorker` has the same
+surface over one slot in this process.
 
 - :func:`fan_out` collects the events in submission order and re-raises
   the first job exception, so a parallel run is **bit-identical** to
-  the serial loop it replaces.  :class:`SessionTask` is the picklable
-  description of one session, and :func:`run_session_tasks` returns the
-  plain-data :class:`SessionOutcome` of each (per-session values: the
-  list reference the population sinks are tested against).
+  the serial loop it replaces (and runs, when ``workers`` resolves to
+  1, when there is at most one job, or when the platform cannot
+  ``fork``).  :class:`SessionTask` is the picklable description of one
+  session, and :func:`run_session_tasks` returns the plain-data
+  :class:`SessionOutcome` of each (per-session values: the list
+  reference the population sinks are tested against).
 - :func:`run_fleet`, the path of every population statistic (an A/B
-  day is its small-N case), reduces *inside* the worker instead:
-  :func:`execute_shard` folds a slice of tasks into one
-  :class:`~repro.metrics.sink.MetricSink`, so only a
-  :class:`ShardResult` (O(buckets)) crosses the process boundary, and
-  the parent's fold over the events is "validate, merge into the sink,
-  retry with backoff, quarantine".  Sink merge is associative,
-  commutative and exactly order-independent, so the merged digest is
-  **identical** to the serial run's, whatever the completion order.
+  day is its small-N case), reduces *inside* the worker instead: its
+  shard body (``execute``, by default :func:`execute_shard`) folds a
+  slice of tasks into one :class:`~repro.metrics.sink.MetricSink`, so
+  only a :class:`ShardResult` (O(buckets)) crosses the process
+  boundary, and the parent's fold over the events is "validate, merge
+  into the sink, retry with backoff, quarantine".  That fold is the
+  same over both executors: :class:`_InlineWorker` when ``workers``
+  resolves to 1 or the platform cannot ``fork``, :class:`_WarmWorkers`
+  otherwise.  Sink merge is associative, commutative and exactly
+  order-independent, so the merged digest is **identical** to the
+  serial run's, whatever the completion order.
 
-Both fall back to a plain in-process loop when ``workers`` resolves to
-1, when there is at most one job, or when the platform cannot ``fork``
-(workers inherit the parent's imports and the job callable through
-fork; spawn would cost an interpreter boot per worker, so the fallback
-stays serial instead).
+Workers inherit the parent's imports and the job callable through
+fork; spawn would cost an interpreter boot per worker, so a platform
+without fork stays in-process instead.
 
 Determinism contract
 --------------------
@@ -57,15 +61,19 @@ Shard supervision
 At ~90 minutes per 100K-user day, a single OOM-killed worker or hung
 shard must not void the run.  :func:`run_fleet` re-executes crashed,
 timed-out (``shard_timeout_s``), raising and corrupted shards with
-bounded retries and exponential backoff.  A retry re-runs the shard
+bounded retries, the n-th retry ``RETRY_BACKOFF_S * 2^(n-1)`` after
+the failure, in-process as in workers.  A retry re-runs the shard
 **from its task list** -- never from a partial sink -- so it folds in
 bit-identically and cannot double-count.  After ``max_retries`` failed
 attempts a shard is *quarantined*: its tasks are tallied as
 ``ShardAbandoned`` per scheme in the merged sink instead of voiding
-the run.  Workers ignore ``SIGINT``, so a Ctrl-C reaches the parent
-alone: it terminates and joins every slot (no orphaned children) and
-returns the partially-folded result with ``interrupted=True``.
-:class:`FaultPlan` scripts exactly those fault classes (``make
+the run.  A process cannot kill itself at a deadline, so
+``shard_timeout_s`` holds only over workers.  Workers ignore
+``SIGINT``, so a Ctrl-C reaches the parent alone: it terminates and
+joins every slot (no orphaned children) and returns the
+partially-folded result with ``interrupted=True``.  Nothing here
+injects faults: ``repro.experiments.fleetchaos`` scripts them as a
+shard body passed to ``run_fleet(execute=...)`` (``make
 fleet-chaos``).
 """
 
@@ -96,8 +104,6 @@ __all__ = [
     "SessionOutcome",
     "ShardResult",
     "FleetResult",
-    "FaultPlan",
-    "FaultInjected",
     "available_workers",
     "resolve_workers",
     "fan_out",
@@ -109,7 +115,7 @@ __all__ = [
     "run_fleet",
     "DEFAULT_SHARD_SIZE",
     "DEFAULT_MAX_RETRIES",
-    "DEFAULT_RETRY_BACKOFF_S",
+    "RETRY_BACKOFF_S",
     "ABANDONED_KIND",
 ]
 
@@ -221,7 +227,7 @@ class _WarmWorkers:
                 kind, value, seconds = conn.recv()
             except (EOFError, OSError):
                 # EOF without an answer: the worker died (OOM kill,
-                # os._exit, segfault) holding this item.
+                # a hard exit, segfault) holding this item.
                 events.append((slot.index, "crash", None, 0, 0.0))
                 self._vacate(slot)
             else:
@@ -248,6 +254,43 @@ class _WarmWorkers:
         for slot in self.slots:
             if slot.proc is not None:
                 self._vacate(slot)
+
+
+class _InlineWorker:
+    """:class:`_WarmWorkers`' surface over one slot in this process.
+
+    :meth:`submit` runs the item there and then; :meth:`wait` returns
+    its event, or, holding none, sleeps until ``until``.  A process
+    cannot kill itself at a deadline, so none is enforced, and no slot
+    is ever refilled.
+    """
+
+    respawns = 0
+
+    def __init__(self, call: Callable[[Any], Any]) -> None:
+        self.call = call
+        self.events: List[tuple] = []
+
+    def idle(self) -> int:
+        return 0 if self.events else 1
+
+    def submit(self, index: int, work: Any) -> None:
+        t0 = time.perf_counter()
+        try:
+            kind, value = "ok", self.call(work)
+        except Exception as exc:  # noqa: BLE001 - reported, not hidden
+            kind, value = "error", exc
+        self.events.append((index, kind, value, os.getpid(),
+                            time.perf_counter() - t0))
+
+    def wait(self, until: float = math.inf) -> List[tuple]:
+        if not self.events:
+            time.sleep(max(0.0, until - time.monotonic()))
+        events, self.events = self.events, []
+        return events
+
+    def close(self) -> None:
+        self.events = []
 
 
 def fan_out(fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]],
@@ -366,99 +409,13 @@ DEFAULT_SHARD_SIZE = 64
 #: before it is quarantined into the abandoned tallies.
 DEFAULT_MAX_RETRIES = 2
 
-#: Base of the exponential retry backoff (worker mode only; the serial
-#: path re-runs immediately -- there is no crashed worker to cool off).
-DEFAULT_RETRY_BACKOFF_S = 0.25
+#: Base of the exponential retry backoff: the n-th retry of a shard
+#: waits ``RETRY_BACKOFF_S * 2^(n-1)`` after its failure.
+RETRY_BACKOFF_S = 0.25
 
 #: Failure kind recorded (per scheme, per task) in the merged sink when
 #: a shard exhausts its retries and is quarantined.
 ABANDONED_KIND = "ShardAbandoned"
-
-
-class FaultInjected(RuntimeError):
-    """Raised inside a worker by a :class:`FaultPlan` 'raise' fault."""
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Scripted worker-fault plan for fleet shards.
-
-    The experiment-infrastructure analog of the transport tier's
-    ``ChaosSchedule`` (PR 3): a seeded, deterministic plan that makes
-    selected shards misbehave *at the worker level* so the supervisor
-    in :func:`run_fleet` can be tested against real process death:
-
-    - **crash** -- the worker process dies with ``os._exit`` (the
-      OOM-kill shape: no exception, no result, pipe EOF);
-    - **hang** -- the worker sleeps ``hang_s`` before executing, so a
-      ``shard_timeout_s`` deadline must kill it;
-    - **raise** -- the worker raises :class:`FaultInjected` out of the
-      shard body (a bug in harness code, as opposed to the per-task
-      failures ``execute_shard`` already tallies);
-    - **corrupt** -- the worker returns a :class:`ShardResult` whose
-      accounting is inconsistent, which result validation must catch.
-
-    Shards are selected either explicitly (``*_shards`` index tuples)
-    or probabilistically: a per-shard RNG derived from
-    ``(seed, shard index)`` draws once against the cumulative rates,
-    so membership is a pure function of the shard index -- independent
-    of execution order and of how many shards exist.
-
-    By default a fault fires only on a shard's **first** attempt, so a
-    retried shard succeeds and the run's merged digest must equal the
-    fault-free digest.  ``sticky=True`` fires the fault on every
-    attempt, driving the shard to abandonment (the non-retryable
-    case).
-    """
-
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    raise_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    crash_shards: Tuple[int, ...] = ()
-    hang_shards: Tuple[int, ...] = ()
-    raise_shards: Tuple[int, ...] = ()
-    corrupt_shards: Tuple[int, ...] = ()
-    #: how long a hung worker sleeps (should exceed ``shard_timeout_s``)
-    hang_s: float = 3600.0
-    #: False: fault fires on attempt 0 only (retry succeeds);
-    #: True: fault fires on every attempt (shard ends up abandoned).
-    sticky: bool = False
-
-    def fault_kind(self, shard_index: int) -> Optional[str]:
-        """The fault class afflicting a shard, or ``None``."""
-        if shard_index in self.crash_shards:
-            return "crash"
-        if shard_index in self.hang_shards:
-            return "hang"
-        if shard_index in self.raise_shards:
-            return "raise"
-        if shard_index in self.corrupt_shards:
-            return "corrupt"
-        rates = (("crash", self.crash_rate), ("hang", self.hang_rate),
-                 ("raise", self.raise_rate), ("corrupt", self.corrupt_rate))
-        if any(rate > 0.0 for _, rate in rates):
-            from repro.sim.rng import make_rng
-            draw = make_rng(self.seed, f"fleet-fault-{shard_index}").random()
-            for kind, rate in rates:
-                if draw < rate:
-                    return kind
-                draw -= rate
-        return None
-
-    def fires(self, shard_index: int, attempt: int) -> Optional[str]:
-        """The fault to inject on this attempt (``None`` = run clean)."""
-        kind = self.fault_kind(shard_index)
-        if kind is None or (attempt > 0 and not self.sticky):
-            return None
-        return kind
-
-    def is_noop(self) -> bool:
-        return (not any((self.crash_rate, self.hang_rate, self.raise_rate,
-                         self.corrupt_rate))
-                and not any((self.crash_shards, self.hang_shards,
-                             self.raise_shards, self.corrupt_shards)))
 
 
 @dataclass
@@ -586,31 +543,9 @@ def validate_shard_result(result: Any, expected_tasks: int
     return None
 
 
-def _shard_attempt(fault_plan: Optional[FaultPlan],
-                   work: Tuple[int, int, List[SessionTask]]) -> ShardResult:
-    """One attempt at one shard, faults included (runs in a worker)."""
-    shard_index, attempt, tasks = work
-    kind = (fault_plan.fires(shard_index, attempt)
-            if fault_plan is not None else None)
-    if kind == "crash":
-        os._exit(86)
-    elif kind == "hang":
-        time.sleep(fault_plan.hang_s)
-    elif kind == "raise":
-        raise FaultInjected(f"injected shard failure (shard {shard_index}, "
-                            f"attempt {attempt})")
-    shard_result = execute_shard(tasks)
-    if kind == "corrupt":
-        # inconsistent task accounting, so validation must reject it
-        return ShardResult(sink=shard_result.sink,
-                           tasks=shard_result.tasks + 1,
-                           failures=shard_result.failures)
-    return shard_result
-
-
 @dataclass
 class _ShardAttempt:
-    """Supervisor bookkeeping for one shard across its attempts."""
+    """Fold bookkeeping for one shard across its attempts."""
 
     index: int
     tasks: List[SessionTask]
@@ -619,10 +554,29 @@ class _ShardAttempt:
     ready_at: float = 0.0
 
 
-class _Supervisor:
-    """Shared retry/abandon state machine for both execution modes.
+def _shard_body(shard_index: int, attempt: int,
+                tasks: List[SessionTask]) -> ShardResult:
+    """The default ``run_fleet`` shard body.  It looks ``execute_shard``
+    up in this module's globals at call time, so a wrapper patched in
+    there is what runs."""
+    return execute_shard(tasks)
 
-    A shard attempt ends in one of three supervision states:
+
+def _merge_shard(result: FleetResult, shard_result: ShardResult) -> None:
+    result.sink.merge(shard_result.sink)
+    result.tasks += shard_result.tasks
+    result.shards += 1
+    for kind, n in shard_result.failures.items():
+        result.failures[kind] = result.failures.get(kind, 0) + n
+
+
+def _fold(pool: Any, shards: Iterator[List[SessionTask]],
+          result: FleetResult, max_retries: int) -> None:
+    """The fleet fold over either executor.
+
+    Every idle slot gets the most-cooled retry whose backoff has run
+    out, else the next fresh shard.  Each attempt ends in one of three
+    states:
 
     - **folded** -- the validated result merged into the sink;
     - **retrying** -- a retryable fault (crash, timeout, raise,
@@ -633,138 +587,52 @@ class _Supervisor:
       shard is tallied as :data:`ABANDONED_KIND` under its scheme so
       the loss is visible in the merged sink, the CLI and the report.
     """
-
-    def __init__(self, result: FleetResult, max_retries: int,
-                 retry_backoff_s: float) -> None:
-        self.result = result
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_queue: List[_ShardAttempt] = []
-
-    def fold(self, shard_result: ShardResult) -> None:
-        self.result.sink.merge(shard_result.sink)
-        self.result.tasks += shard_result.tasks
-        self.result.shards += 1
-        for kind, n in shard_result.failures.items():
-            self.result.failures[kind] = \
-                self.result.failures.get(kind, 0) + n
-
-    def complete(self, spec: _ShardAttempt, payload: Any) -> bool:
-        """Fold an attempt's payload if it validates; was it accepted?"""
-        if validate_shard_result(payload, len(spec.tasks)) is None:
-            self.fold(payload)
-            return True
-        self.fail(spec, "corrupt")
-        return False
-
-    def fail(self, spec: _ShardAttempt, kind: str) -> None:
-        self.result.shard_faults[kind] = \
-            self.result.shard_faults.get(kind, 0) + 1
-        if spec.attempt >= self.max_retries:
-            self.abandon(spec)
-            return
-        self.result.retries += 1
-        spec.attempt += 1
-        spec.ready_at = time.monotonic() + \
-            self.retry_backoff_s * (2 ** (spec.attempt - 1))
-        self.retry_queue.append(spec)
-
-    def abandon(self, spec: _ShardAttempt) -> None:
-        self.result.abandoned_shards += 1
-        self.result.abandoned_tasks += len(spec.tasks)
-        for task in spec.tasks:
-            self.result.sink.observe_failure(scheme_name(task.scheme),
-                                             ABANDONED_KIND)
-
-    def pop_ready(self, now: float) -> Optional[_ShardAttempt]:
-        """The most-cooled retry whose backoff has elapsed, if any."""
-        best = min(self.retry_queue, key=lambda spec: spec.ready_at,
-                   default=None)
-        if best is None or best.ready_at > now:
-            return None
-        self.retry_queue.remove(best)
-        return best
-
-    def next_ready_at(self) -> float:
-        """When the next retry cools (``inf`` when none is queued)."""
-        return min((spec.ready_at for spec in self.retry_queue),
-                   default=math.inf)
-
-
-def _run_fleet_serial(shard_iter: Iterator[List[SessionTask]],
-                      sup: _Supervisor,
-                      fault_plan: Optional[FaultPlan]) -> None:
-    """In-process supervised execution (``workers=1`` / no fork).
-
-    The serial tier cannot kill or preempt its own process, so
-    'crash' and 'hang' faults surface as injected raises (tallied
-    under their own kind for honest reporting) and ``shard_timeout_s``
-    is not enforced -- deadline supervision needs worker processes.
-    Retries skip the backoff sleep: there is no crashed worker or
-    poisoned host to cool off in-process.
-    """
-    result = sup.result
-    try:
-        for index, shard in enumerate(shard_iter):
-            spec = _ShardAttempt(index, shard)
-            while True:
-                kind = (fault_plan.fires(spec.index, spec.attempt)
-                        if fault_plan is not None else None)
-                if kind in ("crash", "hang"):
-                    sup.fail(spec, kind)
-                else:
-                    t0 = time.perf_counter()
-                    try:
-                        shard_result = _shard_attempt(
-                            fault_plan, (spec.index, spec.attempt, shard))
-                    except Exception as exc:  # noqa: BLE001
-                        sup.fail(spec, type(exc).__name__)
-                    else:
-                        sup.complete(spec, shard_result)
-                    result.busy_s += time.perf_counter() - t0
-                if spec not in sup.retry_queue:
-                    break
-                sup.retry_queue.remove(spec)
-    except KeyboardInterrupt:
-        result.interrupted = True
-
-
-def _run_fleet_workers(shard_iter: Iterator[List[SessionTask]],
-                       sup: _Supervisor, n_workers: int,
-                       shard_timeout_s: Optional[float],
-                       fault_plan: Optional[FaultPlan]) -> None:
-    """The fleet fold over warm workers: keep every slot fed with the
-    most-cooled retry or the next fresh shard, and turn each event into
-    a merge, a retry or a quarantine."""
-    result = sup.result
-    pool = _WarmWorkers(lambda work: _shard_attempt(fault_plan, work),
-                        n_workers, shard_timeout_s)
+    fresh = (_ShardAttempt(index, tasks) for index, tasks in enumerate(shards))
     inflight: Dict[int, _ShardAttempt] = {}
-    fresh = (_ShardAttempt(index, shard)
-             for index, shard in enumerate(shard_iter))
+    cooling: List[_ShardAttempt] = []
     accepted_pids = set()
     try:
         while True:
             now = time.monotonic()
             for _ in range(pool.idle()):
-                spec = sup.pop_ready(now) or next(fresh, None)
-                if spec is None:
-                    break
+                spec = min(cooling, key=lambda s: s.ready_at, default=None)
+                if spec is not None and spec.ready_at <= now:
+                    cooling.remove(spec)
+                else:
+                    spec = next(fresh, None)
+                    if spec is None:
+                        break
                 inflight[spec.index] = spec
                 pool.submit(spec.index,
                             (spec.index, spec.attempt, spec.tasks))
-            if not inflight and not sup.retry_queue:
+            if not inflight and not cooling:
                 break
-            for index, kind, value, pid, seconds in pool.wait(
-                    until=sup.next_ready_at()):
+            until = min((s.ready_at for s in cooling), default=math.inf)
+            for index, kind, value, pid, seconds in pool.wait(until=until):
                 spec = inflight.pop(index)
                 result.busy_s += seconds
                 if kind == "ok":
-                    if sup.complete(spec, value):
+                    if validate_shard_result(value, len(spec.tasks)) is None:
+                        _merge_shard(result, value)
                         accepted_pids.add(pid)
-                else:
-                    sup.fail(spec, type(value).__name__
-                             if kind == "error" else kind)
+                        continue
+                    kind = "corrupt"
+                elif kind == "error":
+                    kind = type(value).__name__
+                result.shard_faults[kind] = \
+                    result.shard_faults.get(kind, 0) + 1
+                if spec.attempt >= max_retries:
+                    result.abandoned_shards += 1
+                    result.abandoned_tasks += len(spec.tasks)
+                    for task in spec.tasks:
+                        result.sink.observe_failure(scheme_name(task.scheme),
+                                                    ABANDONED_KIND)
+                    continue
+                result.retries += 1
+                spec.attempt += 1
+                spec.ready_at = time.monotonic() + \
+                    RETRY_BACKOFF_S * 2 ** (spec.attempt - 1)
+                cooling.append(spec)
     except KeyboardInterrupt:
         result.interrupted = True
     finally:
@@ -779,8 +647,8 @@ def run_fleet(tasks: Iterable[SessionTask],
               shard_size: int = DEFAULT_SHARD_SIZE,
               max_retries: int = DEFAULT_MAX_RETRIES,
               shard_timeout_s: Optional[float] = None,
-              retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-              fault_plan: Optional[FaultPlan] = None) -> FleetResult:
+              execute: Callable[[int, int, List[SessionTask]], ShardResult]
+              = _shard_body) -> FleetResult:
     """Supervised reduce-style fleet execution: tasks -> shards -> sink.
 
     ``tasks`` may be (and for large populations should be) a lazy
@@ -789,27 +657,30 @@ def run_fleet(tasks: Iterable[SessionTask],
     outcomes, so memory stays bounded by ``workers * shard_size``
     tasks plus the O(buckets) sinks.  ``workers`` follows the
     repo-wide convention (``None``/``0`` = ``os.cpu_count()``, ``1`` =
-    in-process serial).
+    in-process).
 
-    Supervision (module docstring): each shard gets ``max_retries``
-    re-executions, ``retry_backoff_s``-based exponential backoff apart
-    when workers > 1, after a worker crash, a ``shard_timeout_s``
-    deadline kill, a shard-body exception, or a corrupted result, and
-    is then quarantined; ``fault_plan`` injects exactly those fault
-    classes for testing.  Serial, sharded and fault-retried runs of
-    one task stream produce identical merged digests whenever every
-    fault was retryable.
+    ``execute(shard_index, attempt, tasks)`` is the shard body; the
+    default runs :func:`execute_shard`.  Supervision (module
+    docstring): each shard gets ``max_retries`` re-executions, with
+    :data:`RETRY_BACKOFF_S`-based exponential backoff, after a worker
+    crash, a ``shard_timeout_s`` deadline kill (workers only), an
+    exception out of ``execute``, or a corrupted result, and is then
+    quarantined.  Serial, sharded and fault-retried runs of one task
+    stream produce identical merged digests whenever every fault was
+    retryable.
     """
     n_workers = resolve_workers(workers)
     result = FleetResult(sink=sink if sink is not None else MetricSink(),
                          workers_requested=n_workers)
-    shard_iter = iter_shards(tasks, shard_size)
-    sup = _Supervisor(result, max_retries, retry_backoff_s)
-    t0 = time.perf_counter()
+
+    def call(work: Tuple[int, int, List[SessionTask]]) -> ShardResult:
+        return execute(*work)
+
     if n_workers <= 1 or not _fork_available():
-        _run_fleet_serial(shard_iter, sup, fault_plan)
+        pool: Any = _InlineWorker(call)
     else:
-        _run_fleet_workers(shard_iter, sup, n_workers, shard_timeout_s,
-                           fault_plan)
+        pool = _WarmWorkers(call, n_workers, shard_timeout_s)
+    t0 = time.perf_counter()
+    _fold(pool, iter_shards(tasks, shard_size), result, max_retries)
     result.wall_s = time.perf_counter() - t0
     return result

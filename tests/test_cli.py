@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+
+def _rejected(argv) -> int:
+    """The exit status argparse gives an argument it refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
 
 
 class TestParser:
@@ -41,10 +49,10 @@ class TestCommands:
         assert "rebuffer_s=" in out
 
     def test_play_unknown_scheme(self, capsys):
-        assert main(["play", "--scheme", "warpdrive"]) == 2
+        assert _rejected(["play", "--scheme", "warpdrive"]) == 2
 
-    def test_play_mptcp_rejected(self):
-        assert main(["play", "--scheme", "mptcp"]) == 2
+    def test_play_mptcp_rejected(self, capsys):
+        assert _rejected(["play", "--scheme", "mptcp"]) == 2
 
     def test_play_with_outage(self, capsys):
         code = main(["play", "--scheme", "xlink", "--duration", "4",
@@ -59,8 +67,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "sp" in out and "mptcp" in out
 
-    def test_race_unknown_scheme(self):
-        assert main(["race", "--schemes", "bogus"]) == 2
+    def test_race_unknown_scheme(self, capsys):
+        assert _rejected(["race", "--schemes", "bogus"]) == 2
+
+    def test_cm_gets_both_paths(self, capsys, monkeypatch):
+        # CM migrates between two paths, so it must be handed both
+        handed = []
+        for name in ("run_video_session", "run_bulk_download"):
+            real = getattr(repro.cli, name)
+
+            def capture(scheme, paths, *args, _real=real, **kwargs):
+                handed.append((scheme, len(paths)))
+                return _real(scheme, paths, *args, **kwargs)
+
+            monkeypatch.setattr(repro.cli, name, capture)
+        assert main(["play", "--scheme", "cm", "--duration", "2"]) == 0
+        assert main(["race", "--schemes", "cm", "sp",
+                     "--bytes", "100000"]) == 0
+        assert handed == [("cm", 2), ("cm", 2), ("sp", 1)]
 
     def test_ab_day(self, capsys):
         code = main(["ab", "--treatment", "xlink", "--users", "2",
@@ -102,8 +126,8 @@ class TestCommands:
         assert "completed=2" in out
         assert "dropped=0" in out
 
-    def test_serve_mptcp_rejected(self):
-        assert main(["serve", "--scheme", "mptcp"]) == 2
+    def test_serve_mptcp_rejected(self, capsys):
+        assert _rejected(["serve", "--scheme", "mptcp"]) == 2
 
     def test_play_writes_qlog(self, capsys, tmp_path):
         qlog = tmp_path / "session.jsonl"

@@ -216,5 +216,6 @@ class TestCli:
         assert "sp" in out and "xlink" in out
 
     def test_fleet_rejects_unknown_scheme(self, capsys):
-        rc = main(["fleet", "--users", "2", "--schemes", "sp", "warp"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--users", "2", "--schemes", "sp", "warp"])
+        assert exc.value.code == 2

@@ -21,8 +21,10 @@ import pytest
 from repro.cli import _fleet_exit_code
 from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                      run_fleet_driver)
-from repro.experiments.parallel import (ABANDONED_KIND, FaultInjected,
-                                        FaultPlan, SessionTask, ShardResult,
+from repro.experiments import parallel
+from repro.experiments.fleetchaos import FaultInjected, FaultPlan
+from repro.experiments.parallel import (ABANDONED_KIND, RETRY_BACKOFF_S,
+                                        SessionTask, ShardResult,
                                         execute_shard, run_fleet,
                                         validate_shard_result)
 from repro.metrics import MetricSink
@@ -43,34 +45,16 @@ def _clean_digest(users: int = 6, seed: int = 5, shard_size: int = 2) -> str:
 
 class TestFaultPlan:
     def test_explicit_shards_win(self):
-        plan = FaultPlan(crash_shards=(0,), hang_shards=(1,),
-                         raise_shards=(2,), corrupt_shards=(3,))
-        assert plan.fault_kind(0) == "crash"
-        assert plan.fault_kind(1) == "hang"
-        assert plan.fault_kind(2) == "raise"
-        assert plan.fault_kind(3) == "corrupt"
-        assert plan.fault_kind(4) is None
-
-    def test_rate_membership_is_deterministic(self):
-        plan = FaultPlan(seed=3, crash_rate=0.3, raise_rate=0.3)
-        kinds = [plan.fault_kind(i) for i in range(50)]
-        assert kinds == [plan.fault_kind(i) for i in range(50)]
-        assert "crash" in kinds and "raise" in kinds and None in kinds
-        # a different seed redraws membership
-        other = FaultPlan(seed=4, crash_rate=0.3, raise_rate=0.3)
-        assert kinds != [other.fault_kind(i) for i in range(50)]
+        plan = FaultPlan({0: "crash", 1: "hang", 2: "raise", 3: "corrupt"})
+        assert [plan.fires(i, 0) for i in range(5)] \
+            == ["crash", "hang", "raise", "corrupt", None]
 
     def test_fires_only_on_first_attempt_unless_sticky(self):
-        plan = FaultPlan(crash_shards=(0,))
+        plan = FaultPlan({0: "crash"})
         assert plan.fires(0, 0) == "crash"
         assert plan.fires(0, 1) is None
-        sticky = FaultPlan(crash_shards=(0,), sticky=True)
+        sticky = FaultPlan({0: "crash"}, sticky=True)
         assert sticky.fires(0, 1) == "crash"
-
-    def test_is_noop(self):
-        assert FaultPlan().is_noop()
-        assert not FaultPlan(crash_shards=(0,)).is_noop()
-        assert not FaultPlan(hang_rate=0.1).is_noop()
 
 
 class TestValidateShardResult:
@@ -100,18 +84,18 @@ class TestValidateShardResult:
 class TestSerialSupervision:
     def test_fail_once_retry_digest_identical(self):
         clean = _clean_digest()
-        plan = FaultPlan(raise_shards=(0, 2))
+        plan = FaultPlan({0: "raise", 2: "raise"})
         result = run_fleet(_tasks(), workers=1, shard_size=2,
-                           fault_plan=plan)
+                           execute=plan)
         assert result.retries == 2
         assert result.shard_faults == {FaultInjected.__name__: 2}
         assert result.abandoned_shards == 0
         assert result.sink.digest() == clean
 
     def test_sticky_fault_quarantines_shard(self):
-        plan = FaultPlan(raise_shards=(1,), sticky=True)
+        plan = FaultPlan({1: "raise"}, sticky=True)
         result = run_fleet(_tasks(), workers=1, shard_size=2,
-                           max_retries=1, fault_plan=plan)
+                           max_retries=1, execute=plan)
         assert result.abandoned_shards == 1
         assert result.abandoned_tasks == 2
         assert result.retries == 1
@@ -121,22 +105,27 @@ class TestSerialSupervision:
         assert tallied == 2
         assert not result.ok
 
-    def test_serial_degrades_crash_and_hang_to_tallied_fails(self):
-        # In-process execution cannot kill or preempt itself; the
-        # faults still consume retry budget under their own kind.
-        plan = FaultPlan(crash_shards=(0,), hang_shards=(1,))
-        result = run_fleet(_tasks(), workers=1, shard_size=2,
-                           fault_plan=plan)
-        assert result.shard_faults == {"crash": 1, "hang": 1}
-        assert result.sink.digest() == _clean_digest()
+    def test_serial_retry_waits_the_backoff(self):
+        result = run_fleet(_tasks(users=2), workers=1, shard_size=2,
+                           execute=FaultPlan({0: "raise"}))
+        assert result.retries == 1
+        assert result.wall_s >= RETRY_BACKOFF_S
+
+    def test_abandoned_only_shard_counts_no_worker(self):
+        # as in a worker run: no accepted shard, no effective worker
+        result = run_fleet(_tasks(users=2), workers=1, shard_size=2,
+                           max_retries=0,
+                           execute=FaultPlan({0: "raise"}, sticky=True))
+        assert result.abandoned_shards == 1
+        assert result.workers_effective == 0
 
 
 class TestPoolSupervision:
     def test_worker_crash_retried_digest_identical(self):
         clean = _clean_digest()
-        plan = FaultPlan(crash_shards=(1,))
+        plan = FaultPlan({1: "crash"})
         result = run_fleet(_tasks(), workers=2, shard_size=2,
-                           fault_plan=plan)
+                           execute=plan)
         assert result.shard_faults == {"crash": 1}
         assert result.retries == 1
         assert result.sink.digest() == clean
@@ -144,24 +133,24 @@ class TestPoolSupervision:
 
     def test_hung_worker_killed_by_deadline_and_retried(self):
         clean = _clean_digest()
-        plan = FaultPlan(hang_shards=(0,), hang_s=60.0)
+        plan = FaultPlan({0: "hang"}, hang_s=60.0)
         result = run_fleet(_tasks(), workers=2, shard_size=2,
-                           shard_timeout_s=2.0, fault_plan=plan)
+                           shard_timeout_s=2.0, execute=plan)
         assert result.shard_faults == {"timeout": 1}
         assert result.sink.digest() == clean
 
     def test_corrupt_result_rejected_and_retried(self):
         clean = _clean_digest()
-        plan = FaultPlan(corrupt_shards=(2,))
+        plan = FaultPlan({2: "corrupt"})
         result = run_fleet(_tasks(), workers=2, shard_size=2,
-                           fault_plan=plan)
+                           execute=plan)
         assert result.shard_faults == {"corrupt": 1}
         assert result.sink.digest() == clean
 
     def test_sticky_crash_abandons_without_voiding_run(self):
-        plan = FaultPlan(crash_shards=(0,), sticky=True)
+        plan = FaultPlan({0: "crash"}, sticky=True)
         result = run_fleet(_tasks(), workers=2, shard_size=2,
-                           max_retries=1, fault_plan=plan)
+                           max_retries=1, execute=plan)
         assert result.abandoned_shards == 1
         assert result.abandoned_tasks == 2
         assert result.tasks == 4
@@ -170,7 +159,7 @@ class TestPoolSupervision:
     def test_keyboard_interrupt_reaps_workers_and_returns_partial(self):
         # A hung shard (no deadline) pins the supervisor in wait();
         # SIGALRM delivers the KeyboardInterrupt a real Ctrl-C would.
-        plan = FaultPlan(hang_shards=(2,), hang_s=60.0, sticky=True)
+        plan = FaultPlan({2: "hang"}, hang_s=60.0, sticky=True)
 
         def raise_ki(_signum, _frame):
             raise KeyboardInterrupt
@@ -179,7 +168,7 @@ class TestPoolSupervision:
         signal.alarm(3)
         try:
             result = run_fleet(_tasks(), workers=2, shard_size=2,
-                               fault_plan=plan)
+                               execute=plan)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -206,9 +195,9 @@ class TestWarmWorkers:
         clean = _clean_digest(users=8, shard_size=1)
         # Both workers have folded a shard by the time shard 3 kills
         # one; shards 4..7 and the retry keep its replacement busy.
-        plan = FaultPlan(crash_shards=(3,))
+        plan = FaultPlan({3: "crash"})
         result = run_fleet(_tasks(users=8), workers=2, shard_size=1,
-                           fault_plan=plan)
+                           execute=plan)
         assert result.shard_faults == {"crash": 1}
         assert result.respawns == 1
         assert result.workers_effective == 3
@@ -216,9 +205,9 @@ class TestWarmWorkers:
         assert multiprocessing.active_children() == []
 
     def test_hang_killed_at_deadline_leaves_no_child(self):
-        plan = FaultPlan(hang_shards=(1,), hang_s=60.0)
+        plan = FaultPlan({1: "hang"}, hang_s=60.0)
         result = run_fleet(_tasks(), workers=2, shard_size=2,
-                           shard_timeout_s=1.0, fault_plan=plan)
+                           shard_timeout_s=1.0, execute=plan)
         assert result.shard_faults == {"timeout": 1}
         assert result.wall_s < 30.0  # killed, not waited out
         assert result.sink.digest() == _clean_digest()
@@ -257,10 +246,28 @@ class TestEdgeCases:
         assert result.failures == {"ValueError": 4}
         assert result.abandoned_shards == 0  # task fails are not faults
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_body_calls_the_module_execute_shard(
+            self, monkeypatch, tmp_path, workers):
+        # a wrapper patched over parallel.execute_shard (as the
+        # benchmark's tracer does) is what both executors run; the log
+        # is a file because forked workers share no memory with us
+        log = tmp_path / "calls"
+
+        def wrapped(tasks):
+            with open(log, "a") as f:
+                f.write(f"{len(tasks)}\n")
+            return execute_shard(tasks)
+
+        monkeypatch.setattr(parallel, "execute_shard", wrapped)
+        result = run_fleet(_tasks(users=4), workers=workers, shard_size=2)
+        assert result.shards == 2 and result.ok
+        assert log.read_text().split() == ["2", "2"]
+
     def test_supervision_kwargs_pass_through_driver(self):
-        plan = FaultPlan(raise_shards=(0,))
+        plan = FaultPlan({0: "raise"})
         run = run_fleet_driver(ABPopulationDriver(_cfg(users=4)),
-                               workers=1, shard_size=2, fault_plan=plan)
+                               workers=1, shard_size=2, execute=plan)
         assert run.result.retries == 1
 
 
@@ -277,9 +284,10 @@ class TestExitCodes:
 class TestFaultWorkerIsolation:
     def test_injected_crash_does_not_kill_parent(self):
         # Regression guard for the fault injector itself: os._exit in
-        # a worker must never run in the parent (serial mode converts
-        # crash faults to tallied fails instead of exiting).
-        plan = FaultPlan(crash_shards=(0,), sticky=True)
+        # a worker must never run in the parent (asked for there, a
+        # crash fault raises instead of exiting).
+        plan = FaultPlan({0: "crash"}, sticky=True)
         result = run_fleet(_tasks(users=2), workers=1, shard_size=2,
-                           max_retries=0, fault_plan=plan)
+                           max_retries=0, execute=plan)
         assert result.abandoned_shards == 1  # and we are still alive
+        assert result.shard_faults == {FaultInjected.__name__: 1}
