@@ -66,8 +66,8 @@ fleet-chaos:
 	$(PY) -m repro fleet-chaos
 
 ## ruff with the pinned config when installed; tools/lint.py always (it
-## is the stdlib fallback, and holds the file-size, module-cache and
-## dead-public-name gates ruff lacks)
+## is the stdlib fallback, and holds the file-size, module-cache,
+## per-stream-dict, dead-public-name and no-gc-call gates ruff lacks)
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests tools figures bench; \

@@ -130,7 +130,8 @@ class XlinkScheduler(_BaseScheduler):
         self.reinjections_enqueued = 0
         self.reinjections_suppressed = 0
         self._last_sweep = -1e9
-        self._monitor_armed = False
+        #: the connection the armed monitor watches; ``None`` when idle
+        self._monitor_conn = None
         #: how often the gate is re-evaluated while data is outstanding
         self.monitor_interval_s = 0.025
 
@@ -271,26 +272,25 @@ class XlinkScheduler(_BaseScheduler):
         re-injection on the moment the (extrapolated) play-time-left
         crosses the threshold.
         """
-        if self._monitor_armed or self.mode is ReinjectionMode.NONE:
+        if self._monitor_conn is not None \
+                or self.mode is ReinjectionMode.NONE:
             return
-        self._monitor_armed = True
+        self._monitor_conn = conn
+        conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick,
+                                 label="xlink-monitor")
 
-        def tick() -> None:
-            if conn.closed:
-                self._monitor_armed = False
-                return
-            has_unacked = any(
-                p.loss.has_unacked for p in conn.paths.values())
-            if not has_unacked:
-                self._monitor_armed = False
-                return
-            if not conn.send_queue and self._gate(conn) \
-                    and self._sweep_overdue(conn):
-                conn.pump()
-            conn.loop.schedule_after(self.monitor_interval_s, tick,
-                                     label="xlink-monitor")
-
-        conn.loop.schedule_after(self.monitor_interval_s, tick,
+    def _monitor_tick(self) -> None:
+        """One monitor wakeup.  A bound method, not a closure that
+        re-arms itself: a re-arm then allocates no reference cycle."""
+        conn = self._monitor_conn
+        if conn.closed or not any(
+                p.loss.has_unacked for p in conn.paths.values()):
+            self._monitor_conn = None
+            return
+        if not conn.send_queue and self._gate(conn) \
+                and self._sweep_overdue(conn):
+            conn.pump()
+        conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick,
                                  label="xlink-monitor")
 
     def on_chunk_sent_out(self, conn, chunk, stream) -> None:

@@ -251,6 +251,7 @@ def run_chaos_scenario(index: int, seed: int,
         tuple(round(r.metrics.rebuffer_time, 9) for r in results),
         tuple(r.metrics.first_frame_latency for r in results),
     )
+    runtime.teardown()
     return ScenarioOutcome(
         index=index, scheme=scenario.scheme, sessions=scenario.sessions,
         completed=sum(1 for r in results if r.completed),

@@ -16,7 +16,6 @@ deterministic for a given config (the N=8 determinism test pins it).
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -99,17 +98,6 @@ class ContentionResult:
 
 def run_contention(config: ContentionConfig) -> ContentionResult:
     """Run N concurrent sessions against one host on a shared cell."""
-    result = _run_world(config)
-    # The finished world is one reference cycle (loop <-> connections
-    # <-> callbacks) pinning the cell trace and every payload buffer
-    # (~2 MB at N=12 with 3 s videos), yet it allocates too few
-    # containers for the collector's allocation-count heuristic to
-    # notice: back-to-back runs would pile up ~10 dead worlds.
-    gc.collect()
-    return result
-
-
-def _run_world(config: ContentionConfig) -> ContentionResult:
     loop = EventLoop()
     paths = [PathSpec(CELL_PATH_ID, RadioType.LTE, config.cell_delay_s,
                       trace_ms=stable_lte_trace(
@@ -144,6 +132,7 @@ def _run_world(config: ContentionConfig) -> ContentionResult:
     runtime.run(timeout_s=config.timeout_s)
 
     results = [runtime.result(h) for h in handles]
+    runtime.teardown()
     metrics = [r.metrics for r in results]
     host = runtime.host
     cell = net.paths[CELL_PATH_ID]

@@ -50,21 +50,26 @@ def run_video_session(scheme: SchemeLike, paths: Sequence[PathSpec],
     """Play one video under ``scheme`` and collect metrics.
 
     ``tracer``, when given, is installed on the client connection and
-    records a qlog-style event stream of the session.
+    records a qlog-style event stream of the session.  The session's
+    world is torn down before this returns: the result's raw objects
+    stay readable, and dropping the result frees them by refcount.
     """
     if video is None:
         video = make_video(seed=seed)
     loop = EventLoop()
     net = build_network(loop, paths, seed)
     runtime = SessionRuntime(loop, net)
-    handle = runtime.add_session(VideoSessionSpec(
-        scheme=scheme,
-        interfaces=[(spec.net_path_id, spec.radio) for spec in paths],
-        video=video, player_config=player_config, seed=seed,
-        primary_order=primary_order,
-        tracer=tracer))
-    runtime.run(timeout_s=timeout_s)
-    return runtime.result(handle)
+    try:
+        handle = runtime.add_session(VideoSessionSpec(
+            scheme=scheme,
+            interfaces=[(spec.net_path_id, spec.radio) for spec in paths],
+            video=video, player_config=player_config, seed=seed,
+            primary_order=primary_order,
+            tracer=tracer))
+        runtime.run(timeout_s=timeout_s)
+        return runtime.result(handle)
+    finally:
+        runtime.teardown()
 
 
 def run_bulk_download(scheme: SchemeLike, paths: Sequence[PathSpec],
@@ -136,6 +141,8 @@ def _run_mptcp_download(paths: Sequence[PathSpec], total_bytes: int,
         loop.run(stop_before=timeout_s)
     completed = client.completed_at is not None
     download_time = (client.completed_at - start) if completed else None
+    net.teardown()
+    loop.clear()
     return SessionResult(
         scheme="mptcp", completed=completed, duration_s=loop.now,
         metrics=SessionMetrics(), net=net, download_time_s=download_time)

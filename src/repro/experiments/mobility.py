@@ -161,7 +161,8 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
     chunk_playtime = CHUNK_BYTES * 8.0 / VIDEO_BITRATE_BPS
     buffer_target_s = 3.0
     loop = EventLoop()
-    client = mptcp_pair(loop, build_network(loop, paths, seed), paths)
+    net = build_network(loop, paths, seed)
+    client = mptcp_pair(loop, net, paths)
 
     times: List[float] = []
     for k in range(CHUNKS_PER_TRACE):
@@ -179,6 +180,8 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
             loop.run(stop_before=start + timeout_s)
         times.append((client.completed_at - start)
                      if client.completed_at is not None else timeout_s)
+    net.teardown()
+    loop.clear()
     return times
 
 

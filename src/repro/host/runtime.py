@@ -195,6 +195,27 @@ class SessionRuntime:
             return
         self.loop.run(stop_before=timeout_s)
 
+    def teardown(self) -> None:
+        """Free the finished world.
+
+        A running world is full of back-edges: connections and their
+        collaborators point at each other, the player, client endpoint
+        and media server hand the connections callbacks, netem endpoints
+        and the network point at each other, each player's finish hook
+        points at this runtime, and every pending event reaches its
+        owner.  Dropping those edges leaves a tree, which plain
+        refcounting frees the moment the last :class:`SessionResult` of
+        it goes -- no collector pass, however many worlds a process runs
+        back to back.  Call it after the results are read; the results
+        stay readable, the world can no longer run.
+        """
+        for handle in self.sessions:
+            handle.player.on_finished = None
+            handle.client.conn.teardown()
+            handle.server.teardown()
+        self.net.teardown()
+        self.loop.clear()
+
     def result(self, handle: SessionHandle) -> SessionResult:
         """Assemble the metrics bundle for one session."""
         server = handle.server

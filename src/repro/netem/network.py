@@ -152,6 +152,24 @@ class MultipathNetwork:
         self.server._send_fn = self._from_server
         #: all client endpoints by name (shared-link attachment)
         self.clients: Dict[str, Endpoint] = {client_name: self.client}
+        clients, default = self.clients, self.client
+
+        def deliver_client(dgram: Datagram) -> None:
+            """Dispatch a downlink datagram to the addressed client.
+            A closure, not a method: every path's downlink keeps it, and
+            it must not lead back to the network."""
+            endpoint = clients.get(dgram.dst)
+            (endpoint if endpoint is not None else default)._deliver(dgram)
+
+        self._deliver_client = deliver_client
+
+    def teardown(self) -> None:
+        """Unhook every endpoint once the session is over: the stacks'
+        receive callbacks and each endpoint's way back into the network
+        are the edges that close loops through it.  Paths and their
+        link stats stay readable."""
+        for endpoint in (self.server, *self.clients.values()):
+            endpoint._receive_cb = endpoint._send_fn = None
 
     def add_client(self, name: str) -> Endpoint:
         """Attach another client host to the shared paths.
@@ -220,11 +238,6 @@ class MultipathNetwork:
         )
         self.add_path(path)
         return path
-
-    def _deliver_client(self, dgram: Datagram) -> None:
-        """Dispatch a downlink datagram to the addressed client."""
-        endpoint = self.clients.get(dgram.dst)
-        (endpoint if endpoint is not None else self.client)._deliver(dgram)
 
     def _from_client(self, dgram: Datagram) -> None:
         path = self.paths.get(dgram.path_id)

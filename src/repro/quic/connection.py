@@ -637,3 +637,22 @@ class Connection:
             self._handshake_retransmit_event.cancel()
             self._handshake_retransmit_event = None
         self.timers.cancel_all()
+
+    def teardown(self) -> None:
+        """Drop every edge that leads back to this connection, once its
+        session is over, so refcounting frees it with its world.
+
+        Those edges are the timer events, the listeners and ``on_*`` /
+        ``qoe_provider`` callbacks its application handed it, the
+        scheduler (an armed monitor holds the connection) and the four
+        collaborators' ``conn``.  Stats, paths and streams stay
+        readable; the connection can no longer send or receive.
+        """
+        self.cancel_timers()
+        self.listeners.clear()
+        self.on_established = self.on_stream_data = None
+        self.on_stream_complete = self.qoe_provider = None
+        self.scheduler = None
+        self.receiver.detach()
+        for part in (self.sender, self.acks, self.timers):
+            part.conn = None

@@ -60,6 +60,12 @@ class Receiver:
         self._dispatch = {frame_type: (handlers.get(frame_type), eliciting)
                           for frame_type, eliciting in ACK_ELICITING.items()}
 
+    def detach(self) -> None:
+        """Let go of the connection (teardown): the dispatch table's
+        bound handlers point back at this receiver, so it goes too."""
+        self.conn = None
+        self._dispatch = {}
+
     # ------------------------------------------------------------------
     # the pass
     # ------------------------------------------------------------------

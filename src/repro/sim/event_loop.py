@@ -117,6 +117,20 @@ class EventLoop:
             heapq.heapify(heap)
             self._cancelled_pending = 0
 
+    def clear(self) -> None:
+        """Drop every pending event and its callback.
+
+        Part of a finished world's teardown: the heap is the loop's one
+        edge to the objects its callbacks belong to, and a pending event
+        whose owner keeps a handle to it (a timer) would still reach
+        that owner, so each event's callback goes too.  The clock keeps
+        its reading.
+        """
+        for entry in self._heap:
+            entry[2].callback = None
+        self._heap.clear()
+        self._cancelled_pending = 0
+
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         heap = self._heap

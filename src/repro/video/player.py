@@ -283,6 +283,7 @@ class VideoPlayer:
         self.stats.finished_at = self.loop.now
         if self._tick_event is not None:
             self._tick_event.cancel()
+            self._tick_event = None
         if self.on_finished is not None:
             self.on_finished()
 

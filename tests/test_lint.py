@@ -123,3 +123,43 @@ class TestPerStreamDicts:
         assert not [m for path in sorted(quic.glob("*.py"))
                     for *_, m in lint.check_file(path)
                     if m.startswith("STREAMSTATE")]
+
+
+class TestGcCalls:
+    SOURCE = ("import gc\n"
+              "from gc import freeze\n"
+              "def run():\n"
+              "    gc.disable()\n"
+              "    result = 1\n"
+              "    gc.collect()\n"
+              "    return result, gc.get_count(), gc.isenabled()\n")
+
+    def test_flags_collect_disable_and_freeze_under_the_package(self, lint,
+                                                                tmp_path):
+        package = tmp_path / "src" / "repro" / "experiments"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(self.SOURCE)
+        found = [(line, message.split()[1]) for _path, line, message
+                 in lint.check_file(package / "mod.py")
+                 if message.startswith("GC")]
+        assert sorted(found) == [(2, "gc.freeze"), (4, "gc.disable"),
+                                 (6, "gc.collect")]
+
+    def test_reading_gc_state_and_tests_are_allowed(self, lint, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "import gc\nCOUNT = gc.get_count()\n")
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "test_mod.py").write_text(self.SOURCE)
+        assert not [m for path in (package / "mod.py", tests / "test_mod.py")
+                    for *_, m in lint.check_file(path)
+                    if m.startswith("GC")]
+
+    def test_this_repo_never_collects_by_hand(self):
+        lint = _load_lint()
+        package = lint.REPO_ROOT / "src" / "repro"
+        assert not [(path.name, m) for path in sorted(package.rglob("*.py"))
+                    for *_, m in lint.check_file(path)
+                    if m.startswith("GC")]

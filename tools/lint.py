@@ -21,6 +21,8 @@ forms, and obvious AST-level mistakes:
 - DEAD: a public ``def``/``class`` under ``NO_DEAD_PUBLIC`` whose name
   is written nowhere else in the repo's Python (checked whenever that
   directory is linted)
+- GC: a use of ``gc.collect`` / ``gc.disable`` / ``gc.freeze`` under a
+  directory listed in ``NO_GC_CALLS``
 
 Exit status 0 = clean, 1 = findings, matching ruff's convention.
 """
@@ -73,6 +75,12 @@ NO_PER_STREAM_DICTS = {"src/repro/quic": {
 NO_DEAD_PUBLIC = "src/repro"
 REFERENCE_ROOTS = ("src", "tests", "tools", "figures", "bench", "examples")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: directory (repo-relative) -> the ``gc`` functions none of its files
+#: may use.  A finished session's world is a tree that refcounting frees
+#: (``SessionRuntime.teardown``); a forced collection -- one ran after
+#: every contention run -- only hides a cycle that came back.
+NO_GC_CALLS = {"src/repro": {"collect", "disable", "freeze"}}
 
 
 def iter_py_files(roots: List[str]) -> Iterator[Path]:
@@ -200,6 +208,19 @@ def _per_stream_dicts(tree: ast.Module,
                     yield cls.name, target.attr, node.lineno
 
 
+def _gc_calls(tree: ast.Module, banned: set) -> Iterator[Tuple[str, int]]:
+    """(name, line) of every ``gc.<name>`` read, or ``from gc import
+    <name>``, for a name in ``banned``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in banned \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "gc":
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            yield from ((alias.name, node.lineno) for alias in node.names
+                        if alias.name in banned)
+
+
 def check_file(path: Path) -> List[Finding]:
     findings: List[Finding] = []
     source = path.read_text()
@@ -232,6 +253,13 @@ def check_file(path: Path) -> List[Finding]:
                              f"stream half (allowed on {cls}: "
                              f"{sorted(classes[cls])})")
                 for cls, attr, line in _per_stream_dicts(tree, classes))
+
+    for directory, banned in NO_GC_CALLS.items():
+        if (REPO_ROOT / directory) in path.resolve().parents:
+            findings.extend(
+                (path, line, f"GC gc.{name} in {directory}/: a finished "
+                             f"world must free itself by refcount")
+                for name, line in _gc_calls(tree, banned))
 
     scope = _Scope()
     scope.visit(tree)
