@@ -21,6 +21,8 @@ Commands:
 - ``schemes``   -- list the available transport schemes
 - ``chaos``     -- seeded chaos soak over the multi-session runtime;
   exits non-zero on any uncaught exception or invariant violation
+- ``report``    -- regenerate every figure/table at a chosen scale
+  into one markdown file
 
 ``play`` and ``race`` accept ``--qlog PATH`` to record a qlog-style
 event trace of the client connection (``race`` writes one file per
@@ -47,7 +49,7 @@ from repro.experiments.report import fleet_sections, generate_report
 from repro.host.specs import scheme_name, scheme_paths, scheme_with_cc
 from repro.metrics import percentile
 from repro.netem import OutageSchedule
-from repro.quic.connection import aggregate_robustness
+from repro.quic.config import aggregate_robustness, merge_robustness
 from repro.quic.trace import ConnectionTracer
 from repro.traces.catalog import extreme_mobility_trace_pairs
 from repro.traces.radio_profiles import RadioType
@@ -201,14 +203,8 @@ def cmd_chaos(args) -> int:
         print(f"{o.index:>3} {o.scheme:<12} {o.sessions:>4} "
               f"{o.completed:>4} {o.evicted_closed + o.evicted_idle:>5} "
               f"{verdict:<8} {faults}")
-    totals = {}
-    for o in result.outcomes:
-        for key, value in o.robustness.items():
-            if key == "reorder_max_depth":
-                totals[key] = max(totals.get(key, 0), value)
-            else:
-                totals[key] = totals.get(key, 0) + value
-    print("robustness: " + _format_robustness(totals))
+    print("robustness: " + _format_robustness(
+        merge_robustness(o.robustness for o in result.outcomes)))
     print(f"digest: {result.digest}")
     for line in result.errors:
         print(f"error: {line}", file=sys.stderr)
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     mobility.add_argument("--trace", type=int, default=1,
                           help="trace id 1-10")
     mobility.add_argument("--duration", type=float, default=30.0)
-    mobility.add_argument("--schemes", nargs="+",
+    mobility.add_argument("--schemes", nargs="+", choices=list(SCHEMES),
                           default=list(FIG13_SCHEMES))
     mobility.add_argument("--seed", type=int, default=0)
     _add_cc_arg(mobility)

@@ -44,17 +44,33 @@ from repro.video import PlayerConfig, make_video
 SHARDS_PER_WORKER = 4
 
 
+#: The condition mix of the paper's A/B population (Sec. 7.2, Table 4),
+#: calibrated once so its comparative shapes emerge: Wi-Fi is usually
+#: the better path but occasionally blacks out (walking/hand-off); LTE
+#: has the heavy-tailed delays of Sec. 3.2 (worse across ISP borders,
+#: Table 4) and its own outages, which is what makes vanilla-MP's tail
+#: *worse* than SP while XLINK's re-injection rescues the stragglers.
+#: ``ABTestConfig`` carries the two parts a study sweeps.
+#:
+#: probability the LTE path crosses an ISP border (Table 4 inflation)
+CROSS_ISP_PROB = 0.5
+#: probability the LTE path degrades (outage) during play
+LTE_DEGRADED_PROB = 0.35
+#: lognormal spread of the Wi-Fi rate, and the LTE rate's parameters
+#: (median ~ e^mu: ~2.4 Mbps)
+WIFI_RATE_SIGMA = 0.45
+LTE_RATE_MU = 14.7
+LTE_RATE_SIGMA = 0.7
+
+#: The player every A/B session runs: a small buffer cap keeps
+#: streaming "live", so stalls bite.
+PLAYER_CONFIG = PlayerConfig(max_buffer_s=2.0)
+
+
 @dataclass
 class ABTestConfig:
-    """Knobs for the population simulation.
-
-    Default condition mix is calibrated so the paper's comparative
-    shapes emerge: Wi-Fi is usually the better path but occasionally
-    blacks out (walking/hand-off); LTE has the heavy-tailed delays of
-    Sec. 3.2 (worse across ISP borders, Table 4) and its own outages,
-    which is what makes vanilla-MP's tail *worse* than SP while
-    XLINK's re-injection rescues the stragglers.
-    """
+    """Knobs for the population simulation (the fixed condition mix is
+    the module constants above)."""
 
     users_per_day: int = 40
     days: int = 7
@@ -63,24 +79,10 @@ class ABTestConfig:
     chunk_size: int = 160 * 1024
     #: probability a user's Wi-Fi suffers an outage during the play
     wifi_outage_prob: float = 0.15
-    #: probability the LTE path crosses an ISP border (Table 4 inflation)
-    cross_isp_prob: float = 0.5
-    #: probability the LTE path degrades (outage) during play
-    lte_degraded_prob: float = 0.35
-    #: lognormal parameters for link rates (median ~ e^mu)
-    wifi_rate_mu: float = 16.1   # ~9.8 Mbps median
-    wifi_rate_sigma: float = 0.45
-    lte_rate_mu: float = 14.7    # ~2.4 Mbps median
-    lte_rate_sigma: float = 0.7
-    #: player buffer cap; small = streaming stays "live" and stalls bite
-    max_buffer_s: float = 2.0
+    #: log of the median Wi-Fi rate (~9.8 Mbps)
+    wifi_rate_mu: float = 16.1
     seed: int = 0
     timeout_s: float = 60.0
-    #: extra scheme kwargs forwarded to run_video_session
-    primary_order: Optional[Sequence[RadioType]] = None
-
-    def player_config(self) -> PlayerConfig:
-        return PlayerConfig(max_buffer_s=self.max_buffer_s)
 
 
 @dataclass
@@ -102,12 +104,12 @@ def sample_user_conditions(cfg: ABTestConfig, rng: random.Random
     lte_profile = RADIO_PROFILES[RadioType.LTE]
 
     wifi_rate = min(max(rng.lognormvariate(cfg.wifi_rate_mu,
-                                           cfg.wifi_rate_sigma), 1.2e6), 60e6)
-    lte_rate = min(max(rng.lognormvariate(cfg.lte_rate_mu,
-                                          cfg.lte_rate_sigma), 0.8e6), 40e6)
+                                           WIFI_RATE_SIGMA), 1.2e6), 60e6)
+    lte_rate = min(max(rng.lognormvariate(LTE_RATE_MU, LTE_RATE_SIGMA),
+                       0.8e6), 40e6)
     wifi_delay = wifi_profile.sample_rtt(rng) / 2.0
     lte_rtt = lte_profile.sample_rtt(rng)
-    if rng.random() < cfg.cross_isp_prob:
+    if rng.random() < CROSS_ISP_PROB:
         isps = ("A", "B", "C")
         lte_rtt = cross_isp_delay(lte_rtt, rng.choice(isps),
                                   rng.choice(isps))
@@ -124,7 +126,7 @@ def sample_user_conditions(cfg: ABTestConfig, rng: random.Random
         length = rng.uniform(1.5, 4.5)
         wifi_outages = OutageSchedule(windows=[(start, start + length)])
     lte_outages = None
-    if rng.random() < cfg.lte_degraded_prob:
+    if rng.random() < LTE_DEGRADED_PROB:
         start = rng.uniform(0.3, cfg.video_duration_s * 0.8)
         length = rng.uniform(1.0, 3.0)
         lte_outages = OutageSchedule(windows=[(start, start + length)])
@@ -172,9 +174,8 @@ def iter_ab_day_tasks(cfg: ABTestConfig, day: int,
             yield SessionTask(
                 key=(user, scheme_name(scheme)), scheme=scheme,
                 paths=conditions.paths_for(scheme), video=video,
-                player_config=cfg.player_config(),
-                timeout_s=cfg.timeout_s, seed=session_seed,
-                primary_order=cfg.primary_order)
+                player_config=PLAYER_CONFIG, timeout_s=cfg.timeout_s,
+                seed=session_seed)
 
 
 def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[SchemeLike],
@@ -215,11 +216,10 @@ def run_ab_day(cfg: ABTestConfig, day: int, schemes: Sequence[SchemeLike],
     return result.sink
 
 
-def run_ab_test(cfg: ABTestConfig, schemes: Sequence[SchemeLike],
-                workers: Optional[int] = None) -> List[MetricSink]:
+def run_ab_test(cfg: ABTestConfig, schemes: Sequence[SchemeLike]
+                ) -> List[MetricSink]:
     """Run the full multi-day A/B test: one sink per day, day 1 first."""
-    return [run_ab_day(cfg, day, schemes, workers=workers)
-            for day in range(1, cfg.days + 1)]
+    return [run_ab_day(cfg, day, schemes) for day in range(1, cfg.days + 1)]
 
 
 def daily_improvement(days: Sequence[MetricSink], baseline: str,

@@ -32,7 +32,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.fleet import ABPopulationDriver, FleetConfig
+from repro.experiments.abtest import PLAYER_CONFIG
+from repro.experiments.fleet import (CHUNK_SIZE, VIDEO_BITRATE_BPS,
+                                     VIDEO_DURATION_S, ABPopulationDriver,
+                                     FleetConfig)
 from repro.experiments.parallel import (DEFAULT_MAX_RETRIES,
                                         DEFAULT_SHARD_SIZE, run_fleet)
 from repro.metrics.sink import MetricSink
@@ -175,12 +178,16 @@ class FleetCampaign:
         the population, workload, or seed is not.
         """
         cfg = self.cfg
+        # The fleet clip and the A/B player are module constants; they
+        # are hashed in the places (and with the empty overrides tuple
+        # last) that checkpoint layout 1 gave them, so a checkpoint
+        # written when they were fields still resumes.
         canonical = (
             CHECKPOINT_VERSION, cfg.users, cfg.days,
             tuple(cfg.schemes), cfg.paired,
-            repr(cfg.video_duration_s), repr(cfg.video_bitrate_bps),
-            cfg.chunk_size, repr(cfg.max_buffer_s), repr(cfg.timeout_s),
-            cfg.seed, tuple(sorted(cfg.ab_overrides.items())),
+            repr(VIDEO_DURATION_S), repr(VIDEO_BITRATE_BPS), CHUNK_SIZE,
+            repr(PLAYER_CONFIG.max_buffer_s), repr(cfg.timeout_s),
+            cfg.seed, (),
         )
         return hashlib.sha256(repr(canonical).encode()).hexdigest()
 

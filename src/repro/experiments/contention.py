@@ -31,6 +31,18 @@ from repro.video import PlayerConfig, make_video
 
 #: the shared cell is always emulated path 0
 CELL_PATH_ID = 0
+#: one-way delay of the shared LTE cell
+CELL_DELAY_S = 0.035
+#: each user's private Wi-Fi path
+WIFI_RATE_BPS = 10e6
+WIFI_DELAY_S = 0.015
+#: user i loses Wi-Fi for [OUTAGE_START_S + i * OUTAGE_STAGGER_S,
+#: + OUTAGE_LEN_S)
+OUTAGE_START_S = 0.5
+OUTAGE_LEN_S = 1.2
+OUTAGE_STAGGER_S = 0.3
+#: session i connects at i * START_SPACING_S
+START_SPACING_S = 0.2
 
 
 @dataclass
@@ -45,16 +57,6 @@ class ContentionConfig:
     #: shared LTE cell: mean capacity for the whole cell
     cell_mean_mbps: float = 24.0
     cell_trace_duration_s: float = 60.0
-    cell_delay_s: float = 0.035
-    #: per-user private Wi-Fi
-    wifi_rate_bps: float = 10e6
-    wifi_delay_s: float = 0.015
-    #: each user i loses Wi-Fi for [outage_start + i*stagger, +outage_len)
-    outage_start_s: float = 0.5
-    outage_len_s: float = 1.2
-    outage_stagger_s: float = 0.3
-    #: session i connects at i * start_spacing_s
-    start_spacing_s: float = 0.2
     timeout_s: float = 240.0
 
 
@@ -99,16 +101,15 @@ class ContentionResult:
 def run_contention(config: ContentionConfig) -> ContentionResult:
     """Run N concurrent sessions against one host on a shared cell."""
     loop = EventLoop()
-    paths = [PathSpec(CELL_PATH_ID, RadioType.LTE, config.cell_delay_s,
+    paths = [PathSpec(CELL_PATH_ID, RadioType.LTE, CELL_DELAY_S,
                       trace_ms=stable_lte_trace(
                           config.cell_trace_duration_s, seed=config.seed,
                           mean_mbps=config.cell_mean_mbps))]
     for i in range(config.sessions):
-        start = config.outage_start_s + i * config.outage_stagger_s
+        start = OUTAGE_START_S + i * OUTAGE_STAGGER_S
         paths.append(PathSpec(
-            1 + i, RadioType.WIFI, config.wifi_delay_s,
-            rate_bps=config.wifi_rate_bps,
-            outages=OutageSchedule([(start, start + config.outage_len_s)])))
+            1 + i, RadioType.WIFI, WIFI_DELAY_S, rate_bps=WIFI_RATE_BPS,
+            outages=OutageSchedule([(start, start + OUTAGE_LEN_S)])))
     net = build_network(loop, paths, config.seed)
     runtime = SessionRuntime(loop, net)
 
@@ -128,7 +129,7 @@ def run_contention(config: ContentionConfig) -> ContentionResult:
             seed=config.seed + i,
             client_addr=f"client-{i}",
             connection_name=f"user-{i}",
-            start_at=i * config.start_spacing_s)))
+            start_at=i * START_SPACING_S)))
     runtime.run(timeout_s=config.timeout_s)
 
     results = [runtime.result(h) for h in handles]

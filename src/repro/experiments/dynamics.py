@@ -68,23 +68,28 @@ def _add_session(loop: EventLoop, net: MultipathNetwork,
         interfaces=[(0, RadioType.WIFI), (1, RadioType.LTE)]))
 
 
-def run_fig1_dynamics(duration_s: float = 3.0, sample_interval_s: float = 0.02,
-                      seed: int = 1) -> Dict[int, PathDynamics]:
+#: Seed of the Fig. 1 replay and how often it samples each path.
+FIG1_SEED = 1
+FIG1_SAMPLE_INTERVAL_S = 0.02
+
+
+def run_fig1_dynamics(duration_s: float = 3.0) -> Dict[int, PathDynamics]:
     """Fig. 1a/1b: vanilla-MP on campus Wi-Fi (path 0) + stable LTE
     (path 1); returns per-path (in-flight, cwnd) time series."""
     loop = EventLoop()
     net = MultipathNetwork(loop)
-    net.add_trace_path(0, campus_walk_wifi_trace(duration_s, seed=seed),
+    net.add_trace_path(0, campus_walk_wifi_trace(duration_s,
+                                              seed=FIG1_SEED),
                        one_way_delay_s=0.015)
-    net.add_trace_path(1, stable_lte_trace(duration_s, seed=seed + 1),
+    net.add_trace_path(1, stable_lte_trace(duration_s, seed=FIG1_SEED + 1),
                        one_way_delay_s=0.035)
     # A heavy workload keeps both pipes full, matching the replay.
     video = make_video(name="fig1", duration_s=duration_s + 5,
-                       bitrate_bps=20_000_000, seed=seed,
+                       bitrate_bps=20_000_000, seed=FIG1_SEED,
                        chunk_size=512 * 1024)
     player_config = PlayerConfig(concurrent_requests=4, max_buffer_s=1e9)
     server = _add_session(loop, net, SCHEMES["vanilla_mp"], video,
-                          player_config, seed).server
+                          player_config, FIG1_SEED).server
 
     dynamics = {0: PathDynamics(), 1: PathDynamics()}
 
@@ -97,9 +102,9 @@ def run_fig1_dynamics(duration_s: float = 3.0, sample_interval_s: float = 0.02,
             series.inflight_bytes.append(path.loss.bytes_in_flight)
             series.cwnd_bytes.append(path.cc.cwnd)
         if loop.now < duration_s:
-            loop.schedule_after(sample_interval_s, sample)
+            loop.schedule_after(FIG1_SAMPLE_INTERVAL_S, sample)
 
-    loop.schedule_after(sample_interval_s, sample)
+    loop.schedule_after(FIG1_SAMPLE_INTERVAL_S, sample)
     loop.run(until=duration_s)
     return dynamics
 
@@ -114,8 +119,7 @@ _FIG6_SCHEMES = {"vanilla_mp": SCHEMES["vanilla_mp"],
 FIG6_MODES = tuple(_FIG6_SCHEMES)
 
 
-def _fig6_network(loop: EventLoop, duration_s: float,
-                  seed: int) -> MultipathNetwork:
+def _fig6_network(loop: EventLoop, duration_s: float) -> MultipathNetwork:
     """Two paths; path 1 deteriorates to near-zero at t in [2, 4.5)."""
     rates1 = []
     rates2 = []
@@ -135,20 +139,24 @@ def _fig6_network(loop: EventLoop, duration_s: float,
     return net
 
 
-def run_fig6_dynamics(mode: str, duration_s: float = 7.0,
-                      sample_interval_s: float = 0.05,
-                      seed: int = 4) -> SessionDynamics:
+#: Seed of every Fig. 6 panel and how often it samples the session.
+FIG6_SEED = 4
+FIG6_SAMPLE_INTERVAL_S = 0.05
+
+
+def run_fig6_dynamics(mode: str, duration_s: float = 7.0) -> SessionDynamics:
     """One Fig. 6 panel: buffer level + re-injected bytes vs time."""
     if mode not in FIG6_MODES:
         raise ValueError(f"unknown fig6 mode {mode!r}")
     loop = EventLoop()
-    net = _fig6_network(loop, duration_s, seed)
+    net = _fig6_network(loop, duration_s)
     scheme = _FIG6_SCHEMES[mode]
     video = make_video(name="fig6", duration_s=duration_s + 4,
-                       bitrate_bps=4_000_000, seed=seed,
+                       bitrate_bps=4_000_000, seed=FIG6_SEED,
                        chunk_size=256 * 1024)
     player_config = PlayerConfig(max_buffer_s=2.5)
-    session = _add_session(loop, net, scheme, video, player_config, seed)
+    session = _add_session(loop, net, scheme, video, player_config,
+                           FIG6_SEED)
     player, server = session.player, session.server
 
     series = SessionDynamics()
@@ -159,9 +167,9 @@ def run_fig6_dynamics(mode: str, duration_s: float = 7.0,
         series.reinjected_bytes.append(
             server.stats.stream_bytes_reinjected)
         if loop.now < duration_s:
-            loop.schedule_after(sample_interval_s, sample)
+            loop.schedule_after(FIG6_SAMPLE_INTERVAL_S, sample)
 
-    loop.schedule_after(sample_interval_s, sample)
+    loop.schedule_after(FIG6_SAMPLE_INTERVAL_S, sample)
     loop.run(until=duration_s)
     series.rebuffer_time = player.stats.rebuffer_time
     if server.stats.stream_bytes_new:

@@ -52,14 +52,12 @@ def _paths_for(radios: Sequence[RadioType]) -> List[PathSpec]:
     return paths
 
 
-def run_fig14_point(config: str, total_bytes: int,
-                    seed: int = 0) -> EnergyPoint:
+def run_fig14_point(config: str, total_bytes: int) -> EnergyPoint:
     """Download ``total_bytes`` under one radio configuration."""
     radios = FIG14_CONFIGS[config]
     paths = _paths_for(radios)
     scheme = "sp" if len(radios) == 1 else "xlink"
-    result = run_bulk_download(scheme, paths, total_bytes,
-                               timeout_s=300.0, seed=seed)
+    result = run_bulk_download(scheme, paths, total_bytes, timeout_s=300.0)
     if result.download_time_s is None:
         raise RuntimeError(f"fig14 download did not complete: {config}")
     duration = result.download_time_s
@@ -80,13 +78,11 @@ def run_fig14_point(config: str, total_bytes: int,
                        energy_per_bit_j=account.energy_per_bit_j())
 
 
-def run_fig14(sizes: Sequence[int] = FIG14_SIZES,
-              seed: int = 0) -> List[EnergyPoint]:
+def run_fig14(sizes: Sequence[int] = FIG14_SIZES) -> List[EnergyPoint]:
     """All Fig. 14 configurations over the download sizes (averaged)."""
     points = []
     for config in FIG14_CONFIGS:
-        runs = [run_fig14_point(config, size, seed=seed)
-                for size in sizes]
+        runs = [run_fig14_point(config, size) for size in sizes]
         points.append(EnergyPoint(
             config=config,
             throughput_mbps=sum(r.throughput_mbps for r in runs)

@@ -11,7 +11,7 @@ much better (about +32% at p99), improvement growing toward the tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.abtest import ABTestConfig, run_ab_day
 
@@ -27,9 +27,7 @@ class Fig12Result:
     without_acceleration: Dict[int, float]
 
 
-def run_fig12(cfg: ABTestConfig,
-              percentiles: Sequence[int] = FIG12_PERCENTILES
-              ) -> Fig12Result:
+def run_fig12(cfg: ABTestConfig) -> Fig12Result:
     """Run SP, XLINK, and XLINK-without-FFA over one population."""
     schemes = ["sp", "xlink", "xlink_nofa"]
     day = run_ab_day(cfg, 1, schemes)
@@ -40,7 +38,7 @@ def run_fig12(cfg: ABTestConfig,
 
     def improvements(treatment: str) -> Dict[int, float]:
         out = {}
-        for pct in percentiles:
+        for pct in FIG12_PERCENTILES:
             sp_val = ffl["sp"].percentile(pct)
             val = ffl[treatment].percentile(pct)
             out[pct] = (sp_val - val) / sp_val * 100.0 if sp_val > 0 else 0.0

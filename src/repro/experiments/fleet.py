@@ -34,8 +34,8 @@ reseeding).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Protocol, Sequence, Tuple
 
 from repro.experiments.abtest import ABTestConfig, iter_ab_day_tasks
 from repro.experiments.parallel import (DEFAULT_SHARD_SIZE, FleetResult,
@@ -62,17 +62,23 @@ class FleetDriver(Protocol):
         ...
 
 
+#: The per-session workload of a fleet day: deliberately lighter than
+#: the small-N :class:`ABTestConfig` defaults (a 2s clip instead of
+#: 10s).  The fleet reproduces *population distribution* shapes --
+#: percentile tails over thousands of users -- where the small drivers
+#: study per-session dynamics, and a 10K-user day has to finish in
+#: minutes on one container.
+VIDEO_DURATION_S = 2.0
+VIDEO_BITRATE_BPS = 1_000_000
+CHUNK_SIZE = 64 * 1024
+
+
 @dataclass
 class FleetConfig:
     """Population knobs for a fleet-scale A/B run.
 
-    The per-session workload is deliberately lighter than the small-N
-    :class:`ABTestConfig` defaults (a 2s clip instead of 10s): the
-    fleet reproduces *population distribution* shapes -- percentile
-    tails over thousands of users -- where the small drivers study
-    per-session dynamics, and a 10K-user day has to finish in minutes
-    on one container.  Condition sampling (outage/cross-ISP mix) is
-    inherited unchanged from :class:`ABTestConfig`.
+    The workload is the module constants above; condition sampling
+    (outage/cross-ISP mix) and the player are :mod:`abtest`'s.
     """
 
     users: int = 1000
@@ -82,23 +88,15 @@ class FleetConfig:
     #: round-robin -- the paper's production A/B shape); True = every
     #: user plays every scheme (the paired small-N design).
     paired: bool = False
-    video_duration_s: float = 2.0
-    video_bitrate_bps: float = 1_000_000
-    chunk_size: int = 64 * 1024
-    max_buffer_s: float = 2.0
     timeout_s: float = 30.0
     seed: int = 0
-    #: extra overrides forwarded into ABTestConfig (condition mix etc.)
-    ab_overrides: Dict[str, float] = field(default_factory=dict)
 
     def ab_config(self) -> ABTestConfig:
         return ABTestConfig(
             users_per_day=self.users, days=self.days,
-            video_duration_s=self.video_duration_s,
-            video_bitrate_bps=self.video_bitrate_bps,
-            chunk_size=self.chunk_size, max_buffer_s=self.max_buffer_s,
-            timeout_s=self.timeout_s, seed=self.seed,
-            **self.ab_overrides)
+            video_duration_s=VIDEO_DURATION_S,
+            video_bitrate_bps=VIDEO_BITRATE_BPS, chunk_size=CHUNK_SIZE,
+            timeout_s=self.timeout_s, seed=self.seed)
 
     @property
     def sessions_expected(self) -> int:
@@ -152,16 +150,14 @@ class MobilityPopulationDriver:
     repeats: int = 2
     schemes: Tuple[str, ...] = ("sp", "vanilla_mp", "cm", "xlink")
     duration_s: float = 30.0
-    timeout_s: float = 60.0
     seed: int = 0
     name: str = "mobility_population"
 
     def task_iter(self) -> Iterator[SessionTask]:
         from repro.experiments.mobility import iter_mobility_fleet_tasks
-        return iter_mobility_fleet_tasks(
-            n_traces=self.traces, repeats=self.repeats,
-            schemes=self.schemes, duration_s=self.duration_s,
-            timeout_s=self.timeout_s, seed=self.seed)
+        return iter_mobility_fleet_tasks(self.traces, self.repeats,
+                                         self.schemes, self.duration_s,
+                                         self.seed)
 
 
 @dataclass

@@ -120,8 +120,11 @@ class FleetChaosConfig:
     seed: int = 11
     #: deadline that converts a hung worker into a ``timeout`` fault
     shard_timeout_s: float = 5.0
-    campaign_users: int = 6
-    campaign_days: int = 2
+
+
+#: The campaign the soak kills at a day boundary and resumes.
+CAMPAIGN_USERS = 6
+CAMPAIGN_DAYS = 2
 
 
 @dataclass
@@ -225,8 +228,8 @@ def run_fleet_chaos(config: Optional[FleetChaosConfig] = None
                   f"tasks={qr.tasks} interrupted={qr.interrupted}")
 
     # Campaign kill + resume at a day boundary: bit-identical merge.
-    camp_cfg = FleetConfig(users=config.campaign_users,
-                           days=config.campaign_days, seed=config.seed)
+    camp_cfg = FleetConfig(users=CAMPAIGN_USERS, days=CAMPAIGN_DAYS,
+                           seed=config.seed)
     uninterrupted = FleetCampaign(camp_cfg).run()
     with tempfile.TemporaryDirectory() as ckpt_dir:
         FleetCampaign(camp_cfg, checkpoint_dir=ckpt_dir).run(max_days=1)

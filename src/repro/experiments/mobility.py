@@ -185,18 +185,13 @@ def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
     return times
 
 
-#: Fleet-capable subset of Fig. 13's schemes: everything that runs as
-#: a plain SessionTask.  ``mptcp`` needs the bespoke paced loop below
-#: and stays a small-N driver.
-FLEET_MOBILITY_SCHEMES = ("sp", "vanilla_mp", "cm", "xlink")
+#: Session deadline of a mobility population task.
+FLEET_TIMEOUT_S = 60.0
 
 
-def iter_mobility_fleet_tasks(n_traces: int = 10, repeats: int = 2,
-                              schemes: Sequence[str] =
-                              FLEET_MOBILITY_SCHEMES,
-                              duration_s: float = 30.0,
-                              timeout_s: float = 60.0,
-                              seed: int = 0) -> Iterator[SessionTask]:
+def iter_mobility_fleet_tasks(n_traces: int, repeats: int,
+                              schemes: Sequence[str], duration_s: float,
+                              seed: int) -> Iterator[SessionTask]:
     """Lazily generate the mobility population's session tasks.
 
     The population shape of Fig. 13 at fleet scale: ``repeats``
@@ -216,18 +211,16 @@ def iter_mobility_fleet_tasks(n_traces: int = 10, repeats: int = 2,
                     key=(rep, pair["trace_id"], scheme_name(scheme)),
                     scheme=scheme, paths=scheme_paths(scheme, paths),
                     video=video, player_config=PLAYER_CONFIG,
-                    timeout_s=timeout_s, seed=rep_seed)
+                    timeout_s=FLEET_TIMEOUT_S, seed=rep_seed)
 
 
 def run_fig13(n_traces: int = 10, duration_s: float = 30.0,
-              schemes: Sequence[str] = FIG13_SCHEMES,
-              seed: int = 0,
-              workers: Optional[int] = None) -> List[MobilityResult]:
+              seed: int = 0) -> List[MobilityResult]:
     """The full Fig. 13 sweep over the trace catalog.
 
-    Fans the flat (trace, scheme) replay grid out over ``workers``
-    processes; each replay is independent, so the sweep parallelizes
-    to ``n_traces * len(schemes)`` tasks.
+    Fans the flat (trace, scheme) replay grid out over every core; each
+    replay is independent, so the sweep parallelizes to ``n_traces *
+    len(FIG13_SCHEMES)`` tasks.
     """
     return _replay(extreme_mobility_trace_pairs(duration_s, n_traces),
-                   schemes, seed, workers)
+                   FIG13_SCHEMES, seed, None)

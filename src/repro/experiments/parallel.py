@@ -90,12 +90,10 @@ from itertools import islice
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from repro.experiments.harness import (PathSpec, run_bulk_download,
-                                       run_video_session)
+from repro.experiments.harness import PathSpec, run_video_session
 from repro.host.specs import SchemeLike, scheme_name
 from repro.metrics.qoe import SessionMetrics
 from repro.metrics.sink import MetricSink
-from repro.traces.radio_profiles import RadioType
 from repro.video import PlayerConfig
 from repro.video.media import Video
 
@@ -347,10 +345,6 @@ class SessionTask:
     player_config: Optional[PlayerConfig] = None
     timeout_s: float = 120.0
     seed: int = 0
-    primary_order: Optional[Sequence[RadioType]] = None
-    #: "video" plays ``video``; "bulk" downloads ``total_bytes``
-    mode: str = "video"
-    total_bytes: int = 0
 
 
 @dataclass
@@ -364,27 +358,19 @@ class SessionOutcome:
     metrics: SessionMetrics
     reinjected_bytes: int = 0
     new_stream_bytes: int = 0
-    download_time_s: Optional[float] = None
 
 
 def execute_session_task(task: SessionTask) -> SessionOutcome:
-    """Worker entry point: run one session, return plain data only."""
-    if task.mode == "bulk":
-        result = run_bulk_download(task.scheme, task.paths, task.total_bytes,
-                                   timeout_s=task.timeout_s, seed=task.seed)
-    elif task.mode == "video":
-        result = run_video_session(
-            task.scheme, task.paths, video=task.video,
-            player_config=task.player_config, timeout_s=task.timeout_s,
-            seed=task.seed, primary_order=task.primary_order)
-    else:
-        raise ValueError(f"unknown session task mode {task.mode!r}")
+    """Worker entry point: play one session, return plain data only."""
+    result = run_video_session(
+        task.scheme, task.paths, video=task.video,
+        player_config=task.player_config, timeout_s=task.timeout_s,
+        seed=task.seed)
     return SessionOutcome(
         key=task.key, scheme=result.scheme, completed=result.completed,
         duration_s=result.duration_s, metrics=result.metrics,
         reinjected_bytes=result.reinjected_bytes,
-        new_stream_bytes=result.new_stream_bytes,
-        download_time_s=result.download_time_s)
+        new_stream_bytes=result.new_stream_bytes)
 
 
 def run_session_tasks(tasks: Sequence[SessionTask],

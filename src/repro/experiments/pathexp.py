@@ -12,7 +12,7 @@ ACK_MP return-path strategies (min-RTT vs original) under Cubic.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
                                        run_video_session)
@@ -34,8 +34,7 @@ def _first_frame_video(first_frame_size: int) -> Video:
                  chunk_size=first_frame_size + sum(tail))
 
 
-def run_fig7_point(primary: str, first_frame_size: int,
-                   seed: int = 0) -> float:
+def run_fig7_point(primary: str, first_frame_size: int) -> float:
     """First-video-frame delivery time (s) for one (primary, size).
 
     The network has a Wi-Fi path and a 5G SA path with
@@ -63,27 +62,24 @@ def run_fig7_point(primary: str, first_frame_size: int,
                                  startup_frames=1, resume_frames=1)
     result = run_video_session("xlink", paths, video=video,
                                player_config=player_config,
-                               timeout_s=30.0, seed=seed,
-                               primary_order=order)
+                               timeout_s=30.0, primary_order=order)
     if result.metrics.first_frame_latency is None:
         raise RuntimeError("first frame never delivered")
     return result.metrics.first_frame_latency
 
 
-def run_fig7(frame_sizes: Sequence[int] = FIG7_FRAME_SIZES,
-             seed: int = 0,
-             workers: Optional[int] = None
+def run_fig7(frame_sizes: Sequence[int] = FIG7_FRAME_SIZES
              ) -> Dict[str, List[Tuple[int, float]]]:
     """Full Fig. 7 sweep: {primary: [(frame_size, latency_s), ...]}.
 
-    The (primary, size) grid fans out over ``workers`` processes.
+    The (primary, size) grid fans out over every core.
     """
     out: Dict[str, List[Tuple[int, float]]] = {"wifi": [], "5g": []}
     grid = [(primary, size) for primary in out for size in frame_sizes]
-    jobs = [{"primary": primary, "first_frame_size": size, "seed": seed}
+    jobs = [{"primary": primary, "first_frame_size": size}
             for primary, size in grid]
-    for (primary, size), latency in zip(grid, fan_out(run_fig7_point, jobs,
-                                                      workers=workers)):
+    for (primary, size), latency in zip(grid, fan_out(run_fig7_point,
+                                                      jobs)):
         out[primary].append((size, latency))
     return out
 
@@ -97,41 +93,42 @@ FIG8_BASE_RTT_S = 0.04
 #: Load size of Fig. 8 (4 MB).
 FIG8_LOAD_BYTES = 4 * 1024 * 1024
 
+#: Rate of each of Fig. 8's two equal-bandwidth paths.
+FIG8_RATE_BPS = 20e6
 
-def run_fig8_point(rtt_ratio: float, ack_policy: str,
-                   rate_bps: float = 20e6, seed: int = 0) -> float:
+
+def run_fig8_point(rtt_ratio: float, ack_policy: str) -> float:
     """Completion time of the 4 MB load at one RTT ratio and policy."""
     paths = [
         PathSpec(net_path_id=0, radio=RadioType.WIFI,
-                 one_way_delay_s=FIG8_BASE_RTT_S / 2, rate_bps=rate_bps),
+                 one_way_delay_s=FIG8_BASE_RTT_S / 2,
+                 rate_bps=FIG8_RATE_BPS),
         PathSpec(net_path_id=1, radio=RadioType.LTE,
                  one_way_delay_s=FIG8_BASE_RTT_S * rtt_ratio / 2,
-                 rate_bps=rate_bps),
+                 rate_bps=FIG8_RATE_BPS),
     ]
     # vanilla-MP (under Cubic, its default) with the chosen policy
     scheme = replace(SCHEMES["vanilla_mp"], name=f"_fig8_{ack_policy}",
                      ack_path_policy=ack_policy)
     result = run_bulk_download(scheme, paths, FIG8_LOAD_BYTES,
-                               timeout_s=120.0, seed=seed)
+                               timeout_s=120.0)
     if result.download_time_s is None:
         raise RuntimeError("fig8 download did not complete")
     return result.download_time_s
 
 
-def run_fig8(ratios: Sequence[float] = FIG8_RTT_RATIOS,
-             seed: int = 0,
-             workers: Optional[int] = None
+def run_fig8(ratios: Sequence[float] = FIG8_RTT_RATIOS
              ) -> Dict[str, List[Tuple[float, float]]]:
     """Full Fig. 8 sweep: {policy: [(ratio, completion_s), ...]}.
 
-    The (policy, ratio) grid fans out over ``workers`` processes.
+    The (policy, ratio) grid fans out over every core.
     """
     out: Dict[str, List[Tuple[float, float]]] = {"fastest": [],
                                                  "original": []}
     grid = [(policy, ratio) for policy in out for ratio in ratios]
-    jobs = [{"rtt_ratio": ratio, "ack_policy": policy, "seed": seed}
+    jobs = [{"rtt_ratio": ratio, "ack_policy": policy}
             for policy, ratio in grid]
-    for (policy, ratio), time_s in zip(grid, fan_out(run_fig8_point, jobs,
-                                                     workers=workers)):
+    for (policy, ratio), time_s in zip(grid, fan_out(run_fig8_point,
+                                                     jobs)):
         out[policy].append((ratio, time_s))
     return out

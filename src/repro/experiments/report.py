@@ -81,30 +81,34 @@ def section_fig8() -> ReportSection:
         _table(["RTT ratio", "min-RTT path", "original path"], rows))
 
 
-def _fmt(value, spec: str = "{:.3f}", empty: str = "—") -> str:
+def _fmt(value, spec: str = "{:.3f}") -> str:
     """Render a metric cell; ``None`` (empty sketch) becomes a dash."""
-    return empty if value is None else spec.format(value)
+    return "—" if value is None else spec.format(value)
 
 
-def _day_series(days: Sequence[Dict[str, Dict]], baseline: str = "sp"
+#: the control arm of every day-over-day series
+BASELINE = "sp"
+
+
+def _day_series(days: Sequence[Dict[str, Dict]]
                 ) -> Tuple[List[str], List[List]]:
     """Header and rows of a day-over-day A/B series (Fig. 1c / Fig. 11
-    with Tables 1 / 3 folded in): per day the baseline's p99 RCT, then
-    each treatment's p99 RCT, rebuffer-rate improvement and cost.
+    with Tables 1 / 3 folded in): per day SP's p99 RCT, then each
+    treatment's p99 RCT, rebuffer-rate improvement and cost.
 
     ``days`` holds one :meth:`MetricSink.as_dict` summary per day,
     day 1 first -- what :func:`run_ab_test`'s sinks give and what a
     campaign ledger stores, so a checkpoint renders without re-running.
     """
     treatments = sorted({name for day in days for name in day
-                         if name != baseline})
-    header = ["day", f"{baseline} p99 RCT (s)"]
+                         if name != BASELINE})
+    header = ["day", f"{BASELINE} p99 RCT (s)"]
     for name in treatments:
         header += [f"{name} p99 RCT (s)", f"{name} rebuffer Δ",
                    f"{name} cost"]
     rows = []
     for number, day in enumerate(days, 1):
-        base = day.get(baseline, {})
+        base = day.get(BASELINE, {})
         row = [number, _fmt(base.get("rct_p99"), "{:.2f}")]
         for name in treatments:
             treat = day.get(name, {})
@@ -195,7 +199,7 @@ def section_fig13(n_traces: int) -> ReportSection:
 FLEET_CDF_PCTS = (10, 25, 50, 75, 90, 95, 99)
 
 
-def fleet_sections(sink: MetricSink, baseline: str = "sp",
+def fleet_sections(sink: MetricSink, baseline: str = BASELINE,
                    seed: int = 0, rounds: int = 200
                    ) -> List[ReportSection]:
     """Render a population sink: per-scheme QoE, RCT CDFs, and the
@@ -271,25 +275,28 @@ def fleet_sections(sink: MetricSink, baseline: str = "sp",
     return sections
 
 
-def section_fleet(users: int, seed: int = 11) -> List[ReportSection]:
+#: seed of the report's fleet day and campaign
+FLEET_SEED = 11
+
+
+def section_fleet(users: int) -> List[ReportSection]:
     """Run a split-population fleet day and render its sink."""
     from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                          run_fleet_driver)
-    cfg = FleetConfig(users=users, seed=seed)
+    cfg = FleetConfig(users=users, seed=FLEET_SEED)
     run = run_fleet_driver(ABPopulationDriver(cfg))
     header = (f"{users} users split-population over "
               f"{', '.join(cfg.schemes)}; {run.result.shards} shards, "
               f"{run.result.workers_effective} effective workers, "
               f"{run.sessions_per_sec:.1f} sessions/sec.\n"
               f"Merged digest `{run.sink.digest()[:16]}`.")
-    sections = fleet_sections(run.sink, seed=seed)
+    sections = fleet_sections(run.sink, seed=FLEET_SEED)
     first = sections[0]
     sections[0] = ReportSection(first.title, header + "\n\n" + first.body)
     return sections
 
 
-def campaign_day_section(result, baseline: str = "sp"
-                         ) -> ReportSection:
+def campaign_day_section(result) -> ReportSection:
     """Day-over-day series from a campaign ledger.
 
     Pure rendering over a :class:`~repro.experiments.campaign.
@@ -298,8 +305,7 @@ def campaign_day_section(result, baseline: str = "sp"
     tabulated without re-running anything -- including from a
     checkpoint of a still-running multi-day campaign.
     """
-    header, rows = _day_series([rec.schemes for rec in result.days],
-                               baseline)
+    header, rows = _day_series([rec.schemes for rec in result.days])
     for row, rec in zip(rows, result.days):
         row += [rec.sessions,
                 rec.failed + rec.retries + rec.abandoned_shards or "—"]
@@ -315,12 +321,11 @@ def campaign_day_section(result, baseline: str = "sp"
         _table(header + ["sessions", "faults"], rows) + footer)
 
 
-def section_campaign(users: int, days: int,
-                     seed: int = 11) -> List[ReportSection]:
+def section_campaign(users: int, days: int) -> List[ReportSection]:
     """Run a multi-day campaign and render its day-over-day ledger."""
     from repro.experiments.campaign import FleetCampaign
     from repro.experiments.fleet import FleetConfig
-    cfg = FleetConfig(users=users, days=days, seed=seed)
+    cfg = FleetConfig(users=users, days=days, seed=FLEET_SEED)
     result = FleetCampaign(cfg).run()
     return [campaign_day_section(result)]
 

@@ -40,13 +40,12 @@ PAPER_THRESHOLD_SETTINGS = ((95, 80), (90, 80), (90, 60), (60, 50),
 DANGER_LEVEL_S = 0.050
 
 
-def _population(cfg: ABTestConfig, day: int, scheme: SchemeConfig,
-                workers: Optional[int]) -> SchemeSink:
+def _population(cfg: ABTestConfig, day: int,
+                scheme: SchemeConfig) -> SchemeSink:
     """One scheme's population for ``day``; its ``buffer_level`` sketch
     is the play-time-left distribution, ``traffic_overhead_percent``
     the cost."""
-    sink = run_ab_day(cfg, day, [scheme],
-                      workers=workers).schemes[scheme.name]
+    sink = run_ab_day(cfg, day, [scheme]).schemes[scheme.name]
     if sink.buffer_level.count == 0:
         raise RuntimeError("no buffer samples collected")
     return sink
@@ -82,20 +81,18 @@ class ThresholdResult:
 
 def run_threshold_sweep(cfg: ABTestConfig,
                         settings: Sequence[Tuple[int, int]] =
-                        PAPER_THRESHOLD_SETTINGS,
-                        include_off: bool = True,
-                        workers: Optional[int] = None
+                        PAPER_THRESHOLD_SETTINGS
                         ) -> List[ThresholdResult]:
-    """Fig. 10 / Table 2: sweep threshold settings over one population.
+    """Fig. 10 / Table 2: re-injection off, then each threshold setting,
+    over one population.
 
     Play-time-left is measured on day 1 with re-injection control off
-    (vanilla-MP); SP and every setting then play day 2.  ``workers``
-    fans each population's sessions out over processes (``None``/``0``
-    = ``os.cpu_count()``); results are bit-identical to the serial run.
+    (vanilla-MP); SP and every setting then play day 2.  Each
+    population's sessions fan out over every core; results are
+    bit-identical to the serial run.
     """
-    distribution = _population(cfg, 1, SCHEMES["vanilla_mp"],
-                               workers).buffer_level
-    sp_levels = _population(cfg, 2, SCHEMES["sp"], workers).buffer_level
+    distribution = _population(cfg, 1, SCHEMES["vanilla_mp"]).buffer_level
+    sp_levels = _population(cfg, 2, SCHEMES["sp"]).buffer_level
 
     def run_with(label: str, thresholds: Optional[ThresholdConfig]
                  ) -> ThresholdResult:
@@ -104,7 +101,7 @@ def run_threshold_sweep(cfg: ABTestConfig,
         else:
             scheme = replace(SCHEMES["xlink"], name=f"_sweep_{label}",
                              thresholds=thresholds)
-        population = _population(cfg, 2, scheme, workers)
+        population = _population(cfg, 2, scheme)
         levels = population.buffer_level
 
         def improvement(pct: float) -> float:
@@ -127,9 +124,7 @@ def run_threshold_sweep(cfg: ABTestConfig,
             cost_percent=population.traffic_overhead_percent,
             danger_reduction_percent=danger_reduction)
 
-    results: List[ThresholdResult] = []
-    if include_off:
-        results.append(run_with("re-inj. off", None))
+    results = [run_with("re-inj. off", None)]
     for x, y in settings:
         thresholds = percentile_pair_to_seconds(distribution, x, y)
         results.append(run_with(f"{x}-{y}", thresholds))

@@ -4,7 +4,7 @@ derivations both endpoints (and the server host) agree on."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.quic.transport_params import TransportParameters
 from repro.sim.rng import make_rng
@@ -88,17 +88,22 @@ class ConnectionStats:
         }
 
 
-def aggregate_robustness(stats_list) -> Dict[str, int]:
-    """Merge robustness counters across connections.
+def merge_robustness(counters: Iterable[Dict[str, int]]) -> Dict[str, int]:
+    """Merge robustness counter dicts.
 
     ``reorder_max_depth`` is a high-water mark (max); everything else
     is additive.
     """
     total: Dict[str, int] = {}
-    for stats in stats_list:
-        for key, value in stats.robustness_dict().items():
+    for counts in counters:
+        for key, value in counts.items():
             if key == "reorder_max_depth":
                 total[key] = max(total.get(key, 0), value)
             else:
                 total[key] = total.get(key, 0) + value
     return total
+
+
+def aggregate_robustness(stats_list) -> Dict[str, int]:
+    """Merge robustness counters across connections."""
+    return merge_robustness(stats.robustness_dict() for stats in stats_list)

@@ -144,6 +144,14 @@ class TestCheckpointSafety:
         assert a.fingerprint() != FleetCampaign(
             _cfg(users=5)).fingerprint()
 
+    def test_fingerprint_is_stable_across_releases(self):
+        # a checkpoint written by an earlier release must still resume:
+        # the workload values that became constants hash as they did
+        # when they were fields
+        assert FleetCampaign(FleetConfig(users=4, days=2, seed=5)) \
+            .fingerprint() == ("a3e30e86e7806f33294769e636b3482812d77070"
+                               "c7cb68e5e02df6abb3ecd8f9")
+
     def test_detects_tampered_sink(self, tmp_path):
         campaign = FleetCampaign(_cfg(days=2),
                                  checkpoint_dir=str(tmp_path))

@@ -117,6 +117,9 @@ class TestCommands:
     def test_mobility_bad_trace_id(self):
         assert main(["mobility", "--trace", "99"]) == 2
 
+    def test_mobility_unknown_scheme(self, capsys):
+        assert _rejected(["mobility", "--schemes", "warp"]) == 2
+
     def test_serve_multi_session(self, capsys):
         code = main(["serve", "--sessions", "2", "--duration", "3",
                      "--seed", "2"])

@@ -48,6 +48,35 @@ class TestDeadPublicNames:
         assert _load_lint().check_dead_public() == []
 
 
+class TestUnsetKnobs:
+    def test_flags_a_config_field_nothing_sets(self, lint, tmp_path):
+        package = tmp_path / "src" / "repro" / "experiments"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\n"
+            "class RunConfig:\n"
+            "    users: int\n"
+            "    seed: int = 0\n"
+            "    days: int = 1\n"
+            "    mix: float = 0.5\n\n"
+            "class Unchecked:\n"
+            "    other: float = 0.5\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from dataclasses import replace\n"
+            "from repro.experiments.mod import RunConfig\n"
+            "cfg = RunConfig(4, seed=3)\n"
+            "later = replace(cfg, days=2)\n"
+            "elsewhere = dict(mix=0.1)\n")
+        findings = lint.check_unset_knobs()
+        assert [message.split()[:2] for _path, _line, message in findings] \
+            == [["KNOB", "RunConfig.mix"]]
+
+    def test_this_repo_has_no_unset_knobs(self):
+        assert _load_lint().check_unset_knobs() == []
+
+
 class TestFileSize:
     @pytest.mark.parametrize("directory,limit", [
         ("src/repro/quic", 700), ("src/repro/experiments", 686)])

@@ -195,17 +195,10 @@ class TestSessionTasks:
         assert parallel[0].metrics == serial.metrics
         assert parallel[0].key == 0 and parallel[1].key == 1
 
-    def test_bulk_mode(self):
+    def test_unknown_scheme_rejected(self):
         task = self._task()
-        task.mode = "bulk"
-        task.total_bytes = 200_000
-        outcome = run_session_tasks([task], workers=1)[0]
-        assert outcome.download_time_s is not None
-
-    def test_unknown_mode_rejected(self):
-        task = self._task()
-        task.mode = "nope"
-        with pytest.raises(ValueError):
+        task.scheme = "nope"
+        with pytest.raises(KeyError):
             run_session_tasks([task], workers=1)
 
     def test_outcomes_are_plain_data(self):

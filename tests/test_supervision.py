@@ -238,12 +238,12 @@ class TestEdgeCases:
 
     def test_all_failing_shard_still_folds(self):
         paths = next(iter(_tasks(users=1))).paths
-        tasks = [SessionTask(key=(i, "sp"), scheme="sp", paths=paths,
-                             mode="nope") for i in range(4)]
+        tasks = [SessionTask(key=(i, "nope"), scheme="nope", paths=paths)
+                 for i in range(4)]
         result = run_fleet(iter(tasks), workers=1, shard_size=2)
         assert result.tasks == 4
         assert result.failed == 4
-        assert result.failures == {"ValueError": 4}
+        assert result.failures == {"KeyError": 4}
         assert result.abandoned_shards == 0  # task fails are not faults
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -23,6 +23,11 @@ forms, and obvious AST-level mistakes:
   directory is linted)
 - GC: a use of ``gc.collect`` / ``gc.disable`` / ``gc.freeze`` under a
   directory listed in ``NO_GC_CALLS``
+- KNOB: a defaulted field of a ``@dataclass`` named ``*Config`` under
+  ``NO_UNSET_KNOBS`` that nothing in the repo's Python sets -- by
+  keyword or by position in a call to the class, or by keyword to
+  ``replace()``, ``dict()`` or a function taking ``**kwargs`` (checked
+  whenever the package is linted)
 
 Exit status 0 = clean, 1 = findings, matching ruff's convention.
 """
@@ -35,7 +40,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 Finding = Tuple[Path, int, str]
 
@@ -81,6 +86,12 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: (``SessionRuntime.teardown``); a forced collection -- one ran after
 #: every contention run -- only hides a cycle that came back.
 NO_GC_CALLS = {"src/repro": {"collect", "disable", "freeze"}}
+
+#: the package whose ``*Config`` fields must each be set somewhere.  A
+#: field no caller sets only ever holds its default: it is a constant
+#: that reads like an option, and doubles the configurations a reader
+#: has to consider.  Write it as a module constant instead.
+NO_UNSET_KNOBS = "src/repro/experiments"
 
 
 def iter_py_files(roots: List[str]) -> Iterator[Path]:
@@ -308,6 +319,94 @@ def check_dead_public() -> List[Finding]:
             for path, line, name in defined if words[name] <= n_defs[name]]
 
 
+def _config_fields(tree: ast.Module) -> Iterator[Tuple[str, List[str],
+                                                     List[Tuple[str, int]]]]:
+    """(class, init fields in order, defaulted fields with their line)
+    of every ``@dataclass`` named ``*Config`` in ``tree``."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("Config")
+                and any("dataclass" in ast.unparse(d)
+                        for d in cls.decorator_list)):
+            continue
+        fields: List[str] = []
+        defaulted: List[Tuple[str, int]] = []
+        for node in cls.body:
+            if not (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)) \
+                    or "ClassVar" in ast.unparse(node.annotation) \
+                    or "init=False" in ast.unparse(node.value or ast.Pass()):
+                continue
+            fields.append(node.target.id)
+            if node.value is not None:
+                defaulted.append((node.target.id, node.lineno))
+        yield cls.name, fields, defaulted
+
+
+def _callee(call: ast.Call) -> Optional[str]:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def check_unset_knobs() -> List[Finding]:
+    """Defaulted ``*Config`` fields under ``NO_UNSET_KNOBS`` that no
+    call in the repo's Python sets."""
+    trees = []
+    for path in iter_py_files([str(REPO_ROOT / r) for r in REFERENCE_ROOTS]):
+        try:
+            trees.append((path, ast.parse(path.read_text(),
+                                          filename=str(path))))
+        except SyntaxError:
+            continue  # check_file reports it
+    declared = [(path, *config) for path, tree in trees
+                if (REPO_ROOT / NO_UNSET_KNOBS) in path.parents
+                for config in _config_fields(tree)]
+    configs = {name: fields for _path, name, fields, _defaulted in declared}
+    # ``replace()`` sets a field of whatever it is given; a keyword to
+    # ``dict()`` or to a function's ``**kwargs`` reaches the configs its
+    # module builds from a ``**`` mapping
+    forwards = {"dict": set()}
+    for _path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.args.kwarg is not None:
+                forwards.setdefault(node.name, set()).update(
+                    arg.arg for arg in [*node.args.posonlyargs,
+                                        *node.args.args,
+                                        *node.args.kwonlyargs])
+    set_on = set()
+    for _path, tree in trees:
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        mapped = configs.keys() & {
+            _callee(call) for call in calls
+            if any(kw.arg is None for kw in call.keywords)}
+        for call in calls:
+            name = _callee(call)
+            if name in configs:
+                fields = configs[name]
+                for i, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        set_on.update((name, f) for f in fields[i:])
+                        break
+                    if i < len(fields):
+                        set_on.add((name, fields[i]))
+                set_on.update((name, kw.arg) for kw in call.keywords)
+            elif name == "replace":
+                set_on.update((cls, kw.arg) for cls in configs
+                              for kw in call.keywords)
+            elif name in forwards:
+                set_on.update((cls, kw.arg) for cls in mapped
+                              for kw in call.keywords
+                              if kw.arg not in forwards[name])
+    return [(path, line, f"KNOB {cls}.{field} is set nowhere in "
+                         f"{', '.join(REFERENCE_ROOTS)}; one value in use "
+                         f"is a constant")
+            for path, cls, _fields, defaulted in declared
+            for field, line in defaulted
+            if (cls, field) not in set_on]
+
+
 def main(argv: List[str]) -> int:
     roots = argv or ["src", "tests", "tools", "figures"]
     findings: List[Finding] = []
@@ -319,6 +418,7 @@ def main(argv: List[str]) -> int:
         lints_package |= (REPO_ROOT / NO_DEAD_PUBLIC) in path.resolve().parents
     if lints_package:
         findings.extend(check_dead_public())
+        findings.extend(check_unset_knobs())
     for path, line, message in findings:
         print(f"{path}:{line}: {message}")
     if findings:
