@@ -58,13 +58,14 @@ def test_fig13_mobility():
         assert mean(maxima["xlink"]) <= mean(maxima[baseline]) * 1.05, \
             f"XLINK max should beat {baseline}"
 
-    # Our MPTCP is an idealized in-lab model: per-segment echo acks
-    # (SACK-grade recovery), ~5% better payload-per-MTU than QUIC's
-    # framed packets, no middleboxes, no kernel-path overheads.  The
-    # paper's real-kernel MPTCP suffered precisely those real-world
-    # costs, which we deliberately do not fabricate -- so here XLINK
-    # is only required to stay within a modest margin of it rather
-    # than beat it.
+    # MPTCP is the "mptcp" scheme on the same QUIC stack: min-RTT,
+    # ACKs on the original subflow and always-on appending
+    # re-injection (opportunistic retransmission), with no subflow
+    # penalization and none of the kernel or middlebox costs the
+    # paper's real-kernel MPTCP paid.  Re-injecting every overdue
+    # range without a QoE gate buys it tail latency on these traces
+    # (EXPERIMENTS.md, Known delta #4), so XLINK is only required to
+    # stay within a modest margin of it rather than beat it.
     assert mean(medians["xlink"]) <= mean(medians["mptcp"]) * 1.45
     assert mean(maxima["xlink"]) <= mean(maxima["mptcp"]) * 1.45
 

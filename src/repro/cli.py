@@ -24,6 +24,9 @@ Commands:
 - ``report``    -- regenerate every figure/table at a chosen scale
   into one markdown file
 
+Every command takes the seven arms ``schemes`` lists, ``mptcp``
+included: they are values on the one QUIC stack.
+
 ``play`` and ``race`` accept ``--qlog PATH`` to record a qlog-style
 event trace of the client connection (``race`` writes one file per
 scheme, suffixing the scheme name).
@@ -56,12 +59,6 @@ from repro.traces.radio_profiles import RadioType
 from repro.video import PlayerConfig, make_video
 
 
-#: what ``play``, ``serve`` and ``fleet`` accept: the QUIC arms (MPTCP
-#: runs outside the session runtime); ``race`` takes every arm
-_QUIC_SCHEMES = [name for name, scheme in SCHEMES.items()
-                if not scheme.is_mptcp]
-
-
 def _standard_paths(args) -> List[PathSpec]:
     wifi_outages = None
     if args.wifi_outage:
@@ -88,7 +85,7 @@ def _add_cc_arg(parser: argparse.ArgumentParser) -> None:
     from repro.quic.cc import CC_REGISTRY
     parser.add_argument(
         "--cc", default="cubic", choices=sorted(CC_REGISTRY),
-        help="congestion controller the QUIC schemes run "
+        help="congestion controller the schemes run "
              "(default: cubic, the paper's production choice)")
 
 
@@ -147,9 +144,7 @@ def cmd_race(args) -> int:
     print(f"{'scheme':<12} {'download (s)':>12}")
     for scheme in args.schemes:
         use = scheme_paths(scheme, paths)
-        tracer = None
-        if args.qlog and not SCHEMES[scheme].is_mptcp:
-            tracer = ConnectionTracer()
+        tracer = ConnectionTracer() if args.qlog else None
         result = run_bulk_download(scheme, use, args.bytes,
                                    timeout_s=args.timeout,
                                    seed=args.seed, tracer=tracer)
@@ -385,8 +380,7 @@ def cmd_mobility(args) -> int:
 
 def cmd_schemes(_args) -> int:
     for name, scheme in SCHEMES.items():
-        kind = "mptcp" if scheme.is_mptcp else \
-            ("multipath" if scheme.multipath else "single-path")
+        kind = "multipath" if scheme.multipath else "single-path"
         print(f"{name:<12} {kind}")
     return 0
 
@@ -397,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     play = sub.add_parser("play", help="run one video session")
-    play.add_argument("--scheme", default="xlink", choices=_QUIC_SCHEMES)
+    play.add_argument("--scheme", default="xlink", choices=list(SCHEMES))
     play.add_argument("--duration", type=float, default=10.0)
     play.add_argument("--bitrate-mbps", type=float, default=2.0)
     play.add_argument("--buffer", type=float, default=3.0)
@@ -422,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="one CDN host, N sessions on a shared cell")
     serve.add_argument("--sessions", type=int, default=8)
-    serve.add_argument("--scheme", default="xlink", choices=_QUIC_SCHEMES)
+    serve.add_argument("--scheme", default="xlink", choices=list(SCHEMES))
     serve.add_argument("--duration", type=float, default=8.0,
                        help="per-user video length (s)")
     serve.add_argument("--cell-mbps", type=float, default=24.0,
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="population size per day (default 1000)")
     fleet.add_argument("--days", type=int, default=1)
     fleet.add_argument("--schemes", nargs="+", default=["sp", "xlink"],
-                       choices=_QUIC_SCHEMES)
+                       choices=list(SCHEMES))
     fleet.add_argument("--paired", action="store_true",
                        help="every user plays every scheme (default: "
                             "split population, one scheme per user)")

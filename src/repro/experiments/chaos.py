@@ -42,7 +42,8 @@ from repro.video import PlayerConfig, make_video
 #: the shared cell is always emulated path 0 (contention shape)
 CELL_PATH_ID = 0
 
-#: schemes a scenario may draw (XLINK weighted; mptcp has no QUIC host)
+#: schemes a scenario may draw (XLINK weighted).  ``mptcp`` runs on the
+#: host too but is left out, so existing seeds draw the same scenarios.
 SCENARIO_SCHEMES = ("xlink", "xlink", "vanilla_mp", "reinject", "cm", "sp")
 
 

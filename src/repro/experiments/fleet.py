@@ -140,10 +140,9 @@ class MobilityPopulationDriver:
 
     Replays ``repeats`` reseeded passes of every (trace, scheme) cell;
     schemes are paired per (repeat, trace) so the per-scheme sketches
-    stay directly comparable.  ``mptcp`` is excluded -- its driver
-    needs the bespoke paced loop in ``mobility.py``, not a
-    :class:`SessionTask` (use the small-N ``run_fig13`` for the full
-    five-bar figure).
+    stay directly comparable.  Any arm can be listed, ``mptcp``
+    included; the default pins the four the population was first
+    recorded with (``run_fig13`` draws the full five-bar figure).
     """
 
     traces: int = 10

@@ -18,10 +18,7 @@ from typing import Optional, Sequence
 from repro.host.runtime import (SessionResult, SessionRuntime,
                                 VideoSessionSpec)
 from repro.host.specs import (SCHEMES, PathSpec, SchemeConfig, SchemeLike,
-                              build_network, resolve_scheme, scheme_with_cc)
-from repro.metrics.qoe import SessionMetrics
-from repro.mptcp import MptcpConnection
-from repro.netem import Datagram, MultipathNetwork
+                              build_network, scheme_with_cc)
 from repro.quic.trace import ConnectionTracer
 from repro.sim import EventLoop
 from repro.traces.radio_profiles import RadioType
@@ -80,11 +77,8 @@ def run_bulk_download(scheme: SchemeLike, paths: Sequence[PathSpec],
     """Download ``total_bytes`` as fast as possible; measures completion.
 
     Used by Fig. 8 (4 MB load), Fig. 13 (request download time) and
-    Fig. 14 (10-50 MB loads).  Works for every scheme including MPTCP.
+    Fig. 14 (10-50 MB loads).
     """
-    if resolve_scheme(scheme).is_mptcp:
-        return _run_mptcp_download(paths, total_bytes, timeout_s, seed)
-
     # Many equal frames: the "first video frame" is then a negligible
     # slice of the load, so first-frame acceleration cannot distort a
     # raw-throughput measurement by duplicating half the file.
@@ -107,42 +101,3 @@ def run_bulk_download(scheme: SchemeLike, paths: Sequence[PathSpec],
         result.download_time_s = result.duration_s
     return result
 
-
-def mptcp_pair(loop: EventLoop, net: MultipathNetwork,
-               paths: Sequence[PathSpec]) -> MptcpConnection:
-    """Wire the MPTCP baseline's client and server to the network's
-    default endpoints, one subflow per path; returns the client (the
-    server answers from the network's receive hook)."""
-    server = MptcpConnection(loop, is_server=True,
-                             transmit=lambda pid, data: net.server.send(
-                                 Datagram(payload=data, path_id=pid)))
-    client = MptcpConnection(loop, is_server=False,
-                             transmit=lambda pid, data: net.client.send(
-                                 Datagram(payload=data, path_id=pid)))
-    for spec in paths:
-        server.add_subflow(spec.net_path_id)
-        client.add_subflow(spec.net_path_id)
-    net.client.on_receive(
-        lambda d: client.datagram_received(d.payload, d.path_id))
-    net.server.on_receive(
-        lambda d: server.datagram_received(d.payload, d.path_id))
-    return client
-
-
-def _run_mptcp_download(paths: Sequence[PathSpec], total_bytes: int,
-                        timeout_s: float, seed: int) -> SessionResult:
-    loop = EventLoop()
-    net = build_network(loop, paths, seed)
-    client = mptcp_pair(loop, net, paths)
-    start = loop.now
-    client.on_complete = loop.request_stop
-    client.request(total_bytes)
-    if client.completed_at is None and loop.now < timeout_s:
-        loop.run(stop_before=timeout_s)
-    completed = client.completed_at is not None
-    download_time = (client.completed_at - start) if completed else None
-    net.teardown()
-    loop.clear()
-    return SessionResult(
-        scheme="mptcp", completed=completed, duration_s=loop.now,
-        metrics=SessionMetrics(), net=net, download_time_s=download_time)

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.experiments.harness import (PathSpec, mptcp_pair,
-                                       run_video_session, scheme_with_cc)
+from repro.experiments.harness import (PathSpec, run_video_session,
+                                       scheme_with_cc)
 from repro.experiments.parallel import SessionTask, fan_out
-from repro.host.specs import (build_network, resolve_scheme, scheme_name,
-                              scheme_paths)
-from repro.sim import EventLoop
+from repro.host.specs import resolve_scheme, scheme_name, scheme_paths
 from repro.metrics.stats import percentile
 from repro.sim.rng import derive_seed
 from repro.traces.catalog import extreme_mobility_trace_pairs
@@ -107,14 +105,12 @@ def run_scheme_on_trace(pair: dict, scheme: str, seed: int = 0,
 
     Module-level (and all-plain-data) so :func:`fan_out` can ship it to
     a worker process.  ``cc`` overrides the scheme's congestion
-    controller; the MPTCP baseline keeps its own fixed one.
+    controller.
     """
     config = resolve_scheme(scheme)
     if cc is not None:
         config = scheme_with_cc(config, cc)
     paths = scheme_paths(config, _paths_for_trace(pair))
-    if config.is_mptcp:
-        return _run_mptcp_paced(paths, timeout_s=timeout_s, seed=seed)
     session = run_video_session(config, paths, video=_chunked_video(),
                                 player_config=PLAYER_CONFIG,
                                 timeout_s=timeout_s, seed=seed)
@@ -130,7 +126,7 @@ def run_mobility_trace(pair: dict, schemes: Sequence[str] = FIG13_SCHEMES,
                        cc: Optional[str] = None) -> MobilityResult:
     """Run every scheme over one (cellular, wifi) trace pair.
 
-    ``cc`` runs the QUIC schemes under that congestion controller;
+    ``cc`` runs every scheme under that congestion controller;
     results stay keyed by the base scheme names.
     """
     return _replay([pair], schemes, seed, workers, timeout_s, cc)[0]
@@ -148,41 +144,6 @@ def _replay(pairs: Sequence[dict], schemes: Sequence[str], seed: int,
     return [MobilityResult(pair["trace_id"], pair["environment"],
                            {scheme: next(times) for scheme in schemes})
             for pair in pairs]
-
-
-def _run_mptcp_paced(paths: List[PathSpec], timeout_s: float,
-                     seed: int) -> List[float]:
-    """Sequential, playback-paced chunk downloads over MPTCP.
-
-    Mirrors the QUIC schemes' player: chunk k's request is not issued
-    before its playback deadline minus the buffer target, so the
-    per-chunk completion times are comparable across transports.
-    """
-    chunk_playtime = CHUNK_BYTES * 8.0 / VIDEO_BITRATE_BPS
-    buffer_target_s = 3.0
-    loop = EventLoop()
-    net = build_network(loop, paths, seed)
-    client = mptcp_pair(loop, net, paths)
-
-    times: List[float] = []
-    for k in range(CHUNKS_PER_TRACE):
-        # Pace like the QUIC player: a chunk is requested when its
-        # buffer window opens, and HTTP over one MPTCP byte stream is
-        # sequential, so never before the previous response finished.
-        earliest = max(k * chunk_playtime - buffer_target_s, loop.now)
-        loop.run(until=earliest)
-        target = (k + 1) * CHUNK_BYTES
-        start = loop.now
-        client.completed_at = None
-        client.on_complete = loop.request_stop
-        client.request(target)  # the range request crosses the network
-        if client.completed_at is None and loop.now < start + timeout_s:
-            loop.run(stop_before=start + timeout_s)
-        times.append((client.completed_at - start)
-                     if client.completed_at is not None else timeout_s)
-    net.teardown()
-    loop.clear()
-    return times
 
 
 #: Session deadline of a mobility population task.

@@ -124,9 +124,6 @@ class SessionRuntime:
         later starts are scheduled on the loop (staggered arrivals).
         """
         scheme = resolve_scheme(spec.scheme)
-        if scheme.is_mptcp:
-            raise ValueError("the MPTCP baseline does not run on the "
-                             "QUIC host runtime; use run_bulk_download")
         if spec.client_addr is None:
             endpoint = self.net.client
         else:

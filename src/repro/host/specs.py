@@ -14,7 +14,10 @@ xlink       full XLINK: priority-based re-injection gated by the
             double-threshold QoE controller
 xlink_nofa  XLINK without first-video-frame acceleration (Fig. 12's
             ablation)
-mptcp       the MPTCP baseline (bulk transfers; single ordered stream)
+mptcp       the MPTCP baseline on the same stack: min-RTT path choice,
+            ACKs on the subflow that carried the data, opportunistic
+            retransmission (always-on appending re-injection), no
+            first-frame acceleration
 ========== =============================================================
 
 A scheme is a value (:class:`SchemeConfig`).  ``SCHEMES`` names the
@@ -74,7 +77,6 @@ class SchemeConfig:
     first_frame_acceleration: bool = True
     ack_path_policy: str = "fastest"
     cc_algorithm: str = "cubic"
-    is_mptcp: bool = False
 
 
 _XLINK = SchemeConfig(name="xlink", multipath=True,
@@ -95,7 +97,14 @@ SCHEMES: Mapping[str, SchemeConfig] = MappingProxyType({
     "xlink_nofa": replace(_XLINK, name="xlink_nofa",
                           reinjection_mode=ReinjectionMode.STREAM_PRIORITY,
                           first_frame_acceleration=False),
-    "mptcp": SchemeConfig(name="mptcp", multipath=True, is_mptcp=True),
+    # Linux MPTCP as Fig. 13 sees it (Secs. 5.3 and 8): the appending
+    # sweep re-sends overdue slow-path ranges on the queue tail, which
+    # is opportunistic retransmission; subflow penalization is omitted.
+    "mptcp": SchemeConfig(name="mptcp", multipath=True,
+                          reinjection_mode=ReinjectionMode.APPENDING,
+                          thresholds=ThresholdConfig(always_on=True),
+                          first_frame_acceleration=False,
+                          ack_path_policy="original"),
 })
 
 #: what every session entry point accepts: a value, or an arm's name
@@ -136,11 +145,10 @@ def scheme_with_cc(scheme: SchemeLike, cc: str) -> SchemeConfig:
     The scheme's own controller returns the scheme itself
     (``scheme_with_cc("xlink", "cubic") is SCHEMES["xlink"]``), so
     drivers can map every arm through this without perturbing the
-    default (bit-pinned) configurations.  The MPTCP baseline has its
-    own fixed controller and is returned unchanged.
+    default (bit-pinned) configurations.
     """
     base = resolve_scheme(scheme)
-    if base.is_mptcp or cc == base.cc_algorithm:
+    if cc == base.cc_algorithm:
         return base
     # Validate eagerly: an unknown CC should fail at configuration
     # time, not inside a worker process mid-experiment.

@@ -51,8 +51,9 @@ class TestCommands:
     def test_play_unknown_scheme(self, capsys):
         assert _rejected(["play", "--scheme", "warpdrive"]) == 2
 
-    def test_play_mptcp_rejected(self, capsys):
-        assert _rejected(["play", "--scheme", "mptcp"]) == 2
+    def test_play_mptcp_runs(self, capsys):
+        assert main(["play", "--scheme", "mptcp", "--duration", "2"]) == 0
+        assert "completed=True" in capsys.readouterr().out
 
     def test_play_with_outage(self, capsys):
         code = main(["play", "--scheme", "xlink", "--duration", "4",
@@ -129,8 +130,10 @@ class TestCommands:
         assert "completed=2" in out
         assert "dropped=0" in out
 
-    def test_serve_mptcp_rejected(self, capsys):
-        assert _rejected(["serve", "--scheme", "mptcp"]) == 2
+    def test_serve_mptcp_runs(self, capsys):
+        assert main(["serve", "--scheme", "mptcp", "--sessions", "2",
+                     "--duration", "2", "--seed", "2"]) == 0
+        assert "completed=2" in capsys.readouterr().out
 
     def test_play_writes_qlog(self, capsys, tmp_path):
         qlog = tmp_path / "session.jsonl"
@@ -149,5 +152,4 @@ class TestCommands:
         assert code == 0
         assert (tmp_path / "race.sp.jsonl").exists()
         assert (tmp_path / "race.xlink.jsonl").exists()
-        # MPTCP runs outside the QUIC tracer; no file for it.
-        assert not (tmp_path / "race.mptcp.jsonl").exists()
+        assert (tmp_path / "race.mptcp.jsonl").exists()

@@ -36,7 +36,7 @@ from repro.experiments.dynamics import (FIG6_MODES, run_fig1_dynamics,
                                         run_fig6_dynamics)
 from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                      run_fleet_driver)
-from repro.experiments.harness import (PathSpec, run_bulk_download,
+from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
                                        run_video_session)
 from repro.netem import OutageSchedule
 from repro.traces import (campus_walk_wifi_trace, extreme_mobility_trace_pairs,
@@ -46,7 +46,7 @@ from tests.test_wire_digest import rpc_exchange_wire, xlink_session_wire
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden.json")
 
-VIDEO_SCHEMES = ("sp", "cm", "vanilla_mp", "reinject", "xlink", "xlink_nofa")
+VIDEO_SCHEMES = tuple(SCHEMES)
 
 
 def outage_paths(window):

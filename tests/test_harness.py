@@ -55,8 +55,8 @@ class TestSchemeTable:
     def test_cubic_variant_is_the_base_scheme(self):
         for scheme in SCHEMES:
             assert scheme_with_cc(scheme, "cubic") is SCHEMES[scheme]
-        # the MPTCP baseline keeps its own fixed controller
-        assert scheme_with_cc("mptcp", "bbr") is SCHEMES["mptcp"]
+        # the MPTCP baseline joins the scheme x CC matrix like any arm
+        assert scheme_with_cc("mptcp", "lia").cc_algorithm == "lia"
 
     def test_sp_single_path(self):
         assert not SCHEMES["sp"].multipath
@@ -92,9 +92,11 @@ class TestVideoSession:
         assert result.completed
         assert len(result.client.paths) == 2
 
-    def test_mptcp_rejected_for_video(self):
-        with pytest.raises(ValueError):
-            run_video_session("mptcp", wifi_lte_paths(), video=SMALL_VIDEO)
+    def test_mptcp_video_session_completes(self):
+        result = run_video_session("mptcp", wifi_lte_paths(),
+                                   video=SMALL_VIDEO, seed=1)
+        assert result.completed
+        assert len(result.client.paths) == 2
 
     def test_primary_path_is_wifi(self):
         """Wireless-aware selection: Wi-Fi preferred over LTE."""
@@ -159,6 +161,32 @@ class TestBulkDownload:
                                    seed=3)
         assert result.completed
         assert result.download_time_s is not None
+
+    def test_opportunistic_rtx_rescues_blocking(self):
+        """MPTCP's opportunistic retransmission re-sends what the dead
+        LTE subflow holds, so the transfer ends long before the
+        blackout does; without re-injection it waits the blackout out."""
+        paths = [
+            PathSpec(net_path_id=0, radio=RadioType.WIFI,
+                     one_way_delay_s=0.010, rate_bps=8e6),
+            PathSpec(net_path_id=1, radio=RadioType.LTE,
+                     one_way_delay_s=0.050, rate_bps=8e6,
+                     outages=OutageSchedule(windows=[(0.05, 20.0)])),
+        ]
+        mptcp = run_bulk_download("mptcp", paths, 400_000, timeout_s=15.0)
+        assert mptcp.completed and mptcp.download_time_s < 15.0
+        vanilla = run_bulk_download("vanilla_mp", paths, 400_000,
+                                    timeout_s=15.0)
+        assert not vanilla.completed
+
+    def test_mptcp_aggregates_bandwidth(self):
+        paths = [PathSpec(net_path_id=0, radio=RadioType.WIFI,
+                          one_way_delay_s=0.020, rate_bps=4e6),
+                 PathSpec(net_path_id=1, radio=RadioType.LTE,
+                          one_way_delay_s=0.030, rate_bps=4e6)]
+        single = run_bulk_download("mptcp", paths[:1], 1_500_000)
+        double = run_bulk_download("mptcp", paths, 1_500_000)
+        assert double.download_time_s < single.download_time_s * 0.85
 
     def test_sp_bulk_uses_one_path(self):
         result = run_bulk_download("sp", wifi_lte_paths()[:1], 300_000,

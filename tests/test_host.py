@@ -251,14 +251,15 @@ class TestSharedMediaServer:
 
 
 class TestSessionRuntime:
-    def test_mptcp_rejected(self):
+    def test_mptcp_session_completes(self):
         loop = EventLoop()
         net = _network(loop)
         runtime = SessionRuntime(loop, net)
-        with pytest.raises(ValueError):
-            runtime.add_session(VideoSessionSpec(
-                scheme="mptcp", interfaces=[(0, RadioType.WIFI)],
-                video=make_video(duration_s=1.0)))
+        handle = runtime.add_session(VideoSessionSpec(
+            scheme="mptcp", interfaces=[(0, RadioType.WIFI)],
+            video=make_video(duration_s=1.0)))
+        runtime.run(timeout_s=30.0)
+        assert runtime.result(handle).completed
 
     def test_conflicting_catalog_entry_rejected(self):
         loop = EventLoop()
