@@ -31,6 +31,10 @@ DEFAULT_FRAME_PRIORITY = 10
 FIRST_FRAME_PRIORITY = 0
 
 
+#: writes copied rather than held: the caller may change them
+_MUTABLE = (bytearray, memoryview)
+
+
 @dataclass(frozen=True)
 class PriorityRange:
     """A byte range [start, end) with an application-set priority."""
@@ -56,7 +60,7 @@ class SendStream:
         self.stream_id = stream_id
         #: stream priority; lower value = more urgent
         self.priority = priority
-        #: the one ``bytes`` written, as is, until a second write
+        #: the one payload written, as is, until a second write
         self._buffer = b""
         #: bytes written so far (the buffer itself goes once all are acked)
         self.length = 0
@@ -80,6 +84,12 @@ class SendStream:
               size: Optional[int] = None) -> None:
         """Append data; optionally mark a priority range.
 
+        ``data`` is bytes-like, or any value whose ``len()`` and
+        contiguous ``[a:b]`` give bytes (a media response cuts them on
+        demand: ``repro.video.http.RangeResponse``).  A first write that
+        is immutable is kept as is, uncopied, until it is fully acked; a
+        second write copies what is held into one ``bytearray``.
+
         ``frame_priority`` with ``position``/``size`` mirrors XLINK's
         ``stream_send(data, position, size, priority)``: the byte
         range [position, position+size) gets ``frame_priority``.
@@ -89,12 +99,12 @@ class SendStream:
             raise StreamStateError(f"stream {self.stream_id} already FINed")
         start = self.length
         buf = self._buffer
-        if not buf and type(data) is bytes:
+        if not buf and not isinstance(data, _MUTABLE):
             self._buffer = data  # written once (a response, a payload)
         else:
-            if type(buf) is bytes:
-                buf = self._buffer = bytearray(buf)
-            buf += data
+            if type(buf) is not bytearray:
+                buf = self._buffer = bytearray(buf[:])
+            buf += data[:]  # any payload's bytes; no copy of ``bytes``
         self.length = start + len(data)
         if fin:
             self.fin_offset = self.length
@@ -231,13 +241,19 @@ class ReceiveStream:
         self.duplicate_bytes += duplicate
 
     def read_available(self) -> bytes:
-        """Return (and consume) all in-order bytes available."""
-        out = bytearray()
-        while self.read_offset in self._segments:
-            seg = self._segments.pop(self.read_offset)
-            out += seg
-            self.read_offset += len(seg)
-        return bytes(out)
+        """Return (and consume) all in-order bytes available: one ready
+        segment is returned as is, several are joined."""
+        segments = self._segments
+        out = segments.pop(self.read_offset, b"")
+        self.read_offset += len(out)
+        if self.read_offset in segments:
+            parts = [out]
+            while self.read_offset in segments:
+                seg = segments.pop(self.read_offset)
+                parts.append(seg)
+                self.read_offset += len(seg)
+            out = b"".join(parts)
+        return out
 
     @property
     def is_complete(self) -> bool:

@@ -10,7 +10,8 @@ CDN edge serving chunk ranges.
 from repro.video.media import Video, VideoChunk, make_video
 from repro.video.player import (PlayerConfig, PlayerStats, RebufferEvent,
                                 VideoPlayer)
-from repro.video.http import RangeRequest, RangeResponseMeta, parse_request
+from repro.video.http import (RangeRequest, RangeResponse, RangeResponseMeta,
+                              parse_request)
 from repro.video.server import MediaServer
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "RebufferEvent",
     "VideoPlayer",
     "RangeRequest",
+    "RangeResponse",
     "RangeResponseMeta",
     "parse_request",
     "MediaServer",

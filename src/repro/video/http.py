@@ -69,3 +69,50 @@ class RangeResponseMeta:
         return cls(total_size=int.from_bytes(data[0:8], "big"),
                    start=int.from_bytes(data[8:16], "big"),
                    end=int.from_bytes(data[16:24], "big"))
+
+
+#: bytes of body pattern a response keeps: a full-sized STREAM frame
+#: (~1.3 KB) plus any phase into the pattern unit, so a packet's slice
+#: is one ``bytes`` slice
+_BLOCK_BYTES = 1536
+
+
+class RangeResponse:
+    """A range response as a value: ``len()`` and ``[a:b]`` give the
+    bytes of the encoded header followed by the body, cut on demand.
+
+    The body is the video's pseudo-content: the byte at video offset
+    ``o`` is ``unit[o % len(unit)]`` with ``unit = name + "|"``, so any
+    range can be checked against any other.  Nothing the size of the
+    range is ever built: a send stream holds this value until it is
+    acked and asks it for a packet's worth at a time.
+    """
+
+    __slots__ = ("header", "unit", "start", "length", "_block")
+
+    def __init__(self, meta: RangeResponseMeta, video_name: str) -> None:
+        self.header = meta.encode()
+        self.unit = video_name.encode() + b"|"
+        self.start = meta.start
+        self.length = max(meta.end - meta.start, 0)
+        self._block = self.unit * (_BLOCK_BYTES // len(self.unit) + 1)
+
+    def __len__(self) -> int:
+        return len(self.header) + self.length
+
+    def __getitem__(self, key: slice) -> bytes:
+        header = self.header
+        hlen = len(header)
+        a, b, step = key.indices(hlen + self.length)
+        if step != 1:
+            raise ValueError("a response is sliced contiguously")
+        if a < hlen:
+            return header[a:b] + self[hlen:b] if b > hlen else header[a:b]
+        n = b - a
+        if n <= 0:
+            return b""
+        unit = self.unit
+        phase = (self.start + a - hlen) % len(unit)
+        if phase + n <= len(self._block):  # a packet's worth, or less
+            return self._block[phase:phase + n]
+        return (unit * ((phase + n) // len(unit) + 1))[phase:phase + n]

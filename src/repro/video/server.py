@@ -1,11 +1,12 @@
 """CDN-edge media server application.
 
 Parses HTTP range requests arriving on QUIC streams and answers each
-with a response header plus the requested byte range.  When
-first-video-frame acceleration is enabled and the range contains the
-start of the video, the server marks the first frame's bytes with
-``FIRST_FRAME_PRIORITY`` via the ``stream_send`` priority API
-(Sec. 5.1, Fig. 4c).
+with a response header plus the requested byte range, written as a
+:class:`~repro.video.http.RangeResponse` value that the send stream
+cuts packets from.  When first-video-frame acceleration is enabled and
+the range contains the start of the video, the server marks the first
+frame's bytes with ``FIRST_FRAME_PRIORITY`` via the ``stream_send``
+priority API (Sec. 5.1, Fig. 4c).
 
 One :class:`MediaServer` holds one video catalog and can serve any
 number of concurrent connections (the paper's CDN node handles 100K+
@@ -21,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.quic.connection import Connection
 from repro.quic.stream import FIRST_FRAME_PRIORITY
-from repro.video.http import RangeResponseMeta, parse_request
+from repro.video.http import RangeResponse, RangeResponseMeta, parse_request
 from repro.video.media import Video
 
 
@@ -33,9 +34,9 @@ class MediaServer:
                  first_frame_acceleration: bool = True) -> None:
         self.videos: Dict[str, Video] = dict(videos or {})
         self.first_frame_acceleration = first_frame_acceleration
-        #: (connection, stream_id) -> partial request bytes
-        self._request_buf: Dict[Tuple[int, int], bytearray] = {}
-        self._answered: set = set()
+        #: (connection, stream_id) -> partial request bytes; an entry
+        #: goes once its request is answered or its half has ended
+        self._request_buf: Dict[Tuple[int, int], bytes] = {}
         #: attached connections by id() -> (conn, effective FFA flag)
         self._attached: Dict[int, Tuple[Connection, bool]] = {}
         self.requests_served = 0
@@ -72,7 +73,6 @@ class MediaServer:
         if self._attached.pop(me, None) is None:
             return
         conn.on_stream_data = None
-        self._answered = {key for key in self._answered if key[0] != me}
         self._request_buf = {key: buf
                              for key, buf in self._request_buf.items()
                              if key[0] != me}
@@ -82,16 +82,14 @@ class MediaServer:
 
     def _on_stream_data(self, conn: Connection, stream_id: int) -> None:
         key = (id(conn), stream_id)
-        if key in self._answered:
-            return
-        buf = self._request_buf.setdefault(key, bytearray())
-        buf.extend(conn.stream_read(stream_id))
-        request = parse_request(bytes(buf))
-        if request is None:
-            return
-        self._answered.add(key)
-        del self._request_buf[key]
-        self._serve(conn, stream_id, request)
+        data = self._request_buf.pop(key, b"") + conn.stream_read(stream_id)
+        if not data:
+            return  # a duplicate, or a FIN after the request was answered
+        request = parse_request(data)
+        if request is not None:
+            self._serve(conn, stream_id, request)
+        elif not conn.stream_finished(stream_id):
+            self._request_buf[key] = data  # the rest is still to come
 
     def _serve(self, conn: Connection, stream_id: int, request) -> None:
         video = self.videos.get(request.video_name)
@@ -101,10 +99,9 @@ class MediaServer:
         _conn, ffa = self._attached[id(conn)]
         start = max(request.start, 0)
         end = min(request.end, video.total_bytes)
-        meta = RangeResponseMeta(total_size=video.total_bytes,
-                                 start=start, end=end)
-        body = self._body_bytes(video, start, end)
-        payload = meta.encode() + body
+        payload = RangeResponse(
+            RangeResponseMeta(total_size=video.total_bytes, start=start,
+                              end=end), video.name)
         # The chunk's position in the video orders the stream priority:
         # earlier content is more urgent (Fig. 4b semantics).
         stream_priority = start // max(video.chunk_size, 1)
@@ -122,14 +119,3 @@ class MediaServer:
             conn.stream_send(stream_id, payload, fin=True,
                              priority=stream_priority)
         self.requests_served += 1
-
-    @staticmethod
-    def _body_bytes(video: Video, start: int, end: int) -> bytes:
-        """Deterministic pseudo-content for the byte range."""
-        # Pattern data keyed by offset so tests can verify ranges.
-        length = end - start
-        unit = video.name.encode() + b"|"
-        reps = length // len(unit) + 2
-        block = unit * reps
-        phase = start % len(unit)
-        return block[phase:phase + length]

@@ -373,7 +373,7 @@ class TestServerHostEviction:
         assert client.finished and host.media.requests_served > 0
         assert host.evicted_idle == 1 and host.connections == []
         assert host.media.connections == 0
-        assert not host.media._answered and not host.media._request_buf
+        assert not host.media._request_buf
         ref = weakref.ref(conn)
         del conn
         gc.collect()
@@ -384,12 +384,10 @@ class TestServerHostEviction:
         a, b = SimpleNamespace(), SimpleNamespace()
         media.attach(a)
         media.attach(b)
-        media._answered = {(id(a), 0), (id(b), 0), (id(b), 4)}
         media._request_buf = {(id(a), 8): bytearray(b"GET"),
                               (id(b), 8): bytearray(b"GET")}
         media.detach(b)
         assert media.connections == 1 and b.on_stream_data is None
-        assert media._answered == {(id(a), 0)}
         assert list(media._request_buf) == [(id(a), 8)]
         media.detach(b)     # not attached: a no-op
         assert media.connections == 1

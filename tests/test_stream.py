@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.quic.errors import FinalSizeError, StreamStateError
 from repro.quic.stream import (DEFAULT_FRAME_PRIORITY, FIRST_FRAME_PRIORITY,
                                ReceiveStream, SendStream, _RangeSet)
+from repro.video import RangeResponse, RangeResponseMeta
 
 
 class TestSendStream:
@@ -95,6 +96,32 @@ class TestSendStream:
         unfinished.on_acked(0, 6, fin=False)
         assert unfinished.data_for(0, 6) == b"abcdef"
 
+    def test_a_response_is_held_uncopied_until_fully_acked(self):
+        response = RangeResponse(RangeResponseMeta(50_000, 1_000, 41_000),
+                                 "clip")
+        s = SendStream(0)
+        s.write(response, fin=True)
+        assert s._buffer is response and s.length == len(response)
+        assert s.data_for(10, 1_200) == response[10:1_210]
+        s.on_acked(0, 30_000, fin=True)
+        assert s._buffer is response        # the tail may be resent
+        s.on_acked(30_000, len(response) - 30_000, fin=False)
+        assert s.fully_acked and s._buffer == b""
+
+    def test_a_second_write_joins_what_is_held(self):
+        response = RangeResponse(RangeResponseMeta(500, 0, 100), "clip")
+        s = SendStream(0)
+        s.write(response)
+        s.write(b"tail", fin=True)
+        assert s.data_for(0, s.length) == response[:] + b"tail"
+
+    def test_a_mutable_write_is_copied(self):
+        data = bytearray(b"abcdef")
+        s = SendStream(0)
+        s.write(data, fin=True)
+        data[0:3] = b"xyz"
+        assert s.data_for(0, 6) == b"abcdef"
+
 
 class TestReceiveStream:
     def test_in_order_read(self):
@@ -102,6 +129,15 @@ class TestReceiveStream:
         r.on_data(0, b"abc", fin=False)
         assert r.read_available() == b"abc"
         assert r.read_available() == b""
+
+    def test_one_ready_segment_is_read_uncopied(self):
+        r = ReceiveStream(0)
+        r.on_data(0, b"abc" * 400, fin=False)
+        segment = r._segments[0]
+        assert r.read_available() is segment
+        r.on_data(1_200, b"d", fin=False)
+        r.on_data(1_201, b"ef", fin=True)
+        assert r.read_available() == b"def" and r.fully_read
 
     def test_out_of_order_reassembly(self):
         r = ReceiveStream(0)

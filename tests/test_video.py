@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.video import (MediaServer, PlayerConfig, RangeRequest,
-                         RangeResponseMeta, Video, VideoPlayer, make_video,
-                         parse_request)
+                         RangeResponse, RangeResponseMeta, Video, VideoPlayer,
+                         make_video, parse_request)
 
 
 class TestVideoModel:
@@ -233,9 +233,65 @@ class TestMediaServerUnit:
 
     def test_body_bytes_deterministic_by_offset(self):
         video = make_video(duration_s=5.0)
-        whole = MediaServer._body_bytes(video, 0, 2000)
-        part = MediaServer._body_bytes(video, 500, 1500)
+        hlen = RangeResponseMeta.HEADER_LEN
+
+        def body(start, end):
+            return RangeResponse(RangeResponseMeta(video.total_bytes, start,
+                                                   end), video.name)[hlen:]
+
+        whole = body(0, 2000)
+        part = body(500, 1500)
         assert whole[500:1500] == part
+
+    def test_late_fin_leaves_no_request_state(self):
+        """A FIN (or a duplicate) after the request was answered finds
+        nothing to read: no entry is made and nothing is served twice."""
+        conn, video, server = self._server()
+        conn.feed(0, RangeRequest(video.name, 0, 100).encode())
+        conn.feed(0, b"", fin=True)
+        assert len(conn.sent) == 1 and server._request_buf == {}
+
+    def test_ended_half_without_request_is_forgotten(self):
+        conn, video, server = self._server()
+        conn.feed(0, b"GET half")
+        assert list(server._request_buf) == [(id(conn), 0)]
+        conn.feed(0, b" a request", fin=True)
+        assert conn.sent == [] and server._request_buf == {}
+
+
+class TestRangeResponse:
+    """The response value equals the header + pattern bytes it stands
+    for, whatever slice a sender cuts from it."""
+
+    @staticmethod
+    def reference(name, total, start, length):
+        unit = name.encode() + b"|"
+        pattern = unit * ((start + length) // len(unit) + 1)
+        return (RangeResponseMeta(total, start, start + length).encode()
+                + pattern[start:start + length])
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                        min_size=1, max_size=40),
+           start=st.integers(0, 10**7),
+           length=st.integers(0, 6000),
+           a=st.integers(-50, 6100), b=st.integers(-50, 6100))
+    def test_slices_equal_the_reference(self, name, start, length, a, b):
+        total = start + length + 7
+        response = RangeResponse(
+            RangeResponseMeta(total, start, start + length), name)
+        reference = self.reference(name, total, start, length)
+        assert len(response) == len(reference)
+        assert response[a:b] == reference[a:b]
+        assert response[:] == reference
+
+    def test_straddles_the_header_and_the_period_block(self):
+        response = RangeResponse(RangeResponseMeta(10**6, 777, 20_777),
+                                 "clip")
+        reference = self.reference("clip", 10**6, 777, 20_000)
+        for a, b in [(0, 24), (10, 40), (20, 5_000), (24, 1_224),
+                     (1_000, 19_000), (0, 20_024)]:
+            assert response[a:b] == reference[a:b], (a, b)
 
 
 class _RecordingConn:
@@ -245,11 +301,17 @@ class _RecordingConn:
         self.sent = []
         self.on_stream_data = None
         self._pending = {}
+        self._finished = set()
 
-    def feed(self, sid, data):
+    def feed(self, sid, data, fin=False):
         self._pending.setdefault(sid, bytearray()).extend(data)
+        if fin:
+            self._finished.add(sid)
         if self.on_stream_data:
             self.on_stream_data(sid)
+
+    def stream_finished(self, sid):
+        return sid in self._finished and not self._pending.get(sid)
 
     def stream_read(self, sid):
         data = bytes(self._pending.get(sid, b""))
