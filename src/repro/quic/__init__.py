@@ -9,10 +9,10 @@ connection-ID sequence numbers, ``ACK_MP`` (carrying the QoE control
 signal field), ``PATH_STATUS``, ``QOE_CONTROL_SIGNALS``, and the
 multipath AEAD nonce construction.
 
-Crypto is a deterministic toy AEAD (see :mod:`repro.quic.crypto`):
-the multipath *nonce logic* is implemented exactly as Sec. 6
-describes, while the cipher itself is a keyed XOR + MAC, which is all
-the emulation needs.
+Packets are sealed with AEAD_AES_128_GCM, as in RFC 9001, using the
+multipath nonce exactly as Sec. 6 describes (see
+:mod:`repro.quic.crypto`); the handshake that would agree on the key is
+out of scope, so both ends derive it from the connection name.
 """
 
 from repro.quic.connection import Connection, ConnectionConfig

@@ -5,8 +5,9 @@ producer of that name below returns, as JSON) and a ``log`` of why the
 values last changed.  Each producer reruns one fixed-seed scenario:
 the six video schemes and three bulk downloads on a Wi-Fi + LTE
 topology with a Wi-Fi outage, clean and LTE-first video sessions, the
-N=16 contention cell, two wire images, the generated traces, the
-Fig. 1 / Fig. 6 drivers, the chaos soaks and two fleet populations.
+N=16 contention cell, two wire images and their plaintext images, the
+generated traces, the Fig. 1 / Fig. 6 drivers, the chaos soaks and two
+fleet populations.
 Small values are stored as they are, not hashed, so a failure shows
 which field moved.
 
@@ -138,6 +139,8 @@ PRODUCERS = {
     "contention/n16": contention,
     "wire/xlink_session": xlink_session_wire,
     "wire/rpc_exchange": rpc_exchange_wire,
+    "wire/xlink_session_plain": partial(xlink_session_wire, plain=True),
+    "wire/rpc_exchange_plain": partial(rpc_exchange_wire, plain=True),
     "trace/stable_lte_60s": lambda: trace_sha256(
         stable_lte_trace(60.0, seed=5, mean_mbps=24.0)),
     "trace/campus_walk_wifi": lambda: trace_sha256(campus_walk_wifi_trace()),

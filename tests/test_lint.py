@@ -192,3 +192,37 @@ class TestGcCalls:
         assert not [(path.name, m) for path in sorted(package.rglob("*.py"))
                     for *_, m in lint.check_file(path)
                     if m.startswith("GC")]
+
+
+class TestForeignFunctionBoundary:
+    SOURCE = ("import ctypes\n"
+              "import ctypes.util as util\n"
+              "from ctypes import byref\n"
+              "import importlib\n"
+              "lib = importlib.import_module('ctypes')\n"
+              "from . import ctypes_free\n"
+              "import hashlib\n"
+              "from _ctypes import call_function\n")
+
+    def test_flags_every_ctypes_import_outside_the_crypto_module(
+            self, lint, tmp_path):
+        quic = tmp_path / "src" / "repro" / "quic"
+        quic.mkdir(parents=True)
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        paths = (quic / "crypto.py", quic / "frames.py",
+                 tests / "test_mod.py")
+        for path in paths:
+            path.write_text(self.SOURCE)
+        found = {path.name: sorted(line for _path, line, message
+                                   in lint.check_file(path)
+                                   if message.startswith("FFI"))
+                 for path in paths}
+        assert found == {"crypto.py": [], "frames.py": [1, 2, 3, 5, 8],
+                         "test_mod.py": [1, 2, 3, 5, 8]}
+
+    def test_this_repo_calls_foreign_code_from_one_module(self):
+        lint = _load_lint()
+        assert not [(path, m) for path in lint.iter_py_files(
+            [str(lint.REPO_ROOT / root) for root in lint.REFERENCE_ROOTS])
+            for *_, m in lint.check_file(path) if m.startswith("FFI")]

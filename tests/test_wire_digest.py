@@ -8,9 +8,17 @@ frame layout, an ACK range, a packet boundary, the order two packets
 leave in, or the RNG draws behind a loss shows up here even when the
 session still completes with the same totals.  ``tests/data/golden.json``
 holds their values (``wire/*``).
+
+The ``*_plain`` images hash what each ``seal`` is *given* -- the
+header it authenticates, the plaintext frames, the CID sequence number
+and the packet number -- in call order, so they hold across a change of
+cipher: equal plain images mean every header, frame and packet boundary
+is unchanged, whatever the ciphertext bytes are.  One tapped run of
+each session gives both images; it runs once per process.
 """
 
 import hashlib
+from functools import lru_cache
 
 from repro.host.runtime import SessionRuntime, VideoSessionSpec
 from repro.host.specs import PathSpec, build_network
@@ -22,12 +30,36 @@ from repro.video import make_video
 from tests.test_connection import build_pair
 
 
+class _SealTap:
+    """Stands in for a connection's ``protection``: hashes the inputs of
+    every ``seal``, then seals with the real one."""
+
+    def __init__(self, inner, tap: "WireTap", direction: bytes) -> None:
+        self._inner, self._tap, self._direction = inner, tap, direction
+        self.open = inner.open
+
+    def seal(self, plaintext, aad, cid_sequence_number: int,
+             packet_number: int) -> bytes:
+        tap = self._tap
+        tap.seals += 1
+        for part in (self._direction, len(aad).to_bytes(2, "big"), aad,
+                     len(plaintext).to_bytes(4, "big"), plaintext,
+                     cid_sequence_number.to_bytes(4, "big"),
+                     packet_number.to_bytes(8, "big")):
+            tap._plain.update(part)
+        return self._inner.seal(plaintext, aad, cid_sequence_number,
+                                packet_number)
+
+
 class WireTap:
-    """sha256 over every datagram the tapped connections emit."""
+    """sha256 over every datagram the tapped connections emit, and over
+    the inputs of every packet they seal."""
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
+        self._plain = hashlib.sha256()
         self.datagrams = 0
+        self.seals = 0
 
     def attach(self, conn: Connection, direction: bytes) -> None:
         def listener(kind: str, fields: dict) -> None:
@@ -41,15 +73,23 @@ class WireTap:
             self._hash.update(payload)
 
         conn.listeners.append(listener)
+        conn.protection = _SealTap(conn.protection, self, direction)
 
-    def result(self):
-        return self._hash.hexdigest(), self.datagrams
+    def images(self):
+        """(datagram sha256, datagrams), (seal-input sha256, seals)."""
+        return ((self._hash.hexdigest(), self.datagrams),
+                (self._plain.hexdigest(), self.seals))
 
 
-def xlink_session_wire():
+def xlink_session_wire(plain: bool = False):
     """One 2-path ``xlink`` video session: random loss on both paths and
     a Wi-Fi blackout, so loss detection, PTO, retransmission,
     re-injection and the fastest-path ACK policy all reach the wire."""
+    return _xlink_session_images()[plain]
+
+
+@lru_cache(maxsize=None)
+def _xlink_session_images():
     loop = EventLoop()
     paths = [
         PathSpec(0, RadioType.WIFI, 0.015, rate_bps=6e6, loss_rate=0.02,
@@ -69,12 +109,18 @@ def xlink_session_wire():
     assert handle.finished
     assert handle.server.stats.stream_bytes_reinjected > 0
     assert handle.server.stats.stream_bytes_rtx > 0
-    return tap.result()
+    return tap.images()
 
 
-def rpc_exchange_wire(exchanges: int = 60, window: int = 4):
+def rpc_exchange_wire(plain: bool = False, exchanges: int = 60,
+                      window: int = 4):
     """``exchanges`` 64 B requests answered by 256 B responses, ``window``
     open at a time, on one clean path: the smallest packets both ways."""
+    return _rpc_exchange_images(exchanges, window)[plain]
+
+
+@lru_cache(maxsize=None)
+def _rpc_exchange_images(exchanges: int, window: int):
     loop = EventLoop()
     net = MultipathNetwork(loop)
     net.add_simple_path(0, 50e6, 0.005)
@@ -115,4 +161,4 @@ def rpc_exchange_wire(exchanges: int = 60, window: int = 4):
     client.connect()
     loop.run(until=30.0)
     assert state["done"] == exchanges
-    return tap.result()
+    return tap.images()

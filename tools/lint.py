@@ -28,6 +28,8 @@ forms, and obvious AST-level mistakes:
   keyword or by position in a call to the class, or by keyword to
   ``replace()``, ``dict()`` or a function taking ``**kwargs`` (checked
   whenever the package is linted)
+- FFI: an import of ``ctypes`` or ``_ctypes`` anywhere but
+  ``FFI_MODULES``
 
 Exit status 0 = clean, 1 = findings, matching ruff's convention.
 """
@@ -92,6 +94,13 @@ NO_GC_CALLS = {"src/repro": {"collect", "disable", "freeze"}}
 #: that reads like an option, and doubles the configurations a reader
 #: has to consider.  Write it as a module constant instead.
 NO_UNSET_KNOBS = "src/repro/experiments"
+
+#: the only files (repo-relative) that may import ``ctypes`` or
+#: ``_ctypes``.  An overrun buffer in a foreign call corrupts memory
+#: instead of raising, and a call through a ``ctypes`` function pointer
+#: is invisible to the profilers, so every such call sits in one module
+#: that checks sizes before each call and calls through a builtin.
+FFI_MODULES = {"src/repro/quic/crypto.py"}
 
 
 def iter_py_files(roots: List[str]) -> Iterator[Path]:
@@ -232,6 +241,28 @@ def _gc_calls(tree: ast.Module, banned: set) -> Iterator[Tuple[str, int]]:
                         if alias.name in banned)
 
 
+def _ctypes_imports(tree: ast.Module) -> Iterator[int]:
+    """Lines that import ``ctypes``, one of its submodules or
+    ``_ctypes``."""
+    def is_ctypes(name: Optional[str]) -> bool:
+        return name is not None and name.split(".")[0] in ("ctypes",
+                                                           "_ctypes")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(is_ctypes(alias.name)
+                                                for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and is_ctypes(node.module):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and _callee(node) in (
+                "import_module", "__import__") and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and isinstance(node.args[0].value, str) \
+                and is_ctypes(node.args[0].value):
+            yield node.lineno
+
+
 def check_file(path: Path) -> List[Finding]:
     findings: List[Finding] = []
     source = path.read_text()
@@ -271,6 +302,12 @@ def check_file(path: Path) -> List[Finding]:
                 (path, line, f"GC gc.{name} in {directory}/: a finished "
                              f"world must free itself by refcount")
                 for name, line in _gc_calls(tree, banned))
+
+    if path.resolve() not in {REPO_ROOT / f for f in FFI_MODULES}:
+        findings.extend(
+            (path, line, f"FFI ctypes / _ctypes imported outside "
+                         f"{', '.join(sorted(FFI_MODULES))}")
+            for line in _ctypes_imports(tree))
 
     scope = _Scope()
     scope.visit(tree)
