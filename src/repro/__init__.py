@@ -9,7 +9,7 @@ points are re-exported here; see the subpackages for the full API:
   the per-figure experiment drivers.
 - :mod:`repro.core` -- XLINK's schedulers, re-injection, and Alg. 1.
 - :mod:`repro.quic` -- the multipath QUIC stack.
-- :mod:`repro.video` -- player, media server, live, and ABR models.
+- :mod:`repro.video` -- media model, player, media server, HTTP ranges.
 - :mod:`repro.netem` / :mod:`repro.traces` -- network emulation.
 """
 

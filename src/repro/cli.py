@@ -48,7 +48,8 @@ from repro.experiments import (ABTestConfig, PathSpec, SCHEMES,
                                run_video_session)
 from repro.experiments.contention import ContentionConfig, run_contention
 from repro.experiments.mobility import FIG13_SCHEMES, run_mobility_trace
-from repro.experiments.report import fleet_sections, generate_report
+from repro.experiments.report import (SECTIONS, fleet_sections,
+                                      generate_report)
 from repro.host.specs import scheme_name, scheme_paths, scheme_with_cc
 from repro.metrics import percentile
 from repro.netem import OutageSchedule
@@ -516,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["quick", "standard", "full"])
     report.add_argument("--out", default="report.md")
     report.add_argument("--sections", nargs="+", default=None,
+                        choices=list(SECTIONS),
                         help="subset, e.g. fig6 fig8 ab")
     report.set_defaults(func=cmd_report)
 

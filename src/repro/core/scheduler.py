@@ -126,8 +126,7 @@ class XlinkScheduler(_BaseScheduler):
                  thresholds: Optional[ThresholdConfig] = None) -> None:
         self.mode = mode
         self.controller = DoubleThresholdController(thresholds)
-        #: counters for experiments
-        self.reinjections_enqueued = 0
+        #: re-injection checks Alg. 1's gate turned down
         self.reinjections_suppressed = 0
         self._last_sweep = -1e9
         #: the connection the armed monitor watches; ``None`` when idle
@@ -255,7 +254,6 @@ class XlinkScheduler(_BaseScheduler):
         for chunk, _path_id in self._slow_path_ranges(
                 conn, overdue_only=True):
             conn.enqueue_reinjection(chunk, position=None)
-            self.reinjections_enqueued += 1
             swept = True
         if swept:
             self._last_sweep = conn.loop.now
@@ -276,8 +274,7 @@ class XlinkScheduler(_BaseScheduler):
                 or self.mode is ReinjectionMode.NONE:
             return
         self._monitor_conn = conn
-        conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick,
-                                 label="xlink-monitor")
+        conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick)
 
     def _monitor_tick(self) -> None:
         """One monitor wakeup.  A bound method, not a closure that
@@ -290,8 +287,7 @@ class XlinkScheduler(_BaseScheduler):
         if not conn.send_queue and self._gate(conn) \
                 and self._sweep_overdue(conn):
             conn.pump()
-        conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick,
-                                 label="xlink-monitor")
+        conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick)
 
     def on_chunk_sent_out(self, conn, chunk, stream) -> None:
         """Priority triggers (Fig. 4b/4c)."""
@@ -331,7 +327,6 @@ class XlinkScheduler(_BaseScheduler):
         for dup, _path_id, _sent_time in pending:
             conn.enqueue_reinjection(dup, position=position)
             position += 1
-            self.reinjections_enqueued += 1
 
     def _reinject_stream(self, conn, chunk, stream) -> None:
         """Stream-priority re-injection: duplicates of this stream's
@@ -347,7 +342,6 @@ class XlinkScheduler(_BaseScheduler):
         for dup, _path_id in pending:
             conn.enqueue_reinjection(dup, position=position)
             position += 1
-            self.reinjections_enqueued += 1
 
     @staticmethod
     def _position_before_lower_priority(conn, stream_priority: int) -> int:

@@ -181,7 +181,6 @@ class FleetRun:
 def run_fleet_driver(driver: FleetDriver,
                      workers: Optional[int] = None,
                      shard_size: int = DEFAULT_SHARD_SIZE,
-                     sink: Optional[MetricSink] = None,
                      **supervision) -> FleetRun:
     """Execute one driver's population through the supervised runner.
 
@@ -192,7 +191,7 @@ def run_fleet_driver(driver: FleetDriver,
     :func:`repro.experiments.parallel.run_fleet`.
     """
     t0 = time.perf_counter()
-    result = run_fleet(driver.task_iter(), sink=sink, workers=workers,
+    result = run_fleet(driver.task_iter(), workers=workers,
                        shard_size=shard_size, **supervision)
     return FleetRun(driver=getattr(driver, "name", type(driver).__name__),
                     result=result, seconds=time.perf_counter() - t0)

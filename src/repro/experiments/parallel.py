@@ -51,9 +51,10 @@ Determinism contract
 Each task carries its own fully-derived seed (the caller derives it
 from the experiment seed exactly as the serial code did), so a worker
 reconstructs the identical RNG streams no matter which process it runs
-in.  The only cross-session global is the debug-only ``dgram_id``
-counter, which no metric reads.  ``tests/test_parallel.py`` guards the
-contract: serial and parallel A/B days must produce identical metrics.
+in.  No global state crosses sessions: a session builds its own event
+loop, network and RNGs and reads nothing another session wrote.
+``tests/test_parallel.py`` guards the contract: serial and parallel A/B
+days must produce identical metrics.
 
 Shard supervision
 -----------------

@@ -339,36 +339,46 @@ def section_fig14() -> ReportSection:
         _table(["config", "norm J/bit", "norm throughput"], rows))
 
 
+#: report section name -> its builder, given the scale's users per day,
+#: days and mobility traces; the CLI's ``--sections`` choices
+SECTIONS: Dict[str, Callable[[int, int, int], List[ReportSection]]] = {
+    "fig6": lambda users, days, traces: [section_fig6()],
+    "fig7": lambda users, days, traces: [section_fig7()],
+    "fig8": lambda users, days, traces: [section_fig8()],
+    "ab": lambda users, days, traces: section_ab(users, days),
+    # the fleet tier is cheap per session (2s clip), so its population
+    # is scaled 8x the per-day A/B cohort
+    "fleet": lambda users, days, traces: section_fleet(users * 8),
+    "campaign": lambda users, days, traces: section_campaign(users * 4,
+                                                             days),
+    "ccmatrix": lambda users, days, traces: [section_ccmatrix(users)],
+    "fig12": lambda users, days, traces: [section_fig12(users)],
+    "fig13": lambda users, days, traces: [section_fig13(traces)],
+    "fig14": lambda users, days, traces: [section_fig14()],
+}
+
+
 def generate_report(scale: str = "quick",
                     sections: Optional[Sequence[str]] = None) -> str:
-    """Build the markdown report; ``sections`` filters by fig name."""
+    """Build the markdown report; ``sections`` filters by fig name.
+
+    Every name is checked before any section runs, so a typo costs
+    nothing.
+    """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; pick from {list(SCALES)}")
+    chosen = list(sections or SECTIONS)
+    unknown = [key for key in chosen if key not in SECTIONS]
+    if unknown:
+        raise ValueError(f"unknown section(s) {unknown}; pick from "
+                         f"{list(SECTIONS)}")
     users, days, traces = SCALES[scale]
-
-    builders: Dict[str, Callable[[], List[ReportSection]]] = {
-        "fig6": lambda: [section_fig6()],
-        "fig7": lambda: [section_fig7()],
-        "fig8": lambda: [section_fig8()],
-        "ab": lambda: section_ab(users, days),
-        # the fleet tier is cheap per session (2s clip), so its
-        # population is scaled 8x the per-day A/B cohort
-        "fleet": lambda: section_fleet(users * 8),
-        "campaign": lambda: section_campaign(users * 4, days),
-        "ccmatrix": lambda: [section_ccmatrix(users)],
-        "fig12": lambda: [section_fig12(users)],
-        "fig13": lambda: [section_fig13(traces)],
-        "fig14": lambda: [section_fig14()],
-    }
-    chosen = sections or list(builders)
     out = io.StringIO()
     out.write("# XLINK reproduction — regenerated evaluation\n\n")
     out.write(f"Scale: `{scale}` ({users} users/day, {days} days, "
               f"{traces} mobility traces). Shapes, not absolute\n"
               f"numbers, are the comparison target; see EXPERIMENTS.md.\n")
     for key in chosen:
-        if key not in builders:
-            raise ValueError(f"unknown section {key!r}")
-        for section in builders[key]():
+        for section in SECTIONS[key](users, days, traces):
             out.write(f"\n## {section.title}\n\n{section.body}\n")
     return out.getvalue()

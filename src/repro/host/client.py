@@ -37,7 +37,6 @@ class ClientEndpoint:
                  idle_timeout_s: Optional[float] = None
                  ) -> None:
         self.loop = loop
-        self.endpoint = endpoint
         self.scheme = scheme
         self.interfaces = [tuple(i) for i in interfaces]
         self.seed = seed
@@ -152,8 +151,7 @@ class MigrationMonitor:
         self.migrations = 0
         self._next_quic_id = 1
         conn.listeners.append(self._on_event)
-        loop.schedule_after(self.PROBE_INTERVAL_S, self._probe,
-                            label="cm-probe")
+        loop.schedule_after(self.PROBE_INTERVAL_S, self._probe)
 
     def _on_event(self, kind: str, fields: dict) -> None:
         if kind == "datagram_received":
@@ -200,15 +198,13 @@ class MigrationMonitor:
                 > self.STALL_THRESHOLD_S
             if stalled and self.others and not recently_migrated:
                 self._migrate_handshake()
-            self.loop.schedule_after(self.PROBE_INTERVAL_S, self._probe,
-                                     label="cm-probe")
+            self.loop.schedule_after(self.PROBE_INTERVAL_S, self._probe)
             return
         if (have_work and not recently_migrated
                 and self._degraded() and self.others):
             if not self._migrate():
                 return  # path bring-up failed; stop probing
-        self.loop.schedule_after(self.PROBE_INTERVAL_S, self._probe,
-                                 label="cm-probe")
+        self.loop.schedule_after(self.PROBE_INTERVAL_S, self._probe)
 
     def _migrate_handshake(self) -> None:
         """Rebind path 0 to the other interface before establishment.

@@ -157,8 +157,7 @@ class SessionRuntime:
         if spec.start_at <= 0:
             client.start()
         else:
-            self.loop.schedule_at(spec.start_at, client.start,
-                                  label="session-start")
+            self.loop.schedule_at(spec.start_at, client.start)
         handle = SessionHandle(spec=spec, client=client, server=server,
                                player=player)
         self.sessions.append(handle)

@@ -138,7 +138,7 @@ class ServerHost:
         self._eviction_interval_s = interval_s
         if self._eviction_event is None:
             self._eviction_event = self.loop.schedule_after(
-                interval_s, self._eviction_sweep, label="host-evict")
+                interval_s, self._eviction_sweep)
 
     def _eviction_sweep(self) -> None:
         self._eviction_event = None
@@ -156,8 +156,7 @@ class ServerHost:
         # drain-to-empty simulations still terminate.
         if self.connections:
             self._eviction_event = self.loop.schedule_after(
-                self._eviction_interval_s, self._eviction_sweep,
-                label="host-evict")
+                self._eviction_interval_s, self._eviction_sweep)
 
     def _evict(self, conn: Connection) -> None:
         if conn in self.connections:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.lb.quic_lb import ConsistentHashRing, QuicLbRouter
+from repro.lb.quic_lb import ConsistentHashRing
 from repro.netem.packet import Datagram
 from repro.quic.packets import decode_header, peek_dcid
 
@@ -31,8 +31,6 @@ class CdnFrontend:
         if not backends:
             raise ValueError("frontend needs at least one backend")
         self.backends = dict(backends)
-        self._router = QuicLbRouter(
-            {sid: str(sid) for sid in backends})
         #: handshake DCID (bytes) -> server id, for initial packets
         self._initial_route: Dict[bytes, int] = {}
         self._hash_ring = ConsistentHashRing(

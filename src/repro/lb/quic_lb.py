@@ -23,15 +23,16 @@ from typing import Dict, List, Optional, Sequence
 from repro.quic.cid import SERVER_ID_OFFSET
 
 
+#: virtual nodes each backend places on the ring
+REPLICAS = 64
+
+
 class ConsistentHashRing:
     """Classic consistent hashing with virtual nodes."""
 
-    def __init__(self, nodes: Sequence[str], replicas: int = 64) -> None:
+    def __init__(self, nodes: Sequence[str]) -> None:
         if not nodes:
             raise ValueError("ring needs at least one node")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
         self._ring: List[int] = []
         self._owner: Dict[int, str] = {}
         for node in nodes:
@@ -42,7 +43,7 @@ class ConsistentHashRing:
         return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
     def add_node(self, node: str) -> None:
-        for i in range(self.replicas):
+        for i in range(REPLICAS):
             point = self._hash(f"{node}:{i}".encode())
             if point in self._owner:
                 continue
@@ -50,7 +51,7 @@ class ConsistentHashRing:
             self._owner[point] = node
 
     def remove_node(self, node: str) -> None:
-        for i in range(self.replicas):
+        for i in range(REPLICAS):
             point = self._hash(f"{node}:{i}".encode())
             if self._owner.get(point) == node:
                 del self._owner[point]

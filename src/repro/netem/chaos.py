@@ -109,32 +109,29 @@ class ChaosSchedule:
 
     @classmethod
     def randomized(cls, rng: random.Random, duration_s: float,
-                   corrupt: bool = True, duplicate: bool = True,
-                   reorder: bool = True, blackhole: bool = True,
-                   jitter: bool = True, rebind: bool = False,
-                   ) -> "ChaosSchedule":
+                   rebind: bool = False) -> "ChaosSchedule":
         """Draw one direction's fault plan from ``rng``.
 
         Each fault class is included with moderate probability so
-        scenarios differ in *shape*, not just intensity; flags gate
-        classes off entirely (e.g. ``rebind`` only makes sense on the
-        client-to-server direction).
+        scenarios differ in *shape*, not just intensity.  ``rebind``
+        gates NAT rebinds in: they only make sense on the
+        client-to-server direction.
         """
         sched = cls()
-        if corrupt and rng.random() < 0.7:
+        if rng.random() < 0.7:
             sched.corrupt_rate = rng.uniform(0.001, 0.03)
-        if duplicate and rng.random() < 0.6:
+        if rng.random() < 0.6:
             sched.duplicate_rate = rng.uniform(0.005, 0.05)
             sched.duplicate_delay_s = rng.uniform(0.001, 0.02)
-        if reorder and rng.random() < 0.6:
+        if rng.random() < 0.6:
             sched.reorder_rate = rng.uniform(0.01, 0.10)
             sched.reorder_delay_s = (0.002, rng.uniform(0.01, 0.06))
-        if blackhole and rng.random() < 0.5:
+        if rng.random() < 0.5:
             for _ in range(rng.randint(1, 3)):
                 start = rng.uniform(1.0, max(duration_s - 1.0, 1.5))
                 sched.blackholes.append(
                     (start, start + rng.uniform(0.1, 1.2)))
-        if jitter and rng.random() < 0.5:
+        if rng.random() < 0.5:
             for _ in range(rng.randint(1, 3)):
                 start = rng.uniform(0.5, max(duration_s - 0.5, 1.0))
                 sched.jitter_spikes.append(
@@ -192,15 +189,12 @@ class ChaosBox:
         if sched.duplicate_rate > 0.0 \
                 and self.rng.random() < sched.duplicate_rate:
             clone = Datagram(payload=dgram.payload, src=dgram.src,
-                             dst=dgram.dst, path_id=dgram.path_id,
-                             sent_at=dgram.sent_at, tag="chaos-dup")
+                             dst=dgram.dst, path_id=dgram.path_id)
             self.stats.duplicated += 1
             self.loop.schedule_after(extra + sched.duplicate_delay_s,
-                                     lambda: self._forward(clone),
-                                     label="chaos-dup")
+                                     lambda: self._forward(clone))
         if extra > 0.0:
-            self.loop.schedule_after(extra, lambda: self._forward(dgram),
-                                     label="chaos-delay")
+            self.loop.schedule_after(extra, lambda: self._forward(dgram))
         else:
             self._forward(dgram)
 

@@ -141,7 +141,7 @@ class ConstantRateLink(_QueueMixin):
         # At most one datagram serializes at a time, so a single slot
         # replaces the per-packet closure the loop used to allocate.
         self._transmitting = dgram
-        self.loop.schedule_after(tx_time, self._tx_done, label="link-tx")
+        self.loop.schedule_after(tx_time, self._tx_done)
 
     def _tx_done(self) -> None:
         dgram = self._transmitting
@@ -217,8 +217,7 @@ class TraceDrivenLink(_QueueMixin):
         self._opportunity_idx = idx
         self._wraps = wraps
         self._pump_scheduled = True
-        self.loop.schedule_at(t if t > now else now, self._pump,
-                              label="trace-link-pump")
+        self.loop.schedule_at(t if t > now else now, self._pump)
 
     def _pump(self) -> None:
         # One event drains *every* opportunity in the current slot

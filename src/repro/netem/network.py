@@ -69,27 +69,22 @@ class _Direction:
 
 
 class EmulatedPath:
-    """A bidirectional emulated path between client and server."""
+    """A bidirectional emulated path between client and server; each
+    direction builds its own link from ``link_factory``."""
 
     def __init__(self, loop: EventLoop, path_id: int,
-                 up_link_factory: LinkFactory,
-                 down_link_factory: LinkFactory,
+                 link_factory: LinkFactory,
                  one_way_delay_s: float,
                  deliver_to_client: Callable[[Datagram], None],
                  deliver_to_server: Callable[[Datagram], None],
                  loss_rate: float = 0.0,
                  outages: Optional[OutageSchedule] = None,
-                 rng: Optional[random.Random] = None,
-                 up_delay_s: Optional[float] = None,
-                 down_delay_s: Optional[float] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.path_id = path_id
         rng = rng if rng is not None else random.Random(path_id)
-        up_delay = up_delay_s if up_delay_s is not None else one_way_delay_s
-        down_delay = (down_delay_s if down_delay_s is not None
-                      else one_way_delay_s)
-        self.uplink = _Direction(loop, up_link_factory, up_delay,
+        self.uplink = _Direction(loop, link_factory, one_way_delay_s,
                                  loss_rate, outages, rng, deliver_to_server)
-        self.downlink = _Direction(loop, down_link_factory, down_delay,
+        self.downlink = _Direction(loop, link_factory, one_way_delay_s,
                                    loss_rate, outages, rng, deliver_to_client)
         self.enabled = True
         self._loop = loop
@@ -142,16 +137,15 @@ class MultipathNetwork:
     client, which keeps single-session usage unchanged.
     """
 
-    def __init__(self, loop: EventLoop, client_name: str = "client",
-                 server_name: str = "server") -> None:
+    def __init__(self, loop: EventLoop) -> None:
         self.loop = loop
-        self.client = Endpoint(client_name)
-        self.server = Endpoint(server_name)
+        self.client = Endpoint("client")
+        self.server = Endpoint("server")
         self.paths: Dict[int, EmulatedPath] = {}
         self.client._send_fn = self._from_client
         self.server._send_fn = self._from_server
         #: all client endpoints by name (shared-link attachment)
-        self.clients: Dict[str, Endpoint] = {client_name: self.client}
+        self.clients: Dict[str, Endpoint] = {"client": self.client}
         clients, default = self.clients, self.client
 
         def deliver_client(dgram: Datagram) -> None:
@@ -202,7 +196,7 @@ class MultipathNetwork:
                                     queue_limit_bytes=queue_limit_bytes)
 
         path = EmulatedPath(
-            self.loop, path_id, factory, factory, one_way_delay_s,
+            self.loop, path_id, factory, one_way_delay_s,
             deliver_to_client=self._deliver_client,
             deliver_to_server=self.server._deliver,
             loss_rate=loss_rate, outages=outages, rng=rng,
@@ -210,28 +204,22 @@ class MultipathNetwork:
         self.add_path(path)
         return path
 
-    def add_trace_path(self, path_id: int, down_trace_ms: Iterable[int],
+    def add_trace_path(self, path_id: int, trace_ms: Iterable[int],
                        one_way_delay_s: float,
-                       up_trace_ms: Optional[Iterable[int]] = None,
                        loss_rate: float = 0.0,
                        queue_limit_bytes: int = 256 * 1024,
                        outages: Optional[OutageSchedule] = None,
                        rng: Optional[random.Random] = None) -> EmulatedPath:
-        """Convenience: trace-driven path (uplink defaults to downlink trace)."""
-        down_trace = as_trace(down_trace_ms)
-        up_trace = down_trace if up_trace_ms is None else as_trace(up_trace_ms)
+        """Convenience: trace-driven path, both directions replaying the
+        one trace (each from its own link)."""
+        trace = as_trace(trace_ms)
 
-        def down_factory(loop: EventLoop,
-                         deliver: Callable[[Datagram], None]):
-            return TraceDrivenLink(loop, down_trace, deliver,
-                                   queue_limit_bytes=queue_limit_bytes)
-
-        def up_factory(loop: EventLoop, deliver: Callable[[Datagram], None]):
-            return TraceDrivenLink(loop, up_trace, deliver,
+        def factory(loop: EventLoop, deliver: Callable[[Datagram], None]):
+            return TraceDrivenLink(loop, trace, deliver,
                                    queue_limit_bytes=queue_limit_bytes)
 
         path = EmulatedPath(
-            self.loop, path_id, up_factory, down_factory, one_way_delay_s,
+            self.loop, path_id, factory, one_way_delay_s,
             deliver_to_client=self._deliver_client,
             deliver_to_server=self.server._deliver,
             loss_rate=loss_rate, outages=outages, rng=rng,

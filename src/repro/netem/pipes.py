@@ -46,8 +46,7 @@ class DelayBox:
             return
         self._batch = batch = [dgram]
         self._batch_time = arrival
-        self.loop.schedule_at(arrival, lambda: self._deliver_batch(batch),
-                              label="delay-box")
+        self.loop.schedule_at(arrival, lambda: self._deliver_batch(batch))
 
     def _deliver_batch(self, batch: List[Datagram]) -> None:
         if self._batch is batch:

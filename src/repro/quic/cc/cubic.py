@@ -25,7 +25,6 @@ class CubicCc(CongestionController):
         self._k = 0.0                # time to regain w_max (seconds)
         self._epoch_start = -1.0     # start of current CA epoch
         self._w_est = 0.0            # Reno-friendly window estimate (bytes)
-        self._acked_in_epoch = 0
 
     def _increase_window(self, acked_bytes: int, sent_time: float,
                          now: float, rtt: float) -> None:
@@ -43,7 +42,6 @@ class CubicCc(CongestionController):
         w_cubic = (CUBIC_C * ((t + rtt) - self._k) ** 3
                    + self._w_max / seg) * seg
         # Reno-friendly estimate grows ~1 segment per RTT.
-        self._acked_in_epoch += acked_bytes
         alpha = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
         self._w_est += alpha * seg * acked_bytes / self.cwnd
         target = max(w_cubic, self._w_est)
@@ -64,7 +62,6 @@ class CubicCc(CongestionController):
             self._k = 0.0
             self._w_max = self.cwnd
         self._w_est = self.cwnd
-        self._acked_in_epoch = 0
 
     def _on_congestion_event(self, now: float) -> None:
         if FAST_CONVERGENCE and self.cwnd < self._w_max:
@@ -81,4 +78,3 @@ class CubicCc(CongestionController):
         self._k = 0.0
         self._epoch_start = -1.0
         self._w_est = 0.0
-        self._acked_in_epoch = 0

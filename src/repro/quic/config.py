@@ -3,10 +3,9 @@ derivations both endpoints (and the server host) agree on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.quic.transport_params import TransportParameters
 from repro.sim.rng import make_rng
 
 
@@ -21,11 +20,6 @@ class ConnectionConfig:
     cc_algorithm: str = "cubic"
     #: ACK_MP return-path policy: "fastest" (XLINK) or "original" (MPTCP-like)
     ack_path_policy: str = "fastest"
-    max_ack_delay: float = 0.025
-    transport_params: TransportParameters = field(
-        default_factory=TransportParameters)
-    #: number of extra CIDs supplied at handshake (max paths - 1)
-    extra_cids: int = 4
     seed: int = 0
     #: silently close after this long without an authenticated packet
     #: (``None`` disables the idle timer entirely)

@@ -33,7 +33,6 @@ experiment harness wires to :mod:`repro.netem`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.quic.ack import AckHandler
@@ -65,6 +64,10 @@ from repro.traces.radio_profiles import RadioType
 #: ``ConnectionConfig`` & co. and ``SendChunk`` are imported from here
 __all__ = ["Connection", "ConnectionConfig", "ConnectionStats", "SendChunk",
            "aggregate_robustness", "derive_initial_dcid"]
+
+#: CIDs issued at the handshake beyond the first, one per further path
+#: a peer may open (max paths - 1)
+EXTRA_CIDS = 4
 
 _ACTIVE = PathState.ACTIVE
 _ABANDONED = PathState.ABANDONED
@@ -111,12 +114,12 @@ class Connection:
         #: closed streams as ``[id, id + 4)`` ranges, one set per
         #: initiator: ids are dense, so these stay O(open holes)
         self._closed = (_RangeSet(), _RangeSet())
-        self._stream_window = config.transport_params.initial_max_stream_data
+        self._stream_window = TransportParameters.initial_max_stream_data
         self._next_stream_id = 0 if config.is_client else 1
         #: the packet send queue (the paper's pkt_send_q)
         self.send_queue: List[SendChunk] = []
 
-        window = config.transport_params.initial_max_data
+        window = TransportParameters.initial_max_data
         self.fc_send = FlowControlWindow.with_window(window)
         self.fc_recv = FlowControlWindow.with_window(window)
 
@@ -200,8 +203,7 @@ class Connection:
             initial = derive_initial_dcid(self.config.seed,
                                           self.connection_name)
             remote = ConnectionId(cid=initial, sequence_number=path_id)
-        path = Path(path_id, local_cid, remote, self._make_cc(), radio=radio,
-                    max_ack_delay=self.config.max_ack_delay)
+        path = Path(path_id, local_cid, remote, self._make_cc(), radio=radio)
         self.paths[path_id] = path
         self.net_path_of[path_id] = net_path_id
         return path
@@ -299,12 +301,11 @@ class Connection:
                 self.sender.queue_control(carrier.path_id,
                                           QoeControlSignalsFrame(qoe=qoe))
                 self.sender.flush_control(now)
-            self.loop.schedule_after(interval_s, tick, label="qoe-feedback")
+            self.loop.schedule_after(interval_s, tick)
 
-        self.loop.schedule_after(interval_s, tick, label="qoe-feedback")
+        self.loop.schedule_after(interval_s, tick)
 
-    def set_path_status(self, path_id: int, status: PathStatus,
-                        status_seq: int = 0) -> None:
+    def set_path_status(self, path_id: int, status: PathStatus) -> None:
         """Advertise a path's status to the peer (Sec. 6 PATH_STATUS).
 
         STANDBY asks the peer to stop scheduling data on the path
@@ -318,7 +319,7 @@ class Connection:
             self.close_path(path_id)
             return
         frame = PathStatusFrame(path_id=path_id, status=status,
-                                status_seq=status_seq)
+                                status_seq=0)
         self.sender.queue_control(self.active_path_id(), frame)
         # Apply locally as well: our own scheduler must respect it.
         path.status = status
@@ -408,10 +409,10 @@ class Connection:
         self._send_handshake()
 
     def _handshake_frames(self) -> List[object]:
-        params = replace(self.config.transport_params,
-                         enable_multipath=self.config.enable_multipath)
+        params = TransportParameters(
+            enable_multipath=self.config.enable_multipath)
         frames: List[object] = [CryptoFrame(offset=0, data=params.encode())]
-        for seq in range(1, 1 + self.config.extra_cids):
+        for seq in range(1, 1 + EXTRA_CIDS):
             while seq not in self.cids.issued:
                 self.cids.issue()
             cid = self.cids.issued[seq]
@@ -436,7 +437,7 @@ class Connection:
             if self._handshake_retransmit_event is not None:
                 self._handshake_retransmit_event.cancel()
             self._handshake_retransmit_event = self.loop.schedule_after(
-                1.0, self.retransmit_handshake, label="hs-rtx")
+                1.0, self.retransmit_handshake)
 
     def retransmit_handshake(self) -> None:
         """Re-send the client handshake now (retransmit timer, CM rebind).
@@ -480,8 +481,8 @@ class Connection:
         if self.config.is_client \
                 and self._handshake_retransmit_event is not None:
             self._handshake_retransmit_event.cancel()
-        mine = replace(self.config.transport_params,
-                       enable_multipath=self.config.enable_multipath)
+        mine = TransportParameters(
+            enable_multipath=self.config.enable_multipath)
         self.multipath_negotiated = TransportParameters.negotiated_multipath(
             mine, self.peer_params)
         self.fc_send.on_peer_update(self.peer_params.initial_max_data)

@@ -54,10 +54,8 @@ class SentPacket:
 class PathLossDetector:
     """Loss detection state for a single path's packet-number space."""
 
-    def __init__(self, rtt: RttEstimator,
-                 max_ack_delay: float = 0.025) -> None:
+    def __init__(self, rtt: RttEstimator) -> None:
         self.rtt = rtt
-        self.max_ack_delay = max_ack_delay
         self.sent: Dict[int, SentPacket] = {}
         self.largest_acked: int = -1
         self.pto_count: int = 0
@@ -266,8 +264,7 @@ class PathLossDetector:
         # Sent times are non-decreasing in insertion order, so the
         # first ack-eliciting entry carries the minimum sent time.
         for base in self.eliciting_sent_time.values():
-            return base + self.rtt.pto(self.max_ack_delay) \
-                * (2 ** self.pto_count)
+            return base + self.rtt.pto() * (2 ** self.pto_count)
         return None
 
     def next_timer(self) -> Optional[float]:

@@ -33,15 +33,14 @@ class Path:
 
     def __init__(self, path_id: int, local_cid: ConnectionId,
                  remote_cid: ConnectionId, cc,
-                 radio: Optional[RadioType] = None,
-                 max_ack_delay: float = 0.025) -> None:
+                 radio: Optional[RadioType] = None) -> None:
         #: the path identifier = sequence number of the DCID in use
         self.path_id = path_id
         self.local_cid = local_cid
         self.remote_cid = remote_cid
         self.radio = radio
         self.rtt = RttEstimator()
-        self.loss = PathLossDetector(self.rtt, max_ack_delay=max_ack_delay)
+        self.loss = PathLossDetector(self.rtt)
         self.cc = cc
         self.state = PathState.PENDING
         self.status = PathStatus.AVAILABLE

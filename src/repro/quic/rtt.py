@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 
 INITIAL_RTT = 0.333  # RFC 9002 default initial RTT, seconds
 GRANULARITY = 0.001
+#: how long a receiver may hold an ACK (RFC 9000 default), seconds: both
+#: endpoints advertise it, arm their ACK timers with it and add it to
+#: the probe timeout
+MAX_ACK_DELAY = 0.025
 
 
 @dataclass
@@ -48,8 +52,8 @@ class RttEstimator:
         """XLINK's per-path in-flight delivery-time estimate RTT + delta."""
         return self.smoothed + self.rttvar
 
-    def pto(self, max_ack_delay: float = 0.025) -> float:
+    def pto(self) -> float:
         """Probe timeout per RFC 9002."""
         var = 4 * self.rttvar
         return self.smoothed + (var if var > GRANULARITY else GRANULARITY) \
-            + max_ack_delay
+            + MAX_ACK_DELAY

@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.quic.frames import PingFrame, StreamFrame
 from repro.quic.path import Path, PathState
+from repro.quic.rtt import MAX_ACK_DELAY
 from repro.quic.send import PACKET_PAYLOAD_BUDGET, SentFrameInfo
 
 _ABANDONED = PathState.ABANDONED
@@ -35,8 +36,7 @@ class Timers:
         self.idle_event = None
         if conn.config.idle_timeout_s is not None:
             self.idle_event = self.loop.schedule_at(
-                self.idle_deadline(), self.on_idle_check,
-                label="idle-timeout")
+                self.idle_deadline(), self.on_idle_check)
 
     def cancel_all(self) -> None:
         for event in (self.loss_event, self.ack_event, self.idle_event,
@@ -80,8 +80,7 @@ class Timers:
                 # on_loss_timer re-arms.
                 return
             event.cancel()
-        self.loss_event = self.loop.schedule_at(
-            when, self.on_loss_timer, label="loss-timer")
+        self.loss_event = self.loop.schedule_at(when, self.on_loss_timer)
 
     def on_loss_timer(self) -> None:
         self.loss_event = None
@@ -172,8 +171,7 @@ class Timers:
             if event.time <= when:
                 return
             event.cancel()
-        self.pacing_event = self.loop.schedule_at(
-            when, self.on_pacing_timer, label="pacing-timer")
+        self.pacing_event = self.loop.schedule_at(when, self.on_pacing_timer)
 
     def on_pacing_timer(self) -> None:
         self.pacing_event = None
@@ -193,11 +191,10 @@ class Timers:
     # ------------------------------------------------------------------
 
     def arm_ack_delay(self) -> None:
-        """Owe an ACK within ``max_ack_delay`` (no-op if already armed)."""
+        """Owe an ACK within ``MAX_ACK_DELAY`` (no-op if already armed)."""
         if self.ack_event is None:
             self.ack_event = self.loop.schedule_after(
-                self.conn.config.max_ack_delay, self.on_ack_delay,
-                label="ack-delay")
+                MAX_ACK_DELAY, self.on_ack_delay)
 
     def on_ack_delay(self) -> None:
         self.ack_event = None
@@ -227,8 +224,7 @@ class Timers:
         for path in conn.paths.values():
             if path.state is _ABANDONED:
                 continue
-            interval = path.rtt.pto(conn.config.max_ack_delay) \
-                * (2 ** path.loss.pto_count)
+            interval = path.rtt.pto() * (2 ** path.loss.pto_count)
             pto = max(pto, interval)
         grace = min(3.0 * pto, 4.0 * idle)
         return conn.last_activity_at + max(idle, grace)
@@ -246,5 +242,4 @@ class Timers:
             # unreachable, so sending CONNECTION_CLOSE would be pointless.
             conn.silent_close()
             return
-        self.idle_event = self.loop.schedule_at(
-            deadline, self.on_idle_check, label="idle-timeout")
+        self.idle_event = self.loop.schedule_at(deadline, self.on_idle_check)

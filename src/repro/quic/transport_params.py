@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.quic.rtt import MAX_ACK_DELAY
 from repro.quic.varint import decode_varint, encode_varint
 
 
@@ -22,7 +23,7 @@ class TransportParameters:
     initial_max_data: int = 16 * 1024 * 1024
     initial_max_stream_data: int = 4 * 1024 * 1024
     initial_max_streams: int = 128
-    max_ack_delay_us: int = 25_000
+    max_ack_delay_us: int = round(MAX_ACK_DELAY * 1_000_000)
     active_cid_limit: int = 8
 
     def encode(self) -> bytes:

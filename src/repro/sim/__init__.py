@@ -3,13 +3,13 @@
 All XLINK experiments run in *virtual time*: events are executed in
 timestamp order off a binary heap, ties broken by insertion order so a
 given seed always produces a bit-identical run.  The engine is
-deliberately tiny -- a clock, an event loop, and a couple of scheduling
-helpers -- because everything interesting lives in the network and
-protocol layers built on top of it.
+deliberately tiny -- an event loop whose ``now`` is the one clock, a
+couple of scheduling helpers and seed derivation -- because everything
+interesting lives in the network and protocol layers built on top of
+it.
 """
 
-from repro.sim.clock import Clock
 from repro.sim.event_loop import Event, EventLoop, SimulationError
 from repro.sim.rng import make_rng
 
-__all__ = ["Clock", "Event", "EventLoop", "SimulationError", "make_rng"]
+__all__ = ["Event", "EventLoop", "SimulationError", "make_rng"]

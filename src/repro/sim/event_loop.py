@@ -8,8 +8,8 @@ every benchmark in the repository reproducible.
 Hot-path notes: the heap stores raw ``(time, seq, event)`` tuples so
 ordering is plain tuple comparison (``seq`` is unique, so the
 :class:`Event` object itself is never compared), :class:`Event` uses
-``__slots__``, and :meth:`EventLoop.run` keeps the heap, clock and
-``heappop`` in locals.  Cancelled events are skipped lazily when they
+``__slots__``, and :meth:`EventLoop.run` keeps the heap and ``heappop``
+in locals.  Cancelled events are skipped lazily when they
 reach the top of the heap; when more than half the heap is dead the
 loop compacts it in place so long-lived simulations with heavy timer
 re-arming (QUIC PTO timers) do not drag a graveyard around.
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, Optional
-
-from repro.sim.clock import Clock
 
 #: Compaction is considered once at least this many cancellations are
 #: pending; below it the lazy top-of-heap skip is always cheaper.
@@ -32,40 +30,35 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.  Heap ordering uses (time, seq) only."""
+    """A scheduled callback.  Heap ordering uses the entry's (time, seq)."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label", "_loop")
+    __slots__ = ("time", "callback", "cancelled", "_loop")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], Any],
-                 label: str = "", loop: Optional["EventLoop"] = None) -> None:
+    def __init__(self, time: float, callback: Callable[[], Any],
+                 loop: "EventLoop") -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
-        self.label = label
         self._loop = loop
 
     def cancel(self) -> None:
         """Mark the event dead; the loop will skip it when popped."""
         if not self.cancelled:
             self.cancelled = True
-            loop = self._loop
-            if loop is not None:
-                loop._note_cancelled()
+            self._loop._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
+        return f"Event(t={self.time:.6f}, {state})"
 
 
 class EventLoop:
-    """Discrete-event executor over a virtual :class:`Clock`."""
+    """Discrete-event executor in virtual time."""
 
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self.clock = clock if clock is not None else Clock()
-        #: current virtual time: the clock's reading, kept as a plain
-        #: attribute because everything on the per-packet path reads it
-        self.now: float = self.clock.now
+    def __init__(self) -> None:
+        #: current virtual time in seconds, starting at 0.0; only the
+        #: loop advances it, and never backwards
+        self.now = 0.0
         #: heap of (time, seq, Event); tuple order never reaches the Event
         self._heap: list = []
         self._seq = 0
@@ -79,8 +72,7 @@ class EventLoop:
         """Number of events executed so far (for loop-detection tests)."""
         return self._events_run
 
-    def schedule_at(self, time: float, callback: Callable[[], Any],
-                    label: str = "") -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute virtual ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -88,20 +80,20 @@ class EventLoop:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, label, self)
+        event = Event(time, callback, self)
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def schedule_after(self, delay: float, callback: Callable[[], Any],
-                       label: str = "") -> Event:
+    def schedule_after(self, delay: float,
+                       callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, callback, label=label)
+        return self.schedule_at(self.now + delay, callback)
 
-    def call_soon(self, callback: Callable[[], Any], label: str = "") -> Event:
+    def call_soon(self, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at the current instant (after pending ties)."""
-        return self.schedule_at(self.now, callback, label=label)
+        return self.schedule_at(self.now, callback)
 
     def _note_cancelled(self) -> None:
         """Track a cancellation; compact the heap when mostly dead.
@@ -123,7 +115,7 @@ class EventLoop:
         Part of a finished world's teardown: the heap is the loop's one
         edge to the objects its callbacks belong to, and a pending event
         whose owner keeps a handle to it (a timer) would still reach
-        that owner, so each event's callback goes too.  The clock keeps
+        that owner, so each event's callback goes too.  ``now`` keeps
         its reading.
         """
         for entry in self._heap:
@@ -148,9 +140,8 @@ class EventLoop:
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
-            # Monotonic by construction: schedule_at rejects past times,
-            # so a direct store is safe (and skips the guarded method).
-            self.now = self.clock._now = time
+            # monotonic by construction: schedule_at rejects past times
+            self.now = time
             self._events_run += 1
             event.callback()
             return True
@@ -180,20 +171,20 @@ class EventLoop:
         step()`` driver exactly: the event that carries the clock to or
         past ``stop_before`` still executes, and the loop returns
         before running the one after it.  (``until`` is different: it
-        stops *before* crossing the horizon and advances the clock to
-        exactly ``until``.)
+        stops *before* crossing the horizon and advances ``now`` to
+        exactly ``until``; an ``until`` earlier than ``now`` raises
+        ``ValueError`` rather than move time backwards.)
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         self._stop_requested = False
-        heap = self._heap          # compaction mutates in place, so this
-        clock = self.clock         # local stays valid across callbacks
-        pop = heapq.heappop
+        heap = self._heap  # compaction mutates in place, so this local
+        pop = heapq.heappop  # stays valid across callbacks
         executed = 0
         try:
             while heap:
-                if stop_before is not None and clock._now >= stop_before:
+                if stop_before is not None and self.now >= stop_before:
                     break
                 entry = heap[0]
                 event = entry[2]
@@ -203,7 +194,9 @@ class EventLoop:
                     continue
                 time = entry[0]
                 if until is not None and time > until:
-                    clock._advance_to(until)
+                    if until < self.now:
+                        raise ValueError(f"time cannot go backwards: "
+                                         f"{until:.9f} < {self.now:.9f}")
                     self.now = until
                     break
                 if executed >= max_events:
@@ -212,12 +205,12 @@ class EventLoop:
                     )
                 pop(heap)
                 # monotonic: schedule_at rejects the past
-                self.now = clock._now = time
+                self.now = time
                 executed += 1
                 event.callback()
                 if self._stop_requested:
                     break
-            return clock._now
+            return self.now
         finally:
             self._events_run += executed
             self._running = False

@@ -13,7 +13,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 class RadioType(enum.Enum):
@@ -94,11 +94,6 @@ def cross_isp_delay(base_delay_s: float, client_isp: str,
     return base_delay_s * (1.0 + factor)
 
 
-def sample_path_delay(radio: RadioType, rng: random.Random,
-                      client_isp: Optional[str] = None,
-                      server_isp: Optional[str] = None) -> float:
-    """Sample a one-way path delay for ``radio`` (RTT/2), ISP-adjusted."""
-    rtt = RADIO_PROFILES[radio].sample_rtt(rng)
-    if client_isp is not None and server_isp is not None:
-        rtt = cross_isp_delay(rtt, client_isp, server_isp)
-    return rtt / 2.0
+def sample_path_delay(radio: RadioType, rng: random.Random) -> float:
+    """Sample a one-way path delay for ``radio`` (RTT/2)."""
+    return RADIO_PROFILES[radio].sample_rtt(rng) / 2.0

@@ -38,16 +38,20 @@ def constant_rate_trace(rate_bps: float, duration_s: float) -> array:
     return trace_from_rate_series(repeat(rate_bps, n_windows), interval_s=0.1)
 
 
+#: Fig. 1a's campus walk: peak Wi-Fi rate and the collapse window [s)
+CAMPUS_PEAK_MBPS = 30.0
+CAMPUS_OUTAGE_S = (1.7, 2.2)
+
+
 def campus_walk_wifi_trace(duration_s: float = 3.0,
-                           seed: int = 1,
-                           peak_mbps: float = 30.0,
-                           outage_start_s: float = 1.7,
-                           outage_end_s: float = 2.2) -> array:
+                           seed: int = 1) -> array:
     """Fast-varying Wi-Fi with a throughput collapse, as in Fig. 1a.
 
     Rate oscillates between ~20% and 100% of peak on a 100 ms grid and
     drops to (almost) zero during the outage window.
     """
+    peak_mbps = CAMPUS_PEAK_MBPS
+    outage_start_s, outage_end_s = CAMPUS_OUTAGE_S
     rng = make_rng(seed, "campus-wifi")
     interval = 0.1
     rates: List[float] = []

@@ -107,7 +107,6 @@ class VideoPlayer:
         self._chunk_of_stream: Dict[int, int] = {}
         self._request_sent_at: Dict[int, float] = {}
         self._chunk_done: Dict[int, bool] = {}
-        self._bytes_received = 0
         self._chunk_received: Dict[int, int] = {}
         #: chunks requested and not yet complete
         self._in_flight = 0
@@ -173,7 +172,6 @@ class VideoPlayer:
         if not data:
             return
         self._chunk_received[index] += len(data)
-        self._bytes_received += len(data)
         if index == self._front_chunk:
             self._advance_contiguous()
         chunk = self._chunks[index]
@@ -220,7 +218,7 @@ class VideoPlayer:
         if self._finished:
             return
         self._tick_event = self.loop.schedule_after(
-            self.config.tick_s, self._tick, label="player-tick")
+            self.config.tick_s, self._tick)
 
     def _tick(self) -> None:
         if self._finished:

@@ -101,7 +101,7 @@ class TestChaosBox:
         box.send(Datagram(payload=b"dup"))
         loop.run()
         assert [d.payload for d in delivered] == [b"dup", b"dup"]
-        assert delivered[1].tag == "chaos-dup"
+        assert delivered[1] is not delivered[0]
         assert box.stats.duplicated == 1
 
     def test_reorder_holds_a_datagram_back(self):
@@ -132,7 +132,7 @@ class TestChaosBox:
             for i in range(200):
                 box.send(Datagram(payload=bytes([i % 256]) * 20))
             loop.run()
-            return ([(d.payload, d.tag) for d in delivered],
+            return ([d.payload for d in delivered],
                     box.stats.as_dict())
         assert run(4) == run(4)
         assert run(4) != run(5)

@@ -51,6 +51,16 @@ class TestCommands:
     def test_play_unknown_scheme(self, capsys):
         assert _rejected(["play", "--scheme", "warpdrive"]) == 2
 
+    def test_report_unknown_section(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setitem(repro.cli.SECTIONS, "fig6",
+                            lambda *scale: ran.append(scale) or [])
+        out = tmp_path / "r.md"
+        assert _rejected(["report", "--sections", "fig6", "bogus",
+                          "--out", str(out)]) == 2
+        assert ran == [] and not out.exists()
+        assert "bogus" in capsys.readouterr().err
+
     def test_play_mptcp_runs(self, capsys):
         assert main(["play", "--scheme", "mptcp", "--duration", "2"]) == 0
         assert "completed=True" in capsys.readouterr().out

@@ -107,7 +107,7 @@ class TestHandshake:
         client, server = build_pair(loop, net)
         client.connect()
         loop.run(until=1.0)
-        # extra_cids=4 plus the handshake SCID (seq 0).
+        # EXTRA_CIDS=4 plus the handshake SCID (seq 0).
         assert set(client.cids.peer_cids) == {0, 1, 2, 3, 4}
         assert set(server.cids.peer_cids) == {0, 1, 2, 3, 4}
 

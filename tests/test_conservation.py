@@ -109,16 +109,14 @@ class TestDelayOrdering:
         """A single link never reorders packets."""
         loop = EventLoop()
         order = []
-        link = ConstantRateLink(loop, 1e6,
-                                lambda d: order.append(d.dgram_id),
+        link = ConstantRateLink(loop, 1e6, order.append,
                                 queue_limit_bytes=10**9)
-        ids = []
-        for size in sizes:
-            dgram = Datagram(payload=b"x" * size)
-            ids.append(dgram.dgram_id)
+        sent = [Datagram(payload=b"x" * size) for size in sizes]
+        for dgram in sent:
             link.send(dgram)
         loop.run()
-        assert order == ids
+        assert len(order) == len(sent)
+        assert all(out is dgram for out, dgram in zip(order, sent))
 
     def test_cross_path_reordering_possible(self):
         """Different paths CAN reorder -- that's what multipath does."""

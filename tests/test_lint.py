@@ -73,8 +73,96 @@ class TestUnsetKnobs:
         assert [message.split()[:2] for _path, _line, message in findings] \
             == [["KNOB", "RunConfig.mix"]]
 
+    @staticmethod
+    def _unset(lint, tmp_path, caller: str) -> list:
+        """The KNOB findings for a package function and class whose only
+        callers are ``caller``, a test module."""
+        package = tmp_path / "src" / "repro" / "netem"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "def make(rate, delay=0.0, *, loss=0.0):\n"
+            "    return rate, delay, loss\n\n"
+            "def _private(knob=1):\n"
+            "    return knob\n\n"
+            "class Ring:\n"
+            "    def __init__(self, nodes, replicas=64):\n"
+            "        self.nodes = nodes\n\n"
+            "    def spin(self, turns=1):\n"
+            "        return turns\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from repro.netem.mod import Ring, make\n" + caller)
+        return sorted(message.split()[1]
+                      for _path, _line, message in lint.check_unset_knobs())
+
+    def test_flags_function_parameters_nothing_sets(self, lint, tmp_path):
+        assert self._unset(lint, tmp_path,
+                           "make(1)\nRing(['a']).spin()\n") \
+            == ["Ring.replicas", "Ring.spin.turns", "make.delay",
+                "make.loss"]
+
+    def test_a_parameter_set_by_keyword_or_position(self, lint, tmp_path):
+        assert self._unset(lint, tmp_path,
+                           "make(1, 0.5, loss=0.1)\n"
+                           "Ring(['a'], 8).spin(turns=2)\n") == []
+
+    def test_a_parameter_set_through_a_mapping(self, lint, tmp_path):
+        assert self._unset(lint, tmp_path,
+                           "opts = {'delay': 0.5}\n"
+                           "make(1, **opts, **dict(loss=0.1))\n"
+                           "Ring(*[['a'], 8]).spin(*[3])\n") == []
+
+    def test_a_function_called_through_a_variable_escapes(self, lint,
+                                                          tmp_path):
+        """A function kept in a table is called with arguments the
+        linter cannot see, so none of its parameters is flagged."""
+        assert self._unset(lint, tmp_path,
+                           "FACTORIES = {'make': make}\n"
+                           "build = Ring\n"
+                           "spin = Ring(['a']).spin\n") == []
+
+    def test_annotations_and_type_tests_are_no_escape(self, lint,
+                                                      tmp_path):
+        assert self._unset(lint, tmp_path,
+                           "def use(ring: Ring) -> 'Ring':\n"
+                           "    assert isinstance(ring, Ring)\n"
+                           "    return make(1, 0.5, loss=0.1)\n") \
+            == ["Ring.replicas", "Ring.spin.turns"]
+
     def test_this_repo_has_no_unset_knobs(self):
         assert _load_lint().check_unset_knobs() == []
+
+
+class TestReach:
+    def test_flags_a_module_no_driver_imports(self, lint, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "video").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text("from repro.cli import main\n")
+        (package / "cli.py").write_text("from . import core\n")
+        (package / "core.py").write_text("import repro.video.player\n")
+        (package / "video" / "__init__.py").write_text("")
+        (package / "video" / "player.py").write_text("")
+        (package / "video" / "orphan.py").write_text("")
+        (package / "bench_only.py").write_text("")
+        (package / "figures_only.py").write_text("")
+        (tmp_path / "bench").mkdir()
+        (tmp_path / "bench" / "run.py").write_text(
+            "import importlib\n"
+            "importlib.import_module('repro.bench_only')\n")
+        (tmp_path / "figures").mkdir()
+        (tmp_path / "figures" / "test_fig.py").write_text(
+            "from repro import figures_only\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_orphan.py").write_text(
+            "import repro.video.orphan\n")
+        findings = lint.check_reach()
+        assert [message.split("'")[1] for _path, _line, message in findings] \
+            == ["repro.video.orphan"]
+        assert findings[0][2].startswith("REACH")
+
+    def test_this_repo_reaches_every_module(self):
+        assert _load_lint().check_reach() == []
 
 
 class TestFileSize:

@@ -30,10 +30,6 @@ class TestDatagram:
         assert d.size == 100
         assert d.wire_size == 100 + UDP_IP_OVERHEAD
 
-    def test_unique_ids(self):
-        a, b = Datagram(payload=b"a"), Datagram(payload=b"b")
-        assert a.dgram_id != b.dgram_id
-
 
 class TestConstantRateLink:
     def test_serialization_delay(self):
@@ -233,18 +229,18 @@ def test_trace_link_matches_mahimahi(trace, start_tenths_ms, bursts,
         sends += count * [((at_ms + 0.05) / 1000.0,
                            payload + UDP_IP_OVERHEAD)]
     loop = EventLoop()
-    left = {}
+    left = {}  # datagram (by identity) -> time it left the link
     link = TraceDrivenLink(loop, trace,
-                           lambda d: left.setdefault(d.dgram_id, loop.now),
+                           lambda d: left.setdefault(d, loop.now),
                            queue_limit_bytes=queue_limit,
                            start_time=start_time)
-    ids = []
+    sent = []
     for t, wire_size in sends:
         dgram = Datagram(payload=b"x" * (wire_size - UDP_IP_OVERHEAD))
-        ids.append(dgram.dgram_id)
+        sent.append(dgram)
         loop.schedule_at(t, functools.partial(link.send, dgram))
     loop.run()
-    assert [left.get(i) for i in ids] == mahimahi_delivery_times(
+    assert [left.get(d) for d in sent] == mahimahi_delivery_times(
         trace, start_time, sends, queue_limit)
 
 
@@ -374,7 +370,7 @@ class TestMultipathNetwork:
     def test_trace_path(self):
         loop = EventLoop()
         net = MultipathNetwork(loop)
-        net.add_trace_path(0, down_trace_ms=[1, 2, 3], one_way_delay_s=0.01)
+        net.add_trace_path(0, trace_ms=[1, 2, 3], one_way_delay_s=0.01)
         got = []
         net.client.on_receive(lambda d: got.append(loop.now))
         net.server.send(Datagram(payload=b"x" * 100, path_id=0))

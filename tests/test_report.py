@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments import report
 from repro.experiments.report import SCALES, generate_report
 
 
@@ -14,6 +15,17 @@ class TestReport:
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):
             generate_report(scale="quick", sections=["fig99"])
+
+    def test_unknown_section_rejected_before_any_section_runs(
+            self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(report.SECTIONS, "fig6",
+                            lambda *scale: ran.append(scale) or [])
+        with pytest.raises(ValueError, match="bogus"):
+            generate_report(scale="quick", sections=["fig6", "bogus"])
+        assert ran == []
+        generate_report(scale="quick", sections=["fig6"])
+        assert ran == [SCALES["quick"]]
 
     def test_scales_defined(self):
         assert set(SCALES) == {"quick", "standard", "full"}

@@ -63,7 +63,7 @@ class TestRttEstimator:
     def test_pto_formula(self):
         rtt = RttEstimator()
         rtt.update(0.1)
-        assert rtt.pto(max_ack_delay=0.025) == \
+        assert rtt.pto() == \
             pytest.approx(0.1 + 4 * 0.05 + 0.025)
 
 
@@ -88,7 +88,7 @@ def _recounted(det):
     """The same four, recounted from ``det.sent`` by brute force."""
     pkts = det.sent.values()
     eliciting = [p.sent_time for p in pkts if p.ack_eliciting]
-    pto = det.rtt.pto(det.max_ack_delay) * 2 ** det.pto_count
+    pto = det.rtt.pto() * 2 ** det.pto_count
     return (sum(p.size for p in pkts if p.in_flight),
             bool(eliciting),
             det.sent[min(det.sent)] if det.sent else None,
@@ -190,7 +190,7 @@ class TestLossDetection:
         det.on_packet_sent(_pkt(0, 1.0))
         det.on_packet_sent(_pkt(1, 2.0))
         deadline = det.pto_deadline()
-        assert deadline == pytest.approx(1.0 + det.rtt.pto(0.025))
+        assert deadline == pytest.approx(1.0 + det.rtt.pto())
 
     def test_pto_backoff(self):
         det = _mk_detector()
@@ -220,7 +220,7 @@ class TestLossDetection:
         eliciting packet, as the full scan over ``sent`` would find."""
         det = _mk_detector()
         det.rtt.update(0.1)
-        pto = det.rtt.pto(0.025)
+        pto = det.rtt.pto()
         for pn in range(40):
             det.on_packet_sent(_pkt(pn, 0.01 * pn,
                                     eliciting=pn in (10, 20, 30)))

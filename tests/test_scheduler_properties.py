@@ -16,7 +16,7 @@ class FakeLoop:
     def __init__(self, now=0.0):
         self.now = now
 
-    def schedule_after(self, delay, cb, label=""):
+    def schedule_after(self, delay, cb):
         return type("E", (), {"cancel": lambda self: None})()
 
 

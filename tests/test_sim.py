@@ -2,21 +2,34 @@
 
 import pytest
 
-from repro.sim import Clock, EventLoop, SimulationError, make_rng
+from repro.sim import EventLoop, SimulationError, make_rng
 from repro.sim.rng import derive_seed
 
 
 class TestClock:
+    """``EventLoop.now`` is the only clock."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
+        assert EventLoop().now == 0.0
 
     def test_custom_start(self):
-        assert Clock(5.0).now == 5.0
+        """``run(until=)`` past a pending event starts the world later."""
+        loop = EventLoop()
+        loop.schedule_at(10.0, lambda: None)
+        assert loop.run(until=5.0) == 5.0
+        assert loop.now == 5.0
+        seen = []
+        loop.schedule_after(1.0, lambda: seen.append(loop.now))
+        loop.run(until=7.0)
+        assert seen == [6.0]
 
     def test_cannot_go_backwards(self):
-        clock = Clock(10.0)
+        loop = EventLoop()
+        loop.schedule_at(20.0, lambda: None)
+        loop.run(until=10.0)
         with pytest.raises(ValueError):
-            clock._advance_to(9.0)
+            loop.run(until=9.0)
+        assert loop.now == 10.0
 
 
 class TestEventLoop:

@@ -96,7 +96,7 @@ class FakeLoop:
         self.now = 0.0
         self.scheduled = []
 
-    def schedule_after(self, delay, cb, label=""):
+    def schedule_after(self, delay, cb):
         event = type("E", (), {"cancel": lambda self: None})()
         self.scheduled.append((self.now + delay, cb))
         return event

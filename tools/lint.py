@@ -23,11 +23,19 @@ forms, and obvious AST-level mistakes:
   directory is linted)
 - GC: a use of ``gc.collect`` / ``gc.disable`` / ``gc.freeze`` under a
   directory listed in ``NO_GC_CALLS``
-- KNOB: a defaulted field of a ``@dataclass`` named ``*Config`` under
-  ``NO_UNSET_KNOBS`` that nothing in the repo's Python sets -- by
-  keyword or by position in a call to the class, or by keyword to
-  ``replace()``, ``dict()`` or a function taking ``**kwargs`` (checked
-  whenever the package is linted)
+- KNOB: a defaulted field of a ``@dataclass`` named ``*Config``, or a
+  defaulted parameter of a public function, method or constructor,
+  under ``NO_UNSET_KNOBS`` that nothing in the repo's Python sets -- by
+  keyword or by position in a call to it, by keyword to ``replace()``
+  (fields), or through a ``**`` mapping whose keys its module spells in
+  ``dict()``, a dict literal or a call taking ``**kwargs``.  A function
+  or class read as a value (kept in a table, passed as a callback) is
+  called where the linter cannot see, so its parameters all count as
+  set (checked whenever the package is linted)
+- REACH: a module under ``REACH_PACKAGE`` that no driver in
+  ``REACH_ROOTS`` -- the CLI, ``bench/``, ``figures/`` -- imports,
+  directly or through other modules (checked whenever the package is
+  linted)
 - FFI: an import of ``ctypes`` or ``_ctypes`` anywhere but
   ``FFI_MODULES``
 
@@ -42,9 +50,20 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 Finding = Tuple[Path, int, str]
+
+
+class _Knobs(NamedTuple):
+    """The defaulted values one call sets: a ``*Config``'s fields or a
+    public function's parameters."""
+
+    owner: str          # what a finding names: ``Class``, ``Class.method``
+    callee: str         # the name a call to it is spelled with
+    positional: List[str]
+    defaulted: List[Tuple[str, int]]
+    config: bool = False
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,11 +108,18 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: every contention run -- only hides a cycle that came back.
 NO_GC_CALLS = {"src/repro": {"collect", "disable", "freeze"}}
 
-#: the package whose ``*Config`` fields must each be set somewhere.  A
-#: field no caller sets only ever holds its default: it is a constant
-#: that reads like an option, and doubles the configurations a reader
-#: has to consider.  Write it as a module constant instead.
-NO_UNSET_KNOBS = "src/repro/experiments"
+#: the package whose ``*Config`` fields and defaulted public parameters
+#: must each be set somewhere.  A value no caller sets only ever holds
+#: its default: it is a constant that reads like an option, and doubles
+#: the configurations a reader has to consider.  Write it as a module
+#: constant instead.
+NO_UNSET_KNOBS = "src/repro"
+
+#: the package every module of which some driver must import, and the
+#: drivers: the CLI (``python -m repro``), the benchmark and the paper's
+#: figures.  A module none of them reaches runs only in its own tests.
+REACH_PACKAGE = "src/repro"
+REACH_ROOTS = ("src/repro/__main__.py", "bench", "figures")
 
 #: the only files (repo-relative) that may import ``ctypes`` or
 #: ``_ctypes``.  An overrun buffer in a foreign call corrupts memory
@@ -161,8 +187,10 @@ class _Scope(ast.NodeVisitor):
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         for arg in [*node.args.posonlyargs, *node.args.args,
-                    *node.args.kwonlyargs]:
-            self.bound.add(arg.arg)
+                    *node.args.kwonlyargs, node.args.vararg,
+                    node.args.kwarg]:
+            if arg is not None:
+                self.bound.add(arg.arg)
         self.generic_visit(node)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
@@ -356,10 +384,8 @@ def check_dead_public() -> List[Finding]:
             for path, line, name in defined if words[name] <= n_defs[name]]
 
 
-def _config_fields(tree: ast.Module) -> Iterator[Tuple[str, List[str],
-                                                     List[Tuple[str, int]]]]:
-    """(class, init fields in order, defaulted fields with their line)
-    of every ``@dataclass`` named ``*Config`` in ``tree``."""
+def _config_fields(tree: ast.Module) -> Iterator[_Knobs]:
+    """The fields of every ``@dataclass`` named ``*Config`` in ``tree``."""
     for cls in ast.walk(tree):
         if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("Config")
                 and any("dataclass" in ast.unparse(d)
@@ -376,7 +402,52 @@ def _config_fields(tree: ast.Module) -> Iterator[Tuple[str, List[str],
             fields.append(node.target.id)
             if node.value is not None:
                 defaulted.append((node.target.id, node.lineno))
-        yield cls.name, fields, defaulted
+        yield _Knobs(cls.name, cls.name, fields, defaulted, config=True)
+
+
+def _parameters(func: ast.FunctionDef, owner: str, callee: str,
+                skip_first: bool) -> _Knobs:
+    """The defaulted parameters of ``func``, called as ``callee``."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    first = 1 if skip_first else 0
+    defaulted = [(arg.arg, arg.lineno)
+                 for arg, default in [*zip(positional, defaults)][first:]
+                 + [*zip(args.kwonlyargs, args.kw_defaults)]
+                 if default is not None]
+    return _Knobs(owner, callee, [arg.arg for arg in positional[first:]],
+                  defaulted)
+
+
+def _function_knobs(tree: ast.Module,
+                    inherits: Dict[str, List[str]]) -> Iterator[_Knobs]:
+    """The defaulted parameters of every public function, method and
+    constructor at the top of ``tree``.  A constructor is called by its
+    class's name and by the name of every subclass without one."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield _parameters(node, node.name, node.name, False)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef) or (
+                    method.name.startswith("_") and method.name != "__init__"):
+                continue
+            decorators = {ast.unparse(d) for d in method.decorator_list}
+            if decorators & {"property", "overload", "typing.overload"}:
+                continue
+            skip_first = "staticmethod" not in decorators
+            if method.name != "__init__":
+                yield _parameters(method, f"{node.name}.{method.name}",
+                                  method.name, skip_first)
+                continue
+            callers = [node.name]
+            for name in callers:
+                callers.extend(sub for sub in inherits.get(name, ())
+                               if sub not in callers)
+            for callee in callers:
+                yield _parameters(method, node.name, callee, True)
 
 
 def _callee(call: ast.Call) -> Optional[str]:
@@ -386,9 +457,78 @@ def _callee(call: ast.Call) -> Optional[str]:
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
+def _callees(tree: ast.Module) -> Iterator[Tuple[ast.Call, str]]:
+    """(call, name it calls) for every call in ``tree``; inside a class,
+    ``cls(...)`` calls the class and ``super().__init__(...)`` its
+    bases, by name."""
+    resolved = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for call in ast.walk(cls):
+            if not isinstance(call, ast.Call):
+                continue
+            if _callee(call) == "cls":
+                resolved[id(call)] = [cls.name]
+            elif _callee(call) == "__init__" \
+                    and isinstance(call.func.value, ast.Call) \
+                    and _callee(call.func.value) == "super":
+                resolved[id(call)] = [ast.unparse(base).split(".")[-1]
+                                      for base in cls.bases]
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            for name in resolved.get(id(call), [_callee(call)]):
+                yield call, name
+
+
+#: calls whose arguments name a function or class without calling it
+_NOT_CALLING = {"isinstance", "issubclass", "cast", "getattr", "setattr",
+                "hasattr", "delattr", "vars"}
+
+
+def _escapes(tree: ast.Module) -> Iterator[str]:
+    """Names read in ``tree`` as a value rather than called: a function
+    kept in a table, passed as a callback or bound to a variable is
+    called with arguments the linter cannot see.  Annotations,
+    subscripts, type tests, bases, ``except`` clauses and attribute
+    access on a class do not count."""
+    parents = {}
+    types = set()  # ids of the nodes in annotations and subscripts
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+        spelled = (node.annotation if isinstance(node, (ast.arg,
+                                                        ast.AnnAssign))
+                   else node.returns if isinstance(node, ast.FunctionDef)
+                   else node.slice if isinstance(node, ast.Subscript)
+                   else None)
+        if spelled is not None:
+            types.update(map(id, ast.walk(spelled)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            continue
+        parent = parents[node]
+        if isinstance(parent, ast.Tuple):
+            parent = parents[parent]
+        if id(node) in types or isinstance(
+                parent, (ast.Attribute, ast.Subscript, ast.ClassDef,
+                         ast.ExceptHandler, ast.Raise, ast.Compare)):
+            continue
+        if isinstance(parent, ast.Call) and (
+                parent.func is node or _callee(parent) in _NOT_CALLING):
+            continue
+        yield name
+
+
 def check_unset_knobs() -> List[Finding]:
-    """Defaulted ``*Config`` fields under ``NO_UNSET_KNOBS`` that no
-    call in the repo's Python sets."""
+    """Defaulted ``*Config`` fields and defaulted parameters of public
+    functions and constructors under ``NO_UNSET_KNOBS`` that no call in
+    the repo's Python sets."""
     trees = []
     for path in iter_py_files([str(REPO_ROOT / r) for r in REFERENCE_ROOTS]):
         try:
@@ -396,13 +536,27 @@ def check_unset_knobs() -> List[Finding]:
                                           filename=str(path))))
         except SyntaxError:
             continue  # check_file reports it
-    declared = [(path, *config) for path, tree in trees
-                if (REPO_ROOT / NO_UNSET_KNOBS) in path.parents
-                for config in _config_fields(tree)]
-    configs = {name: fields for _path, name, fields, _defaulted in declared}
-    # ``replace()`` sets a field of whatever it is given; a keyword to
-    # ``dict()`` or to a function's ``**kwargs`` reaches the configs its
-    # module builds from a ``**`` mapping
+    package = [(path, tree) for path, tree in trees
+               if (REPO_ROOT / NO_UNSET_KNOBS) in path.parents]
+    inherits: Dict[str, List[str]] = {}
+    for _path, tree in package:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not any(
+                    isinstance(m, ast.FunctionDef) and m.name == "__init__"
+                    for m in cls.body):
+                for base in cls.bases:
+                    inherits.setdefault(ast.unparse(base).split(".")[-1],
+                                        []).append(cls.name)
+    declared = [(path, knobs) for path, tree in package
+                for knobs in [*_config_fields(tree),
+                              *_function_knobs(tree, inherits)]]
+    by_callee: Dict[str, List[_Knobs]] = {}
+    for _path, knobs in declared:
+        by_callee.setdefault(knobs.callee, []).append(knobs)
+    configs = [knobs for _path, knobs in declared if knobs.config]
+    # a keyword to ``dict()`` or to a function's ``**kwargs``, or a key
+    # of a dict literal, reaches whatever its module calls with a ``**``
+    # mapping
     forwards = {"dict": set()}
     for _path, tree in trees:
         for node in ast.walk(tree):
@@ -414,34 +568,100 @@ def check_unset_knobs() -> List[Finding]:
                                         *node.args.kwonlyargs])
     set_on = set()
     for _path, tree in trees:
-        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-        mapped = configs.keys() & {
-            _callee(call) for call in calls
-            if any(kw.arg is None for kw in call.keywords)}
-        for call in calls:
-            name = _callee(call)
-            if name in configs:
-                fields = configs[name]
+        mapped: List[_Knobs] = []
+        keys = {key.value for node in ast.walk(tree)
+                if isinstance(node, ast.Dict) for key in node.keys
+                if isinstance(key, ast.Constant)
+                and isinstance(key.value, str)}
+        for call, name in _callees(tree):
+            for knobs in by_callee.get(name, ()):
                 for i, arg in enumerate(call.args):
                     if isinstance(arg, ast.Starred):
-                        set_on.update((name, f) for f in fields[i:])
+                        set_on.update((knobs.owner, p)
+                                      for p in knobs.positional[i:])
                         break
-                    if i < len(fields):
-                        set_on.add((name, fields[i]))
-                set_on.update((name, kw.arg) for kw in call.keywords)
-            elif name == "replace":
-                set_on.update((cls, kw.arg) for cls in configs
+                    if i < len(knobs.positional):
+                        set_on.add((knobs.owner, knobs.positional[i]))
+                set_on.update((knobs.owner, kw.arg) for kw in call.keywords)
+                if any(kw.arg is None for kw in call.keywords):
+                    mapped.append(knobs)
+            if name == "replace":
+                set_on.update((knobs.owner, kw.arg) for knobs in configs
                               for kw in call.keywords)
             elif name in forwards:
-                set_on.update((cls, kw.arg) for cls in mapped
-                              for kw in call.keywords
-                              if kw.arg not in forwards[name])
-    return [(path, line, f"KNOB {cls}.{field} is set nowhere in "
-                         f"{', '.join(REFERENCE_ROOTS)}; one value in use "
-                         f"is a constant")
-            for path, cls, _fields, defaulted in declared
-            for field, line in defaulted
-            if (cls, field) not in set_on]
+                keys.update(kw.arg for kw in call.keywords
+                            if kw.arg not in forwards[name])
+        set_on.update((knobs.owner, key) for knobs in mapped for key in keys)
+        for name in _escapes(tree):
+            set_on.update((knobs.owner, p) for knobs in by_callee.get(name, ())
+                          for p, _line in knobs.defaulted)
+    findings = {(path, line, f"KNOB {knobs.owner}.{field} is set nowhere in "
+                             f"{', '.join(REFERENCE_ROOTS)}; one value in "
+                             f"use is a constant")
+                for path, knobs in declared
+                for field, line in knobs.defaulted
+                if (knobs.owner, field) not in set_on}
+    return sorted(findings)
+
+
+def _module_names(root: Path) -> Dict[str, Path]:
+    """Dotted module name -> file, for every module under ``root``."""
+    modules = {}
+    for path in iter_py_files([str(root)]):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__"
+                         else parts)] = path
+    return modules
+
+
+def _imported(tree: ast.Module, module: str,
+              is_package: bool) -> Iterator[str]:
+    """Every dotted name ``tree`` imports, with the packages above it; a
+    ``from`` import also names each imported name as a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = module.split(".")[:None if is_package else -1]
+                package = package[:len(package) - node.level + 1]
+                base = ".".join([*package, *([base] if base else [])])
+            names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Call) and _callee(node) in (
+                "import_module", "__import__") and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and isinstance(node.args[0].value, str):
+            names = [node.args[0].value]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            yield from (".".join(parts[:i]) for i in range(1, len(parts) + 1))
+
+
+def check_reach() -> List[Finding]:
+    """Modules under ``REACH_PACKAGE`` that no driver in ``REACH_ROOTS``
+    imports, directly or through other modules."""
+    modules = _module_names(REPO_ROOT / REACH_PACKAGE)
+    names = {path: name for name, path in modules.items()}
+    queue = list(iter_py_files([str(REPO_ROOT / r) for r in REACH_ROOTS]))
+    reached = {names[path] for path in queue if path in names}
+    while queue:
+        path = queue.pop()
+        try:
+            tree = ast.parse(path.read_text(), filename=str(path))
+        except SyntaxError:
+            continue  # check_file reports it
+        for imported in _imported(tree, names.get(path, path.stem),
+                                  path.name == "__init__.py"):
+            if imported in modules and imported not in reached:
+                reached.add(imported)
+                queue.append(modules[imported])
+    return [(path, 1, f"REACH module '{name}' is imported by no driver "
+                      f"({', '.join(REACH_ROOTS)}), directly or through "
+                      f"other modules")
+            for name, path in sorted(modules.items()) if name not in reached]
 
 
 def main(argv: List[str]) -> int:
@@ -456,6 +676,7 @@ def main(argv: List[str]) -> int:
     if lints_package:
         findings.extend(check_dead_public())
         findings.extend(check_unset_knobs())
+        findings.extend(check_reach())
     for path, line, message in findings:
         print(f"{path}:{line}: {message}")
     if findings:
