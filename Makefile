@@ -7,10 +7,12 @@ PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 ## tier-1 verification: lint gate, the fleet supervision soak, the
 ## full unit/integration suite (tests/test_golden.py runs the 12-scenario
 ## chaos soak and checks its digest), the fleet determinism and scheme
-## x CC smokes, the figure tests (each paper table/figure regenerated
-## once, its shape asserted), then the benchmark's own tests (every
-## workload completes with failed == 0, sharded digest == serial
-## digest, digests and counts repeat; see bench/README.md)
+## x CC smokes, the figure tests (figures/test_claims.py runs each claim
+## of repro.experiments.claims.CLAIMS that has a figures scale once,
+## prints the table the report writes and asserts every shape verdict),
+## then the benchmark's own tests (every workload completes with
+## failed == 0, sharded digest == serial digest, digests and counts
+## repeat; see bench/README.md)
 test: lint fleet-chaos
 	$(PY) -m pytest -x -q
 	$(MAKE) fleet-smoke
@@ -45,11 +47,10 @@ fleet-smoke:
 ## under sp and xlink; catches a controller that wedges the pump or
 ## produces degenerate QoE before the full report runs
 cc-smoke:
-	@$(PY) -c "from repro.experiments.report import section_ccmatrix; \
-		s = section_ccmatrix(2); \
-		rows = [l for l in s.body.splitlines() \
-		if l.startswith('|')][2:]; \
-		assert len(rows) == 10, s.body; \
+	@$(PY) -c "from repro.experiments.claims import CLAIMS; \
+		[claim] = [c for c in CLAIMS if c.name == 'ccmatrix']; \
+		header, rows = claim.table(claim.run(2)); \
+		assert len(rows) == 10, rows; \
 		print('cc-smoke: %d scheme x cc matrix rows' % len(rows))"
 
 ## 12 fixed-seed chaos scenarios; fails on any uncaught exception or

@@ -29,7 +29,6 @@ from repro.experiments.harness import PathSpec
 from repro.experiments.parallel import (SessionTask, resolve_workers,
                                         run_fleet)
 from repro.host.specs import SchemeLike, scheme_name, scheme_paths
-from repro.metrics.qoe import improvement_percent
 from repro.metrics.sink import MetricSink
 from repro.netem import OutageSchedule
 from repro.sim.rng import derive_seed, make_rng
@@ -220,11 +219,3 @@ def run_ab_test(cfg: ABTestConfig, schemes: Sequence[SchemeLike]
                 ) -> List[MetricSink]:
     """Run the full multi-day A/B test: one sink per day, day 1 first."""
     return [run_ab_day(cfg, day, schemes) for day in range(1, cfg.days + 1)]
-
-
-def daily_improvement(days: Sequence[MetricSink], baseline: str,
-                      treatment: str) -> List[float]:
-    """Per-day rebuffer-rate improvement (%) of treatment over baseline."""
-    return [improvement_percent(day.schemes[baseline].rebuffer_rate,
-                                day.schemes[treatment].rebuffer_rate)
-            for day in days]

@@ -1,0 +1,685 @@
+"""The paper's claims: one table behind ``figures/`` and ``repro report``.
+
+``CLAIMS`` holds one :class:`Claim` per figure or table of the paper's
+evaluation and per section only the report shows.  The transport and
+``bench/`` never import this module.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, replace
+from math import inf
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
+
+from repro.core import ReinjectionMode
+from repro.experiments.abtest import ABTestConfig, run_ab_day, run_ab_test
+from repro.experiments.campaign import FleetCampaign
+from repro.experiments.dynamics import (FIG6_MODES, run_fig1_dynamics,
+                                        run_fig6_dynamics)
+from repro.experiments.energyexp import FIG14_SIZES, normalize, run_fig14
+from repro.experiments.firstframe import FIG12_PERCENTILES, run_fig12
+from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
+                                     run_fleet_driver)
+from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
+                                       run_video_session, scheme_with_cc)
+from repro.experiments.mobility import FIG13_SCHEMES, run_fig13
+from repro.experiments.pathexp import FIG7_FRAME_SIZES, run_fig7, run_fig8
+from repro.experiments.thresholds import (PAPER_THRESHOLD_SETTINGS,
+                                          run_threshold_sweep)
+from repro.metrics import MetricSink, percentile
+from repro.netem import OutageSchedule
+from repro.traces import (CROSS_ISP_DELAY_INCREASE, RADIO_PROFILES,
+                          RadioType, campus_walk_wifi_trace, cross_isp_delay,
+                          extreme_mobility_trace_pairs,
+                          trace_mean_throughput_bps)
+from repro.video import PlayerConfig, make_video
+
+#: a table: its header and its rows of formatted cells
+Table = Tuple[List[str], List[List]]
+#: a shape verdict: does the bound hold, and what it says
+Verdict = Tuple[bool, str]
+
+
+@dataclass
+class ReportSection:
+    title: str
+    body: str
+
+
+def markdown_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    out = ["| " + " | ".join(str(h) for h in header) + " |",
+           "|" + "---|" * len(header)]
+    for row in rows:
+        out.append("| " + " | ".join(str(c) for c in row) + " |")
+    return "\n".join(out)
+
+
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A driver call, the table it regenerates, the shape it shows (in
+    ``shape``'s verdicts and docstring), the paper's value and the
+    EXPERIMENTS.md Known delta that excuses a miss.
+
+    ``run`` takes ``figures`` at the scale ``figures/`` runs, or what
+    ``scale`` makes of a report scale (users per day, days, mobility
+    traces); the report leaves out a claim without ``scale``.
+    """
+
+    name: str              # the test id and the report's section key
+    run: Callable[[Any], Any]
+    table: Optional[Callable[[Any], Table]]
+    shape: Callable[[Any], Iterable[Verdict]] = lambda result: ()
+    figures: Any = None
+    scale: Optional[Callable[[int, int, int], Any]] = None
+    title: str = ""        # default: the first line of shape's docstring
+    paper: str = ""
+    delta: int = 0
+    more: Callable[[Any], List[ReportSection]] = lambda result: []
+
+    def sections(self, result: Any) -> List[ReportSection]:
+        """The markdown the report writes and ``figures/`` prints."""
+        if self.table is None:
+            return self.more(result)
+        body = markdown_table(*self.table(result))
+        if self.paper:
+            body += f"\n\nPaper: {self.paper}"
+        if self.delta:
+            body += f" (Known delta #{self.delta} in EXPERIMENTS.md)"
+        title = self.title or self.shape.__doc__.split("\n")[0].rstrip(".")
+        return [ReportSection(title, body)] + self.more(result)
+
+    def section(self, users: int, days: int,
+                traces: int) -> List[ReportSection]:
+        """This claim at one report scale: ``report.SECTIONS``' entry."""
+        return self.sections(self.run(self.scale(users, days, traces)))
+
+
+def fig6(results) -> Iterable[Verdict]:
+    """Fig. 6: how Alg. 1 overcomes MP-HoL blocking with reduced cost.
+
+    Replays the same two-path network (path 1 blacks out in [2, 5) s) for
+    the three configurations of Fig. 6b-6d and compares buffer dynamics
+    and re-injected bytes.  The paper's shapes:
+
+    - vanilla-MP's buffer collapses during the degradation (rebuffering);
+    - both re-injection variants keep the buffer up;
+    - without QoE control, re-injection is used recklessly (large
+      redundant traffic); with QoE control the cost drops substantially.
+    """
+    vanilla, no_qoe, qoe = (results[mode] for mode in (
+        "vanilla_mp", "reinject_no_qoe", "reinject_with_qoe"))
+    v_buf, n_buf, q_buf = (r.min_buffer_in(2.0, 5.2)
+                           for r in (vanilla, no_qoe, qoe))
+    yield v_buf < 0.5 * n_buf, "vanilla's buffer < 0.5 x no-QoE's"
+    yield v_buf < 0.05 * q_buf, "vanilla's buffer < 0.05 x QoE's"
+    yield vanilla.rebuffer_time > 0, "vanilla stalls"
+    yield qoe.rebuffer_time == 0, "QoE-controlled re-injection never stalls"
+    # reckless re-injection's load eats the surviving path (Sec. 5.2)
+    yield (no_qoe.rebuffer_time <= vanilla.rebuffer_time,
+           "no-QoE stalls no longer than vanilla")
+    yield q_buf > n_buf, "QoE's buffer > no-QoE's"
+    yield vanilla.total_reinjected() == 0, "vanilla re-injects nothing"
+    yield (qoe.total_reinjected() < 0.7 * no_qoe.total_reinjected(),
+           "QoE re-injects < 0.7 x no-QoE")
+
+
+def fig7(sweep) -> Iterable[Verdict]:
+    """Fig. 7: first-video-frame delivery time vs primary path choice.
+
+    Sweeps first-frame sizes from 128 KB to 2 MB and starts the multipath
+    connection from either the Wi-Fi or the 5G SA interface.  The paper's
+    shape: the 5G primary delivers the first frame faster (its path delay
+    is much lower), and the influence of primary selection is significant
+    -- which motivates wireless-aware primary path selection (Sec. 5.3).
+    """
+    for (size, wifi), (_, nr) in zip(sweep["wifi"][:3], sweep["5g"][:3]):
+        yield nr < wifi, f"5G primary should win at {size} bytes"
+    for primary in ("wifi", "5g"):
+        times = [t for _, t in sweep[primary]]
+        yield times == sorted(times), f"{primary} grows with the frame"
+
+
+def fig8(sweep) -> Iterable[Verdict]:
+    """Fig. 8: ACK_MP return-path strategies with Cubic.
+
+    Downloads a 4 MB load over two equal-bandwidth paths while sweeping
+    the RTT ratio from 1:1 to 8:1, comparing ACK_MP on the min-RTT path
+    (XLINK's choice) against ACK_MP on the original path (MPTCP-style).
+    The paper's shape: the strategies are comparable at small ratios, and
+    the fastest-path return gains an advantage as the ratio grows because
+    faster ack return lets Cubic's window grow faster.
+    """
+    fast, orig = dict(sweep["fastest"]), dict(sweep["original"])
+    yield fast[1] <= orig[1] * 1.10, "equivalent at 1:1"
+    top = max(fast)
+    yield fast[top] < orig[top], "min-RTT return wins at the top ratio"
+
+
+def _pooled(days: Sequence[MetricSink]) -> Dict[str, Dict]:
+    """The ``all`` row: pooled RCTs, mean daily rebuffer rate and cost."""
+    merged = MetricSink()
+    for day in days:
+        merged.merge(day)
+    pooled = merged.as_dict()
+    for name, summary in pooled.items():
+        daily = [day.schemes[name] for day in days]
+        summary["rebuffer_rate"] = _mean(d.rebuffer_rate for d in daily)
+        summary["traffic_overhead_percent"] = _mean(
+            d.traffic_overhead_percent for d in daily)
+    return pooled
+
+
+def _report():
+    # The report holds the population renderers and imports this
+    # module, so it is imported where a population table renders.
+    from repro.experiments import report
+    return report
+
+
+def _days_table(days) -> Table:
+    header, rows = _report().day_series([day.as_dict() for day in days]
+                                        + [_pooled(days)])
+    rows[-1][0] = "all"
+    return header, rows
+
+
+def fig1c(days) -> Iterable[Verdict]:
+    """Fig. 1c + Table 1: A/B test of vanilla-MP vs single-path QUIC.
+
+    Runs the day-by-day population A/B and reports per-day request
+    completion time percentiles (Fig. 1c) and the rebuffer-rate change
+    (Table 1).  The paper's findings to reproduce in shape:
+
+    - vanilla-MP often *degrades* the 99th-percentile RCT vs SP (up to
+      +28% in the paper);
+    - vanilla-MP's aggregate rebuffer rate is *worse* than SP's (all
+      seven Table-1 entries are negative).
+    """
+    pooled = _pooled(days)
+    sp, mp = pooled["sp"], pooled["vanilla_mp"]
+    yield mp["rct_p99"] > sp["rct_p99"], "vanilla-MP's p99 RCT is worse"
+    yield (mp["rebuffer_rate"] > sp["rebuffer_rate"],
+           "Table 1 shape: vanilla-MP rebuffer rate must be worse than SP")
+
+
+def fig11(days) -> Iterable[Verdict]:
+    """Fig. 11 + Table 3: A/B test of XLINK vs single-path QUIC.
+
+    The paper's headline result: XLINK consistently outperforms SP in
+    both median and tail request completion time (2.3-8.9% / 9.4-34% /
+    19-50% at p50/p95/p99) and cuts the rebuffer rate by 23.8-67.7%
+    (Table 3), at ~2.1% redundant traffic.  This bench reproduces the
+    comparative shapes: XLINK's aggregate p95/p99 RCT no worse than SP,
+    its rebuffer rate substantially lower, and the traffic overhead a
+    small single-digit percentage.
+    """
+    pooled = _pooled(days)
+    sp, xl = pooled["sp"], pooled["xlink"]
+    for key in ("rct_p95", "rct_p99"):
+        yield xl[key] <= sp[key] * 1.10, f"XLINK {key} <= 1.10 x SP's"
+    yield (xl["rebuffer_rate"] < sp["rebuffer_rate"],
+           "Table 3 shape: XLINK's rebuffer rate is lower")
+    # leaner-Wi-Fi buffers let Alg. 1 re-inject more than production's
+    yield (xl["traffic_overhead_percent"] < 15.0,
+           "mean redundant traffic < 15%")
+
+
+#: seed of the report's fleet day and campaign
+FLEET_SEED = 11
+
+
+def _fleet_day(users: int):
+    cfg = FleetConfig(users=users, seed=FLEET_SEED)
+    return cfg, run_fleet_driver(ABPopulationDriver(cfg))
+
+
+def _fleet_sections(result) -> List[ReportSection]:
+    cfg, run = result
+    header = (f"{cfg.users} users split-population over "
+              f"{', '.join(cfg.schemes)}; {run.result.shards} shards, "
+              f"{run.result.workers_effective} effective workers, "
+              f"{run.sessions_per_sec:.1f} sessions/sec.\n"
+              f"Merged digest `{run.sink.digest()[:16]}`.")
+    first, *rest = _report().fleet_sections(run.sink, seed=FLEET_SEED)
+    return [ReportSection(first.title, header + "\n\n" + first.body), *rest]
+
+
+#: every controller drives SP and XLINK over one seeded population
+CC_MATRIX_SCHEMES = ("sp", "xlink")
+CC_MATRIX_CCS = ("cubic", "newreno", "lia", "bbr", "mpbbr")
+
+
+def _cc_matrix(users: int):
+    cfg = ABTestConfig(users_per_day=users, seed=5)
+    matrix = []
+    for cc in CC_MATRIX_CCS:
+        schemes = [scheme_with_cc(s, cc) for s in CC_MATRIX_SCHEMES]
+        sink = run_ab_day(cfg, 1, schemes)
+        matrix += [(base, cc, sink.schemes[scheme.name])
+                   for base, scheme in zip(CC_MATRIX_SCHEMES, schemes)]
+    return matrix
+
+
+def fig12(result) -> Iterable[Verdict]:
+    """Fig. 12: first-video-frame latency with/without acceleration.
+
+    Compares first-frame latency improvements over SP at percentiles for
+    XLINK with first-video-frame acceleration and without it.  The
+    paper's shapes: without acceleration the tail is *worse* than SP
+    (about -14% at p99 in the paper) because of the slow path's excessive
+    delay; with acceleration the latency improves, and the improvement
+    grows toward the tail (paper: >32% at p99).
+    """
+    ffa, no_ffa = result.with_acceleration, result.without_acceleration
+    for p in (99, 95):
+        yield no_ffa[p] < 0, f"without FFA p{p} is worse than SP"
+        yield ffa[p] > no_ffa[p], f"FFA beats no FFA at p{p}"
+    yield ffa[99] > -5.0, "FFA p99 is not worse than SP (> -5%)"
+    yield (ffa[99] - no_ffa[99] > ffa[50] - no_ffa[50],
+           "the FFA gap grows toward the tail")
+
+
+def _fig13_means(results) -> Dict[str, Tuple[float, float]]:
+    """Per scheme, the mean over traces of the median and the max."""
+    return {s: (_mean(r.median(s) for r in results),
+                _mean(r.maximum(s) for r in results)) for s in FIG13_SCHEMES}
+
+
+def fig13(results) -> Iterable[Verdict]:
+    """Fig. 13: extreme mobility -- request download time across schemes.
+
+    Replays subway and high-speed-rail trace pairs and measures per-chunk
+    request download time (median + max) for SP, vanilla-MP, MPTCP, CM
+    and XLINK.  The paper's shapes:
+
+    - SP performs poorly (no mobility support);
+    - CM improves on SP in some traces but is not responsive enough under
+      frequent hand-offs;
+    - MPTCP and vanilla-MP improve sometimes but suffer MP-HoL blocking;
+    - XLINK consistently gives the smallest median and max times.
+    """
+    means = _fig13_means(results)
+    xl_median, xl_max = means["xlink"]
+    for baseline in ("sp", "vanilla_mp", "cm"):
+        median, top = means[baseline]
+        yield xl_median <= median * 1.05, f"XLINK median beats {baseline}"
+        yield xl_max <= top * 1.05, f"XLINK max beats {baseline}"
+    # MPTCP is the "mptcp" scheme on the one QUIC stack; always-on
+    # re-injection of every overdue range buys it tail latency on these
+    # traces (Known delta #4), so XLINK need only stay within a margin.
+    median, top = means["mptcp"]
+    yield xl_median <= median * 1.45, "XLINK median <= 1.45 x MPTCP's"
+    yield xl_max <= top * 1.45, "XLINK max <= 1.45 x MPTCP's"
+    yield xl_max < means["sp"][1], "XLINK's max beats SP's"
+
+
+def fig14(points) -> Iterable[Verdict]:
+    """Fig. 14: normalized energy per bit vs throughput.
+
+    Downloads fixed loads over Wi-Fi, LTE, NR alone and Wi-Fi-LTE /
+    Wi-Fi-NR with XLINK (each link capped at 30 Mbps) and reports the
+    normalized (energy-per-bit, throughput) points.  The paper's shapes:
+
+    - both multipath configurations show large throughput gains over
+      their single-path counterparts;
+    - Wi-Fi-LTE / Wi-Fi-NR improve energy-per-bit over LTE / NR alone
+      (the baseline power amortizes over a faster transfer);
+    - Wi-Fi alone remains the most energy-efficient, so multipath is a
+      throughput/energy trade-off.
+    """
+    raw = {p.config: p for p in points}
+    for multi, cell in (("WiFi-LTE", "LTE"), ("WiFi-NR", "NR")):
+        for single in ("WiFi", cell):
+            yield (raw[multi].throughput_mbps > raw[single].throughput_mbps,
+                   f"{multi} outruns {single}")
+        yield (raw[multi].energy_per_bit_j < raw[cell].energy_per_bit_j,
+               f"{multi} spends fewer J/bit than {cell}")
+    yield (raw["WiFi"].energy_per_bit_j
+           == min(p.energy_per_bit_j for p in points),
+           "Wi-Fi alone is the most efficient")
+
+
+def fig1(dynamics) -> Iterable[Verdict]:
+    """Fig. 1a/1b: vanilla-MP in fast-varying wireless environments.
+
+    Replays the campus-walk Wi-Fi trace (with its throughput collapse at
+    t = 1.7-2.2 s) and the stable LTE trace under the min-RTT scheduler,
+    sampling each path's in-flight bytes and CWND.  The paper's finding:
+    the CWND cannot follow the Wi-Fi collapse, so the scheduler keeps the
+    in-flight bytes high (they even *grow* around t = 1.8 s), setting up
+    multi-path HoL blocking.
+    """
+    wifi, lte = dynamics[0], dynamics[1]
+    trace = campus_walk_wifi_trace(duration_s=3.0, seed=1)
+    yield (len([t for t in trace if 1700 <= t < 2200])
+           < len([t for t in trace if 1200 <= t < 1700]) / 5,
+           "the Wi-Fi trace collapses in the outage window")
+    yield (wifi.max_inflight_in(1.8, 2.2)
+           > 0.5 * wifi.max_inflight_in(1.2, 1.7),
+           "Wi-Fi in-flight stays high through the outage")
+    yield lte.max_inflight_in(1.8, 2.2) > 0, "LTE keeps flowing"
+
+
+def fig10(results) -> Iterable[Verdict]:
+    """Fig. 10 + Table 2: buffer level and cost vs the double thresholds.
+
+    Sweeps the paper's threshold settings -- re-injection off, (95,80),
+    (90,80), (90,60), (60,50), (60,1), (1,1) -- where (X,Y) are
+    percentiles of the measured play-time-left distribution.  The paper's
+    shapes to reproduce:
+
+    - re-injection off -> buffer tail levels drop significantly;
+    - (1,1) == no QoE control -> the highest traffic overhead;
+    - moderate settings like (95,80) achieve most of the buffer benefit
+      at a small fraction of the cost;
+    - the Table-2 danger-level (<50 ms) fraction shrinks vs SP for the
+      re-injecting settings.
+    """
+    by_label = {r.label: r for r in results}
+    off, no_qoe = by_label["re-inj. off"], by_label["1-1"]
+    moderate = by_label["95-80"]
+    yield off.cost_percent == 0.0, "re-injection off pays nothing"
+    yield (no_qoe.cost_percent == max(r.cost_percent for r in results),
+           "(1,1) = QoE control off is the costliest")
+    yield (moderate.cost_percent < 0.6 * no_qoe.cost_percent,
+           "(95,80) costs < 0.6 x (1,1)")
+    for r in (moderate, no_qoe):
+        yield (r.danger_reduction_percent > off.danger_reduction_percent,
+               f"{r.label} cuts <50 ms samples more than re-inj. off")
+
+
+def fig15(pairs) -> Iterable[Verdict]:
+    """Fig. 15: trace examples (high-speed-rail cellular / Wi-Fi traces).
+
+    Generates the mobility trace catalog and verifies the properties the
+    paper's trace plots show: realistic mean capacities, deep periodic
+    fades (tunnels / hand-offs), and per-environment pairing of cellular
+    and onboard-Wi-Fi captures that can be replayed together as a
+    multipath trace (Fig. 15c).
+    """
+    yield len(pairs) == 10, "the catalog holds 10 pairs"
+    for pair in pairs:
+        for key in ("cellular_ms", "wifi_ms"):
+            trace, which = pair[key], f"trace {pair['trace_id']}/{key}"
+            # some 1 s window carries < 1/4 of the busiest one
+            counts = [len([t for t in trace if s <= t < s + 1000])
+                      for s in range(0, 30000, 1000)]
+            yield min(counts) < max(counts) / 4, f"{which} lacks deep fades"
+            mbps = trace_mean_throughput_bps(trace) / 1e6
+            yield 0.5 < mbps < 20.0, f"{which}'s capacity is sane"
+
+
+def _rtt_samples(samples: int):
+    rng = random.Random(0)
+    return {radio: sorted(profile.sample_rtt(rng) for _ in range(samples))
+            for radio, profile in RADIO_PROFILES.items()}
+
+
+def _rtt_ratios(samples) -> List[float]:
+    """LTE over Wi-Fi and over 5G SA at the median, over Wi-Fi at p90."""
+    return [percentile(samples[RadioType.LTE], p) / percentile(samples[r], p)
+            for r, p in ((RadioType.WIFI, 50), (RadioType.NR_SA, 50),
+                         (RadioType.WIFI, 90))]
+
+
+def _sec32_table(samples) -> Table:
+    wifi, nr_sa, p90 = _rtt_ratios(samples)
+    return (["radio", "median (ms)", "p90 (ms)"],
+            [[str(radio), f"{percentile(values, 50) * 1000:.1f}",
+              f"{percentile(values, 90) * 1000:.1f}"]
+             for radio, values in samples.items()]
+            + [["LTE / WiFi", f"{wifi:.2f}x", f"{p90:.2f}x"],
+               ["LTE / NR_SA", f"{nr_sa:.2f}x", "—"]])
+
+
+def sec32(samples) -> Iterable[Verdict]:
+    """Sec. 3.2 + Table 4: path delays in heterogeneous networks.
+
+    Samples the per-radio delay models and reproduces the measured
+    statistics: median LTE path delay = 2.7x Wi-Fi and 5.5x 5G SA, 90th
+    percentile LTE = 3.3x Wi-Fi, and the cross-ISP delay inflation matrix
+    of Table 4 (up to ~50% when the secondary path crosses ISP borders).
+    """
+    def near(value, expected, rel):   # pytest.approx's test
+        return abs(value - expected) <= max(rel * expected, 1e-12)
+    for ratio, paper, rel in zip(_rtt_ratios(samples), (2.7, 5.5, 3.3),
+                                 (0.15, 0.15, 0.2)):
+        yield near(ratio, paper, rel), f"LTE ratio within {rel} of {paper}"
+    worst = max(v for row in CROSS_ISP_DELAY_INCREASE.values()
+                for v in row.values())
+    yield near(worst, 0.54, 1e-6), "Table 4's worst pair is +54%"
+    yield (near(cross_isp_delay(0.1, "B", "C"), 0.154, 1e-6),
+           "100 ms across the B -> C border is 154 ms")
+
+
+def _reinjection_sessions(modes: Dict[str, ReinjectionMode]):
+    paths = [PathSpec(net_path_id=0, radio=RadioType.WIFI,
+                      one_way_delay_s=0.012, rate_bps=9e6,
+                      outages=OutageSchedule(windows=[(2.0, 5.0)])),
+             PathSpec(net_path_id=1, radio=RadioType.LTE,
+                      one_way_delay_s=0.045, rate_bps=5e6)]
+    video = make_video(name="abl", duration_s=12.0, bitrate_bps=2_500_000,
+                       seed=7)
+    return {name: run_video_session(
+        SCHEMES["vanilla_mp"] if mode is ReinjectionMode.NONE
+        else replace(SCHEMES["xlink"], name=f"_abl_{name}",
+                     reinjection_mode=mode),
+        paths, video=video, player_config=PlayerConfig(max_buffer_s=2.0),
+        timeout_s=60.0, seed=3) for name, mode in modes.items()}
+
+
+def ablation_reinjection_modes(results) -> Iterable[Verdict]:
+    """Ablation: re-injection insertion modes (Fig. 4a vs 4b vs 4c).
+
+    Runs the same stressed two-path session (Wi-Fi blackout mid-play,
+    multiple concurrent chunk streams) under the three insertion policies
+    of Fig. 4 -- traditional appending, stream-priority, and
+    frame-priority -- plus no re-injection at all.  Design claims to
+    verify:
+
+    - any re-injection beats none on rebuffer time (MP-HoL rescue);
+    - the priority modes deliver the *urgent* stream no later than the
+      appending mode, which parks duplicates behind later streams.
+    """
+    stall = {name: r.metrics.rebuffer_time for name, r in results.items()}
+    modes = ("appending", "stream-priority", "frame-priority")
+    for name in modes:
+        yield stall[name] < stall["none"], f"{name} rescues the stall"
+    for name in modes[1:]:
+        yield (stall[name] <= stall["appending"] + 0.25,
+               f"{name} stalls no longer than appending + 0.25 s")
+    for name in modes:
+        yield results[name].reinjected_bytes > 0, f"{name} re-injects"
+
+
+def _coupled_cc(load: int):
+    paths = [PathSpec(net_path_id=0, radio=RadioType.WIFI,
+                      one_way_delay_s=0.015, rate_bps=6e6),
+             PathSpec(net_path_id=1, radio=RadioType.LTE,
+                      one_way_delay_s=0.040, rate_bps=6e6)]
+    return load, {cc: run_bulk_download(
+        scheme_with_cc("vanilla_mp", cc), paths, load, timeout_s=120.0,
+        seed=5).download_time_s for cc in ("cubic", "newreno", "lia")}
+
+
+def ablation_coupled_cc(result) -> Iterable[Verdict]:
+    """Ablation: decoupled vs coupled (LIA) congestion control (Sec. 9).
+
+    The paper runs decoupled Cubic because Wi-Fi and cellular rarely
+    share a bottleneck, but notes the coupled variant is preferred for
+    fairness when they do.  This bench verifies the mechanism trade-off:
+
+    - on *disjoint* bottlenecks, decoupled CC matches or beats coupled
+      (LIA deliberately grows slower to bound aggregate aggressiveness);
+    - the coupled connection still completes and aggregates both paths.
+    """
+    load, times = result
+    for cc, t in times.items():
+        yield t is not None, f"{cc} completes the load"
+    for cc, t in times.items():
+        yield t is not None and t < load * 8 / 6e6, f"{cc} failed to aggregate"
+    yield (times["lia"] >= min(times["cubic"], times["newreno"]) * 0.9,
+           "LIA is no more aggressive than decoupled CC")
+
+
+#: every claim; the report writes its sections in this order
+CLAIMS: Tuple[Claim, ...] = (
+    Claim("fig6", lambda modes: {m: run_fig6_dynamics(m) for m in modes},
+          lambda results: (
+              ["mode", "min buffer (blackout)", "rebuffer", "re-injected",
+               "redundancy"],
+              [[mode, f"{s.min_buffer_in(2.0, 5.2) / 1e3:.0f} KB",
+                f"{s.rebuffer_time:.2f} s",
+                f"{s.total_reinjected() / 1e3:.0f} KB",
+                f"{s.redundancy_percent:.1f}%"]
+               for mode, s in results.items()]),
+          fig6, figures=FIG6_MODES, scale=lambda users, days, traces:
+          FIG6_MODES, paper="vanilla-MP stalls; QoE control cuts the cost."),
+    Claim("fig7", lambda sizes: run_fig7(frame_sizes=sizes),
+          lambda sweep: (
+              ["first frame", "WiFi primary", "5G primary"],
+              [[f"{size // 1024} KB", f"{wifi * 1000:.0f} ms",
+                f"{nr * 1000:.0f} ms"] for (size, wifi), (_, nr)
+               in zip(sweep["wifi"], sweep["5g"])]),
+          fig7, figures=FIG7_FRAME_SIZES, scale=lambda users, days, traces:
+          (128 * 1024, 512 * 1024, 2 * 1024 ** 2),
+          paper="the 5G primary delivers the first frame faster."),
+    Claim("fig8", lambda ratios: run_fig8(ratios=ratios),
+          lambda sweep: (
+              ["RTT ratio", "min-RTT path", "original path"],
+              [[f"{ratio}:1", f"{fast:.2f} s", f"{orig:.2f} s"]
+               for (ratio, fast), (_, orig) in zip(sweep["fastest"],
+                                                   sweep["original"])]),
+          fig8, figures=(1, 2, 4, 6, 8),
+          scale=lambda users, days, traces: (1, 4, 8),
+          paper="comparable at small RTT ratios; min-RTT wins from ~3:1.",
+          delta=3),
+    Claim("fig1c", lambda scale: run_ab_test(ABTestConfig(
+              users_per_day=scale[0], days=scale[1], seed=3),
+              ["sp", "vanilla_mp"]), _days_table, fig1c,
+          figures=(14, 4), scale=lambda users, days, traces: (users, days),
+          paper="p99 RCT up to 28% worse; rebuffer rate 34-96% worse."),
+    # The XLINK A/B ran in a different fortnight than the vanilla-MP
+    # study (Sec. 3.3 vs Sec. 7.2): leaner Wi-Fi, more hand-off outages.
+    Claim("fig11", lambda scale: run_ab_test(ABTestConfig(
+              users_per_day=scale[0], days=scale[1], seed=3,
+              wifi_rate_mu=15.5, wifi_outage_prob=0.25),
+              ["sp", "xlink"]), _days_table, fig11,
+          figures=(14, 4), scale=lambda users, days, traces: (users, days),
+          paper="RCT 2.3-8.9/9.4-34/19-50% better at p50/95/99, "
+                "rebuffer rate 23.8-67.7% lower, 2.1% redundancy.",
+          delta=2),
+    # the fleet's 2 s clip is cheap: 8x the per-day A/B cohort
+    Claim("fleet", _fleet_day, None, more=_fleet_sections,
+          scale=lambda users, days, traces: users * 8),
+    Claim("campaign", lambda scale: FleetCampaign(FleetConfig(
+              users=scale[0], days=scale[1], seed=FLEET_SEED)).run(),
+          None, more=lambda result: [_report().campaign_day_section(result)],
+          scale=lambda users, days, traces: (users * 4, days)),
+    Claim("ccmatrix", _cc_matrix, lambda matrix: (
+              ["scheme", "cc", "RCT p50 (s)", "RCT p95 (s)", "RCT p99 (s)",
+               "rebuffer", "cost"],
+              [[base, cc] + [f"{day.rct.percentile(p):.3f}"
+                             for p in (50, 95, 99)]
+               + [f"{day.rebuffer_rate * 100:.2f}%",
+                  f"{day.traffic_overhead_percent:.1f}%"]
+               for base, cc, day in matrix]),
+          scale=lambda users, days, traces: users,
+          title="Scheme × CC matrix — per-controller QoE (one A/B day)"),
+    Claim("fig12",
+          lambda users: run_fig12(ABTestConfig(users_per_day=users, seed=7)),
+          lambda result: (
+              ["percentile", "with acceleration", "without"],
+              [[f"p{pct}", f"{result.with_acceleration[pct]:+.1f}%",
+                f"{result.without_acceleration[pct]:+.1f}%"]
+               for pct in FIG12_PERCENTILES]),
+          fig12, figures=14, scale=lambda users, days, traces: users,
+          paper="p99 14% worse than SP without FFA, >32% better with.",
+          delta=5),
+    Claim("fig13",
+          lambda traces: run_fig13(n_traces=traces, duration_s=30.0, seed=2),
+          lambda results: (["trace (median/max s)", *FIG13_SCHEMES], [
+              [f"{r.trace_id} ({r.environment[:6]})"]
+              + [f"{r.median(s):.2f}/{r.maximum(s):.2f}"
+                 for s in FIG13_SCHEMES] for r in results] + [
+              ["mean"] + [f"{median:.2f}/{top:.2f}" for median, top
+                          in _fig13_means(results).values()]]),
+          fig13, figures=4, scale=lambda users, days, traces: traces,
+          paper="XLINK consistently has the smallest median and max.",
+          delta=4),
+    Claim("fig14", lambda sizes: run_fig14(sizes=sizes), lambda points: (
+              ["config", "norm J/bit", "norm throughput", "raw Mbps",
+               "raw nJ/bit"],
+              [[p.config, f"{p.energy_per_bit_j:.2f}",
+                f"{p.throughput_mbps:.2f}", f"{raw.throughput_mbps:.1f}",
+                f"{raw.energy_per_bit_j * 1e9:.1f}"]
+               for p, raw in zip(normalize(points), points)]), fig14,
+          figures=FIG14_SIZES,
+          scale=lambda users, days, traces: (4_000_000,),
+          paper="multipath outruns one radio; Wi-Fi alone is cheapest."),
+    Claim("fig1", lambda seconds: run_fig1_dynamics(duration_s=seconds),
+          lambda dynamics: (
+              ["window (s)", "wifi max in-flight (B)",
+               "lte max in-flight (B)"],
+              [[f"{t0:.1f}-{t0 + 0.5:.1f}",
+                dynamics[0].max_inflight_in(t0, t0 + 0.5),
+                dynamics[1].max_inflight_in(t0, t0 + 0.5)]
+               for t0 in (0.0, 0.6, 1.2, 1.7, 2.2, 2.8)]),
+          fig1, figures=3.0,
+          paper="Wi-Fi's in-flight bytes stay high through its collapse."),
+    Claim("fig10", lambda users: run_threshold_sweep(
+              ABTestConfig(users_per_day=users, seed=5),
+              settings=PAPER_THRESHOLD_SETTINGS),
+          lambda results: (
+              ["threshold", "buf p90 (%)", "buf p95 (%)", "buf p99 (%)",
+               "cost", "<50ms reduction (%)"],
+              [[r.label, f"{r.buffer_improvement_p90:+.1f}",
+                f"{r.buffer_improvement_p95:+.1f}",
+                f"{r.buffer_improvement_p99:+.1f}", f"{r.cost_percent:.1f}%",
+                f"{r.danger_reduction_percent:+.1f}"] for r in results]),
+          fig10, figures=12,
+          paper="(1,1) costs ~15%; (95,80) cuts <50 ms samples 66% at 2.1%.",
+          delta=2),
+    Claim("fig15",
+          lambda seconds: extreme_mobility_trace_pairs(duration_s=seconds),
+          lambda pairs: (
+              ["trace", "environment", "cellular (Mbps)", "wifi (Mbps)"],
+              [[pair["trace_id"], pair["environment"]]
+               + [f"{trace_mean_throughput_bps(pair[k]) / 1e6:.1f}"
+                  for k in ("cellular_ms", "wifi_ms")] for pair in pairs]),
+          fig15, figures=30.0,
+          paper="HSR captures with deep periodic fades, paired."),
+    Claim("sec32", _rtt_samples, _sec32_table, sec32, figures=20_000,
+          paper="LTE delay 2.7x Wi-Fi and 5.5x 5G SA at the median, 3.3x "
+                "Wi-Fi at p90; cross-ISP up to +54%.",
+          more=lambda samples: [ReportSection(
+              "Table 4: relative increase of cross-ISP LTE delay",
+              markdown_table(["ISP", "A", "B", "C"], [
+                  [a] + [f"{row[b] * 100:.0f}%" for b in "ABC"]
+                  for a, row in CROSS_ISP_DELAY_INCREASE.items()]))]),
+    Claim("ablation_reinjection_modes", _reinjection_sessions,
+          lambda results: (
+              ["mode", "rebuffer (s)", "worst chunk (s)", "redundancy"],
+              [[name, f"{r.metrics.rebuffer_time:.2f}",
+                f"{max(r.metrics.request_completion_times, default=inf):.2f}",
+                f"{r.redundancy_percent:.1f}%"]
+               for name, r in results.items()]),
+          ablation_reinjection_modes, figures={
+              "none": ReinjectionMode.NONE,
+              "appending": ReinjectionMode.APPENDING,
+              "stream-priority": ReinjectionMode.STREAM_PRIORITY,
+              "frame-priority": ReinjectionMode.FRAME_PRIORITY}),
+    Claim("ablation_coupled_cc", _coupled_cc, lambda result: (
+              ["congestion control", "completion (s)"],
+              [[cc, "—" if t is None else f"{t:.2f}"]
+               for cc, t in result[1].items()]
+              + [["one path at line rate", f"{result[0] * 8 / 6e6:.2f}"]]),
+          ablation_coupled_cc, figures=3_000_000),
+)

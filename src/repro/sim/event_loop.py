@@ -177,6 +177,9 @@ class EventLoop:
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
+        if until is not None and until < self.now:
+            raise ValueError(f"time cannot go backwards: "
+                             f"{until:.9f} < {self.now:.9f}")
         self._running = True
         self._stop_requested = False
         heap = self._heap  # compaction mutates in place, so this local
@@ -194,9 +197,6 @@ class EventLoop:
                     continue
                 time = entry[0]
                 if until is not None and time > until:
-                    if until < self.now:
-                        raise ValueError(f"time cannot go backwards: "
-                                         f"{until:.9f} < {self.now:.9f}")
                     self.now = until
                     break
                 if executed >= max_events:

@@ -1,9 +1,16 @@
 """Tests for the evaluation report generator."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments import report
+from repro.experiments.claims import CLAIMS
 from repro.experiments.report import SCALES, generate_report
 
 
@@ -52,3 +59,32 @@ class TestReport:
         content = out.read_text()
         assert content.startswith("# XLINK reproduction")
         assert "Fig. 6" in content
+
+
+class TestClaimTable:
+    """One claim table feeds ``figures/``, the report and the CLI."""
+
+    def test_one_table_three_readers(self):
+        names = [claim.name for claim in CLAIMS]
+        assert len(set(names)) == len(names)
+        reported = [c.name for c in CLAIMS if c.scale is not None]
+        assert list(report.SECTIONS) == reported
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        sections = next(action for action
+                        in subcommands.choices["report"]._actions
+                        if action.dest == "sections")
+        assert list(sections.choices) == reported
+
+    def test_the_transport_never_loads_the_claims(self):
+        """A bench child imports its workloads; the claim table and the
+        report are not on that path, so they cost no setup or RSS."""
+        root = Path(__file__).resolve().parent.parent
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bench.workloads; print(' '.join(sys.modules))"],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src:."},
+            capture_output=True, text=True, check=True).stdout.split()
+        assert "repro.quic.connection" in loaded
+        assert "repro.experiments.claims" not in loaded
+        assert "repro.experiments.report" not in loaded

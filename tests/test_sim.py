@@ -31,6 +31,23 @@ class TestClock:
             loop.run(until=9.0)
         assert loop.now == 10.0
 
+    def test_cannot_go_backwards_once_drained(self):
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda: None)
+        assert loop.run() == 1.0
+        with pytest.raises(ValueError):
+            loop.run(until=0.5)
+        assert loop.now == 1.0
+
+    def test_cannot_go_backwards_past_cancelled_events(self):
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda: None)
+        loop.run()
+        loop.schedule_at(3.0, lambda: None).cancel()
+        with pytest.raises(ValueError):
+            loop.run(until=0.5)
+        assert loop.now == 1.0
+
 
 class TestEventLoop:
     def test_runs_events_in_time_order(self):
