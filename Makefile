@@ -14,7 +14,7 @@ PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 ## failed == 0, sharded digest == serial digest, digests and counts
 ## repeat; see bench/README.md)
 test: lint fleet-chaos
-	$(PY) -m pytest -x -q
+	$(PY) -m pytest -x -q --durations=15
 	$(MAKE) fleet-smoke
 	$(MAKE) cc-smoke
 	$(PY) -m pytest figures -q

@@ -241,11 +241,11 @@ def _fleet_day(users: int):
 
 
 def _fleet_sections(result) -> List[ReportSection]:
+    # Seeded text only: wall-clock rates and the worker count depend on
+    # the machine (``repro fleet`` prints them on stdout).
     cfg, run = result
     header = (f"{cfg.users} users split-population over "
-              f"{', '.join(cfg.schemes)}; {run.result.shards} shards, "
-              f"{run.result.workers_effective} effective workers, "
-              f"{run.sessions_per_sec:.1f} sessions/sec.\n"
+              f"{', '.join(cfg.schemes)}; {run.result.shards} shards.\n"
               f"Merged digest `{run.sink.digest()[:16]}`.")
     first, *rest = _report().fleet_sections(run.sink, seed=FLEET_SEED)
     return [ReportSection(first.title, header + "\n\n" + first.body), *rest]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -50,8 +51,11 @@ def improvement_percent(baseline: float, treatment: float) -> float:
     """Relative improvement of treatment over baseline, in percent.
 
     Positive = treatment is better (smaller metric).  Matches how the
-    paper reports 'XX% improvement in rebuffer rate / RCT'.
+    paper reports 'XX% improvement in rebuffer rate / RCT'.  Against a
+    zero baseline any worse treatment is an unbounded regression
+    (``-inf``) and an equal one is parity (``0.0``).
     """
     if baseline == 0:
-        return 0.0
+        return 0.0 if treatment == baseline else \
+            math.copysign(math.inf, baseline - treatment)
     return (baseline - treatment) / baseline * 100.0

@@ -51,26 +51,14 @@ class Endpoint:
         self._send_fn(dgram)
 
 
-class _Direction:
-    """One direction of a path: loss -> link -> delay -> endpoint."""
-
-    def __init__(self, loop: EventLoop, link_factory: LinkFactory,
-                 delay_s: float, loss_rate: float,
-                 outages: Optional[OutageSchedule],
-                 rng: random.Random,
-                 deliver: Callable[[Datagram], None]) -> None:
-        self.delay_box = DelayBox(loop, delay_s, deliver)
-        self.link = link_factory(loop, self.delay_box.send)
-        self.loss_box = LossBox(loop, self.link.send, loss_rate=loss_rate,
-                                outages=outages, rng=rng)
-
-    def send(self, dgram: Datagram) -> None:
-        self.loss_box.send(dgram)
-
-
 class EmulatedPath:
     """A bidirectional emulated path between client and server; each
-    direction builds its own link from ``link_factory``."""
+    direction builds its own link from ``link_factory``.
+
+    ``send_from_client`` / ``send_from_server`` are the first stage of
+    each direction: its loss box, or the chaos box
+    :meth:`attach_chaos` puts in front of it.
+    """
 
     def __init__(self, loop: EventLoop, path_id: int,
                  link_factory: LinkFactory,
@@ -82,11 +70,16 @@ class EmulatedPath:
                  rng: Optional[random.Random] = None) -> None:
         self.path_id = path_id
         rng = rng if rng is not None else random.Random(path_id)
-        self.uplink = _Direction(loop, link_factory, one_way_delay_s,
-                                 loss_rate, outages, rng, deliver_to_server)
-        self.downlink = _Direction(loop, link_factory, one_way_delay_s,
-                                   loss_rate, outages, rng, deliver_to_client)
-        self.enabled = True
+        self.up_link = link_factory(
+            loop, DelayBox(loop, one_way_delay_s, deliver_to_server).send)
+        self.up_loss = LossBox(loop, self.up_link.send, loss_rate,
+                               outages, rng)
+        self.down_link = link_factory(
+            loop, DelayBox(loop, one_way_delay_s, deliver_to_client).send)
+        self.down_loss = LossBox(loop, self.down_link.send, loss_rate,
+                                 outages, rng)
+        self.send_from_client = self.up_loss.send
+        self.send_from_server = self.down_loss.send
         self._loop = loop
         #: optional chaos-injection stages (see :mod:`repro.netem.chaos`)
         self.up_chaos: Optional[ChaosBox] = None
@@ -97,32 +90,18 @@ class EmulatedPath:
                      rng: Optional[random.Random] = None) -> None:
         """Insert chaos boxes in front of either direction's pipeline."""
         if up is not None and not up.is_noop():
-            self.up_chaos = ChaosBox(self._loop, self.uplink.send, up,
+            self.up_chaos = ChaosBox(self._loop, self.up_loss.send, up,
                                      rng=rng)
+            self.send_from_client = self.up_chaos.send
         if down is not None and not down.is_noop():
-            self.down_chaos = ChaosBox(self._loop, self.downlink.send, down,
+            self.down_chaos = ChaosBox(self._loop, self.down_loss.send, down,
                                        rng=rng)
-
-    def send_from_client(self, dgram: Datagram) -> None:
-        if not self.enabled:
-            return
-        if self.up_chaos is not None:
-            self.up_chaos.send(dgram)
-        else:
-            self.uplink.send(dgram)
-
-    def send_from_server(self, dgram: Datagram) -> None:
-        if not self.enabled:
-            return
-        if self.down_chaos is not None:
-            self.down_chaos.send(dgram)
-        else:
-            self.downlink.send(dgram)
+            self.send_from_server = self.down_chaos.send
 
     @property
     def down_bytes_out(self) -> int:
         """Downlink bytes delivered -- used for traffic-cost accounting."""
-        return self.downlink.link.stats.bytes_out
+        return self.down_link.stats.bytes_out
 
 
 class MultipathNetwork:
@@ -179,10 +158,18 @@ class MultipathNetwork:
         self.clients[name] = endpoint
         return endpoint
 
-    def add_path(self, path: EmulatedPath) -> None:
-        if path.path_id in self.paths:
-            raise ValueError(f"duplicate path id {path.path_id}")
-        self.paths[path.path_id] = path
+    def _add_path(self, path_id: int, link_factory: LinkFactory,
+                  one_way_delay_s: float, loss_rate: float,
+                  outages: Optional[OutageSchedule],
+                  rng: Optional[random.Random]) -> EmulatedPath:
+        if path_id in self.paths:
+            raise ValueError(f"duplicate path id {path_id}")
+        path = self.paths[path_id] = EmulatedPath(
+            self.loop, path_id, link_factory, one_way_delay_s,
+            deliver_to_client=self._deliver_client,
+            deliver_to_server=self.server._deliver,
+            loss_rate=loss_rate, outages=outages, rng=rng)
+        return path
 
     def add_simple_path(self, path_id: int, rate_bps: float,
                         one_way_delay_s: float, loss_rate: float = 0.0,
@@ -195,14 +182,8 @@ class MultipathNetwork:
             return ConstantRateLink(loop, rate_bps, deliver,
                                     queue_limit_bytes=queue_limit_bytes)
 
-        path = EmulatedPath(
-            self.loop, path_id, factory, one_way_delay_s,
-            deliver_to_client=self._deliver_client,
-            deliver_to_server=self.server._deliver,
-            loss_rate=loss_rate, outages=outages, rng=rng,
-        )
-        self.add_path(path)
-        return path
+        return self._add_path(path_id, factory, one_way_delay_s, loss_rate,
+                              outages, rng)
 
     def add_trace_path(self, path_id: int, trace_ms: Iterable[int],
                        one_way_delay_s: float,
@@ -218,14 +199,8 @@ class MultipathNetwork:
             return TraceDrivenLink(loop, trace, deliver,
                                    queue_limit_bytes=queue_limit_bytes)
 
-        path = EmulatedPath(
-            self.loop, path_id, factory, one_way_delay_s,
-            deliver_to_client=self._deliver_client,
-            deliver_to_server=self.server._deliver,
-            loss_rate=loss_rate, outages=outages, rng=rng,
-        )
-        self.add_path(path)
-        return path
+        return self._add_path(path_id, factory, one_way_delay_s, loss_rate,
+                              outages, rng)
 
     def _from_client(self, dgram: Datagram) -> None:
         path = self.paths.get(dgram.path_id)

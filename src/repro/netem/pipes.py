@@ -8,8 +8,9 @@ nesting stages: loss -> link -> delay -> receiver.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.netem.packet import Datagram
 from repro.sim.event_loop import EventLoop
@@ -20,11 +21,10 @@ DeliverFn = Callable[[Datagram], None]
 class DelayBox:
     """Fixed one-way propagation delay (mm-delay).
 
-    Batched delivery: a run-until-blocked sender hands the box a whole
-    burst of datagrams at one virtual instant, and a fixed delay maps
-    the burst onto one arrival instant -- so the box schedules a single
-    loop event per burst and fans the datagrams out in send order when
-    it fires, instead of one closure + heap push per packet.
+    One FIFO of the datagrams in flight.  A fixed delay cannot reorder
+    them, and the loop runs same-instant events first-scheduled-first,
+    so each datagram's arrival event -- a bound method, like
+    ``ConstantRateLink``'s single slot -- delivers the oldest one.
     """
 
     def __init__(self, loop: EventLoop, delay_s: float,
@@ -34,26 +34,14 @@ class DelayBox:
         self.loop = loop
         self.delay_s = float(delay_s)
         self.deliver = deliver
-        self.packets_forwarded = 0
-        self._batch: List[Datagram] = []
-        self._batch_time = -1.0
+        self._in_flight: Deque[Datagram] = deque()
 
     def send(self, dgram: Datagram) -> None:
-        self.packets_forwarded += 1
-        arrival = self.loop.now + self.delay_s
-        if self._batch and self._batch_time == arrival:
-            self._batch.append(dgram)
-            return
-        self._batch = batch = [dgram]
-        self._batch_time = arrival
-        self.loop.schedule_at(arrival, lambda: self._deliver_batch(batch))
+        self._in_flight.append(dgram)
+        self.loop.schedule_at(self.loop.now + self.delay_s, self._arrive)
 
-    def _deliver_batch(self, batch: List[Datagram]) -> None:
-        if self._batch is batch:
-            self._batch = []
-        deliver = self.deliver
-        for dgram in batch:
-            deliver(dgram)
+    def _arrive(self) -> None:
+        self.deliver(self._in_flight.popleft())
 
 
 @dataclass

@@ -427,12 +427,11 @@ class Connection:
         header = PacketHeader(PacketType.HANDSHAKE,
                               dcid=path.remote_cid.cid,
                               scid=path.local_cid.cid, truncated_pn=pn)
-        aad = encode_header(header)
-        sealed = self.protection.seal(payload, aad, 0, pn)
+        wire = self.protection.seal(payload, encode_header(header), 0, pn)
         self.stats.packets_sent += 1
         path.packets_sent += 1
-        path.bytes_sent += len(aad) + len(sealed)
-        self.sender.send_datagram(self.net_path_of[0], aad + sealed)
+        path.bytes_sent += len(wire)
+        self.sender.send_datagram(self.net_path_of[0], wire)
         if self.config.is_client and not self.established:
             if self._handshake_retransmit_event is not None:
                 self._handshake_retransmit_event.cancel()

@@ -29,22 +29,27 @@ boundary (``tools/lint.py``, rule FFI).
   call verifies the tag; a mismatch raises ``ValueError``.  Each goes
   through the builtin ``_ctypes.call_function``, so a profiler counts
   it as a C call made from this module.
-- Output is written into one preallocated buffer and leaves it as one
-  ``bytes``.  A payload that would not fit raises ``ValueError``
-  before any foreign call: in ``ctypes`` an overflow corrupts memory
-  instead of raising.
+- A sealed datagram is ``header || ciphertext || tag`` with the header
+  as associated data; :meth:`PacketProtection.seal` returns that whole
+  datagram and :meth:`PacketProtection.open` takes it with the header
+  length, so no caller slices or joins the layout.
+- A seal copies the payload into one preallocated buffer, encrypts it
+  there and joins the header to it on the way out; an open copies the
+  whole datagram into that buffer and decrypts it there.  Inputs may
+  be any bytes-like object (only a header that is not ``bytes`` is
+  copied into one).  An input that would not fit the buffer raises
+  ``ValueError`` before any foreign call: in ``ctypes`` an overflow
+  corrupts memory instead of raising.
 - Importing this module runs one known-answer seal and open and raises
   ``ImportError`` naming the library if either fails.
 - ``_seal`` / ``_open`` read 16 bytes of key and 12 of nonce whatever
   they are given, so they stay private: :class:`PacketProtection` is
   what guarantees both lengths.
 
-Inputs may be any bytes-like object (the connection passes
-``memoryview`` slices of the datagram); ``ctypes`` reads ``bytes``
-only, so anything else is copied once.  Virtual time depends on packet
-sizes only, and those are the same under any 16-byte-tag AEAD.
-``tests/test_hotpath_reference.py`` pins the IV and nonce bytes and
-checks the cipher against the GCM specification's Test Case 4.
+Virtual time depends on packet sizes only, and those are the same
+under any 16-byte-tag AEAD.  ``tests/test_hotpath_reference.py`` pins
+the IV and nonce bytes and checks the cipher against the GCM
+specification's Test Case 4.
 """
 
 from __future__ import annotations
@@ -67,8 +72,11 @@ _MAX_PACKET_NUMBER = 1 << 62
 #: the library every foreign call below goes to: the ``_hashlib``
 #: extension, whose symbol lookup finds the ``libcrypto`` it links
 LIBRARY = getattr(_hashlib, "__file__", None)
-#: the largest plaintext one buffer holds (a UDP payload is < 64 KiB)
+#: the largest plaintext one datagram carries (a UDP payload is < 64 KiB)
 MAX_PLAINTEXT = (1 << 16) - TAG_LENGTH
+#: the longest header an opened datagram may lead with; ``packets.py``
+#: encodes at most 517 B (flags, two length-prefixed CIDs, packet number)
+MAX_HEADER = 1 << 10
 
 _EVP_CTRL_GCM_GET_TAG = 0x10
 _EVP_CTRL_GCM_SET_TAG = 0x11
@@ -116,64 +124,66 @@ if not _ready:
     raise ImportError(f"AES-128-GCM: libcrypto through {LIBRARY} did not "
                       f"initialise a cipher context")
 
-_BUFFER = ctypes.create_string_buffer(MAX_PLAINTEXT + TAG_LENGTH)
-_VIEW = memoryview(_BUFFER)
+_BUFFER = ctypes.create_string_buffer(MAX_HEADER + MAX_PLAINTEXT
+                                      + TAG_LENGTH)
+_VIEW = memoryview(_BUFFER).cast("B")
 _OUT_LEN = ctypes.byref(ctypes.c_int())
 _byref = ctypes.byref
 
 
-def _seal(key: bytes, nonce: bytes, plaintext: BytesLike,
-          aad: BytesLike) -> bytes:
-    """AEAD_AES_128_GCM: returns ciphertext || 16-byte tag.
+def _seal(key: bytes, nonce: bytes, payload: BytesLike,
+          header: BytesLike) -> bytes:
+    """AEAD_AES_128_GCM with ``header`` as associated data: returns the
+    datagram ``header || ciphertext || 16-byte tag``.
 
     ``key`` must be 16 ``bytes`` and ``nonce`` 12.
     """
-    length = len(plaintext)
+    length = len(payload)
     if length > MAX_PLAINTEXT:
         raise ValueError(f"plaintext of {length} B exceeds "
                          f"{MAX_PLAINTEXT} B")
-    if type(plaintext) is not bytes:
-        plaintext = bytes(plaintext)
-    if type(aad) is not bytes:
-        aad = bytes(aad)
+    if type(header) is not bytes:
+        header = bytes(header)
+    _VIEW[:length] = payload
     end = _byref(_BUFFER, length)
     if not (_call(_ENCRYPT_INIT, (_SEAL_CTX, None, None, key, nonce)) == 1
             and _call(_ENCRYPT_UPDATE,
-                      (_SEAL_CTX, None, _OUT_LEN, aad, len(aad))) == 1
+                      (_SEAL_CTX, None, _OUT_LEN, header, len(header))) == 1
             and _call(_ENCRYPT_UPDATE,
-                      (_SEAL_CTX, _BUFFER, _OUT_LEN, plaintext, length)) == 1
+                      (_SEAL_CTX, _BUFFER, _OUT_LEN, _BUFFER, length)) == 1
             and _call(_ENCRYPT_FINAL, (_SEAL_CTX, end, _OUT_LEN)) == 1
             and _call(_CIPHER_CTRL, (_SEAL_CTX, _EVP_CTRL_GCM_GET_TAG,
                                      TAG_LENGTH, end)) == 1):
         raise ValueError("AES-128-GCM seal failed")
-    return _VIEW[:length + TAG_LENGTH].tobytes()
+    return header + _VIEW[:length + TAG_LENGTH].tobytes()
 
 
-def _open(key: bytes, nonce: bytes, sealed: BytesLike,
-          aad: BytesLike) -> bytes:
-    """Verify and decrypt ciphertext || tag; ``ValueError`` if the tag
-    does not match.  ``key`` must be 16 ``bytes`` and ``nonce`` 12."""
-    length = len(sealed) - TAG_LENGTH
-    if length < 0:
-        raise ValueError("sealed payload shorter than tag")
-    if length > MAX_PLAINTEXT:
-        raise ValueError(f"ciphertext of {length} B exceeds "
+def _open(key: bytes, nonce: bytes, datagram: BytesLike,
+          header_len: int) -> bytes:
+    """Verify ``datagram`` (``header || ciphertext || tag``, the first
+    ``header_len`` bytes authenticated as associated data) and return
+    its plaintext; ``ValueError`` if the tag does not match.  ``key``
+    must be 16 ``bytes`` and ``nonce`` 12."""
+    size = len(datagram)
+    end = size - TAG_LENGTH
+    if not 0 <= header_len <= MAX_HEADER or end < header_len:
+        raise ValueError("datagram shorter than header and tag")
+    if end - header_len > MAX_PLAINTEXT:
+        raise ValueError(f"ciphertext of {end - header_len} B exceeds "
                          f"{MAX_PLAINTEXT} B")
-    if type(sealed) is not bytes:
-        sealed = bytes(sealed)
-    if type(aad) is not bytes:
-        aad = bytes(aad)
+    _VIEW[:size] = datagram
+    body = _byref(_BUFFER, header_len)
+    tag = _byref(_BUFFER, end)
     if not (_call(_DECRYPT_INIT, (_OPEN_CTX, None, None, key, nonce)) == 1
             and _call(_DECRYPT_UPDATE,
-                      (_OPEN_CTX, None, _OUT_LEN, aad, len(aad))) == 1
-            and _call(_DECRYPT_UPDATE,
-                      (_OPEN_CTX, _BUFFER, _OUT_LEN, sealed, length)) == 1
+                      (_OPEN_CTX, None, _OUT_LEN, _BUFFER, header_len)) == 1
+            and _call(_DECRYPT_UPDATE, (_OPEN_CTX, body, _OUT_LEN, body,
+                                        end - header_len)) == 1
             and _call(_CIPHER_CTRL, (_OPEN_CTX, _EVP_CTRL_GCM_SET_TAG,
-                                     TAG_LENGTH, sealed[length:])) == 1
-            and _call(_DECRYPT_FINAL,
-                      (_OPEN_CTX, _byref(_BUFFER, length), _OUT_LEN)) == 1):
+                                     TAG_LENGTH, tag)) == 1
+            and _call(_DECRYPT_FINAL, (_OPEN_CTX, tag, _OUT_LEN)) == 1):
         raise ValueError("AEAD authentication failed")
-    return _VIEW[:length].tobytes()
+    return _VIEW[header_len:end].tobytes()
 
 
 def _known_answer() -> bool:
@@ -186,7 +196,7 @@ def _known_answer() -> bool:
         "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255")
     sealed = _seal(key, nonce, plaintext, b"")
     try:
-        opened = _open(key, nonce, sealed, b"")
+        opened = _open(key, nonce, sealed, 0)
     except ValueError:
         return False
     return opened == plaintext and sealed[-TAG_LENGTH:] == bytes.fromhex(
@@ -235,19 +245,22 @@ class PacketProtection:
         self.aes_key = hashlib.sha256(b"aes" + key).digest()[:KEY_LENGTH]
         self._iv_int = int.from_bytes(self.iv, "big")
 
-    def seal(self, plaintext: BytesLike, aad: BytesLike,
+    def seal(self, payload: BytesLike, header: BytesLike,
              cid_sequence_number: int, packet_number: int) -> bytes:
-        """Encrypt and authenticate; returns ciphertext || tag."""
+        """Encrypt ``payload`` under ``header``; returns the datagram
+        ``header || ciphertext || tag``."""
         return _seal(self.aes_key, _nonce(
             self._iv_int, IV_LENGTH, cid_sequence_number, packet_number),
-            plaintext, aad)
+            payload, header)
 
-    def open(self, sealed: BytesLike, aad: BytesLike,
+    def open(self, datagram: BytesLike, header_len: int,
              cid_sequence_number: int, packet_number: int) -> bytes:
-        """Verify and decrypt; raises ValueError on authentication failure."""
+        """Authenticate ``datagram`` (its first ``header_len`` bytes as
+        associated data) and return the plaintext; raises ValueError on
+        authentication failure."""
         return _open(self.aes_key, _nonce(
             self._iv_int, IV_LENGTH, cid_sequence_number, packet_number),
-            sealed, aad)
+            datagram, header_len)
 
 
 def derive_connection_key(secret: bytes) -> bytes:

@@ -83,8 +83,7 @@ def encode_short_header(dcid: bytes, truncated_pn: int) -> bytes:
 def decode_header(data) -> Tuple[PacketHeader, int]:
     """Parse a header; returns (header, payload_offset).
 
-    Accepts any bytes-like object (the receive path hands a
-    ``memoryview`` of the datagram).  CIDs are materialized as
+    Accepts any bytes-like object.  CIDs are materialized as
     ``bytes``: they key long-lived routing tables in the server host
     and LB frontend, and a view would pin the whole datagram alive.
     """

@@ -80,18 +80,15 @@ class Receiver:
             return
         now = self.loop.now
         stats = self.stats
-        # One view of the datagram; header/AAD/ciphertext slices below
-        # are all zero-copy until the AEAD produces the plaintext.
-        view = memoryview(payload)
         try:
-            header, offset = decode_header(view)
+            header, offset = decode_header(payload)
         except QuicError:
             stats.malformed_dropped += 1
             conn.emit("drop", reason="malformed_header", size=len(payload))
             return
         if header.packet_type is _HANDSHAKE:
-            self._on_handshake_datagram(header, view, offset, net_path_id,
-                                        now)
+            self._on_handshake_datagram(header, payload, offset,
+                                        net_path_id, now)
             return
         local = conn.cids.lookup_issued(header.dcid)
         if local is None:
@@ -109,8 +106,7 @@ class Receiver:
         largest = path.largest_received_pn
         pn = reconstruct_pn(header.truncated_pn, largest)
         try:
-            plain = conn.protection.open(view[offset:], view[:offset],
-                                         path_id, pn)
+            plain = conn.protection.open(payload, offset, path_id, pn)
         except ValueError:
             stats.corrupted_dropped += 1
             conn.emit("drop", reason="corrupted", size=len(payload))
@@ -159,15 +155,15 @@ class Receiver:
                 self.timers.arm_ack_delay()
         self.sender.pump(now)
 
-    def _on_handshake_datagram(self, header, view: memoryview, offset: int,
+    def _on_handshake_datagram(self, header, payload: bytes, offset: int,
                                net_path_id: int, now: float) -> None:
         conn = self.conn
         try:
-            plain = conn.protection.open(view[offset:], view[:offset], 0,
+            plain = conn.protection.open(payload, offset, 0,
                                          header.truncated_pn)
         except ValueError:
             self.stats.corrupted_dropped += 1
-            conn.emit("drop", reason="corrupted", size=len(view))
+            conn.emit("drop", reason="corrupted", size=len(payload))
             return
         self.stats.packets_received += 1
         conn.last_activity_at = now
@@ -183,7 +179,7 @@ class Receiver:
             conn.close_on_error(exc)
         except ValueError:
             self.stats.malformed_dropped += 1
-            conn.emit("drop", reason="malformed_handshake", size=len(view))
+            conn.emit("drop", reason="malformed_handshake", size=len(payload))
 
     # ------------------------------------------------------------------
     # frame handlers: ``handler(frame, path, now)``

@@ -267,10 +267,11 @@ class Sender:
         payload = encode_frames(frames)
         pn = path.next_pn
         path.next_pn = pn + 1
-        # Byte-identical to encode_header of a ONE_RTT PacketHeader
-        # with this DCID and packet number.
-        aad = encode_short_header(path.remote_cid.cid, pn)
-        wire = aad + conn.protection.seal(payload, aad, path.path_id, pn)
+        # encode_short_header is byte-identical to encode_header of a
+        # ONE_RTT PacketHeader with this DCID and packet number.
+        wire = conn.protection.seal(
+            payload, encode_short_header(path.remote_cid.cid, pn),
+            path.path_id, pn)
         size = len(wire)
         path.loss.on_packet_sent(
             SentPacket(pn, now, size, eliciting, in_flight, frames_info))

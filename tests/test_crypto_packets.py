@@ -67,7 +67,7 @@ class TestPacketProtection:
     def test_seal_open_roundtrip(self):
         prot = PacketProtection(key=b"secret")
         sealed = prot.seal(b"payload", b"aad", 0, 1)
-        assert prot.open(sealed, b"aad", 0, 1) == b"payload"
+        assert prot.open(sealed, 3, 0, 1) == b"payload"
 
     def test_tag_adds_overhead(self):
         prot = PacketProtection(key=b"secret")
@@ -77,38 +77,38 @@ class TestPacketProtection:
     def test_tamper_detected(self):
         prot = PacketProtection(key=b"secret")
         sealed = bytearray(prot.seal(b"payload", b"aad", 0, 1))
-        sealed[0] ^= 0xFF
+        sealed[3] ^= 0xFF
         with pytest.raises(ValueError):
-            prot.open(bytes(sealed), b"aad", 0, 1)
+            prot.open(bytes(sealed), 3, 0, 1)
 
     def test_wrong_aad_detected(self):
         prot = PacketProtection(key=b"secret")
         sealed = prot.seal(b"payload", b"aad", 0, 1)
         with pytest.raises(ValueError):
-            prot.open(sealed, b"other", 0, 1)
+            prot.open(b"oth" + sealed[3:], 3, 0, 1)
 
     def test_wrong_path_fails(self):
         """A packet sealed for path 0 cannot be opened as path 1."""
         prot = PacketProtection(key=b"secret")
         sealed = prot.seal(b"payload", b"aad", 0, 1)
         with pytest.raises(ValueError):
-            prot.open(sealed, b"aad", 1, 1)
+            prot.open(sealed, 3, 1, 1)
 
     def test_wrong_key_fails(self):
         a = PacketProtection(key=b"ka")
         b = PacketProtection(key=b"kb")
         sealed = a.seal(b"payload", b"", 0, 0)
         with pytest.raises(ValueError):
-            b.open(sealed, b"", 0, 0)
+            b.open(sealed, 0, 0, 0)
         # the same IV does not help: the AES key comes from the key too
         same_iv = PacketProtection(key=b"kb", iv=a.iv)
         with pytest.raises(ValueError):
-            same_iv.open(sealed, b"", 0, 0)
+            same_iv.open(sealed, 0, 0, 0)
 
     def test_too_short_sealed(self):
         prot = PacketProtection(key=b"k")
         with pytest.raises(ValueError):
-            prot.open(b"tiny", b"", 0, 0)
+            prot.open(b"tiny", 0, 0, 0)
 
     def test_key_derivation_deterministic(self):
         assert derive_connection_key(b"s") == derive_connection_key(b"s")
@@ -120,7 +120,7 @@ class TestPacketProtection:
     def test_roundtrip_property(self, payload, aad, path, pn):
         prot = PacketProtection(key=b"property-key")
         assert prot.open(prot.seal(payload, aad, path, pn),
-                         aad, path, pn) == payload
+                         len(aad), path, pn) == payload
 
     @given(st.binary(max_size=1500), st.binary(max_size=32),
            st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 62) - 1))
@@ -133,7 +133,7 @@ class TestPacketProtection:
         prot = PacketProtection(key=b"property-key")
         nonce = build_nonce(prot.iv, cid, pn)
         assert prot.seal(payload, aad, cid, pn) == \
-            aead.AESGCM(prot.aes_key).encrypt(nonce, payload, aad)
+            aad + aead.AESGCM(prot.aes_key).encrypt(nonce, payload, aad)
 
     def test_short_iv_rejected(self):
         with pytest.raises(ValueError):
@@ -151,8 +151,8 @@ class TestPacketProtection:
         for length in range(1501):
             payload = pattern[:length]
             sealed = prot.seal(payload, b"aad", 2, length)
-            assert len(sealed) == length + TAG_LENGTH
-            assert prot.open(sealed, b"aad", 2, length) == payload
+            assert len(sealed) == 3 + length + TAG_LENGTH
+            assert prot.open(sealed, 3, 2, length) == payload
 
     @given(st.binary(max_size=1500), st.binary(max_size=32),
            st.sampled_from([bytes, bytearray, memoryview]),
@@ -163,8 +163,8 @@ class TestPacketProtection:
         prot = PacketProtection(key=b"property-key")
         sealed = prot.seal(wrap_in(payload), wrap_in(aad), 1, 9)
         assert sealed == prot.seal(payload, aad, 1, 9)
-        assert len(sealed) == len(payload) + TAG_LENGTH
-        assert prot.open(wrap_out(sealed), wrap_out(aad), 1, 9) == payload
+        assert len(sealed) == len(aad) + len(payload) + TAG_LENGTH
+        assert prot.open(wrap_out(sealed), len(aad), 1, 9) == payload
 
     @given(st.binary(max_size=300), st.binary(min_size=1, max_size=32),
            st.data())
@@ -172,12 +172,11 @@ class TestPacketProtection:
     def test_any_flipped_bit_rejected_property(self, payload, aad, data):
         prot = PacketProtection(key=b"property-key")
         sealed = prot.seal(payload, aad, 1, 9)
-        bit = data.draw(st.integers(0, 8 * (len(sealed) + len(aad)) - 1))
-        tampered = bytearray(sealed + aad)
+        bit = data.draw(st.integers(0, 8 * len(sealed) - 1))
+        tampered = bytearray(sealed)
         tampered[bit >> 3] ^= 1 << (bit & 7)
         with pytest.raises(ValueError):
-            prot.open(bytes(tampered[:len(sealed)]),
-                      bytes(tampered[len(sealed):]), 1, 9)
+            prot.open(bytes(tampered), len(aad), 1, 9)
 
     @given(st.binary(min_size=1, max_size=1500),
            st.integers(0, (1 << 62) - 1),
@@ -197,7 +196,7 @@ class TestPacketProtection:
             assert s1[:-TAG_LENGTH] != s2[:-TAG_LENGTH]
         assert s1[-TAG_LENGTH:] != s2[-TAG_LENGTH:]
         with pytest.raises(ValueError):
-            prot.open(s1, b"aad", c2, pn)
+            prot.open(s1, 3, c2, pn)
 
     def test_seal_open_call_budget(self):
         """Deterministic cost gate, immune to wall-clock noise.
@@ -209,6 +208,7 @@ class TestPacketProtection:
         """
         prot = PacketProtection(key=b"budget-key")
         payload, aad = bytes(1200), b"\x40" + bytes(12)
+        header_len = len(aad)
         calls = 0
 
         def count(_frame, event, _arg):
@@ -219,12 +219,73 @@ class TestPacketProtection:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            opened = prot.open(prot.seal(payload, aad, 1, 7), aad, 1, 7)
+            opened = prot.open(prot.seal(payload, aad, 1, 7), header_len,
+                               1, 7)
         finally:
             sys.setprofile(previous)
         assert opened == payload
         # the closing sys.setprofile is itself counted once
         assert calls - 1 <= 28, calls
+
+
+class TestSealedDatagram:
+    """``seal`` returns ``header || ciphertext || tag`` and ``open``
+    authenticates ``datagram[:header_len]``."""
+
+    SHORT = encode_header(PacketHeader(PacketType.ONE_RTT, dcid=b"\x01" * 8,
+                                       truncated_pn=5))
+    LONG = encode_header(PacketHeader(PacketType.HANDSHAKE, dcid=b"\x01" * 8,
+                                      scid=b"\x02" * 8, truncated_pn=0))
+
+    def test_interleaved_keys_share_the_cipher_contexts(self):
+        """Two keys' seals and opens, a handshake datagram among them,
+        alternate on the one seal and one open context: each call
+        re-keys, so every datagram round-trips under its own key and
+        fails under the other."""
+        a = PacketProtection(key=b"client-key")
+        b = PacketProtection(key=b"server-key")
+        cases = [(a, self.SHORT, 1), (b, self.SHORT, 1), (a, self.LONG, 0),
+                 (b, self.LONG, 0), (b, self.SHORT, 2), (a, self.SHORT, 1)]
+        pending = []
+        for pn, (prot, header, cid) in enumerate(cases):
+            payload = bytes([pn]) * (40 + 300 * pn)
+            datagram = prot.seal(payload, header, cid, pn)
+            assert datagram.startswith(header)
+            pending.append((prot, datagram, len(header), cid, pn, payload))
+            if pn % 2:
+                for sealer, sealed, *open_args, plain in pending:
+                    other = b if sealer is a else a
+                    with pytest.raises(ValueError):
+                        other.open(sealed, *open_args)
+                    assert sealer.open(sealed, *open_args) == plain
+                pending.clear()
+        assert not pending
+
+    @pytest.mark.parametrize("where", ["header", "ciphertext", "tag"])
+    def test_one_flipped_bit_is_rejected(self, where):
+        prot = PacketProtection(key=b"k")
+        payload = bytes(range(100))
+        datagram = bytearray(prot.seal(payload, self.SHORT, 1, 9))
+        start = {"header": 0, "ciphertext": len(self.SHORT),
+                 "tag": len(datagram) - TAG_LENGTH}[where]
+        datagram[start + 2] ^= 0x10
+        with pytest.raises(ValueError):
+            prot.open(bytes(datagram), len(self.SHORT), 1, 9)
+        datagram[start + 2] ^= 0x10
+        assert prot.open(bytes(datagram), len(self.SHORT), 1, 9) == payload
+
+    def test_shorter_than_header_and_tag_is_rejected(self, foreign_calls):
+        prot = PacketProtection(key=b"k")
+        datagram = prot.seal(b"", self.SHORT, 1, 9)
+        assert len(datagram) == len(self.SHORT) + TAG_LENGTH
+        assert prot.open(datagram, len(self.SHORT), 1, 9) == b""
+        foreign_calls.clear()
+        for cut in range(len(datagram)):
+            with pytest.raises(ValueError):
+                prot.open(datagram[:cut], len(self.SHORT), 1, 9)
+        with pytest.raises(ValueError):
+            prot.open(datagram, -1, 1, 9)
+        assert foreign_calls == []
 
 
 FOREIGN = {"_ENCRYPT_INIT", "_ENCRYPT_UPDATE", "_ENCRYPT_FINAL",
@@ -264,7 +325,7 @@ class TestForeignCalls:
                                  "_ENCRYPT_UPDATE", "_ENCRYPT_FINAL",
                                  "_CIPHER_CTRL"]
         foreign_calls.clear()
-        assert prot.open(memoryview(sealed), b"aad", 1, 7) == payload
+        assert prot.open(memoryview(sealed), 3, 1, 7) == payload
         assert foreign_calls == ["_DECRYPT_INIT", "_DECRYPT_UPDATE",
                                  "_DECRYPT_UPDATE", "_CIPHER_CTRL",
                                  "_DECRYPT_FINAL"]
@@ -274,9 +335,9 @@ class TestForeignCalls:
         with pytest.raises(ValueError):
             prot.seal(bytes(MAX_PLAINTEXT + 1), b"", 0, 0)
         with pytest.raises(ValueError):
-            prot.open(bytes(MAX_PLAINTEXT + 1 + TAG_LENGTH), b"", 0, 0)
+            prot.open(bytes(MAX_PLAINTEXT + 1 + TAG_LENGTH), 0, 0, 0)
         with pytest.raises(ValueError):
-            prot.open(bytes(TAG_LENGTH - 1), b"", 0, 0)
+            prot.open(bytes(TAG_LENGTH - 1), 0, 0, 0)
         assert foreign_calls == []
 
     @given(st.binary(max_size=2 * TAG_LENGTH + 64), st.binary(max_size=16))
@@ -285,7 +346,7 @@ class TestForeignCalls:
                                                              aad):
         prot = PacketProtection(key=b"property-key")
         with pytest.raises(ValueError):
-            prot.open(sealed, aad, 1, 9)
+            prot.open(aad + sealed, len(aad), 1, 9)
 
     @given(st.binary(max_size=300), st.data())
     @settings(max_examples=200)
@@ -295,8 +356,8 @@ class TestForeignCalls:
         sealed = prot.seal(payload, b"aad", 1, 9)
         cut = data.draw(st.integers(0, len(sealed) - 1))
         with pytest.raises(ValueError):
-            prot.open(memoryview(sealed)[:cut], b"aad", 1, 9)
-        assert prot.open(sealed, b"aad", 1, 9) == payload
+            prot.open(memoryview(sealed)[:cut], 3, 1, 9)
+        assert prot.open(sealed, 3, 1, 9) == payload
 
 
 class TestPacketHeaders:

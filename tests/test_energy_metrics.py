@@ -1,5 +1,7 @@
 """Tests for the energy model and the metrics package."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,7 +175,9 @@ class TestQoeMetrics:
         # Positive = treatment better (smaller).
         assert improvement_percent(2.0, 1.0) == pytest.approx(50.0)
         assert improvement_percent(1.0, 2.0) == pytest.approx(-100.0)
-        assert improvement_percent(0.0, 1.0) == 0.0
+        # against a zero baseline: worse is a regression, equal is parity
+        assert improvement_percent(0.0, 1.0) == -math.inf
+        assert improvement_percent(0.0, 0.0) == 0.0
 
     @staticmethod
     def _overhead(sessions) -> float:

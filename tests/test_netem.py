@@ -261,8 +261,8 @@ def test_a_trace_path_holds_four_bytes_per_opportunity():
     assert len(trace) == 119_305
     assert held <= 5 * len(trace)
     assert peak - held < 1_000_000
-    assert path.uplink.link.trace_ms is trace
-    assert path.downlink.link.trace_ms is trace
+    assert path.up_link.trace_ms is trace
+    assert path.down_link.trace_ms is trace
 
 
 class TestDelayBox:
@@ -286,6 +286,33 @@ class TestDelayBox:
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             DelayBox(EventLoop(), -1.0, lambda d: None)
+
+    def test_same_instant_sends_arrive_in_order_around_timers(self):
+        """Datagrams sent in one callback, and in a second callback at
+        the same instant, arrive in send order.  A timer scheduled for
+        the arrival instant before the sends runs before them, one
+        scheduled after them runs after them -- the order the
+        burst-batching box gave too."""
+        loop = EventLoop()
+        order = []
+        box = DelayBox(loop, 0.05, lambda d: order.append(d.payload))
+        arrival = 0.01 + 0.05
+
+        def send_two():
+            box.send(Datagram(payload=b"a1"))
+            box.send(Datagram(payload=b"a2"))
+
+        def send_one_then_time():
+            box.send(Datagram(payload=b"b1"))
+            loop.schedule_at(arrival, lambda: order.append("after"))
+
+        loop.schedule_at(0.01, lambda: loop.schedule_at(
+            arrival, lambda: order.append("before")))
+        loop.schedule_at(0.01, send_two)
+        loop.schedule_at(0.01, send_one_then_time)
+        loop.run()
+        assert order == ["before", b"a1", b"a2", b"b1", "after"]
+        assert loop.now == arrival
 
 
 class TestLossBox:
@@ -387,13 +414,3 @@ class TestMultipathNetwork:
         loop.run()
         assert net.total_down_bytes() == 100 + UDP_IP_OVERHEAD
 
-    def test_disabled_path_drops(self):
-        loop = EventLoop()
-        net = MultipathNetwork(loop)
-        path = net.add_simple_path(0, 1e6, 0.01)
-        got, sink = make_sink()
-        net.server.on_receive(sink)
-        path.enabled = False
-        net.client.send(Datagram(payload=b"x", path_id=0))
-        loop.run()
-        assert got == []

@@ -61,6 +61,33 @@ class TestReport:
         assert "Fig. 6" in content
 
 
+class TestPopulationTables:
+    def test_a_treatment_that_rebuffers_against_a_clean_baseline(self):
+        """SP never rebuffered, vanilla-MP did: a regression, not
+        parity; both clean is parity."""
+        header, rows = report.day_series([
+            {"sp": {"rebuffer_rate": 0.0},
+             "vanilla_mp": {"rebuffer_rate": 0.0201}},
+            {"sp": {"rebuffer_rate": 0.0},
+             "vanilla_mp": {"rebuffer_rate": 0.0}},
+        ])
+        column = header.index("vanilla_mp rebuffer Δ")
+        assert [row[column] for row in rows] == ["-inf%", "+0.0%"]
+
+    def test_the_fleet_claims_sections_repeat(self):
+        """The fleet claim's text is seeded: two runs write the same
+        bytes (no wall-clock rate, no worker count)."""
+        [claim] = [c for c in CLAIMS if c.name == "fleet"]
+
+        def text():
+            return "\n".join(section.title + "\n" + section.body
+                             for section in claim.sections(claim.run(4)))
+
+        first = text()
+        assert "Merged digest" in first
+        assert text() == first
+
+
 class TestClaimTable:
     """One claim table feeds ``figures/``, the report and the CLI."""
 
