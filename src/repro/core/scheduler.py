@@ -28,14 +28,17 @@ Schedulers provided:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.qoe_control import (DoubleThresholdController,
                                     ReinjectionMode, ThresholdConfig)
 from repro.quic.cc.base import MAX_DATAGRAM_SIZE
-from repro.quic.frames import QoeSignals
-from repro.quic.path import Path
+from repro.quic.frames import PathStatus, QoeSignals
+from repro.quic.path import Path, PathState
 from repro.quic.stream import FIRST_FRAME_PRIORITY
+
+_ACTIVE = PathState.ACTIVE
+_AVAILABLE = PathStatus.AVAILABLE
 
 
 class _BaseScheduler:
@@ -53,48 +56,50 @@ class _BaseScheduler:
     def on_ack(self, conn, path, acked, lost) -> None:
         pass
 
-    # -- helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _with_window(paths: List[Path],
-                     now: Optional[float] = None) -> List[Path]:
-        """Paths with cwnd room whose pacer (if any) has released.
-
-        A pacing-blocked path is skipped rather than waited on, so a
-        paced fast path never stalls data that a slower path could
-        carry now; the connection's pacing timer re-pumps when the
-        fast path's token releases.
-        """
-        out = []
-        for p in paths:
-            cc = p.cc
-            if not cc.can_send(MAX_DATAGRAM_SIZE):
-                continue
-            if cc.paced and now is not None \
-                    and cc.next_send_time(now) > now + 1e-9:
-                continue
-            out.append(p)
-        return out
-
-    @staticmethod
-    def _min_rtt(paths: List[Path]) -> Optional[Path]:
-        return min(paths, key=lambda p: p.rtt.smoothed, default=None)
-
 
 class SinglePathScheduler(_BaseScheduler):
     """Always the (single) active path; used by SP and CM baselines."""
 
     def select_path(self, conn, chunk) -> Optional[Path]:
-        usable = self._with_window(conn.usable_paths(), conn.loop.now)
-        return usable[0] if usable else None
+        """The first active, available path with window room whose
+        pacer (if any) has released."""
+        now = conn.loop.now
+        for p in conn.paths.values():
+            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+                continue
+            cc = p.cc
+            if cc.can_send(MAX_DATAGRAM_SIZE) and not (
+                    cc.paced and cc.next_send_time(now) > now + 1e-9):
+                return p
+        return None
 
 
 class MinRttScheduler(_BaseScheduler):
     """Vanilla-MP: lowest smoothed RTT among paths with window space."""
 
     def select_path(self, conn, chunk) -> Optional[Path]:
-        return self._min_rtt(
-            self._with_window(conn.usable_paths(), conn.loop.now))
+        """One pass, keeping the lowest smoothed RTT so far: ties go to
+        the first path in ``conn.paths`` order.
+
+        A pacing-blocked path is skipped rather than waited on, so a
+        paced fast path never stalls data that a slower path could
+        carry now; the connection's pacing timer re-pumps when the
+        fast path's token releases.
+        """
+        now = conn.loop.now
+        best = None
+        best_rtt = 0.0
+        for p in conn.paths.values():
+            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+                continue
+            cc = p.cc
+            if not cc.can_send(MAX_DATAGRAM_SIZE) or (
+                    cc.paced and cc.next_send_time(now) > now + 1e-9):
+                continue
+            srtt = p.rtt.smoothed
+            if best is None or srtt < best_rtt:
+                best, best_rtt = p, srtt
+        return best
 
 
 class RoundRobinScheduler(_BaseScheduler):
@@ -104,10 +109,15 @@ class RoundRobinScheduler(_BaseScheduler):
         self._next = 0
 
     def select_path(self, conn, chunk) -> Optional[Path]:
-        usable = self._with_window(conn.usable_paths(), conn.loop.now)
+        now = conn.loop.now
+        usable = sorted(
+            (p for p in conn.paths.values()
+             if p.state is _ACTIVE and p.status is _AVAILABLE
+             and p.cc.can_send(MAX_DATAGRAM_SIZE)
+             and not (p.cc.paced and p.cc.next_send_time(now) > now + 1e-9)),
+            key=lambda p: p.path_id)
         if not usable:
             return None
-        usable.sort(key=lambda p: p.path_id)
         path = usable[self._next % len(usable)]
         self._next += 1
         return path
@@ -126,7 +136,8 @@ class XlinkScheduler(_BaseScheduler):
                  thresholds: Optional[ThresholdConfig] = None) -> None:
         self.mode = mode
         self.controller = DoubleThresholdController(thresholds)
-        #: re-injection checks Alg. 1's gate turned down
+        #: re-injection checks Alg. 1's gate turned down; an appending
+        #: sweep with nothing overdue asks no gate, so counts nothing
         self.reinjections_suppressed = 0
         self._last_sweep = -1e9
         #: the connection the armed monitor watches; ``None`` when idle
@@ -137,26 +148,40 @@ class XlinkScheduler(_BaseScheduler):
     # -- path selection ---------------------------------------------------
 
     def select_path(self, conn, chunk) -> Optional[Path]:
-        usable = self._with_window(conn.usable_paths(), conn.loop.now)
-        if not usable:
-            return None
-        # Avoid suspect paths (nothing received for several RTTs) when
-        # alternatives exist: XLINK "swiftly adapts packet distribution
-        # across fast varying links" (Sec. 7.3).  The vanilla min-RTT
-        # scheduler deliberately lacks this and keeps trusting a frozen
-        # RTT estimate -- the Fig. 1 failure mode.
+        """Min-RTT among the paths with window room and a released
+        pacer, avoiding suspect ones; one pass over ``conn.paths``.
+
+        Suspect paths (nothing received for several RTTs) are avoided
+        when an alternative exists: XLINK "swiftly adapts packet
+        distribution across fast varying links" (Sec. 7.3).  The
+        vanilla min-RTT scheduler deliberately lacks this and keeps
+        trusting a frozen RTT estimate -- the Fig. 1 failure mode.  A
+        re-injected copy never goes on the path its original is stuck
+        on: when that is the only candidate (the only non-suspect path,
+        or the only path), the copy waits.
+        """
         now = conn.loop.now
-        fresh = [p for p in usable if not p.is_suspect(now)]
-        candidates = fresh if fresh else usable
-        if chunk.kind == "reinject" and chunk.exclude_path is not None:
-            others = [p for p in candidates
-                      if p.path_id != chunk.exclude_path]
-            if others:
-                return self._min_rtt(others)
-            # Only the original path has window space: re-injecting onto
-            # the same path is pointless; skip for now.
-            return None
-        return self._min_rtt(candidates)
+        exclude = chunk.exclude_path if chunk.kind == "reinject" else None
+        any_fresh = False
+        best = fresh = None
+        best_rtt = fresh_rtt = 0.0
+        for p in conn.paths.values():
+            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+                continue
+            cc = p.cc
+            if not cc.can_send(MAX_DATAGRAM_SIZE) or (
+                    cc.paced and cc.next_send_time(now) > now + 1e-9):
+                continue
+            suspect = p.is_suspect(now)
+            any_fresh = any_fresh or not suspect
+            if p.path_id == exclude:
+                continue
+            srtt = p.rtt.smoothed
+            if not suspect and (fresh is None or srtt < fresh_rtt):
+                fresh, fresh_rtt = p, srtt
+            if not any_fresh and (best is None or srtt < best_rtt):
+                best, best_rtt = p, srtt
+        return fresh if any_fresh else best
 
     # -- QoE feedback -------------------------------------------------------
 
@@ -174,9 +199,15 @@ class XlinkScheduler(_BaseScheduler):
     # -- re-injection triggers ----------------------------------------------
 
     @staticmethod
-    def _fastest_path(conn):
-        usable = conn.usable_paths()
-        return min(usable, key=lambda p: p.rtt.smoothed, default=None)
+    def _fastest_path(conn) -> Optional[Path]:
+        """The active, available path of lowest smoothed RTT (the first
+        of equals), window or no window."""
+        best = None
+        for p in conn.paths.values():
+            if p.state is _ACTIVE and p.status is _AVAILABLE and (
+                    best is None or p.rtt.smoothed < best.rtt.smoothed):
+                best = p
+        return best
 
     def _slow_path_ranges(self, conn, overdue_only: bool = False,
                           **filters) -> list:
@@ -206,11 +237,7 @@ class XlinkScheduler(_BaseScheduler):
         fast_rtt = fastest.rtt.smoothed if fastest is not None else 0.0
 
         def wanted(orig, sent_time: float) -> bool:
-            # A suspect path (gone silent with data outstanding) has a
-            # meaningless frozen RTT estimate: everything on it is
-            # effectively overdue right now.
-            overdue = orig.is_suspect(now) \
-                or now - sent_time > orig.rtt.delivery_time
+            overdue = orig.is_overdue(sent_time, now)
             if overdue or overdue_only:
                 return overdue
             if fastest is not None and orig.path_id == fastest.path_id:
@@ -221,8 +248,7 @@ class XlinkScheduler(_BaseScheduler):
 
         # The predicate only reads (path, sent_time), so the connection
         # applies it per packet, before it builds any chunk.  Overdue
-        # alone -- a suspect path, or older than the path's delivery
-        # time -- can only turn false as send times grow.
+        # alone can only turn false as send times grow.
         return [(chunk, pid) for chunk, pid, _sent_time
                 in conn.unacked_ranges(wanted=wanted,
                                        wanted_oldest_first=overdue_only,
@@ -232,17 +258,24 @@ class XlinkScheduler(_BaseScheduler):
         """Traditional appending trigger: queue drained, duplicate the
         slow-path unacked_q tail onto the queue end (Fig. 3b / Fig. 4a).
 
-        Sweeps are rate-limited to one per fastest-path RTT: the real
-        scheduler evaluates re-injection at send opportunities, and a
-        duplicate sent less than an RTT after the original cannot have
-        learned anything new about its fate.
+        The sweep can only find work when some path's oldest
+        ack-eliciting packet is overdue, so that one look per path
+        comes first; the rate limit, Alg. 1's gate and the unacked_q
+        walk run only after it.  Sweeps are rate-limited to one per
+        fastest-path RTT: the real scheduler evaluates re-injection at
+        send opportunities, and a duplicate sent less than an RTT after
+        the original cannot have learned anything new about its fate.
         """
         if self.mode is ReinjectionMode.NONE:
             return
-        self._ensure_monitor(conn)
-        usable = conn.usable_paths()
-        min_rtt = min((p.rtt.smoothed for p in usable), default=0.05)
-        if conn.loop.now - self._last_sweep < min_rtt:
+        if self._monitor_conn is None:
+            self._ensure_monitor(conn)
+        now = conn.loop.now
+        if not conn.any_overdue(now):
+            return
+        fastest = self._fastest_path(conn)
+        min_rtt = fastest.rtt.smoothed if fastest is not None else 0.05
+        if now - self._last_sweep < min_rtt:
             return
         if self._gate(conn):
             self._sweep_overdue(conn)
@@ -284,8 +317,8 @@ class XlinkScheduler(_BaseScheduler):
                 p.loss.has_unacked for p in conn.paths.values()):
             self._monitor_conn = None
             return
-        if not conn.send_queue and self._gate(conn) \
-                and self._sweep_overdue(conn):
+        if not conn.send_queue and conn.any_overdue(conn.loop.now) \
+                and self._gate(conn) and self._sweep_overdue(conn):
             conn.pump()
         conn.loop.schedule_after(self.monitor_interval_s, self._monitor_tick)
 

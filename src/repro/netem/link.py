@@ -67,7 +67,6 @@ class LinkStats:
     bytes_in: int = 0
     bytes_out: int = 0
     bytes_dropped: int = 0
-    busy_until: float = 0.0
 
 
 class _QueueMixin:
@@ -137,7 +136,6 @@ class ConstantRateLink(_QueueMixin):
         self._busy = True
         dgram = self._dequeue()
         tx_time = dgram.wire_size * 8.0 / self.rate_bps
-        self.stats.busy_until = self.loop.now + tx_time
         # At most one datagram serializes at a time, so a single slot
         # replaces the per-packet closure the loop used to allocate.
         self._transmitting = dgram

@@ -71,7 +71,6 @@ EXTRA_CIDS = 4
 
 _ACTIVE = PathState.ACTIVE
 _ABANDONED = PathState.ABANDONED
-_AVAILABLE = PathStatus.AVAILABLE
 
 
 class Connection:
@@ -359,10 +358,20 @@ class Connection:
                 return path.path_id
         return next(iter(self.paths), 0)
 
-    def usable_paths(self) -> List[Path]:
-        """Paths the scheduler may place data on."""
-        return [p for p in self.paths.values()
-                if p.state is _ACTIVE and p.status is _AVAILABLE]
+    def any_overdue(self, now: float) -> bool:
+        """Is the oldest ack-eliciting packet of some live path overdue
+        (:meth:`Path.is_overdue`)?
+
+        One look per path.  An overdue-only walk of the unacked_q can
+        find nothing unless this holds: a path's packets are in send
+        order, and overdue can only turn false as send times grow.
+        """
+        for p in self.paths.values():
+            times = p.loss.eliciting_sent_time
+            if times and p.state is not _ABANDONED \
+                    and p.is_overdue(next(iter(times.values())), now):
+                return True
+        return False
 
     def max_delivery_time(self) -> float:
         """Eq. 1: estimated max delivery time of in-flight packets.

@@ -100,6 +100,19 @@ class Path:
         return now - self.last_recv_time > (
             threshold if threshold > 0.25 else 0.25)
 
+    def is_overdue(self, sent_time: float, now: float) -> bool:
+        """Is a packet sent on this path at ``sent_time`` overdue?
+
+        It is when the path is suspect -- a frozen RTT estimate means
+        nothing, so everything on it is effectively overdue -- or when
+        it is older than the path's delivery time estimate.  For a
+        given path and ``now`` this can only turn false as
+        ``sent_time`` grows, so the oldest packet is overdue whenever
+        any packet is.
+        """
+        return now - sent_time > self.rtt.delivery_time \
+            or self.is_suspect(now)
+
     def record_received(self, pn: int, now: float) -> bool:
         """Track a received packet number; returns False on duplicate."""
         self.last_recv_time = now

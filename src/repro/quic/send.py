@@ -19,8 +19,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.quic.cc.base import MAX_DATAGRAM_SIZE
 from repro.quic.crypto import TAG_LENGTH
-from repro.quic.frames import (ACK_ELICITING, AckMpFrame, StreamFrame,
-                               encode_frames)
+from repro.quic.frames import (ACK_ELICITING, AckMpFrame, PathStatus,
+                               StreamFrame, encode_frames)
 from repro.quic.loss_detection import SentPacket
 from repro.quic.packets import encode_short_header
 from repro.quic.path import Path, PathState
@@ -30,6 +30,8 @@ from repro.quic.stream import DEFAULT_FRAME_PRIORITY, SendStream
 PACKET_PAYLOAD_BUDGET = MAX_DATAGRAM_SIZE - 13 - TAG_LENGTH - 24
 
 _ABANDONED = PathState.ABANDONED
+_ACTIVE = PathState.ACTIVE
+_AVAILABLE = PathStatus.AVAILABLE
 
 
 @dataclass(slots=True)
@@ -169,8 +171,9 @@ class Sender:
                 # Queue drained with window to spare: mark the paced
                 # paths app-limited so the quiet period cannot be read
                 # as the bottleneck bandwidth.
-                for p in conn.usable_paths():
-                    if p.cc.paced:
+                for p in self.paths.values():
+                    if p.cc.paced and p.state is _ACTIVE \
+                            and p.status is _AVAILABLE:
                         loss = p.loss
                         loss.app_limited_until = \
                             loss.delivered + loss.bytes_in_flight

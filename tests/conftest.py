@@ -19,3 +19,24 @@ def no_garbage_from_earlier_modules():
     """
     gc.collect()
     yield
+
+
+@pytest.fixture(scope="session")
+def produced():
+    """``produced(name)``: what ``tests/test_golden.py``'s producer
+    ``name`` returns, as ``golden.json`` holds it -- run once per
+    session, however many modules hold it to a value.
+
+    The producers are fixed-seed and deterministic, so a second run
+    could only repeat the first; ``test_golden.py`` and
+    ``test_pump_equivalence.py`` share the seven video / bulk runs.
+    """
+    from tests.test_golden import PRODUCERS, as_json
+    values = {}
+
+    def produce(name):
+        if name not in values:
+            values[name] = as_json(PRODUCERS[name]())
+        return values[name]
+
+    return produce

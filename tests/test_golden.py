@@ -3,7 +3,8 @@
 ``tests/data/golden.json`` holds ``values`` (entry name -> what the
 producer of that name below returns, as JSON) and a ``log`` of why the
 values last changed.  Each producer reruns one fixed-seed scenario:
-the six video schemes and three bulk downloads on a Wi-Fi + LTE
+the seven video schemes, each also under the four non-default
+congestion controllers, and three bulk downloads on a Wi-Fi + LTE
 topology with a Wi-Fi outage, clean and LTE-first video sessions, the
 N=16 contention cell, two wire images and their plaintext images, the
 generated traces, the Fig. 1 / Fig. 6 drivers, the chaos soaks and two
@@ -38,7 +39,7 @@ from repro.experiments.dynamics import (FIG6_MODES, run_fig1_dynamics,
 from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,
                                      run_fleet_driver)
 from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
-                                       run_video_session)
+                                       run_video_session, scheme_with_cc)
 from repro.netem import OutageSchedule
 from repro.traces import (campus_walk_wifi_trace, extreme_mobility_trace_pairs,
                           stable_lte_trace)
@@ -48,6 +49,11 @@ from tests.test_wire_digest import rpc_exchange_wire, xlink_session_wire
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden.json")
 
 VIDEO_SCHEMES = tuple(SCHEMES)
+
+#: the controllers besides the schemes' own (cubic) that the scheme x
+#: CC matrix pins: paced (bbr, mpbbr) and coupled (lia, mpbbr) path
+#: choice, which no benchmark workload runs
+MATRIX_CCS = ("newreno", "lia", "bbr", "mpbbr")
 
 
 def outage_paths(window):
@@ -129,6 +135,8 @@ def population(users, seed):
 
 PRODUCERS = {
     **{f"video/{s}": partial(video, s) for s in VIDEO_SCHEMES},
+    **{f"video_cc/{s}+{cc}": partial(video, scheme_with_cc(s, cc))
+       for s in VIDEO_SCHEMES for cc in MATRIX_CCS},
     "video_clean/sp": partial(video, "sp", None, 3),
     "video_clean/xlink": partial(video, "xlink", None, 3),
     "video_long_outage/cm": partial(video, "cm", (0.5, 4.0)),
@@ -176,8 +184,8 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCERS))
-def test_value_holds(golden, name):
-    assert as_json(PRODUCERS[name]()) == golden["values"][name]
+def test_value_holds(golden, produced, name):
+    assert produced(name) == golden["values"][name]
 
 
 def test_every_entry_has_a_producer(golden):

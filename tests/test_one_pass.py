@@ -24,12 +24,12 @@ from repro.video import make_video
 from tests.test_connection import build_pair, captured
 
 #: calls (Python + C) per packet sealed on the scripted transfer below.
-#: This tree makes 164.2 (the same number under any PYTHONHASHSEED); the
-#: budget is ~5% above 161.0, what it made while a per-connection flag
-#: kept the pump's pacing tail off unpaced paths.  With the ``Buffer``
-#: codec it made 175.3; the tree before the receive / ACK / send / timer
-#: split (PR 16) 279.0.
-CALLS_PER_PACKET_BUDGET = 169.0
+#: This tree makes 145.7 (the same number under any PYTHONHASHSEED); the
+#: budget is ~5% above that.  While every ``select_path`` built its
+#: path lists it made 153.2, and 164.2 before that; with the ``Buffer``
+#: codec it made 175.3; the tree before the receive / ACK / send /
+#: timer split 279.0.
+CALLS_PER_PACKET_BUDGET = 153.0
 
 
 def count_calls(run, within=""):

@@ -1,16 +1,17 @@
 """The batched pump still reproduces the pre-batching trajectories.
 
-The six seed-7 outage video sessions and the MPTCP bulk download were
+The seed-7 outage video sessions and the MPTCP bulk download were
 captured before the run-until-blocked pump, lazy-deadline timers and
 flat ACK bookkeeping landed.  Those captures are the ``video/<scheme>``
 and ``bulk/mptcp`` entries of ``tests/data/golden.json``; this module
-reruns the same producers as ``tests/test_golden.py`` and holds them to
-those entries, bit-for-bit.  Regenerate only through ``test_golden.py``.
+holds the same producers' values (one run per session, shared with
+``tests/test_golden.py`` through the ``produced`` fixture) to those
+entries, bit-for-bit.  Regenerate only through ``test_golden.py``.
 """
 
 import pytest
 
-from tests.test_golden import VIDEO_SCHEMES, as_json, bulk, load, video
+from tests.test_golden import VIDEO_SCHEMES, load
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +21,9 @@ def values() -> dict:
 
 class TestPumpEquivalence:
     @pytest.mark.parametrize("scheme", VIDEO_SCHEMES)
-    def test_video_scheme_matches_frozen_snapshot(self, values, scheme):
-        assert as_json(video(scheme)) == values[f"video/{scheme}"]
+    def test_video_scheme_matches_frozen_snapshot(self, values, produced,
+                                                  scheme):
+        assert produced(f"video/{scheme}") == values[f"video/{scheme}"]
 
-    def test_bulk_mptcp_matches_frozen_snapshot(self, values):
-        assert as_json(bulk("mptcp")) == values["bulk/mptcp"]
+    def test_bulk_mptcp_matches_frozen_snapshot(self, values, produced):
+        assert produced("bulk/mptcp") == values["bulk/mptcp"]

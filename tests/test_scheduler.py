@@ -9,7 +9,6 @@ from repro.core import (MinRttScheduler, ReinjectionMode, RoundRobinScheduler,
 from repro.quic.cc import NewRenoCc
 from repro.quic.cid import ConnectionId
 from repro.quic.connection import SendChunk
-from repro.quic.frames import PathStatus
 from repro.quic.path import Path, PathState
 from repro.traces.radio_profiles import RadioType
 
@@ -33,9 +32,11 @@ class FakeConn:
         self._unacked = []
         self._reinjected = []
 
-    def usable_paths(self):
-        return [p for p in self.paths.values()
-                if p.is_active and p.status is PathStatus.AVAILABLE]
+    def any_overdue(self, now):
+        # ``_unacked`` need not be oldest-first per path: any overdue
+        # entry answers, which is what the real check implies
+        return any(self.paths[pid].is_overdue(t, now)
+                   for _chunk, pid, t in self._unacked)
 
     def unacked_ranges(self, stream_id=None, frame_priority=None,
                        wanted=None, wanted_oldest_first=False):
@@ -152,6 +153,20 @@ class TestXlinkSelectPath:
         other.cc.bytes_in_flight = int(other.cc.cwnd)
         conn = FakeConn([make_path(0, 0.02), other])
         sched = XlinkScheduler()
+        assert sched.select_path(conn, chunk(kind="reinject",
+                                             exclude=0)) is None
+
+    def test_reinjection_waits_rather_than_use_a_suspect_path(self):
+        """The original's path is the only fresh one: the copy waits
+        rather than go on a path that went dark."""
+        from repro.quic.loss_detection import SentPacket
+        dead = make_path(1, 0.02, last_recv=0.0)
+        dead.loss.on_packet_sent(SentPacket(
+            packet_number=0, sent_time=0.0, size=1000,
+            ack_eliciting=True, in_flight=True))
+        conn = FakeConn([dead, make_path(0, 0.1, last_recv=9.9)], now=10.0)
+        sched = XlinkScheduler()
+        assert sched.select_path(conn, chunk()).path_id == 0
         assert sched.select_path(conn, chunk(kind="reinject",
                                              exclude=0)) is None
 
