@@ -1,7 +1,5 @@
 """Radio energy model (Fig. 14 substrate)."""
 
-from repro.energy.model import (EnergyAccount, RadioPowerModel,
-                                POWER_MODELS, energy_per_bit)
+from repro.energy.model import EnergyAccount, RadioPowerModel, POWER_MODELS
 
-__all__ = ["EnergyAccount", "RadioPowerModel", "POWER_MODELS",
-           "energy_per_bit"]
+__all__ = ["EnergyAccount", "RadioPowerModel", "POWER_MODELS"]

@@ -51,14 +51,6 @@ POWER_MODELS: Dict[RadioType, RadioPowerModel] = {
 }
 
 
-def energy_per_bit(radio: RadioType, throughput_mbps: float) -> float:
-    """Joules per bit when running ``radio`` at ``throughput_mbps``."""
-    if throughput_mbps <= 0:
-        raise ValueError("throughput must be positive")
-    power = POWER_MODELS[radio].power_at(throughput_mbps)
-    return power / (throughput_mbps * 1e6)
-
-
 class EnergyAccount:
     """Integrates per-radio energy over a download.
 

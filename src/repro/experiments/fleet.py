@@ -98,11 +98,6 @@ class FleetConfig:
             video_bitrate_bps=VIDEO_BITRATE_BPS, chunk_size=CHUNK_SIZE,
             timeout_s=self.timeout_s, seed=self.seed)
 
-    @property
-    def sessions_expected(self) -> int:
-        per_day = self.users * (len(self.schemes) if self.paired else 1)
-        return per_day * self.days
-
 
 @dataclass
 class ABPopulationDriver:

@@ -87,7 +87,7 @@ def fleet_sections(sink: MetricSink, baseline: str = BASELINE,
     sections and ``python -m repro ab`` / ``fleet`` print them, whatever
     the population size.  Schemes with zero completed sessions get dash
     cells instead of a crash -- the sink's empty state is well-defined
-    (``None`` percentiles), unlike the exact ``summarize()`` reference
+    (``None`` percentiles), unlike the exact ``percentile()`` reference
     which keeps raising on empty input.
     """
     sections: List[ReportSection] = []

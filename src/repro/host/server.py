@@ -71,14 +71,6 @@ class ServerHost:
     # session provisioning
     # ------------------------------------------------------------------
 
-    def listen(self) -> None:
-        """Receive directly from the network's server endpoint.
-
-        Single-host deployments may skip the :class:`CdnFrontend`; the
-        runtime normally wires the frontend in between instead.
-        """
-        self.net.server.on_receive(self.on_datagram)
-
     def register_session(self, client_addr: str, connection_name: str,
                          scheme: SchemeConfig, seed: int,
                          primary_net: int,

@@ -16,9 +16,9 @@ demultiplexes datagrams to backend
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.lb.quic_lb import ConsistentHashRing
+from repro.lb.quic_lb import QuicLbRouter
 from repro.netem.packet import Datagram
 from repro.quic.packets import decode_header, peek_dcid
 
@@ -28,13 +28,12 @@ class CdnFrontend:
 
     def __init__(self, backends: Dict[int, object]) -> None:
         """``backends`` maps server-ID byte -> server Connection."""
-        if not backends:
-            raise ValueError("frontend needs at least one backend")
-        self.backends = dict(backends)
-        #: handshake DCID (bytes) -> server id, for initial packets
-        self._initial_route: Dict[bytes, int] = {}
-        self._hash_ring = ConsistentHashRing(
-            [str(sid) for sid in sorted(backends)])
+        #: the routing rule; it names each backend by its server ID
+        self.router = QuicLbRouter({sid: str(sid) for sid in backends})
+        self._backends = {str(sid): backend
+                          for sid, backend in backends.items()}
+        #: handshake DCID (bytes) -> backend name, for initial packets
+        self._initial_route: Dict[bytes, str] = {}
         self.datagrams_routed = 0
         self.datagrams_dropped = 0
 
@@ -68,16 +67,12 @@ class CdnFrontend:
         if handshake:
             # Initial packets carry a client-chosen DCID: consistent-
             # hash it once and pin the mapping for retransmits.
-            sid = self._initial_route.get(dcid)
-            if sid is None:
-                sid = int(self._hash_ring.node_for(dcid))
-                self._initial_route[dcid] = sid
-            return self.backends.get(sid)
-        # Short header: the DCID is a backend-issued CID with the
-        # server ID embedded at a fixed offset.
-        backend = self.backends.get(dcid[0])
-        if backend is not None:
-            return backend
-        # Unknown ID byte (e.g. a backend was removed): fall back to
-        # hashing so the packet at least lands somewhere deterministic.
-        return self.backends.get(int(self._hash_ring.node_for(dcid)))
+            name = self._initial_route.get(dcid)
+            if name is None:
+                name = self._initial_route[dcid] = \
+                    self.router.ring.node_for(dcid)
+        else:
+            # Short header: a backend-issued CID, routed by its
+            # server-ID byte (or the ring, for an unknown byte).
+            name = self.router.route(dcid)
+        return self._backends[name]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.quic.cid import SERVER_ID_OFFSET
 
@@ -50,15 +50,6 @@ class ConsistentHashRing:
             bisect.insort(self._ring, point)
             self._owner[point] = node
 
-    def remove_node(self, node: str) -> None:
-        for i in range(REPLICAS):
-            point = self._hash(f"{node}:{i}".encode())
-            if self._owner.get(point) == node:
-                del self._owner[point]
-                idx = bisect.bisect_left(self._ring, point)
-                if idx < len(self._ring) and self._ring[idx] == point:
-                    self._ring.pop(idx)
-
     def node_for(self, key: bytes) -> str:
         if not self._ring:
             raise RuntimeError("empty hash ring")
@@ -75,7 +66,8 @@ class QuicLbRouter:
         if not backends:
             raise ValueError("router needs at least one backend")
         self.backends = dict(backends)
-        self._fallback = ConsistentHashRing(sorted(backends.values()))
+        #: where a DCID without a known server ID goes
+        self.ring = ConsistentHashRing(sorted(backends.values()))
         self.routed_by_id = 0
         self.routed_by_hash = 0
 
@@ -88,4 +80,4 @@ class QuicLbRouter:
                 self.routed_by_id += 1
                 return backend
         self.routed_by_hash += 1
-        return self._fallback.node_for(dcid)
+        return self.ring.node_for(dcid)

@@ -1,16 +1,15 @@
 """Statistics and QoE metrics used across the evaluation.
 
-Two tiers: the exact reference implementations (``percentile`` /
-``summarize`` over raw sample lists, used by the per-session drivers
-and as the reference the sketches are tested against) and the
+Two tiers: the exact reference (``percentile`` over a raw sample
+list, used by the per-session drivers and as the reference the
+sketches are tested against) and the
 streaming tier every population driver reduces into (``DistSketch`` /
 ``MetricSink``): exact up to 512 samples per sketch, then ``alpha``
 relative percentile error for O(buckets) memory, with an
 order-independent merge so populations reduce across process shards.
 """
 
-from repro.metrics.stats import (Summary, maybe_percentile,
-                                 maybe_summarize, percentile, summarize)
+from repro.metrics.stats import Summary, percentile
 from repro.metrics.qoe import (SessionMetrics, aggregate_rebuffer_rate,
                                improvement_percent)
 from repro.metrics.sketch import (DistSketch, PermutationTest,
@@ -20,9 +19,6 @@ from repro.metrics.sink import MetricSink, SchemeSink
 __all__ = [
     "Summary",
     "percentile",
-    "summarize",
-    "maybe_percentile",
-    "maybe_summarize",
     "SessionMetrics",
     "aggregate_rebuffer_rate",
     "improvement_percent",

@@ -167,10 +167,6 @@ class DistSketch:
     # -- reads ----------------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return self._exact is not None
-
-    @property
     def sum(self) -> float:
         return self._sum_q * QUANTUM
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Sequence
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -51,42 +51,3 @@ class Summary:
             "p90": self.p90, "p95": self.p95, "p99": self.p99,
             "max": self.maximum, "min": self.minimum,
         }
-
-
-def maybe_percentile(values: Sequence[float], pct: float
-                     ) -> Optional[float]:
-    """:func:`percentile`, but ``None`` on empty input.
-
-    The exact :func:`percentile` stays raising (it is the pinned
-    reference implementation); population reports that may legitimately
-    see a zero-completion scheme use this to render an empty cell
-    instead of crashing.
-    """
-    if not values:
-        return None
-    return percentile(values, pct)
-
-
-def maybe_summarize(values: Iterable[float]) -> Optional[Summary]:
-    """:func:`summarize`, but ``None`` on empty input."""
-    data = list(values)
-    if not data:
-        return None
-    return summarize(data)
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Build a :class:`Summary` from raw samples."""
-    data: List[float] = list(values)
-    if not data:
-        raise ValueError("cannot summarize empty data")
-    return Summary(
-        count=len(data),
-        mean=sum(data) / len(data),
-        p50=percentile(data, 50),
-        p90=percentile(data, 90),
-        p95=percentile(data, 95),
-        p99=percentile(data, 99),
-        maximum=max(data),
-        minimum=min(data),
-    )

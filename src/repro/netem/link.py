@@ -123,12 +123,6 @@ class ConstantRateLink(_QueueMixin):
         if not self._busy:
             self._transmit_next()
 
-    def set_rate(self, rate_bps: float) -> None:
-        """Change the link rate (applies to subsequent serializations)."""
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        self.rate_bps = float(rate_bps)
-
     def _transmit_next(self) -> None:
         if not self._queue:
             self._busy = False

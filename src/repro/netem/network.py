@@ -218,7 +218,3 @@ class MultipathNetwork:
             # client -- the single-session wiring never sets ``dst``.
             dgram.dst = self.client.name
         path.send_from_server(dgram)
-
-    def total_down_bytes(self) -> int:
-        """Total server->client bytes across paths (CDN egress cost)."""
-        return sum(p.down_bytes_out for p in self.paths.values())

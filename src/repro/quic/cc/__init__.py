@@ -20,7 +20,7 @@ that connection, or omit it for a standalone (single-path) instance.
 
 from typing import Optional
 
-from repro.quic.cc.base import (CongestionController, CcEvent, RateSample)
+from repro.quic.cc.base import CongestionController, RateSample
 from repro.quic.cc.newreno import NewRenoCc
 from repro.quic.cc.cubic import CubicCc
 from repro.quic.cc.coupled import LiaCoupledCc, LiaCoordinator
@@ -65,7 +65,6 @@ def make_coordinator(name: str) -> Optional[object]:
 
 __all__ = [
     "CongestionController",
-    "CcEvent",
     "RateSample",
     "NewRenoCc",
     "CubicCc",

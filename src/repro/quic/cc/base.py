@@ -23,7 +23,6 @@ controller wherever pacing or rate samples are concerned.
 from __future__ import annotations
 
 import abc
-import enum
 from dataclasses import dataclass
 
 #: Conventional max datagram size used for cwnd arithmetic.
@@ -34,14 +33,6 @@ INITIAL_WINDOW = min(10 * MAX_DATAGRAM_SIZE, max(2 * MAX_DATAGRAM_SIZE, 14720))
 
 #: Minimum congestion window after collapse.
 MINIMUM_WINDOW = 2 * MAX_DATAGRAM_SIZE
-
-
-class CcEvent(enum.Enum):
-    """Congestion-control state transitions (for tracing/tests)."""
-
-    SLOW_START = "slow_start"
-    CONGESTION_AVOIDANCE = "congestion_avoidance"
-    RECOVERY = "recovery"
 
 
 @dataclass(slots=True)
@@ -83,10 +74,6 @@ class CongestionController(abc.ABC):
     def can_send(self, size: int = MAX_DATAGRAM_SIZE) -> bool:
         """True if a packet of ``size`` bytes fits in the window."""
         return self.bytes_in_flight + size <= self.cwnd
-
-    @property
-    def available_window(self) -> float:
-        return max(self.cwnd - self.bytes_in_flight, 0.0)
 
     @property
     def in_slow_start(self) -> bool:

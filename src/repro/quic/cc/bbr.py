@@ -338,11 +338,6 @@ class MpBbrCoordinator:
     def register(self, cc: "MpBbrCc") -> None:
         self._controllers.append(cc)
 
-    @property
-    def total_bandwidth(self) -> float:
-        """Aggregate BtlBw estimate across subflows (bytes/sec)."""
-        return sum(c.bandwidth for c in self._controllers)
-
     def acquire_probe(self, cc: "MpBbrCc") -> bool:
         """Grant the 1.25 probe phase to at most one subflow at a time."""
         if self._probe_holder is None or self._probe_holder is cc:

@@ -62,7 +62,6 @@ class CidRegistry:
         #: the same CIDs by raw bytes, for receiver demux
         self._issued_by_bytes: Dict[bytes, ConnectionId] = {}
         self.peer_cids: Dict[int, ConnectionId] = {}
-        self._peer_used: set[int] = set()
 
     def issue(self) -> ConnectionId:
         """Mint a new local CID with the next sequence number."""
@@ -87,18 +86,6 @@ class CidRegistry:
                 f"different CID"
             )
         self.peer_cids[cid.sequence_number] = cid
-
-    def unused_peer_cid(self) -> Optional[ConnectionId]:
-        """An unused peer CID available for opening a new path."""
-        for seq in sorted(self.peer_cids):
-            if seq not in self._peer_used:
-                return self.peer_cids[seq]
-        return None
-
-    def mark_peer_used(self, sequence_number: int) -> None:
-        if sequence_number not in self.peer_cids:
-            raise KeyError(f"unknown peer CID sequence {sequence_number}")
-        self._peer_used.add(sequence_number)
 
     def lookup_issued(self, cid_bytes: bytes) -> Optional[ConnectionId]:
         """Find one of *our* issued CIDs by raw bytes (receiver demux)."""

@@ -8,9 +8,14 @@ the parts of the protocol that are about that state rather than about a
 packet: the 1-RTT handshake with the
 ``enable_multipath`` transport parameter (Fig. 9), path lifecycle
 (NEW_CONNECTION_ID supply, PATH_CHALLENGE / PATH_RESPONSE validation,
-PATH_STATUS, abandon, single-path *connection migration* for the CM
-baseline), the stream API with XLINK's frame-priority annotations, and
-shutdown.
+abandon, single-path *connection migration* for the CM baseline), the
+stream API with XLINK's frame-priority annotations, and shutdown.
+
+A connection never sends PATH_STATUS or QOE_CONTROL_SIGNALS: QoE rides
+ACK_MP, and no driver closes a path.  It handles both when a peer sends
+them (:class:`~repro.quic.receive.Receiver`): PATH_STATUS abandon runs
+:meth:`Connection.abandon_path_locally`, standby / available move the
+path between ``STANDBY`` and ``ACTIVE``.
 
 Everything a datagram triggers is done by four collaborators built
 once per connection, each behind public entry points:
@@ -46,9 +51,7 @@ from repro.quic.errors import (ProtocolViolation, QuicError,
 from repro.quic.flow_control import FlowControlWindow
 from repro.quic.frames import (ConnectionCloseFrame, CryptoFrame,
                                MaxStreamDataFrame, NewConnectionIdFrame,
-                               PathChallengeFrame, PathStatus,
-                               PathStatusFrame, PingFrame,
-                               QoeControlSignalsFrame, QoeSignals,
+                               PathChallengeFrame, PingFrame, QoeSignals,
                                decode_frames, encode_frames)
 from repro.quic.packets import PacketHeader, PacketType, encode_header
 from repro.quic.path import Path, PathState
@@ -223,7 +226,6 @@ class Connection:
                 f"no peer CID with sequence {path_id} available")
         path = self.add_local_path(path_id, net_path_id, radio=radio)
         path.remote_cid = self.cids.peer_cids[path_id]
-        self.cids.mark_peer_used(path_id)
         path.state = PathState.VALIDATING
         challenge = self._next_challenge.to_bytes(8, "big")
         self._next_challenge += 1
@@ -243,29 +245,13 @@ class Connection:
         path = self.add_local_path(
             path_id, net_path_id if net_path_id >= 0 else path_id)
         path.remote_cid = self.cids.peer_cids[path_id]
-        self.cids.mark_peer_used(path_id)
         path.state = _ACTIVE
         self.path_updated(path, "accept")
         return path
 
-    def close_path(self, path_id: int) -> None:
-        """Abandon a path and tell the peer via PATH_STATUS (Sec. 6)."""
-        path = self.paths.get(path_id)
-        if path is None or path.state is _ABANDONED:
-            return
-        status = PathStatusFrame(path_id=path_id, status=PathStatus.ABANDON,
-                                 status_seq=0)
-        # Send the notice on another live path when possible.
-        other = [p for p in self.paths.values()
-                 if p.path_id != path_id and p.is_usable]
-        carrier = other[0].path_id if other else path_id
-        self.sender.queue_control(carrier, status)
-        self.abandon_path_locally(path)
-        self.pump()
-
     def abandon_path_locally(self, path: Path) -> None:
-        """Drop ``path`` without telling the peer (it told us, or is
-        about to be told)."""
+        """Drop ``path`` without telling the peer: the peer asked for
+        it with PATH_STATUS abandon."""
         # Lost-in-limbo data on this path must be retransmitted
         # elsewhere; every in-flight byte is released to congestion
         # control and the path's loss timer is cleared so an abandoned
@@ -276,59 +262,6 @@ class Connection:
         path.abandon()
         self.path_updated(path, "abandon")
         self.timers.arm_loss()
-
-    def start_qoe_feedback(self, interval_s: float = 0.1) -> None:
-        """Send QOE_CONTROL_SIGNALS frames on a timer (draft Sec. 6).
-
-        The deployed XLINK piggybacks QoE on ACK_MP; the draft also
-        defines a standalone frame so feedback frequency is not tied
-        to ack frequency.  Requires a ``qoe_provider``.
-        """
-        if self.qoe_provider is None:
-            raise ProtocolViolation("no qoe_provider registered")
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
-
-        def tick() -> None:
-            if self.closed:
-                return
-            qoe = self.qoe_provider()
-            if qoe is not None and self.established:
-                now = self.loop.now
-                carrier = self.acks.carrier_path(
-                    self.paths[self.active_path_id()], now)
-                self.sender.queue_control(carrier.path_id,
-                                          QoeControlSignalsFrame(qoe=qoe))
-                self.sender.flush_control(now)
-            self.loop.schedule_after(interval_s, tick)
-
-        self.loop.schedule_after(interval_s, tick)
-
-    def set_path_status(self, path_id: int, status: PathStatus) -> None:
-        """Advertise a path's status to the peer (Sec. 6 PATH_STATUS).
-
-        STANDBY asks the peer to stop scheduling data on the path
-        (e.g. the phone's Wi-Fi signal is fading); AVAILABLE restores
-        it; ABANDON is equivalent to :meth:`close_path`.
-        """
-        path = self.paths.get(path_id)
-        if path is None:
-            raise ProtocolViolation(f"unknown path {path_id}")
-        if status is PathStatus.ABANDON:
-            self.close_path(path_id)
-            return
-        frame = PathStatusFrame(path_id=path_id, status=status,
-                                status_seq=0)
-        self.sender.queue_control(self.active_path_id(), frame)
-        # Apply locally as well: our own scheduler must respect it.
-        path.status = status
-        if status is PathStatus.STANDBY and path.state is _ACTIVE:
-            path.state = PathState.STANDBY
-        elif status is PathStatus.AVAILABLE \
-                and path.state is PathState.STANDBY:
-            path.state = _ACTIVE
-        self.path_updated(path, "local_status")
-        self.pump()
 
     def send_ping(self, path_id: int) -> None:
         """Send a PING on ``path_id`` (path liveness probe)."""
@@ -473,7 +406,6 @@ class Connection:
         # Path 0's remote CID is the peer's SCID (sequence 0).
         scid = ConnectionId(cid=header.scid, sequence_number=0)
         self.cids.register_peer(scid)
-        self.cids.mark_peer_used(0)
         if not self.config.is_client:
             if 0 not in self.paths:
                 raise ProtocolViolation("server path 0 not provisioned")

@@ -220,15 +220,6 @@ def _nonce(iv_int: int, iv_len: int, cid_sequence_number: int,
             ).to_bytes(iv_len, "big")
 
 
-def build_nonce(iv: bytes, cid_sequence_number: int,
-                packet_number: int) -> bytes:
-    """Multipath AEAD nonce: IV XOR padded path-and-packet-number."""
-    if len(iv) < IV_LENGTH:
-        raise ValueError(f"IV must be at least {IV_LENGTH} bytes")
-    return _nonce(int.from_bytes(iv, "big"), len(iv),
-                  cid_sequence_number, packet_number)
-
-
 class PacketProtection:
     """Seals and opens packet payloads with the multipath nonce."""
 

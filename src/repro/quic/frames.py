@@ -12,6 +12,14 @@ Implemented frames:
 
 Every frame serializes to bytes and parses back; the connection layer
 only ever exchanges serialized packets.
+
+What the stack sends: PING, CRYPTO, STREAM, MAX_DATA, MAX_STREAM_DATA,
+NEW_CONNECTION_ID, PATH_CHALLENGE, PATH_RESPONSE, CONNECTION_CLOSE and
+ACK_MP, with the QoE field on it.  PATH_STATUS (abandon, standby,
+available) and QOE_CONTROL_SIGNALS it only decodes and handles
+(``repro.quic.receive``): nothing in the program closes a path or
+sends QoE apart from an ACK, but a peer may.  PADDING and single-space
+ACK are decoded and ignored.
 """
 
 from __future__ import annotations

@@ -82,10 +82,6 @@ class Path:
         return self.state in (PathState.ACTIVE, PathState.VALIDATING) \
             and self.status != PathStatus.ABANDON
 
-    @property
-    def is_active(self) -> bool:
-        return self.state is PathState.ACTIVE
-
     def is_suspect(self, now: float) -> bool:
         """Heuristic path-quality check (Sec. 6 'Path close').
 

@@ -325,9 +325,6 @@ class _RangeSet:
             missing.append((cursor, end))
         return missing
 
-    def upper_bound(self) -> int:
-        return self._ranges[-1][1] if self._ranges else 0
-
     def __len__(self) -> int:
         return len(self._ranges)
 

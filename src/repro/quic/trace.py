@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: every kind ``Connection.emit`` is called with -> its trace category.
 #: Datagram events carry the wire bytes as ``payload``; the rest carry
@@ -90,34 +90,8 @@ class ConnectionTracer:
 
     # -- queries --------------------------------------------------------------
 
-    def filter(self, category: Optional[str] = None,
-               name: Optional[str] = None) -> List[TraceEvent]:
-        out = self.events
-        if category is not None:
-            out = [e for e in out if e.category == category]
-        if name is not None:
-            out = [e for e in out if e.name == name]
-        return list(out)
-
     def count(self, name: str) -> int:
         return sum(1 for e in self.events if e.name == name)
-
-    def bytes_sent_by_path(self) -> Dict[int, int]:
-        """Total datagram bytes per network path."""
-        out: Dict[int, int] = {}
-        for e in self.filter(name="datagram_sent"):
-            path = e.data["net_path"]
-            out[path] = out.get(path, 0) + e.data["size"]
-        return out
-
-    def reinjection_timeline(self) -> List[tuple]:
-        """(time, cumulative re-injected bytes) pairs."""
-        total = 0
-        out = []
-        for e in self.filter(name="reinjection"):
-            total += e.data["length"]
-            out.append((e.time, total))
-        return out
 
     # -- export ---------------------------------------------------------------
 
@@ -129,18 +103,3 @@ class ConnectionTracer:
             f.write(self.to_jsonl())
             if self.events:
                 f.write("\n")
-
-    @staticmethod
-    def load_events(path) -> List[TraceEvent]:
-        events = []
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                raw = json.loads(line)
-                events.append(TraceEvent(time=raw["time"],
-                                         category=raw["category"],
-                                         name=raw["name"],
-                                         data=raw["data"]))
-        return events

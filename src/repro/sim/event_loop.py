@@ -63,14 +63,8 @@ class EventLoop:
         self._heap: list = []
         self._seq = 0
         self._running = False
-        self._events_run = 0
         self._cancelled_pending = 0
         self._stop_requested = False
-
-    @property
-    def events_run(self) -> int:
-        """Number of events executed so far (for loop-detection tests)."""
-        return self._events_run
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute virtual ``time``."""
@@ -90,10 +84,6 @@ class EventLoop:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_at(self.now + delay, callback)
-
-    def call_soon(self, callback: Callable[[], Any]) -> Event:
-        """Schedule ``callback`` at the current instant (after pending ties)."""
-        return self.schedule_at(self.now, callback)
 
     def _note_cancelled(self) -> None:
         """Track a cancellation; compact the heap when mostly dead.
@@ -123,14 +113,6 @@ class EventLoop:
         self._heap.clear()
         self._cancelled_pending = 0
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        return heap[0][0] if heap else None
-
     def step(self) -> bool:
         """Run the next live event.  Returns False if none remain."""
         heap = self._heap
@@ -142,7 +124,6 @@ class EventLoop:
                 continue
             # monotonic by construction: schedule_at rejects past times
             self.now = time
-            self._events_run += 1
             event.callback()
             return True
         return False
@@ -171,9 +152,11 @@ class EventLoop:
         step()`` driver exactly: the event that carries the clock to or
         past ``stop_before`` still executes, and the loop returns
         before running the one after it.  (``until`` is different: it
-        stops *before* crossing the horizon and advances ``now`` to
-        exactly ``until``; an ``until`` earlier than ``now`` raises
-        ``ValueError`` rather than move time backwards.)
+        stops *before* crossing the horizon.  When a live event lies
+        past ``until``, ``now`` advances to exactly ``until``; when the
+        heap drains first, ``now`` stays at the last event run.  An
+        ``until`` earlier than ``now`` raises ``ValueError`` rather than
+        move time backwards.)
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
@@ -212,5 +195,4 @@ class EventLoop:
                     break
             return self.now
         finally:
-            self._events_run += executed
             self._running = False

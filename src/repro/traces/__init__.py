@@ -10,15 +10,13 @@ the cross-ISP inflation of Table 4.
 from repro.traces.format import (load_mahimahi_trace, save_mahimahi_trace,
                                  trace_from_rate_series,
                                  trace_mean_throughput_bps)
-from repro.traces.synthetic import (TraceSpec, campus_walk_wifi_trace,
-                                    constant_rate_trace,
+from repro.traces.synthetic import (campus_walk_wifi_trace,
                                     high_speed_rail_cellular_trace,
                                     high_speed_rail_wifi_trace,
                                     stable_lte_trace, subway_cellular_trace,
                                     subway_wifi_trace)
 from repro.traces.radio_profiles import (CROSS_ISP_DELAY_INCREASE, RadioType,
-                                         RADIO_PROFILES, cross_isp_delay,
-                                         sample_path_delay)
+                                         RADIO_PROFILES, cross_isp_delay)
 from repro.traces.catalog import extreme_mobility_trace_pairs
 
 __all__ = [
@@ -26,9 +24,7 @@ __all__ = [
     "save_mahimahi_trace",
     "trace_from_rate_series",
     "trace_mean_throughput_bps",
-    "TraceSpec",
     "campus_walk_wifi_trace",
-    "constant_rate_trace",
     "stable_lte_trace",
     "subway_cellular_trace",
     "subway_wifi_trace",
@@ -38,6 +34,5 @@ __all__ = [
     "RADIO_PROFILES",
     "CROSS_ISP_DELAY_INCREASE",
     "cross_isp_delay",
-    "sample_path_delay",
     "extreme_mobility_trace_pairs",
 ]

@@ -92,8 +92,3 @@ def cross_isp_delay(base_delay_s: float, client_isp: str,
     except KeyError as exc:
         raise KeyError(f"unknown ISP pair ({client_isp}, {server_isp})") from exc
     return base_delay_s * (1.0 + factor)
-
-
-def sample_path_delay(radio: RadioType, rng: random.Random) -> float:
-    """Sample a one-way path delay for ``radio`` (RTT/2)."""
-    return RADIO_PROFILES[radio].sample_rtt(rng) / 2.0

@@ -12,30 +12,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from itertools import repeat
 from typing import List
 
 from repro.sim.rng import make_rng
 from repro.traces.format import trace_from_rate_series
 
 MBPS = 1e6
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """Descriptor for a generated trace (used by the catalog)."""
-
-    name: str
-    duration_s: float
-    mean_mbps: float
-    environment: str
-
-
-def constant_rate_trace(rate_bps: float, duration_s: float) -> array:
-    """Uniform delivery opportunities at a fixed rate."""
-    n_windows = int(round(duration_s / 0.1))
-    return trace_from_rate_series(repeat(rate_bps, n_windows), interval_s=0.1)
 
 
 #: Fig. 1a's campus walk: peak Wi-Fi rate and the collapse window [s)

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.sim.rng import make_rng
 
@@ -78,10 +78,6 @@ class Video:
             offset = end
             index += 1
         return out
-
-    def frame_offsets(self) -> List[Tuple[int, int]]:
-        """(start, end) byte ranges of each frame."""
-        return list(zip(self._frame_ends, self._frame_ends[1:]))
 
     def frames_in_bytes(self, byte_count: int) -> int:
         """Number of whole frames contained in the first ``byte_count``."""

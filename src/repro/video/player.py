@@ -83,10 +83,6 @@ class PlayerStats:
             return 0.0
         return self.rebuffer_time / self.play_time
 
-    @property
-    def rebuffer_count(self) -> int:
-        return len([e for e in self.rebuffer_events if e.end is not None])
-
 
 class VideoPlayer:
     """Drives one video playback session over a QUIC connection."""

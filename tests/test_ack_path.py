@@ -30,7 +30,7 @@ from repro.quic.frames import (AckMpFrame, AckRange, QoeSignals,
                                decode_frames, encode_frames)
 from repro.quic.loss_detection import (PACKET_THRESHOLD, TIME_THRESHOLD,
                                        PathLossDetector, SentPacket)
-from repro.quic.path import Path
+from repro.quic.path import Path, PathState
 from repro.quic.rtt import GRANULARITY, RttEstimator
 from repro.sim import EventLoop
 from tests.test_connection import build_pair, captured
@@ -371,7 +371,7 @@ def test_two_big_acks_do_not_share_a_datagram():
     loop.run(until=0.5)
     client.open_path(1, 1)
     loop.run(until=1.0)
-    assert all(p.is_active for p in server.paths.values())
+    assert all(p.state is PathState.ACTIVE for p in server.paths.values())
     assert len(server.paths) == 2
     emitted = captured(server, "datagram_sent")
     seen = []

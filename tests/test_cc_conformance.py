@@ -147,7 +147,6 @@ class TestInvariants:
         cc = make_cc(name)
         assert cc.cwnd == float(INITIAL_WINDOW)
         assert cc.bytes_in_flight == 0
-        assert cc.available_window == float(INITIAL_WINDOW)
         assert cc.can_send(MDS)
 
     def test_window_accounting_conserves_in_flight(self, name):
@@ -396,14 +395,6 @@ class TestMpBbr:
         other._cycle_index = 7
         other._next_cycle_phase(2.0)
         assert other._cycle_index == 0      # token free: probe granted
-
-    def test_total_bandwidth_aggregates(self):
-        coord = MpBbrCoordinator()
-        a = MpBbrCc(coord)
-        b = MpBbrCc(coord)
-        a._bw_filter.update(1e6, 1)
-        b._bw_filter.update(5e5, 1)
-        assert coord.total_bandwidth == 1.5e6
 
     def test_loss_storm_respects_non_starvation_floor(self):
         cc = make_cc("mpbbr")

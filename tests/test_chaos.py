@@ -21,7 +21,7 @@ from repro.netem import (ChaosBox, ChaosSchedule, Datagram,
                          MultipathNetwork, OutageSchedule)
 from repro.quic.connection import Connection, ConnectionConfig, SendChunk
 from repro.quic.errors import FrameEncodingError, QuicError
-from repro.quic.frames import decode_frames
+from repro.quic.frames import PathStatus, PathStatusFrame, decode_frames
 from repro.quic.packets import decode_header
 from repro.quic.path import PathState
 from repro.sim import EventLoop
@@ -304,9 +304,17 @@ class TestPathAbandonAccounting:
         for _ in range(200):
             loop.step()
         assert any(p.loss.bytes_in_flight for p in server.paths.values())
-        server.close_path(1)
+        # the client abandons path 1 and tells the server, whose PATH_STATUS
+        # handler drops the path with data in flight on it
+        client.sender.queue_control(0, PathStatusFrame(
+            path_id=1, status=PathStatus.ABANDON, status_seq=0))
+        client.sender.flush_control(loop.now)
+        client.abandon_path_locally(client.paths[1])
         path = server.paths[1]
-        assert path.state is PathState.ABANDONED
+        while path.state is not PathState.ABANDONED:
+            in_flight = path.loss.bytes_in_flight
+            assert loop.step()
+        assert in_flight > 0
         assert not path.loss.sent
         assert path.loss.bytes_in_flight == 0
         assert path.loss.loss_time is None
@@ -359,7 +367,7 @@ class TestServerHostEviction:
             loop, [PathSpec(0, RadioType.WIFI, 0.01, rate_bps=10e6)],
             seed=0)
         host = ServerHost(loop, net)
-        host.listen()
+        net.server.on_receive(host.on_datagram)
         client = ClientEndpoint(loop, net.client, SCHEMES["sp"],
                                 [(0, RadioType.WIFI)], seed=1)
         conn = host.register_session("client", client.connection_name,

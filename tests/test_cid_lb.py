@@ -41,9 +41,7 @@ class TestCidRegistry:
         reg = CidRegistry(random.Random(1))
         peer = ConnectionId(cid=b"\x01" * 8, sequence_number=0)
         reg.register_peer(peer)
-        assert reg.unused_peer_cid() == peer
-        reg.mark_peer_used(0)
-        assert reg.unused_peer_cid() is None
+        assert reg.peer_cids == {0: peer}
 
     def test_reregister_same_cid_ok(self):
         reg = CidRegistry(random.Random(1))
@@ -58,22 +56,11 @@ class TestCidRegistry:
             reg.register_peer(
                 ConnectionId(cid=b"\x02" * 8, sequence_number=0))
 
-    def test_mark_unknown_raises(self):
-        reg = CidRegistry(random.Random(1))
-        with pytest.raises(KeyError):
-            reg.mark_peer_used(5)
-
     def test_lookup_issued(self):
         reg = CidRegistry(random.Random(1))
         cid = reg.issue()
         assert reg.lookup_issued(cid.cid) == cid
         assert reg.lookup_issued(b"\xff" * 8) is None
-
-    def test_unused_peer_cid_lowest_first(self):
-        reg = CidRegistry(random.Random(1))
-        reg.register_peer(ConnectionId(cid=b"\x02" * 8, sequence_number=2))
-        reg.register_peer(ConnectionId(cid=b"\x01" * 8, sequence_number=1))
-        assert reg.unused_peer_cid().sequence_number == 1
 
 
 class TestConsistentHashRing:
@@ -93,16 +80,17 @@ class TestConsistentHashRing:
             assert count > 3000 / 3 / 3  # no node starved
 
     def test_remove_node_moves_only_its_keys(self):
-        """Consistent hashing: removing a node leaves other keys put."""
+        """Consistent hashing: a ring without a node sends every other
+        node's keys where the full ring does."""
         ring = ConsistentHashRing(["a", "b", "c"])
+        without_c = ConsistentHashRing(["a", "b"])
         rng = random.Random(0)
         keys = [bytes(rng.getrandbits(8) for _ in range(8))
                 for _ in range(500)]
         before = {k: ring.node_for(k) for k in keys}
-        ring.remove_node("c")
         moved = 0
         for k in keys:
-            after = ring.node_for(k)
+            after = without_c.node_for(k)
             if before[k] != after:
                 moved += 1
                 assert before[k] == "c"  # only c's keys may move

@@ -139,17 +139,6 @@ class TestPathLifecycle:
         assert path.remote_cid.sequence_number == 1
         assert path.local_cid.sequence_number == 1
 
-    def test_close_path_propagates_abandon(self):
-        loop = EventLoop()
-        net = two_path_net(loop)
-        client, server = self._established(loop, net)
-        client.open_path(1, 1)
-        loop.run(until=1.0)
-        client.close_path(1)
-        loop.run(until=2.0)
-        assert client.paths[1].state is PathState.ABANDONED
-        assert server.paths[1].state is PathState.ABANDONED
-
     def test_migration_resets_cwnd(self):
         loop = EventLoop()
         net = two_path_net(loop)

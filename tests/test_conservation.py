@@ -15,7 +15,7 @@ from repro.netem import (ConstantRateLink, Datagram, MultipathNetwork,
                          TraceDrivenLink)
 from repro.netem.packet import MTU, UDP_IP_OVERHEAD
 from repro.sim import EventLoop
-from repro.traces import constant_rate_trace
+from repro.traces import trace_from_rate_series
 
 
 class TestLinkConservation:
@@ -59,7 +59,7 @@ class TestLinkConservation:
         """Sustained goodput cannot exceed the trace's mean capacity."""
         loop = EventLoop()
         delivered_bytes = []
-        trace = constant_rate_trace(4e6, 2.0)
+        trace = trace_from_rate_series([4e6] * 20, interval_s=0.1)
         link = TraceDrivenLink(loop, trace,
                                lambda d: delivered_bytes.append(
                                    d.wire_size),

@@ -83,7 +83,6 @@ class TestPathState:
         path = _path()
         assert path.state is PathState.PENDING
         assert path.status is PathStatus.AVAILABLE
-        assert not path.is_active
 
     def test_packet_numbers_monotone(self):
         path = _path()

@@ -237,7 +237,7 @@ class TestAbPopulation:
                            timeout_s=30.0, seed=11)
         a = run_ab_day(cfg, 1, ["sp"]).schemes["sp"]
         b = run_ab_day(cfg, 1, ["sp"]).schemes["sp"]
-        assert a.rct.is_exact and a.rct.count
+        assert a.rct._exact is not None and a.rct.count
         assert a.canonical() == b.canonical()
 
     def test_different_days_differ(self):

@@ -38,7 +38,7 @@ class TestServerHostRouting:
         loop = EventLoop()
         net = _network(loop)
         host = ServerHost(loop, net, videos={}, server_id=1)
-        host.listen()
+        net.server.on_receive(host.on_datagram)
         conn = host.register_session("client", "sess-a", SCHEMES[scheme],
                                      seed=0, primary_net=0)
         return loop, net, host, conn
@@ -48,7 +48,7 @@ class TestServerHostRouting:
         loop = EventLoop()
         net = _network(loop)
         host = ServerHost(loop, net, videos={}, server_id=1)
-        host.listen()
+        net.server.on_receive(host.on_datagram)
         scheme = SCHEMES["xlink"]
         client = ClientEndpoint(loop, net.client, scheme,
                                 [(0, RadioType.WIFI), (1, RadioType.LTE)],

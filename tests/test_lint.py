@@ -24,25 +24,75 @@ def lint(tmp_path, monkeypatch):
 
 
 class TestDeadPublicNames:
+    @staticmethod
+    def _dead(lint, tmp_path, package: str, users: dict) -> list:
+        """The names DEAD flags in ``src/repro/mod.py`` = ``package``,
+        with ``users`` mapping repo-relative paths to their source."""
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "mod.py").write_text(package)
+        for name, source in users.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(source)
+        findings = lint.check_dead_public()
+        assert all(message.startswith("DEAD") for *_, message in findings)
+        return sorted(message.split("'")[1]
+                      for _path, _line, message in findings)
+
     def test_flags_only_public_names_nothing_else_writes(self, lint,
                                                          tmp_path):
-        package = tmp_path / "src" / "repro"
-        package.mkdir(parents=True)
-        (package / "mod.py").write_text(
-            "def used_by_test():\n    return _helper()\n\n"
+        assert self._dead(
+            lint, tmp_path,
+            "def used_by_example():\n    return _helper()\n\n"
             "def used_in_module():\n    return 1\n\n"
             "def orphan():\n    return used_in_module()\n\n"
             "def _helper():\n    return 2\n\n"
             "class Orphaned:\n    def method(self):\n        return 3\n\n"
-            "class Other:\n    def method(self):\n        return 4\n")
-        (tmp_path / "tests").mkdir()
-        (tmp_path / "tests" / "test_mod.py").write_text(
-            "from repro.mod import used_by_test, Other\n")
-        findings = lint.check_dead_public()
-        assert sorted(message.split("'")[1]
-                      for _path, _line, message in findings) \
+            "class Other:\n    def method(self):\n        return 4\n",
+            {"examples/demo.py": "from repro.mod import used_by_example, "
+                                 "Other\n"
+                                 "used_by_example(Other())\n"}) \
             == ["Orphaned", "method", "method", "orphan"]
-        assert all(message.startswith("DEAD") for *_, message in findings)
+
+    def test_tests_docstrings_imports_and_all_are_not_uses(self, lint,
+                                                          tmp_path):
+        """A name only a test calls, or only a docstring, an import,
+        ``__all__`` or its own body spells, is code the program never
+        runs."""
+        assert self._dead(
+            lint, tmp_path,
+            "def tested_only():\n    return 1\n\n"
+            "def in_docstring():\n    return 2\n\n"
+            "def imported_only():\n    return 3\n\n"
+            "def in_all_only():\n    return 4\n\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n",
+            {"tests/test_mod.py": "from repro.mod import tested_only\n"
+                                  "assert tested_only() == 1\n",
+             "src/repro/__init__.py": '"""in_docstring"""\n'
+                                      "from repro.mod import imported_only\n"
+                                      "# in_docstring, in_all_only\n"
+                                      "__all__ = ['in_all_only']\n"}) \
+            == ["imported_only", "in_all_only", "in_docstring",
+                "recursive", "tested_only"]
+
+    def test_examples_getattr_and_the_allow_list_are_uses(self, lint,
+                                                          tmp_path):
+        assert self._dead(
+            lint, tmp_path,
+            "def example_only():\n    return 1\n\n"
+            "class Link:\n"
+            "    def queue_depth(self):\n        return 0\n\n"
+            "def run_session_tasks():\n    return []\n\n"
+            "def load_mahimahi_trace(path):\n    return path\n\n"
+            "def save_mahimahi_trace(trace, path):\n    return path\n",
+            {"examples/demo.py": "from repro.mod import example_only\n"
+                                 "example_only()\n",
+             "bench/trace.py": "from repro.mod import Link\n"
+                               "getattr(Link(), 'queue_depth', None)\n"}) \
+            == []
+
+    def test_the_allow_list_is_three_names(self):
+        assert set(_load_lint().DEAD_ALLOWED) == {
+            "run_session_tasks", "load_mahimahi_trace", "save_mahimahi_trace"}
 
     def test_this_repo_has_no_dead_public_names(self):
         assert _load_lint().check_dead_public() == []

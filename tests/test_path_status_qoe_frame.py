@@ -1,12 +1,16 @@
-"""Tests for PATH_STATUS management and standalone QoE feedback."""
+"""The receive side of PATH_STATUS and QOE_CONTROL_SIGNALS.
 
-import pytest
+The stack decodes and handles both frames but sends neither on its own
+(QoE rides ACK_MP), so these tests queue them by hand through
+``Sender.queue_control``, the way every control frame leaves a
+connection.
+"""
 
 from repro.core import MinRttScheduler, ThresholdConfig, XlinkScheduler
 from repro.netem import Datagram, MultipathNetwork
 from repro.quic.connection import Connection, ConnectionConfig
-from repro.quic.errors import ProtocolViolation
-from repro.quic.frames import PathStatus, QoeSignals
+from repro.quic.frames import (PathStatus, PathStatusFrame,
+                               QoeControlSignalsFrame, QoeSignals)
 from repro.quic.path import PathState
 from repro.sim import EventLoop
 
@@ -38,18 +42,36 @@ def pair(server_scheduler=None):
     return loop, net, client, server
 
 
+def send_status(loop, client, path_id, status):
+    """The client tells the server ``path_id`` is now ``status``."""
+    client.sender.queue_control(0, PathStatusFrame(
+        path_id=path_id, status=status, status_seq=0))
+    client.sender.flush_control(loop.now)
+
+
+def feed_qoe(loop, client, provider, interval_s=0.05):
+    """Send a QOE_CONTROL_SIGNALS frame from the client every
+    ``interval_s``, carrying ``provider()``."""
+    def tick():
+        client.sender.queue_control(0, QoeControlSignalsFrame(
+            qoe=provider()))
+        client.sender.flush_control(loop.now)
+        loop.schedule_after(interval_s, tick)
+
+    loop.schedule_after(interval_s, tick)
+
+
 class TestPathStatus:
     def test_standby_propagates_to_peer(self):
         loop, net, client, server = pair()
-        client.set_path_status(1, PathStatus.STANDBY)
+        send_status(loop, client, 1, PathStatus.STANDBY)
         loop.run(until=1.0)
-        assert client.paths[1].status is PathStatus.STANDBY
         assert server.paths[1].status is PathStatus.STANDBY
         assert server.paths[1].state is PathState.STANDBY
 
     def test_standby_path_not_scheduled(self):
         loop, net, client, server = pair()
-        client.set_path_status(1, PathStatus.STANDBY)
+        send_status(loop, client, 1, PathStatus.STANDBY)
         loop.run(until=1.0)
         sent_before = server.paths[1].bytes_sent
         # Server transfers data; it must all ride path 0.
@@ -70,47 +92,41 @@ class TestPathStatus:
 
     def test_available_restores_path(self):
         loop, net, client, server = pair()
-        client.set_path_status(1, PathStatus.STANDBY)
+        send_status(loop, client, 1, PathStatus.STANDBY)
         loop.run(until=1.0)
-        client.set_path_status(1, PathStatus.AVAILABLE)
+        assert server.paths[1].state is PathState.STANDBY
+        send_status(loop, client, 1, PathStatus.AVAILABLE)
         loop.run(until=1.5)
-        assert client.paths[1].state is PathState.ACTIVE
+        assert server.paths[1].state is PathState.ACTIVE
         assert server.paths[1].status is PathStatus.AVAILABLE
 
     def test_abandon_via_status(self):
         loop, net, client, server = pair()
-        client.set_path_status(1, PathStatus.ABANDON)
+        send_status(loop, client, 1, PathStatus.ABANDON)
         loop.run(until=1.0)
-        assert client.paths[1].state is PathState.ABANDONED
         assert server.paths[1].state is PathState.ABANDONED
 
     def test_unknown_path_rejected(self):
+        """A PATH_STATUS for a path the peer does not have changes
+        nothing there."""
         loop, net, client, server = pair()
-        with pytest.raises(ProtocolViolation):
-            client.set_path_status(9, PathStatus.STANDBY)
+        send_status(loop, client, 9, PathStatus.STANDBY)
+        loop.run(until=1.0)
+        assert sorted(server.paths) == [0, 1]
+        assert all(p.state is PathState.ACTIVE
+                   for p in server.paths.values())
+        assert not server.closed
 
 
 class TestStandaloneQoeFeedback:
-    def test_requires_provider(self):
-        loop, net, client, server = pair()
-        with pytest.raises(ProtocolViolation):
-            client.start_qoe_feedback()
-
-    def test_rejects_bad_interval(self):
-        loop, net, client, server = pair()
-        client.qoe_provider = lambda: QoeSignals(1, 2, 3, 4)
-        with pytest.raises(ValueError):
-            client.start_qoe_feedback(interval_s=0)
-
     def test_feedback_arrives_without_data_flow(self):
         """The draft's point: feedback is decoupled from ACK frequency.
 
         With no data flowing there are no ACK_MPs, yet the server
-        still receives QoE updates."""
+        still takes in the QoE the frame carries."""
         loop, net, client, server = pair()
-        client.qoe_provider = lambda: QoeSignals(
-            cached_bytes=777, cached_frames=25, bps=1000, fps=25)
-        client.start_qoe_feedback(interval_s=0.05)
+        feed_qoe(loop, client, lambda: QoeSignals(
+            cached_bytes=777, cached_frames=25, bps=1000, fps=25))
         loop.run(until=1.0)
         assert server.last_qoe is not None
         assert server.last_qoe.cached_bytes == 777
@@ -118,9 +134,8 @@ class TestStandaloneQoeFeedback:
     def test_feedback_drives_scheduler_controller(self):
         sched = XlinkScheduler(thresholds=ThresholdConfig(0.5, 2.0))
         loop, net, client, server = pair(server_scheduler=sched)
-        client.qoe_provider = lambda: QoeSignals(
-            cached_bytes=0, cached_frames=0, bps=2_000_000, fps=25)
-        client.start_qoe_feedback(interval_s=0.05)
+        feed_qoe(loop, client, lambda: QoeSignals(
+            cached_bytes=0, cached_frames=0, bps=2_000_000, fps=25))
         loop.run(until=1.0)
         assert sched.controller.last_qoe is not None
         assert sched.controller.play_time_left(loop.now) == 0.0
@@ -128,9 +143,8 @@ class TestStandaloneQoeFeedback:
     def test_feedback_updates_over_time(self):
         loop, net, client, server = pair()
         values = iter(range(100, 200))
-        client.qoe_provider = lambda: QoeSignals(
-            cached_bytes=next(values), cached_frames=1, bps=1, fps=1)
-        client.start_qoe_feedback(interval_s=0.05)
+        feed_qoe(loop, client, lambda: QoeSignals(
+            cached_bytes=next(values), cached_frames=1, bps=1, fps=1))
         loop.run(until=0.8)
         first = server.last_qoe.cached_bytes
         loop.run(until=1.4)

@@ -267,7 +267,6 @@ class TestVideoOracle:
         for size in sizes:
             offsets.append((offset, offset + size))
             offset += size
-        assert video.frame_offsets() == offsets
         # every frame boundary and its neighbours, then the random ones
         edges = [end + d for _start, end in offsets for d in (-1, 0, 1)]
         for byte_count in edges + byte_counts + [0, total, total + 1]:

@@ -60,7 +60,7 @@ class TestPlaybackAccounting:
         video = make_video(duration_s=4.0, seed=1)
         player, _ = session(video, rate=50e6)
         assert player.stats.rebuffer_time == 0.0
-        assert player.stats.rebuffer_count == 0
+        assert player.stats.rebuffer_events == []
 
     def test_outage_causes_measured_stall(self):
         video = make_video(duration_s=8.0, bitrate_bps=2e6, seed=2)
@@ -70,7 +70,7 @@ class TestPlaybackAccounting:
             timeout=60.0)
         assert player.finished
         stats = player.stats
-        assert stats.rebuffer_count >= 1
+        assert stats.rebuffer_events
         assert stats.rebuffer_time > 0.5
         # Stalls are well-formed: every event closed, positive length.
         for event in stats.rebuffer_events:

@@ -32,7 +32,8 @@ class FakeConn:
         self.closed = False
 
     def usable_paths(self):
-        return [p for p in self.paths.values() if p.is_active]
+        return [p for p in self.paths.values()
+                if p.state is PathState.ACTIVE]
 
     def unacked_ranges(self, **kw):
         return []
@@ -74,7 +75,7 @@ class TestSelectPathProperties:
         chunk = SendChunk(stream_id=0, offset=0, length=1000)
         picked = MinRttScheduler().select_path(conn, chunk)
         if picked is not None:
-            assert picked.is_active
+            assert picked.state is PathState.ACTIVE
             assert picked.cc.can_send(1400)
             # No other eligible path has a strictly lower RTT.
             for p in conn.usable_paths():

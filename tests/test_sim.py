@@ -112,6 +112,15 @@ class TestEventLoop:
         assert seen == [1]
         assert loop.now == 2.0
 
+    def test_run_until_stops_at_the_last_event_once_drained(self):
+        """When the heap drains before ``until``, ``now`` stays at the
+        last event: ``until`` is a horizon, not a destination."""
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda: None)
+        assert loop.run(until=5.0) == 1.0
+        assert loop.now == 1.0
+        assert EventLoop().run(until=5.0) == 0.0
+
     def test_run_until_allows_resume(self):
         loop = EventLoop()
         seen = []
@@ -137,21 +146,6 @@ class TestEventLoop:
     def test_step_returns_false_when_empty(self):
         assert EventLoop().step() is False
 
-    def test_call_soon_runs_at_current_time(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule_at(1.0, lambda: loop.call_soon(
-            lambda: seen.append(loop.now)))
-        loop.run()
-        assert seen == [1.0]
-
-    def test_peek_time_skips_cancelled(self):
-        loop = EventLoop()
-        ev = loop.schedule_at(1.0, lambda: None)
-        loop.schedule_at(2.0, lambda: None)
-        ev.cancel()
-        assert loop.peek_time() == 2.0
-
     def test_max_events_guard(self):
         loop = EventLoop()
 
@@ -165,14 +159,16 @@ class TestEventLoop:
     def test_max_events_guard_counts_exactly(self):
         """The guard allows exactly max_events executions (no off-by-one)."""
         loop = EventLoop()
+        ran = []
 
         def forever():
+            ran.append(loop.now)
             loop.schedule_after(0.001, forever)
 
         loop.schedule_at(0.0, forever)
         with pytest.raises(SimulationError):
             loop.run(max_events=100)
-        assert loop.events_run == 100
+        assert len(ran) == 100
 
     def test_max_events_exact_queue_drains_cleanly(self):
         """A queue that drains at the limit must not raise."""
@@ -202,7 +198,6 @@ class TestEventLoopEdgeCases:
         head = loop.schedule_at(1.0, lambda: seen.append("head"))
         loop.schedule_at(2.0, lambda: seen.append("tail"))
         head.cancel()
-        assert loop.peek_time() == 2.0
         loop.run()
         assert seen == ["tail"]
 
@@ -211,8 +206,9 @@ class TestEventLoopEdgeCases:
         event = loop.schedule_at(1.0, lambda: None)
         event.cancel()
         event.cancel()  # second cancel must not double-count
+        assert loop._cancelled_pending == 1
         loop.schedule_at(2.0, lambda: None)
-        assert loop.peek_time() == 2.0
+        assert loop.run() == 2.0
 
     def test_cancel_from_within_callback(self):
         """An earlier callback may cancel a pending later event."""
@@ -224,17 +220,18 @@ class TestEventLoopEdgeCases:
         loop.run()
         assert seen == ["survivor"]
 
-    def test_call_soon_ordering_under_ties(self):
-        """call_soon chains run strictly in scheduling order at one instant."""
+    def test_zero_delay_ordering_under_ties(self):
+        """Zero-delay chains run strictly in scheduling order at one
+        instant."""
         loop = EventLoop()
         seen = []
 
         def first():
             seen.append("first")
-            loop.call_soon(lambda: seen.append("nested"))
+            loop.schedule_after(0.0, lambda: seen.append("nested"))
 
-        loop.call_soon(first)
-        loop.call_soon(lambda: seen.append("second"))
+        loop.schedule_after(0.0, first)
+        loop.schedule_after(0.0, lambda: seen.append("second"))
         loop.run()
         # nested was scheduled *after* second, so it runs last
         assert seen == ["first", "second", "nested"]
@@ -270,14 +267,15 @@ class TestEventLoopEdgeCases:
     def test_heavy_cancellation_compacts_heap(self):
         """Mass cancellation must not leave a graveyard in the heap."""
         loop = EventLoop()
-        events = [loop.schedule_at(1.0 + i * 0.001, lambda: None)
+        ran = []
+        events = [loop.schedule_at(1.0 + i * 0.001, lambda: ran.append(1))
                   for i in range(1000)]
         for event in events[:900]:
             event.cancel()
         # compaction keeps the heap small; survivors all still fire
         assert len(loop._heap) <= 200
         loop.run()
-        assert loop.events_run == 100
+        assert len(ran) == 100
 
 
 class TestRng:

@@ -22,8 +22,7 @@ from repro.metrics.qoe import SessionMetrics, aggregate_rebuffer_rate
 from repro.metrics.sink import MetricSink, SchemeSink
 from repro.metrics.sketch import (DEFAULT_ALPHA, DEFAULT_EXACT_LIMIT, TINY,
                                   DistSketch, permutation_mean_test)
-from repro.metrics.stats import (maybe_percentile, maybe_summarize,
-                                 percentile, summarize)
+from repro.metrics.stats import percentile
 
 
 def _lognormal_samples(n: int, seed: int = 1) -> list:
@@ -41,7 +40,7 @@ class TestExactMode:
         samples = _lognormal_samples(200)
         sketch = DistSketch()
         sketch.extend(samples)
-        assert sketch.is_exact
+        assert sketch._exact is not None
         for pct in (0, 10, 50, 90, 95, 99, 100):
             assert sketch.percentile(pct) == percentile(samples, pct)
 
@@ -49,12 +48,12 @@ class TestExactMode:
         samples = _lognormal_samples(100)
         sketch = DistSketch()
         sketch.extend(samples)
-        ref = summarize(samples)
         got = sketch.summary()
         assert got is not None
-        assert (got.p50, got.p95, got.p99) == (ref.p50, ref.p95, ref.p99)
-        assert got.count == ref.count
-        assert got.minimum == ref.minimum and got.maximum == ref.maximum
+        assert (got.p50, got.p95, got.p99) \
+            == tuple(percentile(samples, pct) for pct in (50, 95, 99))
+        assert got.count == len(samples)
+        assert got.minimum == min(samples) and got.maximum == max(samples)
 
     def test_spill_timing_does_not_change_state(self):
         # Converting exact->buckets is a pure per-value mapping, so a
@@ -89,10 +88,6 @@ class TestEmptyState:
         # reference does not -- that contract must not drift.
         with pytest.raises(ValueError):
             percentile([], 50)
-        with pytest.raises(ValueError):
-            summarize([])
-        assert maybe_percentile([], 50) is None
-        assert maybe_summarize([]) is None
 
     def test_empty_scheme_sink_reads(self):
         sink = SchemeSink("sp")
@@ -152,7 +147,7 @@ class TestErrorBounds:
     def test_bucketed_percentiles_within_alpha(self, samples):
         sketch = DistSketch()
         sketch.extend(samples)
-        assert not sketch.is_exact
+        assert sketch._exact is None
         for pct in (10, 25, 50, 75, 90, 95, 99):
             exact = percentile(samples, pct)
             got = sketch.percentile(pct)

@@ -256,12 +256,11 @@ class TestRangeSet:
         rs.add(5, 5)
         assert len(rs) == 0
 
-    def test_total_and_upper_bound(self):
+    def test_total_sums_disjoint_ranges(self):
         rs = _RangeSet()
         rs.add(0, 4)
         rs.add(10, 12)
         assert rs.total() == 6
-        assert rs.upper_bound() == 12
 
     @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)),
                     max_size=30))

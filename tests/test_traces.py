@@ -7,11 +7,11 @@ import pytest
 
 from repro.netem.packet import MTU
 from repro.traces import (CROSS_ISP_DELAY_INCREASE, RADIO_PROFILES, RadioType,
-                          campus_walk_wifi_trace, constant_rate_trace,
-                          cross_isp_delay, extreme_mobility_trace_pairs,
+                          campus_walk_wifi_trace, cross_isp_delay,
+                          extreme_mobility_trace_pairs,
                           high_speed_rail_cellular_trace,
-                          load_mahimahi_trace, sample_path_delay,
-                          save_mahimahi_trace, stable_lte_trace,
+                          load_mahimahi_trace, save_mahimahi_trace,
+                          stable_lte_trace,
                           subway_cellular_trace, trace_from_rate_series,
                           trace_mean_throughput_bps)
 
@@ -67,7 +67,7 @@ class TestFormat:
             trace_from_rate_series([-1.0])
 
     def test_mean_throughput(self):
-        trace = constant_rate_trace(12e6, 10.0)
+        trace = trace_from_rate_series([12e6] * 100, interval_s=0.1)
         measured = trace_mean_throughput_bps(trace)
         assert measured == pytest.approx(12e6, rel=0.02)
 
@@ -164,13 +164,6 @@ class TestRadioProfiles:
     def test_cross_isp_unknown_pair(self):
         with pytest.raises(KeyError):
             cross_isp_delay(0.1, "A", "Z")
-
-    def test_sample_path_delay_is_half_rtt(self):
-        rng1 = random.Random(5)
-        rng2 = random.Random(5)
-        rtt = RADIO_PROFILES[RadioType.WIFI].sample_rtt(rng1)
-        delay = sample_path_delay(RadioType.WIFI, rng2)
-        assert delay == pytest.approx(rtt / 2)
 
     def test_preference_order(self):
         """Sec. 5.3: 5G SA > 5G NSA > WiFi > LTE."""

@@ -44,7 +44,8 @@ class TestVideoModel:
 
     def test_frame_offsets(self):
         v = Video(name="t", fps=10, frame_sizes=[100, 50])
-        assert v.frame_offsets() == [(0, 100), (100, 150)]
+        assert [(v.bytes_for_frames(i), v.bytes_for_frames(i + 1))
+                for i in range(2)] == [(0, 100), (100, 150)]
 
     def test_deterministic_by_seed(self):
         assert make_video(seed=5).frame_sizes == make_video(seed=5).frame_sizes

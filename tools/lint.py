@@ -18,9 +18,13 @@ forms, and obvious AST-level mistakes:
 - STREAMSTATE: a dict keyed by stream id (annotated ``Dict[int, ...]``,
   or a dict whose name says ``stream``) set on one of the connection
   classes in ``NO_PER_STREAM_DICTS`` other than its two stream maps
-- DEAD: a public ``def``/``class`` under ``NO_DEAD_PUBLIC`` whose name
-  is written nowhere else in the repo's Python (checked whenever that
-  directory is linted)
+- DEAD: a public ``def``, ``class`` or method under ``NO_DEAD_PUBLIC``
+  that no code in ``DEAD_ROOTS`` -- the package, ``tools/``, the
+  drivers and ``examples/`` -- refers to outside its own definition,
+  by a name, an attribute or a string literal equal to it (``getattr``,
+  a table of names).  Tests, imports, ``__all__``, docstrings and
+  comments are not uses; ``DEAD_ALLOWED`` names the exceptions, each
+  with its reason (checked whenever that directory is linted)
 - GC: a use of ``gc.collect`` / ``gc.disable`` / ``gc.freeze`` under a
   directory listed in ``NO_GC_CALLS``
 - KNOB: a defaulted field of a ``@dataclass`` named ``*Config``, or a
@@ -46,9 +50,7 @@ from __future__ import annotations
 
 import ast
 import builtins
-import re
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -96,11 +98,22 @@ NO_PER_STREAM_DICTS = {"src/repro/quic": {
 }}
 
 #: the package whose public names must have a user, and where users
-#: may live.  ISSUE 21 deleted ten definitions nothing referenced; this
-#: keeps that list from regrowing.
+#: may live.  A test is not a user: a name only ``tests/`` reaches is
+#: code the program never runs, kept alive by its own checks.
 NO_DEAD_PUBLIC = "src/repro"
-REFERENCE_ROOTS = ("src", "tests", "tools", "figures", "bench", "examples")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DEAD_ROOTS = ("src", "tools", "figures", "bench", "examples")
+#: where KNOB looks for the call that sets a value
+REFERENCE_ROOTS = (*DEAD_ROOTS, "tests")
+
+#: the public names under ``NO_DEAD_PUBLIC`` that may stand with no code
+#: in ``DEAD_ROOTS`` referring to them, each for its reason.
+DEAD_ALLOWED = {
+    # the per-session reference the fleet's sinks are tested against
+    "run_session_tasks",
+    # Mahimahi trace files are how a real capture enters the emulator
+    # (PAPER.md, section 2)
+    "load_mahimahi_trace", "save_mahimahi_trace",
+}
 
 #: directory (repo-relative) -> the ``gc`` functions none of its files
 #: may use.  A finished session's world is a tree that refcounting frees
@@ -359,29 +372,64 @@ def check_file(path: Path) -> List[Finding]:
     return findings
 
 
-def check_dead_public() -> List[Finding]:
-    """Public names defined under ``NO_DEAD_PUBLIC`` that occur in the
-    repo's Python only where they are defined."""
-    words: Counter = Counter()
-    defined: List[Finding] = []
-    for path in iter_py_files([str(REPO_ROOT / r) for r in REFERENCE_ROOTS]):
-        source = path.read_text()
-        words.update(_WORD.findall(source))
-        if (REPO_ROOT / NO_DEAD_PUBLIC) not in path.parents:
+def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(name, line) of every reference in ``tree``: a name, an
+    attribute, or a string literal (``getattr(obj, "name")``, a table
+    of names) that is neither a docstring nor part of ``__all__``.
+    Imports are not references, and comments are not in the tree."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body \
+                and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant):
+            skip.add(id(node.body[0].value))
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
             continue
+        if node.value is not None and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in targets):
+            skip.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in skip:
+            yield node.value, node.lineno
+
+
+def check_dead_public() -> List[Finding]:
+    """Public names defined under ``NO_DEAD_PUBLIC`` that no code in
+    ``DEAD_ROOTS`` refers to outside their own definition."""
+    used: Dict[str, List[Tuple[Path, int]]] = {}
+    defined: List[Tuple[Path, ast.AST]] = []
+    for path in iter_py_files([str(REPO_ROOT / r) for r in DEAD_ROOTS]):
         try:
-            tree = ast.parse(source, filename=str(path))
+            tree = ast.parse(path.read_text(), filename=str(path))
         except SyntaxError:
             continue  # check_file reports it
-        defined.extend(
-            (path, node.lineno, node.name) for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_"))
-    n_defs = Counter(name for _path, _line, name in defined)
-    return [(path, line, f"DEAD public name '{name}' is referenced nowhere "
-                         f"in {', '.join(REFERENCE_ROOTS)}")
-            for path, line, name in defined if words[name] <= n_defs[name]]
+        for name, line in _references(tree):
+            used.setdefault(name, []).append((path, line))
+        if (REPO_ROOT / NO_DEAD_PUBLIC) in path.parents:
+            defined.extend(
+                (path, node) for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in DEAD_ALLOWED)
+    return [(path, node.lineno,
+             f"DEAD public name '{node.name}' is referenced by no code in "
+             f"{', '.join(DEAD_ROOTS)} outside its definition")
+            for path, node in defined
+            if not any(where != path
+                       or not node.lineno <= line <= node.end_lineno
+                       for where, line in used.get(node.name, ()))]
 
 
 def _config_fields(tree: ast.Module) -> Iterator[_Knobs]:
