@@ -19,8 +19,8 @@ Commands:
   kill-and-resume); exits non-zero on any violated invariant
 - ``mobility``  -- replay one extreme-mobility trace pair (Fig. 13 row)
 - ``schemes``   -- list the available transport schemes
-- ``chaos``     -- seeded chaos soak over the multi-session runtime;
-  exits non-zero on any uncaught exception or invariant violation
+- ``chaos``     -- seeded chaos soak over the multi-session runtime and
+  a path abandonment; exits non-zero on any exception or violation
 - ``report``    -- regenerate every figure/table at a chosen scale
   into one markdown file
 
@@ -201,6 +201,8 @@ def cmd_chaos(args) -> int:
               f"{verdict:<8} {faults}")
     print("robustness: " + _format_robustness(
         merge_robustness(o.robustness for o in result.outcomes)))
+    held = [a[2] for o in result.outcomes for a in o.abandoned]
+    print(f"paths abandoned: {len(held)}, {sum(held)} B in flight")
     print(f"digest: {result.digest}")
     for line in result.errors:
         print(f"error: {line}", file=sys.stderr)

@@ -40,18 +40,15 @@ class ThresholdConfig:
     """The (T_th1, T_th2) pair, in seconds of play-time left.
 
     ``always_on`` short-circuits the algorithm (re-injection without
-    QoE control -- the 15%-overhead configuration of Sec. 5.2);
-    ``always_off`` disables re-injection entirely.
+    QoE control -- the 15%-overhead configuration of Sec. 5.2).
     """
 
     t_th1: float = 0.5
     t_th2: float = 2.0
     always_on: bool = False
-    always_off: bool = False
 
     def __post_init__(self) -> None:
-        if not self.always_on and not self.always_off \
-                and self.t_th1 > self.t_th2:
+        if not self.always_on and self.t_th1 > self.t_th2:
             raise ValueError(
                 f"T_th1 ({self.t_th1}) must not exceed T_th2 ({self.t_th2})")
 
@@ -70,9 +67,6 @@ class DoubleThresholdController:
         self.config = config if config is not None else ThresholdConfig()
         self.last_qoe: Optional[QoeSignals] = None
         self.last_update_time: float = -1.0
-        #: counters for tests / cost accounting
-        self.decisions_on = 0
-        self.decisions_off = 0
 
     def update(self, qoe: QoeSignals, now: float) -> None:
         """Record the latest client QoE feedback."""
@@ -97,18 +91,7 @@ class DoubleThresholdController:
     def should_reinject(self, max_delivery_time: float,
                         now: Optional[float] = None) -> bool:
         """Alg. 1: the re-injection decision."""
-        decision = self._decide(max_delivery_time, now)
-        if decision:
-            self.decisions_on += 1
-        else:
-            self.decisions_off += 1
-        return decision
-
-    def _decide(self, max_delivery_time: float,
-                now: Optional[float]) -> bool:
         cfg = self.config
-        if cfg.always_off:
-            return False
         if cfg.always_on:
             return True
         dt = self.play_time_left(now)

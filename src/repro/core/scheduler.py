@@ -33,12 +33,11 @@ from typing import Optional
 from repro.core.qoe_control import (DoubleThresholdController,
                                     ReinjectionMode, ThresholdConfig)
 from repro.quic.cc.base import MAX_DATAGRAM_SIZE
-from repro.quic.frames import PathStatus, QoeSignals
+from repro.quic.frames import QoeSignals
 from repro.quic.path import Path, PathState
 from repro.quic.stream import FIRST_FRAME_PRIORITY
 
 _ACTIVE = PathState.ACTIVE
-_AVAILABLE = PathStatus.AVAILABLE
 
 
 class _BaseScheduler:
@@ -61,11 +60,11 @@ class SinglePathScheduler(_BaseScheduler):
     """Always the (single) active path; used by SP and CM baselines."""
 
     def select_path(self, conn, chunk) -> Optional[Path]:
-        """The first active, available path with window room whose
+        """The first active path with window room whose
         pacer (if any) has released."""
         now = conn.loop.now
         for p in conn.paths.values():
-            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+            if p.state is not _ACTIVE:
                 continue
             cc = p.cc
             if cc.can_send(MAX_DATAGRAM_SIZE) and not (
@@ -90,7 +89,7 @@ class MinRttScheduler(_BaseScheduler):
         best = None
         best_rtt = 0.0
         for p in conn.paths.values():
-            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+            if p.state is not _ACTIVE:
                 continue
             cc = p.cc
             if not cc.can_send(MAX_DATAGRAM_SIZE) or (
@@ -112,8 +111,7 @@ class RoundRobinScheduler(_BaseScheduler):
         now = conn.loop.now
         usable = sorted(
             (p for p in conn.paths.values()
-             if p.state is _ACTIVE and p.status is _AVAILABLE
-             and p.cc.can_send(MAX_DATAGRAM_SIZE)
+             if p.state is _ACTIVE and p.cc.can_send(MAX_DATAGRAM_SIZE)
              and not (p.cc.paced and p.cc.next_send_time(now) > now + 1e-9)),
             key=lambda p: p.path_id)
         if not usable:
@@ -136,9 +134,6 @@ class XlinkScheduler(_BaseScheduler):
                  thresholds: Optional[ThresholdConfig] = None) -> None:
         self.mode = mode
         self.controller = DoubleThresholdController(thresholds)
-        #: re-injection checks Alg. 1's gate turned down; an appending
-        #: sweep with nothing overdue asks no gate, so counts nothing
-        self.reinjections_suppressed = 0
         self._last_sweep = -1e9
         #: the connection the armed monitor watches; ``None`` when idle
         self._monitor_conn = None
@@ -166,7 +161,7 @@ class XlinkScheduler(_BaseScheduler):
         best = fresh = None
         best_rtt = fresh_rtt = 0.0
         for p in conn.paths.values():
-            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+            if p.state is not _ACTIVE:
                 continue
             cc = p.cc
             if not cc.can_send(MAX_DATAGRAM_SIZE) or (
@@ -190,21 +185,18 @@ class XlinkScheduler(_BaseScheduler):
 
     def _gate(self, conn) -> bool:
         """Ask Alg. 1 whether re-injection is currently allowed."""
-        allowed = self.controller.should_reinject(
+        return self.controller.should_reinject(
             conn.max_delivery_time(), now=conn.loop.now)
-        if not allowed:
-            self.reinjections_suppressed += 1
-        return allowed
 
     # -- re-injection triggers ----------------------------------------------
 
     @staticmethod
     def _fastest_path(conn) -> Optional[Path]:
-        """The active, available path of lowest smoothed RTT (the first
+        """The active path of lowest smoothed RTT (the first
         of equals), window or no window."""
         best = None
         for p in conn.paths.values():
-            if p.state is _ACTIVE and p.status is _AVAILABLE and (
+            if p.state is _ACTIVE and (
                     best is None or p.rtt.smoothed < best.rtt.smoothed):
                 best = p
         return best

@@ -16,17 +16,20 @@ direction, runs to completion, and checks the robustness invariants:
   total drops; packets received never exceed packets sent plus
   chaos-injected duplicates, in either direction;
 - **I5 abandoned-path accounting**: an abandoned path retains no
-  tracked packets and no in-flight bytes.
+  tracked packets and no in-flight bytes, and is abandoned at the peer
+  too.  The soak's last scenario (:func:`run_abandon_scenario`) abandons
+  a path the server has data in flight on.
 
 A fixed seed reproduces bit-identical aggregate metrics: the soak
-digests every scenario fingerprint into one SHA-256, and rerunning
-with the same seed must reproduce the digest exactly.
+digests every drawn scenario's fingerprint into one SHA-256, and
+rerunning with the same seed must reproduce the digest exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.host import SessionRuntime, VideoSessionSpec
@@ -45,6 +48,13 @@ CELL_PATH_ID = 0
 #: schemes a scenario may draw (XLINK weighted).  ``mptcp`` runs on the
 #: host too but is left out, so existing seeds draw the same scenarios.
 SCENARIO_SCHEMES = ("xlink", "xlink", "vanilla_mp", "reinject", "cm", "sp")
+
+#: when the abandon scenario's Wi-Fi goes dark and its client abandons
+#: the Wi-Fi path: mid-download, so the server has data in flight on it
+ABANDON_AT_S = 0.3
+#: how long the cell uplink is dark from that instant: the first
+#: PATH_STATUS Abandon is lost, and only its retransmission arrives
+ABANDON_LOST_FOR_S = 0.02
 
 
 @dataclass
@@ -81,6 +91,8 @@ class ScenarioOutcome:
     evicted_closed: int
     evicted_idle: int
     fingerprint: Tuple
+    #: (side, path id, bytes in flight, time) of each path abandoned
+    abandoned: Tuple[Tuple[str, int, int, float], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -92,8 +104,9 @@ class ChaosSoakResult:
     """Aggregate outcome of a soak run."""
 
     config: ChaosSoakConfig
+    #: the drawn scenarios, then the abandon scenario
     outcomes: List[ScenarioOutcome]
-    #: SHA-256 over every scenario fingerprint (determinism check)
+    #: SHA-256 over every drawn scenario's fingerprint (determinism check)
     digest: str = ""
 
     @property
@@ -125,6 +138,8 @@ class _Scenario:
     schedules: List[Tuple[int, str, ChaosSchedule]] = field(
         default_factory=list)
     long_blackhole_session: Optional[int] = None
+    #: when session 0's client abandons its Wi-Fi path
+    abandon_at: Optional[float] = None
 
     @property
     def blackhole_seconds(self) -> float:
@@ -171,10 +186,34 @@ def run_chaos_scenario(index: int, seed: int,
                        cc_algorithm: str = "cubic") -> ScenarioOutcome:
     """Run one randomized scenario and check its invariants."""
     rng = make_rng(seed, f"chaos-scenario-{index}")
-    scenario = _draw_scenario(rng, index)
-    # Same drawn shape, different transport: the scheme draw above
-    # consumed identical rng state, so a cc override changes only the
-    # controller (and, deliberately, the digest: the name is in it).
+    return _run_scenario(index, _draw_scenario(rng, index), seed,
+                         stall_bound_s, idle_timeout_s, cc_algorithm)
+
+
+def run_abandon_scenario(config: ChaosSoakConfig) -> ScenarioOutcome:
+    """Run the soak's last scenario: one XLINK session whose Wi-Fi goes
+    dark at :data:`ABANDON_AT_S`, when its client abandons that path.
+    The cell uplink drops the first PATH_STATUS Abandon."""
+    dark = [(ABANDON_AT_S, ABANDON_AT_S + 1000.0)]
+    lost = [(ABANDON_AT_S, ABANDON_AT_S + ABANDON_LOST_FOR_S)]
+    scenario = _Scenario(
+        scheme="xlink", sessions=1, video_duration_s=4.0, horizon_s=10.0,
+        schedules=[(CELL_PATH_ID, "up", ChaosSchedule(blackholes=lost)),
+                   (1, "up", ChaosSchedule(blackholes=list(dark))),
+                   (1, "down", ChaosSchedule(blackholes=list(dark)))],
+        abandon_at=ABANDON_AT_S)
+    return _run_scenario(config.scenarios, scenario, config.seed,
+                         config.stall_bound_s, config.idle_timeout_s,
+                         config.cc_algorithm)
+
+
+def _run_scenario(index: int, scenario: _Scenario, seed: int,
+                  stall_bound_s: float, idle_timeout_s: float,
+                  cc_algorithm: str) -> ScenarioOutcome:
+    # Same drawn shape, different transport: the scheme draw in
+    # ``_draw_scenario`` consumed identical rng state, so a cc override
+    # changes only the controller (and, deliberately, the digest: the
+    # name is in it).
     scheme = scheme_with_cc(scenario.scheme, cc_algorithm)
     scenario.scheme = scheme.name
     loop = EventLoop()
@@ -192,6 +231,7 @@ def run_chaos_scenario(index: int, seed: int,
 
     runtime = SessionRuntime(loop, net, idle_timeout_s=idle_timeout_s)
     handles = []
+    abandoned: List[Tuple[str, int, int, float]] = []
     error: Optional[str] = None
     try:
         for i in range(scenario.sessions):
@@ -209,6 +249,13 @@ def run_chaos_scenario(index: int, seed: int,
                 client_addr=f"client-{i}",
                 connection_name=f"chaos-user-{index}-{i}",
                 start_at=i * 0.2)))
+        if scenario.abandon_at is not None:
+            client, server = handles[0].client.conn, handles[0].server
+            for side, conn in (("client", client), ("server", server)):
+                conn.listeners.append(partial(_record_abandon, abandoned,
+                                              side, loop))
+            loop.schedule_at(scenario.abandon_at,
+                             partial(client.abandon_path, 0))
         runtime.run(timeout_s=scenario.horizon_s + 30.0)
     except Exception as exc:  # noqa: BLE001 -- I1 is "this never happens"
         error = f"{type(exc).__name__}: {exc}"
@@ -260,7 +307,15 @@ def run_chaos_scenario(index: int, seed: int,
         robustness=robustness, injected=injected,
         evicted_closed=host.evicted_closed,
         evicted_idle=host.evicted_idle,
-        fingerprint=fingerprint)
+        fingerprint=fingerprint, abandoned=tuple(abandoned))
+
+
+def _record_abandon(abandoned: list, side: str, loop: EventLoop,
+                    kind: str, fields: dict) -> None:
+    """A connection listener: note every path it abandons, and when."""
+    if kind == "path_updated" and fields["cause"] == "abandon":
+        abandoned.append((side, fields["path_id"],
+                          fields["bytes_in_flight"], loop.now))
 
 
 def _check_invariants(scenario, results, conns, host,
@@ -302,9 +357,9 @@ def _check_invariants(scenario, results, conns, host,
             f"downlink conservation: clients authenticated {client_recv} "
             f"packets, servers sent {server_sent} "
             f"(+{down_duplicated} duplicated)")
-    # I5: abandoned paths hold no in-flight state.
+    # I5: abandoned paths hold no in-flight state, at both ends.
     for client, server in conns:
-        for conn in (client, server):
+        for conn, peer in ((client, server), (server, client)):
             for path in conn.paths.values():
                 if path.state is not PathState.ABANDONED:
                     continue
@@ -313,11 +368,19 @@ def _check_invariants(scenario, results, conns, host,
                         f"{conn.connection_name} abandoned path "
                         f"{path.path_id} retains "
                         f"{path.loss.bytes_in_flight}B in flight")
+                mirror = peer.paths.get(path.path_id)
+                if mirror is not None \
+                        and mirror.state is not PathState.ABANDONED:
+                    violations.append(
+                        f"{conn.connection_name} abandoned path "
+                        f"{path.path_id}, its peer keeps it "
+                        f"{mirror.state.value}")
     return violations
 
 
 def run_chaos_soak(config: ChaosSoakConfig) -> ChaosSoakResult:
-    """Run the full soak and digest its fingerprints."""
+    """Run the drawn scenarios, digest their fingerprints, then run the
+    abandon scenario."""
     outcomes = [run_chaos_scenario(i, config.seed,
                                    stall_bound_s=config.stall_bound_s,
                                    idle_timeout_s=config.idle_timeout_s,
@@ -325,4 +388,5 @@ def run_chaos_soak(config: ChaosSoakConfig) -> ChaosSoakResult:
                 for i in range(config.scenarios)]
     digest = hashlib.sha256(
         repr([o.fingerprint for o in outcomes]).encode()).hexdigest()
+    outcomes.append(run_abandon_scenario(config))
     return ChaosSoakResult(config=config, outcomes=outcomes, digest=digest)

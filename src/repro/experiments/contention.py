@@ -33,6 +33,8 @@ from repro.video import PlayerConfig, make_video
 CELL_PATH_ID = 0
 #: one-way delay of the shared LTE cell
 CELL_DELAY_S = 0.035
+#: length of the shared cell's capacity trace (it wraps after that)
+CELL_TRACE_DURATION_S = 60.0
 #: each user's private Wi-Fi path
 WIFI_RATE_BPS = 10e6
 WIFI_DELAY_S = 0.015
@@ -56,7 +58,6 @@ class ContentionConfig:
     video_duration_s: float = 8.0
     #: shared LTE cell: mean capacity for the whole cell
     cell_mean_mbps: float = 24.0
-    cell_trace_duration_s: float = 60.0
     timeout_s: float = 240.0
 
 
@@ -103,7 +104,7 @@ def run_contention(config: ContentionConfig) -> ContentionResult:
     loop = EventLoop()
     paths = [PathSpec(CELL_PATH_ID, RadioType.LTE, CELL_DELAY_S,
                       trace_ms=stable_lte_trace(
-                          config.cell_trace_duration_s, seed=config.seed,
+                          CELL_TRACE_DURATION_S, seed=config.seed,
                           mean_mbps=config.cell_mean_mbps))]
     for i in range(config.sessions):
         start = OUTAGE_START_S + i * OUTAGE_STAGGER_S

@@ -139,19 +139,20 @@ def _fig6_network(loop: EventLoop, duration_s: float) -> MultipathNetwork:
     return net
 
 
-#: Seed of every Fig. 6 panel and how often it samples the session.
+#: Seed, sample interval and length of every Fig. 6 panel.
 FIG6_SEED = 4
 FIG6_SAMPLE_INTERVAL_S = 0.05
+FIG6_DURATION_S = 7.0
 
 
-def run_fig6_dynamics(mode: str, duration_s: float = 7.0) -> SessionDynamics:
+def run_fig6_dynamics(mode: str) -> SessionDynamics:
     """One Fig. 6 panel: buffer level + re-injected bytes vs time."""
     if mode not in FIG6_MODES:
         raise ValueError(f"unknown fig6 mode {mode!r}")
     loop = EventLoop()
-    net = _fig6_network(loop, duration_s)
+    net = _fig6_network(loop, FIG6_DURATION_S)
     scheme = _FIG6_SCHEMES[mode]
-    video = make_video(name="fig6", duration_s=duration_s + 4,
+    video = make_video(name="fig6", duration_s=FIG6_DURATION_S + 4,
                        bitrate_bps=4_000_000, seed=FIG6_SEED,
                        chunk_size=256 * 1024)
     player_config = PlayerConfig(max_buffer_s=2.5)
@@ -166,11 +167,11 @@ def run_fig6_dynamics(mode: str, duration_s: float = 7.0) -> SessionDynamics:
         series.buffer_bytes.append(player.buffered_bytes())
         series.reinjected_bytes.append(
             server.stats.stream_bytes_reinjected)
-        if loop.now < duration_s:
+        if loop.now < FIG6_DURATION_S:
             loop.schedule_after(FIG6_SAMPLE_INTERVAL_S, sample)
 
     loop.schedule_after(FIG6_SAMPLE_INTERVAL_S, sample)
-    loop.run(until=duration_s)
+    loop.run(until=FIG6_DURATION_S)
     series.rebuffer_time = player.stats.rebuffer_time
     if server.stats.stream_bytes_new:
         series.redundancy_percent = (

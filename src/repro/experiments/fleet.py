@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol, Sequence, Tuple
 
 from repro.experiments.abtest import ABTestConfig, iter_ab_day_tasks
-from repro.experiments.parallel import (DEFAULT_SHARD_SIZE, FleetResult,
-                                        SessionTask, run_fleet)
+from repro.experiments.parallel import (DEFAULT_MAX_RETRIES,
+                                        DEFAULT_SHARD_SIZE, FleetResult,
+                                        SessionTask, ShardBody, run_fleet)
 from repro.metrics.sink import MetricSink
 
 __all__ = [
@@ -176,17 +177,19 @@ class FleetRun:
 def run_fleet_driver(driver: FleetDriver,
                      workers: Optional[int] = None,
                      shard_size: int = DEFAULT_SHARD_SIZE,
-                     **supervision) -> FleetRun:
+                     max_retries: int = DEFAULT_MAX_RETRIES,
+                     shard_timeout_s: Optional[float] = None,
+                     execute: Optional[ShardBody] = None) -> FleetRun:
     """Execute one driver's population through the supervised runner.
 
-    ``supervision`` kwargs (``max_retries``, ``shard_timeout_s``, and
-    ``execute``, the shard body -- a
+    The supervision parameters -- ``max_retries``, ``shard_timeout_s``
+    and ``execute``, the shard body (a
     :class:`~repro.experiments.fleetchaos.FaultPlan` in the fault
-    soaks) pass straight through to
-    :func:`repro.experiments.parallel.run_fleet`.
+    soaks) -- are :func:`repro.experiments.parallel.run_fleet`'s.
     """
     t0 = time.perf_counter()
     result = run_fleet(driver.task_iter(), workers=workers,
-                       shard_size=shard_size, **supervision)
+                       shard_size=shard_size, max_retries=max_retries,
+                       shard_timeout_s=shard_timeout_s, execute=execute)
     return FleetRun(driver=getattr(driver, "name", type(driver).__name__),
                     result=result, seconds=time.perf_counter() - t0)

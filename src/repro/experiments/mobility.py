@@ -98,8 +98,11 @@ def _chunked_video() -> Video:
                  chunk_size=CHUNK_BYTES)
 
 
+#: Session deadline of one Fig. 13 replay.
+REPLAY_TIMEOUT_S = 120.0
+
+
 def run_scheme_on_trace(pair: dict, scheme: str, seed: int = 0,
-                        timeout_s: float = 120.0,
                         cc: Optional[str] = None) -> List[float]:
     """Per-chunk download times for one scheme over one trace pair.
 
@@ -113,15 +116,15 @@ def run_scheme_on_trace(pair: dict, scheme: str, seed: int = 0,
     paths = scheme_paths(config, _paths_for_trace(pair))
     session = run_video_session(config, paths, video=_chunked_video(),
                                 player_config=PLAYER_CONFIG,
-                                timeout_s=timeout_s, seed=seed)
+                                timeout_s=REPLAY_TIMEOUT_S, seed=seed)
     times = list(session.metrics.request_completion_times)
     while len(times) < CHUNKS_PER_TRACE:
-        times.append(timeout_s)  # unfinished chunks count as timeout
+        times.append(REPLAY_TIMEOUT_S)  # unfinished chunks count as timeout
     return times
 
 
 def run_mobility_trace(pair: dict, schemes: Sequence[str] = FIG13_SCHEMES,
-                       seed: int = 0, timeout_s: float = 120.0,
+                       seed: int = 0,
                        workers: Optional[int] = None,
                        cc: Optional[str] = None) -> MobilityResult:
     """Run every scheme over one (cellular, wifi) trace pair.
@@ -129,17 +132,16 @@ def run_mobility_trace(pair: dict, schemes: Sequence[str] = FIG13_SCHEMES,
     ``cc`` runs every scheme under that congestion controller;
     results stay keyed by the base scheme names.
     """
-    return _replay([pair], schemes, seed, workers, timeout_s, cc)[0]
+    return _replay([pair], schemes, seed, workers, cc)[0]
 
 
 def _replay(pairs: Sequence[dict], schemes: Sequence[str], seed: int,
-            workers: Optional[int], timeout_s: float = 120.0,
+            workers: Optional[int],
             cc: Optional[str] = None) -> List[MobilityResult]:
     """Fan the flat (trace, scheme) grid out; one result per trace."""
     times = iter(fan_out(
         run_scheme_on_trace,
-        [{"pair": pair, "scheme": scheme, "seed": seed,
-          "timeout_s": timeout_s, "cc": cc}
+        [{"pair": pair, "scheme": scheme, "seed": seed, "cc": cc}
          for pair in pairs for scheme in schemes], workers=workers))
     return [MobilityResult(pair["trace_id"], pair["environment"],
                            {scheme: next(times) for scheme in schemes})

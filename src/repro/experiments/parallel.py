@@ -25,8 +25,8 @@ surface over one slot in this process.
   the serial loop it replaces (and runs, when ``workers`` resolves to
   1, when there is at most one job, or when the platform cannot
   ``fork``).  :class:`SessionTask` is the picklable description of one
-  session, and :func:`run_session_tasks` returns the plain-data
-  :class:`SessionOutcome` of each (per-session values: the list
+  session, and :func:`run_session_tasks` returns, in process, the
+  plain-data :class:`SessionOutcome` of each (per-session values: the list
   reference the population sinks are tested against).
 - :func:`run_fleet`, the path of every population statistic (an A/B
   day is its small-N case), reduces *inside* the worker instead: its
@@ -378,12 +378,10 @@ def execute_session_task(task: SessionTask) -> SessionOutcome:
         new_stream_bytes=result.new_stream_bytes)
 
 
-def run_session_tasks(tasks: Sequence[SessionTask],
-                      workers: Optional[int] = None
-                      ) -> List[SessionOutcome]:
-    """Execute tasks (parallel when ``workers`` allows), in task order."""
-    return fan_out(execute_session_task, [{"task": t} for t in tasks],
-                   workers=workers)
+def run_session_tasks(tasks: Sequence[SessionTask]) -> List[SessionOutcome]:
+    """Execute tasks in this process, in task order: the per-session
+    reference a fleet's merged sinks are held to."""
+    return [execute_session_task(task) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +543,10 @@ class _ShardAttempt:
     ready_at: float = 0.0
 
 
+#: ``execute(shard_index, attempt, tasks)``: what runs one shard
+ShardBody = Callable[[int, int, List[SessionTask]], ShardResult]
+
+
 def _shard_body(shard_index: int, attempt: int,
                 tasks: List[SessionTask]) -> ShardResult:
     """The default ``run_fleet`` shard body.  It looks ``execute_shard``
@@ -638,8 +640,7 @@ def run_fleet(tasks: Iterable[SessionTask],
               shard_size: int = DEFAULT_SHARD_SIZE,
               max_retries: int = DEFAULT_MAX_RETRIES,
               shard_timeout_s: Optional[float] = None,
-              execute: Callable[[int, int, List[SessionTask]], ShardResult]
-              = _shard_body) -> FleetResult:
+              execute: Optional[ShardBody] = None) -> FleetResult:
     """Supervised reduce-style fleet execution: tasks -> shards -> sink.
 
     ``tasks`` may be (and for large populations should be) a lazy
@@ -650,8 +651,8 @@ def run_fleet(tasks: Iterable[SessionTask],
     repo-wide convention (``None``/``0`` = ``os.cpu_count()``, ``1`` =
     in-process).
 
-    ``execute(shard_index, attempt, tasks)`` is the shard body; the
-    default runs :func:`execute_shard`.  Supervision (module
+    ``execute(shard_index, attempt, tasks)`` is the shard body; ``None``
+    runs :func:`execute_shard`.  Supervision (module
     docstring): each shard gets ``max_retries`` re-executions, with
     :data:`RETRY_BACKOFF_S`-based exponential backoff, after a worker
     crash, a ``shard_timeout_s`` deadline kill (workers only), an
@@ -664,8 +665,10 @@ def run_fleet(tasks: Iterable[SessionTask],
     result = FleetResult(sink=sink if sink is not None else MetricSink(),
                          workers_requested=n_workers)
 
+    body = execute if execute is not None else _shard_body
+
     def call(work: Tuple[int, int, List[SessionTask]]) -> ShardResult:
-        return execute(*work)
+        return body(*work)
 
     if n_workers <= 1 or not _fork_available():
         pool: Any = _InlineWorker(call)

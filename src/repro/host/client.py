@@ -148,7 +148,6 @@ class MigrationMonitor:
         #: (time, cumulative bytes) samples; old entries age off the left
         self.window: Deque[Tuple[float, int]] = deque()
         self.migrated_at = -1.0
-        self.migrations = 0
         self._next_quic_id = 1
         conn.listeners.append(self._on_event)
         loop.schedule_after(self.PROBE_INTERVAL_S, self._probe)
@@ -225,7 +224,6 @@ class MigrationMonitor:
         self.last_rx = self.loop.now
         self.migrated_at = self.loop.now
         self.window.clear()
-        self.migrations += 1
 
     def _migrate(self) -> bool:
         """Open (or reuse) a path on the other interface and make it
@@ -258,5 +256,4 @@ class MigrationMonitor:
         self.last_rx = self.loop.now
         self.migrated_at = self.loop.now
         self.window.clear()
-        self.migrations += 1
         return True

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.host.client import ClientEndpoint
-from repro.host.server import ServerHost
+from repro.host.server import SERVER_ID, ServerHost
 from repro.host.specs import SchemeLike, resolve_scheme
 from repro.lb.frontend import CdnFrontend
 from repro.metrics.qoe import SessionMetrics
@@ -110,7 +110,7 @@ class SessionRuntime:
         self.host = ServerHost(loop, net)
         if idle_timeout_s is not None:
             self.host.start_eviction(idle_timeout_s)
-        self.frontend = CdnFrontend({self.host.server_id: self.host})
+        self.frontend = CdnFrontend({SERVER_ID: self.host})
         self.frontend.attach(net.server)
         self.sessions: List[SessionHandle] = []
         #: sessions whose playback has not finished yet; maintained by

@@ -35,20 +35,22 @@ from repro.quic.packets import decode_header, peek_dcid
 from repro.sim import EventLoop
 from repro.traces.radio_profiles import RadioType
 from repro.video import MediaServer
-from repro.video.media import Video
+
+
+#: the server-ID byte this host embeds in the CIDs it issues (QUIC-LB)
+SERVER_ID = 1
+#: how often :meth:`ServerHost.start_eviction`'s sweep runs
+EVICTION_INTERVAL_S = 1.0
 
 
 class ServerHost:
     """One emulated CDN node serving many concurrent connections."""
 
-    def __init__(self, loop: EventLoop, net: MultipathNetwork,
-                 videos: Optional[Dict[str, Video]] = None,
-                 server_id: int = 1) -> None:
+    def __init__(self, loop: EventLoop, net: MultipathNetwork) -> None:
         self.loop = loop
         self.net = net
-        self.server_id = server_id
         #: the shared media catalog every connection is served from
-        self.media = MediaServer(videos=videos)
+        self.media = MediaServer()
         self.connections: List[Connection] = []
         self._by_addr: Dict[str, Connection] = {}
         #: client handshake DCID -> connection (pinned on first sight)
@@ -65,7 +67,6 @@ class ServerHost:
         self.evicted_idle = 0
         self._eviction_event = None
         self._eviction_idle_s: Optional[float] = None
-        self._eviction_interval_s = 1.0
 
     # ------------------------------------------------------------------
     # session provisioning
@@ -98,7 +99,7 @@ class ServerHost:
             transmit=self._transmit_to(client_addr),
             scheduler=make_scheduler(scheme),
             connection_name=connection_name,
-            server_id=self.server_id)
+            server_id=SERVER_ID)
         conn.add_local_path(0, primary_net, radio=radio)
         self.media.attach(
             conn, first_frame_acceleration=scheme.first_frame_acceleration)
@@ -115,9 +116,9 @@ class ServerHost:
     # eviction
     # ------------------------------------------------------------------
 
-    def start_eviction(self, idle_timeout_s: float,
-                       interval_s: float = 1.0) -> None:
-        """Periodically evict dead and idle connections.
+    def start_eviction(self, idle_timeout_s: float) -> None:
+        """Every :data:`EVICTION_INTERVAL_S`, evict dead and idle
+        connections.
 
         Closed connections (protocol-error closes, idle timeouts,
         client-initiated closes) are purged from the routing tables so
@@ -127,10 +128,9 @@ class ServerHost:
         defence against clients that vanish without closing.
         """
         self._eviction_idle_s = idle_timeout_s
-        self._eviction_interval_s = interval_s
         if self._eviction_event is None:
             self._eviction_event = self.loop.schedule_after(
-                interval_s, self._eviction_sweep)
+                EVICTION_INTERVAL_S, self._eviction_sweep)
 
     def _eviction_sweep(self) -> None:
         self._eviction_event = None
@@ -139,8 +139,7 @@ class ServerHost:
             if conn.closed:
                 self._evict(conn)
                 self.evicted_closed += 1
-            elif self._eviction_idle_s is not None \
-                    and now - conn.last_activity_at > self._eviction_idle_s:
+            elif now - conn.last_activity_at > self._eviction_idle_s:
                 conn.silent_close()
                 self._evict(conn)
                 self.evicted_idle += 1
@@ -148,7 +147,7 @@ class ServerHost:
         # drain-to-empty simulations still terminate.
         if self.connections:
             self._eviction_event = self.loop.schedule_after(
-                self._eviction_interval_s, self._eviction_sweep)
+                EVICTION_INTERVAL_S, self._eviction_sweep)
 
     def _evict(self, conn: Connection) -> None:
         if conn in self.connections:
@@ -207,7 +206,7 @@ class ServerHost:
             if candidate.cids.lookup_issued(dcid) is not None:
                 self._cid_route[dcid] = candidate
                 return candidate
-        if dcid[SERVER_ID_OFFSET] != self.server_id:
+        if dcid[SERVER_ID_OFFSET] != SERVER_ID:
             self.misrouted += 1
         else:
             self.unknown_cid += 1

@@ -9,7 +9,7 @@ relative percentile error for O(buckets) memory, with an
 order-independent merge so populations reduce across process shards.
 """
 
-from repro.metrics.stats import Summary, percentile
+from repro.metrics.stats import percentile
 from repro.metrics.qoe import (SessionMetrics, aggregate_rebuffer_rate,
                                improvement_percent)
 from repro.metrics.sketch import (DistSketch, PermutationTest,
@@ -17,7 +17,6 @@ from repro.metrics.sketch import (DistSketch, PermutationTest,
 from repro.metrics.sink import MetricSink, SchemeSink
 
 __all__ = [
-    "Summary",
     "percentile",
     "SessionMetrics",
     "aggregate_rebuffer_rate",

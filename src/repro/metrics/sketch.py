@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.metrics.stats import Summary, percentile
+from repro.metrics.stats import percentile
 from repro.sim.rng import make_rng
 
 __all__ = [
@@ -176,14 +176,6 @@ class DistSketch:
             return None
         return self.sum / self.count
 
-    @property
-    def minimum(self) -> Optional[float]:
-        return self._min
-
-    @property
-    def maximum(self) -> Optional[float]:
-        return self._max
-
     def percentile(self, pct: float) -> Optional[float]:
         """Percentile in [0, 100]; ``None`` on an empty sketch.
 
@@ -224,21 +216,6 @@ class DistSketch:
             if self._representative(index) < threshold:
                 below += n
         return below / self.count
-
-    def summary(self) -> Optional[Summary]:
-        """A :class:`Summary` mirror; ``None`` on an empty sketch."""
-        if self.count == 0:
-            return None
-        return Summary(
-            count=self.count,
-            mean=self.mean if self.mean is not None else 0.0,
-            p50=self.percentile(50) or 0.0,
-            p90=self.percentile(90) or 0.0,
-            p95=self.percentile(95) or 0.0,
-            p99=self.percentile(99) or 0.0,
-            maximum=self._max if self._max is not None else 0.0,
-            minimum=self._min if self._min is not None else 0.0,
-        )
 
     @property
     def n_buckets(self) -> int:

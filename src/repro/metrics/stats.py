@@ -1,4 +1,4 @@
-"""Percentiles and summary statistics.
+"""Percentiles.
 
 The paper reports medians, 90/95/99-th percentiles throughout; this
 module provides the single implementation every bench uses (linear
@@ -8,8 +8,7 @@ interpolation, matching numpy's default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -30,24 +29,3 @@ def percentile(values: Sequence[float], pct: float) -> float:
     value = ordered[lo] * (1 - frac) + ordered[hi] * frac
     # Interpolation rounding must not escape the sample range.
     return min(max(value, ordered[lo]), ordered[hi])
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Distribution summary for one metric."""
-
-    count: int
-    mean: float
-    p50: float
-    p90: float
-    p95: float
-    p99: float
-    maximum: float
-    minimum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count, "mean": self.mean, "p50": self.p50,
-            "p90": self.p90, "p95": self.p95, "p99": self.p99,
-            "max": self.maximum, "min": self.minimum,
-        }

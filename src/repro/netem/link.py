@@ -157,15 +157,13 @@ class TraceDrivenLink(_QueueMixin):
 
     def __init__(self, loop: EventLoop, trace_ms: Iterable[int],
                  deliver: DeliverFn,
-                 queue_limit_bytes: int = 256 * 1024,
-                 start_time: float = 0.0) -> None:
+                 queue_limit_bytes: int = 256 * 1024) -> None:
         self.trace_ms = as_trace(trace_ms)
         self.loop = loop
         # Trace duration for wrap-around: the last timestamp + 1 ms.
         self.period_ms = self.trace_ms[-1] + 1
         self.deliver = deliver
         self.queue_limit_bytes = queue_limit_bytes
-        self.start_time = start_time
         self.stats = LinkStats()
         self._queue: Deque[Datagram] = deque()
         self._queued_bytes = 0
@@ -195,17 +193,16 @@ class TraceDrivenLink(_QueueMixin):
         trace = self.trace_ms
         n = len(trace)
         period = self.period_ms
-        start = self.start_time
         idx = self._opportunity_idx
         wraps = self._wraps
-        t = start + (wraps * period + trace[idx]) / 1000.0
+        t = (wraps * period + trace[idx]) / 1000.0
         limit = now - 1e-12
         while t < limit:
             idx += 1
             if idx >= n:
                 idx = 0
                 wraps += 1
-            t = start + (wraps * period + trace[idx]) / 1000.0
+            t = (wraps * period + trace[idx]) / 1000.0
         self._opportunity_idx = idx
         self._wraps = wraps
         self._pump_scheduled = True
@@ -225,11 +222,10 @@ class TraceDrivenLink(_QueueMixin):
         trace = self.trace_ms
         n = len(trace)
         period = self.period_ms
-        start = self.start_time
         limit = self.loop.now + 1e-12
         while queue:
             idx = self._opportunity_idx
-            t = start + (self._wraps * period + trace[idx]) / 1000.0
+            t = (self._wraps * period + trace[idx]) / 1000.0
             if t > limit:
                 break
             idx += 1

@@ -6,7 +6,7 @@ spaces, streams with flow control, loss detection with PTO, Cubic /
 NewReno / coupled congestion control -- plus the multipath extension of
 draft-liu-multipath-quic-02 as deployed in XLINK: paths identified by
 connection-ID sequence numbers, ``ACK_MP`` (carrying the QoE control
-signal field), ``PATH_STATUS``, ``QOE_CONTROL_SIGNALS``, and the
+signal field), ``PATH_STATUS`` (a receiver acts on Abandon), and the
 multipath AEAD nonce construction.
 
 Packets are sealed with AEAD_AES_128_GCM, as in RFC 9001, using the
@@ -20,8 +20,7 @@ from repro.quic.frames import (AckMpFrame, AckRange, CryptoFrame,
                                MaxDataFrame, MaxStreamDataFrame,
                                NewConnectionIdFrame, PathChallengeFrame,
                                PathResponseFrame, PathStatus,
-                               PathStatusFrame, PingFrame,
-                               QoeControlSignalsFrame, QoeSignals,
+                               PathStatusFrame, PingFrame, QoeSignals,
                                StreamFrame)
 from repro.quic.transport_params import TransportParameters
 
@@ -40,7 +39,6 @@ __all__ = [
     "PathStatus",
     "PathStatusFrame",
     "PingFrame",
-    "QoeControlSignalsFrame",
     "QoeSignals",
     "StreamFrame",
 ]

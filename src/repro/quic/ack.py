@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.quic.cc import RateSample
-from repro.quic.frames import (ACK_MP_FIXED_MAX, AckMpFrame, PathStatus,
-                               QoeControlSignalsFrame, QoeSignals)
+from repro.quic.frames import ACK_MP_FIXED_MAX, AckMpFrame, QoeSignals
 from repro.quic.loss_detection import SentPacket
 from repro.quic.path import Path, PathState
 from repro.quic.send import PACKET_PAYLOAD_BUDGET, SendChunk
@@ -24,7 +23,6 @@ from repro.quic.stream import DEFAULT_FRAME_PRIORITY
 from repro.quic.varint import varint_size
 
 _ACTIVE = PathState.ACTIVE
-_AVAILABLE = PathStatus.AVAILABLE
 
 #: bytes an ACK_MP alone in its packet has for gap/length pairs
 _ACK_PAIRS_ROOM = PACKET_PAYLOAD_BUDGET - ACK_MP_FIXED_MAX
@@ -76,7 +74,7 @@ class AckHandler:
         if path is None:
             return
         if frame.qoe is not None:
-            self.on_qoe(frame.qoe, now)
+            self.on_qoe(frame.qoe)
         acked, lost, _rtt = path.loss.on_ack_received(
             frame.ranges, frame.ack_delay_us / 1e6, now)
         cc = path.cc
@@ -101,19 +99,13 @@ class AckHandler:
         if conn.scheduler is not None:
             conn.scheduler.on_ack(conn, path, acked, lost)
 
-    def on_qoe_frame(self, frame: QoeControlSignalsFrame, _path: Path,
-                     now: float) -> None:
-        self.on_qoe(frame.qoe, now)
-
-    def on_qoe(self, qoe: QoeSignals, now: float) -> None:
+    def on_qoe(self, qoe: QoeSignals) -> None:
         """The peer's QoE feedback: listeners, then the scheduler (Alg. 1)."""
         conn = self.conn
         if conn.listeners:
             conn.emit("feedback_received", cached_bytes=qoe.cached_bytes,
                       cached_frames=qoe.cached_frames, bps=qoe.bps,
                       fps=qoe.fps)
-        conn.last_qoe = qoe
-        conn.last_qoe_time = now
         if conn.scheduler is not None:
             conn.scheduler.on_qoe(conn, qoe)
 
@@ -161,9 +153,13 @@ class AckHandler:
                     self.conn.retire_stream(info.stream_id)
 
     def requeue_lost(self, pkt: SentPacket) -> None:
-        """Queue retransmission chunks for lost, still-unacked ranges."""
+        """Queue retransmission chunks for lost, still-unacked ranges,
+        and the lost control frames sent again, on an active path."""
         for info in pkt.frames_info:
             if info.stream_id < 0:
+                if info.control is not None:
+                    self.sender.queue_control(self.conn.active_path_id(),
+                                              info.control)
                 continue
             stream = self.send_streams.get(info.stream_id)
             if stream is None:
@@ -218,7 +214,7 @@ class AckHandler:
         usable: Optional[Path] = None
         fresh: Optional[Path] = None
         for p in self.paths.values():
-            if p.state is not _ACTIVE or p.status is not _AVAILABLE:
+            if p.state is not _ACTIVE:
                 continue
             smoothed = p.rtt.smoothed
             if usable is None or smoothed < usable.rtt.smoothed:

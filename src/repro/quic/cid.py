@@ -33,11 +33,6 @@ class ConnectionId:
         if len(self.cid) != CID_LENGTH:
             raise ValueError(f"CID must be {CID_LENGTH} bytes")
 
-    @property
-    def server_id(self) -> int:
-        """Server ID byte encoded for the load balancer."""
-        return self.cid[SERVER_ID_OFFSET]
-
 
 def generate_cid(rng: random.Random, sequence_number: int,
                  server_id: Optional[int] = None) -> ConnectionId:

@@ -24,11 +24,6 @@ class ConnectionConfig:
     #: silently close after this long without an authenticated packet
     #: (``None`` disables the idle timer entirely)
     idle_timeout_s: Optional[float] = None
-    #: re-injection storm guard: cap on duplicate bytes enqueued per
-    #: RTT-sized window (0 disables).  Sized far above legitimate XLINK
-    #: re-injection bursts (bounded by a stuck path's cwnd), so only
-    #: chaos-triggered amplification ever trims.
-    reinject_budget_bytes_per_rtt: int = 1_000_000
 
 
 def derive_initial_dcid(seed: int, connection_name: str) -> bytes:

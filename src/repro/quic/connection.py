@@ -11,11 +11,9 @@ packet: the 1-RTT handshake with the
 abandon, single-path *connection migration* for the CM baseline), the
 stream API with XLINK's frame-priority annotations, and shutdown.
 
-A connection never sends PATH_STATUS or QOE_CONTROL_SIGNALS: QoE rides
-ACK_MP, and no driver closes a path.  It handles both when a peer sends
-them (:class:`~repro.quic.receive.Receiver`): PATH_STATUS abandon runs
-:meth:`Connection.abandon_path_locally`, standby / available move the
-path between ``STANDBY`` and ``ACTIVE``.
+QoE feedback rides ACK_MP.  :meth:`Connection.abandon_path` retires a
+path here and sends PATH_STATUS Abandon (sent again if lost), on which
+the peer drops it too (:meth:`Connection.abandon_path_locally`).
 
 Everything a datagram triggers is done by four collaborators built
 once per connection, each behind public entry points:
@@ -51,7 +49,8 @@ from repro.quic.errors import (ProtocolViolation, QuicError,
 from repro.quic.flow_control import FlowControlWindow
 from repro.quic.frames import (ConnectionCloseFrame, CryptoFrame,
                                MaxStreamDataFrame, NewConnectionIdFrame,
-                               PathChallengeFrame, PingFrame, QoeSignals,
+                               PathChallengeFrame, PathStatus,
+                               PathStatusFrame, PingFrame, QoeSignals,
                                decode_frames, encode_frames)
 from repro.quic.packets import PacketHeader, PacketType, encode_header
 from repro.quic.path import Path, PathState
@@ -127,9 +126,6 @@ class Connection:
 
         #: client QoE provider -> QoeSignals or None (set by video player)
         self.qoe_provider: Optional[Callable[[], Optional[QoeSignals]]] = None
-        #: latest QoE feedback received from the peer (server side)
-        self.last_qoe: Optional[QoeSignals] = None
-        self.last_qoe_time: float = -1.0
 
         #: callbacks
         self.on_established: Optional[Callable[[], None]] = None
@@ -168,11 +164,11 @@ class Connection:
             listener(kind, fields)
 
     def path_updated(self, path: Path, cause: str) -> None:
-        """Emit ``path_updated`` after ``path``'s state or status moved."""
+        """Emit ``path_updated`` after ``path``'s state moved."""
         if self.listeners:
             self.emit("path_updated", path_id=path.path_id,
-                      state=path.state.value, status=path.status.name,
-                      cause=cause)
+                      state=path.state.value,
+                      bytes_in_flight=path.loss.bytes_in_flight, cause=cause)
 
     # ------------------------------------------------------------------
     # path lifecycle
@@ -249,9 +245,20 @@ class Connection:
         self.path_updated(path, "accept")
         return path
 
+    def abandon_path(self, path_id: int) -> None:
+        """Retire ``path_id`` (its interface went away): drop it here and
+        tell the peer with PATH_STATUS Abandon on an active path."""
+        self.abandon_path_locally(self.paths[path_id])
+        self.sender.queue_control(self.active_path_id(), PathStatusFrame(
+            path_id=path_id, status=PathStatus.ABANDON))
+        self.pump()
+
     def abandon_path_locally(self, path: Path) -> None:
-        """Drop ``path`` without telling the peer: the peer asked for
-        it with PATH_STATUS abandon."""
+        """Drop ``path`` without telling the peer (the peer asked for it
+        with PATH_STATUS Abandon, or :meth:`abandon_path` tells it)."""
+        path.state = _ABANDONED
+        # listeners see what the path still holds as it goes
+        self.path_updated(path, "abandon")
         # Lost-in-limbo data on this path must be retransmitted
         # elsewhere; every in-flight byte is released to congestion
         # control and the path's loss timer is cleared so an abandoned
@@ -259,8 +266,6 @@ class Connection:
         for pkt in path.loss.discard_all():
             path.cc.on_discarded(pkt.size if pkt.in_flight else 0)
             self.acks.requeue_lost(pkt)
-        path.abandon()
-        self.path_updated(path, "abandon")
         self.timers.arm_loss()
 
     def send_ping(self, path_id: int) -> None:

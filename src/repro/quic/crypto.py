@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import _hashlib
 
@@ -225,14 +225,11 @@ class PacketProtection:
 
     __slots__ = ("iv", "aes_key", "_iv_int")
 
-    def __init__(self, key: bytes, iv: Optional[bytes] = None) -> None:
+    def __init__(self, key: bytes) -> None:
         if not key:
             raise ValueError("key must be non-empty")
         key = bytes(key)
-        self.iv = bytes(iv) if iv is not None else hashlib.sha256(
-            b"iv" + key).digest()[:IV_LENGTH]
-        if len(self.iv) != IV_LENGTH:
-            raise ValueError(f"IV must be exactly {IV_LENGTH} bytes")
+        self.iv = hashlib.sha256(b"iv" + key).digest()[:IV_LENGTH]
         self.aes_key = hashlib.sha256(b"aes" + key).digest()[:KEY_LENGTH]
         self._iv_int = int.from_bytes(self.iv, "big")
 

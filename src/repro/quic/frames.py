@@ -7,19 +7,17 @@ Implemented frames:
   CONNECTION_CLOSE
 - multipath extension (draft-liu-multipath-quic-02 as used by XLINK):
   ACK_MP (with the deployed XLINK variant carrying a QoE control
-  signal field -- Sec. 4 / Appendix C), PATH_STATUS, and the draft's
-  standalone QOE_CONTROL_SIGNALS frame.
+  signal field -- Sec. 4 / Appendix C) and PATH_STATUS.  The draft's
+  standalone QOE_CONTROL_SIGNALS frame is not built.
 
 Every frame serializes to bytes and parses back; the connection layer
 only ever exchanges serialized packets.
 
 What the stack sends: PING, CRYPTO, STREAM, MAX_DATA, MAX_STREAM_DATA,
-NEW_CONNECTION_ID, PATH_CHALLENGE, PATH_RESPONSE, CONNECTION_CLOSE and
-ACK_MP, with the QoE field on it.  PATH_STATUS (abandon, standby,
-available) and QOE_CONTROL_SIGNALS it only decodes and handles
-(``repro.quic.receive``): nothing in the program closes a path or
-sends QoE apart from an ACK, but a peer may.  PADDING and single-space
-ACK are decoded and ignored.
+NEW_CONNECTION_ID, PATH_CHALLENGE, PATH_RESPONSE, CONNECTION_CLOSE,
+ACK_MP with the QoE field on it, and PATH_STATUS Abandon; a receiver
+decodes PATH_STATUS Standby / Available but acts on Abandon only.
+PADDING and single-space ACK are decoded and ignored.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ class FrameType(enum.IntEnum):
     # Multipath extension frames:
     ACK_MP = 0xBABA00
     PATH_STATUS = 0xBABA01
-    QOE_CONTROL_SIGNALS = 0xBABA02
 
 
 class PathStatus(enum.IntEnum):
@@ -235,13 +232,6 @@ class PathStatusFrame:
     status_seq: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class QoeControlSignalsFrame:
-    """The draft's standalone QoE frame, decoupled from ACK frequency."""
-
-    qoe: QoeSignals
-
-
 # ---------------------------------------------------------------------------
 # encoding: one function per frame type, frame -> bytes
 # ---------------------------------------------------------------------------
@@ -259,7 +249,6 @@ _PATH_CHALLENGE = _varint(FrameType.PATH_CHALLENGE)
 _PATH_RESPONSE = _varint(FrameType.PATH_RESPONSE)
 _CONNECTION_CLOSE = _varint(FrameType.CONNECTION_CLOSE)
 _PATH_STATUS = _varint(FrameType.PATH_STATUS)
-_QOE_CONTROL_SIGNALS = _varint(FrameType.QOE_CONTROL_SIGNALS)
 _NO_QOE, _HAS_QOE = _varint(0), _varint(1)
 #: the types the decoder meets on nearly every packet, as plain ints:
 #: STREAM with any of its OFF / LEN / FIN bits, and ACK_MP
@@ -293,11 +282,6 @@ def _ack_ranges_wire(largest: int, ranges: tuple,
         + older_wire
 
 
-def _qoe_wire(qoe: QoeSignals) -> bytes:
-    return _varint(qoe[0]) + _varint(qoe[1]) + _varint(qoe[2]) \
-        + _varint(qoe[3])
-
-
 def _enc_padding(frame: PaddingFrame) -> bytes:
     return b"\x00" * frame.length
 
@@ -319,7 +303,10 @@ def _enc_ack_mp(frame: AckMpFrame) -> bytes:
         + (_NO_QOE if qoe is None else _HAS_QOE) \
         + _varint(largest) + _varint(frame.ack_delay_us) \
         + _ack_ranges_wire(largest, frame.ranges, frame.older_wire)
-    return wire if qoe is None else wire + _qoe_wire(qoe)
+    if qoe is None:
+        return wire
+    return wire + _varint(qoe[0]) + _varint(qoe[1]) + _varint(qoe[2]) \
+        + _varint(qoe[3])
 
 
 def _enc_crypto(frame: CryptoFrame) -> bytes:
@@ -369,10 +356,6 @@ def _enc_path_status(frame: PathStatusFrame) -> bytes:
         + _varint(frame.status_seq) + _varint(frame.status)
 
 
-def _enc_qoe(frame: QoeControlSignalsFrame) -> bytes:
-    return _QOE_CONTROL_SIGNALS + _qoe_wire(frame.qoe)
-
-
 #: exact-type dispatch: one dict lookup per frame
 _FRAME_ENCODERS = {
     PaddingFrame: _enc_padding,
@@ -388,7 +371,6 @@ _FRAME_ENCODERS = {
     PathResponseFrame: _enc_path_response,
     ConnectionCloseFrame: _enc_close,
     PathStatusFrame: _enc_path_status,
-    QoeControlSignalsFrame: _enc_qoe,
 }
 
 
@@ -466,14 +448,6 @@ def _decode_ack_ranges(data: memoryview, pos: int,
 _make_qoe = partial(tuple.__new__, QoeSignals)
 
 
-def _decode_qoe(data: memoryview, pos: int) -> Tuple[QoeSignals, int]:
-    cached_bytes, pos = decode_varint(data, pos)
-    cached_frames, pos = decode_varint(data, pos)
-    bps, pos = decode_varint(data, pos)
-    fps, pos = decode_varint(data, pos)
-    return _make_qoe((cached_bytes, cached_frames, bps, fps)), pos
-
-
 def _take(data: memoryview, pos: int, n: int) -> Tuple[memoryview, int]:
     """The ``n`` bytes at ``pos`` (a view of ``data``) and the offset
     after them."""
@@ -540,7 +514,11 @@ def decode_frames(payload) -> List[object]:
                 ranges, pos = _decode_ack_ranges(data, pos, largest)
                 qoe = None
                 if flags & 1:
-                    qoe, pos = _decode_qoe(data, pos)
+                    cached_bytes, pos = decode_varint(data, pos)
+                    cached_frames, pos = decode_varint(data, pos)
+                    bps, pos = decode_varint(data, pos)
+                    fps, pos = decode_varint(data, pos)
+                    qoe = _make_qoe((cached_bytes, cached_frames, bps, fps))
                 frames.append(AckMpFrame(path_id, largest, delay, ranges,
                                          qoe))
             elif frame_type == FrameType.PADDING:
@@ -592,9 +570,6 @@ def decode_frames(payload) -> List[object]:
                 status, pos = decode_varint(data, pos)
                 frames.append(PathStatusFrame(path_id, PathStatus(status),
                                               status_seq))
-            elif frame_type == FrameType.QOE_CONTROL_SIGNALS:
-                qoe, pos = _decode_qoe(data, pos)
-                frames.append(QoeControlSignalsFrame(qoe))
             else:
                 raise FrameEncodingError(
                     f"unknown frame type 0x{frame_type:x}")

@@ -2,7 +2,7 @@
 
 A path bundles everything that is per-path in the multipath design:
 the CID pair in use, its own packet-number space, RTT estimator, loss
-detector, congestion controller, validation state, and PATH_STATUS.
+detector, congestion controller, and lifecycle (:class:`PathState`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from bisect import bisect_left
 from typing import Optional, Tuple
 
 from repro.quic.cid import ConnectionId
-from repro.quic.frames import PathStatus, ack_pairs_wire, make_range
+from repro.quic.frames import ack_pairs_wire, make_range
 from repro.quic.loss_detection import PathLossDetector
 from repro.quic.rtt import RttEstimator
 from repro.traces.radio_profiles import RadioType
@@ -43,7 +43,6 @@ class Path:
         self.loss = PathLossDetector(self.rtt)
         self.cc = cc
         self.state = PathState.PENDING
-        self.status = PathStatus.AVAILABLE
         #: the next packet number of this path's own space
         self.next_pn = 0
         self.largest_received_pn = -1
@@ -79,8 +78,7 @@ class Path:
     @property
     def is_usable(self) -> bool:
         """Can the scheduler place packets here?"""
-        return self.state in (PathState.ACTIVE, PathState.VALIDATING) \
-            and self.status != PathStatus.ABANDON
+        return self.state in (PathState.ACTIVE, PathState.VALIDATING)
 
     def is_suspect(self, now: float) -> bool:
         """Heuristic path-quality check (Sec. 6 'Path close').
@@ -161,10 +159,6 @@ class Path:
             self._ack_older_wire = ack_pairs_wire(pending[::-1])
         return (self._ack_older + (make_range(pending[-1]),),
                 self._ack_older_wire)
-
-    def abandon(self) -> None:
-        self.state = PathState.ABANDONED
-        self.status = PathStatus.ABANDON
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Path(id={self.path_id}, state={self.state.value}, "

@@ -11,16 +11,13 @@ once.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.quic.cid import ConnectionId
 from repro.quic.errors import QuicError
 from repro.quic.frames import (ACK_ELICITING, AckMpFrame,
                                ConnectionCloseFrame, MaxDataFrame,
                                MaxStreamDataFrame, NewConnectionIdFrame,
                                PathChallengeFrame, PathResponseFrame,
-                               PathStatus, PathStatusFrame,
-                               QoeControlSignalsFrame, StreamFrame,
+                               PathStatus, PathStatusFrame, StreamFrame,
                                decode_frames)
 from repro.quic.packets import PacketType, decode_header, reconstruct_pn
 from repro.quic.path import Path, PathState
@@ -52,7 +49,6 @@ class Receiver:
             PathStatusFrame: self.on_path_status,
             MaxDataFrame: self.on_max_data,
             MaxStreamDataFrame: self.on_max_stream_data,
-            QoeControlSignalsFrame: self.acks.on_qoe_frame,
             ConnectionCloseFrame: self.on_connection_close,
         }
         #: frame type -> (handler or None, ack-eliciting); PING, CRYPTO
@@ -233,19 +229,12 @@ class Receiver:
 
     def on_path_status(self, frame: PathStatusFrame, _path: Path,
                        now: float) -> None:
-        path: Optional[Path] = self.conn.paths.get(frame.path_id)
-        if path is None:
-            return
-        path.status = frame.status
-        if frame.status is PathStatus.ABANDON:
+        """The peer retired ``frame.path_id``: drop it here too.  Standby
+        and Available are decoded but change nothing."""
+        path = self.conn.paths.get(frame.path_id)
+        if path is not None and frame.status is PathStatus.ABANDON \
+                and path.state is not PathState.ABANDONED:
             self.conn.abandon_path_locally(path)
-        elif frame.status is PathStatus.STANDBY:
-            if path.state is PathState.ACTIVE:
-                path.state = PathState.STANDBY
-        elif frame.status is PathStatus.AVAILABLE:
-            if path.state is PathState.STANDBY:
-                path.state = PathState.ACTIVE
-        self.conn.path_updated(path, "peer_status")
 
     def on_max_data(self, frame: MaxDataFrame, _path: Path,
                     now: float) -> None:

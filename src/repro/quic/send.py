@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.quic.cc.base import MAX_DATAGRAM_SIZE
 from repro.quic.crypto import TAG_LENGTH
-from repro.quic.frames import (ACK_ELICITING, AckMpFrame, PathStatus,
+from repro.quic.frames import (ACK_ELICITING, AckMpFrame, PathStatusFrame,
                                StreamFrame, encode_frames)
 from repro.quic.loss_detection import SentPacket
 from repro.quic.packets import encode_short_header
@@ -29,9 +29,14 @@ from repro.quic.stream import DEFAULT_FRAME_PRIORITY, SendStream
 #: Usable payload per packet: datagram budget minus short header and tag.
 PACKET_PAYLOAD_BUDGET = MAX_DATAGRAM_SIZE - 13 - TAG_LENGTH - 24
 
+#: Re-injection storm guard: cap on duplicate bytes enqueued per
+#: RTT-sized window.  Sized far above legitimate XLINK re-injection
+#: bursts (bounded by a stuck path's cwnd), so only chaos-triggered
+#: amplification ever trims.
+REINJECT_BUDGET_BYTES_PER_RTT = 1_000_000
+
 _ABANDONED = PathState.ABANDONED
 _ACTIVE = PathState.ACTIVE
-_AVAILABLE = PathStatus.AVAILABLE
 
 
 @dataclass(slots=True)
@@ -59,13 +64,16 @@ class SendChunk:
 
 @dataclass(slots=True)
 class SentFrameInfo:
-    """What a sent packet carried, for ack/loss processing."""
+    """What a sent packet carried, for ack/loss processing: a stream
+    range, or (``stream_id`` -1) a control frame to send again if the
+    packet is lost."""
 
     stream_id: int = -1
     offset: int = 0
     length: int = 0
     fin: bool = False
     kind: str = "new"
+    control: object = None
 
 
 class Sender:
@@ -109,6 +117,9 @@ class Sender:
                 continue
             while frames:
                 batch: List[object] = []
+                # PATH_STATUS is the one control frame sent again when
+                # lost: a lost Abandon would leave the peer on the path
+                resend: Tuple[SentFrameInfo, ...] = ()
                 eliciting = False
                 size = 0
                 while frames and size < PACKET_PAYLOAD_BUDGET - 64:
@@ -121,9 +132,11 @@ class Sender:
                         break
                     del frames[0]
                     batch.append(frame)
+                    if type(frame) is PathStatusFrame:
+                        resend += (SentFrameInfo(control=frame),)
                     eliciting = eliciting or ACK_ELICITING[type(frame)]
                     size += need
-                self.send_packet(path, batch, False, (), eliciting, now)
+                self.send_packet(path, batch, False, resend, eliciting, now)
             del pending[path_id]
 
     # ------------------------------------------------------------------
@@ -172,8 +185,7 @@ class Sender:
                 # paths app-limited so the quiet period cannot be read
                 # as the bottleneck bandwidth.
                 for p in self.paths.values():
-                    if p.cc.paced and p.state is _ACTIVE \
-                            and p.status is _AVAILABLE:
+                    if p.cc.paced and p.state is _ACTIVE:
                         loss = p.loss
                         loss.app_limited_until = \
                             loss.delivered + loss.bytes_in_flight
@@ -393,16 +405,13 @@ class Sender:
         logic into amplifying traffic; legitimate XLINK bursts are
         bounded by a stuck path's cwnd and stay far below the budget.
         """
-        budget = self.conn.config.reinject_budget_bytes_per_rtt
-        if budget <= 0:
-            return True
         window = max((p.rtt.smoothed for p in self.paths.values()
                       if p.state is not _ABANDONED), default=0.1)
         window = max(window, 0.05)
         if now - self._storm_window_start >= window:
             self._storm_window_start = now
             self._storm_window_bytes = 0
-        if self._storm_window_bytes + length > budget:
+        if self._storm_window_bytes + length > REINJECT_BUDGET_BYTES_PER_RTT:
             self.stats.storm_guard_trims += 1
             self.stats.storm_guard_trimmed_bytes += length
             self.conn.emit("drop", reason="storm_guard", size=length)

@@ -327,6 +327,3 @@ class _RangeSet:
 
     def __len__(self) -> int:
         return len(self._ranges)
-
-    def total(self) -> int:
-        return sum(e - s for s, e in self._ranges)

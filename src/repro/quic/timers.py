@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.quic.frames import PathStatus, PingFrame, StreamFrame
+from repro.quic.frames import PingFrame, StreamFrame
 from repro.quic.path import Path, PathState
 from repro.quic.rtt import MAX_ACK_DELAY
 from repro.quic.send import PACKET_PAYLOAD_BUDGET, SentFrameInfo
 
 _ABANDONED = PathState.ABANDONED
 _ACTIVE = PathState.ACTIVE
-_AVAILABLE = PathStatus.AVAILABLE
 
 
 class Timers:
@@ -160,8 +159,7 @@ class Timers:
         when: Optional[float] = None
         for p in conn.paths.values():
             cc = p.cc
-            if not cc.paced or p.state is not _ACTIVE \
-                    or p.status is not _AVAILABLE or not cc.can_send():
+            if not cc.paced or p.state is not _ACTIVE or not cc.can_send():
                 continue
             t = cc.next_send_time(now)
             if t > now + 1e-9 and (when is None or t < when):

@@ -47,6 +47,11 @@ class TraceEvent:
                           sort_keys=True)
 
 
+#: events a tracer keeps; later ones are not recorded (a guard on a
+#: runaway session's memory)
+MAX_TRACE_EVENTS = 1_000_000
+
+
 class ConnectionTracer:
     """Collects :class:`TraceEvent` records from one connection.
 
@@ -54,18 +59,15 @@ class ConnectionTracer:
     connection's ``listeners`` -- nothing is monkey-patched.
     """
 
-    def __init__(self, max_events: int = 1_000_000) -> None:
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self.max_events = max_events
         self._conn = None
-        self.dropped = 0
 
     # -- recording --------------------------------------------------------
 
     def record(self, time: float, category: str, name: str,
                **data: Any) -> None:
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
+        if len(self.events) >= MAX_TRACE_EVENTS:
             return
         self.events.append(TraceEvent(time=time, category=category,
                                       name=name, data=data))

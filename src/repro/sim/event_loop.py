@@ -24,6 +24,9 @@ from typing import Any, Callable, Optional
 #: pending; below it the lazy top-of-heap skip is always cheaper.
 _COMPACT_MIN_CANCELLED = 64
 
+#: Runaway guard: events one :meth:`EventLoop.run` call may execute.
+MAX_EVENTS = 50_000_000
+
 
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven incorrectly."""
@@ -139,14 +142,13 @@ class EventLoop:
         self._stop_requested = True
 
     def run(self, until: Optional[float] = None,
-            max_events: int = 50_000_000,
             stop_before: Optional[float] = None) -> float:
         """Run events until the queue drains or virtual ``until`` is reached.
 
-        Returns the final virtual time.  ``max_events`` is a runaway
-        guard: exactly ``max_events`` events may execute; the guard
-        raises :class:`SimulationError` only when a further live event
-        is still pending (so a queue that drains at the limit is fine).
+        Returns the final virtual time.  Exactly :data:`MAX_EVENTS`
+        events may execute; the guard raises :class:`SimulationError`
+        only when a further live event is still pending (so a queue that
+        drains at the limit is fine).
 
         ``stop_before`` reproduces the classic ``while loop.now < t:
         step()`` driver exactly: the event that carries the clock to or
@@ -167,6 +169,7 @@ class EventLoop:
         self._stop_requested = False
         heap = self._heap  # compaction mutates in place, so this local
         pop = heapq.heappop  # stays valid across callbacks
+        max_events = MAX_EVENTS
         executed = 0
         try:
             while heap:

@@ -92,10 +92,14 @@ class Video:
         return self._frame_ends[min(frame_count, n_frames)]
 
 
+#: frame rate of a generated video
+VIDEO_FPS = 25
+#: a generated video's first (key) frame, in mean frame sizes
+FIRST_FRAME_FACTOR = 8.0
+
+
 def make_video(name: str = "video", duration_s: float = 15.0,
-               fps: int = 25, bitrate_bps: float = 2_000_000,
-               first_frame_factor: float = 8.0,
-               seed: int = 0,
+               bitrate_bps: float = 2_000_000, seed: int = 0,
                chunk_size: int = 256 * 1024) -> Video:
     """Generate a short video with a large key frame and jittered P-frames.
 
@@ -105,16 +109,16 @@ def make_video(name: str = "video", duration_s: float = 15.0,
     128 KB to 2 MB.
     """
     rng = make_rng(seed, f"video-{name}")
-    n_frames = int(duration_s * fps)
+    n_frames = int(duration_s * VIDEO_FPS)
     if n_frames < 2:
         raise ValueError("video must have at least 2 frames")
-    mean_frame = bitrate_bps / 8.0 / fps
-    first = int(mean_frame * first_frame_factor)
+    mean_frame = bitrate_bps / 8.0 / VIDEO_FPS
+    first = int(mean_frame * FIRST_FRAME_FACTOR)
     # Keep the total close to bitrate * duration by shrinking P-frames.
     remaining = bitrate_bps / 8.0 * duration_s - first
     p_mean = max(remaining / (n_frames - 1), 200.0)
     sizes = [first]
     for _ in range(n_frames - 1):
         sizes.append(max(int(p_mean * rng.uniform(0.6, 1.4)), 100))
-    return Video(name=name, fps=fps, frame_sizes=sizes,
+    return Video(name=name, fps=VIDEO_FPS, frame_sizes=sizes,
                  chunk_size=chunk_size)

@@ -11,9 +11,9 @@ priority API (Sec. 5.1, Fig. 4c).
 One :class:`MediaServer` holds one video catalog and can serve any
 number of concurrent connections (the paper's CDN node handles 100K+
 users per machine): :meth:`attach` registers a server-side connection,
-and per-connection request state is tracked separately.  The legacy
-one-connection constructor form ``MediaServer(conn, videos)`` still
-works and simply attaches ``conn``.
+and per-connection request state is tracked separately.  The
+one-connection constructor form ``MediaServer(conn, videos)`` attaches
+``conn`` with first-frame acceleration on.
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ class MediaServer:
     """Serves a video catalog over any number of server connections."""
 
     def __init__(self, conn: Optional[Connection] = None,
-                 videos: Optional[Dict[str, Video]] = None,
-                 first_frame_acceleration: bool = True) -> None:
+                 videos: Optional[Dict[str, Video]] = None) -> None:
         self.videos: Dict[str, Video] = dict(videos or {})
-        self.first_frame_acceleration = first_frame_acceleration
         #: (connection, stream_id) -> partial request bytes; an entry
         #: goes once its request is answered or its half has ended
         self._request_buf: Dict[Tuple[int, int], bytes] = {}
         #: attached connections by id() -> (conn, effective FFA flag)
         self._attached: Dict[int, Tuple[Connection, bool]] = {}
-        self.requests_served = 0
         if conn is not None:
             self.attach(conn)
 
@@ -49,19 +46,16 @@ class MediaServer:
         return len(self._attached)
 
     def attach(self, conn: Connection,
-               first_frame_acceleration: Optional[bool] = None) -> None:
+               first_frame_acceleration: bool = True) -> None:
         """Serve the catalog on ``conn``.
 
-        ``first_frame_acceleration`` overrides the server default for
-        this connection (schemes like ``xlink_nofa`` disable it while
-        other sessions on the same host keep it).
+        ``first_frame_acceleration`` is per connection: schemes like
+        ``xlink_nofa`` turn it off while other sessions on the same host
+        keep it.
         """
         if id(conn) in self._attached:
             raise ValueError("connection already attached")
-        ffa = (self.first_frame_acceleration
-               if first_frame_acceleration is None
-               else first_frame_acceleration)
-        self._attached[id(conn)] = (conn, ffa)
+        self._attached[id(conn)] = (conn, first_frame_acceleration)
         conn.on_stream_data = (
             lambda stream_id, _conn=conn: self._on_stream_data(_conn,
                                                                stream_id))
@@ -118,4 +112,3 @@ class MediaServer:
         else:
             conn.stream_send(stream_id, payload, fin=True,
                              priority=stream_priority)
-        self.requests_served += 1

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.lb import ConsistentHashRing, QuicLbRouter
-from repro.quic.cid import CID_LENGTH, CidRegistry, ConnectionId, generate_cid
+from repro.quic.cid import (CID_LENGTH, SERVER_ID_OFFSET, CidRegistry,
+                            ConnectionId, generate_cid)
 from repro.quic.errors import ProtocolViolation, TransportErrorCode
 
 
@@ -15,13 +16,15 @@ class TestConnectionId:
             ConnectionId(cid=b"short", sequence_number=0)
 
     def test_server_id_byte(self):
+        """The load balancer reads the server ID from the CID's byte."""
         cid = ConnectionId(cid=b"\x07" + b"\x00" * 7, sequence_number=0)
-        assert cid.server_id == 7
+        router = QuicLbRouter({7: "server-7", 8: "server-8"})
+        assert router.route(cid.cid) == "server-7"
 
     def test_generate_embeds_server_id(self):
         rng = random.Random(1)
         cid = generate_cid(rng, 3, server_id=42)
-        assert cid.server_id == 42
+        assert cid.cid[SERVER_ID_OFFSET] == 42
         assert cid.sequence_number == 3
         assert len(cid.cid) == CID_LENGTH
 

@@ -41,11 +41,11 @@ class TestFig6Driver:
             run_fig6_dynamics("bogus")
 
     def test_vanilla_has_no_reinjection(self):
-        series = run_fig6_dynamics("vanilla_mp", duration_s=2.0)
+        series = run_fig6_dynamics("vanilla_mp")
         assert series.total_reinjected() == 0
 
     def test_reinjection_counters_monotone(self):
-        series = run_fig6_dynamics("reinject_no_qoe", duration_s=3.0)
+        series = run_fig6_dynamics("reinject_no_qoe")
         values = series.reinjected_bytes
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -77,8 +77,7 @@ class TestFig8Driver:
 class TestFig13Driver:
     def test_single_trace_all_schemes(self):
         pair = extreme_mobility_trace_pairs(duration_s=12.0)[0]
-        result = run_mobility_trace(pair, schemes=("sp", "xlink"),
-                                    seed=1, timeout_s=60.0)
+        result = run_mobility_trace(pair, schemes=("sp", "xlink"), seed=1)
         assert set(result.times) == {"sp", "xlink"}
         for times in result.times.values():
             assert len(times) >= 6
@@ -115,7 +114,7 @@ class TestThresholdDriver:
         samples = run_ab_day(
             cfg, 1, ["vanilla_mp"]).schemes["vanilla_mp"].buffer_level
         assert samples.count > 50
-        assert samples.minimum >= 0
+        assert samples.percentile(0) >= 0
 
     def test_percentile_pair_ordering(self):
         samples = DistSketch()

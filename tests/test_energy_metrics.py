@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy import EnergyAccount, POWER_MODELS
-from repro.metrics import (DistSketch, Summary, aggregate_rebuffer_rate,
-                           improvement_percent, percentile)
+from repro.metrics import (aggregate_rebuffer_rate, improvement_percent,
+                           percentile)
 from repro.experiments.parallel import SessionOutcome
 from repro.metrics.qoe import SessionMetrics
 from repro.metrics.sink import SchemeSink
@@ -142,27 +142,6 @@ class TestPercentile:
         for pct in (10, 50, 90, 99):
             assert percentile(data, pct) == pytest.approx(
                 float(np.percentile(data, pct)))
-
-
-class TestSummarize:
-    @staticmethod
-    def _summary(values) -> Summary:
-        sketch = DistSketch()
-        sketch.extend(values)
-        return sketch.summary()
-
-    def test_summary_fields(self):
-        s = self._summary([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert isinstance(s, Summary)
-
-    def test_as_dict(self):
-        d = self._summary([1.0]).as_dict()
-        assert set(d) == {"count", "mean", "p50", "p90", "p95", "p99",
-                          "max", "min"}
 
 
 class TestQoeMetrics:

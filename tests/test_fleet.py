@@ -115,7 +115,7 @@ class TestSinkConsistency:
         ab = cfg.ab_config()
         day = run_ab_day(ab, 1, list(cfg.schemes), workers=1)
         outcomes = run_session_tasks(
-            list(iter_ab_day_tasks(ab, 1, list(cfg.schemes))), workers=1)
+            list(iter_ab_day_tasks(ab, 1, list(cfg.schemes))))
         for scheme in cfg.schemes:
             sink = day.schemes[scheme]
             exact = [o.metrics for o in outcomes if o.scheme == scheme]

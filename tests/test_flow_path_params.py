@@ -6,7 +6,6 @@ from repro.quic.cc import NewRenoCc
 from repro.quic.cid import ConnectionId
 from repro.quic.errors import FlowControlError
 from repro.quic.flow_control import FlowControlWindow
-from repro.quic.frames import PathStatus
 from repro.quic.path import Path, PathState
 from repro.quic.transport_params import TransportParameters
 
@@ -82,7 +81,6 @@ class TestPathState:
     def test_initial_state(self):
         path = _path()
         assert path.state is PathState.PENDING
-        assert path.status is PathStatus.AVAILABLE
 
     def test_packet_numbers_monotone(self):
         path = _path()
@@ -111,9 +109,8 @@ class TestPathState:
     def test_abandon(self):
         path = _path()
         path.state = PathState.ACTIVE
-        path.abandon()
-        assert path.state is PathState.ABANDONED
-        assert path.status is PathStatus.ABANDON
+        assert path.is_usable
+        path.state = PathState.ABANDONED
         assert not path.is_usable
 
     def test_suspect_requires_silence_and_history(self):

@@ -7,8 +7,8 @@ the seven video schemes, each also under the four non-default
 congestion controllers, and three bulk downloads on a Wi-Fi + LTE
 topology with a Wi-Fi outage, clean and LTE-first video sessions, the
 N=16 contention cell, two wire images and their plaintext images, the
-generated traces, the Fig. 1 / Fig. 6 drivers, the chaos soaks and two
-fleet populations.
+generated traces, the Fig. 1 / Fig. 6 drivers, the chaos soaks and
+their path-abandon scenario, and two fleet populations.
 Small values are stored as they are, not hashed, so a failure shows
 which field moved.
 
@@ -32,7 +32,8 @@ from functools import partial
 
 import pytest
 
-from repro.experiments.chaos import ChaosSoakConfig, run_chaos_soak
+from repro.experiments.chaos import (ChaosSoakConfig, run_abandon_scenario,
+                                     run_chaos_soak)
 from repro.experiments.contention import ContentionConfig, run_contention
 from repro.experiments.dynamics import (FIG6_MODES, run_fig1_dynamics,
                                         run_fig6_dynamics)
@@ -123,6 +124,15 @@ def chaos(scenarios, cc_algorithm="cubic"):
     return result.digest
 
 
+def chaos_abandon():
+    """The soak's scripted abandon scenario, as ``make chaos`` runs it
+    after its 12 drawn scenarios."""
+    outcome = run_abandon_scenario(ChaosSoakConfig(scenarios=12, seed=7))
+    assert outcome.ok, (outcome.error, outcome.violations)
+    return {"fingerprint": outcome.fingerprint,
+            "abandoned": outcome.abandoned}
+
+
 def population(users, seed):
     """The sink digest of a serial A/B population (a sharded run must
     merge to the same digest; ``make fleet-smoke`` checks that)."""
@@ -157,6 +167,7 @@ PRODUCERS = {
     **{f"fig6/{m}": partial(fig6, m) for m in FIG6_MODES},
     "chaos/12_seed7": partial(chaos, 12),
     "chaos/bbr_4_seed7": partial(chaos, 4, "bbr"),
+    "chaos/abandon_seed7": chaos_abandon,
     "fleet/24_seed11": partial(population, 24, 11),
     "fleet/8_seed5": partial(population, 8, 5),
 }

@@ -10,6 +10,7 @@ import pytest
 
 from repro.host import (SCHEMES, ClientEndpoint, ServerHost, SessionRuntime,
                         VideoSessionSpec)
+from repro.host.server import SERVER_ID
 from repro.host.specs import PathSpec, build_network
 from repro.netem import Datagram, MultipathNetwork
 from repro.quic.cid import CID_LENGTH
@@ -37,7 +38,7 @@ class TestServerHostRouting:
     def _host_with_session(self, scheme="xlink"):
         loop = EventLoop()
         net = _network(loop)
-        host = ServerHost(loop, net, videos={}, server_id=1)
+        host = ServerHost(loop, net)
         net.server.on_receive(host.on_datagram)
         conn = host.register_session("client", "sess-a", SCHEMES[scheme],
                                      seed=0, primary_net=0)
@@ -47,7 +48,7 @@ class TestServerHostRouting:
         """End-to-end: the host demultiplexes a whole video session."""
         loop = EventLoop()
         net = _network(loop)
-        host = ServerHost(loop, net, videos={}, server_id=1)
+        host = ServerHost(loop, net)
         net.server.on_receive(host.on_datagram)
         scheme = SCHEMES["xlink"]
         client = ClientEndpoint(loop, net.client, scheme,
@@ -83,7 +84,7 @@ class TestServerHostRouting:
     def test_unknown_cid_counted_and_dropped(self):
         """Our server-ID byte, but no connection ever issued the CID."""
         loop, net, host, conn = self._host_with_session()
-        stale = bytes([host.server_id]) + b"\x22" * (CID_LENGTH - 1)
+        stale = bytes([SERVER_ID]) + b"\x22" * (CID_LENGTH - 1)
         host.on_datagram(Datagram(payload=_short_header_payload(stale),
                                   path_id=0, src="client"))
         assert host.unknown_cid == 1
@@ -155,7 +156,7 @@ class TestServerHostRouting:
     def test_two_sessions_route_independently(self):
         loop = EventLoop()
         net = _network(loop)
-        host = ServerHost(loop, net, videos={}, server_id=1)
+        host = ServerHost(loop, net)
         conn_a = host.register_session("client-a", "sess-a",
                                        SCHEMES["xlink"], seed=0,
                                        primary_net=0)
@@ -244,8 +245,7 @@ class TestSharedMediaServer:
         loop = EventLoop()
         conn = self._conn(loop, "a")
         video = make_video(duration_s=1.0)
-        media = MediaServer(conn, {video.name: video},
-                            first_frame_acceleration=False)
+        media = MediaServer(conn, {video.name: video})
         assert media.connections == 1
         assert media.videos[video.name] is video
 

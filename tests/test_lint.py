@@ -90,6 +90,37 @@ class TestDeadPublicNames:
                                "getattr(Link(), 'queue_depth', None)\n"}) \
             == []
 
+    def test_a_method_is_used_only_through_an_attribute(self, lint,
+                                                         tmp_path):
+        """A local variable, parameter or module-level name that shares
+        a method's name does not reach it; ``x.method`` and a string do.
+        A module-level function is used by its bare name, and a nested
+        closure by its bare name inside its function."""
+        assert self._dead(
+            lint, tmp_path,
+            "class Sketch:\n"
+            "    def summary(self):\n        return 1\n\n"
+            "    def total(self):\n        return 2\n\n"
+            "    def merge(self):\n        return 3\n\n"
+            "    def spill(self):\n        return 4\n\n"
+            "def report(sketch):\n"
+            "    summary = sketch.merge()\n"
+            "    total = summary\n"
+            "    return total\n\n"
+            "def drive(sketch):\n"
+            "    def tick():\n        return sketch\n"
+            "    return tick()\n\n"
+            "def nested_unused():\n"
+            "    def helper():\n        return 0\n"
+            "    return 1\n\n"
+            "def elsewhere():\n    return helper()\n",
+            {"examples/demo.py": "from repro.mod import Sketch, report, "
+                                 "drive, nested_unused, elsewhere\n"
+                                 "METHODS = ('spill',)\n"
+                                 "report(Sketch()), drive(1)\n"
+                                 "nested_unused(), elsewhere()\n"}) \
+            == ["helper", "summary", "total"]
+
     def test_the_allow_list_is_three_names(self):
         assert set(_load_lint().DEAD_ALLOWED) == {
             "run_session_tasks", "load_mahimahi_trace", "save_mahimahi_trace"}
@@ -112,8 +143,8 @@ class TestUnsetKnobs:
             "    mix: float = 0.5\n\n"
             "class Unchecked:\n"
             "    other: float = 0.5\n")
-        (tmp_path / "tests").mkdir()
-        (tmp_path / "tests" / "test_mod.py").write_text(
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
             "from dataclasses import replace\n"
             "from repro.experiments.mod import RunConfig\n"
             "cfg = RunConfig(4, seed=3)\n"
@@ -124,9 +155,10 @@ class TestUnsetKnobs:
             == [["KNOB", "RunConfig.mix"]]
 
     @staticmethod
-    def _unset(lint, tmp_path, caller: str) -> list:
+    def _unset(lint, tmp_path, caller: str, where: str = "examples/demo.py",
+               package_extra: str = "") -> list:
         """The KNOB findings for a package function and class whose only
-        callers are ``caller``, a test module."""
+        callers are ``caller``, the module at ``where``."""
         package = tmp_path / "src" / "repro" / "netem"
         package.mkdir(parents=True)
         (package / "mod.py").write_text(
@@ -138,9 +170,9 @@ class TestUnsetKnobs:
             "    def __init__(self, nodes, replicas=64):\n"
             "        self.nodes = nodes\n\n"
             "    def spin(self, turns=1):\n"
-            "        return turns\n")
-        (tmp_path / "tests").mkdir()
-        (tmp_path / "tests" / "test_mod.py").write_text(
+            "        return turns\n" + package_extra)
+        (tmp_path / where).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / where).write_text(
             "from repro.netem.mod import Ring, make\n" + caller)
         return sorted(message.split()[1]
                       for _path, _line, message in lint.check_unset_knobs())
@@ -178,6 +210,27 @@ class TestUnsetKnobs:
                            "    assert isinstance(ring, Ring)\n"
                            "    return make(1, 0.5, loss=0.1)\n") \
             == ["Ring.replicas", "Ring.spin.turns"]
+
+    def test_a_value_only_a_test_sets_is_flagged(self, lint, tmp_path):
+        """A test is not a user: what only it sets is a constant."""
+        assert self._unset(lint, tmp_path,
+                           "make(1, 0.5, loss=0.1)\n"
+                           "Ring(['a'], 8).spin(turns=2)\n",
+                           where="tests/test_mod.py") \
+            == ["Ring.replicas", "Ring.spin.turns", "make.delay",
+                "make.loss"]
+
+    def test_a_driver_sets_a_value_through_a_named_forwarder(self, lint,
+                                                             tmp_path):
+        """``run(loss=)`` names the parameter it passes on to ``make``,
+        so the driver that sets ``run``'s sets ``make``'s too."""
+        assert self._unset(
+            lint, tmp_path,
+            "from repro.netem.mod import run\n"
+            "run(1, loss=0.1)\n"
+            "Ring(['a'], 8).spin(turns=2)\n",
+            package_extra="\n\ndef run(rate, loss=0.0):\n"
+                          "    return make(rate, 0.5, loss=loss)\n") == []
 
     def test_this_repo_has_no_unset_knobs(self):
         assert _load_lint().check_unset_knobs() == []
@@ -362,5 +415,6 @@ class TestForeignFunctionBoundary:
     def test_this_repo_calls_foreign_code_from_one_module(self):
         lint = _load_lint()
         assert not [(path, m) for path in lint.iter_py_files(
-            [str(lint.REPO_ROOT / root) for root in lint.REFERENCE_ROOTS])
+            [str(lint.REPO_ROOT / root)
+             for root in (*lint.DEAD_ROOTS, "tests")])
             for *_, m in lint.check_file(path) if m.startswith("FFI")]

@@ -171,12 +171,12 @@ class TestTraceDrivenLink:
         assert times == pytest.approx([0.030])
 
 
-def mahimahi_delivery_times(trace, start_time, sends, queue_limit_bytes):
+def mahimahi_delivery_times(trace, sends, queue_limit_bytes):
     """When each of ``sends`` (``(time, wire_size)``, in time order)
     leaves Mahimahi's link, or ``None`` if the droptail queue drops it.
 
     Straight from the link's docstring: opportunity ``j`` of repetition
-    ``w`` is at ``start_time + (w * period + trace[j]) / 1000`` with
+    ``w`` is at ``(w * period + trace[j]) / 1000`` seconds, with
     ``period = trace[-1] + 1``; it carries the head of the queue, and is
     wasted if the queue is empty (an empty region is an outage).
     """
@@ -185,7 +185,7 @@ def mahimahi_delivery_times(trace, start_time, sends, queue_limit_bytes):
     queue, queued, arrived = [], 0, 0
     for wrap in itertools.count():
         for ts in trace:
-            t = start_time + (wrap * period + ts) / 1000.0
+            t = (wrap * period + ts) / 1000.0
             while arrived < len(sends) and sends[arrived][0] < t:
                 size = sends[arrived][1]
                 if queued + size <= queue_limit_bytes:
@@ -202,18 +202,15 @@ def mahimahi_delivery_times(trace, start_time, sends, queue_limit_bytes):
 @settings(max_examples=300, deadline=None)
 @given(trace=st.lists(st.integers(0, 150), min_size=1,
                       max_size=30).map(sorted),
-       start_tenths_ms=st.integers(0, 3000),
        bursts=st.lists(st.tuples(st.integers(0, 1500), st.integers(1, 6),
                                  st.integers(1, MTU - UDP_IP_OVERHEAD)),
                        max_size=12),
        queue_limit=st.integers(MTU, 6 * MTU))
-def test_trace_link_matches_mahimahi(trace, start_tenths_ms, bursts,
-                                     queue_limit):
+def test_trace_link_matches_mahimahi(trace, bursts, queue_limit):
     """Every datagram leaves at the reference's time, to the bit: bursts
     of several packets per opportunity, idle gaps of up to 1.5 s (ten
-    periods and more), a shifted ``start_time``, queue-limit drops.
-    Sends sit 0.05 ms off the 0.1 ms grid opportunities fall on."""
-    start_time = start_tenths_ms / 10000.0
+    periods and more), queue-limit drops.  Sends sit 0.05 ms off the
+    1 ms grid opportunities fall on."""
     sends, at_ms = [], 0
     for gap_ms, count, payload in bursts:
         at_ms += gap_ms
@@ -223,8 +220,7 @@ def test_trace_link_matches_mahimahi(trace, start_tenths_ms, bursts,
     left = {}  # datagram (by identity) -> time it left the link
     link = TraceDrivenLink(loop, trace,
                            lambda d: left.setdefault(d, loop.now),
-                           queue_limit_bytes=queue_limit,
-                           start_time=start_time)
+                           queue_limit_bytes=queue_limit)
     sent = []
     for t, wire_size in sends:
         dgram = Datagram(payload=b"x" * (wire_size - UDP_IP_OVERHEAD))
@@ -232,7 +228,7 @@ def test_trace_link_matches_mahimahi(trace, start_tenths_ms, bursts,
         loop.schedule_at(t, functools.partial(link.send, dgram))
     loop.run()
     assert [left.get(d) for d in sent] == mahimahi_delivery_times(
-        trace, start_time, sends, queue_limit)
+        trace, sends, queue_limit)
 
 
 def test_a_trace_path_holds_four_bytes_per_opportunity():

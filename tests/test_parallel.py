@@ -22,7 +22,8 @@ import pytest
 from repro.experiments.abtest import (ABTestConfig, iter_ab_day_tasks,
                                       run_ab_day)
 from repro.experiments.parallel import (SessionTask, available_workers,
-                                        fan_out, resolve_workers, run_fleet,
+                                        execute_session_task, fan_out,
+                                        resolve_workers, run_fleet,
                                         run_session_tasks)
 from repro.core import ThresholdConfig
 from repro.experiments.harness import SCHEMES, PathSpec
@@ -191,9 +192,10 @@ class TestSessionTasks:
                            timeout_s=30.0, seed=seed)
 
     def test_outcome_matches_across_workers(self):
-        serial = run_session_tasks([self._task()], workers=1)[0]
-        parallel = run_session_tasks([self._task(), self._task(key=1)],
-                                     workers=2)
+        serial = run_session_tasks([self._task()])[0]
+        parallel = fan_out(execute_session_task,
+                           [{"task": self._task()},
+                            {"task": self._task(key=1)}], workers=2)
         assert serial.completed
         assert parallel[0].metrics == serial.metrics
         assert parallel[0].key == 0 and parallel[1].key == 1
@@ -202,11 +204,11 @@ class TestSessionTasks:
         task = self._task()
         task.scheme = "nope"
         with pytest.raises(KeyError):
-            run_session_tasks([task], workers=1)
+            run_session_tasks([task])
 
     def test_outcomes_are_plain_data(self):
         import pickle
-        outcome = run_session_tasks([self._task()], workers=1)[0]
+        outcome = run_session_tasks([self._task()])[0]
         assert pickle.loads(pickle.dumps(outcome)) == outcome
 
 

@@ -1,16 +1,16 @@
-"""The receive side of PATH_STATUS and QOE_CONTROL_SIGNALS.
+"""The receive side of PATH_STATUS, and QoE feedback on ACK_MP.
 
-The stack decodes and handles both frames but sends neither on its own
-(QoE rides ACK_MP), so these tests queue them by hand through
-``Sender.queue_control``, the way every control frame leaves a
-connection.
+A client retires a path with ``Connection.abandon_path``, which sends
+PATH_STATUS Abandon on another path; the peer drops the path too.  The
+frame's Standby and Available values are decoded but change nothing.
+QoE feedback rides ACK_MP (the draft's standalone QOE_CONTROL_SIGNALS
+frame is not implemented), so it reaches the server while data flows.
 """
 
 from repro.core import MinRttScheduler, ThresholdConfig, XlinkScheduler
 from repro.netem import Datagram, MultipathNetwork
 from repro.quic.connection import Connection, ConnectionConfig
-from repro.quic.frames import (PathStatus, PathStatusFrame,
-                               QoeControlSignalsFrame, QoeSignals)
+from repro.quic.frames import PathStatus, PathStatusFrame, QoeSignals
 from repro.quic.path import PathState
 from repro.sim import EventLoop
 
@@ -49,60 +49,49 @@ def send_status(loop, client, path_id, status):
     client.sender.flush_control(loop.now)
 
 
-def feed_qoe(loop, client, provider, interval_s=0.05):
-    """Send a QOE_CONTROL_SIGNALS frame from the client every
-    ``interval_s``, carrying ``provider()``."""
-    def tick():
-        client.sender.queue_control(0, QoeControlSignalsFrame(
-            qoe=provider()))
-        client.sender.flush_control(loop.now)
-        loop.schedule_after(interval_s, tick)
+def serve(client, server, size):
+    """The client asks on a new stream; the server answers ``size``
+    bytes.  Returns the stream id."""
+    sid = client.create_stream()
+    client.stream_send(sid, b"GET", fin=True)
 
-    loop.schedule_after(interval_s, tick)
+    def on_data(stream_id):
+        stream = server.recv_streams[stream_id]
+        if stream.is_complete and not getattr(server, "_done", False):
+            server._done = True
+            server.stream_read(stream_id)
+            server.stream_send(stream_id, b"X" * size, fin=True)
+
+    server.on_stream_data = on_data
+    return sid
 
 
 class TestPathStatus:
-    def test_standby_propagates_to_peer(self):
+    def test_standby_and_available_change_nothing(self):
         loop, net, client, server = pair()
         send_status(loop, client, 1, PathStatus.STANDBY)
         loop.run(until=1.0)
-        assert server.paths[1].status is PathStatus.STANDBY
-        assert server.paths[1].state is PathState.STANDBY
+        assert server.paths[1].state is PathState.ACTIVE
+        send_status(loop, client, 1, PathStatus.AVAILABLE)
+        loop.run(until=1.5)
+        assert server.paths[1].state is PathState.ACTIVE
 
     def test_standby_path_not_scheduled(self):
+        """A path in STANDBY (here: left behind by a migration) carries
+        no data."""
         loop, net, client, server = pair()
-        send_status(loop, client, 1, PathStatus.STANDBY)
-        loop.run(until=1.0)
+        server.migrate(0)
+        assert server.paths[1].state is PathState.STANDBY
         sent_before = server.paths[1].bytes_sent
-        # Server transfers data; it must all ride path 0.
-        sid = client.create_stream()
-        client.stream_send(sid, b"GET", fin=True)
-
-        def serve(stream_id):
-            stream = server.recv_streams[stream_id]
-            if stream.is_complete and not getattr(server, "_done", False):
-                server._done = True
-                server.stream_read(stream_id)
-                server.stream_send(stream_id, b"X" * 200_000, fin=True)
-
-        server.on_stream_data = serve
+        serve(client, server, 200_000)
         loop.run(until=5.0)
         assert server.paths[1].bytes_sent == sent_before
         assert server.paths[0].bytes_sent > 200_000
 
-    def test_available_restores_path(self):
-        loop, net, client, server = pair()
-        send_status(loop, client, 1, PathStatus.STANDBY)
-        loop.run(until=1.0)
-        assert server.paths[1].state is PathState.STANDBY
-        send_status(loop, client, 1, PathStatus.AVAILABLE)
-        loop.run(until=1.5)
-        assert server.paths[1].state is PathState.ACTIVE
-        assert server.paths[1].status is PathStatus.AVAILABLE
-
     def test_abandon_via_status(self):
         loop, net, client, server = pair()
-        send_status(loop, client, 1, PathStatus.ABANDON)
+        client.abandon_path(1)
+        assert client.paths[1].state is PathState.ABANDONED
         loop.run(until=1.0)
         assert server.paths[1].state is PathState.ABANDONED
 
@@ -110,7 +99,7 @@ class TestPathStatus:
         """A PATH_STATUS for a path the peer does not have changes
         nothing there."""
         loop, net, client, server = pair()
-        send_status(loop, client, 9, PathStatus.STANDBY)
+        send_status(loop, client, 9, PathStatus.ABANDON)
         loop.run(until=1.0)
         assert sorted(server.paths) == [0, 1]
         assert all(p.state is PathState.ACTIVE
@@ -118,34 +107,28 @@ class TestPathStatus:
         assert not server.closed
 
 
-class TestStandaloneQoeFeedback:
-    def test_feedback_arrives_without_data_flow(self):
-        """The draft's point: feedback is decoupled from ACK frequency.
-
-        With no data flowing there are no ACK_MPs, yet the server
-        still takes in the QoE the frame carries."""
-        loop, net, client, server = pair()
-        feed_qoe(loop, client, lambda: QoeSignals(
-            cached_bytes=777, cached_frames=25, bps=1000, fps=25))
-        loop.run(until=1.0)
-        assert server.last_qoe is not None
-        assert server.last_qoe.cached_bytes == 777
-
+class TestQoeFeedbackOnAckMp:
     def test_feedback_drives_scheduler_controller(self):
         sched = XlinkScheduler(thresholds=ThresholdConfig(0.5, 2.0))
         loop, net, client, server = pair(server_scheduler=sched)
-        feed_qoe(loop, client, lambda: QoeSignals(
-            cached_bytes=0, cached_frames=0, bps=2_000_000, fps=25))
+        client.qoe_provider = lambda: QoeSignals(
+            cached_bytes=0, cached_frames=0, bps=2_000_000, fps=25)
+        serve(client, server, 200_000)
         loop.run(until=1.0)
         assert sched.controller.last_qoe is not None
         assert sched.controller.play_time_left(loop.now) == 0.0
 
     def test_feedback_updates_over_time(self):
         loop, net, client, server = pair()
-        values = iter(range(100, 200))
-        feed_qoe(loop, client, lambda: QoeSignals(
-            cached_bytes=next(values), cached_frames=1, bps=1, fps=1))
+        values = iter(range(100, 100_000))
+        client.qoe_provider = lambda: QoeSignals(
+            cached_bytes=next(values), cached_frames=1, bps=1, fps=1)
+        feedback = []
+        server.listeners.append(
+            lambda kind, fields: kind == "feedback_received"
+            and feedback.append(fields["cached_bytes"]))
+        serve(client, server, 2_000_000)
         loop.run(until=0.8)
-        first = server.last_qoe.cached_bytes
+        first = feedback[-1]
         loop.run(until=1.4)
-        assert server.last_qoe.cached_bytes > first
+        assert feedback[-1] > first

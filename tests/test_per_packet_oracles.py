@@ -23,8 +23,8 @@ from repro.quic.frames import (AckFrame, AckMpFrame, AckRange,
                                NewConnectionIdFrame, PaddingFrame,
                                PathChallengeFrame, PathResponseFrame,
                                PathStatus, PathStatusFrame, PingFrame,
-                               QoeControlSignalsFrame, QoeSignals,
-                               StreamFrame, decode_frames, encode_frames)
+                               QoeSignals, StreamFrame, decode_frames,
+                               encode_frames)
 from repro.quic.loss_detection import SentPacket
 from repro.quic.path import Path, PathState
 from repro.quic.send import SendChunk, Sender, SentFrameInfo
@@ -96,8 +96,6 @@ def ref_frame(frame):
     if kind is PathStatusFrame:
         return ref_varint(0xBABA01) + ref_varint(frame.path_id) \
             + ref_varint(frame.status_seq) + ref_varint(int(frame.status))
-    if kind is QoeControlSignalsFrame:
-        return ref_varint(0xBABA02) + ref_qoe(frame.qoe)
     raise AssertionError(kind)
 
 
@@ -146,7 +144,6 @@ _frames = st.one_of(
     st.builds(ConnectionCloseFrame, _varints, st.text(max_size=40)),
     st.builds(PathStatusFrame, _varints, st.sampled_from(PathStatus),
               _varints),
-    st.builds(QoeControlSignalsFrame, _qoe),
 )
 
 

@@ -59,11 +59,6 @@ class TestDoubleThresholdController:
         ctrl.update(qoe(100.0), now=0.0)
         assert ctrl.should_reinject(0.0, now=0.0) is True
 
-    def test_always_off(self):
-        ctrl = DoubleThresholdController(ThresholdConfig(always_off=True))
-        ctrl.update(qoe(0.0), now=0.0)
-        assert ctrl.should_reinject(100.0, now=0.0) is False
-
     def test_extrapolation_drains_buffer(self):
         """Footnote 10: Δt must be extrapolated between feedbacks."""
         ctrl = DoubleThresholdController(ThresholdConfig(0.5, 2.0))
@@ -77,15 +72,6 @@ class TestDoubleThresholdController:
         ctrl = DoubleThresholdController()
         ctrl.update(qoe(1.0), now=0.0)
         assert ctrl.play_time_left(now=100.0) == 0.0
-
-    def test_decision_counters(self):
-        ctrl = DoubleThresholdController(ThresholdConfig(0.5, 2.0))
-        ctrl.update(qoe(5.0), now=0.0)
-        ctrl.should_reinject(0.0, now=0.0)
-        ctrl.update(qoe(0.1), now=0.0)
-        ctrl.should_reinject(0.0, now=0.0)
-        assert ctrl.decisions_off == 1
-        assert ctrl.decisions_on == 1
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, 3.0))
     @settings(max_examples=200)

@@ -50,7 +50,7 @@ def test_a_served_range_is_held_as_a_value_until_acked():
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert media.requests_served == 1
+    assert server.send_streams[stream_id].length > 0  # it answered
     assert loss.packets_acked_total == acked_before, "an ACK came back"
     in_flight = loss.bytes_in_flight
     assert 0 < in_flight < RANGE_BYTES // 4

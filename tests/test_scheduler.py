@@ -9,6 +9,7 @@ from repro.core import (MinRttScheduler, ReinjectionMode, RoundRobinScheduler,
 from repro.quic.cc import NewRenoCc
 from repro.quic.cid import ConnectionId
 from repro.quic.connection import SendChunk
+from repro.quic.frames import QoeSignals
 from repro.quic.path import Path, PathState
 from repro.traces.radio_profiles import RadioType
 
@@ -64,6 +65,19 @@ class FakeConn:
 
     def pump(self):
         pass
+
+
+def gate_answers(sched):
+    """Record every answer of ``sched``'s Alg. 1 gate, in order."""
+    answers = []
+    ask = sched.controller.should_reinject
+
+    def recorded(*args, **kwargs):
+        answers.append(ask(*args, **kwargs))
+        return answers[-1]
+
+    sched.controller.should_reinject = recorded
+    return answers
 
 
 def make_path(path_id, srtt, state=PathState.ACTIVE, received=True,
@@ -194,10 +208,14 @@ class TestXlinkReinjectionTriggers:
     def test_gate_off_suppresses(self):
         conn, stuck = self._conn_with_stuck_range()
         sched = XlinkScheduler(mode=ReinjectionMode.APPENDING,
-                               thresholds=ThresholdConfig(always_off=True))
+                               thresholds=ThresholdConfig(0.5, 2.0))
+        answers = gate_answers(sched)
+        # the client reports 10 s of play time left: above T_th2
+        sched.controller.update(QoeSignals(cached_frames=250, fps=25),
+                                now=conn.loop.now)
         sched.on_queue_empty(conn)
         assert conn._reinjected == []
-        assert sched.reinjections_suppressed == 1
+        assert answers == [False]
 
     def test_none_mode_never_reinjects(self):
         conn, stuck = self._conn_with_stuck_range()

@@ -10,7 +10,6 @@ from repro.quic.cc import BbrCc, NewRenoCc
 from repro.quic.cc.base import MAX_DATAGRAM_SIZE
 from repro.quic.cid import ConnectionId
 from repro.quic.connection import Connection, ConnectionConfig, SendChunk
-from repro.quic.frames import PathStatus
 from repro.quic.loss_detection import SentPacket
 from repro.quic.path import Path, PathState
 from repro.quic.send import SentFrameInfo
@@ -201,15 +200,14 @@ class TestOverdueSweepProperties:
 # -- the one-pass select_path against the list-based definition ----------
 #
 # The reference model is the list-based definition of ``select_path``:
-# filter the active, available paths, then those with window room and a
+# filter the active paths, then those with window room and a
 # released pacer, then take the first / the lowest smoothed RTT
 # (``min`` keeps the first of equals).
 
 def _ref_window(conn, now):
     out = []
     for p in conn.paths.values():
-        if p.state is not PathState.ACTIVE \
-                or p.status is not PathStatus.AVAILABLE:
+        if p.state is not PathState.ACTIVE:
             continue
         cc = p.cc
         if not cc.can_send(MAX_DATAGRAM_SIZE):
@@ -252,7 +250,7 @@ NOW = 10.0
 @st.composite
 def path_sets(draw):
     """1-5 paths in a drawn ``conn.paths`` order, each with a drawn
-    state, status, RTT (from a small set, so equal RTTs are common),
+    state, RTT (from a small set, so equal RTTs are common),
     window, controller (unpaced NewReno or paced BBR, released or
     not) and liveness (suspect or not)."""
     n = draw(st.integers(1, 5))
@@ -267,9 +265,6 @@ def path_sets(draw):
         path.state = draw(st.sampled_from(
             (PathState.ACTIVE,) * 4 + (PathState.STANDBY,
                                        PathState.ABANDONED)))
-        path.status = draw(st.sampled_from(
-            (PathStatus.AVAILABLE,) * 4 + (PathStatus.STANDBY,
-                                           PathStatus.ABANDON)))
         srtt = draw(st.sampled_from((0.01, 0.02, 0.05, 0.2)))
         path.rtt.update(srtt)
         path.rtt.smoothed = srtt

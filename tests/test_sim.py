@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EventLoop, SimulationError, make_rng
+from repro.sim import EventLoop, SimulationError, event_loop, make_rng
 from repro.sim.rng import derive_seed
 
 
@@ -146,7 +146,8 @@ class TestEventLoop:
     def test_step_returns_false_when_empty(self):
         assert EventLoop().step() is False
 
-    def test_max_events_guard(self):
+    def test_max_events_guard(self, monkeypatch):
+        monkeypatch.setattr(event_loop, "MAX_EVENTS", 100)
         loop = EventLoop()
 
         def forever():
@@ -154,10 +155,11 @@ class TestEventLoop:
 
         loop.schedule_at(0.0, forever)
         with pytest.raises(SimulationError):
-            loop.run(max_events=100)
+            loop.run()
 
-    def test_max_events_guard_counts_exactly(self):
-        """The guard allows exactly max_events executions (no off-by-one)."""
+    def test_max_events_guard_counts_exactly(self, monkeypatch):
+        """The guard allows exactly MAX_EVENTS executions (no off-by-one)."""
+        monkeypatch.setattr(event_loop, "MAX_EVENTS", 100)
         loop = EventLoop()
         ran = []
 
@@ -167,16 +169,17 @@ class TestEventLoop:
 
         loop.schedule_at(0.0, forever)
         with pytest.raises(SimulationError):
-            loop.run(max_events=100)
+            loop.run()
         assert len(ran) == 100
 
-    def test_max_events_exact_queue_drains_cleanly(self):
+    def test_max_events_exact_queue_drains_cleanly(self, monkeypatch):
         """A queue that drains at the limit must not raise."""
+        monkeypatch.setattr(event_loop, "MAX_EVENTS", 5)
         loop = EventLoop()
         seen = []
         for i in range(5):
             loop.schedule_at(float(i), lambda i=i: seen.append(i))
-        loop.run(max_events=5)
+        loop.run()
         assert seen == [0, 1, 2, 3, 4]
 
 

@@ -44,17 +44,6 @@ class TestExactMode:
         for pct in (0, 10, 50, 90, 95, 99, 100):
             assert sketch.percentile(pct) == percentile(samples, pct)
 
-    def test_summary_matches_reference(self):
-        samples = _lognormal_samples(100)
-        sketch = DistSketch()
-        sketch.extend(samples)
-        got = sketch.summary()
-        assert got is not None
-        assert (got.p50, got.p95, got.p99) \
-            == tuple(percentile(samples, pct) for pct in (50, 95, 99))
-        assert got.count == len(samples)
-        assert got.minimum == min(samples) and got.maximum == max(samples)
-
     def test_spill_timing_does_not_change_state(self):
         # Converting exact->buckets is a pure per-value mapping, so a
         # sketch that spilled early (tiny exact_limit) must digest
@@ -78,7 +67,6 @@ class TestEmptyState:
         sketch = DistSketch()
         assert sketch.count == 0
         assert sketch.percentile(50) is None
-        assert sketch.summary() is None
         assert sketch.mean is None
         assert sketch.fraction_below(1.0) == 0.0
         assert sketch.n_buckets == 0

@@ -256,12 +256,6 @@ class TestRangeSet:
         rs.add(5, 5)
         assert len(rs) == 0
 
-    def test_total_sums_disjoint_ranges(self):
-        rs = _RangeSet()
-        rs.add(0, 4)
-        rs.add(10, 12)
-        assert rs.total() == 6
-
     @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)),
                     max_size=30))
     @settings(max_examples=100)
@@ -273,7 +267,9 @@ class TestRangeSet:
             start, end = min(a, b), max(a, b)
             rs.add(start, end)
             reference.update(range(start, end))
-        assert rs.total() == len(reference)
+        missing = {i for start, end in rs.missing_within(0, 101)
+                   for i in range(start, end)}
+        assert set(range(101)) - missing == reference
         for start in range(0, 100, 13):
             end = start + 9
             covered = all(i in reference for i in range(start, end))

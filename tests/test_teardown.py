@@ -56,8 +56,7 @@ def _bulk(scheme):
 
 def _contention():
     return run_contention(ContentionConfig(sessions=2, seed=4,
-                                           video_duration_s=1.0,
-                                           cell_trace_duration_s=4.0))
+                                           video_duration_s=1.0))
 
 
 def _ab_shard():
@@ -73,7 +72,7 @@ def _mobility_cell():
 
 def _mobility_mptcp():
     pair = extreme_mobility_trace_pairs(8.0, 1)[0]
-    return run_scheme_on_trace(pair, "mptcp", seed=5, timeout_s=20.0)
+    return run_scheme_on_trace(pair, "mptcp", seed=5)
 
 
 def _chaos():

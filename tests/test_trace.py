@@ -10,7 +10,7 @@ import repro
 from repro.core import MinRttScheduler, ThresholdConfig, XlinkScheduler
 from repro.netem import Datagram, MultipathNetwork, OutageSchedule
 from repro.quic.connection import Connection, ConnectionConfig
-from repro.quic.frames import PathStatus, PathStatusFrame
+from repro.quic import trace
 from repro.quic.trace import EVENTS, ConnectionTracer, TraceEvent
 from repro.sim import EventLoop
 
@@ -151,23 +151,25 @@ class TestTracer:
         assert changes == [(0, "active", "handshake"), (1, "active", "accept")]
         client_tracer = ConnectionTracer()
         client_tracer.install(client)
-        # the stack only handles PATH_STATUS: send one by hand
-        client.sender.queue_control(0, PathStatusFrame(
-            path_id=1, status=PathStatus.STANDBY, status_seq=0))
-        client.sender.flush_control(loop.now)
+        # the client retires path 1; PATH_STATUS tells the server
+        client.abandon_path(1)
         loop.run(until=loop.now + 1.0)
-        assert client_tracer.count("path_updated") == 0
+        [mine] = [e.data for e in client_tracer.events
+                  if e.name == "path_updated"]
         peer = [e.data for e in tracer.events
                 if e.name == "path_updated"][-1]
-        assert peer == {"path_id": 1, "state": "standby",
-                        "status": "STANDBY", "cause": "peer_status"}
+        for data in (mine, peer):
+            assert data == {"path_id": 1, "state": "abandoned",
+                            "bytes_in_flight": data["bytes_in_flight"],
+                            "cause": "abandon"}
+        assert server.paths[1].loss.bytes_in_flight == 0
 
-    def test_max_events_cap(self):
-        tracer = ConnectionTracer(max_events=5)
+    def test_max_events_cap(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_TRACE_EVENTS", 5)
+        tracer = ConnectionTracer()
         for i in range(10):
             tracer.record(float(i), "packet", "datagram_sent", size=1)
-        assert len(tracer.events) == 5
-        assert tracer.dropped == 5
+        assert [e.time for e in tracer.events] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_double_install_rejected(self):
         tracer, *_ = traced_session()

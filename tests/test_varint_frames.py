@@ -11,8 +11,8 @@ from repro.quic.frames import (ACK_ELICITING, AckFrame, AckMpFrame, AckRange,
                                NewConnectionIdFrame, PaddingFrame,
                                PathChallengeFrame, PathResponseFrame,
                                PathStatus, PathStatusFrame, PingFrame,
-                               QoeControlSignalsFrame, QoeSignals,
-                               StreamFrame, decode_frames, encode_frames)
+                               QoeSignals, StreamFrame, decode_frames,
+                               encode_frames)
 from repro.quic.varint import (VARINT_MAX, decode_varint, encode_varint,
                                varint_size)
 
@@ -129,10 +129,6 @@ class TestFrameCodecs:
             frame = PathStatusFrame(path_id=3, status=status, status_seq=9)
             assert roundtrip(frame) == frame
 
-    def test_qoe_control_signals_frame(self):
-        frame = QoeControlSignalsFrame(qoe=QoeSignals(1, 2, 3, 4))
-        assert roundtrip(frame) == frame
-
     def test_new_connection_id(self):
         frame = NewConnectionIdFrame(sequence_number=5, cid=b"\xab" * 8,
                                      retire_prior_to=1)
@@ -223,9 +219,11 @@ class TestQoeSignals:
                                       bps, fps):
         qoe = QoeSignals(cached_bytes=cached_bytes,
                          cached_frames=cached_frames, bps=bps, fps=fps)
-        wire = encode_frame(QoeControlSignalsFrame(qoe))
-        assert wire[4:] == b"".join(map(encode_varint, qoe))
-        assert roundtrip(QoeControlSignalsFrame(qoe)).qoe == qoe
+        frame = AckMpFrame(path_id=0, largest_acked=7, ack_delay_us=0,
+                           ranges=(AckRange(0, 7),), qoe=qoe)
+        assert encode_frame(frame).endswith(
+            b"".join(map(encode_varint, qoe)))
+        assert roundtrip(frame).qoe == qoe
 
 
 class TestStreamFramePropertyBased:

@@ -11,13 +11,13 @@ from repro.video import (MediaServer, PlayerConfig, RangeRequest,
 
 class TestVideoModel:
     def test_make_video_dimensions(self):
-        v = make_video(duration_s=10.0, fps=25, bitrate_bps=2_000_000)
+        v = make_video(duration_s=10.0, bitrate_bps=2_000_000)
         assert len(v.frame_sizes) == 250
         assert v.duration_s == pytest.approx(10.0)
         assert v.total_bytes == pytest.approx(2_000_000 / 8 * 10, rel=0.15)
 
     def test_first_frame_is_large(self):
-        v = make_video(first_frame_factor=8.0)
+        v = make_video()
         mean_rest = sum(v.frame_sizes[1:]) / (len(v.frame_sizes) - 1)
         assert v.first_frame_size > 4 * mean_rest
 
@@ -57,7 +57,7 @@ class TestVideoModel:
 
     def test_rejects_tiny_video(self):
         with pytest.raises(ValueError):
-            make_video(duration_s=0.01, fps=10)
+            make_video(duration_s=0.01)
 
 
 class TestHttpLayer:
@@ -166,8 +166,8 @@ class TestMediaServerUnit:
     def _server(self, video=None, ffa=True):
         conn = _RecordingConn()
         video = video or make_video(duration_s=5.0)
-        server = MediaServer(conn, {video.name: video},
-                             first_frame_acceleration=ffa)
+        server = MediaServer(videos={video.name: video})
+        server.attach(conn, first_frame_acceleration=ffa)
         return conn, video, server
 
     def test_serves_requested_range(self):

@@ -20,22 +20,27 @@ forms, and obvious AST-level mistakes:
   classes in ``NO_PER_STREAM_DICTS`` other than its two stream maps
 - DEAD: a public ``def``, ``class`` or method under ``NO_DEAD_PUBLIC``
   that no code in ``DEAD_ROOTS`` -- the package, ``tools/``, the
-  drivers and ``examples/`` -- refers to outside its own definition,
-  by a name, an attribute or a string literal equal to it (``getattr``,
-  a table of names).  Tests, imports, ``__all__``, docstrings and
+  drivers and ``examples/`` -- refers to outside its own definition.
+  A reference must reach the binding the definition makes: a string
+  literal equal to it (``getattr``, a table of names) or an attribute
+  reaches any of them; a bare name reaches a module-level one, or a
+  nested def from inside its enclosing function.  So a method is used
+  only as ``x.method`` or by string, never by a local variable that
+  shares its name.  Tests, imports, ``__all__``, docstrings and
   comments are not uses; ``DEAD_ALLOWED`` names the exceptions, each
   with its reason (checked whenever that directory is linted)
 - GC: a use of ``gc.collect`` / ``gc.disable`` / ``gc.freeze`` under a
   directory listed in ``NO_GC_CALLS``
 - KNOB: a defaulted field of a ``@dataclass`` named ``*Config``, or a
   defaulted parameter of a public function, method or constructor,
-  under ``NO_UNSET_KNOBS`` that nothing in the repo's Python sets -- by
+  under ``NO_UNSET_KNOBS`` that no code in ``DEAD_ROOTS`` sets -- by
   keyword or by position in a call to it, by keyword to ``replace()``
   (fields), or through a ``**`` mapping whose keys its module spells in
-  ``dict()``, a dict literal or a call taking ``**kwargs``.  A function
-  or class read as a value (kept in a table, passed as a callback) is
-  called where the linter cannot see, so its parameters all count as
-  set (checked whenever the package is linted)
+  ``dict()``, a dict literal or a call taking ``**kwargs``.  A test
+  setting it does not count.  A function or class read as a value (kept
+  in a table, passed as a callback) is called where the linter cannot
+  see, so its parameters all count as set (checked whenever the package
+  is linted)
 - REACH: a module under ``REACH_PACKAGE`` that no driver in
   ``REACH_ROOTS`` -- the CLI, ``bench/``, ``figures/`` -- imports,
   directly or through other modules (checked whenever the package is
@@ -102,8 +107,6 @@ NO_PER_STREAM_DICTS = {"src/repro/quic": {
 #: code the program never runs, kept alive by its own checks.
 NO_DEAD_PUBLIC = "src/repro"
 DEAD_ROOTS = ("src", "tools", "figures", "bench", "examples")
-#: where KNOB looks for the call that sets a value
-REFERENCE_ROOTS = (*DEAD_ROOTS, "tests")
 
 #: the public names under ``NO_DEAD_PUBLIC`` that may stand with no code
 #: in ``DEAD_ROOTS`` referring to them, each for its reason.
@@ -122,10 +125,11 @@ DEAD_ALLOWED = {
 NO_GC_CALLS = {"src/repro": {"collect", "disable", "freeze"}}
 
 #: the package whose ``*Config`` fields and defaulted public parameters
-#: must each be set somewhere.  A value no caller sets only ever holds
-#: its default: it is a constant that reads like an option, and doubles
-#: the configurations a reader has to consider.  Write it as a module
-#: constant instead.
+#: must each be set by some code in ``DEAD_ROOTS``.  A value no caller
+#: sets only ever holds its default: it is a constant that reads like an
+#: option, and doubles the configurations a reader has to consider.
+#: Write it as a module constant instead.  A value only a test sets is
+#: the same constant with a second configuration kept for the test.
 NO_UNSET_KNOBS = "src/repro"
 
 #: the package every module of which some driver must import, and the
@@ -372,9 +376,9 @@ def check_file(path: Path) -> List[Finding]:
     return findings
 
 
-def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
-    """(name, line) of every reference in ``tree``: a name, an
-    attribute, or a string literal (``getattr(obj, "name")``, a table
+def _references(tree: ast.Module) -> Iterator[Tuple[str, int, bool]]:
+    """(name, line, bare) of every reference in ``tree``: a name (``bare``),
+    an attribute, or a string literal (``getattr(obj, "name")``, a table
     of names) that is neither a docstring nor part of ``__all__``.
     Imports are not references, and comments are not in the tree."""
     skip = set()
@@ -396,40 +400,64 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
             skip.update(map(id, ast.walk(node.value)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in skip:
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
+
+
+def _definitions(tree: ast.Module) -> Iterator[Tuple[ast.AST, ast.AST]]:
+    """(definition, scope) for every def and class in ``tree``: the
+    scope is the module, class or function whose body binds its name."""
+    stack: List[Tuple[ast.AST, ast.AST]] = [(tree, tree)]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield child, scope
+                stack.append((child, child))
+            else:
+                stack.append((child, scope))
 
 
 def check_dead_public() -> List[Finding]:
     """Public names defined under ``NO_DEAD_PUBLIC`` that no code in
-    ``DEAD_ROOTS`` refers to outside their own definition."""
-    used: Dict[str, List[Tuple[Path, int]]] = {}
-    defined: List[Tuple[Path, ast.AST]] = []
+    ``DEAD_ROOTS`` refers to outside their own definition, through the
+    binding the definition makes (see DEAD in the module docstring)."""
+    used: Dict[str, List[Tuple[Path, int, bool]]] = {}
+    defined: List[Tuple[Path, ast.AST, ast.AST]] = []
     for path in iter_py_files([str(REPO_ROOT / r) for r in DEAD_ROOTS]):
         try:
             tree = ast.parse(path.read_text(), filename=str(path))
         except SyntaxError:
             continue  # check_file reports it
-        for name, line in _references(tree):
-            used.setdefault(name, []).append((path, line))
+        for name, line, bare in _references(tree):
+            used.setdefault(name, []).append((path, line, bare))
         if (REPO_ROOT / NO_DEAD_PUBLIC) in path.parents:
             defined.extend(
-                (path, node) for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef))
-                and not node.name.startswith("_")
+                (path, node, scope) for node, scope in _definitions(tree)
+                if not node.name.startswith("_")
                 and node.name not in DEAD_ALLOWED)
+
+    def reaches(path: Path, node: ast.AST, scope: ast.AST,
+                where: Path, line: int, bare: bool) -> bool:
+        if where == path and node.lineno <= line <= node.end_lineno:
+            return False  # its own body
+        if not bare or isinstance(scope, ast.Module):
+            return True
+        # a bare name reaches a nested def only inside its function
+        return not isinstance(scope, ast.ClassDef) and where == path \
+            and scope.lineno <= line <= scope.end_lineno
+
     return [(path, node.lineno,
              f"DEAD public name '{node.name}' is referenced by no code in "
              f"{', '.join(DEAD_ROOTS)} outside its definition")
-            for path, node in defined
-            if not any(where != path
-                       or not node.lineno <= line <= node.end_lineno
-                       for where, line in used.get(node.name, ()))]
+            for path, node, scope in defined
+            if not any(reaches(path, node, scope, *use)
+                       for use in used.get(node.name, ()))]
 
 
 def _config_fields(tree: ast.Module) -> Iterator[_Knobs]:
@@ -578,7 +606,7 @@ def check_unset_knobs() -> List[Finding]:
     functions and constructors under ``NO_UNSET_KNOBS`` that no call in
     the repo's Python sets."""
     trees = []
-    for path in iter_py_files([str(REPO_ROOT / r) for r in REFERENCE_ROOTS]):
+    for path in iter_py_files([str(REPO_ROOT / r) for r in DEAD_ROOTS]):
         try:
             trees.append((path, ast.parse(path.read_text(),
                                           filename=str(path))))
@@ -644,7 +672,7 @@ def check_unset_knobs() -> List[Finding]:
             set_on.update((knobs.owner, p) for knobs in by_callee.get(name, ())
                           for p, _line in knobs.defaulted)
     findings = {(path, line, f"KNOB {knobs.owner}.{field} is set nowhere in "
-                             f"{', '.join(REFERENCE_ROOTS)}; one value in "
+                             f"{', '.join(DEAD_ROOTS)}; one value in "
                              f"use is a constant")
                 for path, knobs in declared
                 for field, line in knobs.defaulted
