@@ -26,8 +26,7 @@ from repro.experiments.harness import (SCHEMES, PathSpec, run_bulk_download,
                                        run_video_session, scheme_with_cc)
 from repro.experiments.mobility import FIG13_SCHEMES, run_fig13
 from repro.experiments.pathexp import FIG7_FRAME_SIZES, run_fig7, run_fig8
-from repro.experiments.thresholds import (PAPER_THRESHOLD_SETTINGS,
-                                          run_threshold_sweep)
+from repro.experiments.thresholds import run_threshold_sweep
 from repro.metrics import MetricSink, percentile
 from repro.netem import OutageSchedule
 from repro.traces import (CROSS_ISP_DELAY_INCREASE, RADIO_PROFILES,
@@ -604,7 +603,7 @@ CLAIMS: Tuple[Claim, ...] = (
           paper="p99 14% worse than SP without FFA, >32% better with.",
           delta=5),
     Claim("fig13",
-          lambda traces: run_fig13(n_traces=traces, duration_s=30.0, seed=2),
+          lambda traces: run_fig13(n_traces=traces, seed=2),
           lambda results: (["trace (median/max s)", *FIG13_SCHEMES], [
               [f"{r.trace_id} ({r.environment[:6]})"]
               + [f"{r.median(s):.2f}/{r.maximum(s):.2f}"
@@ -635,8 +634,7 @@ CLAIMS: Tuple[Claim, ...] = (
           fig1, figures=3.0,
           paper="Wi-Fi's in-flight bytes stay high through its collapse."),
     Claim("fig10", lambda users: run_threshold_sweep(
-              ABTestConfig(users_per_day=users, seed=5),
-              settings=PAPER_THRESHOLD_SETTINGS),
+              ABTestConfig(users_per_day=users, seed=5)),
           lambda results: (
               ["threshold", "buf p90 (%)", "buf p95 (%)", "buf p99 (%)",
                "cost", "<50ms reduction (%)"],

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from repro.host import SessionRuntime, VideoSessionSpec
 from repro.host.specs import build_network, PathSpec
-from repro.metrics.qoe import SessionMetrics, aggregate_rebuffer_rate
+from repro.metrics.qoe import aggregate_rebuffer_rate
 from repro.netem import OutageSchedule
 from repro.quic.connection import aggregate_robustness
 from repro.sim import EventLoop
@@ -68,7 +68,6 @@ class ContentionResult:
     config: ContentionConfig
     completed: int
     duration_s: float
-    per_session: List[SessionMetrics]
     rebuffer_rate: float
     first_frame_latencies: List[float]
     reinjected_bytes: int
@@ -142,7 +141,6 @@ def run_contention(config: ContentionConfig) -> ContentionResult:
         config=config,
         completed=sum(1 for r in results if r.completed),
         duration_s=loop.now,
-        per_session=metrics,
         rebuffer_rate=aggregate_rebuffer_rate(metrics),
         first_frame_latencies=[m.first_frame_latency for m in metrics
                                if m.first_frame_latency is not None],

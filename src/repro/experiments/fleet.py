@@ -56,8 +56,6 @@ __all__ = [
 class FleetDriver(Protocol):
     """What the fleet runner needs from a population experiment."""
 
-    name: str
-
     def task_iter(self) -> Iterator[SessionTask]:
         """Lazily yield every session task of the population."""
         ...
@@ -105,7 +103,6 @@ class ABPopulationDriver:
     """Task generator for the paper-shaped A/B population."""
 
     cfg: FleetConfig
-    name: str = "ab_population"
 
     def assign(self, user: int) -> Sequence[str]:
         """Scheme(s) a user plays; round-robin keeps groups balanced."""
@@ -146,7 +143,6 @@ class MobilityPopulationDriver:
     schemes: Tuple[str, ...] = ("sp", "vanilla_mp", "cm", "xlink")
     duration_s: float = 30.0
     seed: int = 0
-    name: str = "mobility_population"
 
     def task_iter(self) -> Iterator[SessionTask]:
         from repro.experiments.mobility import iter_mobility_fleet_tasks
@@ -159,7 +155,6 @@ class MobilityPopulationDriver:
 class FleetRun:
     """A finished fleet run plus its wall-clock accounting."""
 
-    driver: str
     result: FleetResult
     seconds: float
 
@@ -191,5 +186,4 @@ def run_fleet_driver(driver: FleetDriver,
     result = run_fleet(driver.task_iter(), workers=workers,
                        shard_size=shard_size, max_retries=max_retries,
                        shard_timeout_s=shard_timeout_s, execute=execute)
-    return FleetRun(driver=getattr(driver, "name", type(driver).__name__),
-                    result=result, seconds=time.perf_counter() - t0)
+    return FleetRun(result=result, seconds=time.perf_counter() - t0)

@@ -33,6 +33,9 @@ CHUNK_BYTES = 512 * 1024
 #: Number of chunk requests per trace replay.
 CHUNKS_PER_TRACE = 6
 
+#: Seconds of trace each Fig. 13 pair covers.
+FIG13_DURATION_S = 30.0
+
 #: The emulated player consumes at this bitrate (Appendix B: the test
 #: video player "consumed received data at a constant bit-rate").  It
 #: is set near the *aggregate* capacity of the trace pairs, so a
@@ -177,13 +180,12 @@ def iter_mobility_fleet_tasks(n_traces: int, repeats: int,
                     timeout_s=FLEET_TIMEOUT_S, seed=rep_seed)
 
 
-def run_fig13(n_traces: int = 10, duration_s: float = 30.0,
-              seed: int = 0) -> List[MobilityResult]:
+def run_fig13(n_traces: int = 10, seed: int = 0) -> List[MobilityResult]:
     """The full Fig. 13 sweep over the trace catalog.
 
     Fans the flat (trace, scheme) replay grid out over every core; each
     replay is independent, so the sweep parallelizes to ``n_traces *
     len(FIG13_SCHEMES)`` tasks.
     """
-    return _replay(extreme_mobility_trace_pairs(duration_s, n_traces),
+    return _replay(extreme_mobility_trace_pairs(FIG13_DURATION_S, n_traces),
                    FIG13_SCHEMES, seed, None)

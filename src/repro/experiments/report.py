@@ -133,17 +133,17 @@ def fleet_sections(sink: MetricSink, baseline: str = BASELINE,
             rct_delta = (improvement_percent(p99_b, p99_t)
                          if p99_b is not None and p99_t is not None
                          else None)
-            sig = permutation_mean_test(base.session_rebuffer_rate,
-                                        treat.session_rebuffer_rate,
-                                        rounds=rounds, seed=seed)
-            sig_rct = permutation_mean_test(base.rct, treat.rct,
-                                            rounds=rounds, seed=seed)
+            p_rebuffer = permutation_mean_test(base.session_rebuffer_rate,
+                                               treat.session_rebuffer_rate,
+                                               rounds=rounds, seed=seed)
+            p_rct = permutation_mean_test(base.rct, treat.rct,
+                                          rounds=rounds, seed=seed)
             rows.append([
                 f"{baseline} → {name}",
                 _fmt(delta, "{:+.1f}%"),
                 _fmt(rct_delta, "{:+.1f}%"),
-                _fmt(sig.p_value if sig else None, "{:.3f}"),
-                _fmt(sig_rct.p_value if sig_rct else None, "{:.3f}"),
+                _fmt(p_rebuffer),
+                _fmt(p_rct),
             ])
         sections.append(ReportSection(
             "Population — treatment deltas vs baseline",

@@ -24,7 +24,7 @@ population once per setting (each an A/B day reduced to its
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.core import ThresholdConfig
 from repro.experiments.abtest import ABTestConfig, run_ab_day
@@ -79,12 +79,9 @@ class ThresholdResult:
     danger_reduction_percent: float
 
 
-def run_threshold_sweep(cfg: ABTestConfig,
-                        settings: Sequence[Tuple[int, int]] =
-                        PAPER_THRESHOLD_SETTINGS
-                        ) -> List[ThresholdResult]:
-    """Fig. 10 / Table 2: re-injection off, then each threshold setting,
-    over one population.
+def run_threshold_sweep(cfg: ABTestConfig) -> List[ThresholdResult]:
+    """Fig. 10 / Table 2: re-injection off, then each of
+    ``PAPER_THRESHOLD_SETTINGS``, over one population.
 
     Play-time-left is measured on day 1 with re-injection control off
     (vanilla-MP); SP and every setting then play day 2.  Each
@@ -125,7 +122,7 @@ def run_threshold_sweep(cfg: ABTestConfig,
             danger_reduction_percent=danger_reduction)
 
     results = [run_with("re-inj. off", None)]
-    for x, y in settings:
+    for x, y in PAPER_THRESHOLD_SETTINGS:
         thresholds = percentile_pair_to_seconds(distribution, x, y)
         results.append(run_with(f"{x}-{y}", thresholds))
     return results

@@ -43,7 +43,6 @@ class ClientEndpoint:
         self.connection_name = (connection_name if connection_name is not None
                                 else f"session-{seed}")
         self.player: Optional[VideoPlayer] = None
-        self.monitor: Optional[MigrationMonitor] = None
         #: user hook, fired after secondary paths open and playback starts
         self.on_established: Optional[Callable[[], None]] = None
 
@@ -109,10 +108,10 @@ class ClientEndpoint:
         """Connect; enable the CM migration monitor when the scheme asks."""
         self.conn.connect()
         if self.scheme.connection_migration:
-            self.monitor = MigrationMonitor(
-                self.loop, self.conn,
-                [net_id for net_id, _radio in self.interfaces],
-                self.primary_net)
+            # the connection keeps the monitor: it is one of its listeners
+            MigrationMonitor(self.loop, self.conn,
+                             [net_id for net_id, _radio in self.interfaces],
+                             self.primary_net)
 
     @property
     def finished(self) -> bool:

@@ -87,7 +87,6 @@ class VideoSessionSpec:
 class SessionHandle:
     """A live session inside the runtime."""
 
-    spec: VideoSessionSpec
     client: ClientEndpoint
     server: Connection
     player: VideoPlayer
@@ -158,8 +157,7 @@ class SessionRuntime:
             client.start()
         else:
             self.loop.schedule_at(spec.start_at, client.start)
-        handle = SessionHandle(spec=spec, client=client, server=server,
-                               player=player)
+        handle = SessionHandle(client=client, server=server, player=player)
         self.sessions.append(handle)
         return handle
 

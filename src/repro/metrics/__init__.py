@@ -12,8 +12,7 @@ order-independent merge so populations reduce across process shards.
 from repro.metrics.stats import percentile
 from repro.metrics.qoe import (SessionMetrics, aggregate_rebuffer_rate,
                                improvement_percent)
-from repro.metrics.sketch import (DistSketch, PermutationTest,
-                                  permutation_mean_test)
+from repro.metrics.sketch import DistSketch, permutation_mean_test
 from repro.metrics.sink import MetricSink, SchemeSink
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "aggregate_rebuffer_rate",
     "improvement_percent",
     "DistSketch",
-    "PermutationTest",
     "permutation_mean_test",
     "MetricSink",
     "SchemeSink",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.stats import percentile
@@ -40,7 +39,6 @@ from repro.sim.rng import make_rng
 
 __all__ = [
     "DistSketch",
-    "PermutationTest",
     "permutation_mean_test",
 ]
 
@@ -300,19 +298,11 @@ class DistSketch:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermutationTest:
-    """Result of a two-sample permutation test on sketch means."""
-
-    delta: float          # mean(a) - mean(b), from sketch items
-    p_value: float        # two-sided, add-one smoothed
-    rounds: int
-
-
 def permutation_mean_test(a: DistSketch, b: DistSketch,
                           rounds: int = 200,
-                          seed: int = 0) -> Optional[PermutationTest]:
-    """Seeded two-sided permutation test for ``mean(a) != mean(b)``.
+                          seed: int = 0) -> Optional[float]:
+    """Seeded two-sided permutation test for ``mean(a) != mean(b)``:
+    its p-value, add-one smoothed.
 
     Works directly on the sketch histograms: each permutation round
     reassigns the pooled samples to group A by sampling without
@@ -350,6 +340,4 @@ def permutation_mean_test(a: DistSketch, b: DistSketch,
         delta = sum_a / n_a - (sum_all - sum_a) / n_b
         if abs(delta) >= abs(delta_obs) - 1e-15:
             hits += 1
-    return PermutationTest(delta=delta_obs,
-                           p_value=(hits + 1) / (rounds + 1),
-                           rounds=rounds)
+    return (hits + 1) / (rounds + 1)

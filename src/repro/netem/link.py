@@ -62,11 +62,8 @@ class LinkStats:
     """Counters every link keeps; benches read these for cost metrics."""
 
     packets_in: int = 0
-    packets_out: int = 0
     packets_dropped: int = 0
-    bytes_in: int = 0
     bytes_out: int = 0
-    bytes_dropped: int = 0
 
 
 class _QueueMixin:
@@ -80,10 +77,8 @@ class _QueueMixin:
     def _enqueue(self, dgram: Datagram) -> bool:
         """Add to the FIFO; drop (and count) if the queue is full."""
         self.stats.packets_in += 1
-        self.stats.bytes_in += dgram.wire_size
         if self._queued_bytes + dgram.wire_size > self.queue_limit_bytes:
             self.stats.packets_dropped += 1
-            self.stats.bytes_dropped += dgram.wire_size
             return False
         self._queue.append(dgram)
         self._queued_bytes += dgram.wire_size
@@ -138,7 +133,6 @@ class ConstantRateLink(_QueueMixin):
     def _tx_done(self) -> None:
         dgram = self._transmitting
         self._transmitting = None
-        self.stats.packets_out += 1
         self.stats.bytes_out += dgram.wire_size
         self.deliver(dgram)
         self._transmit_next()
@@ -235,7 +229,6 @@ class TraceDrivenLink(_QueueMixin):
             self._opportunity_idx = idx
             dgram = queue.popleft()
             self._queued_bytes -= dgram.wire_size
-            stats.packets_out += 1
             stats.bytes_out += dgram.wire_size
             deliver(dgram)
         self._pump_scheduled = False

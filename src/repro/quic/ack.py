@@ -136,7 +136,6 @@ class AckHandler:
                 rtt=now - pkt.sent_time,
                 delivered=delivered_now,
                 pkt_delivered=pkt.delivered,
-                acked_bytes=pkt.size,
                 now=now,
                 app_limited=pkt.delivered < limited_until))
 

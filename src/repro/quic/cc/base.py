@@ -49,7 +49,6 @@ class RateSample:
     rtt: float               # RTT of the sampled packet (sec)
     delivered: int           # path delivered-bytes total at ack time
     pkt_delivered: int       # delivered total stamped at send time
-    acked_bytes: int         # size of the acked packet
     now: float
     #: sample taken while the sender had no data to send; must not
     #: raise the bandwidth filter (it underestimates the link)

@@ -376,7 +376,6 @@ class Connection:
                               scid=path.local_cid.cid, truncated_pn=pn)
         wire = self.protection.seal(payload, encode_header(header), 0, pn)
         self.stats.packets_sent += 1
-        path.packets_sent += 1
         path.bytes_sent += len(wire)
         self.sender.send_datagram(self.net_path_of[0], wire)
         if self.config.is_client and not self.established:

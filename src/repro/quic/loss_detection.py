@@ -60,11 +60,6 @@ class PathLossDetector:
         self.largest_acked: int = -1
         self.pto_count: int = 0
         self.loss_time: Optional[float] = None
-        #: stats
-        self.packets_lost_total = 0
-        self.packets_acked_total = 0
-        self.spurious_losses = 0
-        self._declared_lost: set[int] = set()
         #: incremental aggregate over ``sent``
         self._bytes_in_flight = 0
         #: pn -> sent_time of tracked ack-eliciting packets, in send
@@ -78,8 +73,6 @@ class PathLossDetector:
         #: the ``ranges[1:]`` of the last ACK processed, every one of
         #: them walked (see :meth:`on_ack_received`)
         self._acked_older: tuple = ()
-        #: no packet number above this one is in ``_declared_lost``
-        self._declared_max = -1
         #: delivery-rate bookkeeping, kept on every path and read only
         #: for paced controllers (``AckHandler._feed_rate_samples``):
         #: total in-flight bytes delivered (cumulatively acked)
@@ -135,10 +128,9 @@ class PathLossDetector:
         as the decoder yields them.  Returns (newly_acked, newly_lost,
         rtt_sample).
         """
-        # Walking a range takes every number it covers out of ``sent``
-        # and ``_declared_lost``, and none comes back: ``sent`` only
-        # takes numbers above all sent so far, ``_declared_lost`` only
-        # takes from ``sent``.  A range walked once acknowledges nothing
+        # Walking a range takes every number it covers out of ``sent``,
+        # and none comes back: ``sent`` only takes numbers above all
+        # sent so far.  A range walked once acknowledges nothing
         # ever after, and its end is already <= ``largest_acked``.  The
         # receiver's coverage only grows, so below its newest ranges an
         # ACK repeats a run of ranges the previous one carried: one
@@ -160,7 +152,6 @@ class PathLossDetector:
             self.largest_acked = largest_in_ack
             if largest_in_ack in sent:
                 largest_pkt = sent[largest_in_ack]
-        declared = self._declared_lost
         in_flight_before = self._bytes_in_flight
         newly_acked: List[SentPacket] = []
         for start, end in fresh:
@@ -176,16 +167,6 @@ class PathLossDetector:
                 del sent[pkt.packet_number]
                 self._forget(pkt)
             newly_acked += hits
-            if declared and start <= self._declared_max:
-                if len(declared) <= end - start + 1:
-                    spurious = sorted([pn for pn in declared
-                                       if start <= pn <= end])
-                else:
-                    spurious = [pn for pn in range(start, end + 1)
-                                if pn in declared]
-                for pn in spurious:
-                    declared.discard(pn)
-                    self.spurious_losses += 1
         # A range reaching past the last packet sent would cover
         # numbers that can still enter ``sent``: remember nothing.
         self._acked_older = older if largest_in_ack <= self._last_pn else ()
@@ -195,7 +176,6 @@ class PathLossDetector:
             if rtt_sample > 0:
                 self.rtt.update(rtt_sample, ack_delay)
         if newly_acked:
-            self.packets_acked_total += len(newly_acked)
             self.pto_count = 0
             # the walk took only newly acked packets out of flight
             delivered = in_flight_before - self._bytes_in_flight
@@ -232,9 +212,6 @@ class PathLossDetector:
                     self.loss_time = candidate
         for pkt in lost:
             del sent[pkt.packet_number]
-            self._declared_lost.add(pkt.packet_number)
-            self._declared_max = pkt.packet_number  # ``lost`` ascends
-            self.packets_lost_total += 1
             self._forget(pkt)
         return lost
 

@@ -64,8 +64,6 @@ class Path:
         self.last_recv_time = 0.0
         #: per-path traffic counters
         self.bytes_sent = 0
-        self.bytes_received = 0
-        self.packets_sent = 0
         self.packets_received = 0
         #: challenge data outstanding, if validating
         self.challenge_data: Optional[bytes] = None

@@ -121,7 +121,6 @@ class Receiver:
         stats.packets_received += 1
         conn.last_activity_at = now
         path.packets_received += 1
-        path.bytes_received += len(payload)
         try:
             frames = decode_frames(plain)
         except QuicError as exc:

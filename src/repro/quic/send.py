@@ -292,7 +292,6 @@ class Sender:
             SentPacket(pn, now, size, eliciting, in_flight, frames_info))
         if in_flight:
             path.cc.on_packet_sent(size, now)
-        path.packets_sent += 1
         path.bytes_sent += size
         self.stats.packets_sent += 1
         self.send_datagram(conn.net_path_of[path.path_id], wire)

@@ -193,8 +193,7 @@ class ReceiveStream:
     """Receive half: out-of-order reassembly, duplicate-tolerant."""
 
     __slots__ = ("stream_id", "_segments", "_received", "read_offset",
-                 "highest_received", "final_size", "bytes_received_raw",
-                 "duplicate_bytes", "fc")
+                 "highest_received", "final_size", "fc")
 
     def __init__(self, stream_id: int, window: int = _DEFAULT_WINDOW) -> None:
         self.stream_id = stream_id
@@ -207,10 +206,6 @@ class ReceiveStream:
         #: end of the highest byte received so far
         self.highest_received = 0
         self.final_size: Optional[int] = None
-        #: total payload bytes received including duplicates (cost metric)
-        self.bytes_received_raw = 0
-        #: duplicate bytes discarded (already-received ranges)
-        self.duplicate_bytes = 0
 
     def on_data(self, offset: int, data: bytes, fin: bool) -> None:
         """Accept a STREAM frame; overlapping data is deduplicated."""
@@ -223,13 +218,11 @@ class ReceiveStream:
         if self.final_size is not None and end > self.final_size:
             raise FinalSizeError(
                 f"stream {self.stream_id}: data beyond final size")
-        self.bytes_received_raw += end - offset
         if end == offset:
             return
         if end > self.highest_received:
             self.highest_received = end
         # Clip already-received prefix/suffix; store novel middle pieces.
-        duplicate = end - offset
         for seg_start, seg_end in self._received.missing_within(offset, end):
             # bytes() materializes here: ``data`` may be a memoryview of
             # the received datagram (zero-copy decode path), and stored
@@ -237,8 +230,6 @@ class ReceiveStream:
             self._segments[seg_start] = bytes(data[seg_start - offset:
                                                    seg_end - offset])
             self._received.add(seg_start, seg_end)
-            duplicate -= seg_end - seg_start
-        self.duplicate_bytes += duplicate
 
     def read_available(self) -> bytes:
         """Return (and consume) all in-order bytes available: one ready

@@ -69,7 +69,6 @@ class PlayerStats:
     rebuffer_events: List[RebufferEvent] = field(default_factory=list)
     play_time: float = 0.0
     started_at: Optional[float] = None
-    finished_at: Optional[float] = None
     buffer_level_samples: List[tuple] = field(default_factory=list)
 
     @property
@@ -274,7 +273,6 @@ class VideoPlayer:
         if self._stalled is not None:
             self._stalled.end = self.loop.now
             self._stalled = None
-        self.stats.finished_at = self.loop.now
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None

@@ -86,9 +86,7 @@ class RefDetector:
     def __init__(self):
         self.rtt = RttEstimator()
         self.sent = {}
-        self.declared = set()
         self.largest_acked = -1
-        self.spurious = 0
 
     def ack(self, ranges, ack_delay, now):
         acked = []
@@ -96,9 +94,6 @@ class RefDetector:
             for pn in range(start, end + 1):
                 if pn in self.sent:
                     acked.append(self.sent.pop(pn))
-                elif pn in self.declared:
-                    self.declared.remove(pn)
-                    self.spurious += 1
         largest = max(end for _start, end in ranges)
         sampled = False
         if largest > self.largest_acked:
@@ -120,7 +115,6 @@ class RefDetector:
                      or self.largest_acked - pn >= PACKET_THRESHOLD)]
         for pn in lost:
             del self.sent[pn]
-            self.declared.add(pn)
         return lost
 
 
@@ -216,10 +210,9 @@ class AckingPath:
 
     def check_detector(self):
         det, ref = self.detector, self.reference
-        assert (det.spurious_losses, det.largest_acked, det.rtt.smoothed) \
-            == (ref.spurious, ref.largest_acked, ref.rtt.smoothed)
+        assert (det.largest_acked, det.rtt.smoothed) \
+            == (ref.largest_acked, ref.rtt.smoothed)
         assert list(det.sent) == sorted(ref.sent)
-        assert det._declared_lost == ref.declared
 
     def step(self, op):
         self.now += 0.004
@@ -277,7 +270,7 @@ class TestAckOracle:
         """In-order arrivals, gaps, late hole-fills that merge ranges
         and duplicates; ACKs lost, duplicated and processed out of
         order: the bytes equal the reference encoder's and round-trip,
-        and the detector's (acked, lost, spurious, largest, sampled)
+        and the detector's (acked, lost, largest, sampled)
         equal the brute-force walk's after every ACK and timer."""
         path = AckingPath(qoe=qoe)
         for op in ops:

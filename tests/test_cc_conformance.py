@@ -104,8 +104,7 @@ class SyntheticLink:
                 cc.on_rate_sample(RateSample(
                     delivery_rate=(self.delivered - pkt["d"]) / interval,
                     rtt=rtt, delivered=self.delivered,
-                    pkt_delivered=pkt["d"], acked_bytes=pkt["size"],
-                    now=self.now))
+                    pkt_delivered=pkt["d"], now=self.now))
         cc.on_packet_acked(pkt["size"], pkt["sent"], self.now, rtt)
         state = getattr(cc, "state", None)
         if state is not None:
@@ -210,8 +209,7 @@ class TestInvariants:
                     delivery_rate=rng.random() * 2e6,
                     rtt=rng.random() * 0.2 + 1e-3,
                     delivered=(i + 1) * MDS,
-                    pkt_delivered=max(i - 5, 0) * MDS,
-                    acked_bytes=MDS, now=t,
+                    pkt_delivered=max(i - 5, 0) * MDS, now=t,
                     app_limited=rng.random() < 0.2))
             assert cc.bytes_in_flight == sum(s for s, _ in flight)
             assert math.isfinite(cc.cwnd) and cc.cwnd > 0
@@ -341,8 +339,8 @@ class TestBbrBehavior:
         def sample(rate, app_limited, i):
             return RateSample(delivery_rate=rate, rtt=0.04,
                               delivered=(i + 1) * MDS,
-                              pkt_delivered=i * MDS, acked_bytes=MDS,
-                              now=0.01 * i, app_limited=app_limited)
+                              pkt_delivered=i * MDS, now=0.01 * i,
+                              app_limited=app_limited)
 
         cc.on_rate_sample(sample(1e6, False, 0))
         assert cc.bandwidth == 1e6
@@ -436,7 +434,8 @@ _GREEDY = PlayerConfig(startup_frames=2, resume_frames=1,
 
 def _run_two_flows(scheme_a, scheme_b, path_specs, horizon_s=6.0):
     """Two sessions, distinct client hosts, same shared bottleneck
-    path(s); returns each connection's total received bytes."""
+    path(s); returns the bytes each server delivered (acked in-flight
+    bytes over all its paths)."""
     loop = EventLoop()
     net = MultipathNetwork(loop)
     for pid, rate_bps, delay_s in path_specs:
@@ -453,7 +452,7 @@ def _run_two_flows(scheme_a, scheme_b, path_specs, horizon_s=6.0):
             player_config=_GREEDY, seed=i,
             client_addr=f"flow-{i}", connection_name=f"flow-{i}")))
     runtime.run(timeout_s=horizon_s)
-    return [sum(p.bytes_received for p in h.client.conn.paths.values())
+    return [sum(p.loss.delivered for p in h.server.paths.values())
             for h in handles]
 
 
@@ -489,8 +488,8 @@ class TestFairness:
             video=_bulk_video(16_000_000), player_config=_GREEDY,
             seed=3))
         runtime.run(timeout_s=6.0)
-        received = {pid: p.bytes_received
-                    for pid, p in handle.client.conn.paths.items()}
+        received = {pid: p.loss.delivered
+                    for pid, p in handle.server.paths.items()}
         total = sum(received.values())
         assert total > 0
         assert received[1] >= 0.02 * total, received

@@ -232,8 +232,101 @@ class TestUnsetKnobs:
             package_extra="\n\ndef run(rate, loss=0.0):\n"
                           "    return make(rate, 0.5, loss=loss)\n") == []
 
+    def test_a_keyword_spelling_the_default_sets_nothing(self, lint,
+                                                         tmp_path):
+        """``make(delay=0.0)`` passes the value the parameter already
+        has: the program runs one value, a constant."""
+        assert self._unset(lint, tmp_path,
+                           "make(1, delay=0.0, loss=0.1)\n"
+                           "Ring(['a'], 8).spin(turns=1)\n") \
+            == ["Ring.spin.turns", "make.delay"]
+
     def test_this_repo_has_no_unset_knobs(self):
         assert _load_lint().check_unset_knobs() == []
+
+
+class TestWriteOnlyState:
+    PACKAGE = (
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\n"
+        "class Stats:\n"
+        "    packets: int = 0\n"
+        "    dropped: int = 0\n"
+        "    handshake_completed_at: float = 0.0\n\n"
+        "class Detector:\n"
+        "    __slots__ = ('sent', 'lost_total', 'last', 'tested', 'rate',\n"
+        "                 'probed', 'shared')\n\n"
+        "    def __init__(self):\n"
+        "        self.sent = {}\n"
+        "        self.lost_total = 0\n"
+        "        self.last: float = 0.0\n"
+        "        self.tested = 0\n"
+        "        self.rate, self.probed = 1.0, False\n"
+        "        self.shared = 0\n\n"
+        "    def on_loss(self, pn):\n"
+        "        self.sent.pop(pn)\n"
+        "        self.lost_total += 1\n"
+        "        self.last = pn\n\n"
+        "class ConnectionStats:\n"
+        "    def __init__(self):\n"
+        "        self.handshake_completed_at = None\n\n"
+        "class Other:\n"
+        "    def read(self):\n"
+        "        return self.shared\n")
+
+    @staticmethod
+    def _write_only(lint, tmp_path, users: dict) -> list:
+        """The ``Class.attribute`` names WRITE flags in ``PACKAGE``, with
+        ``users`` mapping repo-relative paths to their source."""
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "mod.py").write_text(
+            TestWriteOnlyState.PACKAGE)
+        for name, source in users.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(source)
+        findings = lint.check_write_only()
+        assert all(message.startswith("WRITE") for *_, message in findings)
+        return sorted(message.split()[1]
+                      for _path, _line, message in findings)
+
+    def test_flags_state_no_code_reads(self, lint, tmp_path):
+        """An attribute only stored, a counter only ``+=``'d and a
+        dataclass field never read are flagged; naming one in
+        ``__slots__`` is not a read, and neither is a test reading it."""
+        assert self._write_only(
+            lint, tmp_path,
+            {"tests/test_mod.py": "from repro.mod import Detector\n"
+                                  "assert Detector().tested == 0\n"}) \
+            == ["Detector.last", "Detector.lost_total", "Detector.probed",
+                "Detector.rate", "Detector.tested", "Stats.dropped",
+                "Stats.handshake_completed_at", "Stats.packets"]
+
+    def test_reads_in_the_program_and_the_allow_list_pass(self, lint,
+                                                          tmp_path):
+        """``obj.attr`` in ``examples/`` and ``getattr(x, "attr")`` in
+        ``bench/`` are reads; ``handshake_completed_at`` is allowed on
+        ``ConnectionStats`` only.  ``shared`` passes because
+        ``Other.read`` reads an attribute of that name: the rule matches
+        by name, not by class."""
+        assert self._write_only(
+            lint, tmp_path,
+            {"examples/demo.py": "from repro.mod import Detector, Stats\n"
+                                 "d = Detector()\n"
+                                 "print(d.lost_total, d.last, d.rate,\n"
+                                 "      d.probed, d.tested)\n",
+             "bench/ledger.py": "def total(objs, attr):\n"
+                                "    return sum(getattr(o, attr) "
+                                "for o in objs)\n"
+                                "total([], 'packets')\n"
+                                "total([], 'dropped')\n"}) \
+            == ["Stats.handshake_completed_at"]
+
+    def test_the_allow_list_is_one_name(self):
+        assert _load_lint().WRITE_ALLOWED \
+            == {"ConnectionStats.handshake_completed_at"}
+
+    def test_this_repo_reads_what_it_stores(self):
+        assert _load_lint().check_write_only() == []
 
 
 class TestReach:

@@ -60,7 +60,8 @@ class TestConstantRateLink:
             link.send(Datagram(payload=b"x" * 500))
         loop.run()
         assert link.stats.packets_dropped > 0
-        assert link.stats.packets_out + link.stats.packets_dropped == 10
+        assert len(got) + link.stats.packets_dropped == 10
+        assert link.stats.bytes_out == sum(d.wire_size for d in got)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

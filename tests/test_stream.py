@@ -154,14 +154,14 @@ class TestReceiveStream:
         r.on_data(0, b"abc", fin=False)
         r.on_data(0, b"abc", fin=False)
         assert r.read_available() == b"abc"
-        assert r.duplicate_bytes == 3
+        r.on_data(1, b"bc", fin=False)
+        assert r.read_available() == b""
 
     def test_partial_overlap_deduplicated(self):
         r = ReceiveStream(0)
         r.on_data(0, b"abcd", fin=False)
         r.on_data(2, b"cdef", fin=False)
         assert r.read_available() == b"abcdef"
-        assert r.duplicate_bytes == 2
 
     def test_overlap_spanning_hole(self):
         r = ReceiveStream(0)
@@ -188,12 +188,6 @@ class TestReceiveStream:
         assert not r.is_complete
         r.on_data(0, b"abcd", fin=False)
         assert r.is_complete
-
-    def test_raw_byte_accounting(self):
-        r = ReceiveStream(0)
-        r.on_data(0, b"abc", fin=False)
-        r.on_data(0, b"abc", fin=False)
-        assert r.bytes_received_raw == 6
 
     @given(st.permutations(list(range(10))))
     @settings(max_examples=50)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 from pathlib import Path as FilePath
 
 import pytest
@@ -15,14 +16,18 @@ from repro.quic.trace import EVENTS, ConnectionTracer, TraceEvent
 from repro.sim import EventLoop
 
 
-def traced_session(server_scheduler=None, outage=False):
-    """A small traced transfer; returns (tracer, client, server, loop)."""
+def traced_session(server_scheduler=None, outage=False, listener=None,
+                   path1_loss=0.0):
+    """A small traced transfer; returns (tracer, client, server, loop).
+    ``listener`` joins the tracer on the server's events; path 1 drops
+    ``path1_loss`` of its datagrams (seeded)."""
     loop = EventLoop()
     net = MultipathNetwork(loop)
     net.add_simple_path(
         0, 8e6, 0.02,
         outages=OutageSchedule(windows=[(0.15, 3.0)]) if outage else None)
-    net.add_simple_path(1, 8e6, 0.05)
+    net.add_simple_path(1, 8e6, 0.05, loss_rate=path1_loss,
+                        rng=random.Random(3) if path1_loss else None)
     client = Connection(loop, ConnectionConfig(is_client=True),
                         transmit=lambda pid, d: net.client.send(
                             Datagram(payload=d, path_id=pid)),
@@ -42,6 +47,8 @@ def traced_session(server_scheduler=None, outage=False):
 
     tracer = ConnectionTracer()
     tracer.install(server)
+    if listener is not None:
+        server.listeners.append(listener)
 
     def on_established():
         client.open_path(1, 1)
@@ -129,19 +136,35 @@ class TestTracer:
         assert loaded[-1]["data"] == tracer.events[-1].data
 
     def test_acks_and_losses_add_up_to_the_loss_detectors(self):
-        """Every ACK_MP and loss-timer firing is an event: summed per
-        path they give the detector's own totals."""
-        tracer, _c, server, _l = traced_session(outage=True)
+        """Every ACK_MP and loss-timer firing is an event: per path, the
+        packets they report acked or lost plus those still tracked are
+        the 1-RTT packets the path sent, each counted exactly once."""
+        # the handshake takes packet numbers on path 0 that the loss
+        # detector never tracks; its packets carry the long header
+        long_headers = []
+
+        def on_event(kind, fields):
+            if kind == "datagram_sent" and fields["payload"][0] & 0x80:
+                long_headers.append(fields["net_path"])
+
+        tracer, _c, server, _l = traced_session(outage=True,
+                                                listener=on_event,
+                                                path1_loss=0.05)
+        handshakes = len(long_headers)
+        assert handshakes > 0 and set(long_headers) == {0}
+        assert any(e.data["lost"] for e in tracer.events
+                   if e.name == "loss_timer")
+        lost_on = {}
         for pid, path in server.paths.items():
             acks = [e.data for e in tracer.events
                     if e.name == "ack_received" and e.data["path_id"] == pid]
             timers = [e.data for e in tracer.events
                       if e.name == "loss_timer" and e.data["path_id"] == pid]
-            assert sum(a["acked"] for a in acks) \
-                == path.loss.packets_acked_total
-            assert sum(a["lost"] for a in acks + timers) \
-                == path.loss.packets_lost_total
-        assert server.paths[0].loss.packets_lost_total > 0
+            acked = sum(a["acked"] for a in acks)
+            lost_on[pid] = sum(a["lost"] for a in acks + timers)
+            assert acked + lost_on[pid] + len(path.loss.sent) \
+                == path.next_pn - (handshakes if pid == 0 else 0)
+        assert lost_on[0] > 0
         assert tracer.count("pto") > 0
 
     def test_records_path_changes_on_both_ends(self):

@@ -29,6 +29,17 @@ forms, and obvious AST-level mistakes:
   shares its name.  Tests, imports, ``__all__``, docstrings and
   comments are not uses; ``DEAD_ALLOWED`` names the exceptions, each
   with its reason (checked whenever that directory is linted)
+- WRITE: an attribute of a class under ``NO_WRITE_ONLY`` -- a field its
+  body declares, or one its methods store on ``self`` by ``=``, ``+=``
+  or an annotated assignment -- that no code in ``DEAD_ROOTS`` reads.
+  A read is an attribute in load context or a string literal equal to
+  the name (``getattr``, a table of names); tests, docstrings and
+  ``__slots__`` are not reads.  Reads match by name, not by class, so
+  an attribute that shares its name with one read elsewhere (a
+  ``Path.packets_sent`` beside a read ``ConnectionStats.packets_sent``)
+  is not seen.  ``WRITE_ALLOWED`` names the exceptions as
+  ``Class.attribute``, each with its reason (checked whenever the
+  package is linted)
 - GC: a use of ``gc.collect`` / ``gc.disable`` / ``gc.freeze`` under a
   directory listed in ``NO_GC_CALLS``
 - KNOB: a defaulted field of a ``@dataclass`` named ``*Config``, or a
@@ -37,10 +48,11 @@ forms, and obvious AST-level mistakes:
   keyword or by position in a call to it, by keyword to ``replace()``
   (fields), or through a ``**`` mapping whose keys its module spells in
   ``dict()``, a dict literal or a call taking ``**kwargs``.  A test
-  setting it does not count.  A function or class read as a value (kept
-  in a table, passed as a callback) is called where the linter cannot
-  see, so its parameters all count as set (checked whenever the package
-  is linted)
+  setting it does not count, nor does a keyword whose source text is
+  the default's (``f(x=30.0)`` for ``x=30.0``).  A function or class
+  read as a value (kept in a table, passed as a callback) is called
+  where the linter cannot see, so its parameters all count as set
+  (checked whenever the package is linted)
 - REACH: a module under ``REACH_PACKAGE`` that no driver in
   ``REACH_ROOTS`` -- the CLI, ``bench/``, ``figures/`` -- imports,
   directly or through other modules (checked whenever the package is
@@ -70,6 +82,7 @@ class _Knobs(NamedTuple):
     callee: str         # the name a call to it is spelled with
     positional: List[str]
     defaulted: List[Tuple[str, int]]
+    defaults: Dict[str, str]    # name -> the source of its default
     config: bool = False
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -116,6 +129,20 @@ DEAD_ALLOWED = {
     # Mahimahi trace files are how a real capture enters the emulator
     # (PAPER.md, section 2)
     "load_mahimahi_trace", "save_mahimahi_trace",
+}
+
+#: the package whose stored attributes must each have a reader in
+#: ``DEAD_ROOTS``.  State nothing reads is work on every update and
+#: memory for as long as it lives; kept only for a test to assert on, it
+#: checks a number the program never uses.
+NO_WRITE_ONLY = "src/repro"
+
+#: ``Class.attribute`` stored under ``NO_WRITE_ONLY`` that may have no
+#: reader in ``DEAD_ROOTS``, each for its reason.
+WRITE_ALLOWED = {
+    # ``tests/test_golden.py`` records every ``ConnectionStats`` field
+    # with ``vars()``; without it the golden stats records would change
+    "ConnectionStats.handshake_completed_at",
 }
 
 #: directory (repo-relative) -> the ``gc`` functions none of its files
@@ -376,11 +403,21 @@ def check_file(path: Path) -> List[Finding]:
     return findings
 
 
+def _targets(node: ast.AST) -> List[ast.expr]:
+    """What an assignment statement binds; nothing for other nodes."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
 def _references(tree: ast.Module) -> Iterator[Tuple[str, int, bool]]:
     """(name, line, bare) of every reference in ``tree``: a name (``bare``),
-    an attribute, or a string literal (``getattr(obj, "name")``, a table
-    of names) that is neither a docstring nor part of ``__all__``.
-    Imports are not references, and comments are not in the tree."""
+    an attribute read, or a string literal (``getattr(obj, "name")``, a table
+    of names) that is neither a docstring nor part of ``__all__`` or
+    ``__slots__``.  Imports are not references, and comments are not in
+    the tree."""
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -388,20 +425,16 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, int, bool]]:
                 and isinstance(node.body[0], ast.Expr) \
                 and isinstance(node.body[0].value, ast.Constant):
             skip.add(id(node.body[0].value))
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            continue
-        if node.value is not None and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in targets):
+        if getattr(node, "value", None) is not None and any(
+                isinstance(target, ast.Name)
+                and target.id in ("__all__", "__slots__")
+                for target in _targets(node)):
             skip.update(map(id, ast.walk(node.value)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno, True
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in skip:
@@ -460,6 +493,51 @@ def check_dead_public() -> List[Finding]:
                        for use in used.get(node.name, ()))]
 
 
+def _stores(tree: ast.Module) -> Iterator[Tuple[str, str, int]]:
+    """(class, attribute, line) of every field a class in ``tree``
+    declares in its body and every attribute its methods store on
+    ``self`` by ``=``, ``+=`` or an annotated assignment."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id, node.lineno
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for statement in ast.walk(node):
+                for target in _targets(statement):
+                    yield from ((cls.name, sub.attr, statement.lineno)
+                                for sub in ast.walk(target)
+                                if isinstance(sub, ast.Attribute)
+                                and isinstance(sub.ctx, ast.Store)
+                                and isinstance(sub.value, ast.Name)
+                                and sub.value.id == "self")
+
+
+def check_write_only() -> List[Finding]:
+    """Attributes stored under ``NO_WRITE_ONLY`` that no code in
+    ``DEAD_ROOTS`` reads (see WRITE in the module docstring)."""
+    read = set()
+    stored: Dict[Tuple[str, str], Tuple[Path, int]] = {}
+    for path in iter_py_files([str(REPO_ROOT / r) for r in DEAD_ROOTS]):
+        try:
+            tree = ast.parse(path.read_text(), filename=str(path))
+        except SyntaxError:
+            continue  # check_file reports it
+        read.update(name for name, _line, bare in _references(tree)
+                    if not bare)
+        if (REPO_ROOT / NO_WRITE_ONLY) in path.parents:
+            for cls, attr, line in _stores(tree):
+                stored.setdefault((cls, attr), (path, line))
+    return sorted((path, line, f"WRITE {cls}.{attr} is stored but read by "
+                               f"no code in {', '.join(DEAD_ROOTS)}")
+                  for (cls, attr), (path, line) in stored.items()
+                  if attr not in read
+                  and f"{cls}.{attr}" not in WRITE_ALLOWED)
+
+
 def _config_fields(tree: ast.Module) -> Iterator[_Knobs]:
     """The fields of every ``@dataclass`` named ``*Config`` in ``tree``."""
     for cls in ast.walk(tree):
@@ -469,6 +547,7 @@ def _config_fields(tree: ast.Module) -> Iterator[_Knobs]:
             continue
         fields: List[str] = []
         defaulted: List[Tuple[str, int]] = []
+        defaults: Dict[str, str] = {}
         for node in cls.body:
             if not (isinstance(node, ast.AnnAssign)
                     and isinstance(node.target, ast.Name)) \
@@ -478,7 +557,9 @@ def _config_fields(tree: ast.Module) -> Iterator[_Knobs]:
             fields.append(node.target.id)
             if node.value is not None:
                 defaulted.append((node.target.id, node.lineno))
-        yield _Knobs(cls.name, cls.name, fields, defaulted, config=True)
+                defaults[node.target.id] = ast.unparse(node.value)
+        yield _Knobs(cls.name, cls.name, fields, defaulted, defaults,
+                     config=True)
 
 
 def _parameters(func: ast.FunctionDef, owner: str, callee: str,
@@ -488,12 +569,13 @@ def _parameters(func: ast.FunctionDef, owner: str, callee: str,
     positional = [*args.posonlyargs, *args.args]
     defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
     first = 1 if skip_first else 0
-    defaulted = [(arg.arg, arg.lineno)
-                 for arg, default in [*zip(positional, defaults)][first:]
-                 + [*zip(args.kwonlyargs, args.kw_defaults)]
-                 if default is not None]
+    pairs = [(arg, default)
+             for arg, default in [*zip(positional, defaults)][first:]
+             + [*zip(args.kwonlyargs, args.kw_defaults)]
+             if default is not None]
     return _Knobs(owner, callee, [arg.arg for arg in positional[first:]],
-                  defaulted)
+                  [(arg.arg, arg.lineno) for arg, _default in pairs],
+                  {arg.arg: ast.unparse(default) for arg, default in pairs})
 
 
 def _function_knobs(tree: ast.Module,
@@ -658,7 +740,10 @@ def check_unset_knobs() -> List[Finding]:
                         break
                     if i < len(knobs.positional):
                         set_on.add((knobs.owner, knobs.positional[i]))
-                set_on.update((knobs.owner, kw.arg) for kw in call.keywords)
+                # a keyword spelling the default sets nothing
+                set_on.update((knobs.owner, kw.arg) for kw in call.keywords
+                              if kw.arg is None or ast.unparse(kw.value)
+                              != knobs.defaults.get(kw.arg))
                 if any(kw.arg is None for kw in call.keywords):
                     mapped.append(knobs)
             if name == "replace":
@@ -751,6 +836,7 @@ def main(argv: List[str]) -> int:
         lints_package |= (REPO_ROOT / NO_DEAD_PUBLIC) in path.resolve().parents
     if lints_package:
         findings.extend(check_dead_public())
+        findings.extend(check_write_only())
         findings.extend(check_unset_knobs())
         findings.extend(check_reach())
     for path, line, message in findings:
